@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,13 +32,27 @@ __all__ = [
     "InvariantForm", "BonneauFamily", "bonneau_chart", "bonneau_torsion",
     "round_s4_chart", "product_chart", "flat_torsion", "flat_torus_chart",
     "random_chart", "random_torsion", "random_one_form", "chart_from_dict",
-    "structure_functions",
+    "structure_functions", "gauss_legendre",
 ]
 
 ORBIT_VOLUME_SU2 = 16.0 * math.pi ** 2  # integral of s1^s2^s3 over SU(2)
 ORBIT_VOLUME_T3 = (2.0 * math.pi) ** 3
 
 JET_ORDER = 4
+
+
+@lru_cache(maxsize=32)
+def gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on (0, 1), computed once per n.
+
+    The arrays are shared by every caller and thread, so they are read-only.
+    The cache keeps the 32 most recent rules; a report uses two (n, 2n).
+    """
+    un, uw = np.polynomial.legendre.leggauss(n)
+    u, w = 0.5 * (un + 1.0), 0.5 * uw
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
 
 
 class ChartError(ValueError):
@@ -93,10 +108,9 @@ class InvariantChart:
 
     def quadrature(self, n: int):
         """Gauss-Legendre nodes/weights in x, including the |dx/du| factor."""
-        un, uw = np.polynomial.legendre.leggauss(n)
-        u = 0.5 * (un + 1.0)
+        u, uw = gauss_legendre(n)
         x, dxdu = self.map_from_unit(u)
-        w = 0.5 * uw * np.abs(dxdu)
+        w = uw * np.abs(dxdu)
         order = np.argsort(x)
         return x[order], w[order]
 

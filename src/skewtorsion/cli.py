@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -221,8 +222,23 @@ def cmd_probe(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads negative values in exponent form (``--k -7.8e-05``) as values.
+
+    argparse before Python 3.13 takes only ``-1`` and ``-.5`` shapes for
+    negative numbers and reads ``-7.8e-05`` as an unknown flag.  No option
+    of this parser looks like a number, so widening the pattern is safe;
+    subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="skewtorsion",
         description="verification and reports for skew-torsion geometry on "
                     "cohomogeneity-one 4-manifolds")

@@ -12,22 +12,34 @@ f dR = a dx, f R = c, so log R = Int a/c dx with a/c evaluated in the
 cancelled form (k - x)/(W (1 + x^2)); R grows like 1/(k - x) at the
 orbit-collapse end and like 1/|x| at -infinity, which the asymptotic
 check fits numerically.
+
+The integral is taken in u = log(k - x), where the integrand
+-(k - x)^2 / (W (1 + x^2)) is smooth and tends to constants at both ends,
+by a composite Gauss-Legendre rule of PANEL_ORDER nodes on panels at most
+PANEL_WIDTH wide in u, graded toward the poles at x = +-i when large k
+brings them near the real u axis.  All segments of one call share one
+vectorized evaluation of a/c.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import jets
-from .charts import BonneauFamily, ChartError, InvariantChart
+from .charts import BonneauFamily, ChartError, InvariantChart, gauss_legendre
 
 __all__ = [
     "InvariantACS", "acs_radial", "acs_swapped", "nijenhuis_norm",
     "r_coordinate", "r_curve", "write_r_curve_csv", "asymptotic_check",
 ]
+
+# composite rule for log R in u = log(k - x): panel width in u and nodes per
+# panel (refinement table in CHANGES.md)
+PANEL_WIDTH = 0.5
+PANEL_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -93,29 +105,76 @@ def nijenhuis_norm(pt_or_chart, J: InvariantACS, nodes: int = 64) -> float:
     return float(np.max(np.abs(N)))
 
 
+def quad(f, lo, hi) -> np.ndarray:
+    """Integrals of f over [lo[i], hi[i]] by a composite Gauss-Legendre rule.
+
+    Each interval is cut into the fewest equal panels no wider than
+    PANEL_WIDTH, with PANEL_ORDER nodes each; f is called once, on the
+    nodes of every panel of every interval.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    panels = np.maximum(np.ceil(np.abs(hi - lo) / PANEL_WIDTH), 1.0).astype(int)
+    seg = np.repeat(np.arange(len(lo)), panels)
+    h = ((hi - lo) / panels)[seg]
+    j = np.arange(len(seg)) - np.repeat(np.cumsum(panels) - panels, panels)
+    t, w = gauss_legendre(PANEL_ORDER)
+    nodes = (lo[seg] + j * h)[:, None] + h[:, None] * t
+    vals = f(nodes.ravel()).reshape(nodes.shape)
+    return np.bincount(seg, weights=h * (vals @ w), minlength=len(lo))
+
+
+def _pole_breaks(k: float) -> np.ndarray:
+    """Breakpoints in u that grade the panels toward the poles at t = +-i.
+
+    In u = log(k - t) those poles sit at log|k - i| +- i arg(k - i), a
+    distance d = atan2(1, k) off the real axis, which shrinks like 1/k for
+    large k.  When d is below PANEL_WIDTH, segments doubling in length
+    away from log|k - i| keep every panel no wider than its distance from
+    the poles, so each converges at a fixed rate in PANEL_ORDER.
+    """
+    d = math.atan2(1.0, k)
+    if d >= PANEL_WIDTH:
+        return np.empty(0)
+    steps = d * 2.0 ** np.arange(math.ceil(math.log2(PANEL_WIDTH / d)) + 1)
+    centre = 0.5 * math.log1p(k * k)
+    return np.concatenate([[centre], centre - steps, centre + steps])
+
+
 def r_coordinate(k: float, x, x0: float) -> np.ndarray:
     """Holomorphic radius R(x) = exp Int_{x0}^{x} a/c dt, with R(x0) = 1.
 
-    The quadrature is cumulative over the sorted query points, so batches
-    of points share work.
+    The integral is taken in u = log(k - t), where the integrand
+    g(u) = -(a/c)(t) (k - t) = -(k - t)^2 / (W (1 + t^2)) is smooth and
+    tends to constants at both ends (W has a double root at k and tends
+    to 1), so panels of fixed width in u resolve every decade of k - t
+    alike: :func:`quad` with PANEL_WIDTH and PANEL_ORDER, graded toward
+    the poles at t = +-i when they come close (:func:`_pole_breaks`).
+    The query points and x0 split u into consecutive segments, all of
+    which share one vectorized evaluation of a/c; a cumulative sum joins
+    them.
     """
     fam = BonneauFamily(k)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not (np.all(np.isfinite(xs)) and math.isfinite(x0)):
+        raise ChartError("x and x0 must be finite")
     if np.any(xs >= k) or x0 >= k:
         raise ChartError("x must lie below k")
 
-    def integrand(t):
-        return float(jets.value_of(fam.a_over_c(
-            jets.Jet.constant(np.asarray(t, dtype=float), 2))))
+    def g(u):
+        # k - t from the rounded t, not exp(u): near k the two differ by
+        # eps k / (k - t) relative, while g as a function of t is exact;
+        # order 1 is the lowest jets.arctan accepts
+        t = k - np.exp(u)
+        return -(k - t) * jets.value_of(fam.a_over_c(jets.Jet.constant(t, 1)))
 
-    pts = np.unique(np.concatenate([xs, [x0]]))
-    cum = np.zeros_like(pts)
-    for i in range(1, len(pts)):
-        seg, _ = quad(integrand, pts[i - 1], pts[i], limit=200,
-                      epsabs=1e-13, epsrel=1e-12)
-        cum[i] = cum[i - 1] + seg
-    cum -= cum[np.searchsorted(pts, x0)]
-    out = np.exp(cum[np.searchsorted(pts, xs)])
+    uq, u0 = np.log(k - xs), math.log(k - x0)
+    ends = np.concatenate([uq, [u0]])
+    breaks = _pole_breaks(k)
+    breaks = breaks[(breaks > ends.min()) & (breaks < ends.max())]
+    u = np.unique(np.concatenate([ends, breaks]))
+    cum = np.concatenate([[0.0], np.cumsum(quad(g, u[:-1], u[1:]))])
+    logr = cum[np.searchsorted(u, uq)] - cum[np.searchsorted(u, u0)]
+    out = np.exp(logr)
     return out if np.ndim(x) else float(out[0])
 
 

@@ -118,3 +118,10 @@ def test_scan_respects_thread_cap(monkeypatch):
                            "--k-step", "0.25", "--grid", "32", "--format", "csv")
     assert code == 0
     assert len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("k", ["-7.8e-05", "-1e-3"])
+def test_negative_exponent_form_values(k):
+    code, out, err = run_cli("verify", "--chart", "bonneau", "--k", k, "--grid", "16")
+    assert code == 0, err
+    assert json.loads(out)["chart"]["params"]["k"] == float(k)

@@ -45,6 +45,10 @@ def test_r_coordinate_normalization_monotone():
 def test_r_coordinate_domain_check():
     with pytest.raises(ChartError):
         r_coordinate(0.0, 0.5, -1.0)
+    for x, x0 in ((np.nan, -1.0), (-np.inf, -1.0), ([-2.0, np.nan], -1.0),
+                  (-2.0, np.nan), (-2.0, -np.inf)):
+        with pytest.raises(ChartError):
+            r_coordinate(0.0, x, x0)
 
 
 def test_r_coordinate_endpoint_limits():
@@ -93,3 +97,35 @@ def test_write_r_curve_csv(tmp_path):
     assert len(lines) == 33
     rs = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert all(b > a for a, b in zip(rs, rs[1:]))
+
+
+def _oracle_log_r(k, x, x0):
+    """log R(x) from a 40-digit mpmath integral that shares no code with the
+    package: the naive closed-form W, integrated over u = log(k - x)."""
+    import mpmath
+    with mpmath.workdps(40):
+        k, x, x0 = mpmath.mpf(k), mpmath.mpf(x), mpmath.mpf(x0)
+        pk = mpmath.pi / 2 + mpmath.atan(k)
+        n = 1 / (k + (1 + k * k) * pk)
+
+        def W(y):
+            return (1 + n * (y * y - 1 - 2 * k * y) * (mpmath.pi / 2 + mpmath.atan(y))
+                    + n * (y - 2 * k))
+
+        def g(u):
+            y = k - mpmath.exp(u)
+            return -mpmath.exp(2 * u) / (W(y) * (1 + y * y))
+
+        u0, u1 = mpmath.log(k - x0), mpmath.log(k - x)
+        m = max(1, int(abs(u1 - u0)) + 1)
+        return float(mpmath.quad(g, mpmath.linspace(u0, u1, m + 1)))
+
+
+# k = 10 puts the poles at x = +-i within 0.1 of the real u axis
+@pytest.mark.parametrize("k", [-1.5, 0.0, 1.0, 10.0])
+def test_r_coordinate_matches_mpmath_oracle(k):
+    x0 = k - 1.0
+    xs = np.array([k - 1e-7, k - 1e-3, x0 - 5.0, -1e7])
+    got = np.log(r_coordinate(k, xs, x0))
+    want = np.array([_oracle_log_r(k, x, x0) for x in xs])
+    assert np.max(np.abs(got - want)) <= 1e-9
