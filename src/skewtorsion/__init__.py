@@ -9,7 +9,7 @@ from .frame import (
     ricci_contraction, sd_form_as_operator, sd_split,
 )
 from .charts import (
-    ChartError, InvariantChart, InvariantForm, bonneau_chart, bonneau_torsion,
+    ChartError, InvariantChart, InvariantForm, bonneau_chart, chart_and_torsion,
     flat_torsion, flat_torus_chart, product_chart, random_chart,
     random_one_form, random_torsion, round_s4_chart,
 )
@@ -18,7 +18,10 @@ from .connections import (
     exterior_ops, identity_suite, levi_civita, ricci_and_scalar,
     with_skew_torsion,
 )
-from .decomposition import DecompositionReport, decompose, einstein_residual, z_nabla_check
+from .evaluation import ConnectionData, Evaluation
+from .decomposition import (
+    DecompositionReport, decompose_point, einstein_residual, einstein_tensor_point,
+)
 from .weyl import WeylStructure, einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection
 from .topology import (
     TopologyReport, euler_and_signature, hitchin_thorpe_report,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -29,9 +29,9 @@ from .frame import KForm, MULTI_INDICES
 
 __all__ = [
     "ChartError", "Domain", "InvariantChart", "FramePoint",
-    "InvariantForm", "BonneauFamily", "bonneau_chart", "bonneau_torsion",
+    "InvariantForm", "BonneauFamily", "bonneau_chart",
     "round_s4_chart", "product_chart", "flat_torsion", "flat_torus_chart",
-    "random_chart", "random_torsion", "random_one_form", "chart_from_dict",
+    "random_chart", "random_torsion", "random_one_form", "chart_and_torsion",
     "structure_functions", "gauss_legendre",
 ]
 
@@ -185,6 +185,21 @@ class FramePoint:
         self._struct = cs
         return cs
 
+    def values(self, nested) -> np.ndarray:
+        """Values of a jet, or of a nested list of jets, as one array with
+        the grid axis last."""
+        if isinstance(nested, list):
+            return np.stack([self.values(v) for v in nested])
+        return np.broadcast_to(np.asarray(jets.value_of(nested), dtype=float), self.x.shape)
+
+    @cached_property
+    def brackets(self) -> np.ndarray:
+        """Values of :meth:`structure_functions` as one read-only array,
+        shape (4, 4, 4, n)."""
+        out = self.values(self.structure_functions())
+        out.flags.writeable = False
+        return out
+
     def jacobi_residual(self) -> float:
         """Sup norm of the frame Jacobi identity over the batch."""
         cs = self.structure_functions()
@@ -208,15 +223,7 @@ def structure_functions(chart: InvariantChart, x) -> np.ndarray:
     Indexing: [e_i, e_j] = sum_k out[i, j, k] e_k.  Boundary or exterior x
     raises the chart's domain error.
     """
-    pt = chart.at(x)
-    cs = pt.structure_functions()
-    out = np.empty((4, 4, 4) + pt.x.shape)
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                out[i, j, k] = np.broadcast_to(
-                    np.asarray(jets.value_of(cs[i][j][k])), pt.x.shape)
-    return out
+    return chart.at(x).brackets
 
 
 class InvariantForm:
@@ -373,11 +380,6 @@ def bonneau_chart(k: float, scan_nodes: int = 1024):
     return chart, H
 
 
-def bonneau_torsion(chart: InvariantChart) -> InvariantForm:
-    fam = BonneauFamily(chart.params["k"])
-    return InvariantForm(3, {(0, 1, 2): fam.torsion_coefficient})
-
-
 def round_s4_chart() -> InvariantChart:
     """Unit-curvature round S^4: a = 1, b = c = sin(x)/2 on (0, pi)."""
     return InvariantChart(
@@ -466,18 +468,24 @@ def random_one_form(seed: int, amp: float = 0.6) -> InvariantForm:
     return InvariantForm(1, comps)
 
 
-def chart_from_dict(d: dict) -> InvariantChart:
-    """Rebuild a chart from its JSON descriptor."""
-    t = d["type"]
-    p = d.get("params", {})
+def chart_and_torsion(descriptor: dict):
+    """(chart, torsion 3-form) from a JSON descriptor such as ``chart.to_dict()``.
+
+    The torsion is the chart type's own: the Bonneau family's closed H, the
+    flat group torsion on ``product``, the seeded random H on ``random`` and
+    zero on ``round`` and ``flat``.
+    """
+    t = descriptor["type"]
+    p = descriptor.get("params", {})
     if t == "bonneau":
-        return bonneau_chart(p["k"])[0]
+        return bonneau_chart(p["k"])
     if t == "round":
-        return round_s4_chart()
+        return round_s4_chart(), InvariantForm.zero(3)
     if t == "product":
-        return product_chart(p.get("b0", 1.0), p.get("L", 1.0))
+        chart = product_chart(p.get("b0", 1.0), p.get("L", 1.0))
+        return chart, flat_torsion(chart)
     if t == "flat":
-        return flat_torus_chart(p.get("L", 1.0))
+        return flat_torus_chart(p.get("L", 1.0)), InvariantForm.zero(3)
     if t == "random":
-        return random_chart(p.get("seed", 0))
+        return random_chart(p.get("seed", 0)), random_torsion(p.get("seed", 0))
     raise ChartError(f"unknown chart type {t!r}")

@@ -8,6 +8,9 @@ Subcommands:
   scan    sweep the S^4 family parameter k and emit one row per value.
   probe   gauge-equivalence probe of the +-H pair (JSON).
 
+Each command evaluates the chart once per grid it uses, and every check
+on that grid shares one evaluation context.
+
 Floats are emitted with 17 significant digits and reductions use a fixed
 summation order, so identical configurations produce identical bytes.
 The environment variable SKEW_THREADS caps scan parallelism.
@@ -26,10 +29,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import charts
-from .charts import ChartError, InvariantForm
+from .charts import ChartError
 from .connections import identity_suite
-from .decomposition import decompose
-from .instanton import gauge_equivalence_probe, killing_residual, yang_mills_density_check
+from .decomposition import decompose_point
+from .evaluation import Evaluation
+from .instanton import (
+    gauge_equivalence_probe, killing_residual, self_duality_residual,
+    yang_mills_density_check,
+)
 from .moduli import acs_radial, nijenhuis_norm
 from .topology import hitchin_thorpe_report
 from .weyl import torsion_weyl_roundtrip
@@ -91,26 +98,16 @@ def _emit(text: str, out_path: str | None):
 
 
 def _build_chart(args):
-    """(chart, torsion 3-form) for the named chart type."""
-    t = args.chart
-    if t == "bonneau":
-        return charts.bonneau_chart(args.k)
-    if t == "round":
-        return charts.round_s4_chart(), InvariantForm.zero(3)
-    if t == "product":
-        ch = charts.product_chart(args.b0, args.L)
-        return ch, charts.flat_torsion(ch)
-    if t == "flat":
-        return charts.flat_torus_chart(args.L), InvariantForm.zero(3)
-    if t == "random":
-        return charts.random_chart(args.seed), charts.random_torsion(args.seed)
-    raise ChartError(f"unknown chart {t!r}")
+    """(chart, torsion 3-form) named by the chart options."""
+    return charts.chart_and_torsion({"type": args.chart, "params": {
+        "k": args.k, "b0": args.b0, "L": args.L, "seed": args.seed}})
 
 
 def cmd_verify(args) -> int:
     chart, H = _build_chart(args)
-    res = identity_suite(chart, H, nodes=args.grid)
-    rep = decompose(chart, H, nodes=args.grid)
+    ev = Evaluation.on_grid(chart, H, args.grid)
+    res = identity_suite(ev)
+    rep = decompose_point(ev)
     res["reconstruction"] = rep.reconstruction_residual
     res["block_isometry"] = rep.block_residual
     failing = [k for k, v in res.items()
@@ -132,28 +129,20 @@ def cmd_report(args) -> int:
     chart, H = _build_chart(args)
     n = min(args.grid, 128)
     top = hitchin_thorpe_report(chart, H, nodes=args.grid)
-    rep = decompose(chart, H, nodes=n)
-    ym = yang_mills_density_check(chart, H, nodes=n)
-    kil = killing_residual(chart, H, nodes=n)
-    rt = torsion_weyl_roundtrip(chart, H, nodes=n)
-
-    from .connections import levi_civita, with_skew_torsion
-    from .instanton import induced_lambda_plus, self_duality_residual
-    pt = chart.at(chart.sample_grid(n))
-    lc = levi_civita(pt)
-    sd = {tag: self_duality_residual(
-        induced_lambda_plus(with_skew_torsion(lc, sign * H.at(pt))))
-        for sign, tag in ((+1.0, "plus"), (-1.0, "minus"))}
+    ev = Evaluation.on_grid(chart, H, n)
+    sd = {"plus": self_duality_residual(ev.plus.induced),
+          "minus": self_duality_residual(ev.minus.induced)}
     payload = {
         "schema": SCHEMA,
         "command": "report",
         "chart": chart.to_dict(),
         "topology": _to_jsonable(top.to_dict()),
-        "decomposition": _to_jsonable(rep.summary()),
-        "yang_mills": _to_jsonable({k: v for k, v in ym.items() if k != "density"}),
+        "decomposition": _to_jsonable(decompose_point(ev).summary()),
+        "yang_mills": _to_jsonable({k: v for k, v in yang_mills_density_check(ev).items()
+                                    if k != "density"}),
         "self_duality": _to_jsonable(sd),
-        "killing": _to_jsonable(kil),
-        "weyl_roundtrip": _to_jsonable(rt),
+        "killing": _to_jsonable(killing_residual(ev)),
+        "weyl_roundtrip": _to_jsonable(torsion_weyl_roundtrip(ev)),
         "nijenhuis_radial": nijenhuis_norm(chart, acs_radial(), nodes=64),
     }
     _emit(_dump_json(payload) + "\n", args.out)
@@ -165,9 +154,10 @@ def _scan_row(k: float, grid: int):
         chart, H = charts.bonneau_chart(k)
     except ChartError as exc:
         return {"k": k, "admissible": False, "reason": str(exc)}
-    rep = decompose(chart, H, nodes=64)
     top = hitchin_thorpe_report(chart, H, nodes=grid)
-    probe = gauge_equivalence_probe(chart, H, nodes=64)
+    ev = Evaluation.on_grid(chart, H, 64)
+    rep = decompose_point(ev)
+    probe = gauge_equivalence_probe(ev)
     return {
         "k": k,
         "admissible": True,
@@ -210,7 +200,7 @@ def cmd_scan(args) -> int:
 
 def cmd_probe(args) -> int:
     chart, H = _build_chart(args)
-    rep = gauge_equivalence_probe(chart, H, nodes=args.grid)
+    rep = gauge_equivalence_probe(Evaluation.on_grid(chart, H, args.grid))
     payload = {
         "schema": SCHEMA,
         "command": "probe",

@@ -13,27 +13,35 @@ derivatives of H with coefficient 1/2.
 
 The codifferential is d* = -*d* on every degree (the 4-dimensional
 Riemannian adjoint), equal to minus the divergence contraction.
+
+The curvature routes, the exterior data of H and the identity suite read
+their connections and curvature tensors from an evaluation context
+(:class:`skewtorsion.evaluation.Evaluation`), which builds each once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import jets
 from .jets import Jet
 from .frame import KForm, MULTI_INDICES, hodge_star, norm_sq
-from .charts import FramePoint, InvariantChart, InvariantForm, random_chart, random_torsion
+from .charts import FramePoint
+
+if TYPE_CHECKING:
+    from .evaluation import Evaluation
 
 __all__ = [
     "AffineConnection", "CurvatureTensor", "RicciData",
-    "levi_civita", "with_skew_torsion", "torsion_three_form",
+    "levi_civita", "with_skew_torsion",
     "curvature", "curvature_via_eq1", "ricci_and_scalar",
-    "ricci_divergence_check", "scalar_shift_check",
     "d_form", "codifferential", "cov_deriv_one_form", "cov_deriv_three_form",
     "ExteriorData", "exterior_ops", "identity_suite", "full_components",
 ]
+
+_EYE4 = np.eye(4)
 
 
 @dataclass
@@ -46,14 +54,12 @@ class AffineConnection:
 
     def gamma_values(self) -> np.ndarray:
         """Coefficients as an array of shape (4, 4, 4, n)."""
-        return _stack3(self.gamma, self.pt)
+        return self.pt.values(self.gamma)
 
     def gamma_radial_derivatives(self) -> np.ndarray:
         """e1(Gamma^k_ij) as an array of shape (4, 4, 4, n)."""
         pt = self.pt
-        out = [[[pt.e1(self.gamma[i][j][k]) for k in range(4)] for j in range(4)]
-               for i in range(4)]
-        return _stack3(out, pt)
+        return pt.values([[[pt.e1(g) for g in row] for row in mat] for mat in self.gamma])
 
     def torsion_form(self) -> KForm:
         """Torsion lowered to a 3-form: T(e_i,e_j,e_k) = g(T(e_i,e_j), e_k)."""
@@ -70,28 +76,16 @@ class CurvatureTensor:
 
     components: np.ndarray
 
-    def pair_transpose(self) -> "CurvatureTensor":
-        return CurvatureTensor(np.einsum("ijkl...->klij...", self.components))
-
 
 @dataclass
 class RicciData:
     ric: np.ndarray       # (4, 4, n)
     scalar: np.ndarray    # (n,)
 
-
-def _grid_value(v, pt: FramePoint) -> np.ndarray:
-    return np.broadcast_to(np.asarray(jets.value_of(v), dtype=float), pt.x.shape)
-
-
-def _stack3(nested, pt: FramePoint) -> np.ndarray:
-    n = pt.npoints
-    out = np.empty((4, 4, 4, n))
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                out[i, j, k] = _grid_value(nested[i][j][k], pt)
-    return out
+    def traceless(self) -> np.ndarray:
+        """Trace-free symmetric Ricci tensor sym Ric - (s/4) g, (4, 4, n)."""
+        sym = 0.5 * (self.ric + np.einsum("ij...->ji...", self.ric))
+        return sym - 0.25 * self.scalar * _EYE4[..., None]
 
 
 def full_components(form: KForm, pt: FramePoint) -> np.ndarray:
@@ -100,11 +94,11 @@ def full_components(form: KForm, pt: FramePoint) -> np.ndarray:
     shape = (4,) * k + pt.x.shape
     out = np.zeros(shape)
     if k == 0:
-        return _grid_value(form.comps[0], pt)
+        return pt.values(form.comps[0])
     from itertools import permutations
     from .frame import _perm_sign
     for idx, c in zip(MULTI_INDICES[k], form.comps):
-        v = _grid_value(c, pt)
+        v = pt.values(c)
         for perm in permutations(idx):
             out[perm] = _perm_sign(perm) * v
     return out
@@ -131,15 +125,11 @@ def with_skew_torsion(lc: AffineConnection, H: KForm) -> AffineConnection:
         raise ValueError("torsion must be a 3-form")
     tor = lc.torsion_form()
     scale = max(1.0, float(np.max(np.abs(lc.gamma_values()))))
-    if np.max(np.abs([_grid_value(c, lc.pt) for c in tor.comps])) > 1e-10 * scale:
+    if np.max(np.abs([lc.pt.values(c) for c in tor.comps])) > 1e-10 * scale:
         raise ValueError("base connection must be torsion-free")
     gamma = [[[lc.gamma[i][j][k] + 0.5 * H[(i, j, k)]
                for k in range(4)] for j in range(4)] for i in range(4)]
     return AffineConnection(lc.pt, gamma, metric_compatible=True)
-
-
-def torsion_three_form(conn: AffineConnection) -> KForm:
-    return conn.torsion_form()
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +142,7 @@ def curvature(conn: AffineConnection) -> CurvatureTensor:
     pt = conn.pt
     G = conn.gamma_values()
     dG = conn.gamma_radial_derivatives()
-    Cs = _stack3(pt.structure_functions(), pt)
+    Cs = pt.brackets
     n = pt.npoints
 
     R = np.zeros((4, 4, 4, 4, n))
@@ -165,41 +155,24 @@ def curvature(conn: AffineConnection) -> CurvatureTensor:
     return CurvatureTensor(R)
 
 
-def curvature_via_eq1(pt: FramePoint, H: InvariantForm | KForm) -> CurvatureTensor:
-    """Torsion-connection curvature assembled from the Riemannian one.
+def curvature_via_eq1(ev: Evaluation) -> CurvatureTensor:
+    """Curvature of the +H connection assembled from the Riemannian one.
 
-    Independent route from :func:`curvature`: Riemannian curvature plus the
-    quadratic torsion terms (coefficient 1/4) and the first covariant
-    derivatives of H (coefficient 1/2).
+    Independent route from :func:`curvature`: the context's Riemannian
+    curvature plus the quadratic torsion terms (coefficient 1/4) and the
+    first covariant derivatives of H (coefficient 1/2).
     """
-    Hf = H.at(pt) if isinstance(H, InvariantForm) else H
-    lc = levi_civita(pt)
-    Rg = curvature(lc).components
-    Hv = full_components(Hf, pt)
-    DH = _cov_deriv_three_form_values(pt, lc, Hf)
-
+    Hv, DH = ev.Hv, ev.DH
     quad = 0.25 * (np.einsum("ilm...,jkm...->ijkl...", Hv, Hv)
                    - np.einsum("jlm...,ikm...->ijkl...", Hv, Hv))
     dterm = -0.5 * DH + 0.5 * np.einsum("ijkl...->jikl...", DH)
-    return CurvatureTensor(Rg + quad + dterm)
+    return CurvatureTensor(ev.riemann.R.components + quad + dterm)
 
 
 def ricci_and_scalar(R: CurvatureTensor) -> RicciData:
     """Ricci contraction Ric_ij = sum_k R_kikj (round S^4 gives Ric = 3g)."""
     ric = np.einsum("kikj...->ij...", R.components)
     return RicciData(ric=ric, scalar=np.einsum("ii...->...", ric))
-
-
-def ricci_divergence_check(chart: InvariantChart, H: InvariantForm,
-                           nodes: int = 64) -> float:
-    """Residual of the Ricci formula through the codifferential of H."""
-    return identity_suite(chart, H, nodes)["ricci_formula"]
-
-
-def scalar_shift_check(chart: InvariantChart, H: InvariantForm,
-                       nodes: int = 64) -> float:
-    """Residual of s(torsion) - s(metric) + (3/2)|H|^2."""
-    return identity_suite(chart, H, nodes)["scalar_relation"]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +251,7 @@ def cov_deriv_three_form(pt: FramePoint, conn: AffineConnection, H: KForm):
     return out
 
 
-def _cov_deriv_three_form_values(pt, conn, H: KForm) -> np.ndarray:
+def cov_deriv_three_form_values(pt, conn, H: KForm) -> np.ndarray:
     """(D_i H)_jkl fully antisymmetrized in (jkl), shape (4,4,4,4,n)."""
     from itertools import permutations
     from .frame import _perm_sign
@@ -286,20 +259,9 @@ def _cov_deriv_three_form_values(pt, conn, H: KForm) -> np.ndarray:
     n = pt.npoints
     out = np.zeros((4, 4, 4, 4, n))
     for (i, idx), v in d.items():
-        val = _grid_value(v, pt)
+        val = pt.values(v)
         for perm in permutations(idx):
             out[(i,) + perm] = _perm_sign(perm) * val
-    return out
-
-
-def sym_grad_values(pt: FramePoint, conn: AffineConnection, h: KForm) -> np.ndarray:
-    """Symmetrized covariant derivative S(Dh)_ij, shape (4,4,n)."""
-    d = cov_deriv_one_form(pt, conn, h)
-    n = pt.npoints
-    out = np.empty((4, 4, n))
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = 0.5 * (_grid_value(d[i][j], pt) + _grid_value(d[j][i], pt))
     return out
 
 
@@ -318,25 +280,20 @@ class ExteriorData:
     norm_sq_H: np.ndarray
 
 
-def exterior_ops(pt: FramePoint, H: InvariantForm | KForm) -> ExteriorData:
-    Hf = H.at(pt) if isinstance(H, InvariantForm) else H
-    lc = levi_civita(pt)
-    dH = d_form(pt, Hf)
-    star_dH = _grid_value(hodge_star(dH).comps[0], pt)
-    dstar_H = codifferential(pt, Hf)
-    h = hodge_star(Hf)
+def exterior_ops(lc: AffineConnection, H: KForm) -> ExteriorData:
+    """Exterior data of the torsion 3-form H, with D^g the connection ``lc``."""
+    pt = lc.pt
+    dH = d_form(pt, H)
+    star_dH = pt.values(hodge_star(dH).comps[0])
+    dstar_H = codifferential(pt, H)
+    h = hodge_star(H)
     dh = d_form(pt, h)
-    d1 = cov_deriv_one_form(pt, lc, h)
-    n = pt.npoints
-    grad = np.empty((4, 4, n))
-    for i in range(4):
-        for j in range(4):
-            grad[i, j] = _grid_value(d1[i][j], pt)
+    grad = pt.values(cov_deriv_one_form(pt, lc, h))
     sym = 0.5 * (grad + np.einsum("ij...->ji...", grad))
     return ExteriorData(
-        H=Hf, dH=dH, star_dH=star_dH, dstar_H=dstar_H, h=h, dh=dh,
+        H=H, dH=dH, star_dH=star_dH, dstar_H=dstar_H, h=h, dh=dh,
         grad_h=grad, sym_grad_h=sym,
-        norm_sq_H=_grid_value(norm_sq(Hf), pt),
+        norm_sq_H=pt.values(norm_sq(H)),
     )
 
 
@@ -349,7 +306,7 @@ def _sup(arr) -> float:
     return float(np.max(np.abs(arr)))
 
 
-def identity_suite(chart: InvariantChart, H: InvariantForm, nodes: int = 64) -> dict:
+def identity_suite(ev: Evaluation) -> dict:
     """Residuals of the curvature, Ricci and Bianchi identities on a grid.
 
     All identities are exact for smooth invariant data, so every residual
@@ -357,21 +314,12 @@ def identity_suite(chart: InvariantChart, H: InvariantForm, nodes: int = 64) -> 
     with the sign conventions that close the two orientation-sensitive
     identities.
     """
-    pt = chart.at(chart.sample_grid(nodes))
-    lc = levi_civita(pt)
-    Hf = H.at(pt)
-    conn = with_skew_torsion(lc, Hf)
-    conn_m = with_skew_torsion(lc, -1.0 * Hf)
-
-    R = curvature(conn).components
-    Rm = curvature(conn_m).components
-    Rg = curvature(lc).components
-    R1 = curvature_via_eq1(pt, Hf).components
-    ext = exterior_ops(pt, Hf)
-    Hv = full_components(ext.H, pt)
+    pt, ext, Hv, DHg = ev.pt, ev.ext, ev.Hv, ev.DH
+    R = ev.plus.R.components
+    Rm = ev.minus.R.components
+    R1 = curvature_via_eq1(ev).components
     dHv = full_components(ext.dH.values(), pt)
     dstarHv = full_components(ext.dstar_H.values(), pt)
-    DHg = _cov_deriv_three_form_values(pt, lc, Hf)
 
     out = {}
     out["curvature_cross"] = _sup(R - R1)
@@ -394,8 +342,7 @@ def identity_suite(chart: InvariantChart, H: InvariantForm, nodes: int = 64) -> 
         out["pair_swap_closed"] = _sup(R - swap)
 
     # Ricci of the torsion connection vs the divergence formula
-    rd = ricci_and_scalar(CurvatureTensor(R))
-    rg = ricci_and_scalar(CurvatureTensor(Rg))
+    rd, rg = ev.plus.ricci, ev.riemann.ricci
     quad_ric = 0.25 * np.einsum("ikm...,jkm...->ij...", Hv, Hv)
     out["ricci_formula"] = _sup(rd.ric - (rg.ric - quad_ric - 0.5 * dstarHv))
     out["ricci_antisym"] = _sup(0.5 * (rd.ric - np.einsum("ij...->ji...", rd.ric))
@@ -416,29 +363,18 @@ def identity_suite(chart: InvariantChart, H: InvariantForm, nodes: int = 64) -> 
     out["ricci_four_dim_sign"] = +1 if res_p <= res_m else -1
 
     # the torsion 1-form is parallel for both connections simultaneously
-    d_skew = cov_deriv_one_form(pt, conn, ext.h)
-    d_lc = cov_deriv_one_form(pt, lc, ext.h)
-    out["torsion_form_parallel"] = max(
-        _sup(_grid_value(d_skew[i][j] - d_lc[i][j], pt))
-        for i in range(4) for j in range(4))
+    d_skew = pt.values(cov_deriv_one_form(pt, ev.plus.conn, ext.h))
+    out["torsion_form_parallel"] = _sup(d_skew - ext.grad_h)
 
     # trace-free symmetric Ricci shift
-    sym_ric = 0.5 * (rd.ric + np.einsum("ij...->ji...", rd.ric))
-    Zn = sym_ric - 0.25 * rd.scalar * eye
-    Zg = rg.ric - 0.25 * rg.scalar * eye
     shift = 0.5 * np.einsum("i...,j...->ij...", hv, hv) - 0.125 * h2 * eye
-    out["traceless_shift"] = _sup(Zn - (Zg + shift))
+    out["traceless_shift"] = _sup(ev.plus.Z - (ev.riemann.Z + shift))
 
     # torsion recovery from the connection difference
-    tor = conn.torsion_form()
+    tor = ev.plus.conn.torsion_form()
     out["torsion_recovery"] = max(
-        _sup(_grid_value(tc, pt) - _grid_value(hc, pt))
-        for tc, hc in zip(tor.comps, Hf.comps))
+        _sup(pt.values(tc) - pt.values(hc))
+        for tc, hc in zip(tor.comps, ev.Hf.comps))
 
     out["jacobi"] = pt.jacobi_residual()
     return out
-
-
-def random_identity_draw(seed: int):
-    """(chart, torsion) pair used by the randomized identity checks."""
-    return random_chart(seed), random_torsion(seed)

@@ -21,24 +21,27 @@ The connection is Einstein with skew torsion when the symmetric tensor
     T = Z + S(D^g h) + (*dH/4) g
 
 vanishes; T is trace-free because the trace of S(D^g h) cancels *dH.
+
+Every function here reads the connections, curvature operators and
+exterior data of H from an evaluation context
+(:class:`skewtorsion.evaluation.Evaluation`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import frame as F
-from .charts import FramePoint, InvariantChart, InvariantForm
-from .connections import (
-    curvature, exterior_ops, levi_civita, ricci_and_scalar, with_skew_torsion,
-)
+
+if TYPE_CHECKING:
+    from .evaluation import Evaluation
 
 __all__ = [
-    "DecompositionReport", "decompose", "decompose_point",
-    "einstein_tensor_point", "einstein_residual", "z_nabla_check",
-    "operator_blocks",
+    "DecompositionReport", "decompose_point",
+    "einstein_tensor_point", "einstein_residual", "operator_blocks",
 ]
 
 _EYE3 = np.eye(3)
@@ -114,22 +117,13 @@ class DecompositionReport:
         return out
 
 
-def decompose_point(pt: FramePoint, H: InvariantForm | F.KForm) -> DecompositionReport:
+def decompose_point(ev: Evaluation) -> DecompositionReport:
     """Operator blocks and the closed-formula reconstruction at grid points."""
-    Hf = H.at(pt) if isinstance(H, InvariantForm) else H
-    lc = levi_civita(pt)
-    conn = with_skew_torsion(lc, Hf)
-    Rn = curvature(conn)
-    M = F.operator_from_tensor(Rn.components)
-    Mg = F.operator_from_tensor(curvature(lc).components)
-    A, B, C, D = operator_blocks(M)
-    Ag, _, _, Dg = operator_blocks(Mg)
-
-    ext = exterior_ops(pt, Hf)
-    rd = ricci_and_scalar(Rn)
-    s = rd.scalar
-    sym_ric = _sym(rd.ric)
-    Z = sym_ric - 0.25 * s * _EYE4[..., None]
+    pt, ext = ev.pt, ev.ext
+    A, B, C, D = operator_blocks(ev.plus.M)
+    Ag, _, _, Dg = operator_blocks(ev.riemann.M)
+    s = ev.plus.ricci.scalar
+    Z = ev.plus.Z
 
     dsH = F.components_in_sd_basis(ext.dstar_H)
     dsH = np.array([np.broadcast_to(v, pt.x.shape) for v in dsH])
@@ -139,7 +133,7 @@ def decompose_point(pt: FramePoint, H: InvariantForm | F.KForm) -> Decomposition
     Wp = _tf(_sym(Ag), 3)
     Wm = _tf(_sym(Dg), 3)
 
-    T = Z + ext.sym_grad_h + 0.25 * ext.star_dH * _EYE4[..., None]
+    T = einstein_tensor_point(ev)
 
     # closed block formulas
     eps = F._EPS3
@@ -165,43 +159,11 @@ def decompose_point(pt: FramePoint, H: InvariantForm | F.KForm) -> Decomposition
     )
 
 
-def decompose(chart: InvariantChart, H: InvariantForm, nodes: int = 64) -> DecompositionReport:
-    return decompose_point(chart.at(chart.sample_grid(nodes)), H)
-
-
-def einstein_tensor_point(pt: FramePoint, H: InvariantForm | F.KForm) -> np.ndarray:
+def einstein_tensor_point(ev: Evaluation) -> np.ndarray:
     """The Einstein-with-torsion tensor T = Z + S(D^g h) + (*dH/4) g."""
-    Hf = H.at(pt) if isinstance(H, InvariantForm) else H
-    conn = with_skew_torsion(levi_civita(pt), Hf)
-    rd = ricci_and_scalar(curvature(conn))
-    Z = _sym(rd.ric) - 0.25 * rd.scalar * _EYE4[..., None]
-    ext = exterior_ops(pt, Hf)
-    return Z + ext.sym_grad_h + 0.25 * ext.star_dH * _EYE4[..., None]
+    return ev.plus.Z + ev.ext.sym_grad_h + 0.25 * ev.ext.star_dH * _EYE4[..., None]
 
 
-def einstein_residual(chart: InvariantChart, H: InvariantForm, nodes: int = 64) -> float:
+def einstein_residual(ev: Evaluation) -> float:
     """Sup over the grid of the Frobenius norm of the Einstein tensor."""
-    T = einstein_tensor_point(chart.at(chart.sample_grid(nodes)), H)
-    return float(np.max(_fro(T)))
-
-
-def z_nabla_check(chart: InvariantChart, H: InvariantForm, nodes: int = 64) -> dict:
-    """Sup norms of Z (torsion connection) and of its shift from the
-    Riemannian Z by the torsion 1-form square."""
-    pt = chart.at(chart.sample_grid(nodes))
-    Hf = H.at(pt)
-    lc = levi_civita(pt)
-    conn = with_skew_torsion(lc, Hf)
-    rd = ricci_and_scalar(curvature(conn))
-    rg = ricci_and_scalar(curvature(lc))
-    Z = _sym(rd.ric) - 0.25 * rd.scalar * _EYE4[..., None]
-    Zg = rg.ric - 0.25 * rg.scalar * _EYE4[..., None]
-    from .connections import full_components
-    from .frame import hodge_star
-    hv = full_components(hodge_star(Hf).values(), pt)
-    h2 = np.einsum("i...,i...->...", hv, hv)
-    shift = 0.5 * np.einsum("i...,j...->ij...", hv, hv) - 0.125 * h2 * _EYE4[..., None]
-    return {
-        "sup_Z_nabla": float(np.max(_fro(Z))),
-        "shift_residual": float(np.max(np.abs(Z - (Zg + shift)))),
-    }
+    return float(np.max(_fro(einstein_tensor_point(ev))))

@@ -26,7 +26,7 @@ __all__ = [
     "KForm", "MULTI_INDICES", "SD_BASIS", "wedge", "hodge_star", "sd_split",
     "norm_sq", "inner", "components_in_sd_basis", "operator_from_tensor",
     "tensor_from_operator", "CurvatureOperator", "curvature_to_operator",
-    "sd_form_as_operator", "asd_form_as_operator",
+    "sd_form_as_operator",
     "ricci_contraction", "RICCI_CONTRACTION_SCALE",
 ]
 
@@ -281,17 +281,6 @@ def sd_form_as_operator(phi: KForm, tol: float = 1e-10) -> np.ndarray:
     if np.max(np.abs(vec[3:])) > tol * scale:
         raise ValueError("form is not self-dual")
     return -np.sqrt(2.0) * np.einsum("pqr,r...->pq...", _EPS3, vec[:3])
-
-
-def asd_form_as_operator(psi: KForm, tol: float = 1e-10) -> np.ndarray:
-    """3x3 antisymmetric matrix of an anti-self-dual 2-form on Lambda^-."""
-    if psi.degree != 2:
-        raise ValueError("need a 2-form")
-    vec = components_in_sd_basis(psi)
-    scale = max(1.0, float(np.max(np.abs(vec))))
-    if np.max(np.abs(vec[:3])) > tol * scale:
-        raise ValueError("form is not anti-self-dual")
-    return -np.sqrt(2.0) * np.einsum("pqr,r...->pq...", _EPS3, vec[3:])
 
 
 # Orthonormal basis of trace-free symmetric matrices indexed by (+,-) basis

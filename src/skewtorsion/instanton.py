@@ -16,22 +16,27 @@ of the product connection, so its candidates per point are the kernel of
 the 54x9 system F+(E) G - G F-(E) = 0 over the six 2-form directions E.
 The kernel section, continued in x and normalized, is then tested for
 covariant constancy.
+
+The diagnostics read the +-H connections, their curvature operators and
+induced connections from an evaluation context
+(:class:`skewtorsion.evaluation.Evaluation`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import frame as F
 from . import jets
-from .charts import FramePoint, InvariantChart, InvariantForm
-from .connections import (
-    AffineConnection, curvature, exterior_ops, levi_civita, ricci_and_scalar,
-    with_skew_torsion, full_components,
-)
+from .charts import FramePoint
+from .connections import AffineConnection, full_components
 from .decomposition import operator_blocks, _fro, _tf, _sym
+
+if TYPE_CHECKING:
+    from .evaluation import Evaluation
 
 __all__ = [
     "InducedConnection", "GaugeProbeReport", "induced_lambda_plus",
@@ -53,6 +58,7 @@ class InducedConnection:
 
     pt: FramePoint
     omega: list                 # omega[i] = 3x3 nested list of jets
+    omega_values: np.ndarray    # values of omega, shape (4, 3, 3, n)
     F_mats: np.ndarray          # F(e_i, e_j) values, shape (4, 4, 3, 3, n)
     F_sd: np.ndarray            # F paired with the six E_Q, shape (3, 3, 6, n)
     rows: np.ndarray            # F in generator components / scale: (3, 6, n)
@@ -103,31 +109,17 @@ def _accumulate(d, key, val):
     d[key] = d[key] + val if key in d else val
 
 
-def induced_lambda_plus(conn: AffineConnection) -> InducedConnection:
-    """Induced so(3) connection and curvature, checked against the operator."""
+def induced_lambda_plus(conn: AffineConnection, M: np.ndarray) -> InducedConnection:
+    """Induced so(3) connection and curvature, checked against ``M``, the
+    6x6 curvature operator of ``conn``."""
     if not conn.metric_compatible:
         raise ValueError("the splitting is only preserved by metric connections")
     pt = conn.pt
     omega = _omega_matrices(conn)
     n = pt.npoints
-
-    def val(j):
-        return np.broadcast_to(np.asarray(jets.value_of(j), dtype=float), pt.x.shape)
-
-    om = np.empty((4, 3, 3, n))
-    dom = np.empty((4, 3, 3, n))
-    for i in range(4):
-        for p in range(3):
-            for q in range(3):
-                om[i, p, q] = val(omega[i][p][q])
-                dom[i, p, q] = val(pt.e1(omega[i][p][q]))
-
-    cs = np.empty((4, 4, 4, n))
-    csj = pt.structure_functions()
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                cs[i, j, k] = val(csj[i][j][k])
+    om = pt.values(omega)
+    dom = pt.values([[[pt.e1(w) for w in row] for row in mat] for mat in omega])
+    cs = pt.brackets
 
     # structure equation: F_ij = e_i(w_j) - e_j(w_i) + [w_i, w_j] - c^m_ij w_m
     Fm = np.zeros((4, 4, 3, 3, n))
@@ -144,13 +136,12 @@ def induced_lambda_plus(conn: AffineConnection) -> InducedConnection:
 
     # the direction index is the differentiation pair of R, so the induced
     # curvature reproduces the Lambda+ input/output entries transposed
-    M = F.operator_from_tensor(curvature(conn).components)
     A, _, Cb, _ = operator_blocks(M)
     AC = np.concatenate([np.einsum("pq...->qp...", A),
                          np.einsum("pq...->qp...", Cb)], axis=1)
     block_residual = float(np.max(np.abs(rows - AC)))
-    return InducedConnection(pt=pt, omega=omega, F_mats=Fm, F_sd=F_sd,
-                             rows=rows, block_residual=block_residual)
+    return InducedConnection(pt=pt, omega=omega, omega_values=om, F_mats=Fm,
+                             F_sd=F_sd, rows=rows, block_residual=block_residual)
 
 
 def self_duality_residual(ic: InducedConnection) -> float:
@@ -163,33 +154,25 @@ def self_duality_residual(ic: InducedConnection) -> float:
     return float(np.max(_fro(ic.rows[:, 3:])))
 
 
-def yang_mills_density_check(chart: InvariantChart, H: InvariantForm,
-                             nodes: int = 64) -> dict:
+def yang_mills_density_check(ev: Evaluation) -> dict:
     """Pointwise Yang-Mills density identities for the +-H instanton pair.
 
     Returns sup norms of (i) density(+H) - density(-H) and (ii) each
     density against |W+|^2 + |s Id/12|^2 + |(d*H)+/2|^2, plus the densities
     themselves.  The identities are exact when the data is Einstein with
-    closed torsion; the caller sees the residuals either way.
+    closed torsion; the caller sees the residuals either way.  The last
+    term is even in H, so both signs take it from the exterior data of H.
     """
-    pt = chart.at(chart.sample_grid(nodes))
-    Hf = H.at(pt)
-    lc = levi_civita(pt)
+    dsH = F.components_in_sd_basis(ev.ext.dstar_H)
+    phi_p = np.array([np.broadcast_to(v, ev.pt.x.shape) for v in dsH[:3]])
     out = {}
     dens = {}
-    for sign, tag in ((+1.0, "plus"), (-1.0, "minus")):
-        conn = with_skew_torsion(lc, sign * Hf)
-        ic = induced_lambda_plus(conn)
+    for cd, tag in ((ev.plus, "plus"), (ev.minus, "minus")):
+        ic = cd.induced
         dens[tag] = np.einsum("sm...,sm...->...", ic.rows, ic.rows)
         out[f"block_residual_{tag}"] = ic.block_residual
-
-        ext = exterior_ops(pt, sign * Hf)
-        Rn = curvature(conn)
-        rd = ricci_and_scalar(Rn)
-        A = operator_blocks(F.operator_from_tensor(Rn.components))[0]
-        Wp = _tf(_sym(A), 3)
-        dsH = F.components_in_sd_basis(ext.dstar_H)
-        phi_p = np.array([np.broadcast_to(v, pt.x.shape) for v in dsH[:3]])
+        rd = cd.ricci
+        Wp = _tf(_sym(operator_blocks(cd.M)[0]), 3)
         formula = (np.einsum("pq...,pq...->...", Wp, Wp)
                    + 3.0 * (rd.scalar / 12.0) ** 2
                    + 0.25 * np.einsum("r...,r...->...", phi_p, phi_p))
@@ -199,11 +182,10 @@ def yang_mills_density_check(chart: InvariantChart, H: InvariantForm,
     return out
 
 
-def killing_residual(chart: InvariantChart, H: InvariantForm, nodes: int = 64) -> dict:
+def killing_residual(ev: Evaluation) -> dict:
     """Sup norm of S(D^g h) for h = *H, with the closedness of H checked."""
-    pt = chart.at(chart.sample_grid(nodes))
-    ext = exterior_ops(pt, H.at(pt))
-    dH_sup = float(np.max(np.abs(full_components(ext.dH, pt))))
+    ext = ev.ext
+    dH_sup = float(np.max(np.abs(full_components(ext.dH, ev.pt))))
     return {
         "killing_residual": float(np.max(_fro(ext.sym_grad_h))),
         "dH_sup": dH_sup,
@@ -239,8 +221,7 @@ class GaugeProbeReport:
         }
 
 
-def gauge_equivalence_probe(chart: InvariantChart, H: InvariantForm,
-                            nodes: int = 128) -> GaugeProbeReport:
+def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
     """Probe whether the +H and -H induced connections are gauge equivalent.
 
     Per node, the kernel of F+(E) G = G F-(E) over the six 2-form
@@ -248,12 +229,9 @@ def gauge_equivalence_probe(chart: InvariantChart, H: InvariantForm,
     one-dimensional kernel is continued in x and tested for covariant
     constancy under the product connection.
     """
-    x = chart.sample_grid(nodes)
-    pt = chart.at(x)
-    Hf = H.at(pt)
-    lc = levi_civita(pt)
-    ic_p = induced_lambda_plus(with_skew_torsion(lc, Hf))
-    ic_m = induced_lambda_plus(with_skew_torsion(lc, -1.0 * Hf))
+    pt = ev.pt
+    x = pt.x
+    ic_p, ic_m = ev.plus.induced, ev.minus.induced
 
     # F(E_Q) as 3x3 matrices per node: shape (6, 3, 3, n) -> (n, 6, 3, 3)
     Fp = np.einsum("pqm...->...mpq", ic_p.F_sd)
@@ -263,13 +241,15 @@ def gauge_equivalence_probe(chart: InvariantChart, H: InvariantForm,
     L = (np.einsum("nmpa,qb->nmpqab", Fp, eye)
          - np.einsum("pa,nmbq->nmpqab", eye, Fm)).reshape(n, 54, 9)
 
-    U, S, Vt = np.linalg.svd(L)
+    # only S and the right singular vectors are used: the reduced SVD gives
+    # them without the (n, 54, 54) left factor
+    _, S, Vt = np.linalg.svd(L, full_matrices=False)
     sigma_max = S[:, 0]
     threshold_rel = 1e-7
     # when the curvature cancels identically, sigma_max itself is rounding
     # noise; the squared connection-coefficient scale supplies the floor
-    om_scale = max(float(np.max(np.abs(_omega_values(ic_p)))),
-                   float(np.max(np.abs(_omega_values(ic_m))))) ** 2
+    omp, omm = ic_p.omega_values, ic_m.omega_values
+    om_scale = max(float(np.max(np.abs(omp))), float(np.max(np.abs(omm)))) ** 2
     tau = threshold_rel * np.maximum(sigma_max, max(om_scale, 1e-300))
     kdims = np.sum(S <= tau[:, None], axis=1)
     with np.errstate(divide="ignore"):
@@ -294,10 +274,8 @@ def gauge_equivalence_probe(chart: InvariantChart, H: InvariantForm,
         section = g
 
         # covariant derivative of the section under the product connection
-        omp = _omega_values(ic_p)
-        omm = _omega_values(ic_m)
         gp = np.gradient(g, x, axis=0)
-        a_val = np.broadcast_to(np.asarray(jets.value_of(pt.a)), x.shape)
+        a_val = pt.values(pt.a)
         ng2 = np.zeros(n)
         for i in range(4):
             wp = np.moveaxis(omp[i], -1, 0)
@@ -326,13 +304,3 @@ def gauge_equivalence_probe(chart: InvariantChart, H: InvariantForm,
         verdict=verdict, notes=notes, section=section,
     )
 
-
-def _omega_values(ic: InducedConnection) -> np.ndarray:
-    pt = ic.pt
-    out = np.empty((4, 3, 3, pt.npoints))
-    for i in range(4):
-        for p in range(3):
-            for q in range(3):
-                out[i, p, q] = np.broadcast_to(
-                    np.asarray(jets.value_of(ic.omega[i][p][q])), pt.x.shape)
-    return out

@@ -88,14 +88,7 @@ def nijenhuis_norm(pt_or_chart, J: InvariantACS, nodes: int = 64) -> float:
         pt = pt_or_chart.at(pt_or_chart.sample_grid(nodes))
     else:
         pt = pt_or_chart
-    cs = pt.structure_functions()
-    n = pt.npoints
-    c = np.empty((4, 4, 4, n))
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                c[i, j, k] = np.broadcast_to(
-                    np.asarray(jets.value_of(cs[i][j][k])), pt.x.shape)
+    c = pt.brackets
     Jm = J.J
     # [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on frame fields; J constant
     jj = np.einsum("ai,bj,abk...->ijk...", Jm, Jm, c)
@@ -143,6 +136,16 @@ def _pole_breaks(k: float) -> np.ndarray:
 def r_coordinate(k: float, x, x0: float) -> np.ndarray:
     """Holomorphic radius R(x) = exp Int_{x0}^{x} a/c dt, with R(x0) = 1.
 
+    R underflows to 0 where log R < -745 (x = -1e7 at k = 1000); the
+    integral itself is :func:`_log_r`.
+    """
+    out = np.exp(_log_r(k, np.atleast_1d(np.asarray(x, dtype=float)), x0))
+    return out if np.ndim(x) else float(out[0])
+
+
+def _log_r(k: float, xs: np.ndarray, x0: float) -> np.ndarray:
+    """log R(x) = Int_{x0}^{x} a/c dt at the points of the 1-d array ``xs``.
+
     The integral is taken in u = log(k - t), where the integrand
     g(u) = -(a/c)(t) (k - t) = -(k - t)^2 / (W (1 + t^2)) is smooth and
     tends to constants at both ends (W has a double root at k and tends
@@ -154,7 +157,6 @@ def r_coordinate(k: float, x, x0: float) -> np.ndarray:
     them.
     """
     fam = BonneauFamily(k)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not (np.all(np.isfinite(xs)) and math.isfinite(x0)):
         raise ChartError("x and x0 must be finite")
     if np.any(xs >= k) or x0 >= k:
@@ -173,9 +175,7 @@ def r_coordinate(k: float, x, x0: float) -> np.ndarray:
     breaks = breaks[(breaks > ends.min()) & (breaks < ends.max())]
     u = np.unique(np.concatenate([ends, breaks]))
     cum = np.concatenate([[0.0], np.cumsum(quad(g, u[:-1], u[1:]))])
-    logr = cum[np.searchsorted(u, uq)] - cum[np.searchsorted(u, u0)]
-    out = np.exp(logr)
-    return out if np.ndim(x) else float(out[0])
+    return cum[np.searchsorted(u, uq)] - cum[np.searchsorted(u, u0)]
 
 
 def r_curve(k: float, nodes: int = 200, x0: float | None = None):
@@ -211,18 +211,15 @@ def asymptotic_check(k: float, decade_points: int = 12) -> dict:
 
     Near x = k the fit is against -log(k - x) over k - x in
     [1e-7, 1e-6]; near -infinity against -log|x| over |x| in [1e6, 1e7].
-    Both slopes tend to 1.
+    Both slopes tend to 1.  The fits take log R directly, which stays
+    finite where R itself underflows.
     """
     x0 = k - 1.0
     t = np.geomspace(1e-7, 1e-6, decade_points)
-    xk = k - t
-    rk = r_coordinate(k, xk, x0)
-    slope_k = _fit_slope(np.log(rk), -np.log(t))
+    slope_k = _fit_slope(_log_r(k, k - t, x0), -np.log(t))
 
     s = np.geomspace(1e6, 1e7, decade_points)
-    xinf = -s
-    rinf = r_coordinate(k, xinf, x0)
-    slope_inf = _fit_slope(np.log(rinf), -np.log(s))
+    slope_inf = _fit_slope(_log_r(k, -s, x0), -np.log(s))
 
     mono = np.all(np.diff(r_coordinate(k, np.linspace(x0 - 5.0, k - 1e-3, 40), x0)) > 0)
     return {

@@ -13,6 +13,10 @@ the squared norms (rather than the traces of the squares, which differ by
 the antisymmetric parts) are the expressions that integrate to the
 topological invariants.  The first Pontryagin number of Lambda+ is
 computed independently from the induced so(3) curvature.
+
+The densities are read from one evaluation context per quadrature grid
+(:class:`skewtorsion.evaluation.Evaluation`), which is dropped before the
+next grid is evaluated.
 """
 
 from __future__ import annotations
@@ -22,29 +26,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import frame as F
-from .charts import FramePoint, InvariantChart, InvariantForm
-from .connections import curvature, levi_civita, with_skew_torsion
-from .decomposition import einstein_tensor_point, operator_blocks, _fro
-from .instanton import induced_lambda_plus
+from .charts import InvariantChart, InvariantForm
+from .decomposition import einstein_residual, operator_blocks, _fro
+from .evaluation import Evaluation
 
 __all__ = [
     "TopologyReport", "integrate_invariant", "euler_and_signature",
     "hitchin_thorpe_report", "pontryagin_lambda_plus",
-    "curvature_integrands",
+    "curvature_integrands", "pontryagin_density",
 ]
 
 DEFAULT_NODES = 256
 
 
-def integrate_invariant(chart: InvariantChart, f, nodes: int = DEFAULT_NODES,
-                        refine: bool = True):
-    """Integral of an invariant scalar against the volume form.
+def integrate_invariant(chart: InvariantChart, f, nodes: int = DEFAULT_NODES):
+    """Integrals of invariant scalars against the volume form.
 
-    ``f`` maps a FramePoint batch to values; open Gauss-Legendre nodes in
-    the compactified coordinate avoid the orbit-degeneration endpoints.
-    Returns (value, error_estimate); the estimate compares against the
-    doubled node count.
+    ``f`` maps a FramePoint batch of n points to values of shape (n,), or
+    (m, n) for m integrands at once; open Gauss-Legendre nodes in the
+    compactified coordinate avoid the orbit-degeneration endpoints.
+    Returns (value, error_estimate), as floats or as lists of m floats;
+    the estimate compares against the doubled node count.
     """
     def run(n):
         x, w = chart.quadrature(n)
@@ -52,22 +54,17 @@ def integrate_invariant(chart: InvariantChart, f, nodes: int = DEFAULT_NODES,
         vals = np.asarray(f(pt), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("integrand not finite at an interior node")
-        dens = chart.volume_weight(pt)
-        return math.fsum(vals * dens * w)
+        terms = vals * chart.volume_weight(pt) * w
+        return np.array([math.fsum(t) for t in terms.reshape(-1, n)]).reshape(vals.shape[:-1])
 
     v = run(nodes)
-    if not refine:
-        return v, math.nan
     v2 = run(2 * nodes)
-    return v2, abs(v2 - v)
+    return v2.tolist(), np.abs(v2 - v).tolist()
 
 
-def curvature_integrands(pt: FramePoint, H: InvariantForm | F.KForm):
-    """(euler, signature) densities of the torsion connection, per node."""
-    Hf = H.at(pt) if isinstance(H, InvariantForm) else H
-    conn = with_skew_torsion(levi_civita(pt), Hf)
-    M = F.operator_from_tensor(curvature(conn).components)
-    A, B, C, D = operator_blocks(M)
+def curvature_integrands(ev: Evaluation):
+    """(euler, signature) densities of the +H connection, per node."""
+    A, B, C, D = operator_blocks(ev.plus.M)
     a2, b2, c2, d2 = (_fro(A) ** 2, _fro(B) ** 2, _fro(C) ** 2, _fro(D) ** 2)
     chi_dens = (a2 + d2 - b2 - c2) / (8.0 * math.pi ** 2)
     tau_dens = (a2 + b2 - c2 - d2) / (12.0 * math.pi ** 2)
@@ -81,14 +78,8 @@ def euler_and_signature(chart: InvariantChart, H: InvariantForm,
     ``orientation=-1`` swaps the self-dual and anti-self-dual blocks,
     which fixes chi and flips the sign of tau.
     """
-    def chi_f(pt):
-        return curvature_integrands(pt, H)[0]
-
-    def tau_f(pt):
-        return curvature_integrands(pt, H)[1]
-
-    chi, chi_err = integrate_invariant(chart, chi_f, nodes)
-    tau, tau_err = integrate_invariant(chart, tau_f, nodes)
+    (chi, tau), (chi_err, tau_err) = integrate_invariant(
+        chart, lambda pt: curvature_integrands(Evaluation(pt, H)), nodes)
     if orientation == -1:
         tau = -tau
     return (chi, tau), (chi_err, tau_err)
@@ -118,6 +109,20 @@ class TopologyReport:
         }
 
 
+def pontryagin_density(ev: Evaluation) -> np.ndarray:
+    """Chern-Weil density of p1(Lambda+) from the induced curvature of +H."""
+    Fq = ev.plus.induced.curvature_2forms()          # (3, 6, n), true curvature scale
+    plus = np.einsum("sr...,sr...->...", Fq[:, :3], Fq[:, :3])
+    minus = np.einsum("sr...,sr...->...", Fq[:, 3:], Fq[:, 3:])
+    return (plus - minus) / (4.0 * math.pi ** 2)
+
+
+def _min_pontryagin_integrand(chart: InvariantChart, H: InvariantForm, nodes: int) -> float:
+    """Minimum of the p1 integrand (scaled by 4 pi^2) on the sample grid."""
+    dens = pontryagin_density(Evaluation.on_grid(chart, H, nodes))
+    return float(np.min(dens) * 4.0 * math.pi ** 2)
+
+
 def pontryagin_lambda_plus(chart: InvariantChart, H: InvariantForm,
                            nodes: int = DEFAULT_NODES):
     """First Pontryagin number of Lambda+ from the induced curvature.
@@ -126,17 +131,9 @@ def pontryagin_lambda_plus(chart: InvariantChart, H: InvariantForm,
     Chern-Weil 4-form density, pointwise non-negative when the induced
     connection is self-dual.
     """
-    def dens(pt):
-        ic = induced_lambda_plus(with_skew_torsion(levi_civita(pt), H.at(pt)))
-        Fq = ic.curvature_2forms()          # (3, 6, n), true curvature scale
-        plus = np.einsum("sr...,sr...->...", Fq[:, :3], Fq[:, :3])
-        minus = np.einsum("sr...,sr...->...", Fq[:, 3:], Fq[:, 3:])
-        return (plus - minus) / (4.0 * math.pi ** 2)
-
-    val, err = integrate_invariant(chart, dens, nodes)
-    pt = chart.at(chart.sample_grid(nodes))
-    m = float(np.min(dens(pt)) * 4.0 * math.pi ** 2)
-    return val, err, m
+    val, err = integrate_invariant(
+        chart, lambda pt: pontryagin_density(Evaluation(pt, H)), nodes)
+    return val, err, _min_pontryagin_integrand(chart, H, nodes)
 
 
 def hitchin_thorpe_report(chart: InvariantChart, H: InvariantForm,
@@ -149,10 +146,13 @@ def hitchin_thorpe_report(chart: InvariantChart, H: InvariantForm,
     the Einstein residual exceeds ``einstein_threshold`` the report is
     still produced but flagged.
     """
-    (chi, tau), (chi_err, tau_err) = euler_and_signature(chart, H, nodes)
-    p1, p1_err, p1_min = pontryagin_lambda_plus(chart, H, nodes)
-    T = einstein_tensor_point(chart.at(chart.sample_grid(64)), H)
-    e_res = float(np.max(np.sqrt(np.einsum("ij...,ij...->...", T, T))))
+    def densities(pt):
+        ev = Evaluation(pt, H)
+        return (*curvature_integrands(ev), pontryagin_density(ev))
+
+    (chi, tau, p1), (chi_err, tau_err, p1_err) = integrate_invariant(chart, densities, nodes)
+    p1_min = _min_pontryagin_integrand(chart, H, nodes)
+    e_res = einstein_residual(Evaluation.on_grid(chart, H, 64))
     margin = 2.0 * chi - 3.0 * abs(tau)
     return TopologyReport(
         chi=chi, tau=tau, p1_lambda_plus=p1,

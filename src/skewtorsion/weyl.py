@@ -14,7 +14,9 @@ compared against the closed formulas
 so the Einstein-Weyl residual (the trace-free symmetric Ricci) comes out
 of two independent routes.  With h = *H this trace-free tensor equals the
 Einstein-with-skew-torsion tensor of the metric pair, which is the
-correspondence the round trip below exercises.
+correspondence the round trip below exercises; it reads H, the
+Levi-Civita connection and both Einstein tensors from an evaluation
+context (:class:`skewtorsion.evaluation.Evaluation`).
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ import numpy as np
 from .frame import KForm, hodge_star, norm_sq
 from .charts import FramePoint, InvariantChart, InvariantForm
 from .connections import (
-    AffineConnection, cov_deriv_one_form, codifferential, curvature,
-    levi_civita, ricci_and_scalar, _grid_value, full_components,
+    AffineConnection, cov_deriv_one_form, codifferential, levi_civita,
+    full_components,
 )
-from .decomposition import einstein_tensor_point
+from .decomposition import _fro, _tf, einstein_residual
+from .evaluation import ConnectionData, Evaluation
 
 __all__ = [
     "WeylStructure", "weyl_connection", "weyl_structure",
@@ -48,12 +51,12 @@ class WeylStructure:
     torsion_residual: float
 
 
-def weyl_connection(pt: FramePoint, omega: InvariantForm | KForm) -> AffineConnection:
-    """Torsion-free connection with Dg = omega (x) g."""
+def weyl_connection(lc: AffineConnection, omega: InvariantForm | KForm) -> AffineConnection:
+    """Torsion-free connection with Dg = omega (x) g, built on D^g = ``lc``."""
+    pt = lc.pt
     w = omega.at(pt) if isinstance(omega, InvariantForm) else omega
     if w.degree != 1:
         raise ValueError("need a 1-form")
-    lc = levi_civita(pt)
     gamma = [[[lc.gamma[i][j][k]
                - 0.5 * (w[(i,)] if j == k else 0.0)
                - 0.5 * (w[(j,)] if i == k else 0.0)
@@ -65,18 +68,15 @@ def weyl_connection(pt: FramePoint, omega: InvariantForm | KForm) -> AffineConne
 def weyl_structure(pt: FramePoint, omega: InvariantForm | KForm) -> WeylStructure:
     """Connection plus the verified compatibility residuals."""
     w = omega.at(pt) if isinstance(omega, InvariantForm) else omega
-    D = weyl_connection(pt, w)
+    D = weyl_connection(levi_civita(pt), w)
     # (D_i g)(e_j, e_k) = -Gamma_kij - Gamma_jik for constant frame metric
-    wd = np.empty((4, 4, 4, pt.npoints))
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                wd[i, j, k] = -_grid_value(D.gamma[i][j][k] + D.gamma[i][k][j], pt)
+    G = D.gamma_values()
+    wd = -(G + np.einsum("ijk...->ikj...", G))
     wv = full_components(w, pt)
     target = np.einsum("i...,jk->ijk...", wv, _EYE4)
     dg_res = float(np.max(np.abs(wd - target)))
     tor = D.torsion_form()
-    tor_res = float(np.max(np.abs([_grid_value(c, pt) for c in tor.comps])))
+    tor_res = float(np.max(np.abs([pt.values(c) for c in tor.comps])))
     return WeylStructure(pt=pt, omega=w, D=D, dg_residual=dg_res, torsion_residual=tor_res)
 
 
@@ -90,41 +90,32 @@ def einstein_weyl_residual(chart: InvariantChart, omega: InvariantForm,
     """
     pt = chart.at(chart.sample_grid(nodes))
     w = omega.at(pt)
-    D = weyl_connection(pt, w)
-    rd = ricci_and_scalar(curvature(D))
-    sym = 0.5 * (rd.ric + np.einsum("ij...->ji...", rd.ric))
-    s0_direct = sym - 0.25 * rd.scalar * _EYE4[..., None]
-
     lc = levi_civita(pt)
-    rg = ricci_and_scalar(curvature(lc))
+    weyl = ConnectionData(weyl_connection(lc, w))
+    rd = weyl.ricci
+    s0_direct = weyl.Z
+
+    rg = ConnectionData(lc).ricci
     wv = full_components(w, pt)
     w2 = np.einsum("i...,i...->...", wv, wv)
-    dw = cov_deriv_one_form(pt, lc, w)
-    Sw = np.empty((4, 4, pt.npoints))
-    for i in range(4):
-        for j in range(4):
-            Sw[i, j] = 0.5 * _grid_value(dw[i][j] + dw[j][i], pt)
-    dstar_w = _grid_value(codifferential(pt, w).comps[0], pt)
+    dw = pt.values(cov_deriv_one_form(pt, lc, w))
+    Sw = 0.5 * (dw + np.einsum("ij...->ji...", dw))
+    dstar_w = pt.values(codifferential(pt, w).comps[0])
 
     sym_formula = (rg.ric - 0.5 * (w2[None, None] * _EYE4[..., None]
                                    - np.einsum("i...,j...->ij...", wv, wv))
                    + Sw - 0.5 * dstar_w * _EYE4[..., None])
     s_formula = rg.scalar - 1.5 * w2 - 3.0 * dstar_w
-    s0_formula = sym_formula - 0.25 * np.einsum("ii...->...", sym_formula) * _EYE4[..., None]
-
-    def fro(m):
-        return np.sqrt(np.einsum("ij...,ij...->...", m, m))
-
+    s0_formula = _tf(sym_formula, 4)
     return {
-        "residual_direct": float(np.max(fro(s0_direct))),
-        "residual_formula": float(np.max(fro(s0_formula))),
+        "residual_direct": float(np.max(_fro(s0_direct))),
+        "residual_formula": float(np.max(_fro(s0_formula))),
         "route_difference": float(np.max(np.abs(s0_direct - s0_formula))),
         "scalar_difference": float(np.max(np.abs(rd.scalar - s_formula))),
     }
 
 
-def torsion_weyl_roundtrip(chart: InvariantChart, H: InvariantForm,
-                           nodes: int = 64) -> dict:
+def torsion_weyl_roundtrip(ev: Evaluation) -> dict:
     """Round trip torsion -> 1-form -> torsion and the Einstein pairing.
 
     Maps H to w = *H and back to H' = -*w; in this star convention
@@ -132,38 +123,27 @@ def torsion_weyl_roundtrip(chart: InvariantChart, H: InvariantForm,
     torsion signs are checked to give the same Einstein residual, and the
     Einstein-Weyl residual of w is reported alongside.
     """
-    pt = chart.at(chart.sample_grid(nodes))
-    Hf = H.at(pt)
+    pt, Hf = ev.pt, ev.Hf
     w = hodge_star(Hf)
     H_back = -1.0 * hodge_star(w)
 
     diff_plus = max(
-        float(np.max(np.abs(_grid_value(a - b, pt))))
+        float(np.max(np.abs(pt.values(a - b))))
         for a, b in zip(H_back.comps, Hf.comps))
     diff_minus = max(
-        float(np.max(np.abs(_grid_value(a + b, pt))))
+        float(np.max(np.abs(pt.values(a + b))))
         for a, b in zip(H_back.comps, Hf.comps))
     sign = +1 if diff_plus <= diff_minus else -1
 
-    def einstein_sup(form3: KForm) -> float:
-        T = einstein_tensor_point(pt, form3)
-        return float(np.max(np.sqrt(np.einsum("ij...,ij...->...", T, T))))
+    s0 = ConnectionData(weyl_connection(ev.lc, w)).Z
 
-    res_plus = einstein_sup(Hf)
-    res_minus = einstein_sup(-1.0 * Hf)
-
-    D = weyl_connection(pt, w)
-    rd = ricci_and_scalar(curvature(D))
-    sym = 0.5 * (rd.ric + np.einsum("ij...->ji...", rd.ric))
-    s0 = sym - 0.25 * rd.scalar * _EYE4[..., None]
-
-    norm_h = float(np.max(np.abs(_grid_value(norm_sq(Hf), pt)
-                                 - _grid_value(norm_sq(H_back), pt))))
+    norm_h = float(np.max(np.abs(pt.values(norm_sq(Hf))
+                                 - pt.values(norm_sq(H_back)))))
     return {
         "closing_sign": sign,
         "roundtrip_residual": min(diff_plus, diff_minus),
         "norm_preserved": norm_h,
-        "einstein_residual_plus": res_plus,
-        "einstein_residual_minus": res_minus,
-        "einstein_weyl_residual": float(np.max(np.sqrt(np.einsum("ij...,ij...->...", s0, s0)))),
+        "einstein_residual_plus": einstein_residual(ev),
+        "einstein_residual_minus": einstein_residual(ev.reversed()),
+        "einstein_weyl_residual": float(np.max(_fro(s0))),
     }

@@ -16,10 +16,11 @@ from skewtorsion.charts import (
 from skewtorsion.connections import (
     curvature, identity_suite, levi_civita, ricci_and_scalar, with_skew_torsion,
 )
-from skewtorsion.decomposition import decompose, einstein_residual
+from skewtorsion.decomposition import decompose_point, einstein_residual
+from skewtorsion.evaluation import ConnectionData, Evaluation
 from skewtorsion.instanton import (
-    gauge_equivalence_probe, induced_lambda_plus, killing_residual,
-    self_duality_residual, yang_mills_density_check,
+    gauge_equivalence_probe, killing_residual, self_duality_residual,
+    yang_mills_density_check,
 )
 from skewtorsion.jets import Jet
 from skewtorsion.moduli import acs_radial, asymptotic_check, nijenhuis_norm
@@ -42,12 +43,12 @@ def test_criterion_01_identity_suite_on_random_draws():
     """Curvature/Bianchi/Ricci identities <= 1e-9 on 100 random pairs."""
     worst = {k: 0.0 for k in IDENTITY_KEYS}
     for seed in range(N_DRAWS):
-        res = identity_suite(random_chart(seed), random_torsion(seed), nodes=64)
+        res = identity_suite(Evaluation.on_grid(random_chart(seed), random_torsion(seed), 64))
         for k in IDENTITY_KEYS:
             worst[k] = max(worst[k], res[k])
             assert res[k] <= 1e-9, f"draw {seed}: {k} = {res[k]}"
     # the pure pair-swap form of the exchange identity needs closed torsion
-    closed = identity_suite(*bonneau_chart(0.5), nodes=64)
+    closed = identity_suite(Evaluation.on_grid(*bonneau_chart(0.5), 64))
     assert closed["pair_swap_closed"] <= 1e-9
     _ok(1, "identity suite on 100 draws, worst residual "
            f"{max(worst.values()):.2e} (all <= 1e-9); closed-torsion swap "
@@ -58,7 +59,7 @@ def test_criterion_02_block_reconstruction_on_random_draws():
     """Direct 6x6 operator equals the closed block formulas entrywise."""
     worst = 0.0
     for seed in range(N_DRAWS):
-        rep = decompose(random_chart(seed), random_torsion(seed), nodes=64)
+        rep = decompose_point(Evaluation.on_grid(random_chart(seed), random_torsion(seed), 64))
         worst = max(worst, rep.reconstruction_residual)
         assert rep.reconstruction_residual <= 1e-9, f"draw {seed}"
     _ok(2, f"block reconstruction on 100 draws, worst {worst:.2e} (<= 1e-9)")
@@ -70,7 +71,7 @@ def test_criterion_03_s4_family_einstein_both_signs():
     for k in (-1.0, 0.0, 0.5, 1.0):
         chart, H = bonneau_chart(k)
         for sign in (+1.0, -1.0):
-            r = einstein_residual(chart, H.scaled(sign), nodes=64)
+            r = einstein_residual(Evaluation.on_grid(chart, H.scaled(sign), 64))
             worst = max(worst, r)
             assert r <= 1e-8, f"k={k}, sign={sign}: {r}"
     _ok(3, f"Einstein residual over 4 parameters x 2 signs, worst {worst:.2e} (<= 1e-8)")
@@ -132,13 +133,14 @@ def test_criterion_07_instanton_diagnostics():
     sd = {}
     for sign in (+1.0, -1.0):
         conn = with_skew_torsion(levi_civita(pt), sign * H.at(pt))
-        sd[sign] = self_duality_residual(induced_lambda_plus(conn))
+        sd[sign] = self_duality_residual(ConnectionData(conn).induced)
         assert sd[sign] <= 1e-8
-    ym = yang_mills_density_check(chart, H, nodes=64)
+    ev = Evaluation(pt, H)
+    ym = yang_mills_density_check(ev)
     assert ym["pair_residual"] <= 1e-9
     assert ym["formula_residual_plus"] <= 1e-9
     assert ym["formula_residual_minus"] <= 1e-9
-    kil = killing_residual(chart, H, nodes=64)
+    kil = killing_residual(ev)
     assert kil["closed"]
     assert kil["killing_residual"] <= 1e-8
     _ok(7, f"self-duality {max(sd.values()):.2e} (<= 1e-8), Yang-Mills pair "
@@ -149,7 +151,7 @@ def test_criterion_07_instanton_diagnostics():
 def test_criterion_08_gauge_probe_verdict():
     """Kernel dim 1 on >= 95% of nodes, gap >= 1e3, verdict inequivalent."""
     chart, H = bonneau_chart(0.0)
-    rep = gauge_equivalence_probe(chart, H, nodes=128)
+    rep = gauge_equivalence_probe(Evaluation.on_grid(chart, H, 128))
     s = rep.summary()
     assert s["kernel_dim_one_fraction"] >= 0.95
     assert s["min_gap"] >= 1e3

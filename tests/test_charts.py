@@ -7,7 +7,7 @@ import pytest
 
 from skewtorsion import charts
 from skewtorsion.charts import (
-    BonneauFamily, ChartError, InvariantForm, bonneau_chart, chart_from_dict,
+    BonneauFamily, ChartError, InvariantForm, bonneau_chart, chart_and_torsion,
     flat_torsion, flat_torus_chart, product_chart, random_chart, round_s4_chart,
 )
 from skewtorsion.jets import Jet
@@ -126,7 +126,7 @@ def test_chart_serialization_roundtrip():
     for chart in (bonneau_chart(0.5)[0], round_s4_chart(), product_chart(1.5, 2.0),
                   flat_torus_chart(), random_chart(3)):
         d = chart.to_dict()
-        back = chart_from_dict(d)
+        back, _ = chart_and_torsion(d)
         assert back.to_dict() == d
         x = back.sample_grid(8)
         pt = back.at(x)

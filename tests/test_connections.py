@@ -13,6 +13,7 @@ from skewtorsion.connections import (
     exterior_ops, full_components, identity_suite, levi_civita,
     ricci_and_scalar, with_skew_torsion,
 )
+from skewtorsion.evaluation import Evaluation
 from skewtorsion.frame import KForm, hodge_star
 
 
@@ -108,7 +109,7 @@ def test_scalar_relation_on_group_charts():
         H = flat_torsion(ch).at(pt)
         rn = ricci_and_scalar(curvature(with_skew_torsion(lc, H)))
         assert np.max(np.abs(rn.scalar)) < 1e-12
-        ext = exterior_ops(pt, H)
+        ext = exterior_ops(lc, H)
         assert np.max(np.abs(ext.norm_sq_H - 1.0 / b0 ** 2)) < 1e-14
 
 
@@ -119,7 +120,7 @@ def test_curvature_two_routes_agree():
         pt = chart.at(chart.sample_grid(16))
         Hf = H.at(pt)
         direct = curvature(with_skew_torsion(levi_civita(pt), Hf)).components
-        assembled = curvature_via_eq1(pt, Hf).components
+        assembled = curvature_via_eq1(Evaluation(pt, Hf)).components
         assert np.max(np.abs(direct - assembled)) <= 1e-10
 
 
@@ -150,7 +151,7 @@ def test_codifferential_is_adjoint_sign_convention():
 def test_bonneau_torsion_is_closed_with_nonclosed_dual():
     chart, H = bonneau_chart(0.0)
     pt = chart.at(chart.sample_grid(32))
-    ext = exterior_ops(pt, H)
+    ext = exterior_ops(levi_civita(pt), H.at(pt))
     assert np.max(np.abs(full_components(ext.dH, pt))) <= 1e-12
     # the torsion 1-form points along e4 and is not closed
     hv = full_components(ext.h.values(), pt)
@@ -163,7 +164,7 @@ def test_flat_torus_constant_torsion_closed_and_coclosed():
     ch = flat_torus_chart()
     H = InvariantForm(3, {(1, 2, 3): lambda x: 1.0 + 0.0 * x})
     pt = ch.at(ch.sample_grid(4))
-    ext = exterior_ops(pt, H)
+    ext = exterior_ops(levi_civita(pt), H.at(pt))
     assert np.max(np.abs(full_components(ext.dH, pt))) == 0.0
     assert np.max(np.abs(full_components(ext.dstar_H.values(), pt))) == 0.0
 
@@ -172,7 +173,7 @@ def test_flat_torus_constant_torsion_closed_and_coclosed():
 def test_identity_suite_random_draws(seed):
     chart = random_chart(seed)
     H = random_torsion(seed)
-    res = identity_suite(chart, H, nodes=64)
+    res = identity_suite(Evaluation.on_grid(chart, H, 64))
     for key, val in res.items():
         if key.endswith("_sign"):
             continue
@@ -183,14 +184,14 @@ def test_identity_suite_random_draws(seed):
 
 def test_identity_suite_closed_torsion_swap():
     chart, H = bonneau_chart(0.5)
-    res = identity_suite(chart, H, nodes=32)
+    res = identity_suite(Evaluation.on_grid(chart, H, 32))
     assert "pair_swap_closed" in res
     assert res["pair_swap_closed"] <= 1e-9
 
 
 def test_identity_suite_zero_torsion_reduces_to_classical():
     chart = random_chart(2)
-    res = identity_suite(chart, InvariantForm.zero(3), nodes=16)
+    res = identity_suite(Evaluation.on_grid(chart, InvariantForm.zero(3), 16))
     assert res["bianchi"] <= 1e-12
     assert res["scalar_relation"] <= 1e-12
     assert res["ricci_antisym"] <= 1e-12
@@ -201,7 +202,7 @@ def test_divergence_trace_consistency():
     chart = random_chart(6)
     H = random_torsion(6)
     pt = chart.at(chart.sample_grid(16))
-    ext = exterior_ops(pt, H.at(pt))
+    ext = exterior_ops(levi_civita(pt), H.at(pt))
     tr = np.einsum("ii...->...", ext.sym_grad_h)
     dstar_h = _val(codifferential(pt, ext.h).comps[0], pt)
     assert np.max(np.abs(tr + dstar_h)) <= 1e-12
@@ -234,8 +235,8 @@ def test_curvature_radial_derivative_against_finite_differences():
 
 
 def test_named_residual_checks():
-    from skewtorsion.connections import ricci_divergence_check, scalar_shift_check
     chart = random_chart(14)
     H = random_torsion(14)
-    assert ricci_divergence_check(chart, H, nodes=16) <= 1e-9
-    assert scalar_shift_check(chart, H, nodes=16) <= 1e-9
+    res = identity_suite(Evaluation.on_grid(chart, H, 16))
+    assert res["ricci_formula"] <= 1e-9
+    assert res["scalar_relation"] <= 1e-9

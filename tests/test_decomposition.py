@@ -10,14 +10,14 @@ from skewtorsion.charts import (
     InvariantChart, InvariantForm, bonneau_chart, random_chart,
     random_torsion, round_s4_chart, Domain,
 )
-from skewtorsion.decomposition import (
-    decompose, einstein_residual, z_nabla_check,
-)
+from skewtorsion.connections import identity_suite
+from skewtorsion.decomposition import decompose_point, einstein_residual
+from skewtorsion.evaluation import Evaluation
 from skewtorsion.jets import Jet
 
 
 def test_round_sphere_blocks_are_identity():
-    rep = decompose(round_s4_chart(), InvariantForm.zero(3), nodes=16)
+    rep = decompose_point(Evaluation.on_grid(round_s4_chart(), InvariantForm.zero(3), 16))
     assert np.max(np.abs(rep.A - np.eye(3)[..., None])) < 1e-12
     assert np.max(np.abs(rep.D - np.eye(3)[..., None])) < 1e-12
     assert np.max(np.abs(rep.B)) < 1e-12
@@ -31,23 +31,23 @@ def test_round_sphere_blocks_are_identity():
 def test_reconstruction_matches_direct_blocks(seed):
     chart = random_chart(seed)
     H = random_torsion(seed)
-    rep = decompose(chart, H, nodes=32)
+    rep = decompose_point(Evaluation.on_grid(chart, H, 32))
     assert rep.reconstruction_residual <= 1e-9
 
 
 def test_block_isometry_scale(seed=4):
-    rep = decompose(random_chart(seed), random_torsion(seed), nodes=32)
+    rep = decompose_point(Evaluation.on_grid(random_chart(seed), random_torsion(seed), 32))
     assert rep.block_residual <= 1e-12
 
 
 @pytest.mark.parametrize("k", [-1.0, 0.0, 0.5, 1.0])
 def test_bonneau_is_einstein_with_skew_torsion(k):
     chart, H = bonneau_chart(k)
-    rep = decompose(chart, H, nodes=64)
+    rep = decompose_point(Evaluation.on_grid(chart, H, 64))
     assert rep.einstein_residual <= 1e-8
     assert np.max(np.abs(rep.B)) <= 1e-8
     assert np.max(np.abs(rep.C)) <= 1e-8
-    assert einstein_residual(chart, H.scaled(-1.0), nodes=64) <= 1e-8
+    assert einstein_residual(Evaluation.on_grid(chart, H.scaled(-1.0), 64)) <= 1e-8
 
 
 def test_perturbed_round_profile_is_detected():
@@ -59,28 +59,28 @@ def test_perturbed_round_profile_is_detected():
         domain=Domain(0.0, math.pi),
         params={"seed": -1},
     )
-    assert einstein_residual(chart, InvariantForm.zero(3), nodes=64) > 1e-3
+    assert einstein_residual(Evaluation.on_grid(chart, InvariantForm.zero(3), 64)) > 1e-3
 
 
 def test_z_nabla_for_bonneau_and_shift_identity():
     chart, H = bonneau_chart(0.0)
-    res = z_nabla_check(chart, H, nodes=64)
-    assert res["sup_Z_nabla"] <= 1e-8
-    assert res["shift_residual"] <= 1e-9
+    ev = Evaluation.on_grid(chart, H, 64)
+    assert decompose_point(ev).summary()["sup_Z"] <= 1e-8
+    assert identity_suite(ev)["traceless_shift"] <= 1e-9
     # for H = 0 the two trace-free tensors coincide
     chart2 = random_chart(3)
-    res2 = z_nabla_check(chart2, InvariantForm.zero(3), nodes=16)
-    assert res2["shift_residual"] <= 1e-12
+    res2 = identity_suite(Evaluation.on_grid(chart2, InvariantForm.zero(3), 16))
+    assert res2["traceless_shift"] <= 1e-12
 
 
 def test_z_nabla_shift_on_random_data():
-    res = z_nabla_check(random_chart(8), random_torsion(8), nodes=32)
-    assert res["shift_residual"] <= 1e-9
+    res = identity_suite(Evaluation.on_grid(random_chart(8), random_torsion(8), 32))
+    assert res["traceless_shift"] <= 1e-9
 
 
 def test_closed_torsion_block_symmetry_after_removing_codifferential_part():
     chart, H = bonneau_chart(0.5)
-    rep = decompose(chart, H, nodes=32)
+    rep = decompose_point(Evaluation.on_grid(chart, H, 32))
     from skewtorsion.frame import _EPS3
     phi_op = -np.sqrt(2.0) * np.einsum("pqr,r...->pq...", _EPS3, rep.dstarH_plus)
     psi_op = -np.sqrt(2.0) * np.einsum("pqr,r...->pq...", _EPS3, rep.dstarH_minus)
@@ -93,7 +93,7 @@ def test_closed_torsion_block_symmetry_after_removing_codifferential_part():
 def test_trace_of_a_block():
     chart = random_chart(5)
     H = random_torsion(5)
-    rep = decompose(chart, H, nodes=32)
+    rep = decompose_point(Evaluation.on_grid(chart, H, 32))
     tr = np.einsum("pp...->...", rep.A)
     assert np.max(np.abs(tr - 3.0 * (rep.s_nabla / 12.0 - rep.star_dH / 4.0))) <= 1e-9
     trd = np.einsum("pp...->...", rep.D)
@@ -101,21 +101,21 @@ def test_trace_of_a_block():
 
 
 def test_einstein_tensor_is_trace_free():
-    rep = decompose(random_chart(6), random_torsion(6), nodes=16)
+    rep = decompose_point(Evaluation.on_grid(random_chart(6), random_torsion(6), 16))
     tr = np.einsum("ii...->...", rep.einstein_tensor)
     assert np.max(np.abs(tr)) <= 1e-12
 
 
 def test_einstein_residual_stable_under_grid_refinement():
     chart, H = bonneau_chart(0.0)
-    vals = [einstein_residual(chart, H, nodes=n) for n in (32, 64, 128, 256)]
+    vals = [einstein_residual(Evaluation.on_grid(chart, H, n)) for n in (32, 64, 128, 256)]
     assert all(v <= 1e-8 for v in vals)
 
 
 def test_weyl_blocks_are_torsion_independent():
     chart = random_chart(7)
-    rep0 = decompose(chart, InvariantForm.zero(3), nodes=16)
-    rep1 = decompose(chart, random_torsion(7), nodes=16)
+    rep0 = decompose_point(Evaluation.on_grid(chart, InvariantForm.zero(3), 16))
+    rep1 = decompose_point(Evaluation.on_grid(chart, random_torsion(7), 16))
     assert np.max(np.abs(rep0.Wplus - rep1.Wplus)) <= 1e-10
     assert np.max(np.abs(rep0.Wminus - rep1.Wminus)) <= 1e-10
 
@@ -123,7 +123,7 @@ def test_weyl_blocks_are_torsion_independent():
 def test_per_node_norms_serializable():
     import json
     chart, H = bonneau_chart(0.0)
-    rep = decompose(chart, H, nodes=16)
+    rep = decompose_point(Evaluation.on_grid(chart, H, 16))
     d = rep.per_node_norms()
     json.dumps(d)
     assert len(d["x"]) == 16

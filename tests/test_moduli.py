@@ -65,7 +65,7 @@ def test_r_coordinate_endpoint_limits():
     assert lim[-1] > 0
 
 
-@pytest.mark.parametrize("k", [0.0, 1.0])
+@pytest.mark.parametrize("k", [0.0, 1.0, 1000.0])
 def test_asymptotic_slopes(k):
     res = asymptotic_check(k)
     assert res["slope_at_k"] == pytest.approx(1.0, abs=0.01)

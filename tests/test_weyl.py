@@ -8,6 +8,7 @@ from skewtorsion.charts import (
     random_one_form, random_torsion, round_s4_chart, BonneauFamily,
 )
 from skewtorsion.connections import levi_civita
+from skewtorsion.evaluation import Evaluation
 from skewtorsion.weyl import (
     einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection,
     weyl_structure,
@@ -17,8 +18,8 @@ from skewtorsion.weyl import (
 def test_zero_one_form_reduces_to_levi_civita():
     chart = random_chart(0)
     pt = chart.at(chart.sample_grid(8))
-    D = weyl_connection(pt, InvariantForm.zero(1))
     lc = levi_civita(pt)
+    D = weyl_connection(lc, InvariantForm.zero(1))
     assert np.max(np.abs(D.gamma_values() - lc.gamma_values())) == 0.0
 
 
@@ -36,7 +37,7 @@ def test_weyl_connection_rejects_higher_degree():
     chart = random_chart(4)
     pt = chart.at(chart.sample_grid(4))
     with pytest.raises(ValueError):
-        weyl_connection(pt, InvariantForm.zero(2))
+        weyl_connection(levi_civita(pt), InvariantForm.zero(2))
 
 
 @pytest.mark.parametrize("seed", [1, 5, 9])
@@ -67,7 +68,7 @@ def test_bonneau_torsion_dual_is_einstein_weyl(k):
 
 def test_roundtrip_involution_and_sign():
     chart, H = bonneau_chart(0.0)
-    res = torsion_weyl_roundtrip(chart, H, nodes=32)
+    res = torsion_weyl_roundtrip(Evaluation.on_grid(chart, H, 32))
     assert res["closing_sign"] == 1
     assert res["roundtrip_residual"] <= 1e-14
     assert res["norm_preserved"] <= 1e-14
@@ -78,7 +79,7 @@ def test_roundtrip_involution_and_sign():
 
 def test_roundtrip_zero_and_random_norm_preservation():
     chart = random_chart(2)
-    res0 = torsion_weyl_roundtrip(chart, InvariantForm.zero(3), nodes=8)
+    res0 = torsion_weyl_roundtrip(Evaluation.on_grid(chart, InvariantForm.zero(3), 8))
     assert res0["roundtrip_residual"] == 0.0
-    res = torsion_weyl_roundtrip(chart, random_torsion(2), nodes=8)
+    res = torsion_weyl_roundtrip(Evaluation.on_grid(chart, random_torsion(2), 8))
     assert res["norm_preserved"] <= 1e-12
