@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .jets import Jet
+from .jets import DEFAULT_ORDER, Jet
 from .frame import KForm, MULTI_INDICES
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
 
 ORBIT_VOLUME_SU2 = 16.0 * math.pi ** 2  # integral of s1^s2^s3 over SU(2)
 ORBIT_VOLUME_T3 = (2.0 * math.pi) ** 3
-
-JET_ORDER = 4
 
 
 @lru_cache(maxsize=32)
@@ -86,7 +84,7 @@ class InvariantChart:
         if not self.domain.periodic:
             if np.any(x <= lo) or np.any(x >= hi):
                 raise ChartError(f"x outside open domain ({lo}, {hi})")
-        seed = Jet.variable(x, JET_ORDER)
+        seed = Jet.variable(x, DEFAULT_ORDER)
         a, b, c = self.fa(seed), self.fb(seed), self.fc(seed)
         for name, p in (("a", a), ("b", b), ("c", c)):
             if np.any(jets.value_of(p) <= 0.0):
@@ -97,13 +95,16 @@ class InvariantChart:
     # -- grids ---------------------------------------------------------------
 
     def map_from_unit(self, u: np.ndarray):
-        """(x, dx/du) for u in (0,1); charts on infinite domains compactify."""
+        """(x, dx/du) for u in (0,1).
+
+        A bounded domain maps affinely; a half-infinite domain (-inf, hi)
+        is compactified by x = hi - tan(pi u / 2).
+        """
         u = np.asarray(u, dtype=float)
-        if self.name == "bonneau":
-            k = self.params["k"]
-            t = np.tan(0.5 * np.pi * u)
-            return k - t, -(0.5 * np.pi) * (1.0 + t * t)
         lo, hi = self.domain.lo, self.domain.hi
+        if lo == -math.inf:
+            t = np.tan(0.5 * np.pi * u)
+            return hi - t, -(0.5 * np.pi) * (1.0 + t * t)
         return lo + (hi - lo) * u, np.full_like(u, hi - lo)
 
     def quadrature(self, n: int):
@@ -138,6 +139,31 @@ class InvariantChart:
         }
 
 
+# [e_i, e_j] = sum_k C_ijk e_k is sum_t f_t S_t[i, j, k] for the bracket
+# functions f = (b'/(a b), c'/(a c), c/b^2, 1/c); an abelian orbit has only
+# the first two
+_BRACKET_SIGNS = np.zeros((4, 4, 4, 4))
+for _t, _i, _j, _k, _s in ((0, 0, 1, 1, -1), (0, 0, 2, 2, -1), (1, 0, 3, 3, -1),
+                           (2, 1, 2, 3, -1), (3, 1, 3, 2, 1), (3, 2, 3, 1, -1)):
+    _BRACKET_SIGNS[_t, _i, _j, _k] = _s
+    _BRACKET_SIGNS[_t, _j, _i, _k] = -_s
+
+# invariant functions vary only along e1
+_RADIAL = np.array([1.0, 0.0, 0.0, 0.0])
+
+# _CYCLIC[t, p, q, r] = 1 for the cyclic orderings (p, q, r) of the t-th
+# increasing triple
+_CYCLIC = np.zeros((4, 4, 4, 4))
+for _t, (_i, _j, _k) in enumerate(MULTI_INDICES[3]):
+    for _p, _q, _r in ((_i, _j, _k), (_j, _k, _i), (_k, _i, _j)):
+        _CYCLIC[_t, _p, _q, _r] = 1.0
+
+
+def _stack(items) -> Jet:
+    """Jets with (n,)-shaped coefficients stacked along a new first axis."""
+    return Jet(tuple(map(np.stack, zip(*(j.coeffs for j in items)))))
+
+
 class FramePoint:
     """Chart data evaluated at a batch of points: profiles and brackets."""
 
@@ -145,7 +171,6 @@ class FramePoint:
         self.chart = chart
         self.x = x
         self.a, self.b, self.c = a, b, c
-        self._struct = None
 
     @property
     def npoints(self) -> int:
@@ -155,66 +180,41 @@ class FramePoint:
         """Derivative along the unit radial frame field e1 = (1/a) d/dx."""
         return f.derivative() / self.a
 
-    def frame_derivative(self, i: int, f: Jet) -> Jet:
-        """e_i(f) for an invariant scalar: zero along orbit directions."""
-        if i == 0:
-            return self.e1(f)
-        return Jet.constant(0.0, max(f.order - 1, 0))
+    def frame_derivative(self, f: Jet) -> Jet:
+        """e_i(f) for an invariant jet f, with the direction i as a new first
+        axis: (1/a) d/dx along e1 and zero along the orbit.  The order drops
+        by one, so an order-0 jet raises ``ValueError``."""
+        return jets.einsum("i,...->i...", _RADIAL, self.e1(f))
 
-    def structure_functions(self):
-        """c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k (jets)."""
-        if self._struct is not None:
-            return self._struct
+    @cached_property
+    def _structure(self) -> Jet:
         a, b, c = self.a, self.b, self.c
-        zero = Jet.constant(0.0, a.order - 1)
-        cs = [[[zero for _ in range(4)] for _ in range(4)] for _ in range(4)]
-
-        def put(i, j, k, v):
-            cs[i][j][k] = v
-            cs[j][i][k] = -v
-
-        rb = b.derivative() / (self.a * b)
-        rc = c.derivative() / (self.a * c)
-        put(0, 1, 1, -rb)
-        put(0, 2, 2, -rb)
-        put(0, 3, 3, -rc)
+        f = [b.derivative() / (a * b), c.derivative() / (a * c)]
         if self.chart.structure_mode == "su2":
-            put(1, 2, 3, -(c / (b * b)))
-            put(1, 3, 2, 1.0 / c * Jet.constant(1.0, c.order))
-            put(2, 3, 1, -(1.0 / c) * Jet.constant(1.0, c.order))
-        self._struct = cs
-        return cs
+            f += [c / (b * b), 1.0 / c]
+        return jets.einsum("t...,tijk->ijk...", _stack(f), _BRACKET_SIGNS[:len(f)])
 
-    def values(self, nested) -> np.ndarray:
-        """Values of a jet, or of a nested list of jets, as one array with
-        the grid axis last."""
-        if isinstance(nested, list):
-            return np.stack([self.values(v) for v in nested])
-        return np.broadcast_to(np.asarray(jets.value_of(nested), dtype=float), self.x.shape)
+    def structure_functions(self) -> Jet:
+        """C with [e_i, e_j] = sum_k C[i, j, k] e_k, one jet of shape (4, 4, 4, n)."""
+        return self._structure
 
     @cached_property
     def brackets(self) -> np.ndarray:
-        """Values of :meth:`structure_functions` as one read-only array,
-        shape (4, 4, 4, n)."""
-        out = self.values(self.structure_functions())
+        """Values of :meth:`structure_functions`, read-only, shape (4, 4, 4, n)."""
+        out = self._structure.value
         out.flags.writeable = False
         return out
 
     def jacobi_residual(self) -> float:
-        """Sup norm of the frame Jacobi identity over the batch."""
-        cs = self.structure_functions()
-        worst = 0.0
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for k in range(j + 1, 4):
-                    for m in range(4):
-                        acc = 0.0
-                        for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-                            acc = acc + jets.value_of(self.frame_derivative(p, cs[q][r][m]))
-                            for l in range(4):
-                                acc = acc + jets.value_of(cs[q][r][l] * cs[p][l][m])
-                        worst = max(worst, float(np.max(np.abs(acc))))
-        return worst
+        """Sup norm of the frame Jacobi identity over the batch: the cyclic
+        sum over (p, q, r) of e_p(C_qrm) + C_qrl C_plm, per increasing
+        triple."""
+        C = self.structure_functions()
+        # of the frame derivatives e_p only e1 acts
+        J = np.einsum("tqr,qrm...->tm...", _CYCLIC[:, 0], self.e1(C).value)
+        J += np.einsum("tpl...,plm...->tm...",
+                       np.einsum("tpqr,qrl...->tpl...", _CYCLIC, C.value), C.value)
+        return float(np.max(np.abs(J)))
 
 
 def structure_functions(chart: InvariantChart, x) -> np.ndarray:
@@ -239,18 +239,12 @@ class InvariantForm:
             self.comps[key] = f
 
     def at(self, pt: FramePoint) -> KForm:
-        seed = Jet.variable(pt.x, JET_ORDER)
-        out = KForm(self.degree)
-        for pos, idx in enumerate(MULTI_INDICES[self.degree]):
-            f = self.comps.get(idx)
-            if f is None:
-                out.comps[pos] = Jet.constant(np.zeros_like(pt.x), JET_ORDER)
-            else:
-                v = f(seed)
-                if not isinstance(v, Jet):
-                    v = Jet.constant(v + np.zeros_like(pt.x), JET_ORDER)
-                out.comps[pos] = v
-        return out
+        """The form at the points, one jet of shape (ncomp, n)."""
+        seed = Jet.variable(pt.x, DEFAULT_ORDER)
+        zero = 0.0 * seed
+        return KForm(self.degree, _stack(
+            self.comps[idx](seed) + zero if idx in self.comps else zero
+            for idx in MULTI_INDICES[self.degree]))
 
     def scaled(self, s: float) -> "InvariantForm":
         return InvariantForm(self.degree,
@@ -319,7 +313,7 @@ class BonneauFamily:
 
     def omega2(self, x: Jet) -> Jet:
         if not isinstance(x, Jet):
-            x = Jet.constant(np.asarray(x, dtype=float), JET_ORDER)
+            x = Jet.constant(np.asarray(x, dtype=float), DEFAULT_ORDER)
         xv = np.asarray(jets.value_of(x))
         near = (self.k - xv) <= self.r_near
         far = xv <= self.x_far
@@ -369,7 +363,7 @@ def bonneau_chart(k: float, scan_nodes: int = 1024):
     )
     u = (np.arange(scan_nodes) + 0.5) / scan_nodes
     x, _ = chart.map_from_unit(u)
-    w = np.asarray(jets.value_of(fam.omega2(Jet.variable(x, 2))))
+    w = np.asarray(jets.value_of(fam.omega2(Jet.variable(x, DEFAULT_ORDER))))
     good = np.isfinite(w) & (w > 0.0)
     if not np.all(good):
         bad = x[~good]

@@ -110,8 +110,7 @@ def cmd_verify(args) -> int:
     rep = decompose_point(ev)
     res["reconstruction"] = rep.reconstruction_residual
     res["block_isometry"] = rep.block_residual
-    failing = [k for k, v in res.items()
-               if not k.endswith("_sign") and isinstance(v, float) and v > args.tol]
+    failing = [k for k, v in res.items() if isinstance(v, float) and v > args.tol]
     payload = {
         "schema": SCHEMA,
         "command": "verify",
@@ -128,7 +127,7 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     chart, H = _build_chart(args)
     n = min(args.grid, 128)
-    top = hitchin_thorpe_report(chart, H, nodes=args.grid)
+    top = hitchin_thorpe_report(Evaluation.on_grid(chart, H, 64), nodes=args.grid)
     ev = Evaluation.on_grid(chart, H, n)
     sd = {"plus": self_duality_residual(ev.plus.induced),
           "minus": self_duality_residual(ev.minus.induced)}
@@ -154,8 +153,8 @@ def _scan_row(k: float, grid: int):
         chart, H = charts.bonneau_chart(k)
     except ChartError as exc:
         return {"k": k, "admissible": False, "reason": str(exc)}
-    top = hitchin_thorpe_report(chart, H, nodes=grid)
     ev = Evaluation.on_grid(chart, H, 64)
+    top = hitchin_thorpe_report(ev, nodes=grid)
     rep = decompose_point(ev)
     probe = gauge_equivalence_probe(ev)
     return {

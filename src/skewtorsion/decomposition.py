@@ -126,7 +126,6 @@ def decompose_point(ev: Evaluation) -> DecompositionReport:
     Z = ev.plus.Z
 
     dsH = F.components_in_sd_basis(ext.dstar_H)
-    dsH = np.array([np.broadcast_to(v, pt.x.shape) for v in dsH])
     phi_p, phi_m = dsH[:3], dsH[3:]
 
     # Weyl blocks from the Riemannian operator (torsion independent)

@@ -25,10 +25,10 @@ import numpy as np
 from .charts import FramePoint, InvariantChart, InvariantForm
 from .connections import (
     AffineConnection, CurvatureTensor, ExteriorData, RicciData,
-    cov_deriv_three_form_values, curvature, exterior_ops, full_components,
+    cov_deriv, curvature, exterior_ops, full_components,
     levi_civita, ricci_and_scalar, with_skew_torsion,
 )
-from .frame import KForm, operator_from_tensor
+from .frame import FULL_SIGNS, KForm, operator_from_tensor
 from .instanton import InducedConnection, induced_lambda_plus
 
 __all__ = ["ConnectionData", "Evaluation"]
@@ -111,7 +111,8 @@ class Evaluation:
     @cached_property
     def DH(self) -> np.ndarray:
         """(D^g_i H)_jkl, antisymmetric in (jkl), shape (4, 4, 4, 4, n)."""
-        return cov_deriv_three_form_values(self.pt, self.lc, self.Hf)
+        D = cov_deriv(self.pt, self.lc, self.Hf).value
+        return np.einsum("iP...,Pjkl->ijkl...", D, FULL_SIGNS[3])
 
     def reversed(self) -> "Evaluation":
         """Context for torsion -H on the same points.

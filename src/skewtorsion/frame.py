@@ -1,9 +1,11 @@
 """Exterior algebra over an oriented orthonormal 4-frame.
 
 Forms are stored by components on increasing multi-indices of the frame
-e1..e4 (0-based internally), with the volume form e1^e2^e3^e4.  Components
-may be floats, numpy arrays or jets; all operations are linear or bilinear
-so they work uniformly.
+e1..e4 (0-based internally), with the volume form e1^e2^e3^e4.  The
+components of a form are one array or one jet, with the component axis
+first and any grid axis last; every operation is linear or bilinear, a
+contraction with a fixed sign tensor built at import, so it acts on
+numbers, grids and jets alike.
 
 The six unit 2-forms splitting Lambda^2 into +/- eigenspaces of the Hodge
 star are, in order,
@@ -21,6 +23,9 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 import numpy as np
+
+from . import jets
+from .jets import Jet
 
 __all__ = [
     "KForm", "MULTI_INDICES", "SD_BASIS", "wedge", "hodge_star", "sd_split",
@@ -54,8 +59,41 @@ def _sort_index(idx):
     return _perm_sign(idx), tuple(sorted(idx))
 
 
+def _full_signs(k):
+    """(ncomp, 4, ..., 4): increasing components to the antisymmetric tensor."""
+    out = np.zeros((len(MULTI_INDICES[k]),) + (DIM,) * k)
+    for p, idx in enumerate(MULTI_INDICES[k]):
+        for perm in permutations(idx):
+            out[(p,) + perm] = _perm_sign(perm)
+    return out
+
+
+def _wedge_signs(ka, kb):
+    """(ncomp_{ka+kb}, ncomp_ka, ncomp_kb): the wedge product."""
+    out = np.zeros((len(MULTI_INDICES[ka + kb]), len(MULTI_INDICES[ka]),
+                    len(MULTI_INDICES[kb])))
+    for pa, ia in enumerate(MULTI_INDICES[ka]):
+        for pb, ib in enumerate(MULTI_INDICES[kb]):
+            sign, key = _sort_index(ia + ib)
+            if sign:
+                out[_INDEX_POS[ka + kb][key], pa, pb] = sign
+    return out
+
+
+FULL_SIGNS = {k: _full_signs(k) for k in range(DIM + 1)}
+_FULL_SPEC = {k: f"p{'abcd'[:k]},p...->{'abcd'[:k]}..." for k in range(DIM + 1)}
+_WEDGE = {(ka, kb): _wedge_signs(ka, kb)
+          for ka in range(DIM + 1) for kb in range(DIM + 1 - ka)}
+# Hodge star for the metric delta and orientation e1234: e^I ^ *e^I = vol
+_STAR = {k: _WEDGE[k, DIM - k][0].T for k in range(DIM + 1)}
+
+
 class KForm:
-    """Frame k-form with one component per increasing multi-index."""
+    """Frame k-form with one component per increasing multi-index.
+
+    ``comps`` is one array or one jet whose first axis runs over the
+    increasing multi-indices, shape (ncomp,) or (ncomp, n) on n points.
+    """
 
     __slots__ = ("degree", "comps")
 
@@ -64,9 +102,10 @@ class KForm:
             raise ValueError(f"degree must be 0..4, got {degree}")
         n = len(MULTI_INDICES[degree])
         if comps is None:
-            comps = [0.0] * n
-        comps = list(comps)
-        if len(comps) != n:
+            comps = np.zeros(n)
+        elif not isinstance(comps, Jet):
+            comps = np.array(comps, dtype=float)
+        if np.shape(jets.value_of(comps))[:1] != (n,):
             raise ValueError(f"degree-{degree} form needs {n} components")
         self.degree = degree
         self.comps = comps
@@ -85,20 +124,19 @@ class KForm:
         sign, key = _sort_index(tuple(idx))
         if sign == 0:
             return 0.0
-        return sign * self.comps[_INDEX_POS[self.degree][key]]
+        p, c = _INDEX_POS[self.degree][key], self.comps
+        return sign * (c.map(lambda a: a[p]) if isinstance(c, Jet) else c[p])
 
     def __add__(self, other):
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return KForm(self.degree, [a + b for a, b in zip(self.comps, other.comps)])
+        return KForm(self.degree, self.comps + other.comps)
 
     def __sub__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return KForm(self.degree, [a - b for a, b in zip(self.comps, other.comps)])
+        return self + (-other)
 
     def __mul__(self, s):
-        return KForm(self.degree, [c * s for c in self.comps])
+        return KForm(self.degree, self.comps * s)
 
     __rmul__ = __mul__
 
@@ -107,11 +145,20 @@ class KForm:
 
     def values(self) -> "KForm":
         """Same form with jet components collapsed to their values."""
-        from .jets import value_of
-        return KForm(self.degree, [value_of(c) for c in self.comps])
+        return KForm(self.degree, jets.value_of(self.comps))
+
+    def full(self):
+        """Fully antisymmetric components, index axes first and the grid axis
+        last (a jet for jet components); a form without a grid axis gets
+        one of length 1, so it broadcasts against any grid."""
+        c = self.comps
+        if not isinstance(c, Jet):
+            c = np.reshape(c, (len(c), -1))
+        return jets.einsum(_FULL_SPEC[self.degree], FULL_SIGNS[self.degree], c)
 
     def __repr__(self):
-        terms = ", ".join(f"{idx}: {c}" for idx, c in zip(MULTI_INDICES[self.degree], self.comps))
+        vals = jets.value_of(self.comps)
+        terms = ", ".join(f"{idx}: {c}" for idx, c in zip(MULTI_INDICES[self.degree], vals))
         return f"KForm({self.degree}, {{{terms}}})"
 
 
@@ -119,45 +166,24 @@ def wedge(a: KForm, b: KForm) -> KForm:
     k = a.degree + b.degree
     if k > DIM:
         raise ValueError("wedge degree exceeds 4")
-    out = KForm(k)
-    for ia, ca in zip(MULTI_INDICES[a.degree], a.comps):
-        for ib, cb in zip(MULTI_INDICES[b.degree], b.comps):
-            sign, key = _sort_index(ia + ib)
-            if sign == 0:
-                continue
-            p = _INDEX_POS[k][key]
-            out.comps[p] = out.comps[p] + sign * (ca * cb)
-    return out
+    return KForm(k, jets.einsum("rpq,p...,q...->r...", _WEDGE[a.degree, b.degree],
+                                a.comps, b.comps))
 
 
 def hodge_star(a: KForm) -> KForm:
     """Hodge star for the metric delta and orientation e1234."""
-    k = a.degree
-    out = KForm(DIM - k)
-    full = tuple(range(DIM))
-    for idx, c in zip(MULTI_INDICES[k], a.comps):
-        comp = tuple(i for i in full if i not in idx)
-        sign = _perm_sign(idx + comp)
-        p = _INDEX_POS[DIM - k][comp]
-        out.comps[p] = out.comps[p] + sign * c
-    return out
+    return KForm(DIM - a.degree, jets.einsum("qp,p...->q...", _STAR[a.degree], a.comps))
 
 
 def norm_sq(a: KForm):
     """Squared norm, summing over increasing multi-indices."""
-    s = 0.0
-    for c in a.comps:
-        s = s + c * c
-    return s
+    return inner(a, a)
 
 
 def inner(a: KForm, b: KForm):
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
-    s = 0.0
-    for ca, cb in zip(a.comps, b.comps):
-        s = s + ca * cb
-    return s
+    return jets.einsum("p...,p...->...", a.comps, b.comps)
 
 
 def sd_split(w: KForm):
@@ -165,38 +191,22 @@ def sd_split(w: KForm):
     if w.degree != 2:
         raise ValueError("sd_split needs a 2-form")
     sw = hodge_star(w)
-    plus = KForm(2, [(a + b) * 0.5 for a, b in zip(w.comps, sw.comps)])
-    minus = KForm(2, [(a - b) * 0.5 for a, b in zip(w.comps, sw.comps)])
-    return plus, minus
+    return (KForm(2, (w.comps + sw.comps) * 0.5),
+            KForm(2, (w.comps - sw.comps) * 0.5))
 
 
-def _sd_basis():
-    s = 1.0 / np.sqrt(2.0)
-    combos = [
-        (((0, 1), s), ((2, 3), s)),
-        (((0, 2), s), ((1, 3), -s)),
-        (((0, 3), s), ((1, 2), s)),
-        (((0, 1), s), ((2, 3), -s)),
-        (((0, 2), s), ((1, 3), s)),
-        (((0, 3), s), ((1, 2), -s)),
-    ]
-    basis = []
-    for terms in combos:
-        f = KForm(2)
-        for idx, coef in terms:
-            f.comps[_INDEX_POS[2][idx]] = coef
-        basis.append(f)
-    return tuple(basis)
-
-
-SD_BASIS = _sd_basis()
-
-# full antisymmetric component matrices of the basis, shape (6, 4, 4)
-SD_WEIGHTS = np.zeros((6, DIM, DIM))
-for _p, _f in enumerate(SD_BASIS):
-    for _idx, _c in zip(MULTI_INDICES[2], _f.comps):
-        SD_WEIGHTS[_p, _idx[0], _idx[1]] = _c
-        SD_WEIGHTS[_p, _idx[1], _idx[0]] = -_c
+# increasing components (e12, e13, e14, e23, e24, e34) of the +- basis,
+# shape (6, 6), and its full antisymmetric component matrices, shape (6, 4, 4)
+_SD_COMPS = (1.0 / np.sqrt(2.0)) * np.array([
+    [1, 0, 0, 0, 0, 1],
+    [0, 1, 0, 0, -1, 0],
+    [0, 0, 1, 1, 0, 0],
+    [1, 0, 0, 0, 0, -1],
+    [0, 1, 0, 0, 1, 0],
+    [0, 0, 1, -1, 0, 0],
+])
+SD_BASIS = tuple(KForm(2, c) for c in _SD_COMPS)
+SD_WEIGHTS = np.einsum("Pp,pab->Pab", _SD_COMPS, FULL_SIGNS[2])
 
 # star eigenvalues in basis order
 SD_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
@@ -204,10 +214,7 @@ SD_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
 def components_in_sd_basis(w: KForm) -> np.ndarray:
     """Components of a 2-form in the ordered +/- basis (values only)."""
-    from .jets import value_of
-    vals = [value_of(c) for c in w.comps]
-    vec = [sum(ec * vc for ec, vc in zip(e.comps, vals)) for e in SD_BASIS]
-    return np.array([np.asarray(v, dtype=float) for v in vec])
+    return np.einsum("Pp,p...->P...", _SD_COMPS, jets.value_of(w.comps))
 
 
 def operator_from_tensor(R: np.ndarray) -> np.ndarray:

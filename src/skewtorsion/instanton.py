@@ -57,8 +57,7 @@ class InducedConnection:
     """so(3)-valued connection on Lambda+ along a frame batch."""
 
     pt: FramePoint
-    omega: list                 # omega[i] = 3x3 nested list of jets
-    omega_values: np.ndarray    # values of omega, shape (4, 3, 3, n)
+    omega: jets.Jet             # connection forms omega[i, p, q], shape (4, 3, 3, n)
     F_mats: np.ndarray          # F(e_i, e_j) values, shape (4, 4, 3, 3, n)
     F_sd: np.ndarray            # F paired with the six E_Q, shape (3, 3, 6, n)
     rows: np.ndarray            # F in generator components / scale: (3, 6, n)
@@ -69,44 +68,10 @@ class InducedConnection:
         return LAMBDA_PLUS_CURVATURE_SCALE * self.rows
 
 
-def _omega_matrices(conn: AffineConnection):
-    """Connection forms of the induced Lambda+ connection, jets."""
-    pt = conn.pt
-    omega = []
-    for i in range(4):
-        mat = [[None] * 3 for _ in range(3)]
-        for q in range(3):
-            # D_i E_q+ as a 2-form via the derivation action on bivectors
-            comps = {}
-            for (a, b), w in _basis_pairs(q):
-                for m in range(4):
-                    _accumulate(comps, (m, b), conn.gamma[i][a][m] * w)
-                    _accumulate(comps, (a, m), conn.gamma[i][b][m] * w)
-            for p in range(3):
-                acc = None
-                for (a, b), w in _basis_pairs(p):
-                    v = comps.get((a, b))
-                    vb = comps.get((b, a))
-                    term = None
-                    if v is not None:
-                        term = w * v
-                    if vb is not None:
-                        term = (term - w * vb) if term is not None else (-w) * vb
-                    if term is not None:
-                        acc = term if acc is None else acc + term
-                mat[p][q] = acc if acc is not None else jets.Jet.constant(0.0, 2)
-        omega.append(mat)
-    return omega
-
-
-def _basis_pairs(p: int):
-    """Increasing index pairs and weights of E_p (0..5)."""
-    e = F.SD_BASIS[p]
-    return [(idx, w) for idx, w in zip(F.MULTI_INDICES[2], e.comps) if w != 0.0]
-
-
-def _accumulate(d, key, val):
-    d[key] = d[key] + val if key in d else val
+# D_i E_q+ = sum_p omega[i, p, q] E_p+ with omega[i, p, q] = Gamma_ixy K[p, q, x, y]:
+# the connection acts on the 2-form E_q+ as a derivation, paired with E_p+,
+# which for antisymmetric component matrices gives K = -E_q E_p
+_OMEGA_WEIGHTS = -np.einsum("qxa,pay->pqxy", F.SD_WEIGHTS[:3], F.SD_WEIGHTS[:3])
 
 
 def induced_lambda_plus(conn: AffineConnection, M: np.ndarray) -> InducedConnection:
@@ -115,10 +80,10 @@ def induced_lambda_plus(conn: AffineConnection, M: np.ndarray) -> InducedConnect
     if not conn.metric_compatible:
         raise ValueError("the splitting is only preserved by metric connections")
     pt = conn.pt
-    omega = _omega_matrices(conn)
+    omega = jets.einsum("ixy...,pqxy->ipq...", conn.gamma, _OMEGA_WEIGHTS)
     n = pt.npoints
-    om = pt.values(omega)
-    dom = pt.values([[[pt.e1(w) for w in row] for row in mat] for mat in omega])
+    om = omega.value
+    dom = pt.e1(omega).value
     cs = pt.brackets
 
     # structure equation: F_ij = e_i(w_j) - e_j(w_i) + [w_i, w_j] - c^m_ij w_m
@@ -140,7 +105,7 @@ def induced_lambda_plus(conn: AffineConnection, M: np.ndarray) -> InducedConnect
     AC = np.concatenate([np.einsum("pq...->qp...", A),
                          np.einsum("pq...->qp...", Cb)], axis=1)
     block_residual = float(np.max(np.abs(rows - AC)))
-    return InducedConnection(pt=pt, omega=omega, omega_values=om, F_mats=Fm,
+    return InducedConnection(pt=pt, omega=omega, F_mats=Fm,
                              F_sd=F_sd, rows=rows, block_residual=block_residual)
 
 
@@ -163,8 +128,7 @@ def yang_mills_density_check(ev: Evaluation) -> dict:
     closed torsion; the caller sees the residuals either way.  The last
     term is even in H, so both signs take it from the exterior data of H.
     """
-    dsH = F.components_in_sd_basis(ev.ext.dstar_H)
-    phi_p = np.array([np.broadcast_to(v, ev.pt.x.shape) for v in dsH[:3]])
+    phi_p = F.components_in_sd_basis(ev.ext.dstar_H)[:3]
     out = {}
     dens = {}
     for cd, tag in ((ev.plus, "plus"), (ev.minus, "minus")):
@@ -248,7 +212,7 @@ def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
     threshold_rel = 1e-7
     # when the curvature cancels identically, sigma_max itself is rounding
     # noise; the squared connection-coefficient scale supplies the floor
-    omp, omm = ic_p.omega_values, ic_m.omega_values
+    omp, omm = ic_p.omega.value, ic_m.omega.value
     om_scale = max(float(np.max(np.abs(omp))), float(np.max(np.abs(omm)))) ** 2
     tau = threshold_rel * np.maximum(sigma_max, max(om_scale, 1e-300))
     kdims = np.sum(S <= tau[:, None], axis=1)
@@ -275,7 +239,7 @@ def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
 
         # covariant derivative of the section under the product connection
         gp = np.gradient(g, x, axis=0)
-        a_val = pt.values(pt.a)
+        a_val = pt.a.value
         ng2 = np.zeros(n)
         for i in range(4):
             wp = np.moveaxis(omp[i], -1, 0)

@@ -1,33 +1,46 @@
 """Forward-mode jets: truncated Taylor expansions in one variable.
 
 A ``Jet`` stores the normalized Taylor coefficients ``c[k] = f^(k)(x)/k!``
-of a scalar function at a point, up to a fixed order.  Arithmetic and the
+of a function at a point, up to a fixed order.  Arithmetic and the
 elementary functions propagate coefficients by exact series recurrences, so
 first and second derivatives of arbitrary closed-form compositions come out
 to machine precision.  Coefficients may be floats or numpy arrays, which
 vectorizes a profile evaluation over a whole grid of points at once.
 
-Derived quantities (connection coefficients, curvature) consume derivative
-levels, so chart profiles are evaluated at order 4 by default; ``value``,
-``d1`` and ``d2`` expose the 2-jet everything downstream is contracted to.
+A tensor of jets is one ``Jet`` whose coefficients carry the index axes
+first and the grid axis last, shape ``(*index_shape, n)``.  The elementwise
+recurrences act on it unchanged; :meth:`Jet.map` applies a linear index map
+to every coefficient, and :func:`einsum` contracts two jets by the Leibniz
+rule ``c_k = sum_j einsum(a_j, b_{k-j})`` (Taylor-mode products, Griewank
+and Walther, *Evaluating Derivatives*, ch. 13).
+
+Each frame derivative consumes one order: the brackets and connection
+coefficients are first derivatives of the profiles, and the curvature
+differentiates those once more, so chart profiles are evaluated at order
+``DEFAULT_ORDER = 2``.  Asking a jet for a derivative it does not carry
+raises ``ValueError``.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
 __all__ = [
     "Jet", "variable", "constant", "sqrt", "exp", "log", "sin", "cos",
-    "arctan", "arctan_minus_id", "where", "value_of",
+    "arctan", "arctan_minus_id", "where", "value_of", "einsum",
 ]
 
-DEFAULT_ORDER = 4
+DEFAULT_ORDER = 2
 
 
 class Jet:
     """Truncated Taylor series ``sum_k c[k] t^k`` with scalar or array c[k]."""
 
     __slots__ = ("coeffs",)
+    # numpy operators defer to the jet's own (reflected) arithmetic
+    __array_ufunc__ = None
 
     def __init__(self, coeffs):
         self.coeffs = tuple(coeffs)
@@ -55,17 +68,26 @@ class Jet:
 
     @property
     def d1(self):
-        return self.coeffs[1] if self.order >= 1 else _zeros_like(self.coeffs[0])
+        if self.order < 1:
+            raise ValueError("an order-0 jet carries no first derivative")
+        return self.coeffs[1]
 
     @property
     def d2(self):
-        return 2.0 * self.coeffs[2] if self.order >= 2 else _zeros_like(self.coeffs[0])
+        if self.order < 2:
+            raise ValueError(f"an order-{self.order} jet carries no second derivative")
+        return 2.0 * self.coeffs[2]
 
     def derivative(self) -> "Jet":
         """Jet of f', one order lower."""
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
         return Jet(tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order)))
+
+    def map(self, f) -> "Jet":
+        """The jet of f(self) for a linear map f, applied to every coefficient
+        (index permutations, selections, contractions with fixed tensors)."""
+        return Jet(tuple(f(c) for c in self.coeffs))
 
     def __float__(self) -> float:
         return float(self.coeffs[0])
@@ -91,15 +113,7 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = _align(self, other)
-        n = len(a)
-        out = []
-        for k in range(n):
-            s = a[0] * b[k]
-            for j in range(1, k + 1):
-                s = s + a[j] * b[k - j]
-            out.append(s)
-        return Jet(tuple(out))
+        return Jet(_leibniz(*_align(self, other), operator.mul))
 
     __rmul__ = __mul__
 
@@ -145,10 +159,6 @@ def _ones_like(x):
     return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
 
 
-def _zeros_like(x):
-    return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-
-
 def _value_of(x):
     return x.value if isinstance(x, Jet) else x
 
@@ -157,14 +167,48 @@ def _as_jet(x, order: int) -> Jet:
     return x if isinstance(x, Jet) else Jet.constant(x, order)
 
 
-def _align(a, b):
+def _align(a: Jet, b):
     """Coefficient tuples of both operands, truncated to the common order."""
-    if not isinstance(b, Jet):
-        b = Jet.constant(b, a.order if isinstance(a, Jet) else DEFAULT_ORDER)
-    if not isinstance(a, Jet):
-        a = Jet.constant(a, b.order)
+    b = _as_jet(b, a.order)
     n = min(len(a.coeffs), len(b.coeffs))
     return a.coeffs[:n], b.coeffs[:n]
+
+
+def einsum(spec: str, *operands):
+    """``np.einsum`` over jets and arrays, with the grid axis in ``...``.
+
+    Arrays are constants.  With one jet operand the contraction is a
+    linear map applied to every coefficient; with two it is the Leibniz
+    rule ``c_k = sum_j einsum(spec, a_j, b_{k-j})`` up to the lower of the
+    two orders.  More than two jet operands are not supported.
+    """
+    pos = [i for i, op in enumerate(operands) if isinstance(op, Jet)]
+    if not pos:
+        return np.einsum(spec, *operands)
+    ops = list(operands)
+
+    def term(*coeffs):
+        for i, c in zip(pos, coeffs):
+            ops[i] = c
+        return np.einsum(spec, *ops)
+
+    if len(pos) == 1:
+        return operands[pos[0]].map(term)
+    if len(pos) > 2:
+        raise ValueError("einsum contracts at most two jets")
+    a, b = (operands[i].coeffs for i in pos)
+    return Jet(_leibniz(a, b, term))
+
+
+def _leibniz(a, b, product):
+    """Coefficients c_k = sum_j product(a_j, b_{k-j}) up to the lower order."""
+    out = []
+    for k in range(min(len(a), len(b))):
+        s = product(a[0], b[k])
+        for j in range(1, k + 1):
+            s = s + product(a[j], b[k - j])
+        out.append(s)
+    return tuple(out)
 
 
 def variable(x, order: int = DEFAULT_ORDER) -> Jet:

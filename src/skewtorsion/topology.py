@@ -38,6 +38,11 @@ __all__ = [
 
 DEFAULT_NODES = 256
 
+# the report flags data whose Einstein residual exceeds EINSTEIN_THRESHOLD,
+# and counts the inequality as satisfied down to -TOLERANCE
+EINSTEIN_THRESHOLD = 1e-6
+TOLERANCE = 1e-8
+
 
 def integrate_invariant(chart: InvariantChart, f, nodes: int = DEFAULT_NODES):
     """Integrals of invariant scalars against the volume form.
@@ -136,30 +141,32 @@ def pontryagin_lambda_plus(chart: InvariantChart, H: InvariantForm,
     return val, err, _min_pontryagin_integrand(chart, H, nodes)
 
 
-def hitchin_thorpe_report(chart: InvariantChart, H: InvariantForm,
-                          nodes: int = DEFAULT_NODES,
-                          einstein_threshold: float = 1e-6,
-                          tolerance: float = 1e-8) -> TopologyReport:
+def hitchin_thorpe_report(ev: Evaluation, nodes: int = DEFAULT_NODES) -> TopologyReport:
     """Topological constraint report 2 chi >= 3 |tau| for the given data.
 
+    ``ev`` is the context on the sample grid, whose chart ``ev.pt.chart``
+    and torsion ``ev.H`` (an :class:`InvariantForm`) are integrated on the
+    quadrature grids; the Einstein residual is read from ``ev`` itself.
     The inequality is asserted for Einstein data with skew torsion; when
-    the Einstein residual exceeds ``einstein_threshold`` the report is
+    the Einstein residual exceeds ``EINSTEIN_THRESHOLD`` the report is
     still produced but flagged.
     """
+    chart, H = ev.pt.chart, ev.H
+
     def densities(pt):
-        ev = Evaluation(pt, H)
-        return (*curvature_integrands(ev), pontryagin_density(ev))
+        ev_q = Evaluation(pt, H)
+        return (*curvature_integrands(ev_q), pontryagin_density(ev_q))
 
     (chi, tau, p1), (chi_err, tau_err, p1_err) = integrate_invariant(chart, densities, nodes)
     p1_min = _min_pontryagin_integrand(chart, H, nodes)
-    e_res = einstein_residual(Evaluation.on_grid(chart, H, 64))
+    e_res = einstein_residual(ev)
     margin = 2.0 * chi - 3.0 * abs(tau)
     return TopologyReport(
         chi=chi, tau=tau, p1_lambda_plus=p1,
         inequality_margin=margin,
-        satisfied=bool(margin >= -tolerance),
+        satisfied=bool(margin >= -TOLERANCE),
         einstein_residual=e_res,
-        einstein_warning=bool(e_res > einstein_threshold),
+        einstein_warning=bool(e_res > EINSTEIN_THRESHOLD),
         quadrature={
             "nodes": nodes, "scheme": "gauss-legendre (compactified, open)",
             "chi_error": chi_err, "tau_error": tau_err,

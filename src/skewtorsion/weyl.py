@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .frame import KForm, hodge_star, norm_sq
 from .charts import FramePoint, InvariantChart, InvariantForm
 from .connections import (
-    AffineConnection, cov_deriv_one_form, codifferential, levi_civita,
+    AffineConnection, cov_deriv, codifferential, levi_civita,
     full_components,
 )
 from .decomposition import _fro, _tf, einstein_residual
@@ -40,6 +41,12 @@ __all__ = [
 ]
 
 _EYE4 = np.eye(4)
+
+# Gamma_ijk - Gamma^g_ijk = sum_m w_m S[m, i, j, k]
+# = -(w_i delta_jk + w_j delta_ik - w_k delta_ij) / 2
+_WEYL_SIGNS = -0.5 * (np.einsum("mi,jk->mijk", _EYE4, _EYE4)
+                      + np.einsum("mj,ik->mijk", _EYE4, _EYE4)
+                      - np.einsum("mk,ij->mijk", _EYE4, _EYE4))
 
 
 @dataclass
@@ -57,11 +64,7 @@ def weyl_connection(lc: AffineConnection, omega: InvariantForm | KForm) -> Affin
     w = omega.at(pt) if isinstance(omega, InvariantForm) else omega
     if w.degree != 1:
         raise ValueError("need a 1-form")
-    gamma = [[[lc.gamma[i][j][k]
-               - 0.5 * (w[(i,)] if j == k else 0.0)
-               - 0.5 * (w[(j,)] if i == k else 0.0)
-               + 0.5 * (w[(k,)] if i == j else 0.0)
-               for k in range(4)] for j in range(4)] for i in range(4)]
+    gamma = lc.gamma + jets.einsum("m...,mijk->ijk...", w.comps, _WEYL_SIGNS)
     return AffineConnection(pt, gamma, metric_compatible=False)
 
 
@@ -70,13 +73,13 @@ def weyl_structure(pt: FramePoint, omega: InvariantForm | KForm) -> WeylStructur
     w = omega.at(pt) if isinstance(omega, InvariantForm) else omega
     D = weyl_connection(levi_civita(pt), w)
     # (D_i g)(e_j, e_k) = -Gamma_kij - Gamma_jik for constant frame metric
-    G = D.gamma_values()
+    G = D.gamma.value
     wd = -(G + np.einsum("ijk...->ikj...", G))
     wv = full_components(w, pt)
     target = np.einsum("i...,jk->ijk...", wv, _EYE4)
     dg_res = float(np.max(np.abs(wd - target)))
     tor = D.torsion_form()
-    tor_res = float(np.max(np.abs([pt.values(c) for c in tor.comps])))
+    tor_res = float(np.max(np.abs(tor.comps.value)))
     return WeylStructure(pt=pt, omega=w, D=D, dg_residual=dg_res, torsion_residual=tor_res)
 
 
@@ -98,9 +101,9 @@ def einstein_weyl_residual(chart: InvariantChart, omega: InvariantForm,
     rg = ConnectionData(lc).ricci
     wv = full_components(w, pt)
     w2 = np.einsum("i...,i...->...", wv, wv)
-    dw = pt.values(cov_deriv_one_form(pt, lc, w))
+    dw = cov_deriv(pt, lc, w).value
     Sw = 0.5 * (dw + np.einsum("ij...->ji...", dw))
-    dstar_w = pt.values(codifferential(pt, w).comps[0])
+    dstar_w = codifferential(pt, w).comps.value[0]
 
     sym_formula = (rg.ric - 0.5 * (w2[None, None] * _EYE4[..., None]
                                    - np.einsum("i...,j...->ij...", wv, wv))
@@ -123,22 +126,17 @@ def torsion_weyl_roundtrip(ev: Evaluation) -> dict:
     torsion signs are checked to give the same Einstein residual, and the
     Einstein-Weyl residual of w is reported alongside.
     """
-    pt, Hf = ev.pt, ev.Hf
+    Hf = ev.Hf
     w = hodge_star(Hf)
     H_back = -1.0 * hodge_star(w)
 
-    diff_plus = max(
-        float(np.max(np.abs(pt.values(a - b))))
-        for a, b in zip(H_back.comps, Hf.comps))
-    diff_minus = max(
-        float(np.max(np.abs(pt.values(a + b))))
-        for a, b in zip(H_back.comps, Hf.comps))
+    diff_plus = float(np.max(np.abs((H_back - Hf).comps.value)))
+    diff_minus = float(np.max(np.abs((H_back + Hf).comps.value)))
     sign = +1 if diff_plus <= diff_minus else -1
 
     s0 = ConnectionData(weyl_connection(ev.lc, w)).Z
 
-    norm_h = float(np.max(np.abs(pt.values(norm_sq(Hf))
-                                 - pt.values(norm_sq(H_back)))))
+    norm_h = float(np.max(np.abs(norm_sq(Hf).value - norm_sq(H_back).value)))
     return {
         "closing_sign": sign,
         "roundtrip_residual": min(diff_plus, diff_minus),

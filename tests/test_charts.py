@@ -20,7 +20,7 @@ def _cval(c, pt):
 
 def test_flat_torus_brackets_vanish():
     pt = flat_torus_chart().at(np.array([0.2, 0.8]))
-    cs = pt.structure_functions()
+    cs = pt.structure_functions().value
     for i in range(4):
         for j in range(4):
             for k in range(4):
@@ -29,7 +29,7 @@ def test_flat_torus_brackets_vanish():
 
 def test_product_chart_orbit_brackets_are_cyclic():
     pt = product_chart(1.0, 1.0).at(np.array([0.3]))
-    cs = pt.structure_functions()
+    cs = pt.structure_functions().value
     assert _cval(cs[2][3][1], pt)[0] == pytest.approx(-1.0)   # c^2_34
     assert _cval(cs[1][2][3], pt)[0] == pytest.approx(-1.0)   # c^4_23
     assert _cval(cs[1][3][2], pt)[0] == pytest.approx(1.0)    # c^3_24 (= -c^3_42)
@@ -43,7 +43,7 @@ def test_bonneau_radial_bracket_matches_profile_derivative():
     chart, _ = bonneau_chart(0.0)
     x = np.array([-1.3, -0.4])
     pt = chart.at(x)
-    cs = pt.structure_functions()
+    cs = pt.structure_functions().value
     a = pt.a.value
     b = pt.b.value
     db = pt.b.d1
@@ -67,7 +67,7 @@ def test_bonneau_normalization_and_pointwise_values():
     pt = chart.at(np.array([-1.0]))
     assert pt.b.value[0] ** 2 == pytest.approx(0.5, rel=1e-14)
     # H = 2(k-x)/(1+x^2)^2 dx^s1^s2 has coordinate coefficient 1/2 at x=-1
-    coeff = jets.value_of(H.at(pt).comps[0]) * pt.a.value * pt.b.value ** 2
+    coeff = H.at(pt).comps.value[0] * pt.a.value * pt.b.value ** 2
     assert coeff[0] == pytest.approx(0.5, rel=1e-13)
 
 
@@ -160,3 +160,25 @@ def test_module_level_structure_functions():
     assert cs[2, 3, 1, 0] == pytest.approx(-1.0)
     with pytest.raises(ChartError):
         charts.structure_functions(round_s4_chart(), np.array([0.0]))
+
+
+def test_frame_derivative_needs_a_derivative():
+    pt = product_chart(1.0, 1.0).at(np.array([0.3, 0.6]))
+    g = pt.frame_derivative(pt.b * pt.b)
+    assert g.value.shape == (4, 2)
+    assert np.all(g.value[1:] == 0.0)
+    with pytest.raises(ValueError):
+        pt.frame_derivative(Jet.constant(np.ones(2), 0))
+
+
+def test_half_infinite_domain_compactifies_by_domain_not_name():
+    k = 0.37
+    chart, _ = bonneau_chart(k)
+    fam = BonneauFamily(k)
+    other = charts.InvariantChart(name="other", fa=fam.a, fb=fam.b, fc=fam.c,
+                                  domain=charts.Domain(-math.inf, k))
+    for n in (16, 64):
+        x0, w0 = chart.quadrature(n)
+        x1, w1 = other.quadrature(n)
+        assert np.array_equal(x0, x1) and np.array_equal(w0, w1)
+    assert np.array_equal(chart.sample_grid(32), other.sample_grid(32))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from skewtorsion import jets
 from skewtorsion.jets import Jet
@@ -110,3 +110,58 @@ def test_integer_powers():
     q = x * x * x * x * x
     for a, b in zip(p.coeffs, q.coeffs):
         assert a == pytest.approx(b, rel=1e-14)
+
+
+def test_derivatives_beyond_the_order_raise():
+    j = jets.sin(Jet.variable(0.3, 1))
+    assert j.d1 == pytest.approx(np.cos(0.3), rel=1e-15)
+    with pytest.raises(ValueError):
+        j.d2
+    with pytest.raises(ValueError):
+        Jet.constant(1.0, 0).d1
+
+
+def _entry(jet, idx):
+    """Scalar jet (coefficients over the grid axis) of one tensor entry."""
+    return Jet(tuple(c[idx] for c in jet.coeffs))
+
+
+def _random_jet(rng, shape, order):
+    return Jet(tuple(rng.normal(size=shape) for _ in range(order + 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_tensor_jets_match_per_entry_scalar_jets(order_a, order_b, m, k, l, n, seed):
+    rng = np.random.default_rng(seed)
+    a = _random_jet(rng, (m, k, n), order_a)
+    b = _random_jet(rng, (k, l, n), order_b)
+    M = rng.normal(size=(k, l))
+
+    def close(jet, ref):
+        assert jet.order == ref.order
+        for x, y in zip(jet.coeffs, ref.coeffs):
+            assert np.allclose(x, y, rtol=1e-13, atol=1e-13)
+
+    # Leibniz contraction of two jets
+    ab = jets.einsum("ij...,jk...->ik...", a, b)
+    assert ab.order == min(order_a, order_b)
+    for i in range(m):
+        for q in range(l):
+            ref = _entry(a, (i, 0)) * _entry(b, (0, q))
+            for j in range(1, k):
+                ref = ref + _entry(a, (i, j)) * _entry(b, (j, q))
+            close(_entry(ab, (i, q)), ref)
+
+    # linear maps: contraction with a fixed array, and an index permutation
+    aM = jets.einsum("ij...,jk->ik...", a, M)
+    aT = a.map(lambda c: np.swapaxes(c, 0, 1))
+    for i in range(m):
+        for q in range(l):
+            ref = _entry(a, (i, 0)) * M[0, q]
+            for j in range(1, k):
+                ref = ref + _entry(a, (i, j)) * M[j, q]
+            close(_entry(aM, (i, q)), ref)
+        for j in range(k):
+            close(_entry(aT, (j, i)), _entry(a, (i, j)))

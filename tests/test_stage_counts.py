@@ -52,6 +52,11 @@ def stage_counts(monkeypatch):
      {"curvature": 3, "levi_civita": 1, "chart.at": 1, "quadrature": 0}),
     (["probe", "--chart", "bonneau", "--k", "0", "--grid", "64"],
      {"curvature": 2, "levi_civita": 1, "chart.at": 1, "quadrature": 0}),
+    # quadrature grids n and 2n (+H), the p1 sample grid (+H) and one
+    # 64-point context shared by the Einstein residual, the decomposition
+    # (+H, Levi-Civita) and the probe (+-H)
+    (["scan", "--k-min", "0", "--k-max", "0", "--k-step", "1"],
+     {"curvature": 6, "levi_civita": 4, "chart.at": 4, "quadrature": 2}),
 ])
 def test_stage_counts_per_command(stage_counts, argv, expected):
     with contextlib.redirect_stdout(io.StringIO()):

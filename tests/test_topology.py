@@ -9,6 +9,7 @@ from skewtorsion.charts import (
     InvariantForm, bonneau_chart, flat_torsion, flat_torus_chart,
     product_chart, random_chart, round_s4_chart,
 )
+from skewtorsion.evaluation import Evaluation
 from skewtorsion.topology import (
     euler_and_signature, hitchin_thorpe_report, integrate_invariant,
     pontryagin_lambda_plus,
@@ -62,7 +63,7 @@ def test_flat_group_chart_saturates_the_inequality():
     (chi, tau), _ = euler_and_signature(ch, H, nodes=32)
     assert chi == pytest.approx(0.0, abs=1e-12)
     assert tau == pytest.approx(0.0, abs=1e-12)
-    rep = hitchin_thorpe_report(ch, H, nodes=32)
+    rep = hitchin_thorpe_report(Evaluation.on_grid(ch, H, 64), nodes=32)
     assert rep.inequality_margin == pytest.approx(0.0, abs=1e-10)
     assert rep.satisfied
     assert not rep.einstein_warning
@@ -91,7 +92,7 @@ def test_pontryagin_of_self_dual_bundle():
 
 def test_hitchin_thorpe_report_for_the_s4_family():
     chart, H = bonneau_chart(0.0)
-    rep = hitchin_thorpe_report(chart, H, nodes=256)
+    rep = hitchin_thorpe_report(Evaluation.on_grid(chart, H, 64), nodes=256)
     assert rep.inequality_margin == pytest.approx(4.0, abs=1e-5)
     assert rep.satisfied
     assert not rep.einstein_warning
@@ -104,7 +105,7 @@ def test_hitchin_thorpe_report_for_the_s4_family():
 def test_non_einstein_data_is_flagged():
     chart = random_chart(1)
     from skewtorsion.charts import random_torsion
-    rep = hitchin_thorpe_report(chart, random_torsion(1), nodes=32)
+    rep = hitchin_thorpe_report(Evaluation.on_grid(chart, random_torsion(1), 64), nodes=32)
     assert rep.einstein_warning
 
 

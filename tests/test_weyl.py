@@ -20,7 +20,7 @@ def test_zero_one_form_reduces_to_levi_civita():
     pt = chart.at(chart.sample_grid(8))
     lc = levi_civita(pt)
     D = weyl_connection(lc, InvariantForm.zero(1))
-    assert np.max(np.abs(D.gamma_values() - lc.gamma_values())) == 0.0
+    assert np.max(np.abs(D.gamma.value - lc.gamma.value)) == 0.0
 
 
 def test_weyl_connection_is_torsion_free_and_conformally_metric():
