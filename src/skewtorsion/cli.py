@@ -9,10 +9,18 @@ Subcommands:
   probe   gauge-equivalence probe of the +-H pair (JSON).
 
 Each command evaluates the chart once per grid it uses, and every check
-on that grid shares one evaluation context.
+on that grid shares one evaluation context.  The report's ``grids`` key
+lists those grids: ``quadrature`` (the Gauss-Legendre node counts n and
+2n of chi, tau and p1), ``p1_sample`` (the n-point sample grid of the
+minimum p1 integrand), ``sample`` (the 64-point grid of the Einstein
+residual and the Nijenhuis tensor) and ``check`` (the grid of the
+decomposition, Yang-Mills, self-duality, Killing and Weyl checks,
+``--grid`` capped at 128).
 
 Floats are emitted with 17 significant digits and reductions use a fixed
 summation order, so identical configurations produce identical bytes.
+Float arrays are emitted row by row from ``tolist()``, with the same bytes
+as element by element.
 The environment variable SKEW_THREADS caps scan parallelism.
 """
 
@@ -21,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import re
 import sys
@@ -46,12 +55,14 @@ SCHEMA = 1
 
 def _fmt(x) -> str:
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         return '"' + repr(x) + '"'
     return format(x, ".17g")
 
 
 def _to_jsonable(obj):
+    """``obj`` with numpy scalars as Python numbers; arrays stay arrays, for
+    :func:`_dump_json` to emit row by row."""
     if isinstance(obj, dict):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -62,8 +73,6 @@ def _to_jsonable(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
     return obj
 
 
@@ -78,6 +87,12 @@ def _dump_json(obj, indent: int = 0) -> str:
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, list):
         return "[" + ", ".join(_dump_json(v, indent) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype.kind == "f":
+            return "[" + ", ".join(map(_fmt, obj.tolist())) + "]"
+        if obj.ndim > 1:
+            return "[" + ", ".join(_dump_json(row, indent) for row in obj) + "]"
+        return _dump_json(obj.tolist(), indent)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -126,15 +141,21 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     chart, H = _build_chart(args)
-    n = min(args.grid, 128)
-    top = hitchin_thorpe_report(Evaluation.on_grid(chart, H, 64), nodes=args.grid)
-    ev = Evaluation.on_grid(chart, H, n)
+    ev64 = Evaluation.on_grid(chart, H, 64)
+    top = hitchin_thorpe_report(ev64, nodes=args.grid)
+    ev = Evaluation.on_grid(chart, H, min(args.grid, 128))
     sd = {"plus": self_duality_residual(ev.plus.induced),
           "minus": self_duality_residual(ev.minus.induced)}
     payload = {
         "schema": SCHEMA,
         "command": "report",
         "chart": chart.to_dict(),
+        "grids": {
+            "quadrature": [args.grid, 2 * args.grid],
+            "p1_sample": args.grid,
+            "sample": ev64.pt.npoints,
+            "check": ev.pt.npoints,
+        },
         "topology": _to_jsonable(top.to_dict()),
         "decomposition": _to_jsonable(decompose_point(ev).summary()),
         "yang_mills": _to_jsonable({k: v for k, v in yang_mills_density_check(ev).items()
@@ -142,7 +163,7 @@ def cmd_report(args) -> int:
         "self_duality": _to_jsonable(sd),
         "killing": _to_jsonable(killing_residual(ev)),
         "weyl_roundtrip": _to_jsonable(torsion_weyl_roundtrip(ev)),
-        "nijenhuis_radial": nijenhuis_norm(chart, acs_radial(), nodes=64),
+        "nijenhuis_radial": nijenhuis_norm(ev64.pt, acs_radial()),
     }
     _emit(_dump_json(payload) + "\n", args.out)
     return 0

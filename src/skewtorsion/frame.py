@@ -217,15 +217,37 @@ def components_in_sd_basis(w: KForm) -> np.ndarray:
     return np.einsum("Pp,p...->P...", _SD_COMPS, jets.value_of(w.comps))
 
 
+def _operator_terms():
+    """(36, 16) flat indices abcd into R and coefficients W[P,a,b] W[Q,c,d]:
+    the nonzero terms of each entry (P, Q), in increasing abcd order."""
+    coef = np.einsum("pab,qcd->pqabcd", SD_WEIGHTS, SD_WEIGHTS).reshape(36, 256)
+    index = np.array([np.flatnonzero(row) for row in coef])
+    return index, np.take_along_axis(coef, index, axis=1)
+
+
+_OP_INDEX, _OP_COEF = _operator_terms()
+
+
 def operator_from_tensor(R: np.ndarray) -> np.ndarray:
     """6x6 matrix of a pair-antisymmetric 4-tensor in the +/- basis.
 
     Entry (P, Q) is the bilinear extension R(E_P, E_Q) with the first index
     pair of ``R`` paired against E_P.  Trailing axes of ``R`` (grid points)
     are carried through.
+
+    Each entry has 16 nonzero terms W[P,a,b] W[Q,c,d] R[a,b,c,d]; they are
+    summed one at a time in increasing abcd order into zeros, which is the
+    order ``0.25 * einsum("pab,qcd,abcd...->pq...", W, W, R)`` takes on a
+    C-contiguous ``R``, so the two agree bitwise on finite values.
     """
     R = np.asarray(R)
-    return 0.25 * np.einsum("pab,qcd,abcd...->pq...", SD_WEIGHTS, SD_WEIGHTS, R)
+    batch = R.shape[4:]
+    flat = R.reshape((256,) + batch)
+    coef = _OP_COEF.reshape(_OP_COEF.shape + (1,) * len(batch))
+    out = np.zeros((36,) + batch)
+    for j in range(_OP_INDEX.shape[1]):
+        out += coef[:, j] * flat[_OP_INDEX[:, j]]
+    return 0.25 * out.reshape((6, 6) + batch)
 
 
 class CurvatureOperator:

@@ -185,6 +185,41 @@ class GaugeProbeReport:
         }
 
 
+def _intertwiner_system(Fp: np.ndarray, Fm: np.ndarray) -> np.ndarray:
+    """The (n, 54, 9) matrices of G -> F+(E_m) G - G F-(E_m) per node.
+
+    ``Fp`` and ``Fm`` hold F(E_m) as 3x3 matrices, shape (n, 6, 3, 3).  Row
+    (m, p, q) and column (a, b) carry Fp[m, p, a] delta_qb - delta_pa
+    Fm[m, b, q].  Adding into zeros reads -0.0 as +0.0, so L equals
+    ``einsum("nmpa,qb->nmpqab", Fp, I) - einsum("pa,nmbq->nmpqab", I, Fm)``
+    bitwise, signs of zeros included.
+    """
+    n = Fp.shape[0]
+    L = np.zeros((n, 6, 3, 3, 3, 3))
+    FmT = np.swapaxes(Fm, 2, 3)
+    for q in range(3):
+        L[:, :, :, q, :, q] += Fp
+        L[:, :, q, :, q, :] -= FmT
+    return L.reshape(n, 54, 9)
+
+
+def _align_signs(g: np.ndarray) -> np.ndarray:
+    """Section ``g`` (n, 3, 3) with signs continued along the nodes, in place.
+
+    Node i takes the sign that makes its dot with the aligned node i - 1
+    non-negative; a dot that is zero (or NaN) restarts the sign at +1.  The
+    sign is the product of the neighbour signs since the last restart.
+    """
+    n = len(g)
+    dots = np.sum((g[1:] * g[:-1]).reshape(n - 1, 9), axis=1)
+    steps = np.cumprod(np.concatenate(([1.0], np.where(dots < 0.0, -1.0, 1.0))))
+    restart = np.concatenate(([True], ~(np.abs(dots) > 0.0)))
+    last = np.maximum.accumulate(np.where(restart, np.arange(n), 0))
+    flip = steps * steps[last] < 0.0
+    g[flip] = -g[flip]
+    return g
+
+
 def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
     """Probe whether the +H and -H induced connections are gauge equivalent.
 
@@ -201,9 +236,7 @@ def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
     Fp = np.einsum("pqm...->...mpq", ic_p.F_sd)
     Fm = np.einsum("pqm...->...mpq", ic_m.F_sd)
     n = pt.npoints
-    eye = np.eye(3)
-    L = (np.einsum("nmpa,qb->nmpqab", Fp, eye)
-         - np.einsum("pa,nmbq->nmpqab", eye, Fm)).reshape(n, 54, 9)
+    L = _intertwiner_system(Fp, Fm)
 
     # only S and the right singular vectors are used: the reduced SVD gives
     # them without the (n, 54, 54) left factor
@@ -232,10 +265,7 @@ def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
         # kernel section, sign-aligned along x
         g = Vt[:, 8, :].reshape(n, 3, 3)
         g /= np.linalg.norm(g.reshape(n, 9), axis=1)[:, None, None]
-        for i in range(1, n):
-            if np.sum(g[i] * g[i - 1]) < 0.0:
-                g[i] = -g[i]
-        section = g
+        section = g = _align_signs(g)
 
         # covariant derivative of the section under the product connection
         gp = np.gradient(g, x, axis=0)

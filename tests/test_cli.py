@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from skewtorsion import charts, cli
 from skewtorsion.cli import main
 
 
@@ -125,3 +127,76 @@ def test_negative_exponent_form_values(k):
     code, out, err = run_cli("verify", "--chart", "bonneau", "--k", k, "--grid", "16")
     assert code == 0, err
     assert json.loads(out)["chart"]["params"]["k"] == float(k)
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1]),
+    np.arange(12.0).reshape(3, 4) / 7.0 - 0.5,
+    np.array([[-0.0, np.nan], [np.inf, 5e-324]]),
+    np.zeros(0),
+    np.zeros((2, 0)),
+    np.zeros((0, 9)),
+    np.array([[1, -2], [3, 4]]),
+    np.array([True, False]),
+], ids=["specials", "2d", "2d-specials", "empty", "2x0", "0x9", "int", "bool"])
+def test_array_emission_matches_the_recursive_path(arr):
+    """Arrays take a flat path; it must emit the bytes of the per-element
+    recursion over nested lists."""
+    assert cli._dump_json(cli._to_jsonable(arr)) == cli._dump_json(
+        cli._to_jsonable(arr.tolist()))
+
+
+def test_float_format_bytes():
+    arr = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
+                    1.7976931348623157e308, -2.5, 0.1])
+    assert cli._dump_json(arr) == (
+        '["nan", "inf", "-inf", -0, 0, 4.9406564584124654e-324, '
+        '1.7976931348623157e+308, -2.5, 0.10000000000000001]')
+
+
+def test_probe_emits_one_outermost_dump(monkeypatch):
+    """cmd_probe makes two top-level _to_jsonable calls and one top-level
+    _dump_json call, whose result is stdout without the newline."""
+    calls = {"_to_jsonable": 0, "_dump_json": 0}
+    results = []
+    for name in calls:
+        fn, depth = getattr(cli, name), [0]
+
+        def outermost(*args, _fn=fn, _name=name, _depth=depth, **kwargs):
+            _depth[0] += 1
+            try:
+                out = _fn(*args, **kwargs)
+            finally:
+                _depth[0] -= 1
+            if _depth[0] == 0:
+                calls[_name] += 1
+                if _name == "_dump_json":
+                    results.append(out)
+            return out
+
+        monkeypatch.setattr(cli, name, outermost)
+    code, out, _ = run_cli("probe", "--chart", "bonneau", "--k", "0", "--grid", "16")
+    assert code == 0
+    assert calls == {"_to_jsonable": 2, "_dump_json": 1}
+    assert out == results[0] + "\n"
+
+
+def test_report_records_its_grids(monkeypatch):
+    """The grids key lists every grid the report evaluates the chart on,
+    including the capped check grid."""
+    batches = []
+    at = charts.InvariantChart.at
+
+    def recorded(self, x):
+        pt = at(self, x)
+        batches.append(pt.npoints)
+        return pt
+
+    monkeypatch.setattr(charts.InvariantChart, "at", recorded)
+    code, out, _ = run_cli("report", "--chart", "round", "--grid", "300")
+    assert code == 0
+    grids = json.loads(out)["grids"]
+    assert grids == {"quadrature": [300, 600], "p1_sample": 300, "sample": 64,
+                     "check": 128}
+    assert sorted(batches) == sorted(grids["quadrature"] + [
+        grids["p1_sample"], grids["sample"], grids["check"]])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from skewtorsion import frame as F
 from skewtorsion.frame import (
@@ -105,6 +105,29 @@ def test_operator_entries_are_bilinear_pairings():
     # entry (0,0) pairs E1+ with E1+: (R_0101 + R_0123 + R_2301 + R_2323)/2
     e = 0.5 * (R[0, 1, 0, 1] + R[0, 1, 2, 3] + R[2, 3, 0, 1] + R[2, 3, 2, 3])
     assert M[0, 0] == pytest.approx(e, rel=1e-13)
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.view(np.int64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["()", "(1,)", "(n,)"]),
+       st.integers(2, 40), st.booleans())
+def test_operator_is_the_einsum_bitwise(seed, batch, n, antisymmetric):
+    """The 16-term sum equals the three-operand einsum to the bit, zero signs
+    included, on random tensors with injected +-0.0."""
+    rng = np.random.default_rng(seed)
+    shape = (4, 4, 4, 4) + {"()": (), "(1,)": (1,), "(n,)": (n,)}[batch]
+    R = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+    R[rng.random(shape) < 0.25] = 0.0
+    R[rng.random(shape) < 0.25] = -0.0
+    if antisymmetric:
+        R = R - np.swapaxes(R, 0, 1)
+        R = R - np.swapaxes(R, 2, 3)
+    ref = 0.25 * np.einsum("pab,qcd,abcd...->pq...", F.SD_WEIGHTS, F.SD_WEIGHTS, R)
+    assert _bits(operator_from_tensor(R)) == _bits(ref)
 
 
 def test_sd_form_as_operator_examples():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewtorsion.charts import (
     InvariantForm, bonneau_chart, flat_torsion, flat_torus_chart,
@@ -11,7 +12,7 @@ from skewtorsion.connections import levi_civita, with_skew_torsion
 from skewtorsion.decomposition import decompose_point
 from skewtorsion.evaluation import ConnectionData, Evaluation
 from skewtorsion.instanton import (
-    gauge_equivalence_probe, killing_residual, self_duality_residual,
+    _align_signs, _intertwiner_system, gauge_equivalence_probe, killing_residual, self_duality_residual,
     yang_mills_density_check,
 )
 
@@ -163,3 +164,59 @@ def test_probe_inequivalent_along_the_family(k):
     chart, H = bonneau_chart(k)
     rep = gauge_equivalence_probe(Evaluation.on_grid(chart, H, 96))
     assert rep.verdict == "inequivalent"
+
+
+def _bits(a):
+    return a.shape, a.view(np.int64).tolist()
+
+
+def _random_with_zeros(rng, shape):
+    a = rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, size=shape)
+    a[rng.random(shape) < 0.3] = 0.0
+    a[rng.random(shape) < 0.3] = -0.0
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 20))
+def test_intertwiner_system_is_the_einsum_pair_bitwise(seed, n):
+    """L equals the two einsums against the identity, zero signs included."""
+    rng = np.random.default_rng(seed)
+    # the probe's (n, 6, 3, 3) views of F_sd, shape (3, 3, 6, n)
+    Fp = np.einsum("pqm...->...mpq", _random_with_zeros(rng, (3, 3, 6, n)))
+    Fm = np.einsum("pqm...->...mpq", _random_with_zeros(rng, (3, 3, 6, n)))
+    eye = np.eye(3)
+    ref = (np.einsum("nmpa,qb->nmpqab", Fp, eye)
+           - np.einsum("pa,nmbq->nmpqab", eye, Fm)).reshape(n, 54, 9)
+    assert _bits(_intertwiner_system(Fp, Fm)) == _bits(ref)
+
+
+def _align_signs_loop(g):
+    g = g.copy()
+    for i in range(1, len(g)):
+        if np.sum(g[i] * g[i - 1]) < 0.0:
+            g[i] = -g[i]
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.integers(0, 3))
+def test_sign_continuation_matches_the_loop(seed, n, zero_dots):
+    rng = np.random.default_rng(seed)
+    g = _random_with_zeros(rng, (n, 3, 3))
+    for i in rng.integers(1, n, size=zero_dots):
+        # nodes i - 1 and i with disjoint supports: their dot is exactly 0
+        g[i - 1, 1:] = 0.0
+        g[i, 0] = 0.0
+    assert _bits(_align_signs(g.copy())) == _bits(_align_signs_loop(g))
+
+
+def test_zero_dot_restarts_the_sign():
+    a, b = np.zeros((3, 3)), np.zeros((3, 3))
+    a[0, 0], b[1, 1] = 1.0, 2.0
+    g = np.stack([a, -a, b, b, -b])
+    out = _align_signs(g.copy())
+    # node 1 flips; node 2 is orthogonal to node 1, so it keeps its sign
+    # rather than inheriting the flip; node 4 flips against node 3
+    assert _bits(out) == _bits(np.stack([a, a, b, b, b]))
+    assert _bits(out) == _bits(_align_signs_loop(g))

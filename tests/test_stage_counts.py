@@ -42,11 +42,11 @@ def stage_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # quadrature grids n and 2n, the p1 sample grid, the Einstein grid (64),
-    # the report grid (128: Levi-Civita, +-H and Weyl curvature) and the
-    # Nijenhuis grid, which needs no connection
+    # quadrature grids n and 2n, the p1 sample grid, the 64-point grid of
+    # the Einstein residual and the Nijenhuis tensor, and the report grid
+    # (128: Levi-Civita, +-H and Weyl curvature)
     (["report", "--chart", "bonneau", "--k", "0"],
-     {"curvature": 8, "levi_civita": 5, "chart.at": 6, "quadrature": 2}),
+     {"curvature": 8, "levi_civita": 5, "chart.at": 5, "quadrature": 2}),
     # identity suite and decomposition share one context
     (["verify", "--chart", "random", "--seed", "3", "--grid", "64"],
      {"curvature": 3, "levi_civita": 1, "chart.at": 1, "quadrature": 0}),
