@@ -12,6 +12,10 @@ e4 = c s3-dual, with volume a b^2 c dx ^ s1 ^ s2 ^ s3.
 
 Profiles are jet-transparent callables, so every downstream quantity
 (brackets, connection coefficients, curvature) differentiates exactly.
+A chart evaluates its three profiles once per point batch from one
+callable, so what they share (the Bonneau conformal factor W, the random
+charts' sin/cos pass) is computed once, and invariant forms read their
+components off the resulting :class:`FramePoint`.
 """
 
 from __future__ import annotations
@@ -66,12 +70,11 @@ class Domain:
 
 @dataclass
 class InvariantChart:
-    """Immutable chart: profiles, domain, orbit structure and quadrature map."""
+    """Immutable chart: profiles, domain, orbit structure and quadrature map.
+    ``profiles(x)`` gives the jets (a, b, c) at the seed jet x of a batch."""
 
     name: str
-    fa: Callable[[Jet], Jet]
-    fb: Callable[[Jet], Jet]
-    fc: Callable[[Jet], Jet]
+    profiles: Callable[[Jet], tuple[Jet, Jet, Jet]]
     domain: Domain
     structure_mode: str = "su2"  # or "abelian"
     orbit_volume: float = ORBIT_VOLUME_SU2
@@ -85,12 +88,12 @@ class InvariantChart:
             if np.any(x <= lo) or np.any(x >= hi):
                 raise ChartError(f"x outside open domain ({lo}, {hi})")
         seed = Jet.variable(x, DEFAULT_ORDER)
-        a, b, c = self.fa(seed), self.fb(seed), self.fc(seed)
+        a, b, c = self.profiles(seed)
         for name, p in (("a", a), ("b", b), ("c", c)):
             if np.any(jets.value_of(p) <= 0.0):
                 bad = x[np.asarray(jets.value_of(p)) <= 0.0]
                 raise ChartError(f"profile {name} not positive at x={bad[:3]}")
-        return FramePoint(self, x, a, b, c)
+        return FramePoint(self, seed, a, b, c)
 
     # -- grids ---------------------------------------------------------------
 
@@ -164,12 +167,18 @@ def _stack(items) -> Jet:
     return Jet(tuple(map(np.stack, zip(*(j.coeffs for j in items)))))
 
 
-class FramePoint:
-    """Chart data evaluated at a batch of points: profiles and brackets."""
+def _rows(j: Jet) -> list:
+    """The jets along the first axis of a stacked jet."""
+    return [j.map(lambda v, i=i: v[i]) for i in range(len(j.value))]
 
-    def __init__(self, chart: InvariantChart, x, a: Jet, b: Jet, c: Jet):
+
+class FramePoint:
+    """Chart data at a batch of points: seed jet of x, profiles and brackets."""
+
+    def __init__(self, chart: InvariantChart, seed: Jet, a: Jet, b: Jet, c: Jet):
         self.chart = chart
-        self.x = x
+        self.seed = seed
+        self.x = seed.value
         self.a, self.b, self.c = a, b, c
 
     @property
@@ -178,7 +187,7 @@ class FramePoint:
 
     def e1(self, f: Jet) -> Jet:
         """Derivative along the unit radial frame field e1 = (1/a) d/dx."""
-        return f.derivative() / self.a
+        return f.derivative() / jets.truncate(self.a, f.order - 1)
 
     def frame_derivative(self, f: Jet) -> Jet:
         """e_i(f) for an invariant jet f, with the direction i as a new first
@@ -188,8 +197,10 @@ class FramePoint:
 
     @cached_property
     def _structure(self) -> Jet:
-        a, b, c = self.a, self.b, self.c
-        f = [b.derivative() / (a * b), c.derivative() / (a * c)]
+        # the brackets carry the profiles' derivatives, so one order less
+        db, dc = self.b.derivative(), self.c.derivative()
+        a, b, c = (jets.truncate(p, db.order) for p in (self.a, self.b, self.c))
+        f = [db / (a * b), dc / (a * c)]
         if self.chart.structure_mode == "su2":
             f += [c / (b * b), 1.0 / c]
         return jets.einsum("t...,tijk->ijk...", _stack(f), _BRACKET_SIGNS[:len(f)])
@@ -227,33 +238,31 @@ def structure_functions(chart: InvariantChart, x) -> np.ndarray:
 
 
 class InvariantForm:
-    """Invariant k-form given by frame components as jet-callables of x."""
+    """Invariant k-form: ``comps(pt)`` gives the jets of its frame components
+    along ``indices`` from a :class:`FramePoint`'s seed jet or profiles."""
 
-    def __init__(self, degree: int, comps: dict):
-        self.degree = degree
-        self.comps = {}
-        for idx, f in comps.items():
-            key = tuple(int(i) for i in idx)
+    def __init__(self, degree: int, indices, comps: Callable[[FramePoint], list]):
+        self.degree, self.comps = degree, comps
+        self.indices = tuple(map(tuple, indices))
+        for key in self.indices:
             if key not in MULTI_INDICES[degree]:
                 raise ValueError(f"{key} is not an increasing degree-{degree} index")
-            self.comps[key] = f
 
     def at(self, pt: FramePoint) -> KForm:
         """The form at the points, one jet of shape (ncomp, n)."""
-        seed = Jet.variable(pt.x, DEFAULT_ORDER)
-        zero = 0.0 * seed
+        zero = 0.0 * pt.seed
+        vals = dict(zip(self.indices, self.comps(pt)))
         return KForm(self.degree, _stack(
-            self.comps[idx](seed) + zero if idx in self.comps else zero
+            vals[idx] + zero if idx in vals else zero
             for idx in MULTI_INDICES[self.degree]))
 
     def scaled(self, s: float) -> "InvariantForm":
-        return InvariantForm(self.degree,
-                             {idx: (lambda x, f=f, s=s: s * f(x))
-                              for idx, f in self.comps.items()})
+        return InvariantForm(self.degree, self.indices,
+                             lambda pt: [s * f for f in self.comps(pt)])
 
     @staticmethod
     def zero(degree: int) -> "InvariantForm":
-        return InvariantForm(degree, {})
+        return InvariantForm(degree, (), lambda pt: [])
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +337,14 @@ class BonneauFamily:
 
     # -- metric profiles (homothety parameter fixed at 2) ---------------------
 
-    def a(self, x: Jet) -> Jet:
-        return jets.sqrt((self.k - x) / self.omega2(x)) / (1.0 + x * x)
-
-    def b(self, x: Jet) -> Jet:
-        return jets.sqrt((self.k - x) / (1.0 + x * x))
-
-    def c(self, x: Jet) -> Jet:
-        return jets.sqrt(self.omega2(x) / (self.k - x))
-
-    def torsion_coefficient(self, x: Jet) -> Jet:
-        """Frame component H_123 of the torsion 3-form; equals 2 c(x)."""
-        return 2.0 * self.c(x)
+    def profiles(self, x: Jet):
+        """(a, b, c) at x, from one evaluation of W:
+        a = sqrt((k-x)/W)/(1+x^2), b = sqrt((k-x)/(1+x^2)), c = sqrt(W/(k-x))."""
+        w = self.omega2(x)
+        t = self.k - x
+        return (jets.sqrt(t / w) / (1.0 + x * x),
+                jets.sqrt(t / (1.0 + x * x)),
+                jets.sqrt(w / t))
 
     def a_over_c(self, x):
         """a/c with the vanishing factors cancelled: (k-x)/(W (1+x^2))."""
@@ -347,7 +352,7 @@ class BonneauFamily:
 
 
 def bonneau_chart(k: float, scan_nodes: int = 1024):
-    """Chart and torsion 3-form of the S^4 family at parameter k.
+    """Chart and torsion 3-form (H_123 = 2 c) of the S^4 family at parameter k.
 
     Runs a positivity scan of the conformal factor over the compactified
     domain and raises :class:`ChartError` naming the first violating x.
@@ -355,7 +360,7 @@ def bonneau_chart(k: float, scan_nodes: int = 1024):
     fam = BonneauFamily(k)
     chart = InvariantChart(
         name="bonneau",
-        fa=fam.a, fb=fam.b, fc=fam.c,
+        profiles=fam.profiles,
         domain=Domain(-math.inf, k),
         structure_mode="su2",
         orbit_volume=ORBIT_VOLUME_SU2,
@@ -370,17 +375,20 @@ def bonneau_chart(k: float, scan_nodes: int = 1024):
         raise ChartError(
             f"conformal factor not positive for k={k}: W({bad[0]:.6g}) = "
             f"{w[~good][0]:.3e}")
-    H = InvariantForm(3, {(0, 1, 2): fam.torsion_coefficient})
+    H = InvariantForm(3, [(0, 1, 2)], lambda pt: [2.0 * pt.c])
     return chart, H
+
+
+def _constant(v: float, x: Jet) -> Jet:
+    """The constant v as a jet on the batch of x."""
+    return Jet.constant(v, x.order) + 0.0 * x
 
 
 def round_s4_chart() -> InvariantChart:
     """Unit-curvature round S^4: a = 1, b = c = sin(x)/2 on (0, pi)."""
     return InvariantChart(
         name="round",
-        fa=lambda x: Jet.constant(1.0, x.order) + 0.0 * x,
-        fb=lambda x: jets.sin(x) * 0.5,
-        fc=lambda x: jets.sin(x) * 0.5,
+        profiles=lambda x: (_constant(1.0, x),) + (jets.sin(x) * 0.5,) * 2,
         domain=Domain(0.0, math.pi),
         structure_mode="su2",
         params={},
@@ -393,9 +401,7 @@ def product_chart(b0: float = 1.0, L: float = 1.0) -> InvariantChart:
         raise ChartError("b0 and L must be positive")
     return InvariantChart(
         name="product",
-        fa=lambda x: Jet.constant(1.0, x.order) + 0.0 * x,
-        fb=lambda x: Jet.constant(float(b0), x.order) + 0.0 * x,
-        fc=lambda x: Jet.constant(float(b0), x.order) + 0.0 * x,
+        profiles=lambda x: (_constant(1.0, x),) + (_constant(float(b0), x),) * 2,
         domain=Domain(0.0, float(L), periodic=True),
         structure_mode="su2",
         params={"b0": float(b0), "L": float(L)},
@@ -404,17 +410,15 @@ def product_chart(b0: float = 1.0, L: float = 1.0) -> InvariantChart:
 
 def flat_torsion(chart: InvariantChart, sign: int = +1) -> InvariantForm:
     """Torsion of the flat trivialization connection: H_234 = sign / b0."""
-    b0 = chart.params["b0"]
-    return InvariantForm(3, {(1, 2, 3): lambda x, v=sign / b0: Jet.constant(v, x.order) + 0.0 * x})
+    v = sign / chart.params["b0"]
+    return InvariantForm(3, [(1, 2, 3)], lambda pt: [_constant(v, pt.seed)])
 
 
 def flat_torus_chart(L: float = 1.0) -> InvariantChart:
     """Flat T^4: abelian orbits, unit profiles, all brackets zero."""
     return InvariantChart(
         name="flat",
-        fa=lambda x: Jet.constant(1.0, x.order) + 0.0 * x,
-        fb=lambda x: Jet.constant(1.0, x.order) + 0.0 * x,
-        fc=lambda x: Jet.constant(1.0, x.order) + 0.0 * x,
+        profiles=lambda x: (_constant(1.0, x),) * 3,
         domain=Domain(0.0, float(L), periodic=True),
         structure_mode="abelian",
         orbit_volume=ORBIT_VOLUME_T3,
@@ -422,13 +426,21 @@ def flat_torus_chart(L: float = 1.0) -> InvariantChart:
     )
 
 
-def _trig_poly(rng, base: float, amp: float, nmodes: int = 3):
-    coefs = amp * rng.uniform(-1.0, 1.0, size=(nmodes, 2))
+def _trig_polys(rng, lo: float, hi: float, amp: float, count: int, nmodes: int = 3):
+    """``count`` random polynomials base + sum_m (ca_m cos mx + cb_m sin mx),
+    evaluated as one (count, n) jet from one sin/cos pass over the modes m x;
+    adding the modes in increasing m gives each row the bytes of its own."""
+    base, coefs = map(np.array, zip(*[
+        (rng.uniform(lo, hi), amp * rng.uniform(-1.0, 1.0, size=(nmodes, 2)))
+        for _ in range(count)]))
+    modes = np.arange(1.0, nmodes + 1.0)[:, None]
 
-    def f(x, coefs=coefs, base=base):
-        out = Jet.constant(base, x.order) + 0.0 * x
-        for m, (ca, cb) in enumerate(coefs, start=1):
-            out = out + ca * jets.cos(m * x) + cb * jets.sin(m * x)
+    def f(x):
+        s, c = jets.sincos(x * modes)
+        ta, tb = c * coefs[:, :, 0, None], s * coefs[:, :, 1, None]
+        out = _constant(base[:, None], x)
+        for m in range(nmodes):
+            out = out + ta.map(lambda v: v[:, m]) + tb.map(lambda v: v[:, m])
         return out
 
     return f
@@ -436,11 +448,10 @@ def _trig_poly(rng, base: float, amp: float, nmodes: int = 3):
 
 def random_chart(seed: int) -> InvariantChart:
     """Smooth random periodic chart on S^1 x SU(2), reproducible from seed."""
-    rng = np.random.default_rng(int(seed))
-    profs = [_trig_poly(rng, base=float(rng.uniform(1.2, 2.0)), amp=0.12) for _ in range(3)]
+    polys = _trig_polys(np.random.default_rng(int(seed)), 1.2, 2.0, 0.12, 3)
     return InvariantChart(
         name="random",
-        fa=profs[0], fb=profs[1], fc=profs[2],
+        profiles=lambda x: tuple(_rows(polys(x))),
         domain=Domain(0.0, 2.0 * math.pi, periodic=True),
         structure_mode="su2",
         params={"seed": int(seed)},
@@ -449,17 +460,13 @@ def random_chart(seed: int) -> InvariantChart:
 
 def random_torsion(seed: int, amp: float = 0.6) -> InvariantForm:
     """Random invariant torsion 3-form (all four frame components)."""
-    rng = np.random.default_rng(int(seed) + 101)
-    comps = {idx: _trig_poly(rng, base=float(rng.uniform(-0.4, 0.4)), amp=amp / 3.0)
-             for idx in MULTI_INDICES[3]}
-    return InvariantForm(3, comps)
+    polys = _trig_polys(np.random.default_rng(int(seed) + 101), -0.4, 0.4, amp / 3.0, 4)
+    return InvariantForm(3, MULTI_INDICES[3], lambda pt: _rows(polys(pt.seed)))
 
 
 def random_one_form(seed: int, amp: float = 0.6) -> InvariantForm:
-    rng = np.random.default_rng(int(seed) + 202)
-    comps = {idx: _trig_poly(rng, base=float(rng.uniform(-0.4, 0.4)), amp=amp / 3.0)
-             for idx in MULTI_INDICES[1]}
-    return InvariantForm(1, comps)
+    polys = _trig_polys(np.random.default_rng(int(seed) + 202), -0.4, 0.4, amp / 3.0, 4)
+    return InvariantForm(1, MULTI_INDICES[1], lambda pt: _rows(polys(pt.seed)))
 
 
 def chart_and_torsion(descriptor: dict):

@@ -9,13 +9,15 @@ Subcommands:
   probe   gauge-equivalence probe of the +-H pair (JSON).
 
 Each command evaluates the chart once per grid it uses, and every check
-on that grid shares one evaluation context.  The report's ``grids`` key
-lists those grids: ``quadrature`` (the Gauss-Legendre node counts n and
-2n of chi, tau and p1), ``p1_sample`` (the n-point sample grid of the
-minimum p1 integrand), ``sample`` (the 64-point grid of the Einstein
-residual and the Nijenhuis tensor) and ``check`` (the grid of the
+on that grid shares one evaluation context.  Every JSON payload lists
+those grids under ``grids`` and the jet order of the profiles under
+``jet_order``: ``quadrature`` (the Gauss-Legendre node counts n and 2n of
+chi, tau and p1), ``p1_sample`` (the n-point sample grid of the minimum
+p1 integrand), ``sample`` (the 64-point grid of the Einstein residual,
+the Nijenhuis tensor and, in a scan, the decomposition and the probe),
+``check`` (the grid of the verify suites; in a report, of the
 decomposition, Yang-Mills, self-duality, Killing and Weyl checks,
-``--grid`` capped at 128).
+``--grid`` capped at 128) and ``probe`` (the grid of the probe command).
 
 Floats are emitted with 17 significant digits and reductions use a fixed
 summation order, so identical configurations produce identical bytes.
@@ -46,11 +48,13 @@ from .instanton import (
     gauge_equivalence_probe, killing_residual, self_duality_residual,
     yang_mills_density_check,
 )
+from .jets import DEFAULT_ORDER
 from .moduli import acs_radial, nijenhuis_norm
 from .topology import hitchin_thorpe_report
 from .weyl import torsion_weyl_roundtrip
 
 SCHEMA = 1
+SAMPLE_GRID = 64  # grid of the report's sample checks and of the scan rows
 
 
 def _fmt(x) -> str:
@@ -130,6 +134,8 @@ def cmd_verify(args) -> int:
         "schema": SCHEMA,
         "command": "verify",
         "chart": chart.to_dict(),
+        "grids": {"check": ev.pt.npoints},
+        "jet_order": DEFAULT_ORDER,
         "tolerance": args.tol,
         "residuals": _to_jsonable(res),
         "failing": failing,
@@ -141,7 +147,7 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     chart, H = _build_chart(args)
-    ev64 = Evaluation.on_grid(chart, H, 64)
+    ev64 = Evaluation.on_grid(chart, H, SAMPLE_GRID)
     top = hitchin_thorpe_report(ev64, nodes=args.grid)
     ev = Evaluation.on_grid(chart, H, min(args.grid, 128))
     sd = {"plus": self_duality_residual(ev.plus.induced),
@@ -156,6 +162,7 @@ def cmd_report(args) -> int:
             "sample": ev64.pt.npoints,
             "check": ev.pt.npoints,
         },
+        "jet_order": DEFAULT_ORDER,
         "topology": _to_jsonable(top.to_dict()),
         "decomposition": _to_jsonable(decompose_point(ev).summary()),
         "yang_mills": _to_jsonable({k: v for k, v in yang_mills_density_check(ev).items()
@@ -174,7 +181,7 @@ def _scan_row(k: float, grid: int):
         chart, H = charts.bonneau_chart(k)
     except ChartError as exc:
         return {"k": k, "admissible": False, "reason": str(exc)}
-    ev = Evaluation.on_grid(chart, H, 64)
+    ev = Evaluation.on_grid(chart, H, SAMPLE_GRID)
     top = hitchin_thorpe_report(ev, nodes=grid)
     rep = decompose_point(ev)
     probe = gauge_equivalence_probe(ev)
@@ -201,7 +208,10 @@ def cmd_scan(args) -> int:
     rows.sort(key=lambda r: r["k"])
 
     if args.format == "json":
-        payload = {"schema": SCHEMA, "command": "scan", "rows": _to_jsonable(rows)}
+        grids = {"quadrature": [args.grid, 2 * args.grid], "p1_sample": args.grid,
+                 "sample": SAMPLE_GRID}
+        payload = {"schema": SCHEMA, "command": "scan", "grids": grids,
+                   "jet_order": DEFAULT_ORDER, "rows": _to_jsonable(rows)}
         _emit(_dump_json(payload) + "\n", args.out)
     else:
         fields = ["k", "admissible", "einstein_residual", "reconstruction_residual",
@@ -220,11 +230,14 @@ def cmd_scan(args) -> int:
 
 def cmd_probe(args) -> int:
     chart, H = _build_chart(args)
-    rep = gauge_equivalence_probe(Evaluation.on_grid(chart, H, args.grid))
+    ev = Evaluation.on_grid(chart, H, args.grid)
+    rep = gauge_equivalence_probe(ev)
     payload = {
         "schema": SCHEMA,
         "command": "probe",
         "chart": chart.to_dict(),
+        "grids": {"probe": ev.pt.npoints},
+        "jet_order": DEFAULT_ORDER,
         "result": _to_jsonable(rep.summary()),
         "singular_values": _to_jsonable(rep.singular_values),
     }

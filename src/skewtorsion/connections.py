@@ -112,7 +112,9 @@ def with_skew_torsion(lc: AffineConnection, H: KForm) -> AffineConnection:
     scale = max(1.0, float(np.max(np.abs(lc.gamma.value))))
     if np.max(np.abs(lc.torsion_form().comps.value)) > 1e-10 * scale:
         raise ValueError("base connection must be torsion-free")
-    return AffineConnection(lc.pt, lc.gamma + 0.5 * H.full(), metric_compatible=True)
+    # gamma carries one order less than the profiles H is built from
+    gamma = lc.gamma + 0.5 * jets.truncate(H.full(), lc.gamma.order)
+    return AffineConnection(lc.pt, gamma, metric_compatible=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ Each frame derivative consumes one order: the brackets and connection
 coefficients are first derivatives of the profiles, and the curvature
 differentiates those once more, so chart profiles are evaluated at order
 ``DEFAULT_ORDER = 2``.  Asking a jet for a derivative it does not carry
-raises ``ValueError``.
+raises ``ValueError``, and so does arithmetic between jets of different
+orders: a caller that means to drop orders says so with :func:`truncate`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 
 __all__ = [
     "Jet", "variable", "constant", "sqrt", "exp", "log", "sin", "cos",
-    "arctan", "arctan_minus_id", "where", "value_of", "einsum",
+    "sincos", "arctan", "arctan_minus_id", "where", "value_of", "truncate",
+    "einsum",
 ]
 
 DEFAULT_ORDER = 2
@@ -168,10 +170,13 @@ def _as_jet(x, order: int) -> Jet:
 
 
 def _align(a: Jet, b):
-    """Coefficient tuples of both operands, truncated to the common order."""
+    """Coefficient tuples of both operands, a number or array as a constant
+    jet of a's order; jets of different orders raise ``ValueError``."""
     b = _as_jet(b, a.order)
-    n = min(len(a.coeffs), len(b.coeffs))
-    return a.coeffs[:n], b.coeffs[:n]
+    if b.order != a.order:
+        raise ValueError(f"jet orders differ: {a.order} and {b.order}; "
+                         "truncate the higher one explicitly")
+    return a.coeffs, b.coeffs
 
 
 def einsum(spec: str, *operands):
@@ -222,6 +227,16 @@ def constant(v, order: int = DEFAULT_ORDER) -> Jet:
 def value_of(x):
     """Plain value of a jet, passthrough for numbers and arrays."""
     return _value_of(x)
+
+
+def truncate(x, order: int):
+    """A jet cut down to ``order``; numbers and arrays pass through.  Asking
+    for an order the jet does not carry raises ``ValueError``."""
+    if not isinstance(x, Jet):
+        return x
+    if order > x.order:
+        raise ValueError(f"cannot raise an order-{x.order} jet to order {order}")
+    return Jet(x.coeffs[:order + 1])
 
 
 def _integrate(w, y0, order):
@@ -275,14 +290,15 @@ def log(x):
 
 
 def sin(x):
-    return _sincos(x)[0]
+    return sincos(x)[0]
 
 
 def cos(x):
-    return _sincos(x)[1]
+    return sincos(x)[1]
 
 
-def _sincos(x):
+def sincos(x):
+    """(sin x, cos x) from one pass of the coupled series recurrences."""
     if not isinstance(x, Jet):
         return np.sin(x), np.cos(x)
     a = x.coeffs
@@ -340,5 +356,4 @@ def _atanm_value(u):
 
 def where(mask, a: Jet, b: Jet) -> Jet:
     """Piecewise jet: coefficients of ``a`` where mask holds, else ``b``."""
-    n = min(a.order, b.order)
-    return Jet(tuple(np.where(mask, a.coeffs[k], b.coeffs[k]) for k in range(n + 1)))
+    return Jet(tuple(np.where(mask, p, q) for p, q in zip(*_align(a, b))))

@@ -64,7 +64,8 @@ def weyl_connection(lc: AffineConnection, omega: InvariantForm | KForm) -> Affin
     w = omega.at(pt) if isinstance(omega, InvariantForm) else omega
     if w.degree != 1:
         raise ValueError("need a 1-form")
-    gamma = lc.gamma + jets.einsum("m...,mijk->ijk...", w.comps, _WEYL_SIGNS)
+    wc = jets.truncate(w.comps, lc.gamma.order)  # gamma is one order lower
+    gamma = lc.gamma + jets.einsum("m...,mijk->ijk...", wc, _WEYL_SIGNS)
     return AffineConnection(pt, gamma, metric_compatible=False)
 
 

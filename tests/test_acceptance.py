@@ -10,7 +10,7 @@ import pytest
 
 from skewtorsion import jets
 from skewtorsion.charts import (
-    BonneauFamily, InvariantForm, bonneau_chart, flat_torsion, product_chart,
+    InvariantForm, bonneau_chart, flat_torsion, product_chart,
     random_chart, random_torsion, round_s4_chart,
 )
 from skewtorsion.connections import (
@@ -116,8 +116,7 @@ def test_criterion_05_flat_group_chart_equality_case():
 def test_criterion_06_einstein_weyl_correspondence():
     """Trace-free Weyl Ricci <= 1e-8 for w = *H, routes agree <= 1e-9."""
     chart, _ = bonneau_chart(0.0)
-    fam = BonneauFamily(0.0)
-    omega = InvariantForm(1, {(3,): fam.torsion_coefficient})
+    omega = InvariantForm(1, [(3,)], lambda pt: [2.0 * pt.c])  # *H along e4
     res = einstein_weyl_residual(chart, omega, nodes=64)
     assert res["residual_direct"] <= 1e-8
     assert res["residual_formula"] <= 1e-8

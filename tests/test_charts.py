@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewtorsion import charts
 from skewtorsion.charts import (
     BonneauFamily, ChartError, InvariantForm, bonneau_chart, chart_and_torsion,
     flat_torsion, flat_torus_chart, product_chart, random_chart, round_s4_chart,
 )
+from skewtorsion.frame import MULTI_INDICES
 from skewtorsion.jets import Jet
 from skewtorsion import jets
 
@@ -119,7 +121,7 @@ def test_flat_torsion_components():
 
 def test_invariant_form_rejects_bad_index():
     with pytest.raises(ValueError):
-        InvariantForm(3, {(0, 2, 1): lambda x: x})
+        InvariantForm(3, [(0, 2, 1)], lambda pt: [pt.seed])
 
 
 def test_chart_serialization_roundtrip():
@@ -136,9 +138,9 @@ def test_chart_serialization_roundtrip():
 def test_profiles_positive_enforced():
     bad = charts.InvariantChart(
         name="random",
-        fa=lambda x: jets.sin(x),  # vanishes in the domain
-        fb=lambda x: Jet.constant(1.0, x.order) + 0.0 * x,
-        fc=lambda x: Jet.constant(1.0, x.order) + 0.0 * x,
+        # a vanishes in the domain
+        profiles=lambda x: (jets.sin(x), Jet.constant(1.0, x.order) + 0.0 * x,
+                            Jet.constant(1.0, x.order) + 0.0 * x),
         domain=charts.Domain(0.0, 2 * math.pi, periodic=True),
         params={"seed": 0},
     )
@@ -175,10 +177,94 @@ def test_half_infinite_domain_compactifies_by_domain_not_name():
     k = 0.37
     chart, _ = bonneau_chart(k)
     fam = BonneauFamily(k)
-    other = charts.InvariantChart(name="other", fa=fam.a, fb=fam.b, fc=fam.c,
+    other = charts.InvariantChart(name="other", profiles=fam.profiles,
                                   domain=charts.Domain(-math.inf, k))
     for n in (16, 64):
         x0, w0 = chart.quadrature(n)
         x1, w1 = other.quadrature(n)
         assert np.array_equal(x0, x1) and np.array_equal(w0, w1)
     assert np.array_equal(chart.sample_grid(32), other.sample_grid(32))
+
+
+# -- profiles evaluated once per batch, against per-profile references ------
+#
+# The references below are the per-profile evaluations the charts used
+# before sharing W and the sin/cos pass: each profile on its own, W once
+# per profile, sin and cos once per mode.
+
+
+def _ref_bonneau(fam, x):
+    a = jets.sqrt((fam.k - x) / fam.omega2(x)) / (1.0 + x * x)
+    b = jets.sqrt((fam.k - x) / (1.0 + x * x))
+    c = jets.sqrt(fam.omega2(x) / (fam.k - x))
+    return a, b, c, 2.0 * jets.sqrt(fam.omega2(x) / (fam.k - x))
+
+
+def _ref_trig_poly(rng, base, amp, nmodes=3):
+    coefs = amp * rng.uniform(-1.0, 1.0, size=(nmodes, 2))
+
+    def f(x):
+        out = Jet.constant(base, x.order) + 0.0 * x
+        for m, (ca, cb) in enumerate(coefs, start=1):
+            out = out + ca * jets.cos(m * x) + cb * jets.sin(m * x)
+        return out
+
+    return f
+
+
+def _assert_same_bits(got: Jet, ref: Jet):
+    assert got.order == ref.order
+    for p, q in zip(got.coeffs, ref.coeffs):
+        p, q = np.asarray(p), np.asarray(q)
+        assert p.shape == q.shape and p.tobytes() == q.tobytes()
+
+
+def _form_rows(H, pt):
+    comps = H.at(pt).comps
+    return [comps.map(lambda v, i=i: v[i]) for i in range(len(comps.value))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-2.0, 2.0),
+       st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4),
+       st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+       st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4))
+def test_bonneau_profiles_are_the_per_profile_jets_bitwise(k, near, mid, far):
+    chart, H = bonneau_chart(k)
+    fam = BonneauFamily(k)
+    lo, hi = fam.x_far, k - fam.r_near
+    x = np.concatenate([k - fam.r_near * np.array(near),
+                        lo + (hi - lo) * np.array(mid),
+                        lo - np.array(far)])
+    # one node at least in each branch of W
+    assert np.any(k - x <= fam.r_near) and np.any(x <= fam.x_far)
+    assert np.any((k - x > fam.r_near) & (x > fam.x_far))
+    pt = chart.at(x)
+    seed = Jet.variable(x, 2)
+    a, b, c, h123 = _ref_bonneau(fam, seed)
+    for got, ref in ((pt.a, a), (pt.b, b), (pt.c, c)):
+        _assert_same_bits(got, ref)
+    zero = 0.0 * seed
+    for idx, got in zip(MULTI_INDICES[3], _form_rows(H, pt)):
+        _assert_same_bits(got, h123 + zero if idx == (0, 1, 2) else zero)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40))
+def test_random_profiles_are_the_per_mode_jets_bitwise(seed, n):
+    chart = random_chart(seed)
+    x = chart.sample_grid(n)
+    pt = chart.at(x)
+    xj = Jet.variable(x, 2)
+    zero = 0.0 * xj
+    rng = np.random.default_rng(seed)
+    profs = [_ref_trig_poly(rng, float(rng.uniform(1.2, 2.0)), 0.12) for _ in range(3)]
+    for got, f in zip((pt.a, pt.b, pt.c), profs):
+        _assert_same_bits(got, f(xj))
+    for form, offset, degree in ((charts.random_torsion(seed), 101, 3),
+                                 (charts.random_one_form(seed), 202, 1)):
+        rng = np.random.default_rng(seed + offset)
+        refs = [_ref_trig_poly(rng, float(rng.uniform(-0.4, 0.4)), 0.6 / 3.0)
+                for _ in MULTI_INDICES[degree]]
+        for got, f in zip(_form_rows(form, pt), refs):
+            _assert_same_bits(got, f(xj) + zero)

@@ -182,21 +182,33 @@ def test_probe_emits_one_outermost_dump(monkeypatch):
 
 
 def test_report_records_its_grids(monkeypatch):
-    """The grids key lists every grid the report evaluates the chart on,
-    including the capped check grid."""
+    """The grids key of every JSON payload lists every grid the command
+    evaluates the chart on, including the report's capped check grid, and
+    the jet_order key the order of the profile jets."""
     batches = []
     at = charts.InvariantChart.at
 
     def recorded(self, x):
         pt = at(self, x)
-        batches.append(pt.npoints)
+        batches.append((pt.npoints, pt.seed.order))
         return pt
 
     monkeypatch.setattr(charts.InvariantChart, "at", recorded)
-    code, out, _ = run_cli("report", "--chart", "round", "--grid", "300")
-    assert code == 0
-    grids = json.loads(out)["grids"]
-    assert grids == {"quadrature": [300, 600], "p1_sample": 300, "sample": 64,
-                     "check": 128}
-    assert sorted(batches) == sorted(grids["quadrature"] + [
-        grids["p1_sample"], grids["sample"], grids["check"]])
+    for argv, expected in [
+        (("report", "--chart", "round", "--grid", "300"),
+         {"quadrature": [300, 600], "p1_sample": 300, "sample": 64, "check": 128}),
+        (("verify", "--chart", "random", "--seed", "3", "--grid", "48"), {"check": 48}),
+        (("probe", "--chart", "bonneau", "--k", "0", "--grid", "40"), {"probe": 40}),
+        (("scan", "--k-min", "0", "--k-max", "0", "--k-step", "1", "--format", "json",
+          "--grid", "32"),
+         {"quadrature": [32, 64], "p1_sample": 32, "sample": 64}),
+    ]:
+        batches.clear()
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        payload = json.loads(out)
+        grids = payload["grids"]
+        assert grids == expected
+        flat = [n for v in grids.values() for n in (v if isinstance(v, list) else [v])]
+        assert sorted(n for n, _ in batches) == sorted(flat)
+        assert {order for _, order in batches} == {payload["jet_order"]} == {2}

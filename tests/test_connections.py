@@ -136,7 +136,7 @@ def test_exterior_derivative_matches_invariant_structure():
 def test_codifferential_is_adjoint_sign_convention():
     # flat torus, H = f(x) e^{123}: d*H has only the (1,2) component -f'/a
     ch = flat_torus_chart(2 * np.pi)
-    H = InvariantForm(3, {(0, 1, 2): lambda x: jets.sin(x)})
+    H = InvariantForm(3, [(0, 1, 2)], lambda pt: [jets.sin(pt.seed)])
     pt = ch.at(np.array([0.7]))
     Hf = H.at(pt)
     ds = codifferential(pt, Hf)
@@ -162,7 +162,7 @@ def test_bonneau_torsion_is_closed_with_nonclosed_dual():
 
 def test_flat_torus_constant_torsion_closed_and_coclosed():
     ch = flat_torus_chart()
-    H = InvariantForm(3, {(1, 2, 3): lambda x: 1.0 + 0.0 * x})
+    H = InvariantForm(3, [(1, 2, 3)], lambda pt: [1.0 + 0.0 * pt.seed])
     pt = ch.at(ch.sample_grid(4))
     ext = exterior_ops(levi_civita(pt), H.at(pt))
     assert np.max(np.abs(full_components(ext.dH, pt))) == 0.0

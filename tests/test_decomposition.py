@@ -53,9 +53,9 @@ def test_bonneau_is_einstein_with_skew_torsion(k):
 def test_perturbed_round_profile_is_detected():
     chart = InvariantChart(
         name="random",
-        fa=lambda x: Jet.constant(1.0, x.order) + 0.0 * x,
-        fb=lambda x: jets.sin(x) * 0.5 * (1.0 + 0.05 * jets.sin(2.0 * x)),
-        fc=lambda x: jets.sin(x) * 0.5,
+        profiles=lambda x: (Jet.constant(1.0, x.order) + 0.0 * x,
+                            jets.sin(x) * 0.5 * (1.0 + 0.05 * jets.sin(2.0 * x)),
+                            jets.sin(x) * 0.5),
         domain=Domain(0.0, math.pi),
         params={"seed": -1},
     )

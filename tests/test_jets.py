@@ -1,6 +1,7 @@
 """Jet arithmetic against finite differences and series identities."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -147,11 +148,12 @@ def test_tensor_jets_match_per_entry_scalar_jets(order_a, order_b, m, k, l, n, s
     # Leibniz contraction of two jets
     ab = jets.einsum("ij...,jk...->ik...", a, b)
     assert ab.order == min(order_a, order_b)
+    ta, tb = (jets.truncate(j, ab.order) for j in (a, b))
     for i in range(m):
         for q in range(l):
-            ref = _entry(a, (i, 0)) * _entry(b, (0, q))
+            ref = _entry(ta, (i, 0)) * _entry(tb, (0, q))
             for j in range(1, k):
-                ref = ref + _entry(a, (i, j)) * _entry(b, (j, q))
+                ref = ref + _entry(ta, (i, j)) * _entry(tb, (j, q))
             close(_entry(ab, (i, q)), ref)
 
     # linear maps: contraction with a fixed array, and an index permutation
@@ -165,3 +167,20 @@ def test_tensor_jets_match_per_entry_scalar_jets(order_a, order_b, m, k, l, n, s
             close(_entry(aM, (i, q)), ref)
         for j in range(k):
             close(_entry(aT, (j, i)), _entry(a, (i, j)))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                lambda p, q: jets.where(np.array([True, False]), p, q)])
+def test_mixed_orders_raise(op):
+    """Arithmetic between jets of different orders raises instead of
+    truncating; an explicit truncation makes it well defined."""
+    x = np.array([0.3, 0.7])
+    hi, lo = Jet.variable(x, 2), jets.exp(Jet.variable(x, 1))
+    with pytest.raises(ValueError):
+        op(hi, lo)
+    with pytest.raises(ValueError):
+        op(lo, hi)
+    assert op(jets.truncate(hi, 1), lo).order == 1
+    with pytest.raises(ValueError):
+        jets.truncate(lo, 2)
+    assert jets.truncate(x, 1) is x

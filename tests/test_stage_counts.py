@@ -11,13 +11,17 @@ import sys
 
 import pytest
 
-from skewtorsion import charts, cli, connections
+from skewtorsion import charts, cli, connections, jets
 
 STAGES = {
     "curvature": (connections, "curvature"),
     "levi_civita": (connections, "levi_civita"),
     "chart.at": (charts.InvariantChart, "at"),
     "quadrature": (charts.InvariantChart, "quadrature"),
+    # the Bonneau conformal factor W and the sin/cos series recurrences,
+    # evaluated once per point batch
+    "omega2": (charts.BonneauFamily, "omega2"),
+    "sincos": (jets, "sincos"),
 }
 
 
@@ -44,19 +48,31 @@ def stage_counts(monkeypatch):
 @pytest.mark.parametrize("argv, expected", [
     # quadrature grids n and 2n, the p1 sample grid, the 64-point grid of
     # the Einstein residual and the Nijenhuis tensor, and the report grid
-    # (128: Levi-Civita, +-H and Weyl curvature)
+    # (128: Levi-Civita, +-H and Weyl curvature); W once per grid and once
+    # for the chart's positivity scan
     (["report", "--chart", "bonneau", "--k", "0"],
-     {"curvature": 8, "levi_civita": 5, "chart.at": 5, "quadrature": 2}),
-    # identity suite and decomposition share one context
+     {"curvature": 8, "levi_civita": 5, "chart.at": 5, "quadrature": 2,
+      "omega2": 6, "sincos": 0}),
+    # identity suite and decomposition share one context; one sin/cos pass
+    # for the chart's profiles and one for the torsion
     (["verify", "--chart", "random", "--seed", "3", "--grid", "64"],
-     {"curvature": 3, "levi_civita": 1, "chart.at": 1, "quadrature": 0}),
+     {"curvature": 3, "levi_civita": 1, "chart.at": 1, "quadrature": 0,
+      "omega2": 0, "sincos": 2}),
     (["probe", "--chart", "bonneau", "--k", "0", "--grid", "64"],
-     {"curvature": 2, "levi_civita": 1, "chart.at": 1, "quadrature": 0}),
+     {"curvature": 2, "levi_civita": 1, "chart.at": 1, "quadrature": 0,
+      "omega2": 2, "sincos": 0}),
     # quadrature grids n and 2n (+H), the p1 sample grid (+H) and one
     # 64-point context shared by the Einstein residual, the decomposition
     # (+H, Levi-Civita) and the probe (+-H)
     (["scan", "--k-min", "0", "--k-max", "0", "--k-step", "1"],
-     {"curvature": 6, "levi_civita": 4, "chart.at": 4, "quadrature": 2}),
+     {"curvature": 6, "levi_civita": 4, "chart.at": 4, "quadrature": 2,
+      "omega2": 5, "sincos": 0}),
+    (["verify", "--chart", "bonneau", "--k", "0", "--grid", "64"],
+     {"curvature": 3, "levi_civita": 1, "chart.at": 1, "quadrature": 0,
+      "omega2": 2, "sincos": 0}),
+    (["report", "--chart", "random", "--seed", "3"],
+     {"curvature": 8, "levi_civita": 5, "chart.at": 5, "quadrature": 2,
+      "omega2": 0, "sincos": 10}),
 ])
 def test_stage_counts_per_command(stage_counts, argv, expected):
     with contextlib.redirect_stdout(io.StringIO()):
