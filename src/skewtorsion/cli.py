@@ -21,8 +21,10 @@ decomposition, Yang-Mills, self-duality, Killing and Weyl checks,
 
 Floats are emitted with 17 significant digits and reductions use a fixed
 summation order, so identical configurations produce identical bytes.
-Float arrays are emitted row by row from ``tolist()``, with the same bytes
-as element by element.
+A float array is emitted in one pass: one ``%`` applies a template of
+``%.17g`` fields, shaped like the array, to its flattened ``tolist()``, and
+the non-finite fields are then quoted, so the bytes are those of the
+element-by-element format of scalars.
 The environment variable SKEW_THREADS caps scan parallelism.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -64,9 +67,26 @@ def _fmt(x) -> str:
     return format(x, ".17g")
 
 
+_NON_FINITE = re.compile(r"-?(?:nan|inf)")
+
+
+def _float_array(arr: np.ndarray) -> str:
+    """A float array as nested JSON lists, with the bytes of :func:`_fmt`
+    per element: one ``%`` over a template of ``%.17g`` fields shaped like
+    the array.  A finite field never holds an ``n``, so the non-finite
+    ones are found in the text and quoted there."""
+    template = "%.17g"
+    for size in reversed(arr.shape):
+        template = "[" + ", ".join([template] * size) + "]"
+    text = template % tuple(arr.ravel().tolist())
+    if "n" in text:
+        text = _NON_FINITE.sub(r'"\g<0>"', text)
+    return text
+
+
 def _to_jsonable(obj):
     """``obj`` with numpy scalars as Python numbers; arrays stay arrays, for
-    :func:`_dump_json` to emit row by row."""
+    :func:`_dump_json` to emit in one pass."""
     if isinstance(obj, dict):
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -92,10 +112,8 @@ def _dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, list):
         return "[" + ", ".join(_dump_json(v, indent) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind == "f":
-            return "[" + ", ".join(map(_fmt, obj.tolist())) + "]"
-        if obj.ndim > 1:
-            return "[" + ", ".join(_dump_json(row, indent) for row in obj) + "]"
+        if obj.dtype.kind == "f":
+            return _float_array(obj)
         return _dump_json(obj.tolist(), indent)
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -260,7 +278,10 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later call; callers parse with it and do not change it."""
     p = _Parser(
         prog="skewtorsion",
         description="verification and reports for skew-torsion geometry on "

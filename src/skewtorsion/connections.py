@@ -24,6 +24,7 @@ their connections and curvature tensors from an evaluation context
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -65,6 +66,13 @@ class AffineConnection:
         G = self.gamma
         T = G - jets.einsum("jik...->ijk...", G) - self.pt.structure_functions()
         return KForm(3, T.map(lambda c: c[_TRIPLES]))
+
+    @cached_property
+    def torsion_free(self) -> bool:
+        """No torsion component above 1e-10 of the coefficient scale; checked
+        once per connection, however many torsions are added to it."""
+        scale = max(1.0, float(np.max(np.abs(self.gamma.value))))
+        return not np.max(np.abs(self.torsion_form().comps.value)) > 1e-10 * scale
 
 
 @dataclass
@@ -109,8 +117,7 @@ def with_skew_torsion(lc: AffineConnection, H: KForm) -> AffineConnection:
         raise ValueError("base connection must be metric")
     if H.degree != 3:
         raise ValueError("torsion must be a 3-form")
-    scale = max(1.0, float(np.max(np.abs(lc.gamma.value))))
-    if np.max(np.abs(lc.torsion_form().comps.value)) > 1e-10 * scale:
+    if not lc.torsion_free:
         raise ValueError("base connection must be torsion-free")
     # gamma carries one order less than the profiles H is built from
     gamma = lc.gamma + 0.5 * jets.truncate(H.full(), lc.gamma.order)
@@ -200,7 +207,8 @@ def d_form(pt: FramePoint, form: KForm) -> KForm:
     deriv, bracket = _D_SIGNS[k]
     w = form.comps
     C = jets.einsum("qabmp,abm...->qp...", bracket, pt.structure_functions())
-    out = jets.einsum("qp...,p...->q...", C, w)
+    # the brackets carry one order less than the form's profiles
+    out = jets.einsum("qp...,p...->q...", C, jets.truncate(w, C.order))
     if isinstance(w, Jet):
         out = out + jets.einsum("qip,ip...->q...", deriv, pt.frame_derivative(w))
     return KForm(k + 1, out)
@@ -233,7 +241,9 @@ def cov_deriv(pt: FramePoint, conn: AffineConnection, form: KForm) -> Jet:
     """(D_i w)_J = e_i(w_J) - sum_r Gamma_{i J_r m} w_{J_r -> m} on the
     increasing multi-indices J of a k-form, one jet of shape (4, ncomp, n)."""
     G = jets.einsum("ixm...,JxmP->iJP...", conn.gamma, _DERIVATION_SIGNS[form.degree])
-    return pt.frame_derivative(form.comps) - jets.einsum("iJP...,P...->iJ...", G, form.comps)
+    # gamma carries one order less than the form's profiles
+    w = jets.truncate(form.comps, G.order)
+    return pt.frame_derivative(form.comps) - jets.einsum("iJP...,P...->iJ...", G, w)
 
 
 @dataclass

@@ -4,12 +4,18 @@ Every single-grid check of the package reads its geometry from an
 :class:`Evaluation`: the torsion 3-form at the points, the Levi-Civita
 connection, the metric connections with torsion +H and -H, and for each
 connection (a :class:`ConnectionData`) its curvature tensor, 6x6 operator,
-Ricci data, trace-free Ricci tensor and induced connection on Lambda+,
-plus the exterior data of H.  Each object is built at most once, on first
-use, so checks that share a context share the work:
+Ricci data, trace-free Ricci tensor, induced connection on Lambda+ and
+the residual of that connection against the operator, plus the exterior
+data of H.  Each object is built at most once, on first use, so checks
+that share a context share the work:
 
     ev = Evaluation.on_grid(chart, H, 64)
     identity_suite(ev), decompose_point(ev), gauge_equivalence_probe(ev)
+
+Nor is an object built that no check reads: the induced connection needs
+only the connection, so the probe and the Pontryagin density build no
+curvature tensor or operator; the residual, which needs both, is built
+only by the checks that report it.
 
 A context keeps what it has built until it is dropped: about 21 kB per
 point once every object is built (85 MB at 4096 points), so callers drop
@@ -29,7 +35,7 @@ from .connections import (
     levi_civita, ricci_and_scalar, with_skew_torsion,
 )
 from .frame import FULL_SIGNS, KForm, operator_from_tensor
-from .instanton import InducedConnection, induced_lambda_plus
+from .instanton import InducedConnection, induced_lambda_plus, lambda_plus_block_residual
 
 __all__ = ["ConnectionData", "Evaluation"]
 
@@ -60,8 +66,14 @@ class ConnectionData:
 
     @cached_property
     def induced(self) -> InducedConnection:
-        """Induced so(3) connection on Lambda+ (metric connections only)."""
-        return induced_lambda_plus(self.conn, self.M)
+        """Induced so(3) connection on Lambda+ (metric connections only),
+        built from the connection alone."""
+        return induced_lambda_plus(self.conn)
+
+    @cached_property
+    def lambda_plus_residual(self) -> float:
+        """sup |rows - (A|C)^T| of the induced connection against the operator."""
+        return lambda_plus_block_residual(self.induced, self.M)
 
 
 class Evaluation:

@@ -5,10 +5,17 @@ so(3) connection on Lambda+.  Its curvature, computed from the structure
 equation of the connection forms, reproduces the Lambda+ input/output
 entries of the 6x6 curvature operator (the transposed [A | C] rows, since
 the 2-form direction of the induced curvature is the differentiation pair
-of R) up to the fixed factor sqrt(2); that identification is asserted,
-not assumed.  The anti-self-dual part of the induced curvature is exactly
-the block whose vanishing is the Einstein-with-torsion condition, so for
-Einstein data the induced connection is an instanton.
+of R) up to the fixed factor sqrt(2).  That identification is
+asserted, not assumed, but outside the build: :func:`induced_lambda_plus`
+needs only the connection forms, and :func:`lambda_plus_block_residual`
+compares its curvature with the operator.  The evaluation context caches
+that residual per connection (``ConnectionData.lambda_plus_residual``),
+:func:`yang_mills_density_check` reports it as ``block_residual_plus`` and
+``block_residual_minus``, and the tests bound it; the gauge probe and the
+Pontryagin density build no curvature tensor.  The anti-self-dual part of
+the induced curvature is exactly the block whose vanishing is the
+Einstein-with-torsion condition, so for Einstein data the induced
+connection is an instanton.
 
 The gauge probe compares the connections induced by torsions +H and -H.
 A gauge transformation intertwining them is annihilated by the curvature
@@ -17,8 +24,8 @@ the 54x9 system F+(E) G - G F-(E) = 0 over the six 2-form directions E.
 The kernel section, continued in x and normalized, is then tested for
 covariant constancy.
 
-The diagnostics read the +-H connections, their curvature operators and
-induced connections from an evaluation context
+The diagnostics read the +-H connections, their curvature operators,
+induced connections and residuals from an evaluation context
 (:class:`skewtorsion.evaluation.Evaluation`).
 """
 
@@ -40,6 +47,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "InducedConnection", "GaugeProbeReport", "induced_lambda_plus",
+    "lambda_plus_block_residual",
     "self_duality_residual", "yang_mills_density_check", "killing_residual",
     "gauge_equivalence_probe",
 ]
@@ -48,7 +56,8 @@ __all__ = [
 _GEN = np.einsum("spq->spq", F._EPS3)
 
 # curvature of the induced connection in the + basis equals this factor
-# times the (A|B) rows of the operator (calibrated on the round sphere)
+# times the transposed [A | C] rows of the operator (calibrated on the
+# round sphere)
 LAMBDA_PLUS_CURVATURE_SCALE = np.sqrt(2.0)
 
 
@@ -61,7 +70,6 @@ class InducedConnection:
     F_mats: np.ndarray          # F(e_i, e_j) values, shape (4, 4, 3, 3, n)
     F_sd: np.ndarray            # F paired with the six E_Q, shape (3, 3, 6, n)
     rows: np.ndarray            # F in generator components / scale: (3, 6, n)
-    block_residual: float       # sup |rows - (A|B)|
 
     def curvature_2forms(self) -> np.ndarray:
         """F^s as 2-forms in the +- basis, shape (3, 6, n) (true scale)."""
@@ -74,9 +82,9 @@ class InducedConnection:
 _OMEGA_WEIGHTS = -np.einsum("qxa,pay->pqxy", F.SD_WEIGHTS[:3], F.SD_WEIGHTS[:3])
 
 
-def induced_lambda_plus(conn: AffineConnection, M: np.ndarray) -> InducedConnection:
-    """Induced so(3) connection and curvature, checked against ``M``, the
-    6x6 curvature operator of ``conn``."""
+def induced_lambda_plus(conn: AffineConnection) -> InducedConnection:
+    """Induced so(3) connection on Lambda+ and its curvature, from the
+    connection forms alone."""
     if not conn.metric_compatible:
         raise ValueError("the splitting is only preserved by metric connections")
     pt = conn.pt
@@ -98,15 +106,21 @@ def induced_lambda_plus(conn: AffineConnection, M: np.ndarray) -> InducedConnect
     F_sd = 0.5 * np.einsum("qij,ijpr...->prq...", F.SD_WEIGHTS, Fm)
     rows = (0.5 * np.einsum("spq,pqm...->sm...", _GEN, F_sd)
             / LAMBDA_PLUS_CURVATURE_SCALE)
+    return InducedConnection(pt=pt, omega=omega, F_mats=Fm, F_sd=F_sd, rows=rows)
 
-    # the direction index is the differentiation pair of R, so the induced
-    # curvature reproduces the Lambda+ input/output entries transposed
+
+def lambda_plus_block_residual(ic: InducedConnection, M: np.ndarray) -> float:
+    """sup |rows - (A|C)^T| of an induced connection against ``M``, the 6x6
+    curvature operator of the connection it was induced by.
+
+    The direction index of the rows is the differentiation pair of R, so
+    the induced curvature reproduces the Lambda+ input/output entries of
+    the operator transposed.
+    """
     A, _, Cb, _ = operator_blocks(M)
     AC = np.concatenate([np.einsum("pq...->qp...", A),
                          np.einsum("pq...->qp...", Cb)], axis=1)
-    block_residual = float(np.max(np.abs(rows - AC)))
-    return InducedConnection(pt=pt, omega=omega, F_mats=Fm,
-                             F_sd=F_sd, rows=rows, block_residual=block_residual)
+    return float(np.max(np.abs(ic.rows - AC)))
 
 
 def self_duality_residual(ic: InducedConnection) -> float:
@@ -134,7 +148,7 @@ def yang_mills_density_check(ev: Evaluation) -> dict:
     for cd, tag in ((ev.plus, "plus"), (ev.minus, "minus")):
         ic = cd.induced
         dens[tag] = np.einsum("sm...,sm...->...", ic.rows, ic.rows)
-        out[f"block_residual_{tag}"] = ic.block_residual
+        out[f"block_residual_{tag}"] = cd.lambda_plus_residual
         rd = cd.ricci
         Wp = _tf(_sym(operator_blocks(cd.M)[0]), 3)
         formula = (np.einsum("pq...,pq...->...", Wp, Wp)

@@ -184,8 +184,9 @@ def einsum(spec: str, *operands):
 
     Arrays are constants.  With one jet operand the contraction is a
     linear map applied to every coefficient; with two it is the Leibniz
-    rule ``c_k = sum_j einsum(spec, a_j, b_{k-j})`` up to the lower of the
-    two orders.  More than two jet operands are not supported.
+    rule ``c_k = sum_j einsum(spec, a_j, b_{k-j})``.  Two jets of different
+    orders raise ``ValueError``, as in arithmetic: a caller truncates the
+    higher one explicitly.  More than two jet operands are not supported.
     """
     pos = [i for i, op in enumerate(operands) if isinstance(op, Jet)]
     if not pos:
@@ -201,14 +202,14 @@ def einsum(spec: str, *operands):
         return operands[pos[0]].map(term)
     if len(pos) > 2:
         raise ValueError("einsum contracts at most two jets")
-    a, b = (operands[i].coeffs for i in pos)
+    a, b = _align(*(operands[i] for i in pos))
     return Jet(_leibniz(a, b, term))
 
 
 def _leibniz(a, b, product):
-    """Coefficients c_k = sum_j product(a_j, b_{k-j}) up to the lower order."""
+    """Coefficients c_k = sum_j product(a_j, b_{k-j}) of two series of one order."""
     out = []
-    for k in range(min(len(a), len(b))):
+    for k in range(len(a)):
         s = product(a[0], b[k])
         for j in range(1, k + 1):
             s = s + product(a[j], b[k - j])

@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, schemas, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skewtorsion import charts, cli
 from skewtorsion.cli import main
@@ -144,6 +147,36 @@ def test_array_emission_matches_the_recursive_path(arr):
     recursion over nested lists."""
     assert cli._dump_json(cli._to_jsonable(arr)) == cli._dump_json(
         cli._to_jsonable(arr.tolist()))
+
+
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308]
+_FLOATS = st.one_of(
+    st.floats(),  # any double, subnormals and non-finite values included
+    st.sampled_from(_SPECIAL),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-300, 300)),
+)
+
+
+def _probe_sized_array():
+    """A (4096, 9) array, the size of a fine-grid probe's singular values,
+    mixing the special values into finite values over 600 decades."""
+    rng = np.random.default_rng(0)
+    arr = rng.normal(size=(4096, 9)) * 10.0 ** rng.integers(-300, 300, size=(4096, 9))
+    pick = rng.random((4096, 9)) < 0.05
+    arr[pick] = rng.choice(_SPECIAL, size=int(pick.sum()))
+    return arr
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+                  elements=_FLOATS))
+@example(_probe_sized_array())
+def test_drawn_float_arrays_match_the_recursive_path(arr):
+    got, want = cli._dump_json(arr), cli._dump_json(arr.tolist())
+    if got != want:  # report where, not a diff of two 0.5 MB strings
+        i = next(i for i, (p, q) in enumerate(zip(got + " ", want + " ")) if p != q)
+        lo = max(i - 40, 0)
+        pytest.fail(f"emitted {got[lo:i + 40]!r}, expected {want[lo:i + 40]!r}")
 
 
 def test_float_format_bytes():

@@ -9,7 +9,7 @@ from skewtorsion.charts import (
     product_chart, random_chart, random_torsion, round_s4_chart,
 )
 from skewtorsion.connections import (
-    CurvatureTensor, codifferential, curvature, curvature_via_eq1, d_form,
+    AffineConnection, CurvatureTensor, codifferential, curvature, curvature_via_eq1, d_form,
     exterior_ops, full_components, identity_suite, levi_civita,
     ricci_and_scalar, with_skew_torsion,
 )
@@ -84,6 +84,30 @@ def test_with_skew_torsion_validates_input():
     skew = with_skew_torsion(lc, random_torsion(1).at(pt))
     with pytest.raises(ValueError):
         with_skew_torsion(skew, KForm(3))  # base must be torsion-free
+
+
+def test_torsion_check_runs_once_per_base_connection(monkeypatch):
+    """A context adds +H and -H to one Levi-Civita connection; its torsion
+    is checked once, and the connection with torsion is still refused."""
+    checked = []
+    torsion_form = AffineConnection.torsion_form
+
+    def counted(self):
+        checked.append(self)
+        return torsion_form(self)
+
+    monkeypatch.setattr(AffineConnection, "torsion_form", counted)
+    chart = random_chart(2)
+    pt = chart.at(chart.sample_grid(8))
+    lc = levi_civita(pt)
+    H = random_torsion(2).at(pt)
+    skew = with_skew_torsion(lc, H)
+    with_skew_torsion(lc, -1.0 * H)
+    assert checked == [lc]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            with_skew_torsion(skew, H)
+    assert checked == [lc, skew]
 
 
 def test_flat_connection_on_group_both_signs():

@@ -17,9 +17,9 @@ from skewtorsion.instanton import (
 )
 
 
-def _induced(chart, H, nodes=16):
+def _connection_data(chart, H, nodes=16):
     pt = chart.at(chart.sample_grid(nodes))
-    return ConnectionData(with_skew_torsion(levi_civita(pt), H.at(pt))).induced
+    return ConnectionData(with_skew_torsion(levi_civita(pt), H.at(pt)))
 
 
 def test_flat_torus_has_zero_induced_connection():
@@ -36,8 +36,9 @@ def test_flat_torus_has_zero_induced_connection():
 def test_round_sphere_induced_curvature_is_self_dual_constant_norm():
     ch = round_s4_chart()
     pt = ch.at(ch.sample_grid(8))
-    ic = ConnectionData(levi_civita(pt)).induced
-    assert ic.block_residual <= 1e-12
+    cd = ConnectionData(levi_civita(pt))
+    ic = cd.induced
+    assert cd.lambda_plus_residual <= 1e-12
     assert self_duality_residual(ic) <= 1e-12
     norms = np.einsum("sm...,sm...->...", ic.rows, ic.rows)
     assert np.max(np.abs(norms - 3.0)) <= 1e-12
@@ -56,15 +57,15 @@ def test_induced_rejects_non_metric_connection():
 @pytest.mark.parametrize("sign", [+1.0, -1.0])
 def test_s4_family_connections_are_instantons(sign):
     chart, H = bonneau_chart(0.0)
-    ic = _induced(chart, H.scaled(sign), nodes=32)
-    assert ic.block_residual <= 1e-9
-    assert self_duality_residual(ic) <= 1e-8
+    cd = _connection_data(chart, H.scaled(sign), nodes=32)
+    assert cd.lambda_plus_residual <= 1e-9
+    assert self_duality_residual(cd.induced) <= 1e-8
 
 
 def test_self_duality_residual_matches_einstein_block():
     chart = random_chart(10)
     H = random_torsion(10)
-    ic = _induced(chart, H, nodes=16)
+    ic = _connection_data(chart, H, nodes=16).induced
     rep = decompose_point(Evaluation.on_grid(chart, H, 16))
     # same quantity through two code paths
     sd = self_duality_residual(ic)

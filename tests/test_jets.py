@@ -145,10 +145,10 @@ def test_tensor_jets_match_per_entry_scalar_jets(order_a, order_b, m, k, l, n, s
         for x, y in zip(jet.coeffs, ref.coeffs):
             assert np.allclose(x, y, rtol=1e-13, atol=1e-13)
 
-    # Leibniz contraction of two jets
-    ab = jets.einsum("ij...,jk...->ik...", a, b)
+    # Leibniz contraction of two jets, cut to one order first
+    ta, tb = (jets.truncate(j, min(order_a, order_b)) for j in (a, b))
+    ab = jets.einsum("ij...,jk...->ik...", ta, tb)
     assert ab.order == min(order_a, order_b)
-    ta, tb = (jets.truncate(j, ab.order) for j in (a, b))
     for i in range(m):
         for q in range(l):
             ref = _entry(ta, (i, 0)) * _entry(tb, (0, q))
@@ -169,11 +169,16 @@ def test_tensor_jets_match_per_entry_scalar_jets(order_a, order_b, m, k, l, n, s
             close(_entry(aT, (j, i)), _entry(a, (i, j)))
 
 
+def _contract(p, q):
+    return jets.einsum("i,i->i", p, q)
+
+
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
-                                lambda p, q: jets.where(np.array([True, False]), p, q)])
+                                lambda p, q: jets.where(np.array([True, False]), p, q),
+                                _contract])
 def test_mixed_orders_raise(op):
-    """Arithmetic between jets of different orders raises instead of
-    truncating; an explicit truncation makes it well defined."""
+    """Arithmetic and contraction between jets of different orders raise
+    instead of truncating; an explicit truncation makes them well defined."""
     x = np.array([0.3, 0.7])
     hi, lo = Jet.variable(x, 2), jets.exp(Jet.variable(x, 1))
     with pytest.raises(ValueError):

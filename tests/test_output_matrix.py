@@ -1,0 +1,70 @@
+"""The output-matrix tool that byte-identity comparisons between commits rest on.
+
+``tools/output_matrix.py`` is read and executed here, as a module loaded
+by path; everything it writes goes to ``tmp_path``.
+"""
+
+import json
+import pathlib
+import sys
+import types
+
+import pytest
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "output_matrix.py"
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    # the tool puts the checkout's src on sys.path; give that back afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    mod = types.ModuleType("output_matrix")
+    mod.__file__ = str(TOOL)
+    exec(compile(TOOL.read_text(), str(TOOL), "exec"), mod.__dict__)
+    return mod
+
+
+def test_matrix_has_58_unique_commands(tool):
+    names = [name for name, _ in tool.matrix()]
+    assert len(names) == len(set(names)) == 58
+    assert all(argv[0] in ("verify", "probe", "report", "scan") for _, argv in tool.matrix())
+
+
+HEAD = '{\n  "schema": 1,\n'
+BLOCK = '  "grids": {\n    "check": 64,\n    "nested": {\n      "a": 1\n    }\n  }'
+
+
+def test_drop_keys_removes_a_nested_block_and_nothing_else(tool):
+    middle = HEAD + BLOCK + ',\n  "ok": true\n}\n'
+    assert tool.drop_keys(middle, ["grids"]) == HEAD + '  "ok": true\n}\n'
+    # the block was last: the comma it leaves on the line before goes too
+    last = HEAD + '  "ok": true,\n' + BLOCK + "\n}\n"
+    assert tool.drop_keys(last, ["grids"]) == HEAD + '  "ok": true\n}\n'
+    # a scalar key, and a key that is not there
+    assert tool.drop_keys(middle, ["schema", "absent"]) == "{\n" + BLOCK + ',\n  "ok": true\n}\n'
+
+
+def test_drop_keys_on_a_cli_payload(tool):
+    out = tool.run(["verify", "--chart", "flat", "--grid", "16"])[0]
+    payload = json.loads(out)
+    dropped = tool.drop_keys(out, ["residuals"])
+    assert json.loads(dropped) == {k: v for k, v in payload.items() if k != "residuals"}
+    kept = out.split("\n")
+    start = next(i for i, line in enumerate(kept) if line.startswith('  "residuals": {'))
+    end = next(i for i in range(start, len(kept)) if kept[i].startswith("  }"))
+    assert dropped.split("\n") == kept[:start] + kept[end + 1:]
+
+
+def test_a_run_writes_out_err_and_code_per_command(tool, tmp_path, monkeypatch):
+    commands = [("verify_flat", ["verify", "--chart", "flat", "--grid", "16"]),
+                ("bad_grid", ["verify", "--chart", "round", "--grid", "8"])]
+    monkeypatch.setattr(tool, "matrix", lambda: commands)
+    assert tool.main([str(tmp_path / "out")]) == 0
+    files = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert files == sorted(f"{name}.{suffix}" for name, _ in commands
+                           for suffix in ("out", "err", "code"))
+    read = {p.name: p.read_text() for p in (tmp_path / "out").iterdir()}
+    assert read["verify_flat.code"] == "0\n" and read["bad_grid.code"] == "2\n"
+    assert read["verify_flat.err"] == "" and read["bad_grid.out"] == ""
+    assert "grid" in read["bad_grid.err"]
+    assert read["verify_flat.out"] == tool.run(commands[0][1])[0]

@@ -11,10 +11,11 @@ import sys
 
 import pytest
 
-from skewtorsion import charts, cli, connections, jets
+from skewtorsion import charts, cli, connections, frame, jets
 
 STAGES = {
     "curvature": (connections, "curvature"),
+    "operator": (frame, "operator_from_tensor"),
     "levi_civita": (connections, "levi_civita"),
     "chart.at": (charts.InvariantChart, "at"),
     "quadrature": (charts.InvariantChart, "quadrature"),
@@ -46,33 +47,37 @@ def stage_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # quadrature grids n and 2n, the p1 sample grid, the 64-point grid of
-    # the Einstein residual and the Nijenhuis tensor, and the report grid
-    # (128: Levi-Civita, +-H and Weyl curvature); W once per grid and once
-    # for the chart's positivity scan
+    # curvature on the quadrature grids n and 2n (+H), the 64-point grid
+    # of the Einstein residual and the Nijenhuis tensor (+H), and the
+    # report grid (128: Levi-Civita, +-H and Weyl), but not on the p1
+    # sample grid, whose induced connection needs none; operators for the
+    # quadrature grids and the report grid's decomposition and Yang-Mills
+    # check; W once per grid and once for the chart's positivity scan
     (["report", "--chart", "bonneau", "--k", "0"],
-     {"curvature": 8, "levi_civita": 5, "chart.at": 5, "quadrature": 2,
-      "omega2": 6, "sincos": 0}),
-    # identity suite and decomposition share one context; one sin/cos pass
-    # for the chart's profiles and one for the torsion
+     {"curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 5,
+      "quadrature": 2, "omega2": 6, "sincos": 0}),
+    # identity suite (+-H, Levi-Civita) and decomposition (operators of +H
+    # and Levi-Civita) share one context; one sin/cos pass for the chart's
+    # profiles and one for the torsion
     (["verify", "--chart", "random", "--seed", "3", "--grid", "64"],
-     {"curvature": 3, "levi_civita": 1, "chart.at": 1, "quadrature": 0,
-      "omega2": 0, "sincos": 2}),
+     {"curvature": 3, "operator": 2, "levi_civita": 1, "chart.at": 1,
+      "quadrature": 0, "omega2": 0, "sincos": 2}),
+    # the induced +-H connections are built from the connections alone
     (["probe", "--chart", "bonneau", "--k", "0", "--grid", "64"],
-     {"curvature": 2, "levi_civita": 1, "chart.at": 1, "quadrature": 0,
-      "omega2": 2, "sincos": 0}),
-    # quadrature grids n and 2n (+H), the p1 sample grid (+H) and one
-    # 64-point context shared by the Einstein residual, the decomposition
-    # (+H, Levi-Civita) and the probe (+-H)
+     {"curvature": 0, "operator": 0, "levi_civita": 1, "chart.at": 1,
+      "quadrature": 0, "omega2": 2, "sincos": 0}),
+    # quadrature grids n and 2n (+H), the p1 sample grid (no curvature) and
+    # one 64-point context shared by the Einstein residual, the
+    # decomposition (+H, Levi-Civita) and the probe (no curvature)
     (["scan", "--k-min", "0", "--k-max", "0", "--k-step", "1"],
-     {"curvature": 6, "levi_civita": 4, "chart.at": 4, "quadrature": 2,
-      "omega2": 5, "sincos": 0}),
+     {"curvature": 4, "operator": 4, "levi_civita": 4, "chart.at": 4,
+      "quadrature": 2, "omega2": 5, "sincos": 0}),
     (["verify", "--chart", "bonneau", "--k", "0", "--grid", "64"],
-     {"curvature": 3, "levi_civita": 1, "chart.at": 1, "quadrature": 0,
-      "omega2": 2, "sincos": 0}),
+     {"curvature": 3, "operator": 2, "levi_civita": 1, "chart.at": 1,
+      "quadrature": 0, "omega2": 2, "sincos": 0}),
     (["report", "--chart", "random", "--seed", "3"],
-     {"curvature": 8, "levi_civita": 5, "chart.at": 5, "quadrature": 2,
-      "omega2": 0, "sincos": 10}),
+     {"curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 5,
+      "quadrature": 2, "omega2": 0, "sincos": 10}),
 ])
 def test_stage_counts_per_command(stage_counts, argv, expected):
     with contextlib.redirect_stdout(io.StringIO()):
