@@ -4,10 +4,7 @@ splitting, Einstein-with-torsion and Einstein-Weyl residuals, curvature
 integrals for the Euler characteristic and signature, and instanton
 diagnostics on the bundle of self-dual 2-forms."""
 
-from .frame import (
-    CurvatureOperator, KForm, curvature_to_operator, hodge_star,
-    ricci_contraction, sd_form_as_operator, sd_split,
-)
+from .frame import KForm, hodge_star, ricci_contraction, sd_form_as_operator, sd_split
 from .charts import (
     ChartError, InvariantChart, InvariantForm, bonneau_chart, chart_and_torsion,
     flat_torsion, flat_torus_chart, product_chart, random_chart,
@@ -23,10 +20,7 @@ from .decomposition import (
     DecompositionReport, decompose_point, einstein_residual, einstein_tensor_point,
 )
 from .weyl import WeylStructure, einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection
-from .topology import (
-    TopologyReport, euler_and_signature, hitchin_thorpe_report,
-    integrate_invariant, pontryagin_lambda_plus,
-)
+from .topology import TopologyReport, hitchin_thorpe_report, integrate_invariant
 from .instanton import (
     GaugeProbeReport, InducedConnection, gauge_equivalence_probe,
     induced_lambda_plus, killing_residual, self_duality_residual,

@@ -36,7 +36,7 @@ __all__ = [
     "InvariantForm", "BonneauFamily", "bonneau_chart",
     "round_s4_chart", "product_chart", "flat_torsion", "flat_torus_chart",
     "random_chart", "random_torsion", "random_one_form", "chart_and_torsion",
-    "structure_functions", "gauss_legendre",
+    "gauss_legendre",
 ]
 
 ORBIT_VOLUME_SU2 = 16.0 * math.pi ** 2  # integral of s1^s2^s3 over SU(2)
@@ -226,15 +226,6 @@ class FramePoint:
         J += np.einsum("tpl...,plm...->tm...",
                        np.einsum("tpqr,qrl...->tpl...", _CYCLIC, C.value), C.value)
         return float(np.max(np.abs(J)))
-
-
-def structure_functions(chart: InvariantChart, x) -> np.ndarray:
-    """Bracket coefficients c^k_ij at interior x, shape (4, 4, 4, n).
-
-    Indexing: [e_i, e_j] = sum_k out[i, j, k] e_k.  Boundary or exterior x
-    raises the chart's domain error.
-    """
-    return chart.at(x).brackets
 
 
 class InvariantForm:

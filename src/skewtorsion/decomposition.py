@@ -52,14 +52,10 @@ def _sym(m):
     return 0.5 * (m + np.einsum("pq...->qp...", m))
 
 
-def _asym(m):
-    return 0.5 * (m - np.einsum("pq...->qp...", m))
-
-
 def _tf(m, dim):
+    """Trace-free part of a (dim, dim, n) field of matrices."""
     eye = _EYE3 if dim == 3 else _EYE4
-    return m - (np.einsum("pp...->...", m) / dim) * eye[..., None] if m.ndim > 2 \
-        else m - (np.trace(m) / dim) * eye
+    return m - (np.einsum("pp...->...", m) / dim) * eye[..., None]
 
 
 def _fro(m):
@@ -103,18 +99,6 @@ class DecompositionReport:
             "sup_W_minus": float(np.max(_fro(self.Wminus))),
             "s_nabla_range": [float(self.s_nabla.min()), float(self.s_nabla.max())],
         }
-
-    def per_node_norms(self) -> dict:
-        """JSON-ready per-node block norms alongside the sup residuals."""
-        out = {"x": self.x.tolist()}
-        for name, m in (("A", self.A), ("B", self.B), ("C", self.C),
-                        ("D", self.D), ("W_plus", self.Wplus),
-                        ("W_minus", self.Wminus), ("Z", self.Z_nabla),
-                        ("einstein_tensor", self.einstein_tensor)):
-            out[name] = _fro(m).tolist()
-        out["s_nabla"] = self.s_nabla.tolist()
-        out["star_dH"] = self.star_dH.tolist()
-        return out
 
 
 def decompose_point(ev: Evaluation) -> DecompositionReport:

@@ -30,9 +30,7 @@ from .jets import Jet
 __all__ = [
     "KForm", "MULTI_INDICES", "SD_BASIS", "wedge", "hodge_star", "sd_split",
     "norm_sq", "inner", "components_in_sd_basis", "operator_from_tensor",
-    "tensor_from_operator", "CurvatureOperator", "curvature_to_operator",
-    "sd_form_as_operator",
-    "ricci_contraction", "RICCI_CONTRACTION_SCALE",
+    "tensor_from_operator", "sd_form_as_operator", "ricci_contraction",
 ]
 
 DIM = 4
@@ -250,43 +248,6 @@ def operator_from_tensor(R: np.ndarray) -> np.ndarray:
     return 0.25 * out.reshape((6, 6) + batch)
 
 
-class CurvatureOperator:
-    """6x6 operator matrix in the ordered +/- basis with block views."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix)
-        if matrix.shape[:2] != (6, 6):
-            raise ValueError("operator matrix must be 6x6")
-        self.matrix = matrix
-
-    @property
-    def A(self):
-        return self.matrix[:3, :3]
-
-    @property
-    def B(self):
-        return self.matrix[:3, 3:]
-
-    @property
-    def C(self):
-        return self.matrix[3:, :3]
-
-    @property
-    def D(self):
-        return self.matrix[3:, 3:]
-
-    def tensor(self) -> np.ndarray:
-        return tensor_from_operator(self.matrix)
-
-
-def curvature_to_operator(R) -> CurvatureOperator:
-    """Curvature tensor (array or .components holder) as a 6x6 operator."""
-    comp = getattr(R, "components", R)
-    return CurvatureOperator(operator_from_tensor(comp))
-
-
 def tensor_from_operator(M: np.ndarray) -> np.ndarray:
     """Inverse of :func:`operator_from_tensor` on pair-antisymmetric tensors."""
     M = np.asarray(M)
@@ -316,10 +277,6 @@ def sd_form_as_operator(phi: KForm, tol: float = 1e-10) -> np.ndarray:
 # pairs: t_pq = -(E_p+)(E_q-) as component-matrix products.  This realizes
 # the isomorphism between trace-free symmetric 2-tensors and Hom(-, +).
 _T_BASIS = -np.einsum("pij,qjk->pqik", SD_WEIGHTS[:3], SD_WEIGHTS[3:])
-
-# A trace-free symmetric tensor t maps to <t, t_pq>; the curvature blocks
-# off the diagonal carry an extra factor of this scale.
-RICCI_CONTRACTION_SCALE = 0.5
 
 
 def ricci_contraction(t: np.ndarray, tol: float = 1e-8) -> np.ndarray:

@@ -67,7 +67,6 @@ class InducedConnection:
 
     pt: FramePoint
     omega: jets.Jet             # connection forms omega[i, p, q], shape (4, 3, 3, n)
-    F_mats: np.ndarray          # F(e_i, e_j) values, shape (4, 4, 3, 3, n)
     F_sd: np.ndarray            # F paired with the six E_Q, shape (3, 3, 6, n)
     rows: np.ndarray            # F in generator components / scale: (3, 6, n)
 
@@ -106,7 +105,7 @@ def induced_lambda_plus(conn: AffineConnection) -> InducedConnection:
     F_sd = 0.5 * np.einsum("qij,ijpr...->prq...", F.SD_WEIGHTS, Fm)
     rows = (0.5 * np.einsum("spq,pqm...->sm...", _GEN, F_sd)
             / LAMBDA_PLUS_CURVATURE_SCALE)
-    return InducedConnection(pt=pt, omega=omega, F_mats=Fm, F_sd=F_sd, rows=rows)
+    return InducedConnection(pt=pt, omega=omega, F_sd=F_sd, rows=rows)
 
 
 def lambda_plus_block_residual(ic: InducedConnection, M: np.ndarray) -> float:

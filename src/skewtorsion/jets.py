@@ -29,9 +29,8 @@ import operator
 import numpy as np
 
 __all__ = [
-    "Jet", "variable", "constant", "sqrt", "exp", "log", "sin", "cos",
-    "sincos", "arctan", "arctan_minus_id", "where", "value_of", "truncate",
-    "einsum",
+    "Jet", "sqrt", "exp", "log", "sin", "cos", "sincos", "arctan",
+    "arctan_minus_id", "where", "value_of", "truncate", "einsum",
 ]
 
 DEFAULT_ORDER = 2
@@ -149,13 +148,6 @@ class Jet:
             return out
         return exp(log(self) * p)
 
-    # comparisons act on values, for range checks on chart domains
-    def __lt__(self, other):
-        return self.value < _value_of(other)
-
-    def __gt__(self, other):
-        return self.value > _value_of(other)
-
 
 def _ones_like(x):
     return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
@@ -215,14 +207,6 @@ def _leibniz(a, b, product):
             s = s + product(a[j], b[k - j])
         out.append(s)
     return tuple(out)
-
-
-def variable(x, order: int = DEFAULT_ORDER) -> Jet:
-    return Jet.variable(x, order)
-
-
-def constant(v, order: int = DEFAULT_ORDER) -> Jet:
-    return Jet.constant(v, order)
 
 
 def value_of(x):

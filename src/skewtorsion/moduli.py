@@ -5,7 +5,8 @@ a dx + i c s3 and s1 + i s2, i.e. J e1 = e4, J e2 = e3 in the orthonormal
 frame.  Integrability is measured by the Nijenhuis tensor evaluated
 through the frame brackets; the pairing above is integrable for any
 profiles, while pairings mixing the radial direction with s1 or s2 are
-not unless b = c.
+not unless b = c.  :func:`nijenhuis_norm` reads the brackets of an
+evaluated frame point, such as the ``pt`` of an evaluation context.
 
 For the S^4 family, a holomorphic radial coordinate R solves
 f dR = a dx, f R = c, so log R = Int a/c dx with a/c evaluated in the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .charts import BonneauFamily, ChartError, InvariantChart, gauss_legendre
+from .charts import BonneauFamily, ChartError, FramePoint, gauss_legendre
 
 __all__ = [
     "InvariantACS", "acs_radial", "acs_swapped", "nijenhuis_norm",
@@ -82,12 +83,8 @@ def acs_swapped() -> InvariantACS:
     return _pairing(0, 1, 2, 3)
 
 
-def nijenhuis_norm(pt_or_chart, J: InvariantACS, nodes: int = 64) -> float:
-    """Sup norm of N(e_i, e_j) over frame pairs and grid points."""
-    if isinstance(pt_or_chart, InvariantChart):
-        pt = pt_or_chart.at(pt_or_chart.sample_grid(nodes))
-    else:
-        pt = pt_or_chart
+def nijenhuis_norm(pt: FramePoint, J: InvariantACS) -> float:
+    """Sup norm of N(e_i, e_j) over frame pairs and the points of ``pt``."""
     c = pt.brackets
     Jm = J.J
     # [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on frame fields; J constant

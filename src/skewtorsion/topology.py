@@ -14,7 +14,9 @@ the antisymmetric parts) are the expressions that integrate to the
 topological invariants.  The first Pontryagin number of Lambda+ is
 computed independently from the induced so(3) curvature.
 
-The densities are read from one evaluation context per quadrature grid
+:func:`hitchin_thorpe_report` is the one route to chi, tau and p1: it
+integrates the three densities in one pass on the quadrature grids of n
+and 2n nodes, reading them from one evaluation context per grid
 (:class:`skewtorsion.evaluation.Evaluation`), which is dropped before the
 next grid is evaluated.
 """
@@ -26,13 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import InvariantChart, InvariantForm
+from .charts import InvariantChart
 from .decomposition import einstein_residual, operator_blocks, _fro
 from .evaluation import Evaluation
 
 __all__ = [
-    "TopologyReport", "integrate_invariant", "euler_and_signature",
-    "hitchin_thorpe_report", "pontryagin_lambda_plus",
+    "TopologyReport", "integrate_invariant", "hitchin_thorpe_report",
     "curvature_integrands", "pontryagin_density",
 ]
 
@@ -76,20 +77,6 @@ def curvature_integrands(ev: Evaluation):
     return chi_dens, tau_dens
 
 
-def euler_and_signature(chart: InvariantChart, H: InvariantForm,
-                        nodes: int = DEFAULT_NODES, orientation: int = +1):
-    """(chi, tau) by quadrature of the curvature densities.
-
-    ``orientation=-1`` swaps the self-dual and anti-self-dual blocks,
-    which fixes chi and flips the sign of tau.
-    """
-    (chi, tau), (chi_err, tau_err) = integrate_invariant(
-        chart, lambda pt: curvature_integrands(Evaluation(pt, H)), nodes)
-    if orientation == -1:
-        tau = -tau
-    return (chi, tau), (chi_err, tau_err)
-
-
 @dataclass
 class TopologyReport:
     chi: float
@@ -122,25 +109,6 @@ def pontryagin_density(ev: Evaluation) -> np.ndarray:
     return (plus - minus) / (4.0 * math.pi ** 2)
 
 
-def _min_pontryagin_integrand(chart: InvariantChart, H: InvariantForm, nodes: int) -> float:
-    """Minimum of the p1 integrand (scaled by 4 pi^2) on the sample grid."""
-    dens = pontryagin_density(Evaluation.on_grid(chart, H, nodes))
-    return float(np.min(dens) * 4.0 * math.pi ** 2)
-
-
-def pontryagin_lambda_plus(chart: InvariantChart, H: InvariantForm,
-                           nodes: int = DEFAULT_NODES):
-    """First Pontryagin number of Lambda+ from the induced curvature.
-
-    Returns (value, error_estimate, min_integrand); the integrand is the
-    Chern-Weil 4-form density, pointwise non-negative when the induced
-    connection is self-dual.
-    """
-    val, err = integrate_invariant(
-        chart, lambda pt: pontryagin_density(Evaluation(pt, H)), nodes)
-    return val, err, _min_pontryagin_integrand(chart, H, nodes)
-
-
 def hitchin_thorpe_report(ev: Evaluation, nodes: int = DEFAULT_NODES) -> TopologyReport:
     """Topological constraint report 2 chi >= 3 |tau| for the given data.
 
@@ -158,7 +126,9 @@ def hitchin_thorpe_report(ev: Evaluation, nodes: int = DEFAULT_NODES) -> Topolog
         return (*curvature_integrands(ev_q), pontryagin_density(ev_q))
 
     (chi, tau, p1), (chi_err, tau_err, p1_err) = integrate_invariant(chart, densities, nodes)
-    p1_min = _min_pontryagin_integrand(chart, H, nodes)
+    # minimum of the p1 integrand (scaled by 4 pi^2) on the n-point sample grid
+    p1_min = float(np.min(pontryagin_density(Evaluation.on_grid(chart, H, nodes)))
+                   * 4.0 * math.pi ** 2)
     e_res = einstein_residual(ev)
     margin = 2.0 * chi - 3.0 * abs(tau)
     return TopologyReport(

@@ -14,9 +14,14 @@ compared against the closed formulas
 so the Einstein-Weyl residual (the trace-free symmetric Ricci) comes out
 of two independent routes.  With h = *H this trace-free tensor equals the
 Einstein-with-skew-torsion tensor of the metric pair, which is the
-correspondence the round trip below exercises; it reads H, the
-Levi-Civita connection and both Einstein tensors from an evaluation
-context (:class:`skewtorsion.evaluation.Evaluation`).
+correspondence the round trip below exercises.
+
+Every check here reads its geometry from an evaluation context
+(:class:`skewtorsion.evaluation.Evaluation`): the frame points, the
+Levi-Civita connection and its Ricci data, and for the round trip H and
+both Einstein tensors; it builds only the Weyl connection itself.
+:func:`weyl_connection` takes the 1-form already evaluated at the
+connection's points.
 """
 
 from __future__ import annotations
@@ -27,11 +32,8 @@ import numpy as np
 
 from . import jets
 from .frame import KForm, hodge_star, norm_sq
-from .charts import FramePoint, InvariantChart, InvariantForm
-from .connections import (
-    AffineConnection, cov_deriv, codifferential, levi_civita,
-    full_components,
-)
+from .charts import FramePoint, InvariantForm
+from .connections import AffineConnection, cov_deriv, codifferential, full_components
 from .decomposition import _fro, _tf, einstein_residual
 from .evaluation import ConnectionData, Evaluation
 
@@ -58,21 +60,21 @@ class WeylStructure:
     torsion_residual: float
 
 
-def weyl_connection(lc: AffineConnection, omega: InvariantForm | KForm) -> AffineConnection:
-    """Torsion-free connection with Dg = omega (x) g, built on D^g = ``lc``."""
-    pt = lc.pt
-    w = omega.at(pt) if isinstance(omega, InvariantForm) else omega
+def weyl_connection(lc: AffineConnection, w: KForm) -> AffineConnection:
+    """Torsion-free connection with Dg = w (x) g, built on D^g = ``lc``;
+    ``w`` is a 1-form evaluated at the points of ``lc``."""
     if w.degree != 1:
         raise ValueError("need a 1-form")
     wc = jets.truncate(w.comps, lc.gamma.order)  # gamma is one order lower
     gamma = lc.gamma + jets.einsum("m...,mijk->ijk...", wc, _WEYL_SIGNS)
-    return AffineConnection(pt, gamma, metric_compatible=False)
+    return AffineConnection(lc.pt, gamma, metric_compatible=False)
 
 
-def weyl_structure(pt: FramePoint, omega: InvariantForm | KForm) -> WeylStructure:
+def weyl_structure(ev: Evaluation, omega: InvariantForm) -> WeylStructure:
     """Connection plus the verified compatibility residuals."""
-    w = omega.at(pt) if isinstance(omega, InvariantForm) else omega
-    D = weyl_connection(levi_civita(pt), w)
+    pt = ev.pt
+    w = omega.at(pt)
+    D = weyl_connection(ev.lc, w)
     # (D_i g)(e_j, e_k) = -Gamma_kij - Gamma_jik for constant frame metric
     G = D.gamma.value
     wd = -(G + np.einsum("ijk...->ikj...", G))
@@ -84,22 +86,20 @@ def weyl_structure(pt: FramePoint, omega: InvariantForm | KForm) -> WeylStructur
     return WeylStructure(pt=pt, omega=w, D=D, dg_residual=dg_res, torsion_residual=tor_res)
 
 
-def einstein_weyl_residual(chart: InvariantChart, omega: InvariantForm,
-                           nodes: int = 64) -> dict:
+def einstein_weyl_residual(ev: Evaluation, omega: InvariantForm) -> dict:
     """Trace-free symmetric Ricci of the Weyl connection, two routes.
 
     Route (i) contracts the directly computed curvature of D; route (ii)
     evaluates the closed Ricci/scalar formulas.  Returns the two sups and
     their mutual difference.
     """
-    pt = chart.at(chart.sample_grid(nodes))
+    pt, lc = ev.pt, ev.lc
     w = omega.at(pt)
-    lc = levi_civita(pt)
     weyl = ConnectionData(weyl_connection(lc, w))
     rd = weyl.ricci
     s0_direct = weyl.Z
 
-    rg = ConnectionData(lc).ricci
+    rg = ev.riemann.ricci
     wv = full_components(w, pt)
     w2 = np.einsum("i...,i...->...", wv, wv)
     dw = cov_deriv(pt, lc, w).value

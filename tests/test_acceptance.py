@@ -24,7 +24,7 @@ from skewtorsion.instanton import (
 )
 from skewtorsion.jets import Jet
 from skewtorsion.moduli import acs_radial, asymptotic_check, nijenhuis_norm
-from skewtorsion.topology import euler_and_signature, pontryagin_lambda_plus
+from skewtorsion.topology import hitchin_thorpe_report
 from skewtorsion.weyl import einstein_weyl_residual
 
 N_DRAWS = 100
@@ -37,6 +37,11 @@ IDENTITY_KEYS = [
 
 def _ok(num, text):
     print(f"[criterion {num:2}] PASS  {text}")
+
+
+def _report(chart, H, nodes):
+    """The constraint report on the 64-point sample grid, integrated on n and 2n nodes."""
+    return hitchin_thorpe_report(Evaluation.on_grid(chart, H, 64), nodes=nodes)
 
 
 def test_criterion_01_identity_suite_on_random_draws():
@@ -79,17 +84,16 @@ def test_criterion_03_s4_family_einstein_both_signs():
 
 def test_criterion_04_topology_of_the_s4_family():
     """chi = 2, tau = 0, p1(L+) = 4 with non-negative integrand, margin 4."""
-    chart, H = bonneau_chart(0.0)
-    (chi, tau), _ = euler_and_signature(chart, H, nodes=256)
+    rep = _report(*bonneau_chart(0.0), 256)
+    chi, tau = rep.chi, rep.tau
     assert chi == pytest.approx(2.0, abs=1e-6)
     assert tau == pytest.approx(0.0, abs=1e-8)
-    p1, _, p1_min = pontryagin_lambda_plus(chart, H, nodes=256)
+    p1, p1_min = rep.p1_lambda_plus, rep.quadrature["p1_min_integrand"]
     assert p1 == pytest.approx(4.0, abs=1e-4)
     assert p1_min >= -1e-10
     margin = 2 * chi - 3 * abs(tau)
     assert margin == pytest.approx(4.0, abs=1e-5)
-    (chi_r, _), _ = euler_and_signature(round_s4_chart(), InvariantForm.zero(3),
-                                        nodes=256)
+    chi_r = _report(round_s4_chart(), InvariantForm.zero(3), 256).chi
     assert chi_r == pytest.approx(2.0, abs=1e-8)
     _ok(4, f"chi={chi:.12f}, tau={tau:.2e}, p1={p1:.10f} "
            f"(min integrand {p1_min:.2e}), margin={margin:.10f}, round chi={chi_r:.12f}")
@@ -106,7 +110,8 @@ def test_criterion_05_flat_group_chart_equality_case():
         rg = ricci_and_scalar(curvature(levi_civita(pt)))
         assert np.max(np.abs(rg.scalar - 1.5 / b0 ** 2)) <= 1e-12
     ch = product_chart(1.0, 1.0)
-    (chi, tau), _ = euler_and_signature(ch, flat_torsion(ch), nodes=32)
+    rep = _report(ch, flat_torsion(ch), 32)
+    chi, tau = rep.chi, rep.tau
     assert abs(chi) <= 1e-12 and abs(tau) <= 1e-12
     assert 2 * chi == pytest.approx(3 * abs(tau), abs=1e-12)
     _ok(5, f"flat pair |R| <= 1e-12, chi={chi:.1e}, tau={tau:.1e}, "
@@ -115,9 +120,9 @@ def test_criterion_05_flat_group_chart_equality_case():
 
 def test_criterion_06_einstein_weyl_correspondence():
     """Trace-free Weyl Ricci <= 1e-8 for w = *H, routes agree <= 1e-9."""
-    chart, _ = bonneau_chart(0.0)
+    chart, H = bonneau_chart(0.0)
     omega = InvariantForm(1, [(3,)], lambda pt: [2.0 * pt.c])  # *H along e4
-    res = einstein_weyl_residual(chart, omega, nodes=64)
+    res = einstein_weyl_residual(Evaluation.on_grid(chart, H, 64), omega)
     assert res["residual_direct"] <= 1e-8
     assert res["residual_formula"] <= 1e-8
     assert res["route_difference"] <= 1e-9
@@ -164,8 +169,9 @@ def test_criterion_08_gauge_probe_verdict():
 def test_criterion_09_complex_structures_and_radial_coordinate():
     """Nijenhuis <= 1e-9 for both charts; asymptotic slopes 1.00 +- 0.01."""
     chartB, _ = bonneau_chart(0.0)
-    nB = nijenhuis_norm(chartB, acs_radial())
-    nR = nijenhuis_norm(round_s4_chart(), acs_radial())
+    nB = nijenhuis_norm(chartB.at(chartB.sample_grid(64)), acs_radial())
+    chartR = round_s4_chart()
+    nR = nijenhuis_norm(chartR.at(chartR.sample_grid(64)), acs_radial())
     assert nB <= 1e-9 and nR <= 1e-9
     slopes = {}
     for k in (0.0, 1.0):
@@ -198,8 +204,7 @@ def test_criterion_10_oracles():
     chart, H = bonneau_chart(0.0)
     errs = {}
     for n in (2, 4):
-        (chi, _), _ = euler_and_signature(chart, H, nodes=n)
-        errs[n] = abs(chi - 2.0)
+        errs[n] = abs(_report(chart, H, n).chi - 2.0)
     assert errs[4] <= errs[2] / 4.0
     _ok(10, f"jet/finite-difference ratio {np.median(ratios):.2f} (~4); "
             f"chi error {errs[2]:.2e} -> {errs[4]:.2e} under node doubling")

@@ -156,12 +156,12 @@ def test_quadrature_nodes_are_interior_and_sorted():
     assert np.all(w > 0)
 
 
-def test_module_level_structure_functions():
-    cs = charts.structure_functions(product_chart(1.0, 1.0), np.array([0.2, 0.7]))
+def test_brackets_at_interior_points():
+    cs = product_chart(1.0, 1.0).at(np.array([0.2, 0.7])).brackets
     assert cs.shape == (4, 4, 4, 2)
     assert cs[2, 3, 1, 0] == pytest.approx(-1.0)
     with pytest.raises(ChartError):
-        charts.structure_functions(round_s4_chart(), np.array([0.0]))
+        round_s4_chart().at(np.array([0.0])).brackets
 
 
 def test_frame_derivative_needs_a_derivative():

@@ -118,14 +118,3 @@ def test_weyl_blocks_are_torsion_independent():
     rep1 = decompose_point(Evaluation.on_grid(chart, random_torsion(7), 16))
     assert np.max(np.abs(rep0.Wplus - rep1.Wplus)) <= 1e-10
     assert np.max(np.abs(rep0.Wminus - rep1.Wminus)) <= 1e-10
-
-
-def test_per_node_norms_serializable():
-    import json
-    chart, H = bonneau_chart(0.0)
-    rep = decompose_point(Evaluation.on_grid(chart, H, 16))
-    d = rep.per_node_norms()
-    json.dumps(d)
-    assert len(d["x"]) == 16
-    assert max(d["einstein_tensor"]) <= 1e-8
-    assert min(d["s_nabla"]) > 0

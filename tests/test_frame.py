@@ -87,13 +87,16 @@ def test_zero_curvature_gives_zero_operator():
 
 
 def test_operator_tensor_roundtrip_on_random_pair_antisymmetric_input():
-    rng = np.random.default_rng(3)
-    raw = rng.normal(size=(4, 4, 4, 4))
-    R = raw - raw.transpose(1, 0, 2, 3)
-    R = R - R.transpose(0, 1, 3, 2)
-    M = operator_from_tensor(R)
-    assert np.allclose(tensor_from_operator(M), R, atol=1e-13)
-    assert np.allclose(operator_from_tensor(tensor_from_operator(M)), M, atol=1e-13)
+    # one point, then a batch of three carried along the trailing axis
+    for batch in ((), (3,)):
+        rng = np.random.default_rng(3)
+        raw = rng.normal(size=(4, 4, 4, 4) + batch)
+        R = raw - raw.swapaxes(0, 1)
+        R = R - R.swapaxes(2, 3)
+        M = operator_from_tensor(R)
+        assert M.shape == (6, 6) + batch
+        assert np.allclose(tensor_from_operator(M), R, atol=1e-13)
+        assert np.allclose(operator_from_tensor(tensor_from_operator(M)), M, atol=1e-13)
 
 
 def test_operator_entries_are_bilinear_pairings():
@@ -177,19 +180,3 @@ def test_ricci_contraction_is_linear_isometry_on_trace_free_part():
 def test_ricci_contraction_rejects_trace():
     with pytest.raises(ValueError):
         ricci_contraction(np.eye(4))
-
-
-def test_curvature_operator_views():
-    from skewtorsion.frame import curvature_to_operator
-    rng = np.random.default_rng(7)
-    raw = rng.normal(size=(4, 4, 4, 4, 3))
-    R = raw - raw.transpose(1, 0, 2, 3, 4)
-    R = R - R.transpose(0, 1, 3, 2, 4)
-    op = curvature_to_operator(R)
-    assert op.matrix.shape == (6, 6, 3)
-    assert np.shares_memory(op.A, op.matrix)
-    assert np.allclose(op.A, op.matrix[:3, :3])
-    assert np.allclose(op.B, op.matrix[:3, 3:])
-    assert np.allclose(op.C, op.matrix[3:, :3])
-    assert np.allclose(op.D, op.matrix[3:, 3:])
-    assert np.allclose(op.tensor(), R, atol=1e-13)

@@ -26,7 +26,7 @@ def test_flat_torus_has_zero_induced_connection():
     ch = flat_torus_chart()
     pt = ch.at(ch.sample_grid(4))
     ic = ConnectionData(levi_civita(pt)).induced
-    assert np.max(np.abs(ic.F_mats)) == 0.0
+    assert np.max(np.abs(ic.F_sd)) == 0.0
     for i in range(4):
         for p in range(3):
             for q in range(3):
@@ -49,7 +49,7 @@ def test_induced_rejects_non_metric_connection():
     from skewtorsion.charts import random_one_form
     chart = random_chart(0)
     pt = chart.at(chart.sample_grid(4))
-    D = weyl_connection(levi_civita(pt), random_one_form(0))
+    D = weyl_connection(levi_civita(pt), random_one_form(0).at(pt))
     with pytest.raises(ValueError):
         ConnectionData(D).induced
 
@@ -143,7 +143,7 @@ def test_probe_verdict_stable_under_refinement():
 
 
 def test_yang_mills_action_consistent_with_pontryagin():
-    from skewtorsion.topology import integrate_invariant, pontryagin_lambda_plus
+    from skewtorsion.topology import hitchin_thorpe_report, integrate_invariant
     chart, H = bonneau_chart(0.0)
 
     def action(sign):
@@ -155,7 +155,7 @@ def test_yang_mills_action_consistent_with_pontryagin():
 
     s_plus, s_minus = action(+1.0), action(-1.0)
     assert s_plus == pytest.approx(s_minus, rel=1e-10)
-    p1, _, _ = pontryagin_lambda_plus(chart, H, nodes=128)
+    p1 = hitchin_thorpe_report(Evaluation.on_grid(chart, H, 64), nodes=128).p1_lambda_plus
     # for a self-dual induced connection the action is 2 pi^2 p1
     assert s_plus == pytest.approx(2.0 * np.pi ** 2 * p1, rel=1e-8)
 

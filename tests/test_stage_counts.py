@@ -12,6 +12,8 @@ import sys
 import pytest
 
 from skewtorsion import charts, cli, connections, frame, jets
+from skewtorsion.evaluation import Evaluation
+from skewtorsion.weyl import einstein_weyl_residual
 
 STAGES = {
     "curvature": (connections, "curvature"),
@@ -83,3 +85,17 @@ def test_stage_counts_per_command(stage_counts, argv, expected):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert stage_counts == expected
+
+
+def test_einstein_weyl_residual_reads_the_context(stage_counts):
+    # after the identity suite the context holds the points, the
+    # Levi-Civita connection and its Ricci data: the residual builds only
+    # the Weyl connection's curvature
+    chart, H = charts.bonneau_chart(0.0)
+    ev = Evaluation.on_grid(chart, H, 64)
+    connections.identity_suite(ev)
+    before = dict(stage_counts)
+    omega = charts.InvariantForm(1, [(3,)], lambda pt: [2.0 * pt.c])  # *H along e4
+    einstein_weyl_residual(ev, omega)
+    added = {k: stage_counts[k] - before[k] for k in ("levi_civita", "chart.at", "curvature")}
+    assert added == {"levi_civita": 0, "chart.at": 0, "curvature": 1}

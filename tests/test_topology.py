@@ -10,14 +10,16 @@ from skewtorsion.charts import (
     product_chart, random_chart, round_s4_chart,
 )
 from skewtorsion.evaluation import Evaluation
-from skewtorsion.topology import (
-    euler_and_signature, hitchin_thorpe_report, integrate_invariant,
-    pontryagin_lambda_plus,
-)
+from skewtorsion.topology import hitchin_thorpe_report, integrate_invariant
 
 
 def _const_one(pt):
     return np.ones(pt.npoints)
+
+
+def _report(chart, H, nodes):
+    """The constraint report on the 64-point sample grid, integrated on n and 2n nodes."""
+    return hitchin_thorpe_report(Evaluation.on_grid(chart, H, 64), nodes=nodes)
 
 
 def test_volume_oracles():
@@ -43,51 +45,40 @@ def test_integrand_must_be_finite():
 
 
 def test_round_sphere_euler_and_signature():
-    (chi, tau), (chi_err, _) = euler_and_signature(
-        round_s4_chart(), InvariantForm.zero(3), nodes=64)
+    rep = _report(round_s4_chart(), InvariantForm.zero(3), 64)
+    chi, tau = rep.chi, rep.tau
     assert chi == pytest.approx(2.0, abs=1e-8)
     assert tau == pytest.approx(0.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("k", [0.0, 1.0])
 def test_s4_family_euler_and_signature(k):
-    chart, H = bonneau_chart(k)
-    (chi, tau), _ = euler_and_signature(chart, H, nodes=256)
+    rep = _report(*bonneau_chart(k), 256)
+    chi, tau = rep.chi, rep.tau
     assert chi == pytest.approx(2.0, abs=1e-6)
     assert tau == pytest.approx(0.0, abs=1e-8)
 
 
 def test_flat_group_chart_saturates_the_inequality():
     ch = product_chart(1.0, 1.0)
-    H = flat_torsion(ch)
-    (chi, tau), _ = euler_and_signature(ch, H, nodes=32)
-    assert chi == pytest.approx(0.0, abs=1e-12)
-    assert tau == pytest.approx(0.0, abs=1e-12)
-    rep = hitchin_thorpe_report(Evaluation.on_grid(ch, H, 64), nodes=32)
+    rep = _report(ch, flat_torsion(ch), 32)
+    assert rep.chi == pytest.approx(0.0, abs=1e-12)
+    assert rep.tau == pytest.approx(0.0, abs=1e-12)
     assert rep.inequality_margin == pytest.approx(0.0, abs=1e-10)
     assert rep.satisfied
     assert not rep.einstein_warning
 
 
-def test_orientation_reversal_flips_signature():
-    chart, H = bonneau_chart(0.5)
-    (chi_p, tau_p), _ = euler_and_signature(chart, H, nodes=64)
-    (chi_m, tau_m), _ = euler_and_signature(chart, H, nodes=64, orientation=-1)
-    assert chi_m == pytest.approx(chi_p, rel=1e-12)
-    assert tau_m == pytest.approx(-tau_p, abs=1e-12)
-
-
 def test_pontryagin_of_self_dual_bundle():
-    p1, err, mn = pontryagin_lambda_plus(round_s4_chart(), InvariantForm.zero(3), nodes=64)
-    assert p1 == pytest.approx(4.0, abs=1e-8)
-    assert mn >= -1e-10
-    chart, H = bonneau_chart(0.0)
-    p1, err, mn = pontryagin_lambda_plus(chart, H, nodes=256)
-    assert p1 == pytest.approx(4.0, abs=1e-4)
-    assert mn >= -1e-10
+    rep = _report(round_s4_chart(), InvariantForm.zero(3), 64)
+    assert rep.p1_lambda_plus == pytest.approx(4.0, abs=1e-8)
+    assert rep.quadrature["p1_min_integrand"] >= -1e-10
+    rep = _report(*bonneau_chart(0.0), 256)
+    assert rep.p1_lambda_plus == pytest.approx(4.0, abs=1e-4)
+    assert rep.quadrature["p1_min_integrand"] >= -1e-10
     ch = product_chart(1.0, 1.0)
-    p1, _, _ = pontryagin_lambda_plus(ch, flat_torsion(ch), nodes=16)
-    assert p1 == pytest.approx(0.0, abs=1e-12)
+    rep = _report(ch, flat_torsion(ch), 16)
+    assert rep.p1_lambda_plus == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hitchin_thorpe_report_for_the_s4_family():
@@ -113,8 +104,7 @@ def test_quadrature_refinement_reduces_euler_error():
     chart, H = bonneau_chart(0.0)
 
     def chi_at(n):
-        (chi, _), _ = euler_and_signature(chart, H, nodes=n)
-        return chi
+        return _report(chart, H, n).chi
 
     # convergence is exponential; at 8 nodes the error already sits at the
     # floating-point floor, so the ratio test uses the coarsest grids
@@ -126,8 +116,8 @@ def test_quadrature_refinement_reduces_euler_error():
 
 def test_flat_torus_everything_vanishes():
     ch = flat_torus_chart()
-    (chi, tau), _ = euler_and_signature(ch, InvariantForm.zero(3), nodes=16)
-    assert chi == 0.0 and tau == 0.0
+    rep = _report(ch, InvariantForm.zero(3), 16)
+    assert rep.chi == 0.0 and rep.tau == 0.0
 
 
 def test_invariants_do_not_depend_on_the_torsion():
@@ -136,7 +126,8 @@ def test_invariants_do_not_depend_on_the_torsion():
     chart, H = bonneau_chart(0.0)
     vals = []
     for form in (H, InvariantForm.zero(3), H.scaled(0.5), H.scaled(3.0)):
-        (chi, tau), _ = euler_and_signature(chart, form, nodes=128)
+        rep = _report(chart, form, 128)
+        chi, tau = rep.chi, rep.tau
         vals.append((chi, tau))
         assert chi == pytest.approx(2.0, abs=1e-10)
         assert tau == pytest.approx(0.0, abs=1e-12)
@@ -146,6 +137,6 @@ def test_random_group_charts_have_vanishing_invariants():
     from skewtorsion.charts import random_torsion
     for seed in (1, 4):
         chart = random_chart(seed)
-        (chi, tau), _ = euler_and_signature(chart, random_torsion(seed), nodes=96)
-        assert chi == pytest.approx(0.0, abs=1e-12)
-        assert tau == pytest.approx(0.0, abs=1e-12)
+        rep = _report(chart, random_torsion(seed), 96)
+        assert rep.chi == pytest.approx(0.0, abs=1e-12)
+        assert rep.tau == pytest.approx(0.0, abs=1e-12)

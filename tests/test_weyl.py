@@ -19,15 +19,14 @@ def test_zero_one_form_reduces_to_levi_civita():
     chart = random_chart(0)
     pt = chart.at(chart.sample_grid(8))
     lc = levi_civita(pt)
-    D = weyl_connection(lc, InvariantForm.zero(1))
+    D = weyl_connection(lc, InvariantForm.zero(1).at(pt))
     assert np.max(np.abs(D.gamma.value - lc.gamma.value)) == 0.0
 
 
 def test_weyl_connection_is_torsion_free_and_conformally_metric():
     chart = random_chart(4)
     om = random_one_form(4)
-    pt = chart.at(chart.sample_grid(16))
-    ws = weyl_structure(pt, om)
+    ws = weyl_structure(Evaluation.on_grid(chart, InvariantForm.zero(3), 16), om)
     assert ws.torsion_residual <= 1e-12
     assert ws.dg_residual <= 1e-10
     assert not ws.D.metric_compatible
@@ -37,29 +36,30 @@ def test_weyl_connection_rejects_higher_degree():
     chart = random_chart(4)
     pt = chart.at(chart.sample_grid(4))
     with pytest.raises(ValueError):
-        weyl_connection(levi_civita(pt), InvariantForm.zero(2))
+        weyl_connection(levi_civita(pt), InvariantForm.zero(2).at(pt))
 
 
 @pytest.mark.parametrize("seed", [1, 5, 9])
 def test_ricci_routes_agree_for_arbitrary_one_forms(seed):
     chart = random_chart(seed)
     om = random_one_form(seed)
-    res = einstein_weyl_residual(chart, om, nodes=32)
+    res = einstein_weyl_residual(Evaluation.on_grid(chart, InvariantForm.zero(3), 32), om)
     assert res["route_difference"] <= 1e-9
     assert res["scalar_difference"] <= 1e-9
 
 
 def test_round_sphere_with_zero_form_is_einstein_weyl():
-    res = einstein_weyl_residual(round_s4_chart(), InvariantForm.zero(1), nodes=16)
+    ev = Evaluation.on_grid(round_s4_chart(), InvariantForm.zero(3), 16)
+    res = einstein_weyl_residual(ev, InvariantForm.zero(1))
     assert res["residual_direct"] <= 1e-12
     assert res["residual_formula"] <= 1e-12
 
 
 @pytest.mark.parametrize("k", [0.0, 1.0])
 def test_bonneau_torsion_dual_is_einstein_weyl(k):
-    chart, _ = bonneau_chart(k)
+    chart, H = bonneau_chart(k)
     omega = InvariantForm(1, [(3,)], lambda pt: [2.0 * pt.c])  # *H along e4
-    res = einstein_weyl_residual(chart, omega, nodes=64)
+    res = einstein_weyl_residual(Evaluation.on_grid(chart, H, 64), omega)
     assert res["residual_direct"] <= 1e-8
     assert res["residual_formula"] <= 1e-8
     assert res["route_difference"] <= 1e-9
