@@ -167,6 +167,12 @@ def _stack(items) -> Jet:
     return Jet(tuple(map(np.stack, zip(*(j.coeffs for j in items)))))
 
 
+def _grid_slice(j: Jet, s: slice) -> Jet:
+    """The points of the slice ``s`` of a jet on a batch: every coefficient
+    carries the grid axis last, except the seed's constant ones."""
+    return j.map(lambda v: v[..., s] if np.ndim(v) else v)
+
+
 def _rows(j: Jet) -> list:
     """The jets along the first axis of a stacked jet."""
     return [j.map(lambda v, i=i: v[i]) for i in range(len(j.value))]
@@ -184,6 +190,12 @@ class FramePoint:
     @property
     def npoints(self) -> int:
         return len(self.x)
+
+    def __getitem__(self, s: slice) -> "FramePoint":
+        """The points of the slice ``s`` of the batch, with the profile jets
+        cut rather than evaluated again."""
+        return FramePoint(self.chart, *(_grid_slice(j, s) for j in
+                                        (self.seed, self.a, self.b, self.c)))
 
     def e1(self, f: Jet) -> Jet:
         """Derivative along the unit radial frame field e1 = (1/a) d/dx."""
@@ -370,6 +382,18 @@ def bonneau_chart(k: float, scan_nodes: int = 1024):
     return chart, H
 
 
+def _positive(v: float) -> bool:
+    """v is a finite positive number (so not NaN)."""
+    return math.isfinite(v) and v > 0.0
+
+
+def _rng(seed: int, offset: int = 0) -> np.random.Generator:
+    """The generator of a seeded chart or form; seeds are non-negative."""
+    if int(seed) < 0:
+        raise ChartError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(int(seed) + offset)
+
+
 def _constant(v: float, x: Jet) -> Jet:
     """The constant v as a jet on the batch of x."""
     return Jet.constant(v, x.order) + 0.0 * x
@@ -388,8 +412,8 @@ def round_s4_chart() -> InvariantChart:
 
 def product_chart(b0: float = 1.0, L: float = 1.0) -> InvariantChart:
     """S^1 x S^3 with circle circumference L and orbit radius profile b0."""
-    if b0 <= 0 or L <= 0:
-        raise ChartError("b0 and L must be positive")
+    if not (_positive(b0) and _positive(L)):
+        raise ChartError(f"b0 and L must be finite and positive, got {b0} and {L}")
     return InvariantChart(
         name="product",
         profiles=lambda x: (_constant(1.0, x),) + (_constant(float(b0), x),) * 2,
@@ -407,6 +431,8 @@ def flat_torsion(chart: InvariantChart, sign: int = +1) -> InvariantForm:
 
 def flat_torus_chart(L: float = 1.0) -> InvariantChart:
     """Flat T^4: abelian orbits, unit profiles, all brackets zero."""
+    if not _positive(L):
+        raise ChartError(f"L must be finite and positive, got {L}")
     return InvariantChart(
         name="flat",
         profiles=lambda x: (_constant(1.0, x),) * 3,
@@ -439,7 +465,7 @@ def _trig_polys(rng, lo: float, hi: float, amp: float, count: int, nmodes: int =
 
 def random_chart(seed: int) -> InvariantChart:
     """Smooth random periodic chart on S^1 x SU(2), reproducible from seed."""
-    polys = _trig_polys(np.random.default_rng(int(seed)), 1.2, 2.0, 0.12, 3)
+    polys = _trig_polys(_rng(seed), 1.2, 2.0, 0.12, 3)
     return InvariantChart(
         name="random",
         profiles=lambda x: tuple(_rows(polys(x))),
@@ -451,12 +477,12 @@ def random_chart(seed: int) -> InvariantChart:
 
 def random_torsion(seed: int, amp: float = 0.6) -> InvariantForm:
     """Random invariant torsion 3-form (all four frame components)."""
-    polys = _trig_polys(np.random.default_rng(int(seed) + 101), -0.4, 0.4, amp / 3.0, 4)
+    polys = _trig_polys(_rng(seed, 101), -0.4, 0.4, amp / 3.0, 4)
     return InvariantForm(3, MULTI_INDICES[3], lambda pt: _rows(polys(pt.seed)))
 
 
 def random_one_form(seed: int, amp: float = 0.6) -> InvariantForm:
-    polys = _trig_polys(np.random.default_rng(int(seed) + 202), -0.4, 0.4, amp / 3.0, 4)
+    polys = _trig_polys(_rng(seed, 202), -0.4, 0.4, amp / 3.0, 4)
     return InvariantForm(1, MULTI_INDICES[1], lambda pt: _rows(polys(pt.seed)))
 
 

@@ -172,6 +172,15 @@ def ricci_and_scalar(R: CurvatureTensor) -> RicciData:
 # ---------------------------------------------------------------------------
 
 
+def _summed_axes_inner(signs: np.ndarray, kept) -> np.ndarray:
+    """``signs`` with its values and shape, laid out in memory with the
+    axes in ``kept`` outermost.  np.einsum then loops over the summed axes
+    inside each output entry, in the same order, which on a few hundred
+    points is about three times faster than the C layout."""
+    perm = list(kept) + [ax for ax in range(signs.ndim) if ax not in kept]
+    return np.ascontiguousarray(signs.transpose(perm)).transpose(np.argsort(perm))
+
+
 def _d_signs(k):
     """Sign tensors of d on k-forms, over increasing multi-indices I of
     degree k + 1: the derivative term sum_r (-1)^r e_{i_r}(w_{I - i_r}),
@@ -189,7 +198,7 @@ def _d_signs(k):
                     sign, key = _sort_index((m,) + rest)
                     if sign:
                         bracket[q, ir, idx[s], m, _INDEX_POS[k][key]] += (-1) ** (r + s) * sign
-    return deriv, bracket
+    return deriv, _summed_axes_inner(bracket, (0, 4))
 
 
 _D_SIGNS = {k: _d_signs(k) for k in range(4)}
@@ -231,7 +240,7 @@ def _derivation_signs(k):
                 sign, key = _sort_index(idx[:r] + (m,) + idx[r + 1:])
                 if sign:
                     out[q, x, m, _INDEX_POS[k][key]] += sign
-    return out
+    return _summed_axes_inner(out, (0, 3))
 
 
 _DERIVATION_SIGNS = {k: _derivation_signs(k) for k in range(1, 4)}

@@ -18,8 +18,12 @@ curvature tensor or operator; the residual, which needs both, is built
 only by the checks that report it.
 
 A context keeps what it has built until it is dropped: about 21 kB per
-point once every object is built (85 MB at 4096 points), so callers drop
-a context when its checks have run.
+point once every object is built.  So a check that works point by point
+runs on :meth:`Evaluation.tiles`, consecutive slices of at most ``TILE``
+points, each a fresh context that is dropped before the next is built;
+the slices cut the grid's profile jets and H components, so the chart
+and the form are evaluated once per grid.  A context of at most ``TILE``
+points is its own one tile, and keeps what its checks build.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charts import FramePoint, InvariantChart, InvariantForm
+from .charts import FramePoint, InvariantChart, InvariantForm, _grid_slice
 from .connections import (
     AffineConnection, CurvatureTensor, ExteriorData, RicciData,
     cov_deriv, curvature, exterior_ops, full_components,
@@ -37,7 +41,10 @@ from .connections import (
 from .frame import FULL_SIGNS, KForm, operator_from_tensor
 from .instanton import InducedConnection, induced_lambda_plus, lambda_plus_block_residual
 
-__all__ = ["ConnectionData", "Evaluation"]
+__all__ = ["ConnectionData", "Evaluation", "TILE"]
+
+# most points in one tile: a fully built tile holds about 11 MB
+TILE = 512
 
 
 class ConnectionData:
@@ -125,6 +132,19 @@ class Evaluation:
         """(D^g_i H)_jkl, antisymmetric in (jkl), shape (4, 4, 4, 4, n)."""
         D = cov_deriv(self.pt, self.lc, self.Hf).value
         return np.einsum("iP...,Pjkl->ijkl...", D, FULL_SIGNS[3])
+
+    def tiles(self):
+        """Consecutive contexts on slices of at most ``TILE`` points, each
+        built when asked for; a context of at most ``TILE`` points yields
+        itself."""
+        n = self.pt.npoints
+        if n <= TILE:
+            yield self
+            return
+        Hf = self.Hf
+        for start in range(0, n, TILE):
+            s = slice(start, start + TILE)
+            yield Evaluation(self.pt[s], KForm(Hf.degree, _grid_slice(Hf.comps, s)))
 
     def reversed(self) -> "Evaluation":
         """Context for torsion -H on the same points.

@@ -22,7 +22,9 @@ A gauge transformation intertwining them is annihilated by the curvature
 of the product connection, so its candidates per point are the kernel of
 the 54x9 system F+(E) G - G F-(E) = 0 over the six 2-form directions E.
 The kernel section, continued in x and normalized, is then tested for
-covariant constancy.
+covariant constancy.  The systems and their SVDs are built tile by tile
+(:meth:`skewtorsion.evaluation.Evaluation.tiles`); the continuation and
+the test run on the whole grid.
 
 The diagnostics read the +-H connections, their curvature operators,
 induced connections and residuals from an evaluation context
@@ -233,6 +235,20 @@ def _align_signs(g: np.ndarray) -> np.ndarray:
     return g
 
 
+def _intertwiner_spectrum(ev: Evaluation):
+    """(S, Vt[:, 8], omega+, omega-) of the intertwiner system on a context:
+    the singular values (n, 9), the right singular vector of the smallest
+    one (n, 9) and the induced connection values (4, 3, 3, n) of +-H."""
+    ic_p, ic_m = ev.plus.induced, ev.minus.induced
+    # F(E_Q) as 3x3 matrices per node: shape (6, 3, 3, n) -> (n, 6, 3, 3)
+    Fp = np.einsum("pqm...->...mpq", ic_p.F_sd)
+    Fm = np.einsum("pqm...->...mpq", ic_m.F_sd)
+    # only S and the right singular vectors are used: the reduced SVD gives
+    # them without the (n, 54, 54) left factor
+    _, S, Vt = np.linalg.svd(_intertwiner_system(Fp, Fm), full_matrices=False)
+    return S, Vt[:, 8], ic_p.omega.value, ic_m.omega.value
+
+
 def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
     """Probe whether the +H and -H induced connections are gauge equivalent.
 
@@ -243,22 +259,16 @@ def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
     """
     pt = ev.pt
     x = pt.x
-    ic_p, ic_m = ev.plus.induced, ev.minus.induced
-
-    # F(E_Q) as 3x3 matrices per node: shape (6, 3, 3, n) -> (n, 6, 3, 3)
-    Fp = np.einsum("pqm...->...mpq", ic_p.F_sd)
-    Fm = np.einsum("pqm...->...mpq", ic_m.F_sd)
     n = pt.npoints
-    L = _intertwiner_system(Fp, Fm)
-
-    # only S and the right singular vectors are used: the reduced SVD gives
-    # them without the (n, 54, 54) left factor
-    _, S, Vt = np.linalg.svd(L, full_matrices=False)
+    # per tile: the singular values, the last right singular vector and the
+    # connection values; every later step reads them on the whole grid
+    parts = list(zip(*(_intertwiner_spectrum(tile) for tile in ev.tiles())))
+    S, v9 = np.concatenate(parts[0]), np.concatenate(parts[1])
+    omp, omm = np.concatenate(parts[2], axis=-1), np.concatenate(parts[3], axis=-1)
     sigma_max = S[:, 0]
     threshold_rel = 1e-7
     # when the curvature cancels identically, sigma_max itself is rounding
     # noise; the squared connection-coefficient scale supplies the floor
-    omp, omm = ic_p.omega.value, ic_m.omega.value
     om_scale = max(float(np.max(np.abs(omp))), float(np.max(np.abs(omm)))) ** 2
     tau = threshold_rel * np.maximum(sigma_max, max(om_scale, 1e-300))
     kdims = np.sum(S <= tau[:, None], axis=1)
@@ -276,7 +286,7 @@ def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
         verdict, notes = "equivalent", "curvature vanishes; every g intertwines"
     elif frac1 >= 0.95:
         # kernel section, sign-aligned along x
-        g = Vt[:, 8, :].reshape(n, 3, 3)
+        g = v9.reshape(n, 3, 3)
         g /= np.linalg.norm(g.reshape(n, 9), axis=1)[:, None, None]
         section = g = _align_signs(g)
 

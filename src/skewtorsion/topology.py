@@ -16,9 +16,10 @@ computed independently from the induced so(3) curvature.
 
 :func:`hitchin_thorpe_report` is the one route to chi, tau and p1: it
 integrates the three densities in one pass on the quadrature grids of n
-and 2n nodes, reading them from one evaluation context per grid
-(:class:`skewtorsion.evaluation.Evaluation`), which is dropped before the
-next grid is evaluated.
+and 2n nodes, reading them from the tiles of one evaluation context per
+grid (:meth:`skewtorsion.evaluation.Evaluation.tiles`), each dropped
+before the next is built; the tiles' densities are joined before the
+exactly rounded sums.
 """
 
 from __future__ import annotations
@@ -122,13 +123,15 @@ def hitchin_thorpe_report(ev: Evaluation, nodes: int = DEFAULT_NODES) -> Topolog
     chart, H = ev.pt.chart, ev.H
 
     def densities(pt):
-        ev_q = Evaluation(pt, H)
-        return (*curvature_integrands(ev_q), pontryagin_density(ev_q))
+        # (3, n): the tiles' densities joined along the grid
+        return np.concatenate([(*curvature_integrands(tile), pontryagin_density(tile))
+                               for tile in Evaluation(pt, H).tiles()], axis=-1)
 
     (chi, tau, p1), (chi_err, tau_err, p1_err) = integrate_invariant(chart, densities, nodes)
     # minimum of the p1 integrand (scaled by 4 pi^2) on the n-point sample grid
-    p1_min = float(np.min(pontryagin_density(Evaluation.on_grid(chart, H, nodes)))
-                   * 4.0 * math.pi ** 2)
+    p1_sample = np.concatenate([pontryagin_density(tile) for tile in
+                                Evaluation.on_grid(chart, H, nodes).tiles()])
+    p1_min = float(np.min(p1_sample) * 4.0 * math.pi ** 2)
     e_res = einstein_residual(ev)
     margin = 2.0 * chi - 3.0 * abs(tau)
     return TopologyReport(

@@ -268,3 +268,23 @@ def test_random_profiles_are_the_per_mode_jets_bitwise(seed, n):
                 for _ in MULTI_INDICES[degree]]
         for got, f in zip(_form_rows(form, pt), refs):
             _assert_same_bits(got, f(xj) + zero)
+
+
+@pytest.mark.parametrize("b0, L", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                   (1.0, math.inf), (1.0, -math.inf), (0.0, 1.0)])
+def test_product_chart_rejects_non_finite_or_non_positive_parameters(b0, L):
+    with pytest.raises(ChartError, match="finite and positive"):
+        product_chart(b0, L)
+
+
+@pytest.mark.parametrize("L", [0.0, -2.0, math.nan, math.inf])
+def test_flat_torus_chart_rejects_bad_circumference(L):
+    with pytest.raises(ChartError, match="finite and positive"):
+        flat_torus_chart(L)
+
+
+@pytest.mark.parametrize("make", [random_chart, charts.random_torsion,
+                                  charts.random_one_form])
+def test_random_data_rejects_negative_seeds(make):
+    with pytest.raises(ChartError, match="non-negative"):
+        make(-1)

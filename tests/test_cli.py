@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from skewtorsion import charts, cli
 from skewtorsion.cli import main
+from skewtorsion.connections import identity_suite
 
 
 def run_cli(*args):
@@ -53,6 +54,41 @@ def test_usage_errors_exit_two():
     assert code == 2 and "grid" in err
     code, _, err = run_cli("verify", "--chart", "round", "--tol", "-1")
     assert code == 2 and "tol" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--chart", "round", "--tol", "nan"), "--tol"),
+    (("verify", "--chart", "flat", "--L", "0"), "L must be finite and positive"),
+    (("verify", "--chart", "flat", "--L", "-2"), "L must be finite and positive"),
+    (("verify", "--chart", "product", "--b0", "nan"), "finite and positive"),
+    (("probe", "--chart", "product", "--L", "inf"), "finite and positive"),
+    (("verify", "--chart", "random", "--seed", "-1"), "seed must be non-negative"),
+    (("scan", "--k-step", "0"), "--k-step"),
+    (("scan", "--k-step", "nan"), "--k-step"),
+    (("scan", "--k-step", "-0.25"), "--k-step"),
+    (("scan", "--k-step", "inf"), "--k-step"),
+    (("scan", "--k-min", "nan"), "--k-min and --k-max"),
+    (("scan", "--k-max", "inf"), "--k-min and --k-max"),
+    (("scan", "--k-min=-inf"), "--k-min and --k-max"),
+])
+def test_bad_parameters_exit_two_without_output(argv, message):
+    code, out, err = run_cli(*argv, "--grid", "16")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_verify_fails_on_a_nan_residual(monkeypatch):
+    def suite(ev):
+        res = identity_suite(ev)
+        res["bianchi"] = math.nan
+        return res
+
+    monkeypatch.setattr(cli, "identity_suite", suite)
+    code, out, _ = run_cli("verify", "--chart", "flat", "--grid", "16")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["failing"] == ["bianchi"] and payload["ok"] is False
+    assert payload["residuals"]["bianchi"] == "nan"
 
 
 def test_report_round_chart():

@@ -270,3 +270,20 @@ def test_tensors_are_single_jets():
                      (random_torsion(4).at(pt).comps, (4, 8))):
         assert isinstance(t, jets.Jet)
         assert t.value.shape == shape
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+def test_sign_tensor_layout_keeps_the_contraction_bits(n):
+    # the sign tensors of d and of the covariant derivative are stored with
+    # the summed axes innermost; np.einsum must give the bits of the C layout
+    from skewtorsion.connections import _D_SIGNS, _DERIVATION_SIGNS
+    rng = np.random.default_rng(n)
+    for k in range(4):
+        x = rng.standard_normal((4, 4, 4, n)) * 10.0 ** rng.uniform(-8, 8, (4, 4, 4, n))
+        signs = _D_SIGNS[k][1]
+        assert (np.einsum("qabmp,abm...->qp...", signs, x).tobytes()
+                == np.einsum("qabmp,abm...->qp...", np.ascontiguousarray(signs), x).tobytes())
+        if k in _DERIVATION_SIGNS:
+            signs = _DERIVATION_SIGNS[k]
+            assert (np.einsum("ixm...,JxmP->iJP...", x, signs).tobytes()
+                    == np.einsum("ixm...,JxmP->iJP...", x, np.ascontiguousarray(signs)).tobytes())

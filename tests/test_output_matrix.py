@@ -24,9 +24,9 @@ def tool(monkeypatch):
     return mod
 
 
-def test_matrix_has_58_unique_commands(tool):
+def test_matrix_has_72_unique_commands(tool):
     names = [name for name, _ in tool.matrix()]
-    assert len(names) == len(set(names)) == 58
+    assert len(names) == len(set(names)) == 72
     assert all(argv[0] in ("verify", "probe", "report", "scan") for _, argv in tool.matrix())
 
 

@@ -80,6 +80,14 @@ def stage_counts(monkeypatch):
     (["report", "--chart", "random", "--seed", "3"],
      {"curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 5,
       "quadrature": 2, "omega2": 0, "sincos": 10}),
+    # a fine grid runs the suites on 8 tiles of 512 points, each a context
+    # of its own, cut from one evaluation of the chart and the torsion
+    (["verify", "--chart", "random", "--seed", "3", "--grid", "4096"],
+     {"curvature": 24, "operator": 16, "levi_civita": 8, "chart.at": 1,
+      "quadrature": 0, "omega2": 0, "sincos": 2}),
+    (["probe", "--chart", "bonneau", "--k", "0", "--grid", "4096"],
+     {"curvature": 0, "operator": 0, "levi_civita": 8, "chart.at": 1,
+      "quadrature": 0, "omega2": 2, "sincos": 0}),
 ])
 def test_stage_counts_per_command(stage_counts, argv, expected):
     with contextlib.redirect_stdout(io.StringIO()):

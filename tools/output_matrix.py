@@ -4,10 +4,11 @@ Usage, from the root of a checkout::
 
     python tools/output_matrix.py OUTDIR [--drop KEY ...]
 
-The matrix is 58 commands: ``verify`` and ``probe`` at grids 64, 256 and
-4096 and ``report`` at the default grid and at 64, on bonneau k in
-{0.3, -1, 0}, random seed 3, round, product (b0 1.3, L 2) and flat (L 2),
-plus ``scan --format csv`` and ``scan --format json --grid 32``.  Each
+The matrix is 72 commands: ``verify`` and ``probe`` at grids 64, 256,
+1100 (tiles of 512, 512 and 76 points) and 4096 and ``report`` at the
+default grid and at 64, on bonneau k in {0.3, -1, 0}, random seed 3,
+round, product (b0 1.3, L 2) and flat (L 2), plus ``scan --format csv``
+and ``scan --format json --grid 32``.  Each
 command writes ``NAME.out`` (stdout), ``NAME.err`` (stderr) and
 ``NAME.code`` (exit code) into OUTDIR, so that one ``diff -r`` compares two
 commits.  The package is imported from this checkout's ``src``.
@@ -48,7 +49,7 @@ def matrix():
     out = []
     for chart, opts in CHARTS.items():
         for command in ("verify", "probe"):
-            for grid in (64, 256, 4096):
+            for grid in (64, 256, 1100, 4096):
                 out.append((f"{command}_{chart}_grid{grid}",
                             [command, *opts, "--grid", str(grid)]))
         out.append((f"report_{chart}", ["report", *opts]))
