@@ -359,6 +359,7 @@ def bonneau_chart(k: float, scan_nodes: int = 1024):
 
     Runs a positivity scan of the conformal factor over the compactified
     domain and raises :class:`ChartError` naming the first violating x.
+    The scan reads only the values of W, so it evaluates W on order-0 jets.
     """
     fam = BonneauFamily(k)
     chart = InvariantChart(
@@ -371,7 +372,7 @@ def bonneau_chart(k: float, scan_nodes: int = 1024):
     )
     u = (np.arange(scan_nodes) + 0.5) / scan_nodes
     x, _ = chart.map_from_unit(u)
-    w = np.asarray(jets.value_of(fam.omega2(Jet.variable(x, DEFAULT_ORDER))))
+    w = np.asarray(jets.value_of(fam.omega2(Jet.variable(x, 0))))
     good = np.isfinite(w) & (w > 0.0)
     if not np.all(good):
         bad = x[~good]

@@ -32,7 +32,9 @@ A float array is emitted in one pass: one ``%`` applies a template of
 ``%.17g`` fields, shaped like the array, to its flattened ``tolist()``, and
 the non-finite fields are then quoted, so the bytes are those of the
 element-by-element format of scalars.
-The environment variable SKEW_THREADS caps scan parallelism.
+The environment variable SKEW_THREADS caps scan parallelism.  ``main``
+raises glibc's malloc trim and mmap thresholds once per process, so that
+the memory one tile frees serves the next (:func:`_keep_freed_memory`).
 """
 
 from __future__ import annotations
@@ -285,18 +287,20 @@ def cmd_probe(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads negative values in exponent form (``--k -7.8e-05``) as values.
+    """Reads negative values in exponent form (``--k -7.8e-05``) and the
+    negative non-finite floats (``-inf``, ``-infinity``, ``-nan`` in any
+    case) as values, so that the parameter checks reject them by name.
 
     argparse before Python 3.13 takes only ``-1`` and ``-.5`` shapes for
-    negative numbers and reads ``-7.8e-05`` as an unknown flag.  No option
-    of this parser looks like a number, so widening the pattern is safe;
-    subparsers inherit the class.
+    negative numbers and reads ``-7.8e-05`` or ``-inf`` as an unknown flag.
+    No option of this parser looks like a number, so widening the pattern
+    is safe; subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
 
 @functools.cache
@@ -333,7 +337,31 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+# mallopt(3) parameters of glibc
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Let malloc keep the memory a fine grid's tiles free for the next tile.
+
+    Each tile of ``evaluation.TILE`` points frees about 11 MB, which glibc
+    by default trims back to the system or unmaps, so the next tile
+    faults the same pages in again.  Both thresholds are set, because
+    setting one turns off glibc's dynamic thresholds.  Where libc has no
+    ``mallopt`` nothing changes.  Runs once per process.
+    """
+    import ctypes
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _parser().parse_args(argv)
     if args.grid < 16:
         sys.stderr.write("error: --grid must be at least 16\n")

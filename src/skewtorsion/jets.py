@@ -20,6 +20,12 @@ differentiates those once more, so chart profiles are evaluated at order
 ``DEFAULT_ORDER = 2``.  Asking a jet for a derivative it does not carry
 raises ``ValueError``, and so does arithmetic between jets of different
 orders: a caller that means to drop orders says so with :func:`truncate`.
+
+An order-0 jet holds values only.  Every operation accepts it and computes
+the same value coefficient as at any higher order, so a caller that reads
+no derivative evaluates a jet-transparent formula at order 0 and skips the
+recurrences (the values of the Bonneau conformal factor in the chart's
+positivity scan and in the holomorphic radius).
 """
 
 from __future__ import annotations
@@ -50,7 +56,12 @@ class Jet:
 
     @staticmethod
     def variable(x, order: int = DEFAULT_ORDER) -> "Jet":
-        """Seed jet for the independent variable at x."""
+        """Seed jet for the independent variable at x; at order 0 the value
+        x alone.  A negative order raises ``ValueError``."""
+        if order < 0:
+            raise ValueError(f"jet order must be non-negative, got {order}")
+        if order == 0:
+            return Jet((x,))
         return Jet((x, _ones_like(x)) + (0.0,) * (order - 1))
 
     @staticmethod
@@ -303,6 +314,8 @@ def sincos(x):
 def arctan(x):
     if not isinstance(x, Jet):
         return np.arctan(x)
+    if x.order == 0:
+        return Jet((np.arctan(x.value),))
     v = 1.0 + x * x
     w = x.derivative() / Jet(v.coeffs[:-1])
     return _integrate(w.coeffs, np.arctan(x.value), x.order)
@@ -316,6 +329,8 @@ def arctan_minus_id(x):
     """
     if not isinstance(x, Jet):
         return _atanm_value(x)
+    if x.order == 0:
+        return Jet((_atanm_value(x.value),))
     v = 1.0 + x * x
     num = -(x * x)
     w = (Jet(num.coeffs[:-1]) / Jet(v.coeffs[:-1])) * x.derivative()

@@ -18,8 +18,10 @@ The integral is taken in u = log(k - x), where the integrand
 -(k - x)^2 / (W (1 + x^2)) is smooth and tends to constants at both ends,
 by a composite Gauss-Legendre rule of PANEL_ORDER nodes on panels at most
 PANEL_WIDTH wide in u, graded toward the poles at x = +-i when large k
-brings them near the real u axis.  All segments of one call share one
-vectorized evaluation of a/c.
+brings them near the real u axis.  Only the values of a/c are read, so W
+is evaluated on order-0 jets, and once per call: :func:`asymptotic_check`
+evaluates it on the panel nodes of its three integrals together, each of
+which keeps its own panels and reduction.
 """
 
 from __future__ import annotations
@@ -95,22 +97,30 @@ def nijenhuis_norm(pt: FramePoint, J: InvariantACS) -> float:
     return float(np.max(np.abs(N)))
 
 
-def quad(f, lo, hi) -> np.ndarray:
-    """Integrals of f over [lo[i], hi[i]] by a composite Gauss-Legendre rule.
+def quad(f, bounds) -> list:
+    """Integrals of f over the intervals [lo[i], hi[i]] of each (lo, hi) pair
+    in ``bounds``, by a composite Gauss-Legendre rule.
 
     Each interval is cut into the fewest equal panels no wider than
     PANEL_WIDTH, with PANEL_ORDER nodes each; f is called once, on the
-    nodes of every panel of every interval.
+    nodes of every panel of every interval of every pair.  Each pair is
+    reduced by its own ``vals @ w``, since a product over the stacked
+    panels of all pairs need not round like the per-pair products.
+    Returns one array of integrals per pair.
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    panels = np.maximum(np.ceil(np.abs(hi - lo) / PANEL_WIDTH), 1.0).astype(int)
-    seg = np.repeat(np.arange(len(lo)), panels)
-    h = ((hi - lo) / panels)[seg]
-    j = np.arange(len(seg)) - np.repeat(np.cumsum(panels) - panels, panels)
     t, w = gauss_legendre(PANEL_ORDER)
-    nodes = (lo[seg] + j * h)[:, None] + h[:, None] * t
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    return np.bincount(seg, weights=h * (vals @ w), minlength=len(lo))
+    rules = []
+    for lo, hi in bounds:
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        panels = np.maximum(np.ceil(np.abs(hi - lo) / PANEL_WIDTH), 1.0).astype(int)
+        seg = np.repeat(np.arange(len(lo)), panels)
+        h = ((hi - lo) / panels)[seg]
+        j = np.arange(len(seg)) - np.repeat(np.cumsum(panels) - panels, panels)
+        rules.append((len(lo), seg, h, (lo[seg] + j * h)[:, None] + h[:, None] * t))
+    vals = f(np.concatenate([nodes.ravel() for *_, nodes in rules]))
+    ends = np.cumsum([nodes.size for *_, nodes in rules])
+    return [np.bincount(seg, weights=h * (v.reshape(nodes.shape) @ w), minlength=m)
+            for (m, seg, h, nodes), v in zip(rules, np.split(vals, ends[:-1]))]
 
 
 def _pole_breaks(k: float) -> np.ndarray:
@@ -136,12 +146,13 @@ def r_coordinate(k: float, x, x0: float) -> np.ndarray:
     R underflows to 0 where log R < -745 (x = -1e7 at k = 1000); the
     integral itself is :func:`_log_r`.
     """
-    out = np.exp(_log_r(k, np.atleast_1d(np.asarray(x, dtype=float)), x0))
+    out = np.exp(_log_r(k, [np.atleast_1d(np.asarray(x, dtype=float))], x0)[0])
     return out if np.ndim(x) else float(out[0])
 
 
-def _log_r(k: float, xs: np.ndarray, x0: float) -> np.ndarray:
-    """log R(x) = Int_{x0}^{x} a/c dt at the points of the 1-d array ``xs``.
+def _log_r(k: float, queries, x0: float) -> list:
+    """log R(x) = Int_{x0}^{x} a/c dt at the points of each 1-d array in
+    ``queries``, one array of values per query array.
 
     The integral is taken in u = log(k - t), where the integrand
     g(u) = -(a/c)(t) (k - t) = -(k - t)^2 / (W (1 + t^2)) is smooth and
@@ -149,30 +160,37 @@ def _log_r(k: float, xs: np.ndarray, x0: float) -> np.ndarray:
     to 1), so panels of fixed width in u resolve every decade of k - t
     alike: :func:`quad` with PANEL_WIDTH and PANEL_ORDER, graded toward
     the poles at t = +-i when they come close (:func:`_pole_breaks`).
-    The query points and x0 split u into consecutive segments, all of
-    which share one vectorized evaluation of a/c; a cumulative sum joins
-    them.
+    The points of one query array and x0 split u into consecutive
+    segments, and a cumulative sum joins them.  Every query array keeps
+    its own segments and panels, so its values do not depend on the other
+    arrays; a/c is evaluated once, on the panel nodes of all of them.
     """
     fam = BonneauFamily(k)
-    if not (np.all(np.isfinite(xs)) and math.isfinite(x0)):
+    if not (all(np.all(np.isfinite(xs)) for xs in queries) and math.isfinite(x0)):
         raise ChartError("x and x0 must be finite")
-    if np.any(xs >= k) or x0 >= k:
+    if any(np.any(xs >= k) for xs in queries) or x0 >= k:
         raise ChartError("x must lie below k")
 
     def g(u):
         # k - t from the rounded t, not exp(u): near k the two differ by
         # eps k / (k - t) relative, while g as a function of t is exact;
-        # order 1 is the lowest jets.arctan accepts
+        # only values are read, so W is evaluated at order 0
         t = k - np.exp(u)
-        return -(k - t) * jets.value_of(fam.a_over_c(jets.Jet.constant(t, 1)))
+        return -(k - t) * jets.value_of(fam.a_over_c(jets.Jet.constant(t, 0)))
 
-    uq, u0 = np.log(k - xs), math.log(k - x0)
-    ends = np.concatenate([uq, [u0]])
+    u0 = math.log(k - x0)
     breaks = _pole_breaks(k)
-    breaks = breaks[(breaks > ends.min()) & (breaks < ends.max())]
-    u = np.unique(np.concatenate([ends, breaks]))
-    cum = np.concatenate([[0.0], np.cumsum(quad(g, u[:-1], u[1:]))])
-    return cum[np.searchsorted(u, uq)] - cum[np.searchsorted(u, u0)]
+    grids = []
+    for xs in queries:
+        uq = np.log(k - xs)
+        ends = np.concatenate([uq, [u0]])
+        inner = breaks[(breaks > ends.min()) & (breaks < ends.max())]
+        grids.append((uq, np.unique(np.concatenate([ends, inner]))))
+    out = []
+    for (uq, u), seg in zip(grids, quad(g, [(u[:-1], u[1:]) for _, u in grids])):
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        out.append(cum[np.searchsorted(u, uq)] - cum[np.searchsorted(u, u0)])
+    return out
 
 
 def r_curve(k: float, nodes: int = 200, x0: float | None = None):
@@ -209,16 +227,17 @@ def asymptotic_check(k: float, decade_points: int = 12) -> dict:
     Near x = k the fit is against -log(k - x) over k - x in
     [1e-7, 1e-6]; near -infinity against -log|x| over |x| in [1e6, 1e7].
     Both slopes tend to 1.  The fits take log R directly, which stays
-    finite where R itself underflows.
+    finite where R itself underflows.  The two fits and the monotonicity
+    of R on 40 points below k share one evaluation of W.
     """
     x0 = k - 1.0
     t = np.geomspace(1e-7, 1e-6, decade_points)
-    slope_k = _fit_slope(_log_r(k, k - t, x0), -np.log(t))
-
     s = np.geomspace(1e6, 1e7, decade_points)
-    slope_inf = _fit_slope(_log_r(k, -s, x0), -np.log(s))
-
-    mono = np.all(np.diff(r_coordinate(k, np.linspace(x0 - 5.0, k - 1e-3, 40), x0)) > 0)
+    log_k, log_inf, log_mono = _log_r(
+        k, [k - t, -s, np.linspace(x0 - 5.0, k - 1e-3, 40)], x0)
+    slope_k = _fit_slope(log_k, -np.log(t))
+    slope_inf = _fit_slope(log_inf, -np.log(s))
+    mono = np.all(np.diff(np.exp(log_mono)) > 0)
     return {
         "slope_at_k": slope_k,
         "slope_at_minus_infinity": slope_inf,

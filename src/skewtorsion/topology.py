@@ -16,10 +16,11 @@ computed independently from the induced so(3) curvature.
 
 :func:`hitchin_thorpe_report` is the one route to chi, tau and p1: it
 integrates the three densities in one pass on the quadrature grids of n
-and 2n nodes, reading them from the tiles of one evaluation context per
-grid (:meth:`skewtorsion.evaluation.Evaluation.tiles`), each dropped
-before the next is built; the tiles' densities are joined before the
-exactly rounded sums.
+and 2n nodes, reading them from the tiles of one evaluation context on
+the nodes of both grids together
+(:meth:`skewtorsion.evaluation.Evaluation.tiles`), each tile dropped
+before the next is built; the tiles' densities are joined, then cut into
+the two grids before the exactly rounded sums.
 """
 
 from __future__ import annotations
@@ -53,19 +54,21 @@ def integrate_invariant(chart: InvariantChart, f, nodes: int = DEFAULT_NODES):
     (m, n) for m integrands at once; open Gauss-Legendre nodes in the
     compactified coordinate avoid the orbit-degeneration endpoints.
     Returns (value, error_estimate), as floats or as lists of m floats;
-    the estimate compares against the doubled node count.
+    the estimate compares against the doubled node count.  The chart is
+    evaluated, and ``f`` called, once on the nodes of both rules together;
+    the values are then cut into the two grids, each summed exactly.
     """
-    def run(n):
-        x, w = chart.quadrature(n)
-        pt = chart.at(x)
-        vals = np.asarray(f(pt), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand not finite at an interior node")
-        terms = vals * chart.volume_weight(pt) * w
-        return np.array([math.fsum(t) for t in terms.reshape(-1, n)]).reshape(vals.shape[:-1])
+    (x, w), (x2, w2) = chart.quadrature(nodes), chart.quadrature(2 * nodes)
+    pt = chart.at(np.concatenate([x, x2]))
+    vals = np.asarray(f(pt), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("integrand not finite at an interior node")
+    terms = vals * chart.volume_weight(pt) * np.concatenate([w, w2])
 
-    v = run(nodes)
-    v2 = run(2 * nodes)
+    def total(t):
+        return np.array([math.fsum(r) for r in t.reshape(-1, t.shape[-1])]).reshape(vals.shape[:-1])
+
+    v, v2 = total(terms[..., :nodes]), total(terms[..., nodes:])
     return v2.tolist(), np.abs(v2 - v).tolist()
 
 

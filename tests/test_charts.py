@@ -95,6 +95,44 @@ def test_bonneau_positivity_holds_over_a_wide_parameter_range():
         assert np.min(fam.omega2(Jet.variable(x, 2)).value) > 0.0
 
 
+@pytest.mark.parametrize("k", [-1000.0, -10.0, -1.5, 0.0, 0.3, 1.0, 10.0, 1e5])
+def test_bonneau_order_zero_values_equal_the_order_two_values(k):
+    """W and a/c on order-0 jets, as the positivity scan and the holomorphic
+    radius read them, are the value coefficients of the chart's order-2
+    jets bit for bit, across every branch of W."""
+    fam = BonneauFamily(k)
+    x = k - np.geomspace(1e-8, 1e8, 161)
+    lo, hi = Jet.variable(x, 0), Jet.variable(x, jets.DEFAULT_ORDER)
+    w0, w2 = fam.omega2(lo), fam.omega2(hi)
+    assert w0.order == 0 and w2.order == jets.DEFAULT_ORDER
+    assert np.array_equal(w0.value, w2.value)
+    assert np.array_equal(fam.a_over_c(lo).value, fam.a_over_c(hi).value)
+    assert np.array_equal(fam.a_over_c(Jet.constant(x, 0)).value, fam.a_over_c(hi).value)
+
+
+def test_omega2_orders_per_caller(monkeypatch):
+    """W is evaluated on order-0 jets where only its values are read: the
+    chart's positivity scan and the holomorphic radius; the profiles of
+    ``chart.at`` take it at ``DEFAULT_ORDER``."""
+    from skewtorsion import moduli
+    orders = []
+    omega2 = BonneauFamily.omega2
+
+    def recorded(self, x):
+        orders.append(x.order)
+        return omega2(self, x)
+
+    monkeypatch.setattr(BonneauFamily, "omega2", recorded)
+    chart, _ = bonneau_chart(0.3)
+    assert orders == [0]
+    chart.at(chart.sample_grid(16))
+    assert orders == [0, jets.DEFAULT_ORDER]
+    orders.clear()
+    moduli.r_coordinate(0.3, np.array([-2.0, 0.0]), -1.0)
+    moduli.asymptotic_check(0.3)
+    assert orders == [0, 0]
+
+
 def test_bonneau_domain_check():
     chart, _ = bonneau_chart(0.0)
     with pytest.raises(ChartError):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 
@@ -70,6 +72,11 @@ def test_usage_errors_exit_two():
     (("scan", "--k-min", "nan"), "--k-min and --k-max"),
     (("scan", "--k-max", "inf"), "--k-min and --k-max"),
     (("scan", "--k-min=-inf"), "--k-min and --k-max"),
+    # negative non-finite values are values, not flags, in any case
+    (("verify", "--chart", "bonneau", "--k", "-inf"), "parameter k must be finite"),
+    (("verify", "--chart", "bonneau", "--k", "-NaN"), "parameter k must be finite"),
+    (("scan", "--k-min", "-inf"), "--k-min and --k-max"),
+    (("scan", "--k-max", "-Infinity"), "--k-min and --k-max"),
 ])
 def test_bad_parameters_exit_two_without_output(argv, message):
     code, out, err = run_cli(*argv, "--grid", "16")
@@ -253,7 +260,8 @@ def test_probe_emits_one_outermost_dump(monkeypatch):
 def test_report_records_its_grids(monkeypatch):
     """The grids key of every JSON payload lists every grid the command
     evaluates the chart on, including the report's capped check grid, and
-    the jet_order key the order of the profile jets."""
+    the jet_order key the order of the profile jets.  The two quadrature
+    grids are evaluated as one batch of n + 2n points."""
     batches = []
     at = charts.InvariantChart.at
 
@@ -278,6 +286,36 @@ def test_report_records_its_grids(monkeypatch):
         payload = json.loads(out)
         grids = payload["grids"]
         assert grids == expected
-        flat = [n for v in grids.values() for n in (v if isinstance(v, list) else [v])]
+        flat = [sum(v) if isinstance(v, list) else v for v in grids.values()]
         assert sorted(n for n, _ in batches) == sorted(flat)
         assert {order for _, order in batches} == {payload["jet_order"]} == {2}
+
+
+FAULTS = """
+import contextlib, io, resource, sys
+from skewtorsion import cli
+if sys.argv[1] == "default":
+    cli._keep_freed_memory = lambda: None
+argv = ["verify", "--chart", "random", "--seed", "3", "--grid", "1100"]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(argv)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cli.main(argv)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_tiles_reuse_freed_memory_in_one_process():
+    """With the malloc thresholds ``main`` sets, a second tiled verify in one
+    process reuses the memory the first freed instead of faulting it in
+    again: under a tenth of the minor faults of glibc's default thresholds."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(charts.__file__)))
+
+    def faults(mode):
+        out = subprocess.run([sys.executable, "-c", FAULTS, mode], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return int(out)
+
+    default, kept = faults("default"), faults("kept")
+    assert kept < default / 10, (kept, default)

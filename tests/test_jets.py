@@ -122,6 +122,31 @@ def test_derivatives_beyond_the_order_raise():
         Jet.constant(1.0, 0).d1
 
 
+def test_variable_of_order_zero_holds_the_value_only():
+    x = np.array([0.3, -2.0])
+    j = Jet.variable(x, 0)
+    assert j.order == 0 and len(j.coeffs) == 1 and j.value is x
+    assert Jet.variable(0.5, 1).coeffs == (0.5, 1.0)
+    with pytest.raises(ValueError):
+        j.d1
+    with pytest.raises(ValueError):
+        Jet.variable(0.5, -1)
+
+
+def test_order_zero_arctans_are_the_value_functions():
+    """At order 0 arctan and arctan - id are np.arctan and the series-guarded
+    value, bit for bit, on both sides of the series cutoff 0.25."""
+    u = np.concatenate([-np.geomspace(1e-12, 1e8, 60), [0.0, 0.25, -0.25],
+                        np.geomspace(1e-12, 1e8, 60)])
+    at, am = jets.arctan(Jet.variable(u, 0)), jets.arctan_minus_id(Jet.variable(u, 0))
+    assert at.order == am.order == 0
+    assert np.array_equal(at.value, np.arctan(u))
+    assert np.array_equal(am.value, jets._atanm_value(u))
+    # and they are the value coefficients of the higher orders
+    assert np.array_equal(jets.arctan(Jet.variable(u, 2)).value, at.value)
+    assert np.array_equal(jets.arctan_minus_id(Jet.variable(u, 2)).value, am.value)
+
+
 def _entry(jet, idx):
     """Scalar jet (coefficients over the grid axis) of one tensor entry."""
     return Jet(tuple(c[idx] for c in jet.coeffs))

@@ -28,6 +28,21 @@ def test_matrix_has_72_unique_commands(tool):
     names = [name for name, _ in tool.matrix()]
     assert len(names) == len(set(names)) == 72
     assert all(argv[0] in ("verify", "probe", "report", "scan") for _, argv in tool.matrix())
+    # and ten moduli entries, asymptotic_check and r_curve at five k
+    names += [name for name, _ in tool.moduli_matrix()]
+    assert len(names) == len(set(names)) == 82
+
+
+def test_moduli_entries_write_full_precision_fields(tool):
+    lines = tool.asymptotic_text(0.3).splitlines()
+    res = tool.moduli.asymptotic_check(0.3)
+    assert lines == [f"slope_at_k {res['slope_at_k']:.17g}",
+                     f"slope_at_minus_infinity {res['slope_at_minus_infinity']:.17g}",
+                     f"monotone {res['monotone']}"]
+    rows = tool.r_curve_text(-1.0).splitlines()
+    x, r = tool.moduli.r_curve(-1.0)
+    assert rows[0] == "x,R" and len(rows) == len(x) + 1
+    assert [tuple(map(float, row.split(","))) for row in rows[1:]] == list(zip(x, r))
 
 
 HEAD = '{\n  "schema": 1,\n'
@@ -59,12 +74,14 @@ def test_a_run_writes_out_err_and_code_per_command(tool, tmp_path, monkeypatch):
     commands = [("verify_flat", ["verify", "--chart", "flat", "--grid", "16"]),
                 ("bad_grid", ["verify", "--chart", "round", "--grid", "8"])]
     monkeypatch.setattr(tool, "matrix", lambda: commands)
+    monkeypatch.setattr(tool, "moduli_matrix", lambda: [("moduli", lambda: "x,R\n")])
     assert tool.main([str(tmp_path / "out")]) == 0
     files = sorted(p.name for p in (tmp_path / "out").iterdir())
-    assert files == sorted(f"{name}.{suffix}" for name, _ in commands
-                           for suffix in ("out", "err", "code"))
+    assert files == sorted([f"{name}.{suffix}" for name, _ in commands
+                            for suffix in ("out", "err", "code")] + ["moduli.out"])
     read = {p.name: p.read_text() for p in (tmp_path / "out").iterdir()}
     assert read["verify_flat.code"] == "0\n" and read["bad_grid.code"] == "2\n"
     assert read["verify_flat.err"] == "" and read["bad_grid.out"] == ""
     assert "grid" in read["bad_grid.err"]
     assert read["verify_flat.out"] == tool.run(commands[0][1])[0]
+    assert read["moduli.out"] == "x,R\n"

@@ -13,6 +13,7 @@ import pytest
 
 from skewtorsion import charts, cli, connections, frame, jets
 from skewtorsion.evaluation import Evaluation
+from skewtorsion.moduli import asymptotic_check
 from skewtorsion.weyl import einstein_weyl_residual
 
 STAGES = {
@@ -54,10 +55,12 @@ def stage_counts(monkeypatch):
     # report grid (128: Levi-Civita, +-H and Weyl), but not on the p1
     # sample grid, whose induced connection needs none; operators for the
     # quadrature grids and the report grid's decomposition and Yang-Mills
-    # check; W once per grid and once for the chart's positivity scan
+    # check; the chart once on the nodes of both quadrature grids
+    # together, once per other grid, and W once per chart evaluation and
+    # once for the chart's positivity scan
     (["report", "--chart", "bonneau", "--k", "0"],
-     {"curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 5,
-      "quadrature": 2, "omega2": 6, "sincos": 0}),
+     {"curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 4,
+      "quadrature": 2, "omega2": 5, "sincos": 0}),
     # identity suite (+-H, Levi-Civita) and decomposition (operators of +H
     # and Levi-Civita) share one context; one sin/cos pass for the chart's
     # profiles and one for the torsion
@@ -68,18 +71,21 @@ def stage_counts(monkeypatch):
     (["probe", "--chart", "bonneau", "--k", "0", "--grid", "64"],
      {"curvature": 0, "operator": 0, "levi_civita": 1, "chart.at": 1,
       "quadrature": 0, "omega2": 2, "sincos": 0}),
-    # quadrature grids n and 2n (+H), the p1 sample grid (no curvature) and
-    # one 64-point context shared by the Einstein residual, the
-    # decomposition (+H, Levi-Civita) and the probe (no curvature)
+    # quadrature grids n and 2n (+H, one chart evaluation), the p1 sample
+    # grid (no curvature) and one 64-point context shared by the Einstein
+    # residual, the decomposition (+H, Levi-Civita) and the probe (no
+    # curvature)
     (["scan", "--k-min", "0", "--k-max", "0", "--k-step", "1"],
-     {"curvature": 4, "operator": 4, "levi_civita": 4, "chart.at": 4,
-      "quadrature": 2, "omega2": 5, "sincos": 0}),
+     {"curvature": 4, "operator": 4, "levi_civita": 4, "chart.at": 3,
+      "quadrature": 2, "omega2": 4, "sincos": 0}),
     (["verify", "--chart", "bonneau", "--k", "0", "--grid", "64"],
      {"curvature": 3, "operator": 2, "levi_civita": 1, "chart.at": 1,
       "quadrature": 0, "omega2": 2, "sincos": 0}),
+    # one sin/cos pass for the profiles and one for the torsion per chart
+    # evaluation, the quadrature grids n and 2n sharing one
     (["report", "--chart", "random", "--seed", "3"],
-     {"curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 5,
-      "quadrature": 2, "omega2": 0, "sincos": 10}),
+     {"curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 4,
+      "quadrature": 2, "omega2": 0, "sincos": 8}),
     # a fine grid runs the suites on 8 tiles of 512 points, each a context
     # of its own, cut from one evaluation of the chart and the torsion
     (["verify", "--chart", "random", "--seed", "3", "--grid", "4096"],
@@ -93,6 +99,13 @@ def test_stage_counts_per_command(stage_counts, argv, expected):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert stage_counts == expected
+
+
+def test_asymptotic_check_evaluates_w_once(stage_counts):
+    # the two slope fits and the monotonicity check share one evaluation of
+    # W on the panel nodes of all three integrals; no chart is evaluated
+    asymptotic_check(0.3)
+    assert stage_counts == {**dict.fromkeys(STAGES, 0), "omega2": 1}
 
 
 def test_einstein_weyl_residual_reads_the_context(stage_counts):

@@ -10,8 +10,11 @@ default grid and at 64, on bonneau k in {0.3, -1, 0}, random seed 3,
 round, product (b0 1.3, L 2) and flat (L 2), plus ``scan --format csv``
 and ``scan --format json --grid 32``.  Each
 command writes ``NAME.out`` (stdout), ``NAME.err`` (stderr) and
-``NAME.code`` (exit code) into OUTDIR, so that one ``diff -r`` compares two
-commits.  The package is imported from this checkout's ``src``.
+``NAME.code`` (exit code) into OUTDIR.  Ten moduli entries follow, which
+no command reaches: ``asymptotic_check(k)`` and ``r_curve(k)`` for k in
+{-10, -1, 0, 0.3, 10}, each written to ``NAME.out`` with ``%.17g`` fields.
+So one ``diff -r`` compares two commits.  The package is imported from
+this checkout's ``src``.
 
 ``--drop KEY`` removes the top-level key KEY from every JSON payload before
 it is written, so that outputs of a commit that adds a key can be compared
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import os
 import sys
@@ -31,7 +35,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from skewtorsion import cli  # noqa: E402
+from skewtorsion import cli, moduli  # noqa: E402
 
 CHARTS = {
     "bonneau_k0.3": ["--chart", "bonneau", "--k", "0.3"],
@@ -56,6 +60,30 @@ def matrix():
         out.append((f"report_{chart}_grid64", ["report", *opts, "--grid", "64"]))
     out.append(("scan_csv", ["scan", "--format", "csv"]))
     out.append(("scan_json_grid32", ["scan", "--format", "json", "--grid", "32"]))
+    return out
+
+
+MODULI_K = (-10.0, -1.0, 0.0, 0.3, 10.0)
+
+
+def asymptotic_text(k: float) -> str:
+    """``asymptotic_check(k)``, one ``key value`` line per entry."""
+    return "".join(f"{key} {value:.17g}\n" if isinstance(value, float) else f"{key} {value}\n"
+                   for key, value in moduli.asymptotic_check(k).items())
+
+
+def r_curve_text(k: float) -> str:
+    """``r_curve(k)`` as ``x,R`` lines."""
+    x, r = moduli.r_curve(k)
+    return "x,R\n" + "".join(f"{xi:.17g},{ri:.17g}\n" for xi, ri in zip(x, r))
+
+
+def moduli_matrix():
+    """(name, text function) of every moduli entry of the matrix."""
+    out = []
+    for k in MODULI_K:
+        out.append((f"asymptotic_check_k{k:g}", functools.partial(asymptotic_text, k)))
+        out.append((f"r_curve_k{k:g}", functools.partial(r_curve_text, k)))
     return out
 
 
@@ -101,6 +129,9 @@ def main(argv=None) -> int:
         for suffix, text in (("out", stdout), ("err", stderr), ("code", f"{code}\n")):
             with open(os.path.join(args.outdir, f"{name}.{suffix}"), "w") as fh:
                 fh.write(text)
+    for name, text in moduli_matrix():
+        with open(os.path.join(args.outdir, f"{name}.out"), "w") as fh:
+            fh.write(text())
     return 0
 
 
