@@ -4,7 +4,7 @@ splitting, Einstein-with-torsion and Einstein-Weyl residuals, curvature
 integrals for the Euler characteristic and signature, and instanton
 diagnostics on the bundle of self-dual 2-forms."""
 
-from .frame import KForm, hodge_star, ricci_contraction, sd_form_as_operator, sd_split
+from .frame import KForm, hodge_star, ricci_contraction, sd_split
 from .charts import (
     ChartError, InvariantChart, InvariantForm, bonneau_chart, chart_and_torsion,
     flat_torsion, flat_torus_chart, product_chart, random_chart,

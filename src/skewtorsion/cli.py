@@ -11,13 +11,16 @@ Subcommands:
 Each command evaluates the chart once per grid it uses, and every check
 on that grid shares one evaluation context.  Every JSON payload lists
 those grids under ``grids`` and the jet order of the profiles under
-``jet_order``: ``quadrature`` (the Gauss-Legendre node counts n and 2n of
-chi, tau and p1), ``p1_sample`` (the n-point sample grid of the minimum
-p1 integrand), ``sample`` (the 64-point grid of the Einstein residual,
-the Nijenhuis tensor and, in a scan, the decomposition and the probe),
-``check`` (the grid of the verify suites; in a report, of the
-decomposition, Yang-Mills, self-duality, Killing and Weyl checks,
-``--grid`` capped at 128) and ``probe`` (the grid of the probe command).
+``jet_order``: ``quadrature`` (the Gauss-Legendre node counts: 2n for
+chi, tau and p1, and in a report n for their error estimates),
+``p1_sample`` (in a report, the n-point sample grid of the minimum p1
+integrand, evaluated with the n nodes as one batch), ``sample`` (the
+64-point grid of the Einstein residual, the Nijenhuis tensor and, in a
+scan, the decomposition and the probe), ``check`` (the grid of the
+verify suites; in a report, of the decomposition, Yang-Mills,
+self-duality, Killing and Weyl checks, ``--grid`` capped at 128) and
+``probe`` (the grid of the probe command).  A scan row reads chi, tau
+and p1 alone, so it evaluates neither the n nodes nor the p1 sample grid.
 
 The checks that work point by point run on a grid of more than
 ``evaluation.TILE`` (512) points tile by tile, each tile a context of its
@@ -26,13 +29,18 @@ residuals by max, the probe and the report's quadrature join the tiles'
 per-point arrays before they reduce them.  So the output is that of one
 context on the whole grid, in the memory of one tile.
 
+``scan`` emits k = k_min + i k_step up to ``--k-max``, which a value may
+pass by a few ulps, so that ``--k-max`` written as k_min + m k_step gives
+m + 1 rows; ``--k-min`` above ``--k-max`` exits 2.
+
 Floats are emitted with 17 significant digits and reductions use a fixed
 summation order, so identical configurations produce identical bytes.
 A float array is emitted in one pass: one ``%`` applies a template of
 ``%.17g`` fields, shaped like the array, to its flattened ``tolist()``, and
 the non-finite fields are then quoted, so the bytes are those of the
 element-by-element format of scalars.
-The environment variable SKEW_THREADS caps scan parallelism.  ``main``
+The environment variable SKEW_THREADS caps scan parallelism; a value
+that is not a positive integer exits 2.  ``main``
 raises glibc's malloc trim and mmap thresholds once per process, so that
 the memory one tile frees serves the next (:func:`_keep_freed_memory`).
 """
@@ -239,18 +247,35 @@ def _scan_row(k: float, grid: int):
     }
 
 
+def _scan_values(k_min: float, k_max: float, k_step: float) -> list:
+    """k_min + i k_step for i = 0, 1, ... while the value is at most k_max.
+
+    A value may pass k_max by four ulps of max(|k_min|, |k_max|), so that
+    a range whose k_max is written as k_min + m k_step has m + 1 values
+    however the sums round.
+    """
+    limit = k_max + 4.0 * math.ulp(max(abs(k_min), abs(k_max)))
+    ks = (k_min + i * k_step for i in range(math.floor((k_max - k_min) / k_step) + 2))
+    return [k for k in ks if k <= limit]
+
+
 def cmd_scan(args) -> int:
-    ks = [args.k_min + i * args.k_step for i in
-          range(int(round((args.k_max - args.k_min) / args.k_step)) + 1)]
-    workers = os.environ.get("SKEW_THREADS")
-    workers = max(1, int(workers)) if workers else min(8, os.cpu_count() or 1)
+    value = os.environ.get("SKEW_THREADS")
+    try:
+        workers = int(value) if value else min(8, os.cpu_count() or 1)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        sys.stderr.write(f"error: SKEW_THREADS must be a positive integer, got {value!r}\n")
+        return 2
+    ks = _scan_values(args.k_min, args.k_max, args.k_step)
     with ThreadPoolExecutor(max_workers=workers) as ex:
         rows = list(ex.map(lambda k: _scan_row(k, args.grid), ks))
     rows.sort(key=lambda r: r["k"])
 
     if args.format == "json":
-        grids = {"quadrature": [args.grid, 2 * args.grid], "p1_sample": args.grid,
-                 "sample": SAMPLE_GRID}
+        # a row reads chi, tau and p1 alone, which the rule of 2n nodes gives
+        grids = {"quadrature": [2 * args.grid], "sample": SAMPLE_GRID}
         payload = {"schema": SCHEMA, "command": "scan", "grids": grids,
                    "jet_order": DEFAULT_ORDER, "rows": _to_jsonable(rows)}
         _emit(_dump_json(payload) + "\n", args.out)
@@ -375,6 +400,9 @@ def main(argv=None) -> int:
             return 2
         if not (math.isfinite(args.k_min) and math.isfinite(args.k_max)):
             sys.stderr.write("error: --k-min and --k-max must be finite\n")
+            return 2
+        if args.k_min > args.k_max:
+            sys.stderr.write("error: --k-min must not exceed --k-max\n")
             return 2
     try:
         if args.command == "verify":

@@ -133,6 +133,13 @@ class Evaluation:
         D = cov_deriv(self.pt, self.lc, self.Hf).value
         return np.einsum("iP...,Pjkl->ijkl...", D, FULL_SIGNS[3])
 
+    def __getitem__(self, s: slice) -> "Evaluation":
+        """A fresh context on the points of the slice ``s``, with the points'
+        profile jets and the components of H cut rather than evaluated
+        again."""
+        Hf = self.Hf
+        return Evaluation(self.pt[s], KForm(Hf.degree, _grid_slice(Hf.comps, s)))
+
     def tiles(self):
         """Consecutive contexts on slices of at most ``TILE`` points, each
         built when asked for; a context of at most ``TILE`` points yields
@@ -141,10 +148,8 @@ class Evaluation:
         if n <= TILE:
             yield self
             return
-        Hf = self.Hf
         for start in range(0, n, TILE):
-            s = slice(start, start + TILE)
-            yield Evaluation(self.pt[s], KForm(Hf.degree, _grid_slice(Hf.comps, s)))
+            yield self[start:start + TILE]
 
     def reversed(self) -> "Evaluation":
         """Context for torsion -H on the same points.

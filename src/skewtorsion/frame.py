@@ -30,7 +30,7 @@ from .jets import Jet
 __all__ = [
     "KForm", "MULTI_INDICES", "SD_BASIS", "wedge", "hodge_star", "sd_split",
     "norm_sq", "inner", "components_in_sd_basis", "operator_from_tensor",
-    "tensor_from_operator", "sd_form_as_operator", "ricci_contraction",
+    "ricci_contraction",
 ]
 
 DIM = 4
@@ -248,29 +248,12 @@ def operator_from_tensor(R: np.ndarray) -> np.ndarray:
     return 0.25 * out.reshape((6, 6) + batch)
 
 
-def tensor_from_operator(M: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`operator_from_tensor` on pair-antisymmetric tensors."""
-    M = np.asarray(M)
-    return np.einsum("pab,qcd,pq...->abcd...", SD_WEIGHTS, SD_WEIGHTS, M)
-
-
-# Antisymmetric action of a self-dual 2-form on the + block.  The scale is
-# fixed once by the requirement that the direct curvature operator of any
-# chart reproduces the closed block formulas; see decomposition.py.
+# Levi-Civita symbol on the + basis: a self-dual 2-form with + components
+# phi acts on Lambda^+ as -sqrt2 eps_pqr phi_r, the scale fixed by the
+# closed block formulas (decomposition.py)
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in permutations(range(3)):
     _EPS3[_i, _j, _k] = _perm_sign((_i, _j, _k))
-
-
-def sd_form_as_operator(phi: KForm, tol: float = 1e-10) -> np.ndarray:
-    """3x3 antisymmetric matrix of a self-dual 2-form acting on Lambda^+."""
-    if phi.degree != 2:
-        raise ValueError("need a 2-form")
-    vec = components_in_sd_basis(phi)
-    scale = max(1.0, float(np.max(np.abs(vec))))
-    if np.max(np.abs(vec[3:])) > tol * scale:
-        raise ValueError("form is not self-dual")
-    return -np.sqrt(2.0) * np.einsum("pqr,r...->pq...", _EPS3, vec[:3])
 
 
 # Orthonormal basis of trace-free symmetric matrices indexed by (+,-) basis

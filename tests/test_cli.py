@@ -77,6 +77,7 @@ def test_usage_errors_exit_two():
     (("verify", "--chart", "bonneau", "--k", "-NaN"), "parameter k must be finite"),
     (("scan", "--k-min", "-inf"), "--k-min and --k-max"),
     (("scan", "--k-max", "-Infinity"), "--k-min and --k-max"),
+    (("scan", "--k-min", "0.5", "--k-max", "0.25"), "--k-min must not exceed --k-max"),
 ])
 def test_bad_parameters_exit_two_without_output(argv, message):
     code, out, err = run_cli(*argv, "--grid", "16")
@@ -135,6 +136,19 @@ def test_scan_deterministic_output():
     assert out1 == out2
 
 
+@pytest.mark.parametrize("k", [-1.0, 0.0, 0.3])
+@pytest.mark.parametrize("grid", ["48", "300"])
+def test_scan_row_topology_is_the_report_topology(k, grid):
+    # a row integrates the rule of 2n nodes alone; at grid 300 its 600
+    # nodes span two tiles
+    _, out, _ = run_cli("report", "--chart", "bonneau", "--k", repr(k), "--grid", grid)
+    top = json.loads(out)["topology"]
+    _, out, _ = run_cli("scan", f"--k-min={k!r}", f"--k-max={k!r}", "--grid", grid)
+    row, = json.loads(out)["rows"]
+    assert [row[key].hex() for key in ("chi", "tau", "margin", "p1_lambda_plus")] == \
+        [top[key].hex() for key in ("chi", "tau", "margin", "p1_lambda_plus")]
+
+
 def test_probe_json():
     code, out, _ = run_cli("probe", "--chart", "bonneau", "--k", "0", "--grid", "64")
     assert code == 0
@@ -166,6 +180,57 @@ def test_scan_respects_thread_cap(monkeypatch):
                            "--k-step", "0.25", "--grid", "32", "--format", "csv")
     assert code == 0
     assert len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_thread_cap_exits_two(monkeypatch, value):
+    monkeypatch.setenv("SKEW_THREADS", value)
+    code, out, err = run_cli("scan", "--k-min", "0", "--k-max", "0", "--grid", "16")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "SKEW_THREADS" in err
+
+
+def test_scan_stops_at_k_max():
+    code, out, _ = run_cli("scan", "--k-min", "0", "--k-max", "0.36", "--k-step", "0.1",
+                           "--grid", "16", "--format", "csv")
+    assert code == 0
+    ks = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+    assert ks == [0.0, 0.1, 0.2, 0.30000000000000004]
+
+
+_K = st.floats(-10, 10)
+_STEP = st.floats(1e-3, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_K, _STEP, st.integers(0, 60), st.floats(0.01, 0.99))
+def test_scan_values_reach_k_max_and_stop_there(k_min, step, m, frac):
+    # k_max computed as k_min + m step, as a caller writes a window
+    ks = cli._scan_values(k_min, k_min + m * step, step)
+    assert ks == [k_min + i * step for i in range(m + 1)]
+    # k_max strictly between two values: none passes it
+    k_max = k_min + (m + frac) * step
+    ks = cli._scan_values(k_min, k_max, step)
+    assert len(ks) == m + 1 and ks[-1] <= k_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1000, 1000), st.integers(1, 100), st.integers(0, 60))
+def test_scan_values_of_a_decimal_range(a, b, m):
+    # --k-min a/100 --k-step b/100 --k-max (a + m b)/100, each read from its
+    # decimal: the sums round differently from k_max, by a few ulps
+    ks = cli._scan_values(a / 100, (a + m * b) / 100, b / 100)
+    assert len(ks) == m + 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(_K, _STEP, st.integers(1, 60))
+def test_scan_with_k_min_above_k_max_exits_two(k_min, step, m):
+    k_max = k_min - m * step
+    code, out, err = run_cli("scan", f"--k-min={k_min!r}", f"--k-max={k_max!r}",
+                             f"--k-step={step!r}", "--grid", "16")
+    assert code == 2 and out == ""
+    assert "--k-min must not exceed --k-max" in err
 
 
 @pytest.mark.parametrize("k", ["-7.8e-05", "-1e-3"])
@@ -260,8 +325,10 @@ def test_probe_emits_one_outermost_dump(monkeypatch):
 def test_report_records_its_grids(monkeypatch):
     """The grids key of every JSON payload lists every grid the command
     evaluates the chart on, including the report's capped check grid, and
-    the jet_order key the order of the profile jets.  The two quadrature
-    grids are evaluated as one batch of n + 2n points."""
+    the jet_order key the order of the profile jets.  A report evaluates
+    the rule of 2n nodes as one batch, and the rule of n nodes with the
+    n-point p1 sample grid as another; a scan row evaluates the rule of 2n
+    nodes and the sample grid alone."""
     batches = []
     at = charts.InvariantChart.at
 
@@ -271,14 +338,15 @@ def test_report_records_its_grids(monkeypatch):
         return pt
 
     monkeypatch.setattr(charts.InvariantChart, "at", recorded)
-    for argv, expected in [
+    for argv, expected, evaluated in [
         (("report", "--chart", "round", "--grid", "300"),
-         {"quadrature": [300, 600], "p1_sample": 300, "sample": 64, "check": 128}),
-        (("verify", "--chart", "random", "--seed", "3", "--grid", "48"), {"check": 48}),
-        (("probe", "--chart", "bonneau", "--k", "0", "--grid", "40"), {"probe": 40}),
+         {"quadrature": [300, 600], "p1_sample": 300, "sample": 64, "check": 128},
+         [600, 300 + 300, 64, 128]),
+        (("verify", "--chart", "random", "--seed", "3", "--grid", "48"), {"check": 48}, [48]),
+        (("probe", "--chart", "bonneau", "--k", "0", "--grid", "40"), {"probe": 40}, [40]),
         (("scan", "--k-min", "0", "--k-max", "0", "--k-step", "1", "--format", "json",
           "--grid", "32"),
-         {"quadrature": [32, 64], "p1_sample": 32, "sample": 64}),
+         {"quadrature": [64], "sample": 64}, [64, 64]),
     ]:
         batches.clear()
         code, out, _ = run_cli(*argv)
@@ -286,8 +354,10 @@ def test_report_records_its_grids(monkeypatch):
         payload = json.loads(out)
         grids = payload["grids"]
         assert grids == expected
+        assert sorted(n for n, _ in batches) == sorted(evaluated)
+        # every point evaluated belongs to a listed grid
         flat = [sum(v) if isinstance(v, list) else v for v in grids.values()]
-        assert sorted(n for n, _ in batches) == sorted(flat)
+        assert sum(flat) == sum(evaluated)
         assert {order for _, order in batches} == {payload["jet_order"]} == {2}
 
 

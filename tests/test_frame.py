@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from skewtorsion import frame as F
 from skewtorsion.frame import (
     KForm, hodge_star, inner, norm_sq, operator_from_tensor, ricci_contraction,
-    sd_form_as_operator, sd_split, tensor_from_operator, wedge,
+    sd_split, wedge,
 )
 
 comps6 = st.lists(st.floats(-5, 5, allow_nan=False), min_size=6, max_size=6)
@@ -86,6 +86,12 @@ def test_zero_curvature_gives_zero_operator():
     assert np.allclose(operator_from_tensor(np.zeros((4, 4, 4, 4))), 0.0)
 
 
+def tensor_from_operator(M: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`operator_from_tensor` on pair-antisymmetric tensors."""
+    M = np.asarray(M)
+    return np.einsum("pab,qcd,pq...->abcd...", F.SD_WEIGHTS, F.SD_WEIGHTS, M)
+
+
 def test_operator_tensor_roundtrip_on_random_pair_antisymmetric_input():
     # one point, then a batch of three carried along the trailing axis
     for batch in ((), (3,)):
@@ -131,27 +137,6 @@ def test_operator_is_the_einsum_bitwise(seed, batch, n, antisymmetric):
         R = R - np.swapaxes(R, 2, 3)
     ref = 0.25 * np.einsum("pab,qcd,abcd...->pq...", F.SD_WEIGHTS, F.SD_WEIGHTS, R)
     assert _bits(operator_from_tensor(R)) == _bits(ref)
-
-
-def test_sd_form_as_operator_examples():
-    assert np.allclose(sd_form_as_operator(KForm(2)), 0.0)
-    m = sd_form_as_operator(F.SD_BASIS[2])  # E3+
-    assert m.shape == (3, 3)
-    assert np.allclose(m, -m.T)
-    assert abs(m[0, 1]) == pytest.approx(np.sqrt(2.0))
-    assert m[0, 2] == 0.0 and m[1, 2] == 0.0
-    rng = np.random.default_rng(5)
-    phi = sum((float(c) * np.asarray(F.SD_BASIS[i].comps) for i, c in
-               enumerate(rng.normal(size=3))), np.zeros(6))
-    mm = sd_form_as_operator(KForm(2, list(phi)))
-    assert np.allclose(mm, -mm.T, atol=1e-14)
-
-
-def test_sd_form_as_operator_rejects_non_self_dual():
-    with pytest.raises(ValueError):
-        sd_form_as_operator(KForm.basis(2, (0, 1)))
-    with pytest.raises(ValueError):
-        sd_form_as_operator(F.SD_BASIS[4])
 
 
 def test_ricci_contraction_examples():

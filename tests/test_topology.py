@@ -10,7 +10,9 @@ from skewtorsion.charts import (
     product_chart, random_chart, round_s4_chart,
 )
 from skewtorsion.evaluation import Evaluation
-from skewtorsion.topology import hitchin_thorpe_report, integrate_invariant
+from skewtorsion.topology import (
+    curvature_integrands, hitchin_thorpe_report, integrate_invariant, pontryagin_density,
+)
 
 
 def _const_one(pt):
@@ -140,3 +142,25 @@ def test_random_group_charts_have_vanishing_invariants():
         rep = _report(chart, random_torsion(seed), 96)
         assert rep.chi == pytest.approx(0.0, abs=1e-12)
         assert rep.tau == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("nodes", [32, 300])
+def test_quadrature_is_integrate_invariant_and_the_sample_minimum(nodes):
+    # the report builds its error estimates and p1 sample on first read,
+    # from one batch of the n nodes and the n sample points; they agree to
+    # the bit with the two rules integrated apart and the sample grid alone
+    chart, H = bonneau_chart(0.3)
+    rep = _report(chart, H, nodes)
+    assert "quadrature" not in vars(rep)
+
+    def densities(pt):
+        ev = Evaluation(pt, H)
+        return np.array([*curvature_integrands(ev), pontryagin_density(ev)])
+
+    values, errors = integrate_invariant(chart, densities, nodes)
+    q = rep.quadrature
+    assert values == [rep.chi, rep.tau, rep.p1_lambda_plus]
+    assert errors == [q["chi_error"], q["tau_error"], q["p1_error"]]
+    p1_sample = pontryagin_density(Evaluation.on_grid(chart, H, nodes))
+    assert q["p1_min_integrand"] == float(np.min(p1_sample) * 4.0 * math.pi ** 2)
+    assert q["nodes"] == nodes

@@ -4,11 +4,12 @@ Usage, from the root of a checkout::
 
     python tools/output_matrix.py OUTDIR [--drop KEY ...]
 
-The matrix is 72 commands: ``verify`` and ``probe`` at grids 64, 256,
+The matrix is 73 commands: ``verify`` and ``probe`` at grids 64, 256,
 1100 (tiles of 512, 512 and 76 points) and 4096 and ``report`` at the
 default grid and at 64, on bonneau k in {0.3, -1, 0}, random seed 3,
-round, product (b0 1.3, L 2) and flat (L 2), plus ``scan --format csv``
-and ``scan --format json --grid 32``.  Each
+round, product (b0 1.3, L 2) and flat (L 2), plus ``scan --format csv``,
+``scan --format csv --grid 300`` (each row's 600 quadrature nodes span
+two tiles) and ``scan --format json --grid 32``.  Each
 command writes ``NAME.out`` (stdout), ``NAME.err`` (stderr) and
 ``NAME.code`` (exit code) into OUTDIR.  Ten moduli entries follow, which
 no command reaches: ``asymptotic_check(k)`` and ``r_curve(k)`` for k in
@@ -59,6 +60,7 @@ def matrix():
         out.append((f"report_{chart}", ["report", *opts]))
         out.append((f"report_{chart}_grid64", ["report", *opts, "--grid", "64"]))
     out.append(("scan_csv", ["scan", "--format", "csv"]))
+    out.append(("scan_csv_grid300", ["scan", "--format", "csv", "--grid", "300"]))
     out.append(("scan_json_grid32", ["scan", "--format", "json", "--grid", "32"]))
     return out
 
