@@ -19,7 +19,7 @@ from .evaluation import ConnectionData, Evaluation
 from .decomposition import (
     DecompositionReport, decompose_point, einstein_residual, einstein_tensor_point,
 )
-from .weyl import WeylStructure, einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection
+from .weyl import einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection
 from .topology import TopologyReport, hitchin_thorpe_report, integrate_invariant
 from .instanton import (
     GaugeProbeReport, InducedConnection, gauge_equivalence_probe,

@@ -39,8 +39,8 @@ __all__ = [
     "gauss_legendre",
 ]
 
-ORBIT_VOLUME_SU2 = 16.0 * math.pi ** 2  # integral of s1^s2^s3 over SU(2)
-ORBIT_VOLUME_T3 = (2.0 * math.pi) ** 3
+# integral of s1^s2^s3 over the orbit, by structure mode: SU(2) or T^3
+ORBIT_VOLUME = {"su2": 16.0 * math.pi ** 2, "abelian": (2.0 * math.pi) ** 3}
 
 
 @lru_cache(maxsize=32)
@@ -76,8 +76,7 @@ class InvariantChart:
     name: str
     profiles: Callable[[Jet], tuple[Jet, Jet, Jet]]
     domain: Domain
-    structure_mode: str = "su2"  # or "abelian"
-    orbit_volume: float = ORBIT_VOLUME_SU2
+    structure_mode: str = "su2"  # or "abelian": a key of ORBIT_VOLUME
     params: dict = field(default_factory=dict)
 
     def at(self, x) -> "FramePoint":
@@ -127,7 +126,8 @@ class InvariantChart:
     def volume_weight(self, pt: "FramePoint") -> np.ndarray:
         """Density of the volume form against dx: a b^2 c * orbit volume."""
         w = pt.a * pt.b * pt.b * pt.c
-        return self.orbit_volume * np.broadcast_to(jets.value_of(w), pt.x.shape)
+        vol = ORBIT_VOLUME[self.structure_mode]
+        return vol * np.broadcast_to(jets.value_of(w), pt.x.shape)
 
     def to_dict(self) -> dict:
         return {
@@ -367,7 +367,6 @@ def bonneau_chart(k: float, scan_nodes: int = 1024):
         profiles=fam.profiles,
         domain=Domain(-math.inf, k),
         structure_mode="su2",
-        orbit_volume=ORBIT_VOLUME_SU2,
         params={"k": float(k)},
     )
     u = (np.arange(scan_nodes) + 0.5) / scan_nodes
@@ -439,7 +438,6 @@ def flat_torus_chart(L: float = 1.0) -> InvariantChart:
         profiles=lambda x: (_constant(1.0, x),) * 3,
         domain=Domain(0.0, float(L), periodic=True),
         structure_mode="abelian",
-        orbit_volume=ORBIT_VOLUME_T3,
         params={"L": float(L)},
     )
 

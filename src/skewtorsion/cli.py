@@ -2,11 +2,17 @@
 
 Subcommands:
   verify  run the identity and reconstruction suites on a chart; exit 0
-          iff every residual is below tolerance, 1 on residual failure,
+          iff every residual is below ``--tol``, 1 on residual failure,
           2 on bad parameters.
   report  topological and decomposition report for a chart (JSON).
-  scan    sweep the S^4 family parameter k and emit one row per value.
+  scan    sweep the S^4 family parameter k and emit one row per value,
+          as JSON or, with ``--format csv``, as CSV.
   probe   gauge-equivalence probe of the +-H pair (JSON).
+
+Every subcommand takes ``--grid`` and ``--out``; each other option
+belongs to the subcommands that read it.  ``--grid`` is the grid of the
+checks for ``verify`` and ``probe``, the quadrature node count n for
+``report`` and ``scan``.
 
 Each command evaluates the chart once per grid it uses, and every check
 on that grid shares one evaluation context.  Every JSON payload lists
@@ -31,18 +37,17 @@ context on the whole grid, in the memory of one tile.
 
 ``scan`` emits k = k_min + i k_step up to ``--k-max``, which a value may
 pass by a few ulps, so that ``--k-max`` written as k_min + m k_step gives
-m + 1 rows; ``--k-min`` above ``--k-max`` exits 2.
+m + 1 rows; ``--k-min`` above ``--k-max``, or a range of MAX_SCAN_ROWS
+steps or more, exits 2.  The rows run on a pool of min(8, CPUs) threads.
 
 Floats are emitted with 17 significant digits and reductions use a fixed
 summation order, so identical configurations produce identical bytes.
 A float array is emitted in one pass: one ``%`` applies a template of
 ``%.17g`` fields, shaped like the array, to its flattened ``tolist()``, and
 the non-finite fields are then quoted, so the bytes are those of the
-element-by-element format of scalars.
-The environment variable SKEW_THREADS caps scan parallelism; a value
-that is not a positive integer exits 2.  ``main``
-raises glibc's malloc trim and mmap thresholds once per process, so that
-the memory one tile frees serves the next (:func:`_keep_freed_memory`).
+element-by-element format of scalars.  ``main`` raises glibc's malloc
+trim and mmap thresholds once per process, so that the memory one tile
+frees serves the next (:func:`_keep_freed_memory`).
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ from .weyl import torsion_weyl_roundtrip
 
 SCHEMA = 1
 SAMPLE_GRID = 64  # grid of the report's sample checks and of the scan rows
+MAX_SCAN_ROWS = 10_000  # a longer scan exits 2 before any row runs
 
 
 def _fmt(x) -> str:
@@ -260,16 +266,8 @@ def _scan_values(k_min: float, k_max: float, k_step: float) -> list:
 
 
 def cmd_scan(args) -> int:
-    value = os.environ.get("SKEW_THREADS")
-    try:
-        workers = int(value) if value else min(8, os.cpu_count() or 1)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        sys.stderr.write(f"error: SKEW_THREADS must be a positive integer, got {value!r}\n")
-        return 2
     ks = _scan_values(args.k_min, args.k_max, args.k_step)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
+    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as ex:
         rows = list(ex.map(lambda k: _scan_row(k, args.grid), ks))
     rows.sort(key=lambda r: r["k"])
 
@@ -338,7 +336,8 @@ def _parser() -> argparse.ArgumentParser:
                     "cohomogeneity-one 4-manifolds")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, chart=True):
+    def command(name, help, chart=True):
+        sp = sub.add_parser(name, help=help)
         if chart:
             sp.add_argument("--chart", required=True,
                             choices=["bonneau", "round", "product", "flat", "random"])
@@ -347,18 +346,18 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--L", type=float, default=1.0)
             sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--grid", type=int, default=256)
-        sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
+        return sp
 
-    common(sub.add_parser("verify", help="run the identity suites"))
-    common(sub.add_parser("report", help="topology and decomposition report"))
-    sp = sub.add_parser("scan", help="sweep the S^4 family parameter")
+    command("verify", "run the identity suites").add_argument(
+        "--tol", type=float, default=1e-9)
+    command("report", "topology and decomposition report")
+    sp = command("scan", "sweep the S^4 family parameter", chart=False)
     sp.add_argument("--k-min", type=float, default=-1.0)
     sp.add_argument("--k-max", type=float, default=1.0)
     sp.add_argument("--k-step", type=float, default=0.25)
-    common(sp, chart=False)
-    common(sub.add_parser("probe", help="gauge-equivalence probe for +-H"))
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
+    command("probe", "gauge-equivalence probe for +-H")
     return p
 
 
@@ -391,7 +390,7 @@ def main(argv=None) -> int:
     if args.grid < 16:
         sys.stderr.write("error: --grid must be at least 16\n")
         return 2
-    if not args.tol > 0:  # NaN too
+    if args.command == "verify" and not args.tol > 0:  # NaN too
         sys.stderr.write("error: --tol must be positive\n")
         return 2
     if args.command == "scan":
@@ -403,6 +402,11 @@ def main(argv=None) -> int:
             return 2
         if args.k_min > args.k_max:
             sys.stderr.write("error: --k-min must not exceed --k-max\n")
+            return 2
+        # a tiny step, or a range near the float limit, gives inf here
+        if (args.k_max - args.k_min) / args.k_step >= MAX_SCAN_ROWS:
+            sys.stderr.write(f"error: the scan range spans {MAX_SCAN_ROWS} or more "
+                             "steps; raise --k-step\n")
             return 2
     try:
         if args.command == "verify":

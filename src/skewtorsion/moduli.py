@@ -35,8 +35,8 @@ from . import jets
 from .charts import BonneauFamily, ChartError, FramePoint, gauss_legendre
 
 __all__ = [
-    "InvariantACS", "acs_radial", "acs_swapped", "nijenhuis_norm",
-    "r_coordinate", "r_curve", "write_r_curve_csv", "asymptotic_check",
+    "InvariantACS", "acs_radial", "nijenhuis_norm",
+    "r_coordinate", "r_curve", "asymptotic_check",
 ]
 
 # composite rule for log R in u = log(k - x): panel width in u and nodes per
@@ -65,24 +65,9 @@ class InvariantACS:
         return np.asarray(self.matrix, dtype=float)
 
 
-def _pairing(i1, j1, i2, j2) -> InvariantACS:
-    m = np.zeros((4, 4))
-    m[j1, i1] = 1.0
-    m[i1, j1] = -1.0
-    m[j2, i2] = 1.0
-    m[i2, j2] = -1.0
-    return InvariantACS(tuple(map(tuple, m)))
-
-
 def acs_radial() -> InvariantACS:
     """J e1 = e4, J e2 = e3: the integrable invariant pairing."""
-    return _pairing(0, 3, 1, 2)
-
-
-def acs_swapped() -> InvariantACS:
-    """J e1 = e2, J e3 = e4: pairs the radial direction with an s1 orbit
-    direction; not integrable unless b = c."""
-    return _pairing(0, 1, 2, 3)
+    return InvariantACS(((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
 
 
 def nijenhuis_norm(pt: FramePoint, J: InvariantACS) -> float:
@@ -164,6 +149,8 @@ def _log_r(k: float, queries, x0: float) -> list:
     segments, and a cumulative sum joins them.  Every query array keeps
     its own segments and panels, so its values do not depend on the other
     arrays; a/c is evaluated once, on the panel nodes of all of them.
+    A panel node where a/c is not finite and positive (W is not, there)
+    raises :class:`ChartError`.
     """
     fam = BonneauFamily(k)
     if not (all(np.all(np.isfinite(xs)) for xs in queries) and math.isfinite(x0)):
@@ -176,7 +163,12 @@ def _log_r(k: float, queries, x0: float) -> list:
         # eps k / (k - t) relative, while g as a function of t is exact;
         # only values are read, so W is evaluated at order 0
         t = k - np.exp(u)
-        return -(k - t) * jets.value_of(fam.a_over_c(jets.Jet.constant(t, 0)))
+        ac = jets.value_of(fam.a_over_c(jets.Jet.constant(t, 0)))
+        good = (ac > 0.0) & (ac < math.inf)
+        if not np.all(good):
+            raise ChartError(f"a/c not positive for k={k}: a/c({t[~good][0]:.6g}) = "
+                             f"{ac[~good][0]:.3e}")
+        return -(k - t) * ac
 
     u0 = math.log(k - x0)
     breaks = _pole_breaks(k)
@@ -194,25 +186,14 @@ def _log_r(k: float, queries, x0: float) -> list:
 
 
 def r_curve(k: float, nodes: int = 200, x0: float | None = None):
-    """(x, R(x)) samples across the compactified domain, for CSV export."""
+    """(x, R(x)) on the chart's ``nodes``-point sample grid, with R = 1 at
+    x0, by default the middle node."""
     from .charts import bonneau_chart
     chart, _ = bonneau_chart(k)
     x = chart.sample_grid(nodes)
     if x0 is None:
         x0 = float(x[len(x) // 2])
     return x, r_coordinate(k, x, x0)
-
-
-def write_r_curve_csv(path: str, k: float, nodes: int = 200,
-                      x0: float | None = None) -> None:
-    """Export (x, R(x)) as CSV with full-precision floats."""
-    import csv
-    x, r = r_curve(k, nodes=nodes, x0=x0)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "R"])
-        for xi, ri in zip(x, r):
-            w.writerow([format(xi, ".17g"), format(ri, ".17g")])
 
 
 def _fit_slope(logr: np.ndarray, logt: np.ndarray) -> float:

@@ -26,21 +26,16 @@ connection's points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import jets
 from .frame import KForm, hodge_star, norm_sq
-from .charts import FramePoint, InvariantForm
+from .charts import InvariantForm
 from .connections import AffineConnection, cov_deriv, codifferential, full_components
 from .decomposition import _fro, _tf, einstein_residual
 from .evaluation import ConnectionData, Evaluation
 
-__all__ = [
-    "WeylStructure", "weyl_connection", "weyl_structure",
-    "einstein_weyl_residual", "torsion_weyl_roundtrip",
-]
+__all__ = ["weyl_connection", "einstein_weyl_residual", "torsion_weyl_roundtrip"]
 
 _EYE4 = np.eye(4)
 
@@ -51,15 +46,6 @@ _WEYL_SIGNS = -0.5 * (np.einsum("mi,jk->mijk", _EYE4, _EYE4)
                       - np.einsum("mk,ij->mijk", _EYE4, _EYE4))
 
 
-@dataclass
-class WeylStructure:
-    pt: FramePoint
-    omega: KForm
-    D: AffineConnection
-    dg_residual: float        # sup |Dg - w (x) g|
-    torsion_residual: float
-
-
 def weyl_connection(lc: AffineConnection, w: KForm) -> AffineConnection:
     """Torsion-free connection with Dg = w (x) g, built on D^g = ``lc``;
     ``w`` is a 1-form evaluated at the points of ``lc``."""
@@ -68,22 +54,6 @@ def weyl_connection(lc: AffineConnection, w: KForm) -> AffineConnection:
     wc = jets.truncate(w.comps, lc.gamma.order)  # gamma is one order lower
     gamma = lc.gamma + jets.einsum("m...,mijk->ijk...", wc, _WEYL_SIGNS)
     return AffineConnection(lc.pt, gamma, metric_compatible=False)
-
-
-def weyl_structure(ev: Evaluation, omega: InvariantForm) -> WeylStructure:
-    """Connection plus the verified compatibility residuals."""
-    pt = ev.pt
-    w = omega.at(pt)
-    D = weyl_connection(ev.lc, w)
-    # (D_i g)(e_j, e_k) = -Gamma_kij - Gamma_jik for constant frame metric
-    G = D.gamma.value
-    wd = -(G + np.einsum("ijk...->ikj...", G))
-    wv = full_components(w, pt)
-    target = np.einsum("i...,jk->ijk...", wv, _EYE4)
-    dg_res = float(np.max(np.abs(wd - target)))
-    tor = D.torsion_form()
-    tor_res = float(np.max(np.abs(tor.comps.value)))
-    return WeylStructure(pt=pt, omega=w, D=D, dg_residual=dg_res, torsion_residual=tor_res)
 
 
 def einstein_weyl_residual(ev: Evaluation, omega: InvariantForm) -> dict:

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, schemas, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -174,20 +175,27 @@ def test_console_script_installed():
     assert proc.returncode == 0
 
 
-def test_scan_respects_thread_cap(monkeypatch):
-    monkeypatch.setenv("SKEW_THREADS", "1")
-    code, out, _ = run_cli("scan", "--k-min", "0", "--k-max", "0.25",
-                           "--k-step", "0.25", "--grid", "32", "--format", "csv")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 3
+def test_scan_ignores_skew_threads(monkeypatch):
+    # the scan pool is min(8, CPUs) threads, whatever the environment says
+    argv = ("scan", "--k-min", "0", "--k-max", "0.25", "--k-step", "0.25",
+            "--grid", "16", "--format", "csv")
+    monkeypatch.delenv("SKEW_THREADS", raising=False)
+    unset = run_cli(*argv)
+    monkeypatch.setenv("SKEW_THREADS", "abc")
+    assert run_cli(*argv) == unset
+    assert unset[0] == 0 and len(unset[1].strip().splitlines()) == 3
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_bad_thread_cap_exits_two(monkeypatch, value):
-    monkeypatch.setenv("SKEW_THREADS", value)
-    code, out, err = run_cli("scan", "--k-min", "0", "--k-max", "0", "--grid", "16")
+@pytest.mark.parametrize("k_step", ["5e-324", "1e-9"])
+def test_scan_row_cap_exits_two_before_any_row(monkeypatch, k_step):
+    def row(k, grid):
+        raise AssertionError("a row was evaluated")
+
+    monkeypatch.setattr(cli, "_scan_row", row)
+    code, out, err = run_cli("scan", "--k-min", "-1", "--k-max", "1",
+                             "--k-step", k_step, "--grid", "16")
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "SKEW_THREADS" in err
+    assert err.startswith("error: ") and f"{cli.MAX_SCAN_ROWS} or more steps" in err
 
 
 def test_scan_stops_at_k_max():
@@ -196,6 +204,42 @@ def test_scan_stops_at_k_max():
     assert code == 0
     ks = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
     assert ks == [0.0, 0.1, 0.2, 0.30000000000000004]
+
+
+def _options(command):
+    """The option strings of a subcommand of the CLI parser, help aside."""
+    sub, = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices[command]._actions for s in a.option_strings} - {
+        "-h", "--help"}
+
+
+_CHART = {"--chart", "--k", "--b0", "--L", "--seed"}
+
+
+@pytest.mark.parametrize("command, options", [
+    ("verify", _CHART | {"--grid", "--out", "--tol"}),
+    ("report", _CHART | {"--grid", "--out"}),
+    ("probe", _CHART | {"--grid", "--out"}),
+    ("scan", {"--k-min", "--k-max", "--k-step", "--grid", "--out", "--format"}),
+])
+def test_every_option_has_a_reader(command, options):
+    # an option comes back only with code that reads it
+    assert _options(command) == options
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--chart", "flat", "--format", "csv"),
+    ("report", "--chart", "flat", "--tol", "1e-9"),
+    ("report", "--chart", "flat", "--format", "json"),
+    ("probe", "--chart", "flat", "--format", "csv"),
+    ("scan", "--tol", "1e-9"),
+])
+def test_removed_options_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + ["--grid", "16"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
 
 
 _K = st.floats(-10, 10)

@@ -5,8 +5,7 @@ import pytest
 
 from skewtorsion.charts import ChartError, bonneau_chart, random_chart, round_s4_chart
 from skewtorsion.moduli import (
-    InvariantACS, acs_radial, acs_swapped, asymptotic_check, nijenhuis_norm,
-    r_coordinate, r_curve,
+    InvariantACS, acs_radial, asymptotic_check, nijenhuis_norm, r_coordinate, r_curve,
 )
 
 
@@ -34,10 +33,13 @@ def test_radial_pairing_is_integrable_for_any_profiles():
 
 
 def test_swapped_pairing_obstruction():
+    # J e1 = e2, J e3 = e4 pairs the radial direction with an s1 orbit
+    # direction; it is not integrable unless b = c
+    swapped = InvariantACS(((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)))
     chart, _ = bonneau_chart(0.0)
-    assert nijenhuis_norm(_pt(chart), acs_swapped()) > 1e-2
+    assert nijenhuis_norm(_pt(chart), swapped) > 1e-2
     # with equal orbit profiles (b = c) the obstruction degenerates
-    assert nijenhuis_norm(_pt(round_s4_chart()), acs_swapped()) <= 1e-9
+    assert nijenhuis_norm(_pt(round_s4_chart()), swapped) <= 1e-9
 
 
 def test_r_coordinate_normalization_monotone():
@@ -54,6 +56,16 @@ def test_r_coordinate_domain_check():
                   (-2.0, np.nan), (-2.0, -np.inf)):
         with pytest.raises(ChartError):
             r_coordinate(0.0, x, x0)
+
+
+@pytest.mark.parametrize("k", [-1e4, -1e5])
+def test_nonpositive_a_over_c_is_refused_as_bonneau_chart_refuses(k):
+    # W loses its sign to rounding on some panel nodes at these k; the
+    # integral must not run on it
+    for refused in (lambda: bonneau_chart(k), lambda: asymptotic_check(k),
+                    lambda: r_coordinate(k, k - 5.0, k - 1.0)):
+        with pytest.raises(ChartError):
+            refused()
 
 
 def test_r_coordinate_endpoint_limits():
@@ -91,17 +103,6 @@ def test_r_curve_export_shape():
     x, r = r_curve(0.0, nodes=64)
     assert len(x) == len(r) == 64
     assert np.all(np.diff(r) > 0)
-
-
-def test_write_r_curve_csv(tmp_path):
-    from skewtorsion.moduli import write_r_curve_csv
-    path = tmp_path / "rcurve.csv"
-    write_r_curve_csv(str(path), 0.0, nodes=32)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,R"
-    assert len(lines) == 33
-    rs = [float(ln.split(",")[1]) for ln in lines[1:]]
-    assert all(b > a for a, b in zip(rs, rs[1:]))
 
 
 def _oracle_log_r(k, x, x0):

@@ -7,12 +7,9 @@ from skewtorsion.charts import (
     InvariantForm, bonneau_chart, random_chart,
     random_one_form, random_torsion, round_s4_chart,
 )
-from skewtorsion.connections import levi_civita
+from skewtorsion.connections import full_components, levi_civita
 from skewtorsion.evaluation import Evaluation
-from skewtorsion.weyl import (
-    einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection,
-    weyl_structure,
-)
+from skewtorsion.weyl import einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection
 
 
 def test_zero_one_form_reduces_to_levi_civita():
@@ -26,10 +23,16 @@ def test_zero_one_form_reduces_to_levi_civita():
 def test_weyl_connection_is_torsion_free_and_conformally_metric():
     chart = random_chart(4)
     om = random_one_form(4)
-    ws = weyl_structure(Evaluation.on_grid(chart, InvariantForm.zero(3), 16), om)
-    assert ws.torsion_residual <= 1e-12
-    assert ws.dg_residual <= 1e-10
-    assert not ws.D.metric_compatible
+    ev = Evaluation.on_grid(chart, InvariantForm.zero(3), 16)
+    w = om.at(ev.pt)
+    D = weyl_connection(ev.lc, w)
+    # (D_i g)(e_j, e_k) = -Gamma_kij - Gamma_jik for the constant frame metric
+    G = D.gamma.value
+    dg = -(G + np.einsum("ijk...->ikj...", G))
+    target = np.einsum("i...,jk->ijk...", full_components(w, ev.pt), np.eye(4))
+    assert np.max(np.abs(D.torsion_form().comps.value)) <= 1e-12
+    assert np.max(np.abs(dg - target)) <= 1e-10
+    assert not D.metric_compatible
 
 
 def test_weyl_connection_rejects_higher_degree():
