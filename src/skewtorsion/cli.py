@@ -3,7 +3,7 @@
 Subcommands:
   verify  run the identity and reconstruction suites on a chart; exit 0
           iff every residual is below ``--tol``, 1 on residual failure,
-          2 on bad parameters.
+          2 on bad parameters or an ``--out`` that cannot be written.
   report  topological and decomposition report for a chart (JSON).
   scan    sweep the S^4 family parameter k and emit one row per value,
           as JSON or, with ``--format csv``, as CSV.
@@ -149,12 +149,19 @@ def _dump_json(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+class _OutError(Exception):
+    """``--out`` names a path that cannot be written."""
+
+
 def _emit(text: str, out_path: str | None):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _OutError(f"cannot write --out {out_path}: {exc.strerror}") from None
 
 
 def _build_chart(args):
@@ -417,7 +424,7 @@ def main(argv=None) -> int:
             return cmd_scan(args)
         if args.command == "probe":
             return cmd_probe(args)
-    except ChartError as exc:
+    except (ChartError, _OutError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 2

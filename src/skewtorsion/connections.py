@@ -16,6 +16,11 @@ derivatives of H with coefficient 1/2.
 The codifferential is d* = -*d* on every degree (the 4-dimensional
 Riemannian adjoint), equal to minus the divergence contraction.
 
+The structure equation F_ij = e_i(w_j) - e_j(w_i) + [w_i, w_j] - C_ij^m w_m
+of matrix-valued connection forms w is written once, in
+:func:`_structure_equation`, for :func:`curvature` and for the induced
+connection on Lambda+ (``instanton.InducedConnection.from_forms``).
+
 The curvature routes, the exterior data of H and the identity suite read
 their connections and curvature tensors from an evaluation context
 (:class:`skewtorsion.evaluation.Evaluation`), which builds each once.
@@ -45,7 +50,22 @@ __all__ = [
     "ExteriorData", "exterior_ops", "identity_suite", "full_components",
 ]
 
+_EYE3 = np.eye(3)
 _EYE4 = np.eye(4)
+
+
+def _sym(m):
+    return 0.5 * (m + np.einsum("pq...->qp...", m))
+
+
+def _tf(m, dim):
+    """Trace-free part of a (dim, dim, n) field of matrices."""
+    eye = _EYE3 if dim == 3 else _EYE4
+    return m - (np.einsum("pp...->...", m) / dim) * eye[..., None]
+
+
+def _fro(m):
+    return np.sqrt(np.einsum("ij...,ij...->...", m, m))
 
 
 # indices of the increasing triples, selecting 3-form components from a tensor
@@ -89,8 +109,7 @@ class RicciData:
 
     def traceless(self) -> np.ndarray:
         """Trace-free symmetric Ricci tensor sym Ric - (s/4) g, (4, 4, n)."""
-        sym = 0.5 * (self.ric + np.einsum("ij...->ji...", self.ric))
-        return sym - 0.25 * self.scalar * _EYE4[..., None]
+        return _tf(_sym(self.ric), 4)
 
 
 def full_components(form: KForm, pt: FramePoint) -> np.ndarray:
@@ -129,22 +148,26 @@ def with_skew_torsion(lc: AffineConnection, H: KForm) -> AffineConnection:
 # ---------------------------------------------------------------------------
 
 
-def curvature(conn: AffineConnection) -> CurvatureTensor:
-    """Frame curvature of any connection (metric or not)."""
-    pt = conn.pt
-    G = conn.gamma.value
-    dG = pt.e1(conn.gamma).value
-    Cs = pt.brackets
-    n = pt.npoints
+def _structure_equation(pt: FramePoint, omega: Jet) -> np.ndarray:
+    """Curvature values F[i, j, p, q], shape (4, 4, P, Q, n), of the
+    connection forms ``omega[i, p, q]``, one jet of shape (4, P, Q, n)."""
+    w = omega.value
+    dw = pt.e1(omega).value
+    F = np.zeros((4, 4) + w.shape[1:])
+    # e_i(w_j) - e_j(w_i): only the radial direction acts
+    F[0] += dw
+    F[:, 0] -= dw
+    comm = np.einsum("ipr...,jrq...->ijpq...", w, w)
+    F += comm - np.einsum("ijpq...->jipq...", comm)
+    F -= np.einsum("ijm...,mpq...->ijpq...", pt.brackets, w)
+    return F
 
-    R = np.zeros((4, 4, 4, 4, n))
-    # e_i(Gamma^k_jl) - e_j(Gamma^k_il): only the radial direction acts
-    R[0] += np.einsum("jlk...->jkl...", dG)
-    R[:, 0] -= np.einsum("ilk...->ikl...", dG)
-    quad = np.einsum("jlm...,imk...->ijkl...", G, G)
-    R += quad - np.einsum("ijkl...->jikl...", quad)
-    R -= np.einsum("ijm...,mlk...->ijkl...", Cs, G)
-    return CurvatureTensor(R)
+
+def curvature(conn: AffineConnection) -> CurvatureTensor:
+    """Frame curvature of any connection (metric or not): the structure
+    equation of the forms (w_i)^k_l = Gamma^k_il."""
+    return CurvatureTensor(_structure_equation(
+        conn.pt, jets.einsum("ilk...->ikl...", conn.gamma)))
 
 
 def curvature_via_eq1(ev: Evaluation) -> CurvatureTensor:
@@ -279,10 +302,9 @@ def exterior_ops(lc: AffineConnection, H: KForm) -> ExteriorData:
     dh = d_form(pt, h)
     dstar_H = -1.0 * hodge_star(dh)  # the codifferential -*d*H
     grad = cov_deriv(pt, lc, h).value
-    sym = 0.5 * (grad + np.einsum("ij...->ji...", grad))
     return ExteriorData(
         H=H, dH=dH, star_dH=star_dH, dstar_H=dstar_H, h=h, dh=dh,
-        grad_h=grad, sym_grad_h=sym,
+        grad_h=grad, sym_grad_h=_sym(grad),
         norm_sq_H=norm_sq(H).value,
     )
 
@@ -348,7 +370,7 @@ def identity_suite(ev: Evaluation) -> dict:
     hv = full_components(ext.h, pt)
     h2 = np.einsum("i...,i...->...", hv, hv)
     star_dh = full_components(hodge_star(ext.dh), pt)
-    eye = np.eye(4)[..., None]
+    eye = _EYE4[..., None]
     base = rg.ric - 0.5 * h2 * eye + 0.5 * np.einsum("i...,j...->ij...", hv, hv)
     out["ricci_four_dim"] = _sup(rd.ric - (base + 0.5 * star_dh))
 

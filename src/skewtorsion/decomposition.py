@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import frame as F
+from .connections import _EYE3, _EYE4, _fro, _sym, _tf
 
 if TYPE_CHECKING:
     from .evaluation import Evaluation
@@ -43,24 +44,6 @@ __all__ = [
     "DecompositionReport", "decompose_point",
     "einstein_tensor_point", "einstein_residual", "operator_blocks",
 ]
-
-_EYE3 = np.eye(3)
-_EYE4 = np.eye(4)
-
-
-def _sym(m):
-    return 0.5 * (m + np.einsum("pq...->qp...", m))
-
-
-def _tf(m, dim):
-    """Trace-free part of a (dim, dim, n) field of matrices."""
-    eye = _EYE3 if dim == 3 else _EYE4
-    return m - (np.einsum("pp...->...", m) / dim) * eye[..., None]
-
-
-def _fro(m):
-    return np.sqrt(np.einsum("ij...,ij...->...", m, m))
-
 
 def operator_blocks(M: np.ndarray):
     """(A, B, C, D) views of a 6x6 operator matrix."""
@@ -142,11 +125,16 @@ def decompose_point(ev: Evaluation) -> DecompositionReport:
     )
 
 
-def einstein_tensor_point(ev: Evaluation) -> np.ndarray:
-    """The Einstein-with-torsion tensor T = Z + S(D^g h) + (*dH/4) g."""
-    return ev.plus.Z + ev.ext.sym_grad_h + 0.25 * ev.ext.star_dH * _EYE4[..., None]
+def einstein_tensor_point(ev: Evaluation, sign: int = +1) -> np.ndarray:
+    """The Einstein-with-torsion tensor T = Z +- (S(D^g h) + (*dH/4) g) of
+    the connection with torsion sign * H, Z its trace-free symmetric Ricci
+    tensor and h = *H.  Summed term by term, so that it equals bitwise the
+    +1 tensor of a context built on -H."""
+    Z = (ev.plus if sign > 0 else ev.minus).Z
+    return Z + sign * ev.ext.sym_grad_h + sign * 0.25 * ev.ext.star_dH * _EYE4[..., None]
 
 
-def einstein_residual(ev: Evaluation) -> float:
-    """Sup over the grid of the Frobenius norm of the Einstein tensor."""
-    return float(np.max(_fro(einstein_tensor_point(ev))))
+def einstein_residual(ev: Evaluation, sign: int = +1) -> float:
+    """Sup over the grid of the Frobenius norm of the Einstein tensor of the
+    connection with torsion sign * H."""
+    return float(np.max(_fro(einstein_tensor_point(ev, sign))))

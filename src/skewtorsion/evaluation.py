@@ -15,7 +15,9 @@ that share a context share the work:
 Nor is an object built that no check reads: the induced connection needs
 only the connection, so the probe and the Pontryagin density build no
 curvature tensor or operator; the residual, which needs both, is built
-only by the checks that report it.
+only by the checks that report it.  Both curvatures come from one
+structure equation (``connections._structure_equation``), and a check of
+-H, such as ``einstein_tensor_point(ev, -1)``, reads ``minus``.
 
 A context keeps what it has built until it is dropped: about 21 kB per
 point once every object is built.  So a check that works point by point
@@ -150,13 +152,3 @@ class Evaluation:
             return
         for start in range(0, n, TILE):
             yield self[start:start + TILE]
-
-    def reversed(self) -> "Evaluation":
-        """Context for torsion -H on the same points.
-
-        It shares the Levi-Civita data, and its +H connection is this
-        context's -H connection.
-        """
-        rev = Evaluation(self.pt, -1.0 * self.Hf)
-        rev.lc, rev.riemann, rev.plus = self.lc, self.riemann, self.minus
-        return rev

@@ -28,9 +28,8 @@ from . import jets
 from .jets import Jet
 
 __all__ = [
-    "KForm", "MULTI_INDICES", "SD_BASIS", "wedge", "hodge_star", "sd_split",
-    "norm_sq", "inner", "components_in_sd_basis", "operator_from_tensor",
-    "ricci_contraction",
+    "KForm", "MULTI_INDICES", "wedge", "hodge_star", "norm_sq", "inner",
+    "components_in_sd_basis", "operator_from_tensor", "ricci_contraction",
 ]
 
 DIM = 4
@@ -184,15 +183,6 @@ def inner(a: KForm, b: KForm):
     return jets.einsum("p...,p...->...", a.comps, b.comps)
 
 
-def sd_split(w: KForm):
-    """(self-dual, anti-self-dual) parts of a 2-form."""
-    if w.degree != 2:
-        raise ValueError("sd_split needs a 2-form")
-    sw = hodge_star(w)
-    return (KForm(2, (w.comps + sw.comps) * 0.5),
-            KForm(2, (w.comps - sw.comps) * 0.5))
-
-
 # increasing components (e12, e13, e14, e23, e24, e34) of the +- basis,
 # shape (6, 6), and its full antisymmetric component matrices, shape (6, 4, 4)
 _SD_COMPS = (1.0 / np.sqrt(2.0)) * np.array([
@@ -203,11 +193,7 @@ _SD_COMPS = (1.0 / np.sqrt(2.0)) * np.array([
     [0, 1, 0, 0, 1, 0],
     [0, 0, 1, -1, 0, 0],
 ])
-SD_BASIS = tuple(KForm(2, c) for c in _SD_COMPS)
 SD_WEIGHTS = np.einsum("Pp,pab->Pab", _SD_COMPS, FULL_SIGNS[2])
-
-# star eigenvalues in basis order
-SD_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
 
 def components_in_sd_basis(w: KForm) -> np.ndarray:

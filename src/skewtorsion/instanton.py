@@ -1,21 +1,22 @@
 """Induced connection on the bundle of self-dual 2-forms and its gauge data.
 
 A metric connection preserves the splitting of 2-forms, so it induces an
-so(3) connection on Lambda+.  Its curvature, computed from the structure
-equation of the connection forms, reproduces the Lambda+ input/output
-entries of the 6x6 curvature operator (the transposed [A | C] rows, since
-the 2-form direction of the induced curvature is the differentiation pair
-of R) up to the fixed factor sqrt(2).  That identification is
-asserted, not assumed, but outside the build: :func:`induced_lambda_plus`
-needs only the connection forms, and :func:`lambda_plus_block_residual`
-compares its curvature with the operator.  The evaluation context caches
-that residual per connection (``ConnectionData.lambda_plus_residual``),
-:func:`yang_mills_density_check` reports it as ``block_residual_plus`` and
-``block_residual_minus``, and the tests bound it; the gauge probe and the
-Pontryagin density build no curvature tensor.  The anti-self-dual part of
-the induced curvature is exactly the block whose vanishing is the
-Einstein-with-torsion condition, so for Einstein data the induced
-connection is an instanton.
+so(3) connection on Lambda+; :meth:`InducedConnection.from_forms` builds
+one from any so(3) form jet.  Its curvature, computed by the structure
+equation of the frame curvature (``connections._structure_equation``),
+reproduces the Lambda+ input/output entries of the 6x6 curvature operator
+(the transposed [A | C] rows, since the 2-form direction of the induced
+curvature is the differentiation pair of R) up to the fixed factor
+sqrt(2).  That identification is asserted, not assumed, but outside the
+build: :func:`induced_lambda_plus` needs only the connection forms, and
+:func:`lambda_plus_block_residual` compares its curvature with the
+operator.  The evaluation context caches that residual per connection
+(``ConnectionData.lambda_plus_residual``), :func:`yang_mills_density_check`
+reports it as ``block_residual_plus`` and ``block_residual_minus``, and
+the tests bound it; the gauge probe and the Pontryagin density build no
+curvature tensor.  The anti-self-dual part of the induced curvature is
+exactly the block whose vanishing is the Einstein-with-torsion condition,
+so for Einstein data the induced connection is an instanton.
 
 The gauge probe compares the connections induced by torsions +H and -H.
 A gauge transformation intertwining them is annihilated by the curvature
@@ -41,8 +42,8 @@ import numpy as np
 from . import frame as F
 from . import jets
 from .charts import FramePoint
-from .connections import AffineConnection, full_components
-from .decomposition import operator_blocks, _fro, _tf, _sym
+from .connections import _fro, _structure_equation, _sym, _tf, AffineConnection, full_components
+from .decomposition import operator_blocks
 
 if TYPE_CHECKING:
     from .evaluation import Evaluation
@@ -72,6 +73,16 @@ class InducedConnection:
     F_sd: np.ndarray            # F paired with the six E_Q, shape (3, 3, 6, n)
     rows: np.ndarray            # F in generator components / scale: (3, 6, n)
 
+    @classmethod
+    def from_forms(cls, pt: FramePoint, omega: jets.Jet) -> "InducedConnection":
+        """The connection with so(3) forms ``omega`` along ``pt`` and its
+        curvature, paired with the +- basis and in generator rows."""
+        Fm = _structure_equation(pt, omega)
+        F_sd = 0.5 * np.einsum("qij,ijpr...->prq...", F.SD_WEIGHTS, Fm)
+        rows = (0.5 * np.einsum("spq,pqm...->sm...", _GEN, F_sd)
+                / LAMBDA_PLUS_CURVATURE_SCALE)
+        return cls(pt=pt, omega=omega, F_sd=F_sd, rows=rows)
+
     def curvature_2forms(self) -> np.ndarray:
         """F^s as 2-forms in the +- basis, shape (3, 6, n) (true scale)."""
         return LAMBDA_PLUS_CURVATURE_SCALE * self.rows
@@ -88,26 +99,8 @@ def induced_lambda_plus(conn: AffineConnection) -> InducedConnection:
     connection forms alone."""
     if not conn.metric_compatible:
         raise ValueError("the splitting is only preserved by metric connections")
-    pt = conn.pt
-    omega = jets.einsum("ixy...,pqxy->ipq...", conn.gamma, _OMEGA_WEIGHTS)
-    n = pt.npoints
-    om = omega.value
-    dom = pt.e1(omega).value
-    cs = pt.brackets
-
-    # structure equation: F_ij = e_i(w_j) - e_j(w_i) + [w_i, w_j] - c^m_ij w_m
-    Fm = np.zeros((4, 4, 3, 3, n))
-    Fm[0] += dom
-    Fm[:, 0] -= dom
-    comm = np.einsum("ipr...,jrq...->ijpq...", om, om)
-    Fm += comm - np.einsum("ijpq...->jipq...", comm)
-    Fm -= np.einsum("ijm...,mpq...->ijpq...", cs, om)
-
-    # pair the 2-form slots with the +- basis and extract generator rows
-    F_sd = 0.5 * np.einsum("qij,ijpr...->prq...", F.SD_WEIGHTS, Fm)
-    rows = (0.5 * np.einsum("spq,pqm...->sm...", _GEN, F_sd)
-            / LAMBDA_PLUS_CURVATURE_SCALE)
-    return InducedConnection(pt=pt, omega=omega, F_sd=F_sd, rows=rows)
+    return InducedConnection.from_forms(
+        conn.pt, jets.einsum("ixy...,pqxy->ipq...", conn.gamma, _OMEGA_WEIGHTS))
 
 
 def lambda_plus_block_residual(ic: InducedConnection, M: np.ndarray) -> float:

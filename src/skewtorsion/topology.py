@@ -37,7 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from .charts import FramePoint, InvariantChart
-from .decomposition import einstein_residual, operator_blocks, _fro
+from .connections import _fro
+from .decomposition import einstein_residual, operator_blocks
 from .evaluation import Evaluation
 
 __all__ = [

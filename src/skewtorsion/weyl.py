@@ -31,13 +31,13 @@ import numpy as np
 from . import jets
 from .frame import KForm, hodge_star, norm_sq
 from .charts import InvariantForm
-from .connections import AffineConnection, cov_deriv, codifferential, full_components
-from .decomposition import _fro, _tf, einstein_residual
+from .connections import (
+    _EYE4, _fro, _sym, _tf, AffineConnection, cov_deriv, codifferential, full_components,
+)
+from .decomposition import einstein_residual
 from .evaluation import ConnectionData, Evaluation
 
 __all__ = ["weyl_connection", "einstein_weyl_residual", "torsion_weyl_roundtrip"]
-
-_EYE4 = np.eye(4)
 
 # Gamma_ijk - Gamma^g_ijk = sum_m w_m S[m, i, j, k]
 # = -(w_i delta_jk + w_j delta_ik - w_k delta_ij) / 2
@@ -73,7 +73,7 @@ def einstein_weyl_residual(ev: Evaluation, omega: InvariantForm) -> dict:
     wv = full_components(w, pt)
     w2 = np.einsum("i...,i...->...", wv, wv)
     dw = cov_deriv(pt, lc, w).value
-    Sw = 0.5 * (dw + np.einsum("ij...->ji...", dw))
+    Sw = _sym(dw)
     dstar_w = codifferential(pt, w).comps.value[0]
 
     sym_formula = (rg.ric - 0.5 * (w2[None, None] * _EYE4[..., None]
@@ -113,6 +113,6 @@ def torsion_weyl_roundtrip(ev: Evaluation) -> dict:
         "roundtrip_residual": min(diff_plus, diff_minus),
         "norm_preserved": norm_h,
         "einstein_residual_plus": einstein_residual(ev),
-        "einstein_residual_minus": einstein_residual(ev.reversed()),
+        "einstein_residual_minus": einstein_residual(ev, -1),
         "einstein_weyl_residual": float(np.max(_fro(s0))),
     }

@@ -167,6 +167,19 @@ def test_out_file(tmp_path):
     assert payload["command"] == "report"
 
 
+@pytest.mark.parametrize("command", [
+    ("verify", "--chart", "round"), ("report", "--chart", "flat"),
+    ("probe", "--chart", "round"), ("scan", "--k-min", "0", "--k-max", "0"),
+])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_out_exits_two(tmp_path, command, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+    code, out, err = run_cli(*command, "--grid", "16", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "skewtorsion.cli", "verify", "--chart", "flat",

@@ -7,11 +7,11 @@ import pytest
 
 from skewtorsion import jets
 from skewtorsion.charts import (
-    InvariantChart, InvariantForm, bonneau_chart, random_chart,
+    InvariantChart, InvariantForm, bonneau_chart, chart_and_torsion, random_chart,
     random_torsion, round_s4_chart, Domain,
 )
 from skewtorsion.connections import identity_suite
-from skewtorsion.decomposition import decompose_point, einstein_residual
+from skewtorsion.decomposition import decompose_point, einstein_residual, einstein_tensor_point
 from skewtorsion.evaluation import Evaluation
 from skewtorsion.jets import Jet
 
@@ -104,6 +104,20 @@ def test_einstein_tensor_is_trace_free():
     rep = decompose_point(Evaluation.on_grid(random_chart(6), random_torsion(6), 16))
     tr = np.einsum("ii...->...", rep.einstein_tensor)
     assert np.max(np.abs(tr)) <= 1e-12
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"type": "bonneau", "params": {"k": 0.3}},
+    {"type": "random", "params": {"seed": 3}},
+    {"type": "product", "params": {"b0": 1.3, "L": 2.0}},
+])
+def test_minus_sign_einstein_tensor_is_that_of_the_reversed_torsion(descriptor):
+    # the -H tensor read from one context equals, bit for bit, the +H tensor
+    # of a context built on the torsion -H
+    chart, H = chart_and_torsion(descriptor)
+    T = einstein_tensor_point(Evaluation.on_grid(chart, H, 64), -1)
+    T_rev = einstein_tensor_point(Evaluation.on_grid(chart, H.scaled(-1.0), 64))
+    assert np.array_equal(T, T_rev)
 
 
 def test_einstein_residual_stable_under_grid_refinement():

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewtorsion import frame as F
 from skewtorsion.frame import (
-    KForm, hodge_star, inner, norm_sq, operator_from_tensor, ricci_contraction,
-    sd_split, wedge,
+    KForm, hodge_star, inner, norm_sq, operator_from_tensor, ricci_contraction, wedge,
 )
 
 comps6 = st.lists(st.floats(-5, 5, allow_nan=False), min_size=6, max_size=6)
@@ -38,42 +37,16 @@ def test_star_is_isometry_and_self_pairing(c):
     assert top.comps[0] == pytest.approx(norm_sq(a), rel=1e-12, abs=1e-12)
 
 
-@given(comps6)
-def test_sd_split_orthogonal_projections(c):
-    w = KForm(2, c)
-    p, m = sd_split(w)
-    assert np.allclose(np.asarray((p + m).comps, float), np.asarray(w.comps, float))
-    sp = hodge_star(p)
-    sm = hodge_star(m)
-    assert np.allclose(sp.comps, p.comps, atol=1e-12)
-    assert np.allclose(sm.comps, -np.asarray(m.comps), atol=1e-12)
-    assert norm_sq(p) + norm_sq(m) == pytest.approx(norm_sq(w), rel=1e-12, abs=1e-12)
-    # idempotent and mutually annihilating
-    pp, pm = sd_split(p)
-    assert np.allclose(pp.comps, p.comps, atol=1e-12)
-    assert np.allclose(pm.comps, 0.0, atol=1e-12)
-
-
-def test_sd_split_examples():
-    p, m = sd_split(KForm.basis(2, (0, 1)))
-    assert p.comps[0] == pytest.approx(0.5) and p.comps[5] == pytest.approx(0.5)
-    assert m.comps[0] == pytest.approx(0.5) and m.comps[5] == pytest.approx(-0.5)
-    e1p = F.SD_BASIS[0]
-    p, m = sd_split(e1p)
-    assert np.allclose(p.comps, e1p.comps) and np.allclose(m.comps, 0.0)
-
-
-def test_sd_split_rejects_wrong_degree():
-    with pytest.raises(ValueError):
-        sd_split(KForm.basis(1, (0,)))
-
-
 def test_basis_is_orthonormal_with_star_signs():
-    for p, ep in enumerate(F.SD_BASIS):
-        for q, eq in enumerate(F.SD_BASIS):
+    # E1+..E3+ are self-dual and E1-..E3- anti-self-dual, in basis order, and
+    # SD_WEIGHTS holds their full antisymmetric component matrices
+    basis = [KForm(2, c) for c in F._SD_COMPS]
+    for p, ep in enumerate(basis):
+        for q, eq in enumerate(basis):
             assert inner(ep, eq) == pytest.approx(1.0 * (p == q), abs=1e-15)
         s = hodge_star(ep)
-        assert np.allclose(s.comps, F.SD_SIGNS[p] * np.asarray(ep.comps))
+        assert np.allclose(s.comps, (1.0 if p < 3 else -1.0) * np.asarray(ep.comps))
+        assert np.array_equal(F.SD_WEIGHTS[p], ep.full()[..., 0])
 
 
 def test_constant_curvature_gives_identity_operator():

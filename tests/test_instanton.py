@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewtorsion import jets
 from skewtorsion.charts import (
     InvariantForm, bonneau_chart, flat_torsion, flat_torus_chart,
     product_chart, random_chart, random_torsion, round_s4_chart,
@@ -12,8 +13,8 @@ from skewtorsion.connections import levi_civita, with_skew_torsion
 from skewtorsion.decomposition import decompose_point
 from skewtorsion.evaluation import ConnectionData, Evaluation
 from skewtorsion.instanton import (
-    _align_signs, _intertwiner_system, gauge_equivalence_probe, killing_residual, self_duality_residual,
-    yang_mills_density_check,
+    InducedConnection, _align_signs, _intertwiner_system, gauge_equivalence_probe,
+    killing_residual, self_duality_residual, yang_mills_density_check,
 )
 
 
@@ -52,6 +53,37 @@ def test_induced_rejects_non_metric_connection():
     D = weyl_connection(levi_civita(pt), random_one_form(0).at(pt))
     with pytest.raises(ValueError):
         ConnectionData(D).induced
+
+
+# rotations about the third axis of Lambda+: g = c P + s J + K
+_P = np.diag([1.0, 1.0, 0.0])
+_J = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_K = np.diag([0.0, 0.0, 1.0])
+
+
+def _rotation(theta):
+    """SO(3) jet of shape (3, 3, n): the rotation by the jet angle theta."""
+    s, c = jets.sincos(theta)
+    return (jets.einsum("pq,...->pq...", _P, c) + jets.einsum("pq,...->pq...", _J, s)
+            + _K[..., None])
+
+
+@pytest.mark.parametrize("chart, H", [bonneau_chart(0.3), (random_chart(3), random_torsion(3))])
+def test_induced_curvature_is_gauge_covariant(chart, H):
+    # the radial gauge g(x) takes the forms w to g^-1 w g + g^-1 e(g) and
+    # the curvature F to g^-1 F g
+    ic = _connection_data(chart, H, nodes=32).induced
+    pt, omega, F0 = ic.pt, ic.omega, ic.F_sd
+    g = _rotation(1.3 * jets.arctan(pt.seed))
+    g1 = jets.truncate(g, omega.order)
+    conj = jets.einsum("qp...,iqs...->ips...", g1,
+                       jets.einsum("iqr...,rs...->iqs...", omega, g1))
+    maurer_cartan = jets.einsum("qp...,iqs...->ips...", g1, pt.frame_derivative(g))
+    F1 = InducedConnection.from_forms(pt, conj + maurer_cartan).F_sd
+    gv = g.value
+    expected = np.einsum("qp...,qrQ...,rs...->psQ...", gv, F0, gv)
+    assert np.max(np.abs(F1 - expected)) <= 1e-12 * max(1.0, np.max(np.abs(F0)))
+    assert np.max(np.abs(F1 - F0)) > 0.1  # the gauge moves the curvature
 
 
 @pytest.mark.parametrize("sign", [+1.0, -1.0])
