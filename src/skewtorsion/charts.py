@@ -29,7 +29,7 @@ import numpy as np
 
 from . import jets
 from .jets import DEFAULT_ORDER, Jet
-from .frame import KForm, MULTI_INDICES
+from .frame import KForm, MULTI_INDICES, _Gather
 
 __all__ = [
     "ChartError", "Domain", "InvariantChart", "FramePoint",
@@ -150,6 +150,8 @@ for _t, _i, _j, _k, _s in ((0, 0, 1, 1, -1), (0, 0, 2, 2, -1), (1, 0, 3, 3, -1),
                            (2, 1, 2, 3, -1), (3, 1, 3, 2, 1), (3, 2, 3, 1, -1)):
     _BRACKET_SIGNS[_t, _i, _j, _k] = _s
     _BRACKET_SIGNS[_t, _j, _i, _k] = -_s
+# the contraction with the functions, per number of functions
+_BRACKETS = {nt: _Gather(np.moveaxis(_BRACKET_SIGNS[:nt], 0, -1), 3) for nt in (2, 4)}
 
 # invariant functions vary only along e1
 _RADIAL = np.array([1.0, 0.0, 0.0, 0.0])
@@ -215,7 +217,7 @@ class FramePoint:
         f = [db / (a * b), dc / (a * c)]
         if self.chart.structure_mode == "su2":
             f += [c / (b * b), 1.0 / c]
-        return jets.einsum("t...,tijk->ijk...", _stack(f), _BRACKET_SIGNS[:len(f)])
+        return _BRACKETS[len(f)](_stack(f))
 
     def structure_functions(self) -> Jet:
         """C with [e_i, e_j] = sum_k C[i, j, k] e_k, one jet of shape (4, 4, 4, n)."""

@@ -416,6 +416,11 @@ def main(argv=None) -> int:
                              "steps; raise --k-step\n")
             return 2
     try:
+        # before any work; the write reports what only writing shows
+        if args.out and (os.path.isdir(args.out)
+                         or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise _OutError(f"cannot write --out {args.out}: "
+                            "it is a directory or its directory does not exist")
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "report":

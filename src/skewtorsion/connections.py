@@ -3,8 +3,9 @@
 Connection coefficients gamma[i, j, k] = g(D_{e_i} e_j, e_k) are one jet
 of shape (4, 4, 4, n), so the radial derivative entering the curvature is
 exact; the constructions and covariant derivatives below are contractions
-of that jet and the bracket jet with fixed sign tensors.  The
-curvature sign convention is fixed by
+of that jet and the bracket jet with fixed sign tensors, taken as gathers
+of their nonzero terms (``frame._Gather``).  The curvature sign
+convention is fixed by
 
     R(X, Y, Z, W) = g([D_X, D_Y] W - D_{[X,Y]} W, Z),
 
@@ -19,7 +20,9 @@ Riemannian adjoint), equal to minus the divergence contraction.
 The structure equation F_ij = e_i(w_j) - e_j(w_i) + [w_i, w_j] - C_ij^m w_m
 of matrix-valued connection forms w is written once, in
 :func:`_structure_equation`, for :func:`curvature` and for the induced
-connection on Lambda+ (``instanton.InducedConnection.from_forms``).
+connection on Lambda+ (``instanton.InducedConnection.from_forms``).  A
+frame bracket [e_i, e_j] has one component, so F is evaluated on the six
+pairs i < j, each with its one bracket index, and F_ji = -F_ij.
 
 The curvature routes, the exterior data of H and the identity suite read
 their connections and curvature tensors from an evaluation context
@@ -36,8 +39,8 @@ import numpy as np
 
 from . import jets
 from .jets import Jet
-from .frame import KForm, MULTI_INDICES, _INDEX_POS, _sort_index, hodge_star, norm_sq
-from .charts import FramePoint
+from .frame import KForm, MULTI_INDICES, _INDEX_POS, _Gather, _sort_index, hodge_star, norm_sq
+from .charts import FramePoint, _BRACKET_SIGNS
 
 if TYPE_CHECKING:
     from .evaluation import Evaluation
@@ -148,18 +151,28 @@ def with_skew_torsion(lc: AffineConnection, H: KForm) -> AffineConnection:
 # ---------------------------------------------------------------------------
 
 
+# the pairs i < j and the one index m with [e_i, e_j] along e_m
+_PAIR_I, _PAIR_J = np.triu_indices(4, 1)
+_PAIR_M = np.argmax(_BRACKET_SIGNS.any(axis=0), axis=-1)[_PAIR_I, _PAIR_J]
+
+
 def _structure_equation(pt: FramePoint, omega: Jet) -> np.ndarray:
     """Curvature values F[i, j, p, q], shape (4, 4, P, Q, n), of the
-    connection forms ``omega[i, p, q]``, one jet of shape (4, P, Q, n)."""
+    connection forms ``omega[i, p, q]``, one jet of shape (4, P, Q, n), on
+    the pairs i < j and F[j, i] = -F[i, j]: every step of a pair's
+    arithmetic is odd under the swap, so F equals the sum over all
+    (i, j, m) (for metric and non-metric forms alike)."""
     w = omega.value
-    dw = pt.e1(omega).value
+    Fp = np.zeros((6,) + w.shape[1:])
+    # e_i(w_j) - e_j(w_i): only the radial direction acts, on the pairs (0, j)
+    Fp[:3] += pt.e1(omega).value[1:]
+    Fp += (np.einsum("ipr...,irq...->ipq...", w[_PAIR_I], w[_PAIR_J])
+           - np.einsum("ipr...,irq...->ipq...", w[_PAIR_J], w[_PAIR_I]))
+    C = pt.brackets[_PAIR_I, _PAIR_J, _PAIR_M]
+    Fp -= 0.0 + C[:, None, None] * w[_PAIR_M]  # into zeros, as the sum over m
     F = np.zeros((4, 4) + w.shape[1:])
-    # e_i(w_j) - e_j(w_i): only the radial direction acts
-    F[0] += dw
-    F[:, 0] -= dw
-    comm = np.einsum("ipr...,jrq...->ijpq...", w, w)
-    F += comm - np.einsum("ijpq...->jipq...", comm)
-    F -= np.einsum("ijm...,mpq...->ijpq...", pt.brackets, w)
+    F[_PAIR_I, _PAIR_J] = Fp
+    F[_PAIR_J, _PAIR_I] = -Fp
     return F
 
 
@@ -195,23 +208,15 @@ def ricci_and_scalar(R: CurvatureTensor) -> RicciData:
 # ---------------------------------------------------------------------------
 
 
-def _summed_axes_inner(signs: np.ndarray, kept) -> np.ndarray:
-    """``signs`` with its values and shape, laid out in memory with the
-    axes in ``kept`` outermost.  np.einsum then loops over the summed axes
-    inside each output entry, in the same order, which on a few hundred
-    points is about three times faster than the C layout."""
-    perm = list(kept) + [ax for ax in range(signs.ndim) if ax not in kept]
-    return np.ascontiguousarray(signs.transpose(perm)).transpose(np.argsort(perm))
-
-
 def _d_signs(k):
-    """Sign tensors of d on k-forms, over increasing multi-indices I of
-    degree k + 1: the derivative term sum_r (-1)^r e_{i_r}(w_{I - i_r}),
-    shape (ncomp_{k+1}, 4, ncomp_k), and the bracket term sum_{r<s}
-    (-1)^(r+s) w([e_{i_r}, e_{i_s}], I - i_r - i_s), shape
-    (ncomp_{k+1}, 4, 4, 4, ncomp_k)."""
+    """Gathers of d on k-forms, over increasing multi-indices I of degree
+    k + 1: the derivative term sum_r (-1)^r e_{i_r}(w_{I - i_r}), signs of
+    shape (ncomp_{k+1}, 4, ncomp_k) of which invariant forms need the
+    e1 slice alone, and the bracket term sum_{r<s} (-1)^(r+s)
+    w([e_{i_r}, e_{i_s}], I - i_r - i_s), signs of shape
+    (ncomp_{k+1}, ncomp_k, 4, 4, 4) against the structure functions."""
     deriv = np.zeros((len(MULTI_INDICES[k + 1]), 4, len(MULTI_INDICES[k])))
-    bracket = np.zeros((len(MULTI_INDICES[k + 1]), 4, 4, 4, len(MULTI_INDICES[k])))
+    bracket = np.zeros((len(MULTI_INDICES[k + 1]), len(MULTI_INDICES[k]), 4, 4, 4))
     for q, idx in enumerate(MULTI_INDICES[k + 1]):
         for r, ir in enumerate(idx):
             deriv[q, ir, _INDEX_POS[k][idx[:r] + idx[r + 1:]]] = (-1) ** r
@@ -220,8 +225,8 @@ def _d_signs(k):
                 for m in range(4):
                     sign, key = _sort_index((m,) + rest)
                     if sign:
-                        bracket[q, ir, idx[s], m, _INDEX_POS[k][key]] += (-1) ** (r + s) * sign
-    return deriv, _summed_axes_inner(bracket, (0, 4))
+                        bracket[q, _INDEX_POS[k][key], ir, idx[s], m] += (-1) ** (r + s) * sign
+    return _Gather(deriv[:, 0], 1), _Gather(bracket, 2)
 
 
 _D_SIGNS = {k: _d_signs(k) for k in range(4)}
@@ -238,11 +243,11 @@ def d_form(pt: FramePoint, form: KForm) -> KForm:
         raise ValueError("cannot differentiate a 4-form in dimension 4")
     deriv, bracket = _D_SIGNS[k]
     w = form.comps
-    C = jets.einsum("qabmp,abm...->qp...", bracket, pt.structure_functions())
+    C = bracket(pt.structure_functions())
     # the brackets carry one order less than the form's profiles
     out = jets.einsum("qp...,p...->q...", C, jets.truncate(w, C.order))
     if isinstance(w, Jet):
-        out = out + jets.einsum("qip,ip...->q...", deriv, pt.frame_derivative(w))
+        out = out + deriv(pt.e1(w))
     return KForm(k + 1, out)
 
 
@@ -252,18 +257,19 @@ def codifferential(pt: FramePoint, form: KForm) -> KForm:
 
 
 def _derivation_signs(k):
-    """(ncomp, 4, 4, ncomp): a connection acts on the increasing components
-    of a k-form as sum_r Gamma_{i J_r m} w_{J_r -> m} = sum Gamma_ixm
-    S[J, x, m, P] w_P, replacing each index J_r = x by m."""
+    """Gather of signs S, shape (ncomp, ncomp, 4, 4): a connection acts on
+    the increasing components of a k-form as sum_r Gamma_{i J_r m}
+    w_{J_r -> m} = sum Gamma_ixm S[J, P, x, m] w_P, replacing each index
+    J_r = x by m."""
     n = len(MULTI_INDICES[k])
-    out = np.zeros((n, 4, 4, n))
+    out = np.zeros((n, n, 4, 4))
     for q, idx in enumerate(MULTI_INDICES[k]):
         for r, x in enumerate(idx):
             for m in range(4):
                 sign, key = _sort_index(idx[:r] + (m,) + idx[r + 1:])
                 if sign:
-                    out[q, x, m, _INDEX_POS[k][key]] += sign
-    return _summed_axes_inner(out, (0, 3))
+                    out[q, _INDEX_POS[k][key], x, m] += sign
+    return _Gather(out, 2)
 
 
 _DERIVATION_SIGNS = {k: _derivation_signs(k) for k in range(1, 4)}
@@ -272,7 +278,7 @@ _DERIVATION_SIGNS = {k: _derivation_signs(k) for k in range(1, 4)}
 def cov_deriv(pt: FramePoint, conn: AffineConnection, form: KForm) -> Jet:
     """(D_i w)_J = e_i(w_J) - sum_r Gamma_{i J_r m} w_{J_r -> m} on the
     increasing multi-indices J of a k-form, one jet of shape (4, ncomp, n)."""
-    G = jets.einsum("ixm...,JxmP->iJP...", conn.gamma, _DERIVATION_SIGNS[form.degree])
+    G = _DERIVATION_SIGNS[form.degree](conn.gamma, lead=1)
     # gamma carries one order less than the form's profiles
     w = jets.truncate(form.comps, G.order)
     return pt.frame_derivative(form.comps) - jets.einsum("iJP...,P...->iJ...", G, w)

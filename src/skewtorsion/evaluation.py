@@ -40,7 +40,7 @@ from .connections import (
     cov_deriv, curvature, exterior_ops, full_components,
     levi_civita, ricci_and_scalar, with_skew_torsion,
 )
-from .frame import FULL_SIGNS, KForm, operator_from_tensor
+from .frame import KForm, _FULL, operator_from_tensor
 from .instanton import InducedConnection, induced_lambda_plus, lambda_plus_block_residual
 
 __all__ = ["ConnectionData", "Evaluation", "TILE"]
@@ -132,8 +132,7 @@ class Evaluation:
     @cached_property
     def DH(self) -> np.ndarray:
         """(D^g_i H)_jkl, antisymmetric in (jkl), shape (4, 4, 4, 4, n)."""
-        D = cov_deriv(self.pt, self.lc, self.Hf).value
-        return np.einsum("iP...,Pjkl->ijkl...", D, FULL_SIGNS[3])
+        return _FULL[3](cov_deriv(self.pt, self.lc, self.Hf).value, lead=1)
 
     def __getitem__(self, s: slice) -> "Evaluation":
         """A fresh context on the points of the slice ``s``, with the points'

@@ -5,7 +5,13 @@ e1..e4 (0-based internally), with the volume form e1^e2^e3^e4.  The
 components of a form are one array or one jet, with the component axis
 first and any grid axis last; every operation is linear or bilinear, a
 contraction with a fixed sign tensor built at import, so it acts on
-numbers, grids and jets alike.
+numbers, grids and jets alike.  A sign tensor has 1 to 16 nonzero terms
+per output entry, so the contractions of the per-point pipeline (full
+components, the 6x6 operator, and in ``connections`` and ``charts`` the
+covariant derivative, d and the brackets) are :class:`_Gather` tables:
+each output entry sums only its nonzero terms, into zeros, in increasing
+order of the summed index, the order ``np.einsum`` takes on a grid, so the
+two agree bitwise on finite values.
 
 The six unit 2-forms splitting Lambda^2 into +/- eigenspaces of the Hodge
 star are, in order,
@@ -77,8 +83,62 @@ def _wedge_signs(ka, kb):
     return out
 
 
+class _Gather:
+    """Contraction with a constant tensor ``signs``, whose first ``n_out``
+    axes are the output axes and whose others are summed against the
+    operand's leading axes.
+
+    Row t of ``index`` holds, per output entry, its t-th nonzero term in
+    increasing summed index, or past its last one the zero term (-1).  A
+    call adds the rows into zeros, so an entry is the sum of its nonzero
+    terms in the order np.einsum takes on a grid of two or more points,
+    and the two agree bitwise there on finite values.  The terms are read
+    off the operand scaled once by each distinct coefficient (``scales``)
+    when there are no more such products than output entries, else each
+    row is scaled by its coefficients ``coef``.
+    """
+
+    def __init__(self, signs: np.ndarray, n_out: int):
+        self.signs, self.out_shape, self.n_in = signs, signs.shape[:n_out], signs.ndim - n_out
+        m = signs.reshape(int(np.prod(self.out_shape)), -1)
+        rows, cols = np.nonzero(m)
+        coef = m[rows, cols]
+        slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        self.scales = np.array(sorted(set(coef.tolist())))  # np.unique imports numpy.ma
+        if len(self.scales) * m.shape[1] <= len(m):
+            cols = cols + m.shape[1] * np.searchsorted(self.scales, coef)
+        else:
+            self.scales = None
+        self.index = np.full((slot.max(initial=0) + 1, len(m)), -1)
+        self.index[slot, rows] = cols
+        self.coef = np.ones(self.index.shape)
+        self.coef[slot, rows] = coef
+        self.padded = self.scales is not None or bool(np.any(self.index < 0))
+
+    def __call__(self, x, lead: int = 0):
+        """The contraction over the axes of ``x`` after its first ``lead``,
+        which are carried through like its trailing (grid) axes; a jet is
+        contracted coefficient by coefficient."""
+        if isinstance(x, Jet):
+            return x.map(lambda c: self(c, lead))
+        x = x.reshape(x.shape[:lead] + (-1,) + x.shape[lead + self.n_in:])
+        terms = [x] if self.scales is None else [0.0 + c * x for c in self.scales]
+        if self.padded:
+            terms.append(np.zeros_like(x[(slice(None),) * lead + (slice(1),)]))
+        terms = np.concatenate(terms, axis=lead) if len(terms) > 1 else terms[0]
+        out = None
+        if self.scales is None:
+            out = np.zeros(x.shape[:lead] + self.index.shape[1:] + x.shape[lead + 1:])
+        for index, coef in zip(self.index, self.coef):
+            term = np.take(terms, index, axis=lead)
+            if self.scales is None:
+                term *= coef.reshape(coef.shape + (1,) * (x.ndim - lead - 1))
+            out = term if out is None else np.add(out, term, out=out)
+        return out.reshape(x.shape[:lead] + self.out_shape + x.shape[lead + 1:])
+
+
 FULL_SIGNS = {k: _full_signs(k) for k in range(DIM + 1)}
-_FULL_SPEC = {k: f"p{'abcd'[:k]},p...->{'abcd'[:k]}..." for k in range(DIM + 1)}
+_FULL = {k: _Gather(np.moveaxis(FULL_SIGNS[k], 0, -1), k) for k in range(DIM + 1)}
 _WEDGE = {(ka, kb): _wedge_signs(ka, kb)
           for ka in range(DIM + 1) for kb in range(DIM + 1 - ka)}
 # Hodge star for the metric delta and orientation e1234: e^I ^ *e^I = vol
@@ -151,7 +211,7 @@ class KForm:
         c = self.comps
         if not isinstance(c, Jet):
             c = np.reshape(c, (len(c), -1))
-        return jets.einsum(_FULL_SPEC[self.degree], FULL_SIGNS[self.degree], c)
+        return _FULL[self.degree](c)
 
     def __repr__(self):
         vals = jets.value_of(self.comps)
@@ -201,15 +261,7 @@ def components_in_sd_basis(w: KForm) -> np.ndarray:
     return np.einsum("Pp,p...->P...", _SD_COMPS, jets.value_of(w.comps))
 
 
-def _operator_terms():
-    """(36, 16) flat indices abcd into R and coefficients W[P,a,b] W[Q,c,d]:
-    the nonzero terms of each entry (P, Q), in increasing abcd order."""
-    coef = np.einsum("pab,qcd->pqabcd", SD_WEIGHTS, SD_WEIGHTS).reshape(36, 256)
-    index = np.array([np.flatnonzero(row) for row in coef])
-    return index, np.take_along_axis(coef, index, axis=1)
-
-
-_OP_INDEX, _OP_COEF = _operator_terms()
+_OPERATOR = _Gather(np.einsum("pab,qcd->pqabcd", SD_WEIGHTS, SD_WEIGHTS), 2)
 
 
 def operator_from_tensor(R: np.ndarray) -> np.ndarray:
@@ -219,19 +271,11 @@ def operator_from_tensor(R: np.ndarray) -> np.ndarray:
     pair of ``R`` paired against E_P.  Trailing axes of ``R`` (grid points)
     are carried through.
 
-    Each entry has 16 nonzero terms W[P,a,b] W[Q,c,d] R[a,b,c,d]; they are
-    summed one at a time in increasing abcd order into zeros, which is the
-    order ``0.25 * einsum("pab,qcd,abcd...->pq...", W, W, R)`` takes on a
-    C-contiguous ``R``, so the two agree bitwise on finite values.
+    Each entry has 16 nonzero terms W[P,a,b] W[Q,c,d] R[a,b,c,d], summed
+    by a :class:`_Gather`, so the result is bitwise
+    ``0.25 * einsum("pab,qcd,abcd...->pq...", W, W, R)`` on finite values.
     """
-    R = np.asarray(R)
-    batch = R.shape[4:]
-    flat = R.reshape((256,) + batch)
-    coef = _OP_COEF.reshape(_OP_COEF.shape + (1,) * len(batch))
-    out = np.zeros((36,) + batch)
-    for j in range(_OP_INDEX.shape[1]):
-        out += coef[:, j] * flat[_OP_INDEX[:, j]]
-    return 0.25 * out.reshape((6, 6) + batch)
+    return 0.25 * _OPERATOR(np.asarray(R))
 
 
 # Levi-Civita symbol on the + basis: a self-dual 2-form with + components

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import frame as F
 from . import jets
-from .charts import FramePoint
+from .charts import ChartError, FramePoint
 from .connections import _fro, _structure_equation, _sym, _tf, AffineConnection, full_components
 from .decomposition import operator_blocks
 
@@ -236,9 +236,12 @@ def _intertwiner_spectrum(ev: Evaluation):
     # F(E_Q) as 3x3 matrices per node: shape (6, 3, 3, n) -> (n, 6, 3, 3)
     Fp = np.einsum("pqm...->...mpq", ic_p.F_sd)
     Fm = np.einsum("pqm...->...mpq", ic_m.F_sd)
+    L = _intertwiner_system(Fp, Fm)
+    if not np.all(np.isfinite(L)):
+        raise ChartError("induced curvature not finite at a node")
     # only S and the right singular vectors are used: the reduced SVD gives
     # them without the (n, 54, 54) left factor
-    _, S, Vt = np.linalg.svd(_intertwiner_system(Fp, Fm), full_matrices=False)
+    _, S, Vt = np.linalg.svd(L, full_matrices=False)
     return S, Vt[:, 8], ic_p.omega.value, ic_m.omega.value
 
 

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charts import FramePoint, InvariantChart
+from .charts import ChartError, FramePoint, InvariantChart
 from .connections import _fro
 from .decomposition import einstein_residual, operator_blocks
 from .evaluation import Evaluation
@@ -57,11 +57,13 @@ TOLERANCE = 1e-8
 def _rule_sum(vals, pt: FramePoint, w: np.ndarray) -> np.ndarray:
     """Exactly rounded sums of ``vals`` x volume weight x ``w`` over the
     nodes ``pt`` of one rule: shape () for ``vals`` of shape (n,), (m,)
-    for (m, n)."""
+    for (m, n).  A geometry that overflows gives an integrand or weighted
+    term that is not finite, which raises :class:`ChartError`."""
     vals = np.asarray(vals, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand not finite at an interior node")
-    terms = (vals * pt.chart.volume_weight(pt) * w).reshape(-1, vals.shape[-1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = (vals * pt.chart.volume_weight(pt) * w).reshape(-1, vals.shape[-1])
+    if not np.all(np.isfinite(terms)):
+        raise ChartError("integrand not finite at an interior node")
     return np.array([math.fsum(r) for r in terms]).reshape(vals.shape[:-1])
 
 

@@ -180,6 +180,37 @@ def test_unwritable_out_exits_two(tmp_path, command, where):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ("scan", "--k-min", "-1", "--k-max", "1", "--k-step", "0.02"),
+    ("verify", "--chart", "bonneau"), ("report", "--chart", "bonneau"),
+    ("probe", "--chart", "bonneau"),
+])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_out_exits_two_before_any_chart(tmp_path, monkeypatch, command, where):
+    calls = []
+    bonneau_chart = charts.bonneau_chart
+    monkeypatch.setattr(charts, "bonneau_chart",
+                        lambda *a, **kw: calls.append(a) or bonneau_chart(*a, **kw))
+    target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+    code, out, err = run_cli(*command, "--grid", "16", "--out", str(target))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith(f"error: cannot write --out {target}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--chart", "product", "--b0", "1e-155", "--L", "2"),
+    ("probe", "--chart", "product", "--b0", "1e-155", "--L", "2"),
+    ("report", "--chart", "product", "--b0", "1e150"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_geometry_exits_two(argv):
+    code, out, err = run_cli(*argv, "--grid", "64")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] in ("error: integrand not finite at an interior node",
+                                    "error: induced curvature not finite at a node")
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "skewtorsion.cli", "verify", "--chart", "flat",

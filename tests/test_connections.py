@@ -6,7 +6,7 @@ import pytest
 from skewtorsion import jets
 from skewtorsion.charts import (
     InvariantForm, bonneau_chart, flat_torsion, flat_torus_chart,
-    product_chart, random_chart, random_torsion, round_s4_chart,
+    product_chart, random_chart, random_one_form, random_torsion, round_s4_chart,
 )
 from skewtorsion.connections import (
     AffineConnection, CurvatureTensor, codifferential, curvature, curvature_via_eq1, d_form,
@@ -273,17 +273,53 @@ def test_tensors_are_single_jets():
 
 
 @pytest.mark.parametrize("n", [64, 512, 4096])
-def test_sign_tensor_layout_keeps_the_contraction_bits(n):
-    # the sign tensors of d and of the covariant derivative are stored with
-    # the summed axes innermost; np.einsum must give the bits of the C layout
+def test_sign_tensor_gathers_keep_the_contraction_bits(n):
+    # d and the covariant derivative contract their sign tensors by gathers;
+    # on finite values they give the bits of the np.einsum they replace
     from skewtorsion.connections import _D_SIGNS, _DERIVATION_SIGNS
     rng = np.random.default_rng(n)
     for k in range(4):
         x = rng.standard_normal((4, 4, 4, n)) * 10.0 ** rng.uniform(-8, 8, (4, 4, 4, n))
-        signs = _D_SIGNS[k][1]
-        assert (np.einsum("qabmp,abm...->qp...", signs, x).tobytes()
-                == np.einsum("qabmp,abm...->qp...", np.ascontiguousarray(signs), x).tobytes())
+        deriv, bracket = _D_SIGNS[k]
+        assert (bracket(x).tobytes()
+                == np.einsum("qpabm,abm...->qp...", bracket.signs, x).tobytes())
+        # the derivative term reads e1 alone of the frame derivatives
+        fd = np.zeros((4,) + deriv.signs.shape[1:] + (n,))
+        fd[0] = x.reshape(-1, n)[:deriv.signs[0].size].reshape(fd.shape[1:])
+        signs = np.stack([deriv.signs] + [np.zeros_like(deriv.signs)] * 3, axis=1)
+        assert deriv(fd[0]).tobytes() == np.einsum("qip,ip...->q...", signs, fd).tobytes()
         if k in _DERIVATION_SIGNS:
             signs = _DERIVATION_SIGNS[k]
-            assert (np.einsum("ixm...,JxmP->iJP...", x, signs).tobytes()
-                    == np.einsum("ixm...,JxmP->iJP...", x, np.ascontiguousarray(signs)).tobytes())
+            assert (signs(x, lead=1).tobytes()
+                    == np.einsum("ixm...,JPxm->iJP...", x, signs.signs).tobytes())
+
+
+def dense_structure_equation(pt, omega):
+    """The structure equation summed over all (i, j, m): the reference of
+    the pair-wise ``connections._structure_equation``."""
+    w = omega.value
+    dw = pt.e1(omega).value
+    F = np.zeros((4, 4) + w.shape[1:])
+    F[0] += dw
+    F[:, 0] -= dw
+    comm = np.einsum("ipr...,jrq...->ijpq...", w, w)
+    F += comm - np.einsum("ijpq...->jipq...", comm)
+    F -= np.einsum("ijm...,mpq...->ijpq...", pt.brackets, w)
+    return F
+
+
+@pytest.mark.parametrize("chart", [random_chart(3), bonneau_chart(0.3)[0],
+                                   product_chart(1.3, 2.0), flat_torus_chart(2.0)],
+                         ids=["random", "bonneau", "product", "flat"])
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_pairwise_structure_equation_is_the_dense_sum(chart, n):
+    from skewtorsion.connections import _structure_equation
+    from skewtorsion.weyl import weyl_connection
+    ev = Evaluation(chart.at(chart.sample_grid(n)), random_torsion(5))
+    weyl = weyl_connection(ev.lc, random_one_form(5).at(ev.pt))
+    forms = [jets.einsum("ilk...->ikl...", conn.gamma)
+             for conn in (ev.lc, ev.plus.conn, ev.minus.conn, weyl)]
+    forms += [ev.plus.induced.omega, ev.minus.induced.omega]
+    for omega in forms:
+        assert np.array_equal(_structure_equation(ev.pt, omega),
+                              dense_structure_equation(ev.pt, omega))

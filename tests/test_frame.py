@@ -112,6 +112,51 @@ def test_operator_is_the_einsum_bitwise(seed, batch, n, antisymmetric):
     assert _bits(operator_from_tensor(R)) == _bits(ref)
 
 
+def _gather_tables():
+    """(gather, lead, operand axes, einsum it replaces as a function of the
+    operand) for every gathered contraction of the package."""
+    from skewtorsion import charts, connections
+    out = []
+    for k in range(5):
+        spec = f"p{'abcd'[:k]},p...->{'abcd'[:k]}..."
+        out.append((F._FULL[k], 0, (len(F.MULTI_INDICES[k]),),
+                    lambda x, spec=spec, k=k: np.einsum(spec, F.FULL_SIGNS[k], x)))
+    out.append((F._FULL[3], 1, (4, 4),
+                lambda x: np.einsum("iP...,Pjkl->ijkl...", x, F.FULL_SIGNS[3])))
+    for k, (deriv, bracket) in connections._D_SIGNS.items():
+        out.append((deriv, 0, deriv.signs.shape[1:],
+                    lambda x, s=deriv.signs: np.einsum("qp,p...->q...", s, x)))
+        out.append((bracket, 0, (4, 4, 4), lambda x, s=np.moveaxis(bracket.signs, 1, -1):
+                    np.einsum("qabmp,abm...->qp...", s, x)))
+    for k, g in connections._DERIVATION_SIGNS.items():
+        out.append((g, 1, (4, 4, 4), lambda x, s=np.moveaxis(g.signs, 1, -1):
+                    np.einsum("ixm...,JxmP->iJP...", x, s)))
+    for nt, g in charts._BRACKETS.items():
+        out.append((g, 0, (nt,), lambda x, s=np.moveaxis(g.signs, -1, 0):
+                    np.einsum("t...,tijk->ijk...", x, s)))
+    return out
+
+
+_GATHER_TABLES = _gather_tables()
+
+
+@pytest.mark.parametrize("table", range(len(_GATHER_TABLES)))
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40))
+def test_gathers_are_the_einsums_they_replace(table, seed, n):
+    """Every gathered sign-tensor contraction equals its dense einsum, on
+    random operands with exact zeros of both signs, on a grid of n >= 2
+    points (with one point np.einsum may reduce the summed axes in its
+    inner loop, in another order)."""
+    gather, lead, axes, dense = _GATHER_TABLES[table]
+    rng = np.random.default_rng(seed)
+    shape = (4,) * lead + axes + (n,)
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+    x[rng.random(shape) < 0.25] = 0.0
+    x[rng.random(shape) < 0.25] = -0.0
+    assert np.array_equal(gather(x, lead), dense(x))
+
+
 def test_ricci_contraction_examples():
     assert np.allclose(ricci_contraction(np.zeros((4, 4))), 0.0)
     t = np.diag([1.0, 1.0, -1.0, -1.0])
