@@ -150,6 +150,10 @@ for _t, _i, _j, _k, _s in ((0, 0, 1, 1, -1), (0, 0, 2, 2, -1), (1, 0, 3, 3, -1),
                            (2, 1, 2, 3, -1), (3, 1, 3, 2, 1), (3, 2, 3, 1, -1)):
     _BRACKET_SIGNS[_t, _i, _j, _k] = _s
     _BRACKET_SIGNS[_t, _j, _i, _k] = -_s
+# a bracket [e_i, e_j] has at most one component e_m: the pairs i < j and their m
+_PAIRS = np.triu_indices(4, 1)
+assert np.all(np.count_nonzero(_BRACKET_SIGNS.any(axis=0), axis=-1) <= 1)
+_BRACKET_PAIRS = _PAIRS + (np.argmax(_BRACKET_SIGNS.any(axis=0), axis=-1)[_PAIRS],)
 # the contraction with the functions, per number of functions
 _BRACKETS = {nt: _Gather(np.moveaxis(_BRACKET_SIGNS[:nt], 0, -1), 3) for nt in (2, 4)}
 

@@ -416,7 +416,7 @@ def main(argv=None) -> int:
                              "steps; raise --k-step\n")
             return 2
     try:
-        # before any work; the write reports what only writing shows
+        # before any work; _emit reports what only the write shows
         if args.out and (os.path.isdir(args.out)
                          or not os.path.isdir(os.path.dirname(args.out) or ".")):
             raise _OutError(f"cannot write --out {args.out}: "

@@ -3,9 +3,8 @@
 Connection coefficients gamma[i, j, k] = g(D_{e_i} e_j, e_k) are one jet
 of shape (4, 4, 4, n), so the radial derivative entering the curvature is
 exact; the constructions and covariant derivatives below are contractions
-of that jet and the bracket jet with fixed sign tensors, taken as gathers
-of their nonzero terms (``frame._Gather``).  The curvature sign
-convention is fixed by
+of that jet and the bracket jet with fixed sign tensors, as gathers
+(``frame._Gather``).  The curvature sign convention is fixed by
 
     R(X, Y, Z, W) = g([D_X, D_Y] W - D_{[X,Y]} W, Z),
 
@@ -20,9 +19,8 @@ Riemannian adjoint), equal to minus the divergence contraction.
 The structure equation F_ij = e_i(w_j) - e_j(w_i) + [w_i, w_j] - C_ij^m w_m
 of matrix-valued connection forms w is written once, in
 :func:`_structure_equation`, for :func:`curvature` and for the induced
-connection on Lambda+ (``instanton.InducedConnection.from_forms``).  A
-frame bracket [e_i, e_j] has one component, so F is evaluated on the six
-pairs i < j, each with its one bracket index, and F_ji = -F_ij.
+connection on Lambda+ (``instanton.InducedConnection.from_forms``), on
+the six pairs i < j with their one bracket index, and F_ji = 0 - F_ij.
 
 The curvature routes, the exterior data of H and the identity suite read
 their connections and curvature tensors from an evaluation context
@@ -40,7 +38,7 @@ import numpy as np
 from . import jets
 from .jets import Jet
 from .frame import KForm, MULTI_INDICES, _INDEX_POS, _Gather, _sort_index, hodge_star, norm_sq
-from .charts import FramePoint, _BRACKET_SIGNS
+from .charts import FramePoint, _BRACKET_PAIRS
 
 if TYPE_CHECKING:
     from .evaluation import Evaluation
@@ -151,28 +149,21 @@ def with_skew_torsion(lc: AffineConnection, H: KForm) -> AffineConnection:
 # ---------------------------------------------------------------------------
 
 
-# the pairs i < j and the one index m with [e_i, e_j] along e_m
-_PAIR_I, _PAIR_J = np.triu_indices(4, 1)
-_PAIR_M = np.argmax(_BRACKET_SIGNS.any(axis=0), axis=-1)[_PAIR_I, _PAIR_J]
-
-
 def _structure_equation(pt: FramePoint, omega: Jet) -> np.ndarray:
     """Curvature values F[i, j, p, q], shape (4, 4, P, Q, n), of the
-    connection forms ``omega[i, p, q]``, one jet of shape (4, P, Q, n), on
-    the pairs i < j and F[j, i] = -F[i, j]: every step of a pair's
-    arithmetic is odd under the swap, so F equals the sum over all
-    (i, j, m) (for metric and non-metric forms alike)."""
+    connection forms ``omega[i, p, q]``, one jet of shape (4, P, Q, n); each
+    step is odd under i <-> j, so F is bitwise the sum over all (i, j, m)."""
     w = omega.value
+    i, j, m = _BRACKET_PAIRS
     Fp = np.zeros((6,) + w.shape[1:])
     # e_i(w_j) - e_j(w_i): only the radial direction acts, on the pairs (0, j)
     Fp[:3] += pt.e1(omega).value[1:]
-    Fp += (np.einsum("ipr...,irq...->ipq...", w[_PAIR_I], w[_PAIR_J])
-           - np.einsum("ipr...,irq...->ipq...", w[_PAIR_J], w[_PAIR_I]))
-    C = pt.brackets[_PAIR_I, _PAIR_J, _PAIR_M]
-    Fp -= 0.0 + C[:, None, None] * w[_PAIR_M]  # into zeros, as the sum over m
+    Fp += (np.einsum("ipr...,irq...->ipq...", w[i], w[j])
+           - np.einsum("ipr...,irq...->ipq...", w[j], w[i]))
+    Fp -= 0.0 + pt.brackets[i, j, m][:, None, None] * w[m]  # into zeros, as the sum over m
     F = np.zeros((4, 4) + w.shape[1:])
-    F[_PAIR_I, _PAIR_J] = Fp
-    F[_PAIR_J, _PAIR_I] = -Fp
+    F[i, j] = Fp
+    F[j, i] = 0.0 - Fp  # +0.0 where Fp is zero, as in the sum
     return F
 
 
@@ -210,11 +201,9 @@ def ricci_and_scalar(R: CurvatureTensor) -> RicciData:
 
 def _d_signs(k):
     """Gathers of d on k-forms, over increasing multi-indices I of degree
-    k + 1: the derivative term sum_r (-1)^r e_{i_r}(w_{I - i_r}), signs of
-    shape (ncomp_{k+1}, 4, ncomp_k) of which invariant forms need the
-    e1 slice alone, and the bracket term sum_{r<s} (-1)^(r+s)
-    w([e_{i_r}, e_{i_s}], I - i_r - i_s), signs of shape
-    (ncomp_{k+1}, ncomp_k, 4, 4, 4) against the structure functions."""
+    k + 1: the derivative term sum_r (-1)^r e_{i_r}(w_{I - i_r}) along e1,
+    the one direction invariant forms vary in, and the bracket term
+    sum_{r<s} (-1)^(r+s) w([e_{i_r}, e_{i_s}], I - i_r - i_s)."""
     deriv = np.zeros((len(MULTI_INDICES[k + 1]), 4, len(MULTI_INDICES[k])))
     bracket = np.zeros((len(MULTI_INDICES[k + 1]), len(MULTI_INDICES[k]), 4, 4, 4))
     for q, idx in enumerate(MULTI_INDICES[k + 1]):
@@ -257,10 +246,8 @@ def codifferential(pt: FramePoint, form: KForm) -> KForm:
 
 
 def _derivation_signs(k):
-    """Gather of signs S, shape (ncomp, ncomp, 4, 4): a connection acts on
-    the increasing components of a k-form as sum_r Gamma_{i J_r m}
-    w_{J_r -> m} = sum Gamma_ixm S[J, P, x, m] w_P, replacing each index
-    J_r = x by m."""
+    """Gather of S, (ncomp, ncomp, 4, 4): a connection acts on a k-form as
+    sum_r Gamma_{i J_r m} w_{J_r -> m} = sum Gamma_ixm S[J, P, x, m] w_P."""
     n = len(MULTI_INDICES[k])
     out = np.zeros((n, n, 4, 4))
     for q, idx in enumerate(MULTI_INDICES[k]):

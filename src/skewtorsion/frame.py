@@ -5,13 +5,9 @@ e1..e4 (0-based internally), with the volume form e1^e2^e3^e4.  The
 components of a form are one array or one jet, with the component axis
 first and any grid axis last; every operation is linear or bilinear, a
 contraction with a fixed sign tensor built at import, so it acts on
-numbers, grids and jets alike.  A sign tensor has 1 to 16 nonzero terms
-per output entry, so the contractions of the per-point pipeline (full
-components, the 6x6 operator, and in ``connections`` and ``charts`` the
-covariant derivative, d and the brackets) are :class:`_Gather` tables:
-each output entry sums only its nonzero terms, into zeros, in increasing
-order of the summed index, the order ``np.einsum`` takes on a grid, so the
-two agree bitwise on finite values.
+numbers, grids and jets alike.  The per-point pipeline contracts its sign
+tensors by :class:`_Gather`, which sums only the nonzero terms, to the
+bits of ``np.einsum`` on grids of two or more points.
 
 The six unit 2-forms splitting Lambda^2 into +/- eigenspaces of the Hodge
 star are, in order,
@@ -84,56 +80,34 @@ def _wedge_signs(ka, kb):
 
 
 class _Gather:
-    """Contraction with a constant tensor ``signs``, whose first ``n_out``
-    axes are the output axes and whose others are summed against the
-    operand's leading axes.
-
-    Row t of ``index`` holds, per output entry, its t-th nonzero term in
-    increasing summed index, or past its last one the zero term (-1).  A
-    call adds the rows into zeros, so an entry is the sum of its nonzero
-    terms in the order np.einsum takes on a grid of two or more points,
-    and the two agree bitwise there on finite values.  The terms are read
-    off the operand scaled once by each distinct coefficient (``scales``)
-    when there are no more such products than output entries, else each
-    row is scaled by its coefficients ``coef``.
-    """
+    """Contraction with ``signs``, whose first ``n_out`` axes are the output's.
+    Row t of ``index`` and ``coef`` is each entry's t-th nonzero term, or a
+    zero-coefficient one; adding the rows into zeros is the order np.einsum
+    takes on grids of two or more points, so the two agree bitwise on finite
+    values."""
 
     def __init__(self, signs: np.ndarray, n_out: int):
         self.signs, self.out_shape, self.n_in = signs, signs.shape[:n_out], signs.ndim - n_out
         m = signs.reshape(int(np.prod(self.out_shape)), -1)
         rows, cols = np.nonzero(m)
-        coef = m[rows, cols]
         slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        self.scales = np.array(sorted(set(coef.tolist())))  # np.unique imports numpy.ma
-        if len(self.scales) * m.shape[1] <= len(m):
-            cols = cols + m.shape[1] * np.searchsorted(self.scales, coef)
-        else:
-            self.scales = None
-        self.index = np.full((slot.max(initial=0) + 1, len(m)), -1)
+        self.index = np.zeros((slot.max(initial=0) + 1, len(m)), dtype=np.intp)
         self.index[slot, rows] = cols
-        self.coef = np.ones(self.index.shape)
-        self.coef[slot, rows] = coef
-        self.padded = self.scales is not None or bool(np.any(self.index < 0))
+        self.coef = np.zeros(self.index.shape)
+        self.coef[slot, rows] = m[rows, cols]
 
     def __call__(self, x, lead: int = 0):
-        """The contraction over the axes of ``x`` after its first ``lead``,
-        which are carried through like its trailing (grid) axes; a jet is
-        contracted coefficient by coefficient."""
+        """Contract the axes of ``x`` after its first ``lead``; the lead and
+        trailing (grid) axes are carried through, a jet coefficient-wise."""
         if isinstance(x, Jet):
             return x.map(lambda c: self(c, lead))
         x = x.reshape(x.shape[:lead] + (-1,) + x.shape[lead + self.n_in:])
-        terms = [x] if self.scales is None else [0.0 + c * x for c in self.scales]
-        if self.padded:
-            terms.append(np.zeros_like(x[(slice(None),) * lead + (slice(1),)]))
-        terms = np.concatenate(terms, axis=lead) if len(terms) > 1 else terms[0]
-        out = None
-        if self.scales is None:
-            out = np.zeros(x.shape[:lead] + self.index.shape[1:] + x.shape[lead + 1:])
-        for index, coef in zip(self.index, self.coef):
-            term = np.take(terms, index, axis=lead)
-            if self.scales is None:
-                term *= coef.reshape(coef.shape + (1,) * (x.ndim - lead - 1))
-            out = term if out is None else np.add(out, term, out=out)
+        coef = self.coef.reshape(self.coef.shape + (1,) * (x.ndim - lead - 1))
+        out = np.zeros(x.shape[:lead] + self.index.shape[1:] + x.shape[lead + 1:])
+        for index, c in zip(self.index, coef):
+            term = np.take(x, index, axis=lead)
+            term *= c
+            out += term
         return out.reshape(x.shape[:lead] + self.out_shape + x.shape[lead + 1:])
 
 

@@ -168,25 +168,13 @@ def test_out_file(tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    ("verify", "--chart", "round"), ("report", "--chart", "flat"),
-    ("probe", "--chart", "round"), ("scan", "--k-min", "0", "--k-max", "0"),
-])
-@pytest.mark.parametrize("where", ["missing_dir", "directory"])
-def test_unwritable_out_exits_two(tmp_path, command, where):
-    target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
-    code, out, err = run_cli(*command, "--grid", "16", "--out", str(target))
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: cannot write --out {target}: ")
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("command", [
-    ("scan", "--k-min", "-1", "--k-max", "1", "--k-step", "0.02"),
     ("verify", "--chart", "bonneau"), ("report", "--chart", "bonneau"),
     ("probe", "--chart", "bonneau"),
+    ("scan", "--k-min", "-1", "--k-max", "1", "--k-step", "0.02"),
 ])
 @pytest.mark.parametrize("where", ["missing_dir", "directory"])
-def test_unwritable_out_exits_two_before_any_chart(tmp_path, monkeypatch, command, where):
+def test_unwritable_out_exits_two(tmp_path, monkeypatch, command, where):
+    # refused before any chart is built
     calls = []
     bonneau_chart = charts.bonneau_chart
     monkeypatch.setattr(charts, "bonneau_chart",
@@ -195,6 +183,19 @@ def test_unwritable_out_exits_two_before_any_chart(tmp_path, monkeypatch, comman
     code, out, err = run_cli(*command, "--grid", "16", "--out", str(target))
     assert (code, out, calls) == (2, "", [])
     assert err.startswith(f"error: cannot write --out {target}: ")
+    assert err.count("\n") == 1
+
+
+def test_out_refused_at_write_exits_two(tmp_path, monkeypatch):
+    # what only the write shows, here a permission error, is reported by _emit
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    target = tmp_path / "x.json"
+    code, out, err = run_cli("report", "--chart", "flat", "--grid", "16", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {target}: Permission denied\n"
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -321,5 +321,6 @@ def test_pairwise_structure_equation_is_the_dense_sum(chart, n):
              for conn in (ev.lc, ev.plus.conn, ev.minus.conn, weyl)]
     forms += [ev.plus.induced.omega, ev.minus.induced.omega]
     for omega in forms:
-        assert np.array_equal(_structure_equation(ev.pt, omega),
-                              dense_structure_equation(ev.pt, omega))
+        # bytes, not values: the sign of zero counts too
+        assert (_structure_equation(ev.pt, omega).tobytes()
+                == dense_structure_equation(ev.pt, omega).tobytes())
