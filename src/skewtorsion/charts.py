@@ -218,9 +218,12 @@ class FramePoint:
         # the brackets carry the profiles' derivatives, so one order less
         db, dc = self.b.derivative(), self.c.derivative()
         a, b, c = (jets.truncate(p, db.order) for p in (self.a, self.b, self.c))
-        f = [db / (a * b), dc / (a * c)]
-        if self.chart.structure_mode == "su2":
-            f += [c / (b * b), 1.0 / c]
+        with np.errstate(all="ignore"):
+            f = [db / (a * b), dc / (a * c)]
+            if self.chart.structure_mode == "su2":
+                f += [c / (b * b), 1.0 / c]
+        if not all(np.isfinite(v).all() for j in f for v in j.coeffs):
+            raise ChartError("frame brackets not finite at a node")
         return _BRACKETS[len(f)](_stack(f))
 
     def structure_functions(self) -> Jet:

@@ -2,8 +2,7 @@
 
 Subcommands:
   verify  run the identity and reconstruction suites on a chart; exit 0
-          iff every residual is below ``--tol``, 1 on residual failure,
-          2 on bad parameters or an ``--out`` that cannot be written.
+          iff every residual is below ``--tol``, 1 on residual failure.
   report  topological and decomposition report for a chart (JSON).
   scan    sweep the S^4 family parameter k and emit one row per value,
           as JSON or, with ``--format csv``, as CSV.
@@ -14,19 +13,26 @@ belongs to the subcommands that read it.  ``--grid`` is the grid of the
 checks for ``verify`` and ``probe``, the quadrature node count n for
 ``report`` and ``scan``.
 
+Every command exits 2, with one ``error: ...`` line on stderr and nothing
+on stdout, on a bad option value, a chart it cannot build or whose
+brackets or integrands overflow, and an ``--out`` it cannot write.
+
 Each command evaluates the chart once per grid it uses, and every check
-on that grid shares one evaluation context.  Every JSON payload lists
-those grids under ``grids`` and the jet order of the profiles under
-``jet_order``: ``quadrature`` (the Gauss-Legendre node counts: 2n for
-chi, tau and p1, and in a report n for their error estimates),
-``p1_sample`` (in a report, the n-point sample grid of the minimum p1
-integrand, evaluated with the n nodes as one batch), ``sample`` (the
-64-point grid of the Einstein residual, the Nijenhuis tensor and, in a
-scan, the decomposition and the probe), ``check`` (the grid of the
-verify suites; in a report, of the decomposition, Yang-Mills,
-self-duality, Killing and Weyl checks, ``--grid`` capped at 128) and
-``probe`` (the grid of the probe command).  A scan row reads chi, tau
-and p1 alone, so it evaluates neither the n nodes nor the p1 sample grid.
+on that grid shares one evaluation context.  Every JSON payload starts
+with one header (:func:`_emit_json`): ``schema``, ``command``, ``chart``
+(not in a scan), the grids under ``grids``, the jet order of the
+profiles under ``jet_order`` and the package and numpy versions under
+``provenance``.  The grids are ``quadrature`` (the Gauss-Legendre node
+counts: 2n for chi, tau and p1, and in a report n for their error
+estimates), ``p1_sample`` (in a report, the n-point sample grid of the
+minimum p1 integrand, evaluated with the n nodes as one batch),
+``sample`` (the 64-point grid of the Einstein residual, the Nijenhuis
+tensor and, in a scan, the decomposition and the probe), ``check`` (the
+grid of the verify suites; in a report, of the decomposition,
+Yang-Mills, self-duality, Killing and Weyl checks, ``--grid`` capped at
+128) and ``probe`` (the grid of the probe command).  A scan row reads
+chi, tau and p1 alone, so it evaluates neither the n nodes nor the p1
+sample grid.
 
 The checks that work point by point run on a grid of more than
 ``evaluation.TILE`` (512) points tile by tile, each tile a context of its
@@ -64,7 +70,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import charts
+from . import __version__, charts
 from .charts import ChartError
 from .connections import identity_suite
 from .decomposition import decompose_point
@@ -108,23 +114,18 @@ def _float_array(arr: np.ndarray) -> str:
 
 
 def _to_jsonable(obj):
-    """``obj`` with numpy scalars as Python numbers; arrays stay arrays, for
-    :func:`_dump_json` to emit in one pass."""
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    """``obj`` as a Python value if it is a numpy bool, integer or floating
+    value, else as it is: the leaf step of :func:`_dump_json`."""
+    if isinstance(obj, np.floating):  # float(), as item() keeps a longdouble
         return float(obj)
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
     return obj
 
 
 def _dump_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with fixed float formatting."""
+    """Deterministic JSON with fixed float formatting, in one walk: tuples
+    are lists, and every other leaf passes :func:`_to_jsonable`."""
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -132,12 +133,13 @@ def _dump_json(obj, indent: int = 0) -> str:
         items = ",\n".join(
             f'{pad}  "{k}": {_dump_json(v, indent + 2)}' for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dump_json(v, indent) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f":
             return _float_array(obj)
         return _dump_json(obj.tolist(), indent)
+    obj = _to_jsonable(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -149,8 +151,8 @@ def _dump_json(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-class _OutError(Exception):
-    """``--out`` names a path that cannot be written."""
+class _UsageError(Exception):
+    """A bad option value, or an ``--out`` that cannot be written: exit 2."""
 
 
 def _emit(text: str, out_path: str | None):
@@ -161,7 +163,19 @@ def _emit(text: str, out_path: str | None):
         with open(out_path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _OutError(f"cannot write --out {out_path}: {exc.strerror}") from None
+        raise _UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
+
+
+def _emit_json(args, command: str, grids: dict, chart=None, **body):
+    """Emit one JSON payload: the header every command shares, then ``body``
+    in order."""
+    payload = {"schema": SCHEMA, "command": command}
+    if chart is not None:
+        payload["chart"] = chart.to_dict()
+    payload.update(grids=grids, jet_order=DEFAULT_ORDER,
+                   provenance={"skewtorsion": __version__, "numpy": np.__version__},
+                   **body)
+    _emit(_dump_json(payload) + "\n", args.out)
 
 
 def _build_chart(args):
@@ -192,19 +206,9 @@ def cmd_verify(args) -> int:
     res = _verify_residuals(ev)
     # a NaN residual is not below tolerance
     failing = [k for k, v in res.items() if not v <= args.tol]
-    payload = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "chart": chart.to_dict(),
-        "grids": {"check": ev.pt.npoints},
-        "jet_order": DEFAULT_ORDER,
-        "tolerance": args.tol,
-        "residuals": _to_jsonable(res),
-        "failing": failing,
-        "ok": not failing,
-    }
-    _emit(_dump_json(payload) + "\n", args.out)
-    return 0 if not failing else 1
+    _emit_json(args, "verify", {"check": ev.pt.npoints}, chart, tolerance=args.tol,
+               residuals=res, failing=failing, ok=not failing)
+    return 1 if failing else 0
 
 
 def cmd_report(args) -> int:
@@ -212,29 +216,18 @@ def cmd_report(args) -> int:
     ev64 = Evaluation.on_grid(chart, H, SAMPLE_GRID)
     top = hitchin_thorpe_report(ev64, nodes=args.grid)
     ev = Evaluation.on_grid(chart, H, min(args.grid, 128))
-    sd = {"plus": self_duality_residual(ev.plus.induced),
-          "minus": self_duality_residual(ev.minus.induced)}
-    payload = {
-        "schema": SCHEMA,
-        "command": "report",
-        "chart": chart.to_dict(),
-        "grids": {
-            "quadrature": [args.grid, 2 * args.grid],
-            "p1_sample": args.grid,
-            "sample": ev64.pt.npoints,
-            "check": ev.pt.npoints,
-        },
-        "jet_order": DEFAULT_ORDER,
-        "topology": _to_jsonable(top.to_dict()),
-        "decomposition": _to_jsonable(decompose_point(ev).summary()),
-        "yang_mills": _to_jsonable({k: v for k, v in yang_mills_density_check(ev).items()
-                                    if k != "density"}),
-        "self_duality": _to_jsonable(sd),
-        "killing": _to_jsonable(killing_residual(ev)),
-        "weyl_roundtrip": _to_jsonable(torsion_weyl_roundtrip(ev)),
-        "nijenhuis_radial": nijenhuis_norm(ev64.pt, acs_radial()),
-    }
-    _emit(_dump_json(payload) + "\n", args.out)
+    grids = {"quadrature": [args.grid, 2 * args.grid], "p1_sample": args.grid,
+             "sample": ev64.pt.npoints, "check": ev.pt.npoints}
+    _emit_json(
+        args, "report", grids, chart,
+        topology=top.to_dict(),
+        decomposition=decompose_point(ev).summary(),
+        yang_mills={k: v for k, v in yang_mills_density_check(ev).items() if k != "density"},
+        self_duality={"plus": self_duality_residual(ev.plus.induced),
+                      "minus": self_duality_residual(ev.minus.induced)},
+        killing=killing_residual(ev),
+        weyl_roundtrip=torsion_weyl_roundtrip(ev),
+        nijenhuis_radial=nijenhuis_norm(ev64.pt, acs_radial()))
     return 0
 
 
@@ -280,10 +273,8 @@ def cmd_scan(args) -> int:
 
     if args.format == "json":
         # a row reads chi, tau and p1 alone, which the rule of 2n nodes gives
-        grids = {"quadrature": [2 * args.grid], "sample": SAMPLE_GRID}
-        payload = {"schema": SCHEMA, "command": "scan", "grids": grids,
-                   "jet_order": DEFAULT_ORDER, "rows": _to_jsonable(rows)}
-        _emit(_dump_json(payload) + "\n", args.out)
+        _emit_json(args, "scan", {"quadrature": [2 * args.grid], "sample": SAMPLE_GRID},
+                   rows=rows)
     else:
         fields = ["k", "admissible", "einstein_residual", "reconstruction_residual",
                   "chi", "tau", "margin", "p1_lambda_plus", "probe_verdict", "reason"]
@@ -303,16 +294,8 @@ def cmd_probe(args) -> int:
     chart, H = _build_chart(args)
     ev = Evaluation.on_grid(chart, H, args.grid)
     rep = gauge_equivalence_probe(ev)
-    payload = {
-        "schema": SCHEMA,
-        "command": "probe",
-        "chart": chart.to_dict(),
-        "grids": {"probe": ev.pt.npoints},
-        "jet_order": DEFAULT_ORDER,
-        "result": _to_jsonable(rep.summary()),
-        "singular_values": _to_jsonable(rep.singular_values),
-    }
-    _emit(_dump_json(payload) + "\n", args.out)
+    _emit_json(args, "probe", {"probe": ev.pt.npoints}, chart,
+               result=rep.summary(), singular_values=rep.singular_values)
     return 0
 
 
@@ -394,45 +377,32 @@ def _keep_freed_memory() -> None:
 def main(argv=None) -> int:
     _keep_freed_memory()
     args = _parser().parse_args(argv)
-    if args.grid < 16:
-        sys.stderr.write("error: --grid must be at least 16\n")
-        return 2
-    if args.command == "verify" and not args.tol > 0:  # NaN too
-        sys.stderr.write("error: --tol must be positive\n")
-        return 2
-    if args.command == "scan":
-        if not (math.isfinite(args.k_step) and args.k_step > 0):
-            sys.stderr.write("error: --k-step must be finite and positive\n")
-            return 2
-        if not (math.isfinite(args.k_min) and math.isfinite(args.k_max)):
-            sys.stderr.write("error: --k-min and --k-max must be finite\n")
-            return 2
-        if args.k_min > args.k_max:
-            sys.stderr.write("error: --k-min must not exceed --k-max\n")
-            return 2
-        # a tiny step, or a range near the float limit, gives inf here
-        if (args.k_max - args.k_min) / args.k_step >= MAX_SCAN_ROWS:
-            sys.stderr.write(f"error: the scan range spans {MAX_SCAN_ROWS} or more "
-                             "steps; raise --k-step\n")
-            return 2
     try:
+        if args.grid < 16:
+            raise _UsageError("--grid must be at least 16")
+        if args.command == "verify" and not args.tol > 0:  # NaN too
+            raise _UsageError("--tol must be positive")
+        if args.command == "scan":
+            if not (math.isfinite(args.k_step) and args.k_step > 0):
+                raise _UsageError("--k-step must be finite and positive")
+            if not (math.isfinite(args.k_min) and math.isfinite(args.k_max)):
+                raise _UsageError("--k-min and --k-max must be finite")
+            if args.k_min > args.k_max:
+                raise _UsageError("--k-min must not exceed --k-max")
+            # a tiny step, or a range near the float limit, gives inf here
+            if (args.k_max - args.k_min) / args.k_step >= MAX_SCAN_ROWS:
+                raise _UsageError(f"the scan range spans {MAX_SCAN_ROWS} or more "
+                                  "steps; raise --k-step")
         # before any work; _emit reports what only the write shows
         if args.out and (os.path.isdir(args.out)
                          or not os.path.isdir(os.path.dirname(args.out) or ".")):
-            raise _OutError(f"cannot write --out {args.out}: "
-                            "it is a directory or its directory does not exist")
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "report":
-            return cmd_report(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "probe":
-            return cmd_probe(args)
-    except (ChartError, _OutError) as exc:
+            raise _UsageError(f"cannot write --out {args.out}: "
+                              "it is a directory or its directory does not exist")
+        # looked up at call time, so that a patched cmd_* is the one run
+        return globals()["cmd_" + args.command](args)
+    except (ChartError, _UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return 2
 
 
 if __name__ == "__main__":

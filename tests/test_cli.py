@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import skewtorsion
 from skewtorsion import charts, cli
 from skewtorsion.cli import main
 from skewtorsion.connections import identity_suite
@@ -202,6 +203,7 @@ def test_out_refused_at_write_exits_two(tmp_path, monkeypatch):
     ("report", "--chart", "product", "--b0", "1e-155", "--L", "2"),
     ("probe", "--chart", "product", "--b0", "1e-155", "--L", "2"),
     ("report", "--chart", "product", "--b0", "1e150"),
+    ("verify", "--chart", "product", "--b0", "1e-155", "--L", "2"),
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_geometry_exits_two(argv):
@@ -209,7 +211,8 @@ def test_overflowing_geometry_exits_two(argv):
     assert code == 2 and out == ""
     assert "Traceback" not in err
     assert err.splitlines()[-1] in ("error: integrand not finite at an interior node",
-                                    "error: induced curvature not finite at a node")
+                                    "error: induced curvature not finite at a node",
+                                    "error: frame brackets not finite at a node")
 
 
 def test_console_script_installed():
@@ -342,8 +345,7 @@ def test_negative_exponent_form_values(k):
 def test_array_emission_matches_the_recursive_path(arr):
     """Arrays take a flat path; it must emit the bytes of the per-element
     recursion over nested lists."""
-    assert cli._dump_json(cli._to_jsonable(arr)) == cli._dump_json(
-        cli._to_jsonable(arr.tolist()))
+    assert cli._dump_json(arr) == cli._dump_json(arr.tolist())
 
 
 _SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308]
@@ -384,31 +386,48 @@ def test_float_format_bytes():
         '1.7976931348623157e+308, -2.5, 0.10000000000000001]')
 
 
-def test_probe_emits_one_outermost_dump(monkeypatch):
-    """cmd_probe makes two top-level _to_jsonable calls and one top-level
-    _dump_json call, whose result is stdout without the newline."""
-    calls = {"_to_jsonable": 0, "_dump_json": 0}
-    results = []
-    for name in calls:
-        fn, depth = getattr(cli, name), [0]
+@pytest.mark.parametrize("argv", [
+    ("verify", "--chart", "bonneau", "--k", "0"),
+    ("report", "--chart", "bonneau", "--k", "0"),
+    ("probe", "--chart", "bonneau", "--k", "0"),
+    ("scan", "--k-min", "0", "--k-max", "0.25", "--format", "json"),
+], ids=["verify", "report", "probe", "scan"])
+def test_every_command_emits_one_outermost_dump(monkeypatch, argv):
+    """A command makes one top-level _dump_json call, whose result is
+    stdout without the newline."""
+    results, depth = [], [0]
+    dump = cli._dump_json
 
-        def outermost(*args, _fn=fn, _name=name, _depth=depth, **kwargs):
-            _depth[0] += 1
-            try:
-                out = _fn(*args, **kwargs)
-            finally:
-                _depth[0] -= 1
-            if _depth[0] == 0:
-                calls[_name] += 1
-                if _name == "_dump_json":
-                    results.append(out)
-            return out
+    def outermost(*args, **kwargs):
+        depth[0] += 1
+        try:
+            out = dump(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            results.append(out)
+        return out
 
-        monkeypatch.setattr(cli, name, outermost)
-    code, out, _ = run_cli("probe", "--chart", "bonneau", "--k", "0", "--grid", "16")
+    monkeypatch.setattr(cli, "_dump_json", outermost)
+    code, out, _ = run_cli(*argv, "--grid", "16")
     assert code == 0
-    assert calls == {"_to_jsonable": 2, "_dump_json": 1}
-    assert out == results[0] + "\n"
+    assert len(results) == 1 and out == results[0] + "\n"
+
+
+def test_numpy_scalars_and_tuples_emit_as_python_values():
+    as_numpy = {"flags": (np.bool_(True), np.bool_(False)), "n": np.int64(-3),
+                "x": (np.float32(0.1), (np.float64(np.nan), np.float64(-0.0)))}
+    as_python = {"flags": [True, False], "n": -3,
+                 "x": [float(np.float32(0.1)), [math.nan, -0.0]]}
+    assert cli._dump_json(as_numpy) == cli._dump_json(as_python)
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch):
+    # the benchmark tracer wraps cmd_* by patching the module attribute
+    seen = []
+    monkeypatch.setattr(cli, "cmd_probe", lambda args: seen.append(args.grid) or 0)
+    assert run_cli("probe", "--chart", "flat", "--grid", "16") == (0, "", "")
+    assert seen == [16]
 
 
 def test_report_records_its_grids(monkeypatch):
@@ -448,6 +467,8 @@ def test_report_records_its_grids(monkeypatch):
         flat = [sum(v) if isinstance(v, list) else v for v in grids.values()]
         assert sum(flat) == sum(evaluated)
         assert {order for _, order in batches} == {payload["jet_order"]} == {2}
+        assert payload["provenance"] == {"skewtorsion": skewtorsion.__version__,
+                                         "numpy": np.__version__}
 
 
 FAULTS = """

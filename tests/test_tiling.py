@@ -86,8 +86,7 @@ def test_tiled_probe_is_the_untiled_probe(name, monkeypatch):
     tiled = gauge_equivalence_probe(_context(name))
     monkeypatch.setattr(evaluation, "TILE", 2 * GRID)
     whole = gauge_equivalence_probe(_context(name))
-    assert cli._dump_json(cli._to_jsonable(tiled.summary())) == \
-        cli._dump_json(cli._to_jsonable(whole.summary()))
+    assert cli._dump_json(tiled.summary()) == cli._dump_json(whole.summary())
     assert tiled.singular_values.tobytes() == whole.singular_values.tobytes()
     assert (tiled.section is None) == (whole.section is None)
     if whole.section is not None:
@@ -97,8 +96,7 @@ def test_tiled_probe_is_the_untiled_probe(name, monkeypatch):
 @pytest.mark.parametrize("name", ["bonneau", "random"])
 def test_tiled_quadrature_is_the_untiled_quadrature(name, monkeypatch):
     def report():
-        return cli._dump_json(cli._to_jsonable(
-            hitchin_thorpe_report(_context(name, 64), nodes=600).to_dict()))
+        return cli._dump_json(hitchin_thorpe_report(_context(name, 64), nodes=600).to_dict())
 
     tiled = report()
     monkeypatch.setattr(evaluation, "TILE", 4 * GRID)
