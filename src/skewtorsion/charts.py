@@ -203,6 +203,11 @@ class FramePoint:
         return FramePoint(self.chart, *(_grid_slice(j, s) for j in
                                         (self.seed, self.a, self.b, self.c)))
 
+    def truncated(self, order: int) -> "FramePoint":
+        """The batch with its seed and profile jets cut to ``order``."""
+        return FramePoint(self.chart, *(jets.truncate(j, order) for j in
+                                        (self.seed, self.a, self.b, self.c)))
+
     def e1(self, f: Jet) -> Jet:
         """Derivative along the unit radial frame field e1 = (1/a) d/dx."""
         return f.derivative() / jets.truncate(self.a, f.order - 1)

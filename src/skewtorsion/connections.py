@@ -37,7 +37,9 @@ import numpy as np
 
 from . import jets
 from .jets import Jet
-from .frame import KForm, MULTI_INDICES, _INDEX_POS, _Gather, _sort_index, hodge_star, norm_sq
+from .frame import (
+    FULL_SIGNS, KForm, MULTI_INDICES, _INDEX_POS, _Gather, _sort_index, hodge_star, norm_sq,
+)
 from .charts import FramePoint, _BRACKET_PAIRS
 
 if TYPE_CHECKING:
@@ -71,6 +73,9 @@ def _fro(m):
 
 # indices of the increasing triples, selecting 3-form components from a tensor
 _TRIPLES = tuple(np.array(col) for col in zip(*MULTI_INDICES[3]))
+# the 4-index Levi-Civita symbol with a grid axis: a 4-form's full
+# components are its one component times these signs
+_EPS4 = FULL_SIGNS[4][0, ..., None]
 
 
 @dataclass
@@ -82,10 +87,17 @@ class AffineConnection:
     gamma: Jet
     metric_compatible: bool = True
 
+    def truncated(self, order: int) -> "AffineConnection":
+        """The connection with its coefficients cut to ``order``."""
+        return AffineConnection(self.pt, jets.truncate(self.gamma, order),
+                                self.metric_compatible)
+
     def torsion_form(self) -> KForm:
-        """Torsion lowered to a 3-form: T(e_i,e_j,e_k) = g(T(e_i,e_j), e_k)."""
-        G = self.gamma
-        T = G - jets.einsum("jik...->ijk...", G) - self.pt.structure_functions()
+        """Torsion lowered to a 3-form: T(e_i,e_j,e_k) = g(T(e_i,e_j), e_k),
+        values only (an order-0 jet)."""
+        G = jets.truncate(self.gamma, 0)
+        C = jets.truncate(self.pt.structure_functions(), 0)
+        T = G - jets.einsum("jik...->ijk...", G) - C
         return KForm(3, T.map(lambda c: c[_TRIPLES]))
 
     @cached_property
@@ -139,8 +151,7 @@ def with_skew_torsion(lc: AffineConnection, H: KForm) -> AffineConnection:
         raise ValueError("torsion must be a 3-form")
     if not lc.torsion_free:
         raise ValueError("base connection must be torsion-free")
-    # gamma carries one order less than the profiles H is built from
-    gamma = lc.gamma + 0.5 * jets.truncate(H.full(), lc.gamma.order)
+    gamma = lc.gamma + 0.5 * H.truncated(lc.gamma.order).full()
     return AffineConnection(lc.pt, gamma, metric_compatible=True)
 
 
@@ -181,9 +192,9 @@ def curvature_via_eq1(ev: Evaluation) -> CurvatureTensor:
     curvature plus the quadratic torsion terms (coefficient 1/4) and the
     first covariant derivatives of H (coefficient 1/2).
     """
-    Hv, DH = ev.Hv, ev.DH
-    quad = 0.25 * (np.einsum("ilm...,jkm...->ijkl...", Hv, Hv)
-                   - np.einsum("jlm...,ikm...->ijkl...", Hv, Hv))
+    HH, DH = ev.HH, ev.DH
+    # sum_m H_ilm H_jkm - H_jlm H_ikm, read off the context's H (x) H
+    quad = 0.25 * (np.einsum("iljk...->ijkl...", HH) - np.einsum("jlik...->ijkl...", HH))
     dterm = -0.5 * DH + 0.5 * np.einsum("ijkl...->jikl...", DH)
     return CurvatureTensor(ev.riemann.R.components + quad + dterm)
 
@@ -224,17 +235,19 @@ _D_SIGNS = {k: _d_signs(k) for k in range(4)}
 def d_form(pt: FramePoint, form: KForm) -> KForm:
     """Exterior derivative of an invariant frame form via brackets.
 
-    A form with array components is constant along the grid, so only its
-    bracket term contributes.
+    The result carries one order less than a jet form: the brackets are cut
+    to that order.  A form with array components is constant along the
+    grid, so only its bracket term contributes, at the brackets' order.
     """
     k = form.degree
     if k >= 4:
         raise ValueError("cannot differentiate a 4-form in dimension 4")
     deriv, bracket = _D_SIGNS[k]
     w = form.comps
-    C = bracket(pt.structure_functions())
-    # the brackets carry one order less than the form's profiles
-    out = jets.einsum("qp...,p...->q...", C, jets.truncate(w, C.order))
+    C = pt.structure_functions()
+    if isinstance(w, Jet):
+        C = jets.truncate(C, w.order - 1)
+    out = jets.einsum("qp...,p...->q...", bracket(C), jets.truncate(w, C.order))
     if isinstance(w, Jet):
         out = out + deriv(pt.e1(w))
     return KForm(k + 1, out)
@@ -264,9 +277,12 @@ _DERIVATION_SIGNS = {k: _derivation_signs(k) for k in range(1, 4)}
 
 def cov_deriv(pt: FramePoint, conn: AffineConnection, form: KForm) -> Jet:
     """(D_i w)_J = e_i(w_J) - sum_r Gamma_{i J_r m} w_{J_r -> m} on the
-    increasing multi-indices J of a k-form, one jet of shape (4, ncomp, n)."""
+    increasing multi-indices J of a k-form, one jet of shape (4, ncomp, n).
+
+    The result has the order of ``conn``, which must be one less than the
+    form's: a caller that reads values passes ``conn.truncated(0)`` and
+    the form at order 1."""
     G = _DERIVATION_SIGNS[form.degree](conn.gamma, lead=1)
-    # gamma carries one order less than the form's profiles
     w = jets.truncate(form.comps, G.order)
     return pt.frame_derivative(form.comps) - jets.einsum("iJP...,P...->iJ...", G, w)
 
@@ -275,11 +291,11 @@ def cov_deriv(pt: FramePoint, conn: AffineConnection, form: KForm) -> Jet:
 class ExteriorData:
     """Derived invariants of a torsion 3-form at the grid points."""
 
-    H: KForm              # jets
-    dH: KForm
+    H: KForm              # order-1 jets
+    dH: KForm             # order-0 jets, as are dstar_H and dh
     star_dH: np.ndarray   # scalar (n,)
-    dstar_H: KForm        # 2-form, jets
-    h: KForm              # torsion 1-form *H, jets
+    dstar_H: KForm        # 2-form
+    h: KForm              # torsion 1-form *H, order-1 jets
     dh: KForm
     grad_h: np.ndarray    # (D^g_i h)_j values, (4,4,n)
     sym_grad_h: np.ndarray
@@ -287,18 +303,22 @@ class ExteriorData:
 
 
 def exterior_ops(lc: AffineConnection, H: KForm) -> ExteriorData:
-    """Exterior data of the torsion 3-form H, with D^g the connection ``lc``."""
+    """Exterior data of the torsion 3-form H, with D^g the connection ``lc``.
+
+    It reads the values and first derivatives of H, so H is cut to order 1
+    and every derived field holds values only."""
     pt = lc.pt
+    H = H.truncated(1)
     dH = d_form(pt, H)
     star_dH = hodge_star(dH).comps.value[0]
     h = hodge_star(H)
     dh = d_form(pt, h)
     dstar_H = -1.0 * hodge_star(dh)  # the codifferential -*d*H
-    grad = cov_deriv(pt, lc, h).value
+    grad = cov_deriv(pt, lc.truncated(0), h).value
     return ExteriorData(
         H=H, dH=dH, star_dH=star_dH, dstar_H=dstar_H, h=h, dh=dh,
         grad_h=grad, sym_grad_h=_sym(grad),
-        norm_sq_H=norm_sq(H).value,
+        norm_sq_H=norm_sq(H.values()),
     )
 
 
@@ -308,7 +328,9 @@ def exterior_ops(lc: AffineConnection, H: KForm) -> ExteriorData:
 
 
 def _sup(arr) -> float:
-    return float(np.max(np.abs(arr)))
+    """max |arr| by two reductions, without the array |arr|; a NaN entry
+    gives NaN, and + 0.0 turns a maximum of -0.0 into 0.0."""
+    return float(np.maximum(np.max(arr), -np.min(arr))) + 0.0
 
 
 def _cyclic(T):
@@ -328,26 +350,29 @@ def identity_suite(ev: Evaluation) -> dict:
     pt, ext, Hv, DHg = ev.pt, ev.ext, ev.Hv, ev.DH
     R = ev.plus.R.components
     Rm = ev.minus.R.components
-    dHv = full_components(ext.dH, pt)
     dstarHv = full_components(ext.dstar_H, pt)
 
     out = {}
     out["curvature_cross"] = _sup(R - curvature_via_eq1(ev).components)
 
+    dH = ext.dH.comps.value[0]
+    # every reader takes sup |.|, so the sign of a zero entry is immaterial
+    dHv = _EPS4 * dH
+
     # first Bianchi with torsion: cyclic sum vs dH, grad H and quadratic terms;
     # its (4, 4, 4, 4, n) temporaries are dropped at once, since what the
     # suite holds at one time sets the peak memory of a large grid
-    quad = np.einsum("ijm...,klm...->ijkl...", Hv, Hv)
-    rhs = -dHv - np.einsum("lijk...->ijkl...", DHg) + 0.5 * _cyclic(quad)
-    del quad
+    rhs = -dHv - np.einsum("lijk...->ijkl...", DHg) + 0.5 * _cyclic(ev.HH)
     out["bianchi"] = _sup(_cyclic(R) - rhs)
     del rhs
 
     # pair swap against the opposite-torsion connection, general and closed
-    swap = np.einsum("klij...->ijkl...", Rm)
-    out["pair_swap"] = _sup(R - swap + 0.5 * dHv)
-    if _sup(dHv) <= 1e-10:
-        out["pair_swap_closed"] = _sup(R - swap)
+    diff = R - np.einsum("klij...->ijkl...", Rm)
+    out["pair_swap"] = _sup(diff + 0.5 * dHv)
+    del dHv
+    if _sup(dH) <= 1e-10:
+        out["pair_swap_closed"] = _sup(diff)
+    del diff
 
     # Ricci of the torsion connection vs the divergence formula
     rd, rg = ev.plus.ricci, ev.riemann.ricci
@@ -368,7 +393,7 @@ def identity_suite(ev: Evaluation) -> dict:
     out["ricci_four_dim"] = _sup(rd.ric - (base + 0.5 * star_dh))
 
     # the torsion 1-form is parallel for both connections simultaneously
-    d_skew = cov_deriv(pt, ev.plus.conn, ext.h).value
+    d_skew = cov_deriv(pt, ev.plus.conn.truncated(0), ext.h).value
     out["torsion_form_parallel"] = _sup(d_skew - ext.grad_h)
 
     # trace-free symmetric Ricci shift

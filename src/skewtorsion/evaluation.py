@@ -19,7 +19,16 @@ only by the checks that report it.  Both curvatures come from one
 structure equation (``connections._structure_equation``), and a check of
 -H, such as ``einstein_tensor_point(ev, -1)``, reads ``minus``.
 
-A context keeps what it has built until it is dropped: about 21 kB per
+Nor is a jet coefficient computed that no check reads (``jets``): the
+profiles carry order 2; the brackets and the three connections order 1,
+as the curvature differentiates them once; H order 1, evaluated on the
+seed and profiles cut to order 1; the curvature tensors, ``DH`` and the
+other covariant derivatives read as values, the torsion forms and the
+exterior data of H (``ext``) order 0.  The one contraction of H with
+itself over one index, ``HH``, serves both the Bianchi identity and the
+assembled curvature of ``connections.curvature_via_eq1``.
+
+A context keeps what it has built until it is dropped: about 19 kB per
 point once every object is built.  So a check that works point by point
 runs on :meth:`Evaluation.tiles`, consecutive slices of at most ``TILE``
 points, each a fresh context that is dropped before the next is built;
@@ -45,7 +54,7 @@ from .instanton import InducedConnection, induced_lambda_plus, lambda_plus_block
 
 __all__ = ["ConnectionData", "Evaluation", "TILE"]
 
-# most points in one tile: a fully built tile holds about 11 MB
+# most points in one tile: a fully built tile holds about 10 MB
 TILE = 512
 
 
@@ -99,8 +108,12 @@ class Evaluation:
 
     @cached_property
     def Hf(self) -> KForm:
-        """H at the points, with jet components."""
-        return self.H.at(self.pt) if isinstance(self.H, InvariantForm) else self.H
+        """H at the points, with order-1 jet components: no reader takes its
+        second derivative, so an invariant form is evaluated on the seed and
+        profiles cut to order 1."""
+        if isinstance(self.H, InvariantForm):
+            return self.H.at(self.pt.truncated(1))
+        return self.H.truncated(1)
 
     @cached_property
     def lc(self) -> AffineConnection:
@@ -130,9 +143,15 @@ class Evaluation:
         return full_components(self.Hf, self.pt)
 
     @cached_property
+    def HH(self) -> np.ndarray:
+        """sum_m H_abm H_cdm, shape (4, 4, 4, 4, n); a product of two H's
+        contracted on one index is an index permutation of it."""
+        return np.einsum("abm...,cdm...->abcd...", self.Hv, self.Hv)
+
+    @cached_property
     def DH(self) -> np.ndarray:
         """(D^g_i H)_jkl, antisymmetric in (jkl), shape (4, 4, 4, 4, n)."""
-        return _FULL[3](cov_deriv(self.pt, self.lc, self.Hf).value, lead=1)
+        return _FULL[3](cov_deriv(self.pt, self.lc.truncated(0), self.Hf).value, lead=1)
 
     def __getitem__(self, s: slice) -> "Evaluation":
         """A fresh context on the points of the slice ``s``, with the points'

@@ -178,6 +178,11 @@ class KForm:
         """Same form with jet components collapsed to their values."""
         return KForm(self.degree, jets.value_of(self.comps))
 
+    def truncated(self, order: int) -> "KForm":
+        """Same form with jet components cut to ``order``; array components
+        pass through."""
+        return KForm(self.degree, jets.truncate(self.comps, order))
+
     def full(self):
         """Fully antisymmetric components, index axes first and the grid axis
         last (a jet for jet components); a form without a grid axis gets

@@ -21,6 +21,14 @@ differentiates those once more, so chart profiles are evaluated at order
 raises ``ValueError``, and so does arithmetic between jets of different
 orders: a caller that means to drop orders says so with :func:`truncate`.
 
+Coefficient k of every operation reads the operands' coefficients up to k
+only (the derivative reads k + 1), so truncating the operands truncates
+the result, bit for bit.  Each object is therefore built at the lowest
+order its readers use: the profiles at 2; the brackets and connection
+coefficients at 1; the torsion 3-form H at 1, since nothing reads its
+second derivative; the curvature, the covariant derivatives read as
+values, the torsion forms and the exterior data of H at 0.
+
 An order-0 jet holds values only.  Every operation accepts it and computes
 the same value coefficient as at any higher order, so a caller that reads
 no derivative evaluates a jet-transparent formula at order 0 and skips the

@@ -72,9 +72,10 @@ def einstein_weyl_residual(ev: Evaluation, omega: InvariantForm) -> dict:
     rg = ev.riemann.ricci
     wv = full_components(w, pt)
     w2 = np.einsum("i...,i...->...", wv, wv)
-    dw = cov_deriv(pt, lc, w).value
-    Sw = _sym(dw)
-    dstar_w = codifferential(pt, w).comps.value[0]
+    # D^g w and d*w are read as values: w at order 1, gamma at order 0
+    w1 = w.truncated(1)
+    Sw = _sym(cov_deriv(pt, lc.truncated(0), w1).value)
+    dstar_w = codifferential(pt, w1).comps.value[0]
 
     sym_formula = (rg.ric - 0.5 * (w2[None, None] * _EYE4[..., None]
                                    - np.einsum("i...,j...->ij...", wv, wv))

@@ -214,3 +214,54 @@ def test_mixed_orders_raise(op):
     with pytest.raises(ValueError):
         jets.truncate(lo, 2)
     assert jets.truncate(x, 1) is x
+
+
+_MASK = np.array([True, False, True])
+_M = np.array([[0.5, -1.25, 2.0], [1.5, 0.25, -0.75], [-2.0, 1.0, 0.125]])
+# (name, f(a, b)) over jets a, b with coefficient arrays of shape (3,); the
+# value of b is positive, so b feeds sqrt, log and division
+_PREFIX_OPS = [
+    ("jet + jet", operator.add), ("jet - jet", operator.sub),
+    ("jet * jet", operator.mul), ("jet / jet", operator.truediv),
+    ("jet + scalar", lambda a, b: a + 1.75), ("scalar + jet", lambda a, b: 1.75 + a),
+    ("jet - scalar", lambda a, b: a - 0.5), ("scalar - jet", lambda a, b: 0.5 - a),
+    ("jet * scalar", lambda a, b: a * -1.3), ("scalar * jet", lambda a, b: -1.3 * a),
+    ("jet / scalar", lambda a, b: a / 3.0), ("scalar / jet", lambda a, b: 3.0 / b),
+    ("-jet", lambda a, b: -a),
+    ("sqrt", lambda a, b: jets.sqrt(b)), ("exp", lambda a, b: jets.exp(a)),
+    ("log", lambda a, b: jets.log(b)),
+    ("sincos sin", lambda a, b: jets.sincos(a)[0]),
+    ("sincos cos", lambda a, b: jets.sincos(a)[1]),
+    ("arctan", lambda a, b: jets.arctan(a)),
+    ("arctan_minus_id", lambda a, b: jets.arctan_minus_id(a)),
+    ("where", lambda a, b: jets.where(_MASK, a, b)),
+    ("einsum one jet", lambda a, b: jets.einsum("ij,j...->i...", _M, a)),
+    ("einsum two jets", lambda a, b: jets.einsum("i...,j...->ij...", a, b)),
+]
+
+
+def _same_bits(p: Jet, q: Jet, what: str):
+    assert p.order == q.order, what
+    for x, y in zip(p.coeffs, q.coeffs):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), what
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_truncation_commutes_with_every_operation(order, seed):
+    """Coefficient k of a result reads operand coefficients up to k only, so
+    cutting the operands to order k gives the cut result bit for bit; the
+    derivative reads one coefficient more.  Evaluating each object at the
+    lowest order its readers use rests on this."""
+    rng = np.random.default_rng(seed)
+    a = Jet(tuple(rng.uniform(-2.0, 2.0, size=3) for _ in range(order + 1)))
+    b = Jet((rng.uniform(0.5, 2.0, size=3),)
+            + tuple(rng.uniform(-2.0, 2.0, size=3) for _ in range(order)))
+    for k in range(order + 1):
+        ta, tb = jets.truncate(a, k), jets.truncate(b, k)
+        for name, f in _PREFIX_OPS:
+            _same_bits(jets.truncate(f(a, b), k), f(ta, tb), name)
+        if k < order:
+            _same_bits(jets.truncate(a.derivative(), k),
+                       jets.truncate(a, k + 1).derivative(), "derivative")

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from skewtorsion import jets
 from skewtorsion.charts import (
-    InvariantForm, bonneau_chart, flat_torsion, flat_torus_chart,
-    product_chart, random_chart, round_s4_chart,
+    Domain, InvariantChart, InvariantForm, _constant, bonneau_chart, flat_torsion,
+    flat_torus_chart, product_chart, random_chart, round_s4_chart,
 )
+from skewtorsion.connections import _fro
+from skewtorsion.decomposition import decompose_point
 from skewtorsion.evaluation import Evaluation
 from skewtorsion.topology import (
     curvature_integrands, hitchin_thorpe_report, integrate_invariant, pontryagin_density,
@@ -93,6 +96,26 @@ def test_hitchin_thorpe_report_for_the_s4_family():
     # chi and tau sit near integers
     assert abs(rep.chi - round(rep.chi)) < 1e-6
     assert abs(rep.tau - round(rep.tau)) < 1e-8
+
+
+def _fubini_study_profiles(x):
+    s, c = jets.sincos(x)
+    return _constant(1.0, x), 0.5 * s, 0.5 * s * c
+
+
+def test_complex_projective_plane_pins_the_sign_of_tau():
+    """Fubini-Study CP^2 (a = 1, b = sin x / 2, c = sin x cos x / 2 on
+    (0, pi/2), H = 0), the one chart here with a signature: chi = 3,
+    tau = +1 for the orientation e1234, p1(Lambda+) = 2 chi + 3 tau = 9,
+    and the metric is self-dual, W- = 0."""
+    chart = InvariantChart("fubini_study", _fubini_study_profiles,
+                           Domain(0.0, 0.5 * math.pi))
+    ev = Evaluation.on_grid(chart, InvariantForm.zero(3), 64)
+    rep = hitchin_thorpe_report(ev, nodes=64)
+    assert rep.chi == pytest.approx(3.0, abs=1e-10)
+    assert rep.tau == pytest.approx(1.0, abs=1e-10)
+    assert rep.p1_lambda_plus == pytest.approx(9.0, abs=1e-10)
+    assert np.max(_fro(decompose_point(ev).Wminus)) <= 1e-10
 
 
 def test_non_einstein_data_is_flagged():
