@@ -355,8 +355,10 @@ def identity_suite(ev: Evaluation) -> dict:
     out = {}
     out["curvature_cross"] = _sup(R - curvature_via_eq1(ev).components)
 
+    # the full tensor of dH, built after the cross check so that it is not
+    # alive at the suite's peak; every reader takes sup |.|, so the sign of
+    # a zero entry is immaterial
     dH = ext.dH.comps.value[0]
-    # every reader takes sup |.|, so the sign of a zero entry is immaterial
     dHv = _EPS4 * dH
 
     # first Bianchi with torsion: cyclic sum vs dH, grad H and quadratic terms;
