@@ -21,9 +21,11 @@ so for Einstein data the induced connection is an instanton.
 The gauge probe compares the connections induced by torsions +H and -H.
 A gauge transformation intertwining them is annihilated by the curvature
 of the product connection, so its candidates per point are the kernel of
-the 54x9 system F+(E) G - G F-(E) = 0 over the six 2-form directions E.
-The kernel section, continued in x and normalized, is then tested for
-covariant constancy.  The systems and their SVDs are built tile by tile
+the 54x9 system F+(E) G - G F-(E) = 0 over the six 2-form directions E,
+read from the SVD of the system's 9x9 triangular QR factor (the same bytes
+as the SVD of the system itself, see :func:`_intertwiner_spectrum`).  The
+kernel section, continued in x and normalized, is then tested for
+covariant constancy.  The systems and their spectra are built tile by tile
 (:meth:`skewtorsion.evaluation.Evaluation.tiles`); the continuation and
 the test run on the whole grid.
 
@@ -240,10 +242,17 @@ def _intertwiner_spectrum(ev: Evaluation):
     L = _intertwiner_system(Fp, Fm)
     if not np.all(np.isfinite(L)):
         raise ChartError("induced curvature not finite at a node")
-    # only S and the right singular vectors are used: the reduced SVD gives
-    # them without the (n, 54, 54) left factor
-    _, S, Vt = np.linalg.svd(L, full_matrices=False)
-    return S, Vt[:, 8], ic_p.omega.value, ic_m.omega.value
+    # only S and the right singular vectors are used, and L = Q R leaves
+    # both unchanged, so they are read from the 9x9 triangular factor R.
+    # LAPACK's dgesdd QR-factors a tall system the same way (dgeqrf) and
+    # decomposes that R, so the bytes equal the SVD of L, without the
+    # (n, 54, 9) left factor.  Only when a node's largest entry lies outside
+    # dgesdd's unscaled range (about 6.7e-139 to 1.5e138) does it rescale L
+    # first; the two then agree to rounding (S within 18 eps sigma_max in
+    # the tests' random systems).
+    _, S, Vt = np.linalg.svd(np.linalg.qr(L, mode="r"), full_matrices=False)
+    # a copy, so the tile's (n, 9, 9) Vt is freed with the tile
+    return S, Vt[:, 8].copy(), ic_p.omega.value, ic_m.omega.value
 
 
 def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:

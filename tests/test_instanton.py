@@ -1,19 +1,22 @@
 """Induced connection on the self-dual bundle and the gauge probe."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewtorsion import jets
 from skewtorsion.charts import (
-    InvariantForm, bonneau_chart, flat_torsion, flat_torus_chart,
+    InvariantForm, bonneau_chart, chart_and_torsion, flat_torsion, flat_torus_chart,
     product_chart, random_chart, random_torsion, round_s4_chart,
 )
 from skewtorsion.connections import levi_civita, with_skew_torsion
 from skewtorsion.decomposition import decompose_point
 from skewtorsion.evaluation import ConnectionData, Evaluation
 from skewtorsion.instanton import (
-    InducedConnection, _align_signs, _intertwiner_system, gauge_equivalence_probe,
+    InducedConnection, _align_signs, _intertwiner_spectrum, _intertwiner_system,
+    gauge_equivalence_probe,
     killing_residual, self_duality_residual, yang_mills_density_check,
 )
 
@@ -253,3 +256,95 @@ def test_zero_dot_restarts_the_sign():
     # rather than inheriting the flip; node 4 flips against node 3
     assert _bits(out) == _bits(np.stack([a, a, b, b, b]))
     assert _bits(out) == _bits(_align_signs_loop(g))
+
+
+def _spectrum_context(Fp_sd, Fm_sd):
+    """The fields of a context that ``_intertwiner_spectrum`` reads, for
+    given F_sd of the +-H induced connections, shape (3, 3, 6, n)."""
+    n = Fp_sd.shape[-1]
+
+    def induced(F_sd):
+        return SimpleNamespace(induced=SimpleNamespace(
+            F_sd=F_sd, omega=SimpleNamespace(value=np.zeros((4, 3, 3, n)))))
+    return SimpleNamespace(plus=induced(Fp_sd), minus=induced(Fm_sd))
+
+
+def _direct_spectrum(Fp_sd, Fm_sd):
+    """S and the last right singular vector from the SVD of the 54x9 system."""
+    L = _intertwiner_system(np.einsum("pqm...->...mpq", Fp_sd),
+                            np.einsum("pqm...->...mpq", Fm_sd))
+    _, S, Vt = np.linalg.svd(L, full_matrices=False)
+    return S, Vt[:, 8]
+
+
+def _scaled_curvatures(rng, n, exponents):
+    """F_sd of the +-H pair with zeros of both signs, node i scaled by
+    10 ** exponents[i]."""
+    scale = 10.0 ** np.asarray(exponents, dtype=float)
+    return (_random_with_zeros(rng, (3, 3, 6, n)) * scale,
+            _random_with_zeros(rng, (3, 3, 6, n)) * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 20), st.integers(-100, 100))
+def test_spectrum_from_the_triangular_factor_is_the_direct_svd_bitwise(seed, n, exponent):
+    """In LAPACK's unscaled range the SVD of the 9x9 QR factor is the SVD
+    that dgesdd takes of the 54x9 system, bit for bit."""
+    rng = np.random.default_rng(seed)
+    exponents = np.clip(exponent + rng.integers(-10, 11, size=n), -100, 100)
+    Fp_sd, Fm_sd = _scaled_curvatures(rng, n, exponents)
+    S, v9, *_ = _intertwiner_spectrum(_spectrum_context(Fp_sd, Fm_sd))
+    S_ref, v9_ref = _direct_spectrum(Fp_sd, Fm_sd)
+    assert S.tobytes() == S_ref.tobytes()
+    assert v9.tobytes() == v9_ref.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 20),
+       st.sampled_from([-200, -145, 145, 200]))
+def test_spectrum_out_of_the_unscaled_range_agrees_to_rounding(seed, n, exponent):
+    """Outside it dgesdd rescales the 54x9 system before its QR, so the two
+    routes agree to rounding only."""
+    rng = np.random.default_rng(seed)
+    Fp_sd, Fm_sd = _scaled_curvatures(rng, n, np.full(n, exponent))
+    # dgesdd's unscaled range of the largest entry: sqrt(tiny) / eps to its
+    # inverse; every node of the example lies outside it
+    small = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+    L = _intertwiner_system(np.einsum("pqm...->...mpq", Fp_sd),
+                            np.einsum("pqm...->...mpq", Fm_sd))
+    largest = np.max(np.abs(L), axis=(1, 2))
+    assert np.all((largest < small) | (largest > 1.0 / small))
+    S, *_ = _intertwiner_spectrum(_spectrum_context(Fp_sd, Fm_sd))
+    S_ref, _ = _direct_spectrum(Fp_sd, Fm_sd)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(S - S_ref) <= 32.0 * eps * S_ref[:, :1])
+
+
+def test_spectrum_arrays_own_their_data():
+    # a view would keep each tile's (n, 9, 9) right factor alive until the
+    # tiles are joined
+    chart, H = bonneau_chart(0.3)
+    S, v9, *_ = _intertwiner_spectrum(Evaluation.on_grid(chart, H, 64))
+    assert S.shape == v9.shape == (64, 9)
+    assert S.base is None
+    assert v9.base is None
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"type": "bonneau", "params": {"k": -1.0}},
+    {"type": "bonneau", "params": {"k": 0.3}},
+    {"type": "random", "params": {"seed": 3}},
+    {"type": "product", "params": {"b0": 1.3, "L": 2.0}},
+    {"type": "flat", "params": {"L": 2.0}},
+    {"type": "round"},
+])
+def test_probe_singular_values_are_the_direct_svd_bitwise(descriptor):
+    # 1100 points: tiles of 512, 512 and 76
+    chart, H = chart_and_torsion(descriptor)
+    ev = Evaluation.on_grid(chart, H, 1100)
+    ref = np.concatenate([
+        _direct_spectrum(tile.plus.induced.F_sd, tile.minus.induced.F_sd)[0]
+        for tile in ev.tiles()])
+    rep = gauge_equivalence_probe(Evaluation.on_grid(chart, H, 1100))
+    assert rep.singular_values.shape == (1100, 9)
+    assert rep.singular_values.tobytes() == ref.tobytes()

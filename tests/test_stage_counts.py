@@ -9,6 +9,7 @@ import contextlib
 import io
 import sys
 
+import numpy as np
 import pytest
 
 from skewtorsion import charts, cli, connections, frame, jets
@@ -29,6 +30,10 @@ STAGES = {
     # evaluated once per point batch
     "omega2": (charts.BonneauFamily, "omega2"),
     "sincos": (jets, "sincos"),
+    # the probe's spectrum: one QR of the tile's 54x9 systems and one SVD of
+    # their 9x9 triangular factors per tile, and no other caller
+    "qr": (np.linalg, "qr"),
+    "svd": (np.linalg, "svd"),
 }
 
 
@@ -65,41 +70,41 @@ def stage_counts(monkeypatch):
     # the 2n nodes, the n nodes and the p1 sample, +-H on the report grid
     (["report", "--chart", "bonneau", "--k", "0"],
      {"structure": 12, "curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 4,
-      "quadrature": 2, "omega2": 5, "sincos": 0}),
+      "quadrature": 2, "omega2": 5, "sincos": 0, "qr": 0, "svd": 0}),
     # identity suite (+-H, Levi-Civita) and decomposition (operators of +H
     # and Levi-Civita) share one context; one sin/cos pass for the chart's
     # profiles and one for the torsion; no induced connection
     (["verify", "--chart", "random", "--seed", "3", "--grid", "64"],
      {"structure": 3, "curvature": 3, "operator": 2, "levi_civita": 1, "chart.at": 1,
-      "quadrature": 0, "omega2": 0, "sincos": 2}),
+      "quadrature": 0, "omega2": 0, "sincos": 2, "qr": 0, "svd": 0}),
     # the induced +-H connections are built from the connections alone, one
     # structure equation each
     (["probe", "--chart", "bonneau", "--k", "0", "--grid", "64"],
      {"structure": 2, "curvature": 0, "operator": 0, "levi_civita": 1, "chart.at": 1,
-      "quadrature": 0, "omega2": 2, "sincos": 0}),
+      "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 1, "svd": 1}),
     # the quadrature grid 2n alone (+H), as a row reads no error estimate
     # and no p1 sample, and one 64-point context shared by the Einstein
     # residual, the decomposition (+H, Levi-Civita) and the probe (no
     # curvature, two induced connections)
     (["scan", "--k-min", "0", "--k-max", "0", "--k-step", "1"],
      {"structure": 6, "curvature": 3, "operator": 3, "levi_civita": 2, "chart.at": 2,
-      "quadrature": 1, "omega2": 3, "sincos": 0}),
+      "quadrature": 1, "omega2": 3, "sincos": 0, "qr": 1, "svd": 1}),
     (["verify", "--chart", "bonneau", "--k", "0", "--grid", "64"],
      {"structure": 3, "curvature": 3, "operator": 2, "levi_civita": 1, "chart.at": 1,
-      "quadrature": 0, "omega2": 2, "sincos": 0}),
+      "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0}),
     # one sin/cos pass for the profiles and one for the torsion per chart
     # evaluation, the quadrature grid n and the p1 sample grid sharing one
     (["report", "--chart", "random", "--seed", "3"],
      {"structure": 12, "curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 4,
-      "quadrature": 2, "omega2": 0, "sincos": 8}),
+      "quadrature": 2, "omega2": 0, "sincos": 8, "qr": 0, "svd": 0}),
     # a fine grid runs the suites on 8 tiles of 512 points, each a context
     # of its own, cut from one evaluation of the chart and the torsion
     (["verify", "--chart", "random", "--seed", "3", "--grid", "4096"],
      {"structure": 24, "curvature": 24, "operator": 16, "levi_civita": 8, "chart.at": 1,
-      "quadrature": 0, "omega2": 0, "sincos": 2}),
+      "quadrature": 0, "omega2": 0, "sincos": 2, "qr": 0, "svd": 0}),
     (["probe", "--chart", "bonneau", "--k", "0", "--grid", "4096"],
      {"structure": 16, "curvature": 0, "operator": 0, "levi_civita": 8, "chart.at": 1,
-      "quadrature": 0, "omega2": 2, "sincos": 0}),
+      "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 8, "svd": 8}),
 ])
 def test_stage_counts_per_command(stage_counts, argv, expected):
     with contextlib.redirect_stdout(io.StringIO()):
