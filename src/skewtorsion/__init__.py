@@ -11,7 +11,7 @@ from .charts import (
     random_one_form, random_torsion, round_s4_chart,
 )
 from .connections import (
-    AffineConnection, CurvatureTensor, curvature, curvature_via_eq1,
+    AffineConnection, curvature, curvature_via_eq1,
     exterior_ops, identity_suite, levi_civita, ricci_and_scalar,
     with_skew_torsion,
 )

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import jets
 from .jets import DEFAULT_ORDER, Jet
-from .frame import KForm, MULTI_INDICES, _Gather
+from .frame import FULL_SIGNS, KForm, MULTI_INDICES, _Gather
 
 __all__ = [
     "ChartError", "Domain", "InvariantChart", "FramePoint",
@@ -80,18 +80,22 @@ class InvariantChart:
     params: dict = field(default_factory=dict)
 
     def at(self, x) -> "FramePoint":
-        """Frame data at interior points x (scalar or 1-d array)."""
+        """Frame data at finite interior points x (scalar or 1-d array);
+        every profile value must lie in (0, inf)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         lo, hi = self.domain.lo, self.domain.hi
+        if not np.all(np.isfinite(x)):
+            raise ChartError(f"x not finite: {x[~np.isfinite(x)][:3]}")
         if not self.domain.periodic:
             if np.any(x <= lo) or np.any(x >= hi):
                 raise ChartError(f"x outside open domain ({lo}, {hi})")
         seed = Jet.variable(x, DEFAULT_ORDER)
         a, b, c = self.profiles(seed)
         for name, p in (("a", a), ("b", b), ("c", c)):
-            if np.any(jets.value_of(p) <= 0.0):
-                bad = x[np.asarray(jets.value_of(p)) <= 0.0]
-                raise ChartError(f"profile {name} not positive at x={bad[:3]}")
+            v = np.asarray(jets.value_of(p))
+            bad = ~((v > 0.0) & (v < np.inf))  # NaN too
+            if np.any(bad):
+                raise ChartError(f"profile {name} not in (0, inf) at x={x[bad][:3]}")
         return FramePoint(self, seed, a, b, c)
 
     # -- grids ---------------------------------------------------------------
@@ -161,11 +165,8 @@ _BRACKETS = {nt: _Gather(np.moveaxis(_BRACKET_SIGNS[:nt], 0, -1), 3) for nt in (
 _RADIAL = np.array([1.0, 0.0, 0.0, 0.0])
 
 # _CYCLIC[t, p, q, r] = 1 for the cyclic orderings (p, q, r) of the t-th
-# increasing triple
-_CYCLIC = np.zeros((4, 4, 4, 4))
-for _t, (_i, _j, _k) in enumerate(MULTI_INDICES[3]):
-    for _p, _q, _r in ((_i, _j, _k), (_j, _k, _i), (_k, _i, _j)):
-        _CYCLIC[_t, _p, _q, _r] = 1.0
+# increasing triple: its even permutations
+_CYCLIC = (FULL_SIGNS[3] > 0).astype(float)
 
 
 def _stack(items) -> Jet:
@@ -368,12 +369,13 @@ class BonneauFamily:
         return (self.k - x) / (self.omega2(x) * (1.0 + x * x))
 
 
-def bonneau_chart(k: float, scan_nodes: int = 1024):
+def bonneau_chart(k: float):
     """Chart and torsion 3-form (H_123 = 2 c) of the S^4 family at parameter k.
 
-    Runs a positivity scan of the conformal factor over the compactified
-    domain and raises :class:`ChartError` naming the first violating x.
-    The scan reads only the values of W, so it evaluates W on order-0 jets.
+    Runs a positivity scan of the conformal factor on 1024 uniform nodes of
+    the compactified domain and raises :class:`ChartError` naming the first
+    violating x.  The scan reads only the values of W, so it evaluates W on
+    order-0 jets.
     """
     fam = BonneauFamily(k)
     chart = InvariantChart(
@@ -383,7 +385,7 @@ def bonneau_chart(k: float, scan_nodes: int = 1024):
         structure_mode="su2",
         params={"k": float(k)},
     )
-    u = (np.arange(scan_nodes) + 0.5) / scan_nodes
+    u = (np.arange(1024) + 0.5) / 1024
     x, _ = chart.map_from_unit(u)
     w = np.asarray(jets.value_of(fam.omega2(Jet.variable(x, 0))))
     good = np.isfinite(w) & (w > 0.0)
@@ -488,14 +490,14 @@ def random_chart(seed: int) -> InvariantChart:
     )
 
 
-def random_torsion(seed: int, amp: float = 0.6) -> InvariantForm:
+def random_torsion(seed: int) -> InvariantForm:
     """Random invariant torsion 3-form (all four frame components)."""
-    polys = _trig_polys(_rng(seed, 101), -0.4, 0.4, amp / 3.0, 4)
+    polys = _trig_polys(_rng(seed, 101), -0.4, 0.4, 0.6 / 3.0, 4)
     return InvariantForm(3, MULTI_INDICES[3], lambda pt: _rows(polys(pt.seed)))
 
 
-def random_one_form(seed: int, amp: float = 0.6) -> InvariantForm:
-    polys = _trig_polys(_rng(seed, 202), -0.4, 0.4, amp / 3.0, 4)
+def random_one_form(seed: int) -> InvariantForm:
+    polys = _trig_polys(_rng(seed, 202), -0.4, 0.4, 0.6 / 3.0, 4)
     return InvariantForm(1, MULTI_INDICES[1], lambda pt: _rows(polys(pt.seed)))
 
 

@@ -4,7 +4,8 @@ Connection coefficients gamma[i, j, k] = g(D_{e_i} e_j, e_k) are one jet
 of shape (4, 4, 4, n), so the radial derivative entering the curvature is
 exact; the constructions and covariant derivatives below are contractions
 of that jet and the bracket jet with fixed sign tensors, as gathers
-(``frame._Gather``).  The curvature sign convention is fixed by
+(``frame._Gather``); every sign tensor is read off ``frame.FULL_SIGNS``
+through the wedge tables.  The curvature sign convention is fixed by
 
     R(X, Y, Z, W) = g([D_X, D_Y] W - D_{[X,Y]} W, Z),
 
@@ -38,7 +39,7 @@ import numpy as np
 from . import jets
 from .jets import Jet
 from .frame import (
-    FULL_SIGNS, KForm, MULTI_INDICES, _INDEX_POS, _Gather, _sort_index, hodge_star, norm_sq,
+    FULL_SIGNS, KForm, MULTI_INDICES, _Gather, _WEDGE, hodge_star, norm_sq,
 )
 from .charts import FramePoint, _BRACKET_PAIRS
 
@@ -46,7 +47,7 @@ if TYPE_CHECKING:
     from .evaluation import Evaluation
 
 __all__ = [
-    "AffineConnection", "CurvatureTensor", "RicciData",
+    "AffineConnection", "RicciData",
     "levi_civita", "with_skew_torsion",
     "curvature", "curvature_via_eq1", "ricci_and_scalar",
     "d_form", "codifferential", "cov_deriv",
@@ -106,13 +107,6 @@ class AffineConnection:
         once per connection, however many torsions are added to it."""
         scale = max(1.0, float(np.max(np.abs(self.gamma.value))))
         return not np.max(np.abs(self.torsion_form().comps.value)) > 1e-10 * scale
-
-
-@dataclass
-class CurvatureTensor:
-    """R_ijkl values on the grid, shape (4, 4, 4, 4, n)."""
-
-    components: np.ndarray
 
 
 @dataclass
@@ -178,14 +172,14 @@ def _structure_equation(pt: FramePoint, omega: Jet) -> np.ndarray:
     return F
 
 
-def curvature(conn: AffineConnection) -> CurvatureTensor:
-    """Frame curvature of any connection (metric or not): the structure
-    equation of the forms (w_i)^k_l = Gamma^k_il."""
-    return CurvatureTensor(_structure_equation(
-        conn.pt, jets.einsum("ilk...->ikl...", conn.gamma)))
+def curvature(conn: AffineConnection) -> np.ndarray:
+    """Frame curvature R_ijkl of any connection (metric or not), values of
+    shape (4, 4, 4, 4, n): the structure equation of the forms
+    (w_i)^k_l = Gamma^k_il."""
+    return _structure_equation(conn.pt, jets.einsum("ilk...->ikl...", conn.gamma))
 
 
-def curvature_via_eq1(ev: Evaluation) -> CurvatureTensor:
+def curvature_via_eq1(ev: Evaluation) -> np.ndarray:
     """Curvature of the +H connection assembled from the Riemannian one.
 
     Independent route from :func:`curvature`: the context's Riemannian
@@ -196,12 +190,13 @@ def curvature_via_eq1(ev: Evaluation) -> CurvatureTensor:
     # sum_m H_ilm H_jkm - H_jlm H_ikm, read off the context's H (x) H
     quad = 0.25 * (np.einsum("iljk...->ijkl...", HH) - np.einsum("jlik...->ijkl...", HH))
     dterm = -0.5 * DH + 0.5 * np.einsum("ijkl...->jikl...", DH)
-    return CurvatureTensor(ev.riemann.R.components + quad + dterm)
+    return ev.riemann.R + quad + dterm
 
 
-def ricci_and_scalar(R: CurvatureTensor) -> RicciData:
-    """Ricci contraction Ric_ij = sum_k R_kikj (round S^4 gives Ric = 3g)."""
-    ric = np.einsum("kikj...->ij...", R.components)
+def ricci_and_scalar(R: np.ndarray) -> RicciData:
+    """Ricci contraction Ric_ij = sum_k R_kikj of a curvature tensor of
+    shape (4, 4, 4, 4, n) (round S^4 gives Ric = 3g)."""
+    ric = np.einsum("kikj...->ij...", R)
     return RicciData(ric=ric, scalar=np.einsum("ii...->...", ric))
 
 
@@ -213,20 +208,17 @@ def ricci_and_scalar(R: CurvatureTensor) -> RicciData:
 def _d_signs(k):
     """Gathers of d on k-forms, over increasing multi-indices I of degree
     k + 1: the derivative term sum_r (-1)^r e_{i_r}(w_{I - i_r}) along e1,
-    the one direction invariant forms vary in, and the bracket term
-    sum_{r<s} (-1)^(r+s) w([e_{i_r}, e_{i_s}], I - i_r - i_s)."""
-    deriv = np.zeros((len(MULTI_INDICES[k + 1]), 4, len(MULTI_INDICES[k])))
-    bracket = np.zeros((len(MULTI_INDICES[k + 1]), len(MULTI_INDICES[k]), 4, 4, 4))
-    for q, idx in enumerate(MULTI_INDICES[k + 1]):
-        for r, ir in enumerate(idx):
-            deriv[q, ir, _INDEX_POS[k][idx[:r] + idx[r + 1:]]] = (-1) ** r
-            for s in range(r + 1, len(idx)):
-                rest = tuple(t for p, t in enumerate(idx) if p not in (r, s))
-                for m in range(4):
-                    sign, key = _sort_index((m,) + rest)
-                    if sign:
-                        bracket[q, _INDEX_POS[k][key], ir, idx[s], m] += (-1) ** (r + s) * sign
-    return _Gather(deriv[:, 0], 1), _Gather(bracket, 2)
+    the one direction invariant forms vary in, the wedge table of e1 ^ w;
+    and the bracket term sum_{r<s} (-1)^(r+s) w([e_{i_r}, e_{i_s}], I - i_r - i_s),
+    minus the sign of e^ij ^ e^R in e^I times that of e^m ^ e^R in e^P,
+    summed over the (k-1)-forms R, for the bracket component m of [e_i, e_j]
+    against the component P of w."""
+    if k == 0:
+        bracket = np.zeros((4, 1, 4, 4, 4))
+    else:  # 0.0 - keeps the zero entries +0.0
+        bracket = 0.0 - np.einsum("qaR,PmR,aij->qPijm", _WEDGE[2, k - 1], _WEDGE[1, k - 1],
+                                  np.maximum(FULL_SIGNS[2], 0.0))
+    return _Gather(_WEDGE[1, k][:, 0], 1), _Gather(bracket, 2)
 
 
 _D_SIGNS = {k: _d_signs(k) for k in range(4)}
@@ -260,16 +252,9 @@ def codifferential(pt: FramePoint, form: KForm) -> KForm:
 
 def _derivation_signs(k):
     """Gather of S, (ncomp, ncomp, 4, 4): a connection acts on a k-form as
-    sum_r Gamma_{i J_r m} w_{J_r -> m} = sum Gamma_ixm S[J, P, x, m] w_P."""
-    n = len(MULTI_INDICES[k])
-    out = np.zeros((n, n, 4, 4))
-    for q, idx in enumerate(MULTI_INDICES[k]):
-        for r, x in enumerate(idx):
-            for m in range(4):
-                sign, key = _sort_index(idx[:r] + (m,) + idx[r + 1:])
-                if sign:
-                    out[q, _INDEX_POS[k][key], x, m] += sign
-    return _Gather(out, 2)
+    sum_r Gamma_{i J_r m} w_{J_r -> m} = sum Gamma_ixm S[J, P, x, m] w_P,
+    where S pairs e^x ^ e^R = e^J with e^m ^ e^R = e^P over (k-1)-forms R."""
+    return _Gather(np.einsum("JxR,PmR->JPxm", _WEDGE[1, k - 1], _WEDGE[1, k - 1]), 2)
 
 
 _DERIVATION_SIGNS = {k: _derivation_signs(k) for k in range(1, 4)}
@@ -348,12 +333,12 @@ def identity_suite(ev: Evaluation) -> dict:
     formula), so a sign regression shows as a large residual.
     """
     pt, ext, Hv, DHg = ev.pt, ev.ext, ev.Hv, ev.DH
-    R = ev.plus.R.components
-    Rm = ev.minus.R.components
+    R = ev.plus.R
+    Rm = ev.minus.R
     dstarHv = full_components(ext.dstar_H, pt)
 
     out = {}
-    out["curvature_cross"] = _sup(R - curvature_via_eq1(ev).components)
+    out["curvature_cross"] = _sup(R - curvature_via_eq1(ev))
 
     # the full tensor of dH, built after the cross check so that it is not
     # alive at the suite's peak; every reader takes sup |.|, so the sign of

@@ -45,7 +45,7 @@ import numpy as np
 
 from .charts import FramePoint, InvariantChart, InvariantForm, _grid_slice
 from .connections import (
-    AffineConnection, CurvatureTensor, ExteriorData, RicciData,
+    AffineConnection, ExteriorData, RicciData,
     cov_deriv, curvature, exterior_ops, full_components,
     levi_civita, ricci_and_scalar, with_skew_torsion,
 )
@@ -65,13 +65,14 @@ class ConnectionData:
         self.conn = conn
 
     @cached_property
-    def R(self) -> CurvatureTensor:
+    def R(self) -> np.ndarray:
+        """Curvature tensor R_ijkl, shape (4, 4, 4, 4, n)."""
         return curvature(self.conn)
 
     @cached_property
     def M(self) -> np.ndarray:
         """6x6 curvature operator in the +- basis, shape (6, 6, n)."""
-        return operator_from_tensor(self.R.components)
+        return operator_from_tensor(self.R)
 
     @cached_property
     def ricci(self) -> RicciData:

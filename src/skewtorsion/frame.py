@@ -5,7 +5,12 @@ e1..e4 (0-based internally), with the volume form e1^e2^e3^e4.  The
 components of a form are one array or one jet, with the component axis
 first and any grid axis last; every operation is linear or bilinear, a
 contraction with a fixed sign tensor built at import, so it acts on
-numbers, grids and jets alike.  The per-point pipeline contracts its sign
+numbers, grids and jets alike.  ``FULL_SIGNS[k][p, i1, ..., ik]``, the sign
+of the permutation (i1..ik) of the p-th increasing multi-index, is the one
+place a permutation sign is computed: every other exterior-algebra table
+of the package (wedge, star, the 3-index symbol, and in ``connections`` and
+``charts`` the tables of d, of a connection acting on forms and of cyclic
+orderings) is read off it.  The per-point pipeline contracts its sign
 tensors by :class:`_Gather`, which sums only the nonzero terms, to the
 bits of ``np.einsum`` on grids of two or more points.
 
@@ -38,8 +43,6 @@ DIM = 4
 
 MULTI_INDICES = {k: tuple(combinations(range(DIM), k)) for k in range(DIM + 1)}
 
-_INDEX_POS = {k: {idx: p for p, idx in enumerate(MULTI_INDICES[k])} for k in range(DIM + 1)}
-
 
 def _perm_sign(seq) -> int:
     sign = 1
@@ -51,31 +54,12 @@ def _perm_sign(seq) -> int:
     return sign
 
 
-def _sort_index(idx):
-    """(sign, increasing tuple) of an index tuple; sign 0 on repeats."""
-    if len(set(idx)) != len(idx):
-        return 0, None
-    return _perm_sign(idx), tuple(sorted(idx))
-
-
 def _full_signs(k):
     """(ncomp, 4, ..., 4): increasing components to the antisymmetric tensor."""
     out = np.zeros((len(MULTI_INDICES[k]),) + (DIM,) * k)
     for p, idx in enumerate(MULTI_INDICES[k]):
         for perm in permutations(idx):
             out[(p,) + perm] = _perm_sign(perm)
-    return out
-
-
-def _wedge_signs(ka, kb):
-    """(ncomp_{ka+kb}, ncomp_ka, ncomp_kb): the wedge product."""
-    out = np.zeros((len(MULTI_INDICES[ka + kb]), len(MULTI_INDICES[ka]),
-                    len(MULTI_INDICES[kb])))
-    for pa, ia in enumerate(MULTI_INDICES[ka]):
-        for pb, ib in enumerate(MULTI_INDICES[kb]):
-            sign, key = _sort_index(ia + ib)
-            if sign:
-                out[_INDEX_POS[ka + kb][key], pa, pb] = sign
     return out
 
 
@@ -113,7 +97,11 @@ class _Gather:
 
 FULL_SIGNS = {k: _full_signs(k) for k in range(DIM + 1)}
 _FULL = {k: _Gather(np.moveaxis(FULL_SIGNS[k], 0, -1), k) for k in range(DIM + 1)}
-_WEDGE = {(ka, kb): _wedge_signs(ka, kb)
+# the wedge product, (ncomp_{ka+kb}, ncomp_ka, ncomp_kb): e^ia ^ e^ib is the
+# sign of the index tuple ia + ib against each increasing multi-index
+_WEDGE = {(ka, kb): np.array([[[FULL_SIGNS[ka + kb][(r,) + ia + ib] for ib in MULTI_INDICES[kb]]
+                               for ia in MULTI_INDICES[ka]]
+                              for r in range(len(MULTI_INDICES[ka + kb]))])
           for ka in range(DIM + 1) for kb in range(DIM + 1 - ka)}
 # Hodge star for the metric delta and orientation e1234: e^I ^ *e^I = vol
 _STAR = {k: _WEDGE[k, DIM - k][0].T for k in range(DIM + 1)}
@@ -145,18 +133,21 @@ class KForm:
     def basis(degree: int, idx) -> "KForm":
         """e^idx as a KForm (idx an increasing 0-based tuple)."""
         out = KForm(degree)
-        out.comps[_INDEX_POS[degree][tuple(idx)]] = 1.0
+        out.comps[MULTI_INDICES[degree].index(tuple(idx))] = 1.0
         return out
 
     def __getitem__(self, idx):
-        """Component on an arbitrary index tuple, antisymmetrized."""
+        """Component on an arbitrary index tuple, antisymmetrized: the one
+        nonzero sign of the tuple in ``FULL_SIGNS`` picks the component."""
         if isinstance(idx, int):
             idx = (idx,)
-        sign, key = _sort_index(tuple(idx))
-        if sign == 0:
+        if len(idx) != self.degree:
+            raise IndexError(f"degree-{self.degree} form needs {self.degree} indices")
+        signs = FULL_SIGNS[self.degree][(slice(None),) + tuple(idx)]
+        if not signs.any():
             return 0.0
-        p, c = _INDEX_POS[self.degree][key], self.comps
-        return sign * (c.map(lambda a: a[p]) if isinstance(c, Jet) else c[p])
+        p, c = int(np.flatnonzero(signs)[0]), self.comps
+        return float(signs[p]) * (c.map(lambda a: a[p]) if isinstance(c, Jet) else c[p])
 
     def __add__(self, other):
         if self.degree != other.degree:
@@ -260,9 +251,7 @@ def operator_from_tensor(R: np.ndarray) -> np.ndarray:
 # Levi-Civita symbol on the + basis: a self-dual 2-form with + components
 # phi acts on Lambda^+ as -sqrt2 eps_pqr phi_r, the scale fixed by the
 # closed block formulas (decomposition.py)
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in permutations(range(3)):
-    _EPS3[_i, _j, _k] = _perm_sign((_i, _j, _k))
+_EPS3 = FULL_SIGNS[3][0, :3, :3, :3].copy()
 
 
 # Orthonormal basis of trace-free symmetric matrices indexed by (+,-) basis
@@ -271,15 +260,15 @@ for _i, _j, _k in permutations(range(3)):
 _T_BASIS = -np.einsum("pij,qjk->pqik", SD_WEIGHTS[:3], SD_WEIGHTS[3:])
 
 
-def ricci_contraction(t: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def ricci_contraction(t: np.ndarray) -> np.ndarray:
     """3x3 matrix of a trace-free symmetric 2-tensor in the (+,-) pairing.
 
-    ``t`` has shape (4, 4) or (4, 4, n); the trace must vanish to ``tol``
+    ``t`` has shape (4, 4) or (4, 4, n); the trace must vanish to 1e-8
     relative to the tensor scale.
     """
     t = np.asarray(t)
     tr = np.einsum("ii...->...", t)
     scale = max(1.0, float(np.max(np.abs(t))))
-    if np.max(np.abs(tr)) > tol * scale:
+    if np.max(np.abs(tr)) > 1e-8 * scale:
         raise ValueError("tensor is not trace-free")
     return np.einsum("ij...,pqij->pq...", t, _T_BASIS)

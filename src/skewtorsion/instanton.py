@@ -57,9 +57,6 @@ __all__ = [
     "gauge_equivalence_probe",
 ]
 
-# so(3) generators pairing the + basis: (T_s)_pq = eps_spq
-_GEN = np.einsum("spq->spq", F._EPS3)
-
 # curvature of the induced connection in the + basis equals this factor
 # times the transposed [A | C] rows of the operator (calibrated on the
 # round sphere)
@@ -81,7 +78,8 @@ class InducedConnection:
         curvature, paired with the +- basis and in generator rows."""
         Fm = _structure_equation(pt, omega)
         F_sd = 0.5 * np.einsum("qij,ijpr...->prq...", F.SD_WEIGHTS, Fm)
-        rows = (0.5 * np.einsum("spq,pqm...->sm...", _GEN, F_sd)
+        # the so(3) generators pairing the + basis are (T_s)_pq = eps_spq
+        rows = (0.5 * np.einsum("spq,pqm...->sm...", F._EPS3, F_sd)
                 / LAMBDA_PLUS_CURVATURE_SCALE)
         return cls(pt=pt, omega=omega, F_sd=F_sd, rows=rows)
 

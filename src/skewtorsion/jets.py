@@ -172,10 +172,6 @@ def _ones_like(x):
     return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
 
 
-def _value_of(x):
-    return x.value if isinstance(x, Jet) else x
-
-
 def _as_jet(x, order: int) -> Jet:
     return x if isinstance(x, Jet) else Jet.constant(x, order)
 
@@ -230,7 +226,7 @@ def _leibniz(a, b, product):
 
 def value_of(x):
     """Plain value of a jet, passthrough for numbers and arrays."""
-    return _value_of(x)
+    return x.value if isinstance(x, Jet) else x
 
 
 def truncate(x, order: int):

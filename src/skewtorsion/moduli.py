@@ -185,15 +185,13 @@ def _log_r(k: float, queries, x0: float) -> list:
     return out
 
 
-def r_curve(k: float, nodes: int = 200, x0: float | None = None):
+def r_curve(k: float, nodes: int = 200):
     """(x, R(x)) on the chart's ``nodes``-point sample grid, with R = 1 at
-    x0, by default the middle node."""
+    the middle node."""
     from .charts import bonneau_chart
     chart, _ = bonneau_chart(k)
     x = chart.sample_grid(nodes)
-    if x0 is None:
-        x0 = float(x[len(x) // 2])
-    return x, r_coordinate(k, x, x0)
+    return x, r_coordinate(k, x, float(x[len(x) // 2]))
 
 
 def _fit_slope(logr: np.ndarray, logt: np.ndarray) -> float:
@@ -202,18 +200,18 @@ def _fit_slope(logr: np.ndarray, logt: np.ndarray) -> float:
     return float(coef[0])
 
 
-def asymptotic_check(k: float, decade_points: int = 12) -> dict:
+def asymptotic_check(k: float) -> dict:
     """Slopes of log R against the model divergences at both ends.
 
-    Near x = k the fit is against -log(k - x) over k - x in
-    [1e-7, 1e-6]; near -infinity against -log|x| over |x| in [1e6, 1e7].
-    Both slopes tend to 1.  The fits take log R directly, which stays
-    finite where R itself underflows.  The two fits and the monotonicity
-    of R on 40 points below k share one evaluation of W.
+    Near x = k the fit is against -log(k - x) over 12 points of k - x in
+    [1e-7, 1e-6]; near -infinity against -log|x| over 12 points of |x| in
+    [1e6, 1e7].  Both slopes tend to 1.  The fits take log R directly,
+    which stays finite where R itself underflows.  The two fits and the
+    monotonicity of R on 40 points below k share one evaluation of W.
     """
     x0 = k - 1.0
-    t = np.geomspace(1e-7, 1e-6, decade_points)
-    s = np.geomspace(1e6, 1e7, decade_points)
+    t = np.geomspace(1e-7, 1e-6, 12)
+    s = np.geomspace(1e6, 1e7, 12)
     log_k, log_inf, log_mono = _log_r(
         k, [k - t, -s, np.linspace(x0 - 5.0, k - 1e-3, 40)], x0)
     slope_k = _fit_slope(log_k, -np.log(t))

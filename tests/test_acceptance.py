@@ -105,7 +105,7 @@ def test_criterion_05_flat_group_chart_equality_case():
         ch = product_chart(b0, 1.0)
         pt = ch.at(ch.sample_grid(32))
         H = flat_torsion(ch).at(pt)
-        R = curvature(with_skew_torsion(levi_civita(pt), H)).components
+        R = curvature(with_skew_torsion(levi_civita(pt), H))
         assert np.max(np.abs(R)) <= 1e-12
         rg = ricci_and_scalar(curvature(levi_civita(pt)))
         assert np.max(np.abs(rg.scalar - 1.5 / b0 ** 2)) <= 1e-12

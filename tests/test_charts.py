@@ -186,6 +186,27 @@ def test_profiles_positive_enforced():
         bad.at(np.array([3.5]))
 
 
+@pytest.mark.parametrize("make, x", [
+    (round_s4_chart, [np.nan, 1.0]), (product_chart, [np.inf]),
+    (lambda: bonneau_chart(0.3)[0], [-np.inf]), (flat_torus_chart, [0.5, -np.inf]),
+])
+def test_at_rejects_non_finite_points(make, x):
+    # NaN <= lo is false: without the finiteness check a NaN point, or any
+    # non-finite point of a periodic chart, gives NaN profiles silently
+    with pytest.raises(ChartError, match="x not finite"):
+        make().at(x)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_at_rejects_profile_values_outside_zero_to_inf(value):
+    const = lambda v, x: Jet.constant(v, x.order) + 0.0 * x
+    chart = charts.InvariantChart(
+        name="flat", profiles=lambda x: (const(1.0, x), const(value, x), const(1.0, x)),
+        domain=charts.Domain(0.0, 1.0, periodic=True), structure_mode="abelian")
+    with pytest.raises(ChartError, match="profile b not in"):
+        chart.at([0.25, 0.5])
+
+
 def test_quadrature_nodes_are_interior_and_sorted():
     chart, _ = bonneau_chart(0.0)
     x, w = chart.quadrature(64)

@@ -9,7 +9,7 @@ from skewtorsion.charts import (
     product_chart, random_chart, random_one_form, random_torsion, round_s4_chart,
 )
 from skewtorsion.connections import (
-    AffineConnection, CurvatureTensor, codifferential, curvature, curvature_via_eq1, d_form,
+    AffineConnection, codifferential, curvature, curvature_via_eq1, d_form,
     exterior_ops, full_components, identity_suite, levi_civita,
     ricci_and_scalar, with_skew_torsion,
 )
@@ -43,11 +43,11 @@ def test_levi_civita_biinvariant_half_bracket():
 def test_round_sphere_constant_curvature():
     chart = round_s4_chart()
     pt = chart.at(chart.sample_grid(16))
-    R = curvature(levi_civita(pt)).components
+    R = curvature(levi_civita(pt))
     expected = (np.einsum("ik,jl->ijkl", np.eye(4), np.eye(4))
                 - np.einsum("il,jk->ijkl", np.eye(4), np.eye(4)))[..., None]
     assert np.max(np.abs(R - expected)) < 1e-12
-    rd = ricci_and_scalar(CurvatureTensor(R))
+    rd = ricci_and_scalar(R)
     assert np.max(np.abs(rd.ric - 3.0 * np.eye(4)[..., None])) < 1e-12
     assert np.max(np.abs(rd.scalar - 12.0)) < 1e-12
 
@@ -57,7 +57,7 @@ def test_metric_curvature_antisymmetries():
     H = random_torsion(9)
     pt = chart.at(chart.sample_grid(8))
     conn = with_skew_torsion(levi_civita(pt), H.at(pt))
-    R = curvature(conn).components
+    R = curvature(conn)
     assert np.max(np.abs(R + np.einsum("ijkl...->jikl...", R))) < 1e-12
     assert np.max(np.abs(R + np.einsum("ijkl...->ijlk...", R))) < 1e-12
 
@@ -116,10 +116,10 @@ def test_flat_connection_on_group_both_signs():
     lc = levi_civita(pt)
     for sign in (+1, -1):
         H = flat_torsion(ch, sign).at(pt)
-        R = curvature(with_skew_torsion(lc, H)).components
+        R = curvature(with_skew_torsion(lc, H))
         assert np.max(np.abs(R)) <= 1e-12
     # without torsion the curvature does not vanish
-    Rg = curvature(lc).components
+    Rg = curvature(lc)
     assert np.max(np.abs(Rg)) > 0.1
 
 
@@ -143,8 +143,8 @@ def test_curvature_two_routes_agree():
         H = random_torsion(seed)
         pt = chart.at(chart.sample_grid(16))
         Hf = H.at(pt)
-        direct = curvature(with_skew_torsion(levi_civita(pt), Hf)).components
-        assembled = curvature_via_eq1(Evaluation(pt, Hf)).components
+        direct = curvature(with_skew_torsion(levi_civita(pt), Hf))
+        assembled = curvature_via_eq1(Evaluation(pt, Hf))
         assert np.max(np.abs(direct - assembled)) <= 1e-10
 
 

@@ -52,7 +52,7 @@ def _suite(ev: Evaluation, H2, plus: AffineConnection) -> dict:
     ``plus``: every (4, 4, 4, 4, n) tensor built in full, each product of
     two H's contracted on its own."""
     pt, lc = ev.pt, ev.lc
-    R, Rm, Rg = ev.plus.R.components, ev.minus.R.components, ev.riemann.R.components
+    R, Rm, Rg = ev.plus.R, ev.minus.R, ev.riemann.R
     Hv = full_components(H2, pt)
     DH = _FULL[3](cov_deriv(pt, lc, H2).value, lead=1)
     h = hodge_star(H2)
@@ -112,7 +112,7 @@ def test_pruned_stages_equal_the_full_order_formulas(name, nodes):
         full[sign] = AffineConnection(
             pt, lc.gamma + 0.5 * jets.truncate((sign * H2).full(), lc.gamma.order))
         _same(cd.conn.gamma, full[sign].gamma)
-        _same(cd.R.components, curvature(full[sign]).components)
+        _same(cd.R, curvature(full[sign]))
 
     # torsion forms, values only
     for conn, ref in ((lc, lc), (ev.plus.conn, full[1.0])):
