@@ -12,13 +12,10 @@ from .charts import (
 )
 from .connections import (
     AffineConnection, curvature, curvature_via_eq1,
-    exterior_ops, identity_suite, levi_civita, ricci_and_scalar,
-    with_skew_torsion,
+    exterior_ops, identity_suite, levi_civita, with_skew_torsion,
 )
 from .evaluation import ConnectionData, Evaluation
-from .decomposition import (
-    DecompositionReport, decompose_point, einstein_residual, einstein_tensor_point,
-)
+from .decomposition import decompose_point, einstein_residual, einstein_tensor_point
 from .weyl import einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection
 from .topology import TopologyReport, hitchin_thorpe_report, integrate_invariant
 from .instanton import (

@@ -192,9 +192,9 @@ def _verify_residuals(ev: Evaluation) -> dict:
     per_tile = []
     for tile in ev.tiles():
         res = identity_suite(tile)
-        rep = decompose_point(tile)
-        res["reconstruction"] = rep.reconstruction_residual
-        res["block_isometry"] = rep.block_residual
+        dec = decompose_point(tile)
+        res["reconstruction"] = dec["reconstruction_residual"]
+        res["block_isometry"] = dec["block_residual"]
         per_tile.append(res)
     return {k: float(np.max([r[k] for r in per_tile])) for k in per_tile[0]
             if all(k in r for r in per_tile)}
@@ -215,13 +215,14 @@ def cmd_report(args) -> int:
     chart, H = _build_chart(args)
     ev64 = Evaluation.on_grid(chart, H, SAMPLE_GRID)
     top = hitchin_thorpe_report(ev64, nodes=args.grid)
-    ev = Evaluation.on_grid(chart, H, min(args.grid, 128))
+    check = min(args.grid, 128)  # at --grid 64, the sample grid's context
+    ev = ev64 if check == SAMPLE_GRID else Evaluation.on_grid(chart, H, check)
     grids = {"quadrature": [args.grid, 2 * args.grid], "p1_sample": args.grid,
              "sample": ev64.pt.npoints, "check": ev.pt.npoints}
     _emit_json(
         args, "report", grids, chart,
         topology=top.to_dict(),
-        decomposition=decompose_point(ev).summary(),
+        decomposition=decompose_point(ev),
         yang_mills={k: v for k, v in yang_mills_density_check(ev).items() if k != "density"},
         self_duality={"plus": self_duality_residual(ev.plus.induced),
                       "minus": self_duality_residual(ev.minus.induced)},
@@ -238,13 +239,13 @@ def _scan_row(k: float, grid: int):
         return {"k": k, "admissible": False, "reason": str(exc)}
     ev = Evaluation.on_grid(chart, H, SAMPLE_GRID)
     top = hitchin_thorpe_report(ev, nodes=grid)
-    rep = decompose_point(ev)
+    dec = decompose_point(ev)
     probe = gauge_equivalence_probe(ev)
     return {
         "k": k,
         "admissible": True,
-        "einstein_residual": rep.einstein_residual,
-        "reconstruction_residual": rep.reconstruction_residual,
+        "einstein_residual": dec["einstein_residual"],
+        "reconstruction_residual": dec["reconstruction_residual"],
         "chi": top.chi,
         "tau": top.tau,
         "margin": top.inequality_margin,

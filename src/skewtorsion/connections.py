@@ -23,9 +23,11 @@ of matrix-valued connection forms w is written once, in
 connection on Lambda+ (``instanton.InducedConnection.from_forms``), on
 the six pairs i < j with their one bracket index, and F_ji = 0 - F_ij.
 
+The trace-free symmetric part is written once too, in :func:`_tf_sym`.
+
 The curvature routes, the exterior data of H and the identity suite read
-their connections and curvature tensors from an evaluation context
-(:class:`skewtorsion.evaluation.Evaluation`), which builds each once.
+their connections, curvature tensors and Ricci tensors from an evaluation
+context (:class:`skewtorsion.evaluation.Evaluation`), which builds each once.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ if TYPE_CHECKING:
     from .evaluation import Evaluation
 
 __all__ = [
-    "AffineConnection", "RicciData",
+    "AffineConnection",
     "levi_civita", "with_skew_torsion",
-    "curvature", "curvature_via_eq1", "ricci_and_scalar",
+    "curvature", "curvature_via_eq1",
     "d_form", "codifferential", "cov_deriv",
     "ExteriorData", "exterior_ops", "identity_suite", "full_components",
 ]
@@ -66,6 +68,11 @@ def _tf(m, dim):
     """Trace-free part of a (dim, dim, n) field of matrices."""
     eye = _EYE3 if dim == 3 else _EYE4
     return m - (np.einsum("pp...->...", m) / dim) * eye[..., None]
+
+
+def _tf_sym(m):
+    """Trace-free symmetric part of a (dim, dim, n) field of matrices."""
+    return _tf(_sym(m), len(m))
 
 
 def _fro(m):
@@ -107,16 +114,6 @@ class AffineConnection:
         once per connection, however many torsions are added to it."""
         scale = max(1.0, float(np.max(np.abs(self.gamma.value))))
         return not np.max(np.abs(self.torsion_form().comps.value)) > 1e-10 * scale
-
-
-@dataclass
-class RicciData:
-    ric: np.ndarray       # (4, 4, n)
-    scalar: np.ndarray    # (n,)
-
-    def traceless(self) -> np.ndarray:
-        """Trace-free symmetric Ricci tensor sym Ric - (s/4) g, (4, 4, n)."""
-        return _tf(_sym(self.ric), 4)
 
 
 def full_components(form: KForm, pt: FramePoint) -> np.ndarray:
@@ -191,13 +188,6 @@ def curvature_via_eq1(ev: Evaluation) -> np.ndarray:
     quad = 0.25 * (np.einsum("iljk...->ijkl...", HH) - np.einsum("jlik...->ijkl...", HH))
     dterm = -0.5 * DH + 0.5 * np.einsum("ijkl...->jikl...", DH)
     return ev.riemann.R + quad + dterm
-
-
-def ricci_and_scalar(R: np.ndarray) -> RicciData:
-    """Ricci contraction Ric_ij = sum_k R_kikj of a curvature tensor of
-    shape (4, 4, 4, 4, n) (round S^4 gives Ric = 3g)."""
-    ric = np.einsum("kikj...->ij...", R)
-    return RicciData(ric=ric, scalar=np.einsum("ii...->...", ric))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +352,7 @@ def identity_suite(ev: Evaluation) -> dict:
     del diff
 
     # Ricci of the torsion connection vs the divergence formula
-    rd, rg = ev.plus.ricci, ev.riemann.ricci
+    rd, rg = ev.plus, ev.riemann
     quad_ric = 0.25 * np.einsum("ikm...,jkm...->ij...", Hv, Hv)
     out["ricci_formula"] = _sup(rd.ric - (rg.ric - quad_ric - 0.5 * dstarHv))
     out["ricci_antisym"] = _sup(0.5 * (rd.ric - np.einsum("ij...->ji...", rd.ric))

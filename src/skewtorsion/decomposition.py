@@ -22,82 +22,41 @@ The connection is Einstein with skew torsion when the symmetric tensor
 
 vanishes; T is trace-free because the trace of S(D^g h) cancels *dH.
 
-Every function here reads the connections, curvature operators and
-exterior data of H from an evaluation context
-(:class:`skewtorsion.evaluation.Evaluation`).
+Every function here reads the exterior data of H from an evaluation
+context (:class:`skewtorsion.evaluation.Evaluation`), and the blocks,
+Weyl blocks, scalar curvature and Z from the ``ConnectionData`` of its
+connections, which own them.  :func:`decompose_point` returns numbers
+only: the residuals and sup norms that ``report`` prints under
+``decomposition``, in that order; a caller that needs an array reads it
+from its owner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import frame as F
-from .connections import _EYE3, _EYE4, _fro, _sym, _tf
+from .connections import _EYE3, _EYE4, _fro, _tf_sym
 
 if TYPE_CHECKING:
     from .evaluation import Evaluation
 
-__all__ = [
-    "DecompositionReport", "decompose_point",
-    "einstein_tensor_point", "einstein_residual", "operator_blocks",
-]
-
-def operator_blocks(M: np.ndarray):
-    """(A, B, C, D) views of a 6x6 operator matrix."""
-    return M[:3, :3], M[:3, 3:], M[3:, :3], M[3:, 3:]
+__all__ = ["decompose_point", "einstein_tensor_point", "einstein_residual"]
 
 
-@dataclass
-class DecompositionReport:
-    """Blocks, irreducible pieces and residuals of one decomposition run."""
-
-    x: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    Wplus: np.ndarray
-    Wminus: np.ndarray
-    s_nabla: np.ndarray
-    star_dH: np.ndarray
-    dstarH_plus: np.ndarray       # components in the + basis, shape (3, n)
-    dstarH_minus: np.ndarray
-    Z_nabla: np.ndarray           # (4, 4, n)
-    einstein_tensor: np.ndarray   # (4, 4, n)
-    einstein_residual: float      # sup_x |T|_F
-    block_residual: float         # sup_x |2 ||C||_F - ||T||_F|
-    reconstruction_residual: float
-
-    def summary(self) -> dict:
-        return {
-            "einstein_residual": self.einstein_residual,
-            "block_residual": self.block_residual,
-            "reconstruction_residual": self.reconstruction_residual,
-            "sup_B": float(np.max(_fro(self.B))),
-            "sup_Z": float(np.max(_fro(self.Z_nabla))),
-            "sup_W_plus": float(np.max(_fro(self.Wplus))),
-            "sup_W_minus": float(np.max(_fro(self.Wminus))),
-            "s_nabla_range": [float(self.s_nabla.min()), float(self.s_nabla.max())],
-        }
-
-
-def decompose_point(ev: Evaluation) -> DecompositionReport:
-    """Operator blocks and the closed-formula reconstruction at grid points."""
-    pt, ext = ev.pt, ev.ext
-    A, B, C, D = operator_blocks(ev.plus.M)
-    Ag, _, _, Dg = operator_blocks(ev.riemann.M)
-    s = ev.plus.ricci.scalar
+def decompose_point(ev: Evaluation) -> dict:
+    """Residuals of the closed block formulas and the Einstein condition at
+    the grid points, with the sup norms of B, Z and W+- and the range of s."""
+    ext = ev.ext
+    A, B, C, D = ev.plus.blocks
+    Wp, Wm = ev.riemann.W  # the Weyl blocks, torsion independent
+    s = ev.plus.scalar
     Z = ev.plus.Z
 
     dsH = F.components_in_sd_basis(ext.dstar_H)
     phi_p, phi_m = dsH[:3], dsH[3:]
-
-    # Weyl blocks from the Riemannian operator (torsion independent)
-    Wp = _tf(_sym(Ag), 3)
-    Wm = _tf(_sym(Dg), 3)
 
     T = einstein_tensor_point(ev)
 
@@ -107,7 +66,7 @@ def decompose_point(ev: Evaluation) -> DecompositionReport:
     phi_op_m = -np.sqrt(2.0) * np.einsum("pqr,r...->pq...", eps, phi_m)
     A_f = Wp + (s / 12.0 - ext.star_dH / 4.0) * _EYE3[..., None] + 0.25 * phi_op_p
     D_f = Wm + (s / 12.0 + ext.star_dH / 4.0) * _EYE3[..., None] - 0.25 * phi_op_m
-    S0 = _tf(ext.sym_grad_h, 4)
+    S0 = _tf_sym(ext.grad_h)
     B_f = 0.5 * np.einsum("ij...,pqij->pq...", Z - S0, F._T_BASIS)
     C_f = 0.5 * np.einsum("ij...,pqij->qp...", Z + S0, F._T_BASIS)
 
@@ -115,14 +74,16 @@ def decompose_point(ev: Evaluation) -> DecompositionReport:
                 float(np.max(np.abs(C - C_f))), float(np.max(np.abs(D - D_f))))
 
     t_norm = _fro(T)
-    return DecompositionReport(
-        x=pt.x, A=A, B=B, C=C, D=D, Wplus=Wp, Wminus=Wm,
-        s_nabla=s, star_dH=ext.star_dH, dstarH_plus=phi_p, dstarH_minus=phi_m,
-        Z_nabla=Z, einstein_tensor=T,
-        einstein_residual=float(np.max(t_norm)),
-        block_residual=float(np.max(np.abs(2.0 * _fro(C) - t_norm))),
-        reconstruction_residual=recon,
-    )
+    return {
+        "einstein_residual": float(np.max(t_norm)),
+        "block_residual": float(np.max(np.abs(2.0 * _fro(C) - t_norm))),
+        "reconstruction_residual": recon,
+        "sup_B": float(np.max(_fro(B))),
+        "sup_Z": float(np.max(_fro(Z))),
+        "sup_W_plus": float(np.max(_fro(Wp))),
+        "sup_W_minus": float(np.max(_fro(Wm))),
+        "s_nabla_range": [float(s.min()), float(s.max())],
+    }
 
 
 def einstein_tensor_point(ev: Evaluation, sign: int = +1) -> np.ndarray:

@@ -3,8 +3,9 @@
 Every single-grid check of the package reads its geometry from an
 :class:`Evaluation`: the torsion 3-form at the points, the Levi-Civita
 connection, the metric connections with torsion +H and -H, and for each
-connection (a :class:`ConnectionData`) its curvature tensor, 6x6 operator,
-Ricci data, trace-free Ricci tensor, induced connection on Lambda+ and
+connection (a :class:`ConnectionData`, the one owner of each of these)
+its curvature tensor, 6x6 operator and its blocks, W+-, Ricci tensor,
+scalar and trace-free Ricci tensor Z, induced connection on Lambda+ and
 the residual of that connection against the operator, plus the exterior
 data of H.  Each object is built at most once, on first use, so checks
 that share a context share the work:
@@ -45,9 +46,9 @@ import numpy as np
 
 from .charts import FramePoint, InvariantChart, InvariantForm, _grid_slice
 from .connections import (
-    AffineConnection, ExteriorData, RicciData,
+    AffineConnection, ExteriorData, _tf_sym,
     cov_deriv, curvature, exterior_ops, full_components,
-    levi_civita, ricci_and_scalar, with_skew_torsion,
+    levi_civita, with_skew_torsion,
 )
 from .frame import KForm, _FULL, operator_from_tensor
 from .instanton import InducedConnection, induced_lambda_plus, lambda_plus_block_residual
@@ -75,13 +76,30 @@ class ConnectionData:
         return operator_from_tensor(self.R)
 
     @cached_property
-    def ricci(self) -> RicciData:
-        return ricci_and_scalar(self.R)
+    def blocks(self) -> tuple:
+        """(A, B, C, D): the 3x3 block views of ``M``."""
+        return self.M[:3, :3], self.M[:3, 3:], self.M[3:, :3], self.M[3:, 3:]
+
+    @cached_property
+    def W(self) -> tuple:
+        """(W+, W-) = trace-free symmetric A and D: Weyl blocks for ``riemann``."""
+        A, _, _, D = self.blocks
+        return _tf_sym(A), _tf_sym(D)
+
+    @cached_property
+    def ric(self) -> np.ndarray:
+        """Ric_ij = sum_k R_kikj, shape (4, 4, n) (round S^4 gives Ric = 3g)."""
+        return np.einsum("kikj...->ij...", self.R)
+
+    @cached_property
+    def scalar(self) -> np.ndarray:
+        """Scalar curvature, the trace of ``ric``, shape (n,)."""
+        return np.einsum("ii...->...", self.ric)
 
     @cached_property
     def Z(self) -> np.ndarray:
         """Trace-free symmetric Ricci tensor, shape (4, 4, n)."""
-        return self.ricci.traceless()
+        return _tf_sym(self.ric)
 
     @cached_property
     def induced(self) -> InducedConnection:
@@ -92,7 +110,7 @@ class ConnectionData:
     @cached_property
     def lambda_plus_residual(self) -> float:
         """sup |rows - (A|C)^T| of the induced connection against the operator."""
-        return lambda_plus_block_residual(self.induced, self.M)
+        return lambda_plus_block_residual(self.induced, self.blocks)
 
 
 class Evaluation:

@@ -29,9 +29,9 @@ covariant constancy.  The systems and their spectra are built tile by tile
 (:meth:`skewtorsion.evaluation.Evaluation.tiles`); the continuation and
 the test run on the whole grid.
 
-The diagnostics read the +-H connections, their curvature operators,
-induced connections and residuals from an evaluation context
-(:class:`skewtorsion.evaluation.Evaluation`).
+The diagnostics read each +-H connection's blocks, W+, scalar, induced
+connection and residual from its ``ConnectionData`` in an evaluation
+context (:class:`skewtorsion.evaluation.Evaluation`).
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ import numpy as np
 from . import frame as F
 from . import jets
 from .charts import ChartError, FramePoint
-from .connections import _fro, _structure_equation, _sym, _tf, AffineConnection
-from .decomposition import operator_blocks
+from .connections import _fro, _structure_equation, AffineConnection
 
 if TYPE_CHECKING:
     from .evaluation import Evaluation
@@ -103,15 +102,16 @@ def induced_lambda_plus(conn: AffineConnection) -> InducedConnection:
         conn.pt, jets.einsum("ixy...,pqxy->ipq...", conn.gamma, _OMEGA_WEIGHTS))
 
 
-def lambda_plus_block_residual(ic: InducedConnection, M: np.ndarray) -> float:
-    """sup |rows - (A|C)^T| of an induced connection against ``M``, the 6x6
-    curvature operator of the connection it was induced by.
+def lambda_plus_block_residual(ic: InducedConnection, blocks: tuple) -> float:
+    """sup |rows - (A|C)^T| of an induced connection against ``blocks``, the
+    (A, B, C, D) blocks of the 6x6 curvature operator of the connection it
+    was induced by.
 
     The direction index of the rows is the differentiation pair of R, so
     the induced curvature reproduces the Lambda+ input/output entries of
     the operator transposed.
     """
-    A, _, Cb, _ = operator_blocks(M)
+    A, _, Cb, _ = blocks
     AC = np.concatenate([np.einsum("pq...->qp...", A),
                          np.einsum("pq...->qp...", Cb)], axis=1)
     return float(np.max(np.abs(ic.rows - AC)))
@@ -143,10 +143,9 @@ def yang_mills_density_check(ev: Evaluation) -> dict:
         ic = cd.induced
         dens[tag] = np.einsum("sm...,sm...->...", ic.rows, ic.rows)
         out[f"block_residual_{tag}"] = cd.lambda_plus_residual
-        rd = cd.ricci
-        Wp = _tf(_sym(operator_blocks(cd.M)[0]), 3)
+        Wp = cd.W[0]
         formula = (np.einsum("pq...,pq...->...", Wp, Wp)
-                   + 3.0 * (rd.scalar / 12.0) ** 2
+                   + 3.0 * (cd.scalar / 12.0) ** 2
                    + 0.25 * np.einsum("r...,r...->...", phi_p, phi_p))
         out[f"formula_residual_{tag}"] = float(np.max(np.abs(dens[tag] - formula)))
     out["pair_residual"] = float(np.max(np.abs(dens["plus"] - dens["minus"])))

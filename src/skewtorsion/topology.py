@@ -38,7 +38,7 @@ import numpy as np
 
 from .charts import ChartError, FramePoint, InvariantChart
 from .connections import _fro
-from .decomposition import einstein_residual, operator_blocks
+from .decomposition import einstein_residual
 from .evaluation import Evaluation
 
 __all__ = [
@@ -90,7 +90,7 @@ def integrate_invariant(chart: InvariantChart, f, nodes: int = DEFAULT_NODES):
 
 def curvature_integrands(ev: Evaluation):
     """(euler, signature) densities of the +H connection, per node."""
-    A, B, C, D = operator_blocks(ev.plus.M)
+    A, B, C, D = ev.plus.blocks
     a2, b2, c2, d2 = (_fro(A) ** 2, _fro(B) ** 2, _fro(C) ** 2, _fro(D) ** 2)
     chi_dens = (a2 + d2 - b2 - c2) / (8.0 * math.pi ** 2)
     tau_dens = (a2 + b2 - c2 - d2) / (12.0 * math.pi ** 2)

@@ -18,8 +18,9 @@ correspondence the round trip below exercises.
 
 Every check here reads its geometry from an evaluation context
 (:class:`skewtorsion.evaluation.Evaluation`): the frame points, the
-Levi-Civita connection and its Ricci data, and for the round trip H and
-both Einstein tensors; it builds only the Weyl connection itself.
+Levi-Civita connection and its Ricci tensor and scalar, and for the
+round trip H and both Einstein tensors; it builds only the Weyl
+connection itself, whose ``ConnectionData`` gives its Z and scalar.
 :func:`weyl_connection` takes the 1-form already evaluated at the
 connection's points.
 """
@@ -66,10 +67,9 @@ def einstein_weyl_residual(ev: Evaluation, omega: InvariantForm) -> dict:
     pt, lc = ev.pt, ev.lc
     w = omega.at(pt)
     weyl = ConnectionData(weyl_connection(lc, w))
-    rd = weyl.ricci
     s0_direct = weyl.Z
 
-    rg = ev.riemann.ricci
+    rg = ev.riemann
     wv = full_components(w, pt)
     w2 = np.einsum("i...,i...->...", wv, wv)
     # D^g w and d*w are read as values: w at order 1, gamma at order 0
@@ -86,7 +86,7 @@ def einstein_weyl_residual(ev: Evaluation, omega: InvariantForm) -> dict:
         "residual_direct": float(np.max(_fro(s0_direct))),
         "residual_formula": float(np.max(_fro(s0_formula))),
         "route_difference": float(np.max(np.abs(s0_direct - s0_formula))),
-        "scalar_difference": float(np.max(np.abs(rd.scalar - s_formula))),
+        "scalar_difference": float(np.max(np.abs(weyl.scalar - s_formula))),
     }
 
 

@@ -14,7 +14,7 @@ from skewtorsion.charts import (
     random_chart, random_torsion, round_s4_chart,
 )
 from skewtorsion.connections import (
-    curvature, identity_suite, levi_civita, ricci_and_scalar, with_skew_torsion,
+    curvature, identity_suite, levi_civita, with_skew_torsion,
 )
 from skewtorsion.decomposition import decompose_point, einstein_residual
 from skewtorsion.evaluation import ConnectionData, Evaluation
@@ -65,8 +65,8 @@ def test_criterion_02_block_reconstruction_on_random_draws():
     worst = 0.0
     for seed in range(N_DRAWS):
         rep = decompose_point(Evaluation.on_grid(random_chart(seed), random_torsion(seed), 64))
-        worst = max(worst, rep.reconstruction_residual)
-        assert rep.reconstruction_residual <= 1e-9, f"draw {seed}"
+        worst = max(worst, rep["reconstruction_residual"])
+        assert rep["reconstruction_residual"] <= 1e-9, f"draw {seed}"
     _ok(2, f"block reconstruction on 100 draws, worst {worst:.2e} (<= 1e-9)")
 
 
@@ -107,7 +107,7 @@ def test_criterion_05_flat_group_chart_equality_case():
         H = flat_torsion(ch).at(pt)
         R = curvature(with_skew_torsion(levi_civita(pt), H))
         assert np.max(np.abs(R)) <= 1e-12
-        rg = ricci_and_scalar(curvature(levi_civita(pt)))
+        rg = ConnectionData(levi_civita(pt))
         assert np.max(np.abs(rg.scalar - 1.5 / b0 ** 2)) <= 1e-12
     ch = product_chart(1.0, 1.0)
     rep = _report(ch, flat_torsion(ch), 32)

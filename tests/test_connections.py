@@ -10,10 +10,9 @@ from skewtorsion.charts import (
 )
 from skewtorsion.connections import (
     AffineConnection, codifferential, curvature, curvature_via_eq1, d_form,
-    exterior_ops, full_components, identity_suite, levi_civita,
-    ricci_and_scalar, with_skew_torsion,
+    exterior_ops, full_components, identity_suite, levi_civita, with_skew_torsion,
 )
-from skewtorsion.evaluation import Evaluation
+from skewtorsion.evaluation import ConnectionData, Evaluation
 from skewtorsion.frame import KForm, hodge_star
 
 
@@ -43,13 +42,13 @@ def test_levi_civita_biinvariant_half_bracket():
 def test_round_sphere_constant_curvature():
     chart = round_s4_chart()
     pt = chart.at(chart.sample_grid(16))
-    R = curvature(levi_civita(pt))
+    cd = ConnectionData(levi_civita(pt))
+    R = cd.R
     expected = (np.einsum("ik,jl->ijkl", np.eye(4), np.eye(4))
                 - np.einsum("il,jk->ijkl", np.eye(4), np.eye(4)))[..., None]
     assert np.max(np.abs(R - expected)) < 1e-12
-    rd = ricci_and_scalar(R)
-    assert np.max(np.abs(rd.ric - 3.0 * np.eye(4)[..., None])) < 1e-12
-    assert np.max(np.abs(rd.scalar - 12.0)) < 1e-12
+    assert np.max(np.abs(cd.ric - 3.0 * np.eye(4)[..., None])) < 1e-12
+    assert np.max(np.abs(cd.scalar - 12.0)) < 1e-12
 
 
 def test_metric_curvature_antisymmetries():
@@ -128,10 +127,10 @@ def test_scalar_relation_on_group_charts():
         ch = product_chart(b0, 1.0)
         pt = ch.at(ch.sample_grid(4))
         lc = levi_civita(pt)
-        rg = ricci_and_scalar(curvature(lc))
+        rg = ConnectionData(lc)
         assert np.max(np.abs(rg.scalar - 1.5 / b0 ** 2)) < 1e-12
         H = flat_torsion(ch).at(pt)
-        rn = ricci_and_scalar(curvature(with_skew_torsion(lc, H)))
+        rn = ConnectionData(with_skew_torsion(lc, H))
         assert np.max(np.abs(rn.scalar)) < 1e-12
         ext = exterior_ops(lc, H)
         assert np.max(np.abs(ext.norm_sq_H - 1.0 / b0 ** 2)) < 1e-14

@@ -12,7 +12,6 @@ from skewtorsion.charts import (
     product_chart, random_chart, random_torsion, round_s4_chart,
 )
 from skewtorsion.connections import levi_civita, with_skew_torsion
-from skewtorsion.decomposition import decompose_point
 from skewtorsion.evaluation import ConnectionData, Evaluation
 from skewtorsion.instanton import (
     InducedConnection, _align_signs, _intertwiner_spectrum, _intertwiner_system,
@@ -101,10 +100,10 @@ def test_self_duality_residual_matches_einstein_block():
     chart = random_chart(10)
     H = random_torsion(10)
     ic = _connection_data(chart, H, nodes=16).induced
-    rep = decompose_point(Evaluation.on_grid(chart, H, 16))
+    C = Evaluation.on_grid(chart, H, 16).plus.blocks[2]
     # same quantity through two code paths
     sd = self_duality_residual(ic)
-    blk = float(np.max(np.sqrt(np.einsum("pq...,pq...->...", rep.C, rep.C))))
+    blk = float(np.max(np.sqrt(np.einsum("pq...,pq...->...", C, C))))
     assert sd == pytest.approx(blk, rel=1e-9)
     assert sd > 1e-3  # generic torsion is nowhere near an instanton
 

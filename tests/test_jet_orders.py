@@ -73,7 +73,7 @@ def _suite(ev: Evaluation, H2, plus: AffineConnection) -> dict:
     out["pair_swap"] = np.max(np.abs(R - swap + 0.5 * dHv))
     if np.max(np.abs(dHv)) <= 1e-10:
         out["pair_swap_closed"] = np.max(np.abs(R - swap))
-    rd, rg = ev.plus.ricci, ev.riemann.ricci
+    rd, rg = ev.plus, ev.riemann
     quad_ric = 0.25 * np.einsum("ikm...,jkm...->ij...", Hv, Hv)
     out["ricci_formula"] = np.max(np.abs(rd.ric - (rg.ric - quad_ric - 0.5 * dstarHv)))
     out["ricci_antisym"] = np.max(np.abs(0.5 * (rd.ric - np.einsum("ij...->ji...", rd.ric))

@@ -105,6 +105,11 @@ def stage_counts(monkeypatch):
     (["probe", "--chart", "bonneau", "--k", "0", "--grid", "4096"],
      {"structure": 16, "curvature": 0, "operator": 0, "levi_civita": 8, "chart.at": 1,
       "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 8, "svd": 8}),
+    # at --grid 64 the report grid is the sample grid, and one context
+    # serves both: one chart evaluation, Levi-Civita and +H curvature fewer
+    (["report", "--chart", "bonneau", "--k", "0", "--grid", "64"],
+     {"structure": 11, "curvature": 6, "operator": 5, "levi_civita": 4, "chart.at": 3,
+      "quadrature": 2, "omega2": 4, "sincos": 0, "qr": 0, "svd": 0}),
 ])
 def test_stage_counts_per_command(stage_counts, argv, expected):
     with contextlib.redirect_stdout(io.StringIO()):

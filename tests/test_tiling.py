@@ -55,9 +55,9 @@ def test_tiles_cut_the_grid_without_evaluating_it_again(monkeypatch):
 def test_tiled_verify_residuals_are_those_of_one_context(name):
     ev = _context(name)
     res = identity_suite(ev)
-    rep = decompose_point(ev)
-    res["reconstruction"] = rep.reconstruction_residual
-    res["block_isometry"] = rep.block_residual
+    dec = decompose_point(ev)
+    res["reconstruction"] = dec["reconstruction_residual"]
+    res["block_isometry"] = dec["block_residual"]
     assert _bits(cli._verify_residuals(_context(name))) == _bits(res)
 
 
@@ -71,11 +71,9 @@ def test_verify_keeps_a_key_only_if_every_tile_reports_it(monkeypatch):
             res["pair_swap_closed"] = 0.0
         return res
 
-    class Report:
-        reconstruction_residual = block_residual = 0.5
-
+    report = {"reconstruction_residual": 0.5, "block_residual": 0.5}
     monkeypatch.setattr(cli, "identity_suite", suite)
-    monkeypatch.setattr(cli, "decompose_point", lambda tile: Report)
+    monkeypatch.setattr(cli, "decompose_point", lambda tile: report)
     res = cli._verify_residuals(_context("flat"))
     assert seen == [512, 512, 76]
     assert res == {"bianchi": 3.0, "reconstruction": 0.5, "block_isometry": 0.5}

@@ -11,7 +11,6 @@ from skewtorsion.charts import (
     flat_torus_chart, product_chart, random_chart, round_s4_chart,
 )
 from skewtorsion.connections import _fro
-from skewtorsion.decomposition import decompose_point
 from skewtorsion.evaluation import Evaluation
 from skewtorsion.topology import (
     curvature_integrands, hitchin_thorpe_report, integrate_invariant, pontryagin_density,
@@ -115,7 +114,7 @@ def test_complex_projective_plane_pins_the_sign_of_tau():
     assert rep.chi == pytest.approx(3.0, abs=1e-10)
     assert rep.tau == pytest.approx(1.0, abs=1e-10)
     assert rep.p1_lambda_plus == pytest.approx(9.0, abs=1e-10)
-    assert np.max(_fro(decompose_point(ev).Wminus)) <= 1e-10
+    assert np.max(_fro(ev.riemann.W[1])) <= 1e-10
 
 
 def test_non_einstein_data_is_flagged():
