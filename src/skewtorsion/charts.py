@@ -92,7 +92,7 @@ class InvariantChart:
         seed = Jet.variable(x, DEFAULT_ORDER)
         a, b, c = self.profiles(seed)
         for name, p in (("a", a), ("b", b), ("c", c)):
-            v = np.asarray(jets.value_of(p))
+            v = np.asarray(p.value)
             bad = ~((v > 0.0) & (v < np.inf))  # NaN too
             if np.any(bad):
                 raise ChartError(f"profile {name} not in (0, inf) at x={x[bad][:3]}")
@@ -131,7 +131,7 @@ class InvariantChart:
         """Density of the volume form against dx: a b^2 c * orbit volume."""
         w = pt.a * pt.b * pt.b * pt.c
         vol = ORBIT_VOLUME[self.structure_mode]
-        return vol * np.broadcast_to(jets.value_of(w), pt.x.shape)
+        return vol * np.broadcast_to(w.value, pt.x.shape)
 
     def to_dict(self) -> dict:
         return {
@@ -339,16 +339,14 @@ class BonneauFamily:
         return 1.0 + self.n * (quad * jets.arctan_minus_id(w) - w)
 
     def omega2(self, x: Jet) -> Jet:
-        if not isinstance(x, Jet):
-            x = Jet.constant(np.asarray(x, dtype=float), DEFAULT_ORDER)
-        xv = np.asarray(jets.value_of(x))
+        xv = np.asarray(x.value)
         near = (self.k - xv) <= self.r_near
         far = xv <= self.x_far
-        x_near = jets.where(near, x, Jet.constant(self.k - self.r_near, x.order) + 0.0 * x)
-        x_far = jets.where(far, x, Jet.constant(self.x_far, x.order) + 0.0 * x)
+        x_near = jets.where(near, x, _constant(self.k - self.r_near, x))
+        x_far = jets.where(far, x, _constant(self.x_far, x))
         mid_lo, mid_hi = self.x_far, self.k - 0.5 * self.r_near
-        x_mid = jets.where(xv < mid_lo, Jet.constant(mid_lo, x.order) + 0.0 * x,
-                           jets.where(xv > mid_hi, Jet.constant(mid_hi, x.order) + 0.0 * x, x))
+        x_mid = jets.where(xv < mid_lo, _constant(mid_lo, x),
+                           jets.where(xv > mid_hi, _constant(mid_hi, x), x))
         out = jets.where(near, self._w_near(x_near),
                          jets.where(far, self._w_far(x_far), self._w_direct(x_mid)))
         return out
@@ -387,7 +385,7 @@ def bonneau_chart(k: float):
     )
     u = (np.arange(1024) + 0.5) / 1024
     x, _ = chart.map_from_unit(u)
-    w = np.asarray(jets.value_of(fam.omega2(Jet.variable(x, 0))))
+    w = np.asarray(fam.omega2(Jet.variable(x, 0)).value)
     good = np.isfinite(w) & (w > 0.0)
     if not np.all(good):
         bad = x[~good]

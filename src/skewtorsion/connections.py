@@ -56,6 +56,10 @@ __all__ = [
     "ExteriorData", "exterior_ops", "identity_suite", "full_components",
 ]
 
+# H counts as closed when sup |dH| is at most this; it gates the closed-torsion
+# identities (``identity_suite``'s pair swap, ``instanton.killing_residual``)
+CLOSED_TOL = 1e-10
+
 _EYE3 = np.eye(3)
 _EYE4 = np.eye(4)
 
@@ -118,7 +122,7 @@ class AffineConnection:
 
 def full_components(form: KForm, pt: FramePoint) -> np.ndarray:
     """Fully antisymmetric value array of a frame k-form, grid axis last."""
-    v = form.values().full()
+    v = form.truncated(0).full().value
     return np.broadcast_to(v, v.shape[:form.degree] + pt.x.shape)
 
 
@@ -217,22 +221,19 @@ _D_SIGNS = {k: _d_signs(k) for k in range(4)}
 def d_form(pt: FramePoint, form: KForm) -> KForm:
     """Exterior derivative of an invariant frame form via brackets.
 
-    The result carries one order less than a jet form: the brackets are cut
-    to that order.  A form with array components is constant along the
-    grid, so only its bracket term contributes, at the brackets' order.
+    The result carries one order less than the form: the brackets are cut
+    to that order, and an order-0 form, which carries no derivative, raises
+    ``ValueError``.
     """
     k = form.degree
     if k >= 4:
         raise ValueError("cannot differentiate a 4-form in dimension 4")
     deriv, bracket = _D_SIGNS[k]
     w = form.comps
-    C = pt.structure_functions()
-    if isinstance(w, Jet):
-        C = jets.truncate(C, w.order - 1)
+    dw = deriv(pt.e1(w))  # an order-0 form raises here
+    C = jets.truncate(pt.structure_functions(), dw.order)
     out = jets.einsum("qp...,p...->q...", bracket(C), jets.truncate(w, C.order))
-    if isinstance(w, Jet):
-        out = out + deriv(pt.e1(w))
-    return KForm(k + 1, out)
+    return KForm(k + 1, out + dw)
 
 
 def codifferential(pt: FramePoint, form: KForm) -> KForm:
@@ -293,7 +294,7 @@ def exterior_ops(lc: AffineConnection, H: KForm) -> ExteriorData:
     return ExteriorData(
         H=H, dH=dH, star_dH=star_dH, dstar_H=dstar_H, h=h, dh=dh,
         grad_h=grad, sym_grad_h=_sym(grad),
-        norm_sq_H=norm_sq(H.values()),
+        norm_sq_H=norm_sq(H.truncated(0)).value,
     )
 
 
@@ -347,7 +348,7 @@ def identity_suite(ev: Evaluation) -> dict:
     diff = R - np.einsum("klij...->ijkl...", Rm)
     out["pair_swap"] = _sup(diff + 0.5 * dHv)
     del dHv
-    if _sup(dH) <= 1e-10:
+    if _sup(dH) <= CLOSED_TOL:
         out["pair_swap_closed"] = _sup(diff)
     del diff
 
@@ -379,7 +380,7 @@ def identity_suite(ev: Evaluation) -> dict:
 
     # torsion recovery from the connection difference
     tor = ev.plus.conn.torsion_form()
-    out["torsion_recovery"] = _sup(tor.comps.value - jets.value_of(ev.Hf.comps))
+    out["torsion_recovery"] = _sup(tor.comps.value - ev.Hf.comps.value)
 
     out["jacobi"] = pt.jacobi_residual()
     return out

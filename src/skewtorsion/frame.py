@@ -2,17 +2,18 @@
 
 Forms are stored by components on increasing multi-indices of the frame
 e1..e4 (0-based internally), with the volume form e1^e2^e3^e4.  The
-components of a form are one array or one jet, with the component axis
-first and any grid axis last; every operation is linear or bilinear, a
-contraction with a fixed sign tensor built at import, so it acts on
-numbers, grids and jets alike.  ``FULL_SIGNS[k][p, i1, ..., ik]``, the sign
-of the permutation (i1..ik) of the p-th increasing multi-index, is the one
-place a permutation sign is computed: every other exterior-algebra table
-of the package (wedge, star, the 3-index symbol, and in ``connections`` and
-``charts`` the tables of d, of a connection acting on forms and of cyclic
-orderings) is read off it.  The per-point pipeline contracts its sign
-tensors by :class:`_Gather`, which sums only the nonzero terms, to the
-bits of ``np.einsum`` on grids of two or more points.
+components of a form are one jet, with the component axis first and any
+grid axis last (constant components are an order-0 jet); every operation
+is linear or bilinear, a contraction with a fixed sign tensor built at
+import, applied to each coefficient of the jet.
+``FULL_SIGNS[k][p, i1, ..., ik]``, the sign of the permutation (i1..ik) of
+the p-th increasing multi-index, is the one place a permutation sign is
+computed: every other exterior-algebra table of the package (wedge, star,
+the 3-index symbol, and in ``connections`` and ``charts`` the tables of d,
+of a connection acting on forms and of cyclic orderings) is read off it.
+The per-point pipeline contracts its sign tensors by :class:`_Gather`,
+which sums only the nonzero terms, to the bits of ``np.einsum`` on grids
+of two or more points.
 
 The six unit 2-forms splitting Lambda^2 into +/- eigenspaces of the Hodge
 star are, in order,
@@ -110,8 +111,10 @@ _STAR = {k: _WEDGE[k, DIM - k][0].T for k in range(DIM + 1)}
 class KForm:
     """Frame k-form with one component per increasing multi-index.
 
-    ``comps`` is one array or one jet whose first axis runs over the
-    increasing multi-indices, shape (ncomp,) or (ncomp, n) on n points.
+    ``comps`` is one jet whose first axis runs over the increasing
+    multi-indices, shape (ncomp,) or (ncomp, n) on n points.  An array
+    (or list) of components, and the zeros when none are given, become an
+    order-0 jet here.
     """
 
     __slots__ = ("degree", "comps")
@@ -122,9 +125,9 @@ class KForm:
         n = len(MULTI_INDICES[degree])
         if comps is None:
             comps = np.zeros(n)
-        elif not isinstance(comps, Jet):
-            comps = np.array(comps, dtype=float)
-        if np.shape(jets.value_of(comps))[:1] != (n,):
+        if not isinstance(comps, Jet):
+            comps = Jet((np.array(comps, dtype=float),))
+        if np.shape(comps.value)[:1] != (n,):
             raise ValueError(f"degree-{degree} form needs {n} components")
         self.degree = degree
         self.comps = comps
@@ -132,22 +135,22 @@ class KForm:
     @staticmethod
     def basis(degree: int, idx) -> "KForm":
         """e^idx as a KForm (idx an increasing 0-based tuple)."""
-        out = KForm(degree)
-        out.comps[MULTI_INDICES[degree].index(tuple(idx))] = 1.0
-        return out
+        mi = MULTI_INDICES[degree]
+        return KForm(degree, np.eye(len(mi))[mi.index(tuple(idx))])
 
     def __getitem__(self, idx):
-        """Component on an arbitrary index tuple, antisymmetrized: the one
-        nonzero sign of the tuple in ``FULL_SIGNS`` picks the component."""
+        """Component jet on an arbitrary index tuple, antisymmetrized: the
+        one nonzero sign of the tuple in ``FULL_SIGNS`` picks the component,
+        and a tuple with a repeated index reads zeros."""
         if isinstance(idx, int):
             idx = (idx,)
         if len(idx) != self.degree:
             raise IndexError(f"degree-{self.degree} form needs {self.degree} indices")
         signs = FULL_SIGNS[self.degree][(slice(None),) + tuple(idx)]
         if not signs.any():
-            return 0.0
-        p, c = int(np.flatnonzero(signs)[0]), self.comps
-        return float(signs[p]) * (c.map(lambda a: a[p]) if isinstance(c, Jet) else c[p])
+            return self.comps.map(lambda a: np.zeros_like(a[0]))
+        p = int(np.flatnonzero(signs)[0])
+        return float(signs[p]) * self.comps.map(lambda a: a[p])
 
     def __add__(self, other):
         if self.degree != other.degree:
@@ -165,26 +168,18 @@ class KForm:
     def __neg__(self):
         return self * (-1.0)
 
-    def values(self) -> "KForm":
-        """Same form with jet components collapsed to their values."""
-        return KForm(self.degree, jets.value_of(self.comps))
-
     def truncated(self, order: int) -> "KForm":
-        """Same form with jet components cut to ``order``; array components
-        pass through."""
+        """Same form with its components cut to ``order``; ``truncated(0)``
+        keeps the values only."""
         return KForm(self.degree, jets.truncate(self.comps, order))
 
-    def full(self):
-        """Fully antisymmetric components, index axes first and the grid axis
-        last (a jet for jet components); a form without a grid axis gets
-        one of length 1, so it broadcasts against any grid."""
-        c = self.comps
-        if not isinstance(c, Jet):
-            c = np.reshape(c, (len(c), -1))
-        return _FULL[self.degree](c)
+    def full(self) -> Jet:
+        """Fully antisymmetric components, one jet with the index axes first
+        and any grid axis last."""
+        return _FULL[self.degree](self.comps)
 
     def __repr__(self):
-        vals = jets.value_of(self.comps)
+        vals = self.comps.value
         terms = ", ".join(f"{idx}: {c}" for idx, c in zip(MULTI_INDICES[self.degree], vals))
         return f"KForm({self.degree}, {{{terms}}})"
 
@@ -228,7 +223,7 @@ SD_WEIGHTS = np.einsum("Pp,pab->Pab", _SD_COMPS, FULL_SIGNS[2])
 
 def components_in_sd_basis(w: KForm) -> np.ndarray:
     """Components of a 2-form in the ordered +/- basis (values only)."""
-    return np.einsum("Pp,p...->P...", _SD_COMPS, jets.value_of(w.comps))
+    return np.einsum("Pp,p...->P...", _SD_COMPS, w.comps.value)
 
 
 _OPERATOR = _Gather(np.einsum("pab,qcd->pqabcd", SD_WEIGHTS, SD_WEIGHTS), 2)

@@ -44,7 +44,7 @@ import numpy as np
 from . import frame as F
 from . import jets
 from .charts import ChartError, FramePoint
-from .connections import _fro, _structure_equation, AffineConnection
+from .connections import CLOSED_TOL, _fro, _structure_equation, _sup, AffineConnection
 
 if TYPE_CHECKING:
     from .evaluation import Evaluation
@@ -157,11 +157,11 @@ def killing_residual(ev: Evaluation) -> dict:
     """Sup norm of S(D^g h) for h = *H, with the closedness of H checked."""
     ext = ev.ext
     # the sup of the 4-form's one component: its full tensor adds zeros
-    dH_sup = float(np.max(np.abs(ext.dH.comps.value)))
+    dH_sup = _sup(ext.dH.comps.value)
     return {
         "killing_residual": float(np.max(_fro(ext.sym_grad_h))),
         "dH_sup": dH_sup,
-        "closed": dH_sup <= 1e-10,
+        "closed": dH_sup <= CLOSED_TOL,
     }
 
 

@@ -34,6 +34,10 @@ the same value coefficient as at any higher order, so a caller that reads
 no derivative evaluates a jet-transparent formula at order 0 and skips the
 recurrences (the values of the Bonneau conformal factor in the chart's
 positivity scan and in the holomorphic radius).
+
+The elementary functions and :func:`truncate` take jets only; a number or
+array enters as the other operand of jet arithmetic, where it is a
+constant, or as a fixed tensor of :func:`einsum`.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 
 __all__ = [
     "Jet", "sqrt", "exp", "log", "sin", "cos", "sincos", "arctan",
-    "arctan_minus_id", "where", "value_of", "truncate", "einsum",
+    "arctan_minus_id", "where", "truncate", "einsum",
 ]
 
 DEFAULT_ORDER = 2
@@ -187,17 +191,17 @@ def _align(a: Jet, b):
 
 
 def einsum(spec: str, *operands):
-    """``np.einsum`` over jets and arrays, with the grid axis in ``...``.
+    """``np.einsum`` of one or two jets with fixed arrays, the grid axis in
+    ``...``.
 
-    Arrays are constants.  With one jet operand the contraction is a
-    linear map applied to every coefficient; with two it is the Leibniz
-    rule ``c_k = sum_j einsum(spec, a_j, b_{k-j})``.  Two jets of different
+    With one jet operand the contraction is a linear map applied to every
+    coefficient; with two it is the Leibniz rule
+    ``c_k = sum_j einsum(spec, a_j, b_{k-j})``.  Two jets of different
     orders raise ``ValueError``, as in arithmetic: a caller truncates the
-    higher one explicitly.  More than two jet operands are not supported.
+    higher one explicitly.  No jet operand, or more than two, raises
+    ``ValueError``.
     """
     pos = [i for i, op in enumerate(operands) if isinstance(op, Jet)]
-    if not pos:
-        return np.einsum(spec, *operands)
     ops = list(operands)
 
     def term(*coeffs):
@@ -207,8 +211,8 @@ def einsum(spec: str, *operands):
 
     if len(pos) == 1:
         return operands[pos[0]].map(term)
-    if len(pos) > 2:
-        raise ValueError("einsum contracts at most two jets")
+    if len(pos) != 2:
+        raise ValueError(f"einsum contracts one or two jets, got {len(pos)}")
     a, b = _align(*(operands[i] for i in pos))
     return Jet(_leibniz(a, b, term))
 
@@ -224,18 +228,11 @@ def _leibniz(a, b, product):
     return tuple(out)
 
 
-def value_of(x):
-    """Plain value of a jet, passthrough for numbers and arrays."""
-    return x.value if isinstance(x, Jet) else x
-
-
-def truncate(x, order: int):
-    """A jet cut down to ``order``; numbers and arrays pass through.  Asking
-    for an order the jet does not carry raises ``ValueError``."""
-    if not isinstance(x, Jet):
-        return x
-    if order > x.order:
-        raise ValueError(f"cannot raise an order-{x.order} jet to order {order}")
+def truncate(x: Jet, order: int) -> Jet:
+    """The jet cut down to ``order``.  Asking for an order the jet does not
+    carry, or a negative one, raises ``ValueError``."""
+    if not 0 <= order <= x.order:
+        raise ValueError(f"cannot cut an order-{x.order} jet to order {order}")
     return Jet(x.coeffs[:order + 1])
 
 
@@ -248,8 +245,6 @@ def _integrate(w, y0, order):
 
 
 def sqrt(x):
-    if not isinstance(x, Jet):
-        return np.sqrt(x)
     a = x.coeffs
     y0 = np.sqrt(a[0])
     out = [y0]
@@ -263,8 +258,6 @@ def sqrt(x):
 
 
 def exp(x):
-    if not isinstance(x, Jet):
-        return np.exp(x)
     a = x.coeffs
     out = [np.exp(a[0])]
     for k in range(1, x.order + 1):
@@ -276,8 +269,6 @@ def exp(x):
 
 
 def log(x):
-    if not isinstance(x, Jet):
-        return np.log(x)
     a = x.coeffs
     out = [np.log(a[0])]
     inv0 = 1.0 / a[0]
@@ -299,8 +290,6 @@ def cos(x):
 
 def sincos(x):
     """(sin x, cos x) from one pass of the coupled series recurrences."""
-    if not isinstance(x, Jet):
-        return np.sin(x), np.cos(x)
     a = x.coeffs
     s = [np.sin(a[0])]
     c = [np.cos(a[0])]
@@ -316,8 +305,6 @@ def sincos(x):
 
 
 def arctan(x):
-    if not isinstance(x, Jet):
-        return np.arctan(x)
     if x.order == 0:
         return Jet((np.arctan(x.value),))
     v = 1.0 + x * x
@@ -331,8 +318,6 @@ def arctan_minus_id(x):
     The derivative is -x^2/(1+x^2), which has no cancellation; the constant
     term uses the alternating series below a cutoff.
     """
-    if not isinstance(x, Jet):
-        return _atanm_value(x)
     if x.order == 0:
         return Jet((_atanm_value(x.value),))
     v = 1.0 + x * x

@@ -163,7 +163,7 @@ def _log_r(k: float, queries, x0: float) -> list:
         # eps k / (k - t) relative, while g as a function of t is exact;
         # only values are read, so W is evaluated at order 0
         t = k - np.exp(u)
-        ac = jets.value_of(fam.a_over_c(jets.Jet.constant(t, 0)))
+        ac = fam.a_over_c(jets.Jet.constant(t, 0)).value
         good = (ac > 0.0) & (ac < math.inf)
         if not np.all(good):
             raise ChartError(f"a/c not positive for k={k}: a/c({t[~good][0]:.6g}) = "

@@ -94,24 +94,21 @@ def torsion_weyl_roundtrip(ev: Evaluation) -> dict:
     """Round trip torsion -> 1-form -> torsion and the Einstein pairing.
 
     Maps H to w = *H and back to H' = -*w; in this star convention
-    ** = -1 on odd degrees, so H' = +H and the closing sign is +1.  Both
-    torsion signs are checked to give the same Einstein residual, and the
-    Einstein-Weyl residual of w is reported alongside.
+    ** = -1 on odd degrees, so H' = +H: the closing sign is pinned to +1
+    and the residual is sup |H' - H|, so a star of the wrong sign reads
+    2 sup |H|.  Both torsion signs are checked to give the same Einstein
+    residual, and the Einstein-Weyl residual of w is reported alongside.
     """
     Hf = ev.Hf
     w = hodge_star(Hf)
     H_back = -1.0 * hodge_star(w)
 
-    diff_plus = float(np.max(np.abs((H_back - Hf).comps.value)))
-    diff_minus = float(np.max(np.abs((H_back + Hf).comps.value)))
-    sign = +1 if diff_plus <= diff_minus else -1
-
     s0 = ConnectionData(weyl_connection(ev.lc, w)).Z
 
     norm_h = float(np.max(np.abs(norm_sq(Hf).value - norm_sq(H_back).value)))
     return {
-        "closing_sign": sign,
-        "roundtrip_residual": min(diff_plus, diff_minus),
+        "closing_sign": 1,
+        "roundtrip_residual": float(np.max(np.abs((H_back - Hf).comps.value))),
         "norm_preserved": norm_h,
         "einstein_residual_plus": einstein_residual(ev),
         "einstein_residual_minus": einstein_residual(ev, -1),

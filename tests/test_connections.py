@@ -17,7 +17,7 @@ from skewtorsion.frame import KForm, hodge_star
 
 
 def _val(c, pt):
-    return np.broadcast_to(np.asarray(jets.value_of(c)), pt.x.shape)
+    return np.broadcast_to(np.asarray(c), pt.x.shape)
 
 
 def test_levi_civita_flat_torus_vanishes():
@@ -70,7 +70,7 @@ def test_skew_torsion_recovery_and_zero_case():
     tor = conn.torsion_form()
     for tc, hc in zip(tor.comps.value, H.comps.value):
         assert np.max(np.abs(_val(tc, pt) - _val(hc, pt))) < 1e-12
-    conn0 = with_skew_torsion(lc, KForm(3))
+    conn0 = with_skew_torsion(lc, 0.0 * H)
     assert np.max(np.abs(conn0.gamma.value - lc.gamma.value)) == 0.0
 
 
@@ -151,9 +151,20 @@ def test_exterior_derivative_matches_invariant_structure():
     ch = product_chart(1.0, 1.0)
     pt = ch.at(np.array([0.4]))
     # d e2 = -c^2_ij e^i ^ e^j/2: for unit profiles d(s1) = s2 ^ s3
-    de2 = d_form(pt, KForm.basis(1, (1,)))
-    assert jets.value_of(de2[(2, 3)])[0] == pytest.approx(1.0)
-    assert jets.value_of(de2[(0, 1)])[0] == pytest.approx(0.0)
+    v = np.zeros((4, 1))
+    v[1] = 1.0
+    de2 = d_form(pt, KForm(1, jets.Jet((v, np.zeros_like(v)))))
+    assert de2[(2, 3)].value[0] == pytest.approx(1.0)
+    assert de2[(0, 1)].value[0] == pytest.approx(0.0)
+
+
+def test_exterior_derivative_of_an_order_0_form_raises():
+    """An order-0 form carries no derivative, so d of it is refused rather
+    than read as the bracket term alone."""
+    pt = product_chart(1.0, 1.0).at(np.array([0.4]))
+    for form in (KForm.basis(1, (1,)), random_torsion(2).at(pt).truncated(0)):
+        with pytest.raises(ValueError):
+            d_form(pt, form)
 
 
 def test_codifferential_is_adjoint_sign_convention():
@@ -164,11 +175,11 @@ def test_codifferential_is_adjoint_sign_convention():
     Hf = H.at(pt)
     ds = codifferential(pt, Hf)
     assert ds.degree == 2
-    assert jets.value_of(ds[(0, 1)])[0] == pytest.approx(0.0, abs=1e-15)
+    assert ds[(0, 1)].value[0] == pytest.approx(0.0, abs=1e-15)
     # nonzero component pairs against e^{12}: -d/dx applied through the dual
     dh = d_form(pt, hodge_star(Hf))
-    assert jets.value_of(hodge_star(dh)[(0, 1)])[0] == pytest.approx(
-        -jets.value_of(ds[(0, 1)])[0], abs=1e-15)
+    assert hodge_star(dh)[(0, 1)].value[0] == pytest.approx(
+        -ds[(0, 1)].value[0], abs=1e-15)
 
 
 def test_bonneau_torsion_is_closed_with_nonclosed_dual():
@@ -177,10 +188,10 @@ def test_bonneau_torsion_is_closed_with_nonclosed_dual():
     ext = exterior_ops(levi_civita(pt), H.at(pt))
     assert np.max(np.abs(full_components(ext.dH, pt))) <= 1e-12
     # the torsion 1-form points along e4 and is not closed
-    hv = full_components(ext.h.values(), pt)
+    hv = full_components(ext.h, pt)
     assert np.max(np.abs(hv[:3])) <= 1e-14
     assert np.max(np.abs(hv[3])) > 0.1
-    assert np.max(np.abs(full_components(ext.dh.values(), pt))) > 0.1
+    assert np.max(np.abs(full_components(ext.dh, pt))) > 0.1
 
 
 def test_flat_torus_constant_torsion_closed_and_coclosed():
@@ -189,7 +200,7 @@ def test_flat_torus_constant_torsion_closed_and_coclosed():
     pt = ch.at(ch.sample_grid(4))
     ext = exterior_ops(levi_civita(pt), H.at(pt))
     assert np.max(np.abs(full_components(ext.dH, pt))) == 0.0
-    assert np.max(np.abs(full_components(ext.dstar_H.values(), pt))) == 0.0
+    assert np.max(np.abs(full_components(ext.dstar_H, pt))) == 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 3, 8])
@@ -245,7 +256,7 @@ def test_curvature_radial_derivative_against_finite_differences():
     gp, _ = gamma_at(x0 + h)
     gm, _ = gamma_at(x0 - h)
     g0, pt0 = gamma_at(x0)
-    a0 = float(np.asarray(jets.value_of(pt0.a)).reshape(-1)[0])
+    a0 = float(pt0.a.value[0])
     fd = (gp - gm) / (2 * h) / a0
 
     conn0 = with_skew_torsion(levi_civita(pt0), H.at(pt0))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewtorsion import frame as F
+from skewtorsion.jets import Jet
 from skewtorsion.frame import (
     KForm, hodge_star, inner, norm_sq, operator_from_tensor, ricci_contraction, wedge,
 )
@@ -12,29 +13,37 @@ from skewtorsion.frame import (
 comps6 = st.lists(st.floats(-5, 5, allow_nan=False), min_size=6, max_size=6)
 
 
+def test_array_components_become_an_order_0_jet():
+    c = np.random.default_rng(5).normal(size=(6, 3))
+    for comps, want in ((c, c), (c.tolist(), c), (None, np.zeros(6))):
+        jet = KForm(2, comps).comps
+        assert isinstance(jet, Jet) and jet.order == 0
+        assert jet.value.shape == want.shape and jet.value.tobytes() == want.tobytes()
+
+
 def test_star_on_basis_two_and_three_forms():
-    assert hodge_star(KForm.basis(2, (0, 1))).comps.tolist() == [0, 0, 0, 0, 0, 1.0]  # e34
+    assert hodge_star(KForm.basis(2, (0, 1))).comps.value.tolist() == [0, 0, 0, 0, 0, 1.0]  # e34
     s = hodge_star(KForm.basis(3, (0, 1, 2)))
-    assert s.comps.tolist() == [0, 0, 0, 1.0]  # e4
+    assert s.comps.value.tolist() == [0, 0, 0, 1.0]  # e4
 
 
 def test_double_star_signs():
     e1 = KForm.basis(1, (0,))
-    assert hodge_star(hodge_star(e1)).comps[0] == -1.0
+    assert hodge_star(hodge_star(e1)).comps.value[0] == -1.0
     rng = np.random.default_rng(1)
     for k in range(5):
         a = KForm(k, list(rng.normal(size=len(F.MULTI_INDICES[k]))))
         ss = hodge_star(hodge_star(a))
         sign = (-1) ** (k * (4 - k))
-        assert np.allclose(ss.comps, sign * np.asarray(a.comps))
+        assert np.allclose(ss.comps.value, sign * a.comps.value)
 
 
 @given(comps6)
 def test_star_is_isometry_and_self_pairing(c):
     a = KForm(2, c)
-    assert norm_sq(hodge_star(a)) == pytest.approx(norm_sq(a), rel=1e-12, abs=1e-12)
+    assert norm_sq(hodge_star(a)).value == pytest.approx(norm_sq(a).value, rel=1e-12, abs=1e-12)
     top = wedge(a, hodge_star(a))
-    assert top.comps[0] == pytest.approx(norm_sq(a), rel=1e-12, abs=1e-12)
+    assert top.comps.value[0] == pytest.approx(norm_sq(a).value, rel=1e-12, abs=1e-12)
 
 
 def test_basis_is_orthonormal_with_star_signs():
@@ -43,10 +52,10 @@ def test_basis_is_orthonormal_with_star_signs():
     basis = [KForm(2, c) for c in F._SD_COMPS]
     for p, ep in enumerate(basis):
         for q, eq in enumerate(basis):
-            assert inner(ep, eq) == pytest.approx(1.0 * (p == q), abs=1e-15)
+            assert inner(ep, eq).value == pytest.approx(1.0 * (p == q), abs=1e-15)
         s = hodge_star(ep)
-        assert np.allclose(s.comps, (1.0 if p < 3 else -1.0) * np.asarray(ep.comps))
-        assert np.array_equal(F.SD_WEIGHTS[p], ep.full()[..., 0])
+        assert np.allclose(s.comps.value, (1.0 if p < 3 else -1.0) * ep.comps.value)
+        assert np.array_equal(F.SD_WEIGHTS[p], ep.full().value)
 
 
 def test_constant_curvature_gives_identity_operator():

@@ -211,9 +211,11 @@ def test_mixed_orders_raise(op):
     with pytest.raises(ValueError):
         op(lo, hi)
     assert op(jets.truncate(hi, 1), lo).order == 1
-    with pytest.raises(ValueError):
-        jets.truncate(lo, 2)
-    assert jets.truncate(x, 1) is x
+    for order in (2, -1):
+        with pytest.raises(ValueError):
+            jets.truncate(lo, order)
+    with pytest.raises(AttributeError):  # an array is not a jet
+        jets.truncate(x, 1)
 
 
 _MASK = np.array([True, False, True])

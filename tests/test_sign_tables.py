@@ -108,8 +108,8 @@ def test_component_lookup_and_basis(k):
     form = F.KForm(k, comps)
     for idx in product(range(4), repeat=k):
         sign, key = _sort_index(idx)
-        assert form[idx] == (sign * comps[POS[k][key]] if sign else 0.0), idx
+        assert form[idx].value == (sign * comps[POS[k][key]] if sign else 0.0), idx
     for p, idx in enumerate(MI[k]):
-        assert F.KForm.basis(k, idx).comps.tolist() == np.eye(len(MI[k]))[p].tolist()
+        assert F.KForm.basis(k, idx).comps.value.tolist() == np.eye(len(MI[k]))[p].tolist()
     with pytest.raises(IndexError):
         form[(0,) * (k + 1)]

@@ -8,6 +8,7 @@ from skewtorsion.charts import (
     random_one_form, random_torsion, round_s4_chart,
 )
 from skewtorsion.connections import full_components, levi_civita
+from skewtorsion import weyl
 from skewtorsion.evaluation import Evaluation
 from skewtorsion.weyl import einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection
 
@@ -77,6 +78,19 @@ def test_roundtrip_involution_and_sign():
     assert res["einstein_residual_plus"] <= 1e-8
     assert res["einstein_residual_minus"] <= 1e-8
     assert res["einstein_weyl_residual"] <= 1e-8
+
+
+def test_roundtrip_residual_sees_a_star_of_the_wrong_sign(monkeypatch):
+    """The closing sign is pinned, so a Hodge star negated on 1-forms reads
+    as a round-trip residual of 2 sup |H|, not absorbed by the other sign."""
+    star = weyl.hodge_star
+    monkeypatch.setattr(weyl, "hodge_star",
+                        lambda a: -1.0 * star(a) if a.degree == 1 else star(a))
+    chart, H = bonneau_chart(0.0)
+    ev = Evaluation.on_grid(chart, H, 32)
+    res = torsion_weyl_roundtrip(ev)
+    assert res["closing_sign"] == 1
+    assert res["roundtrip_residual"] >= np.max(np.abs(ev.Hf.comps.value)) > 0.0
 
 
 def test_roundtrip_zero_and_random_norm_preservation():
