@@ -14,10 +14,10 @@ from .connections import (
     AffineConnection, curvature, curvature_via_eq1,
     exterior_ops, identity_suite, levi_civita, with_skew_torsion,
 )
-from .evaluation import ConnectionData, Evaluation
+from .evaluation import ConnectionData, Evaluation, Grids
 from .decomposition import decompose_point, einstein_residual, einstein_tensor_point
 from .weyl import einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection
-from .topology import TopologyReport, hitchin_thorpe_report, integrate_invariant
+from .topology import TopologyReport, hitchin_thorpe_report, integrate_invariant, report_grids
 from .instanton import (
     GaugeProbeReport, InducedConnection, gauge_equivalence_probe,
     induced_lambda_plus, killing_residual, self_duality_residual,

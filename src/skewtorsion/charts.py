@@ -33,7 +33,7 @@ from .frame import FULL_SIGNS, KForm, MULTI_INDICES, _Gather
 
 __all__ = [
     "ChartError", "Domain", "InvariantChart", "FramePoint",
-    "InvariantForm", "BonneauFamily", "bonneau_chart",
+    "InvariantForm", "BonneauFamily", "bonneau_chart", "bonneau_rows",
     "round_s4_chart", "product_chart", "flat_torsion", "flat_torus_chart",
     "random_chart", "random_torsion", "random_one_form", "chart_and_torsion",
     "gauss_legendre",
@@ -81,21 +81,38 @@ class InvariantChart:
 
     def at(self, x) -> "FramePoint":
         """Frame data at finite interior points x (scalar or 1-d array);
-        every profile value must lie in (0, inf)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        lo, hi = self.domain.lo, self.domain.hi
-        if not np.all(np.isfinite(x)):
-            raise ChartError(f"x not finite: {x[~np.isfinite(x)][:3]}")
+        every profile value must lie in (0, inf).
+
+        ``x`` may also be a tuple of such grids, evaluated as one batch,
+        their concatenation, in one profile pass.  The points of every grid
+        are checked, then the profile values of every grid, each grid as if
+        it were evaluated alone: a refusal names the first grid that fails
+        a check, and its nodes.  A domain bound may hold one bound per
+        point of the batch (:func:`bonneau_rows`).
+        """
+        grids = [np.atleast_1d(np.asarray(g, dtype=float))
+                 for g in (x if isinstance(x, tuple) else (x,))]
+        ends = np.cumsum([len(g) for g in grids])
+        cuts = [slice(end - len(g), end) for g, end in zip(grids, ends)]
+        x = np.concatenate(grids)
+        bad = ~np.isfinite(x)
         if not self.domain.periodic:
-            if np.any(x <= lo) or np.any(x >= hi):
-                raise ChartError(f"x outside open domain ({lo}, {hi})")
+            bad |= (x <= self.domain.lo) | (x >= self.domain.hi)
+        if np.any(bad):
+            s = next(s for s in cuts if np.any(bad[s]))
+            if not np.all(np.isfinite(x[s])):
+                raise ChartError(f"x not finite: {x[s][~np.isfinite(x[s])][:3]}")
+            i = s.start + np.argmax(bad[s])
+            lo, hi = (float(np.broadcast_to(v, x.shape)[i])
+                      for v in (self.domain.lo, self.domain.hi))
+            raise ChartError(f"x outside open domain ({lo}, {hi})")
         seed = Jet.variable(x, DEFAULT_ORDER)
         a, b, c = self.profiles(seed)
-        for name, p in (("a", a), ("b", b), ("c", c)):
-            v = np.asarray(p.value)
-            bad = ~((v > 0.0) & (v < np.inf))  # NaN too
-            if np.any(bad):
-                raise ChartError(f"profile {name} not in (0, inf) at x={x[bad][:3]}")
+        bad = [~((p.value > 0.0) & (p.value < np.inf)) for p in (a, b, c)]  # NaN too
+        if np.any(bad[0] | bad[1] | bad[2]):
+            s = next(s for s in cuts if any(np.any(m[s]) for m in bad))
+            name, m = next((name, m[s]) for name, m in zip("abc", bad) if np.any(m[s]))
+            raise ChartError(f"profile {name} not in (0, inf) at x={x[s][m][:3]}")
         return FramePoint(self, seed, a, b, c)
 
     # -- grids ---------------------------------------------------------------
@@ -316,6 +333,19 @@ class BonneauFamily:
         self.r_near = min(1.0, 0.5 * kk / max(abs(self.k), 1.0))
         self.x_far = min(-2.0, -4.0 * abs(self.k), self.k - 2.0 * self.r_near)
 
+    @classmethod
+    def per_node(cls, ks, counts) -> "BonneauFamily":
+        """The family on a batch of nodes in runs of one parameter:
+        ``counts[i]`` nodes at ``ks[i]``, in order.  Each parameter (k, n,
+        pk, r_near, x_far) is the one family ``BonneauFamily(k)`` computes,
+        repeated per node, and every operation acts node by node, so the
+        profiles at a node are bitwise those of its own k's family."""
+        rows = [cls(k) for k in ks]
+        fam = cls.__new__(cls)
+        for name in ("k", "n", "pk", "r_near", "x_far"):
+            setattr(fam, name, np.repeat([getattr(r, name) for r in rows], counts))
+        return fam
+
     # -- conformal factor ----------------------------------------------------
 
     def _w_direct(self, x: Jet) -> Jet:
@@ -367,6 +397,10 @@ class BonneauFamily:
         return (self.k - x) / (self.omega2(x) * (1.0 + x * x))
 
 
+# the family's torsion 3-form, H_123 = 2 c
+_BONNEAU_H = InvariantForm(3, [(0, 1, 2)], lambda pt: [2.0 * pt.c])
+
+
 def bonneau_chart(k: float):
     """Chart and torsion 3-form (H_123 = 2 c) of the S^4 family at parameter k.
 
@@ -392,8 +426,19 @@ def bonneau_chart(k: float):
         raise ChartError(
             f"conformal factor not positive for k={k}: W({bad[0]:.6g}) = "
             f"{w[~good][0]:.3e}")
-    H = InvariantForm(3, [(0, 1, 2)], lambda pt: [2.0 * pt.c])
-    return chart, H
+    return chart, _BONNEAU_H
+
+
+def bonneau_rows(ks, counts):
+    """Chart and torsion of the S^4 family on a batch of nodes in runs of
+    one parameter (:meth:`BonneauFamily.per_node`), each node in the domain
+    (-inf, k) of its own k.  It serves that one batch, and runs no
+    positivity scan: a caller builds each k's chart with
+    :func:`bonneau_chart` first."""
+    fam = BonneauFamily.per_node(ks, counts)
+    chart = InvariantChart(name="bonneau", profiles=fam.profiles,
+                           domain=Domain(-math.inf, fam.k), structure_mode="su2")
+    return chart, _BONNEAU_H
 
 
 def _positive(v: float) -> bool:

@@ -17,15 +17,16 @@ Every command exits 2, with one ``error: ...`` line on stderr and nothing
 on stdout, on a bad option value, a chart it cannot build or whose
 brackets or integrands overflow, and an ``--out`` it cannot write.
 
-Each command evaluates the chart once per grid it uses, and every check
-on that grid shares one evaluation context.  Every JSON payload starts
-with one header (:func:`_emit_json`): ``schema``, ``command``, ``chart``
-(not in a scan), the grids under ``grids``, the jet order of the
-profiles under ``jet_order`` and the package and numpy versions under
-``provenance``.  The grids are ``quadrature`` (the Gauss-Legendre node
-counts: 2n for chi, tau and p1, and in a report n for their error
-estimates), ``p1_sample`` (in a report, the n-point sample grid of the
-minimum p1 integrand, evaluated with the n nodes as one batch),
+Each command evaluates the chart and H once, on the concatenation of
+every grid it reads (``evaluation.Grids``), and cuts each grid's
+evaluation context from it when a check reads it; every check on a grid
+shares that grid's context.  Every JSON payload starts with one header
+(:func:`_emit_json`): ``schema``, ``command``, ``chart`` (not in a scan),
+the grids under ``grids``, the jet order of the profiles under
+``jet_order`` and the package and numpy versions under ``provenance``.
+The grids are ``quadrature`` (the Gauss-Legendre node counts: 2n for chi,
+tau and p1, and in a report n for their error estimates), ``p1_sample``
+(in a report, the n-point sample grid of the minimum p1 integrand),
 ``sample`` (the 64-point grid of the Einstein residual, the Nijenhuis
 tensor and, in a scan, the decomposition and the probe), ``check`` (the
 grid of the verify suites; in a report, of the decomposition,
@@ -36,7 +37,7 @@ sample grid.
 
 The checks that work point by point run on a grid of more than
 ``evaluation.TILE`` (512) points tile by tile, each tile a context of its
-own cut from the one evaluation of the grid: ``verify`` merges the tiles'
+own cut from the one evaluation of the grids: ``verify`` merges the tiles'
 residuals by max, the probe and the report's quadrature join the tiles'
 per-point arrays before they reduce them.  So the output is that of one
 context on the whole grid, in the memory of one tile.
@@ -44,7 +45,13 @@ context on the whole grid, in the memory of one tile.
 ``scan`` emits k = k_min + i k_step up to ``--k-max``, which a value may
 pass by a few ulps, so that ``--k-max`` written as k_min + m k_step gives
 m + 1 rows; ``--k-min`` above ``--k-max``, or a range of MAX_SCAN_ROWS
-steps or more, exits 2.  The rows run on a pool of min(8, CPUs) threads.
+steps or more, exits 2.  Each k builds its own chart, whose positivity
+scan refuses the row.  The grids of the admissible rows are evaluated
+together, on the calling thread, by one chart over the rows' parameters
+(``charts.bonneau_rows``), and the rows then run on a pool of min(8,
+CPUs) threads, each cutting its two contexts from that evaluation.  A
+scan longer than ``SCAN_BLOCK_NODES`` nodes (14 rows at ``--grid 256``)
+does this block by block, so its memory does not grow with its length.
 
 Floats are emitted with 17 significant digits and reductions use a fixed
 summation order, so identical configurations produce identical bytes.
@@ -74,19 +81,21 @@ from . import __version__, charts
 from .charts import ChartError
 from .connections import identity_suite
 from .decomposition import decompose_point
-from .evaluation import Evaluation
+from .evaluation import Evaluation, Grids
 from .instanton import (
     gauge_equivalence_probe, killing_residual, self_duality_residual,
     yang_mills_density_check,
 )
 from .jets import DEFAULT_ORDER
 from .moduli import acs_radial, nijenhuis_norm
-from .topology import hitchin_thorpe_report
+from .topology import SAMPLE_GRID, hitchin_thorpe_report, report_grids
 from .weyl import torsion_weyl_roundtrip
 
 SCHEMA = 1
-SAMPLE_GRID = 64  # grid of the report's sample checks and of the scan rows
 MAX_SCAN_ROWS = 10_000  # a longer scan exits 2 before any row runs
+# most nodes in one evaluation of scan rows: a longer scan runs in blocks
+# of rows, so that the memory it holds does not grow with its length
+SCAN_BLOCK_NODES = 8192
 
 
 def _fmt(x) -> str:
@@ -213,14 +222,14 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     chart, H = _build_chart(args)
-    ev64 = Evaluation.on_grid(chart, H, SAMPLE_GRID)
-    top = hitchin_thorpe_report(ev64, nodes=args.grid)
     check = min(args.grid, 128)  # at --grid 64, the sample grid's context
-    ev = ev64 if check == SAMPLE_GRID else Evaluation.on_grid(chart, H, check)
-    grids = {"quadrature": [args.grid, 2 * args.grid], "p1_sample": args.grid,
-             "sample": ev64.pt.npoints, "check": ev.pt.npoints}
+    grids = report_grids(chart, H, args.grid, None if check == SAMPLE_GRID else check)
+    ev64 = grids["sample"]
+    top = hitchin_thorpe_report(ev64, grids)
+    ev = ev64 if check == SAMPLE_GRID else grids["check"]
     _emit_json(
-        args, "report", grids, chart,
+        args, "report", {"quadrature": [args.grid, 2 * args.grid], "p1_sample": args.grid,
+                         "sample": ev64.pt.npoints, "check": ev.pt.npoints}, chart,
         topology=top.to_dict(),
         decomposition=decompose_point(ev),
         yang_mills={k: v for k, v in yang_mills_density_check(ev).items() if k != "density"},
@@ -232,13 +241,12 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _scan_row(k: float, grid: int):
-    try:
-        chart, H = charts.bonneau_chart(k)
-    except ChartError as exc:
-        return {"k": k, "admissible": False, "reason": str(exc)}
-    ev = Evaluation.on_grid(chart, H, SAMPLE_GRID)
-    top = hitchin_thorpe_report(ev, nodes=grid)
+def _scan_row(k: float, grids: Grids, i: int):
+    """The row of the i-th k of a block, admissible, from the contexts of
+    its sample grid and its rule of 2n nodes, each cut from the block's one
+    evaluation when the row reads it."""
+    ev = grids[i, "sample"]
+    top = hitchin_thorpe_report(ev, grids, rule=(i, "rule"), estimates=None)
     dec = decompose_point(ev)
     probe = gauge_equivalence_probe(ev)
     return {
@@ -252,6 +260,34 @@ def _scan_row(k: float, grid: int):
         "p1_lambda_plus": top.p1_lambda_plus,
         "probe_verdict": probe.verdict,
     }
+
+
+def _scan_block(ks: list, grid: int, ex) -> list:
+    """The rows of ``ks``: each k's chart refuses its row or gives its
+    grids, and the grids of the admissible rows are evaluated together, on
+    this thread, before their rows run on the pool ``ex``."""
+    rows, admitted = {}, {}
+    for i, k in enumerate(ks):
+        try:
+            admitted[i], _ = charts.bonneau_chart(k)
+        except ChartError as exc:
+            rows[i] = {"k": k, "admissible": False, "reason": str(exc)}
+    if admitted:
+        # the rows' Gauss-Legendre rule is built on the pool: glibc keeps
+        # freed memory per thread (and ``main`` stops it trimming), so the
+        # dense scratch of ``leggauss`` (about 6 MB at 512 nodes) is reused
+        # there by the rows' contexts, while here it would add to the peak
+        ex.submit(charts.gauss_legendre, 2 * grid).result()
+        points = {}
+        for i, chart in admitted.items():
+            points[i, "sample"] = chart.sample_grid(SAMPLE_GRID)
+            points[i, "rule"] = chart.quadrature(2 * grid)
+        grids = Grids(*charts.bonneau_rows([ks[i] for i in admitted],
+                                           [SAMPLE_GRID + 2 * grid] * len(admitted)),
+                      points)
+        rows.update(zip(admitted, ex.map(_scan_row, [ks[i] for i in admitted],
+                                         [grids] * len(admitted), admitted)))
+    return [rows[i] for i in range(len(ks))]
 
 
 def _scan_values(k_min: float, k_max: float, k_step: float) -> list:
@@ -268,9 +304,11 @@ def _scan_values(k_min: float, k_max: float, k_step: float) -> list:
 
 def cmd_scan(args) -> int:
     ks = _scan_values(args.k_min, args.k_max, args.k_step)
+    per_block = max(1, SCAN_BLOCK_NODES // (SAMPLE_GRID + 2 * args.grid))
+    rows = []
     with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as ex:
-        rows = list(ex.map(lambda k: _scan_row(k, args.grid), ks))
-    rows.sort(key=lambda r: r["k"])
+        for start in range(0, len(ks), per_block):
+            rows += _scan_block(ks[start:start + per_block], args.grid, ex)
 
     if args.format == "json":
         # a row reads chi, tau and p1 alone, which the rule of 2n nodes gives

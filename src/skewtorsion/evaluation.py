@@ -33,9 +33,13 @@ A context keeps what it has built until it is dropped: about 19 kB per
 point once every object is built.  So a check that works point by point
 runs on :meth:`Evaluation.tiles`, consecutive slices of at most ``TILE``
 points, each a fresh context that is dropped before the next is built;
-the slices cut the grid's profile jets and H components, so the chart
-and the form are evaluated once per grid.  A context of at most ``TILE``
-points is its own one tile, and keeps what its checks build.
+the slices cut the grid's profile jets and H components.  A context of at
+most ``TILE`` points is its own one tile, and keeps what its checks build.
+
+A command that reads several grids evaluates the chart and the form once
+for all of them (:class:`Grids`): on the concatenation of its grids,
+from which it cuts each grid's context in the same way when a check reads
+it, so a context lives only as long as its reader holds it.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .connections import (
 from .frame import KForm, _FULL, operator_from_tensor
 from .instanton import InducedConnection, induced_lambda_plus, lambda_plus_block_residual
 
-__all__ = ["ConnectionData", "Evaluation", "TILE"]
+__all__ = ["ConnectionData", "Evaluation", "Grids", "TILE"]
 
 # most points in one tile: a fully built tile holds about 10 MB
 TILE = 512
@@ -189,3 +193,32 @@ class Evaluation:
             return
         for start in range(0, n, TILE):
             yield self[start:start + TILE]
+
+
+class Grids:
+    """One evaluation of a chart and a torsion 3-form on several grids.
+
+    ``grids`` maps a name to an array of points, or to a quadrature rule
+    ``(points, weights)`` whose weights ``weights[name]`` keeps.  The
+    profiles and H are evaluated once, on the concatenation of the grids in
+    the order given, by one ``chart.at`` that checks each grid as if it were
+    evaluated alone.  ``grids[name]`` cuts a fresh context on one grid each
+    time it is read; the union keeps the profile jets and H only, so what a
+    context builds is dropped with the context.
+    """
+
+    def __init__(self, chart: InvariantChart, H: InvariantForm, grids: dict):
+        self.slices, self.weights, points, start = {}, {}, [], 0
+        for name, grid in grids.items():
+            x, w = grid if isinstance(grid, tuple) else (grid, None)
+            if w is not None:
+                self.weights[name] = w
+            self.slices[name] = slice(start, start + len(x))
+            start += len(x)
+            points.append(x)
+        self.union = Evaluation(chart.at(tuple(points)), H)
+        # H is evaluated here, on the caller's thread, not by a first reader
+        self.union.Hf
+
+    def __getitem__(self, name) -> Evaluation:
+        return self.union[self.slices[name]]

@@ -21,10 +21,11 @@ integrates the three densities in one pass on the Gauss-Legendre rule of
 before the next is built, the tiles' densities joined before the exactly
 rounded sums.  The error estimates, which compare against the rule of n
 nodes, and the minimum p1 integrand on the n-point sample grid are built
-only when the report's ``quadrature`` is first read: from one evaluation
-of the chart and the torsion on the nodes of both grids together, cut
-into a context per grid.  A scan row, which reads only chi, tau and p1,
-evaluates the 2n nodes alone.
+only when the report's ``quadrature`` is first read.  The report reads
+its grids from the caller's :class:`skewtorsion.evaluation.Grids`, one
+evaluation of the chart and the torsion on every grid of the command
+(:func:`report_grids`), and cuts each grid's context only when it reads
+it.  A scan row, which reads only chi, tau and p1, has no estimates.
 """
 
 from __future__ import annotations
@@ -39,14 +40,15 @@ import numpy as np
 from .charts import ChartError, FramePoint, InvariantChart
 from .connections import _fro
 from .decomposition import einstein_residual
-from .evaluation import Evaluation
+from .evaluation import Evaluation, Grids
 
 __all__ = [
-    "TopologyReport", "integrate_invariant", "hitchin_thorpe_report",
+    "TopologyReport", "integrate_invariant", "hitchin_thorpe_report", "report_grids",
     "curvature_integrands", "pontryagin_density",
 ]
 
 DEFAULT_NODES = 256
+SAMPLE_GRID = 64  # grid of a report's Einstein residual and of the scan rows
 
 # the report flags data whose Einstein residual exceeds EINSTEIN_THRESHOLD,
 # and counts the inequality as satisfied down to -TOLERANCE
@@ -106,12 +108,14 @@ class TopologyReport:
     satisfied: bool
     einstein_residual: float
     einstein_warning: bool
-    # builds ``quadrature``, on its first read
-    build_quadrature: Callable[[], dict] = field(repr=False, compare=False)
+    # builds ``quadrature``, on its first read; None without estimates
+    build_quadrature: Callable[[], dict] | None = field(repr=False, compare=False)
 
     @cached_property
     def quadrature(self) -> dict:
         """Node count, scheme, error estimates and minimum p1 integrand."""
+        if self.build_quadrature is None:
+            raise ValueError("the report was built without its error estimates")
         return self.build_quadrature()
 
     def to_dict(self) -> dict:
@@ -141,32 +145,53 @@ def _densities(ev: Evaluation) -> np.ndarray:
                            for tile in ev.tiles()], axis=-1)
 
 
-def hitchin_thorpe_report(ev: Evaluation, nodes: int = DEFAULT_NODES) -> TopologyReport:
+def report_grids(chart: InvariantChart, H, nodes: int = DEFAULT_NODES,
+                 check: int | None = None) -> Grids:
+    """The grids of a constraint report, in one evaluation: ``sample``, the
+    ``SAMPLE_GRID`` points of the Einstein residual; ``rule``, the rule of
+    2n nodes; ``check``, the grid of that many points of the caller's
+    other checks, if given; ``coarse``, the rule of n nodes; and
+    ``p1_sample``, the n-point sample grid of the minimum p1 integrand.
+    They come in the order the report reads them, which is the order of
+    their refusals."""
+    grids = {"sample": chart.sample_grid(SAMPLE_GRID), "rule": chart.quadrature(2 * nodes)}
+    if check is not None:
+        grids["check"] = chart.sample_grid(check)
+    grids.update(coarse=chart.quadrature(nodes), p1_sample=chart.sample_grid(nodes))
+    return Grids(chart, H, grids)
+
+
+def _rule_integral(grids: Grids, rule) -> np.ndarray:
+    """The three integrals on the rule ``grids[rule]``, its context cut here
+    and dropped on return."""
+    ev = grids[rule]
+    return _rule_sum(_densities(ev), ev.pt, grids.weights[rule])
+
+
+def hitchin_thorpe_report(ev: Evaluation, grids: Grids, rule="rule",
+                          estimates=("coarse", "p1_sample")) -> TopologyReport:
     """Topological constraint report 2 chi >= 3 |tau| for the given data.
 
-    ``ev`` is the context on the sample grid, whose chart ``ev.pt.chart``
-    and torsion ``ev.H`` (an :class:`InvariantForm`) are integrated on the
-    rule of 2n nodes; the Einstein residual is read from ``ev`` itself.
-    The inequality is asserted for Einstein data with skew torsion; when
-    the Einstein residual exceeds ``EINSTEIN_THRESHOLD`` the report is
-    still produced but flagged.  The report's ``quadrature`` (the error
-    estimates against the rule of n nodes and the minimum p1 integrand on
-    the n-point sample grid) is built on its first read.
+    chi, tau and p1 are integrated on the rule of 2n nodes ``grids[rule]``;
+    the Einstein residual is read from ``ev``, the context of the sample
+    grid.  The inequality is asserted for Einstein data with skew torsion;
+    when the Einstein residual exceeds ``EINSTEIN_THRESHOLD`` the report is
+    still produced but flagged.  ``estimates`` names the rule of n nodes and
+    the n-point sample grid in ``grids`` from which the report's
+    ``quadrature`` (the error estimates against the rule of n nodes and the
+    minimum p1 integrand) is built on its first read; with ``None`` the
+    report has no ``quadrature``.
     """
-    chart, H = ev.pt.chart, ev.H
-    values = _integral(chart, lambda pt: _densities(Evaluation(pt, H)), 2 * nodes)
+    values = _rule_integral(grids, rule)
     chi, tau, p1 = values.tolist()
 
     def build_quadrature() -> dict:
-        x, w = chart.quadrature(nodes)
-        both = Evaluation(chart.at(np.concatenate([x, chart.sample_grid(nodes)])), H)
-        rule, sample = both[:nodes], both[nodes:]
-        coarse = _rule_sum(_densities(rule), rule.pt, w)
-        chi_err, tau_err, p1_err = np.abs(values - coarse).tolist()
+        coarse, sample = estimates
+        chi_err, tau_err, p1_err = np.abs(values - _rule_integral(grids, coarse)).tolist()
         # minimum of the p1 integrand (scaled by 4 pi^2) on the sample grid
-        p1_sample = np.concatenate([pontryagin_density(tile) for tile in sample.tiles()])
+        p1_sample = np.concatenate([pontryagin_density(tile) for tile in grids[sample].tiles()])
         return {
-            "nodes": nodes, "scheme": "gauss-legendre (compactified, open)",
+            "nodes": len(grids.weights[coarse]), "scheme": "gauss-legendre (compactified, open)",
             "chi_error": chi_err, "tau_error": tau_err, "p1_error": p1_err,
             "p1_min_integrand": float(np.min(p1_sample) * 4.0 * math.pi ** 2),
         }
@@ -179,5 +204,5 @@ def hitchin_thorpe_report(ev: Evaluation, nodes: int = DEFAULT_NODES) -> Topolog
         satisfied=bool(margin >= -TOLERANCE),
         einstein_residual=e_res,
         einstein_warning=bool(e_res > EINSTEIN_THRESHOLD),
-        build_quadrature=build_quadrature,
+        build_quadrature=build_quadrature if estimates else None,
     )

@@ -24,7 +24,7 @@ from skewtorsion.instanton import (
 )
 from skewtorsion.jets import Jet
 from skewtorsion.moduli import acs_radial, asymptotic_check, nijenhuis_norm
-from skewtorsion.topology import hitchin_thorpe_report
+from skewtorsion.topology import hitchin_thorpe_report, report_grids
 from skewtorsion.weyl import einstein_weyl_residual
 
 N_DRAWS = 100
@@ -41,7 +41,8 @@ def _ok(num, text):
 
 def _report(chart, H, nodes):
     """The constraint report on the 64-point sample grid, integrated on n and 2n nodes."""
-    return hitchin_thorpe_report(Evaluation.on_grid(chart, H, 64), nodes=nodes)
+    grids = report_grids(chart, H, nodes)
+    return hitchin_thorpe_report(grids["sample"], grids)
 
 
 def test_criterion_01_identity_suite_on_random_draws():

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewtorsion import charts
 from skewtorsion.charts import (
-    BonneauFamily, ChartError, InvariantForm, bonneau_chart, chart_and_torsion,
+    BonneauFamily, ChartError, InvariantForm, bonneau_chart, bonneau_rows, chart_and_torsion,
     flat_torsion, flat_torus_chart, product_chart, random_chart, round_s4_chart,
 )
 from skewtorsion.frame import MULTI_INDICES
@@ -288,11 +288,16 @@ def _form_rows(H, pt):
        st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4),
        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
        st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4))
+# with near offsets up to r_near itself, k - (k - r_near) rounded to
+# 1.0000000000000002 > r_near = 1 here, and no node was in the near branch
+@example(k=-1.0659198317028034, near=[1.0], mid=[0.5], far=[0.0])
 def test_bonneau_profiles_are_the_per_profile_jets_bitwise(k, near, mid, far):
     chart, H = bonneau_chart(k)
     fam = BonneauFamily(k)
     lo, hi = fam.x_far, k - fam.r_near
-    x = np.concatenate([k - fam.r_near * np.array(near),
+    # the near offsets stay below 0.999 r_near, far inside the near branch
+    # k - x <= r_near whatever k - x rounds to (r_near >= 0.5 for |k| <= 2)
+    x = np.concatenate([k - (0.999 * fam.r_near) * np.array(near),
                         lo + (hi - lo) * np.array(mid),
                         lo - np.array(far)])
     # one node at least in each branch of W
@@ -306,6 +311,56 @@ def test_bonneau_profiles_are_the_per_profile_jets_bitwise(k, near, mid, far):
     zero = 0.0 * seed
     for idx, got in zip(MULTI_INDICES[3], _form_rows(H, pt)):
         _assert_same_bits(got, h123 + zero if idx == (0, 1, 2) else zero)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-20.0, -1e-3), st.floats(1e-3, 20.0),
+       st.lists(st.floats(-20.0, 20.0), max_size=3), st.randoms(use_true_random=False),
+       st.lists(st.integers(1, 40), min_size=6, max_size=6))
+def test_bonneau_per_node_family_is_the_per_k_families_bitwise(neg, pos, more, rnd, sizes):
+    # one batch of negative, zero and positive k in a drawn order, each k's
+    # nodes its chart's sample grid: the profiles, H and the brackets at a
+    # node are the bits of its own k's chart
+    ks = [neg, 0.0, pos] + more
+    rnd.shuffle(ks)
+    built = [bonneau_chart(k) for k in ks]
+    xs = [chart.sample_grid(m) for (chart, _), m in zip(built, sizes)]
+    counts = [len(x) for x in xs]
+    profiles = BonneauFamily.per_node(ks, counts).profiles(Jet.variable(np.concatenate(xs)))
+    union, H = bonneau_rows(ks, counts)
+    pt = union.at(tuple(xs))
+    for k, (chart, Hk), x, end in zip(ks, built, xs, np.cumsum(counts)):
+        s = slice(end - len(x), end)
+        for got, want in zip(profiles, BonneauFamily(k).profiles(Jet.variable(x))):
+            _assert_same_bits(charts._grid_slice(got, s), want)
+        part, ref = pt[s], chart.at(x)
+        for got, want in ((part.seed, ref.seed), (part.a, ref.a), (part.b, ref.b),
+                          (part.c, ref.c), (H.at(part).comps, Hk.at(ref).comps)):
+            _assert_same_bits(got, want)
+        assert part.brackets.tobytes() == ref.brackets.tobytes()
+
+
+def test_at_checks_each_grid_of_a_tuple_as_if_alone():
+    # a refusal names the first grid that fails, and only its nodes
+    const = lambda v, x: Jet.constant(v, x.order) + 0.0 * x
+    chart = charts.InvariantChart(
+        name="test", profiles=lambda x: (const(1.0, x), 1.0 - x, const(1.0, x)),
+        domain=charts.Domain(0.0, 3.0))
+    grids = (np.array([0.5]), np.array([1.5, 2.0]), np.array([2.5]))
+    with pytest.raises(ChartError) as alone:
+        chart.at(grids[1])
+    with pytest.raises(ChartError) as batch:
+        chart.at(grids)
+    assert str(batch.value) == str(alone.value) == "profile b not in (0, inf) at x=[1.5 2. ]"
+    assert chart.at(grids[:1]).npoints == 1
+    # each node in the domain of its own k
+    union, _ = bonneau_rows([0.0, 1.0], [1, 1])
+    assert union.at((np.array([-1.0]), np.array([0.5]))).npoints == 2
+    with pytest.raises(ChartError) as alone:
+        bonneau_chart(0.0)[0].at(0.5)
+    with pytest.raises(ChartError) as batch:
+        union.at((np.array([0.5]), np.array([0.5])))
+    assert str(batch.value) == str(alone.value) == "x outside open domain (-inf, 0.0)"
 
 
 @settings(max_examples=30, deadline=None)

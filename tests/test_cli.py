@@ -151,6 +151,49 @@ def test_scan_row_topology_is_the_report_topology(k, grid):
         [top[key].hex() for key in ("chi", "tau", "margin", "p1_lambda_plus")]
 
 
+@pytest.mark.parametrize("grid", ["48", "300"])
+@pytest.mark.parametrize("scan, admissible", [
+    (("--k-min=-100000", "--k-max=0", "--k-step=100000"), [False, True]),
+    (("--k-min=-1", "--k-max=0.5", "--k-step=0.5"), [True] * 4),
+])
+def test_scan_rows_are_the_one_row_scans_bitwise(scan, admissible, grid):
+    # the rows of a scan share one evaluation of the chart on the grids of
+    # all its admissible rows; each row has the bits of its k's one-row
+    # scan, and a refused row the same reason; at grid 300 a row's 600
+    # quadrature nodes span two tiles
+    def bits(rows):
+        return [{key: v.hex() if isinstance(v, float) else v for key, v in row.items()}
+                for row in rows]
+
+    code, out, _ = run_cli("scan", *scan, "--grid", grid)
+    rows = json.loads(out)["rows"]
+    assert code == 0 and [row["admissible"] for row in rows] == admissible
+    for row in rows:
+        k = row["k"]
+        code, out, _ = run_cli("scan", f"--k-min={k!r}", f"--k-max={k!r}", "--grid", grid)
+        assert code == 0 and bits(json.loads(out)["rows"]) == bits([row])
+
+
+def test_long_scan_runs_in_blocks_with_the_same_bytes(monkeypatch):
+    # a scan evaluates the grids of at most SCAN_BLOCK_NODES nodes at once,
+    # so the memory it holds does not grow with its length; the blocks
+    # change no byte
+    argv = ("scan", "--k-min=-1", "--k-max=1", "--k-step=0.25", "--grid", "16",
+            "--format", "csv")
+    whole = run_cli(*argv)
+    batches, at = [], charts.InvariantChart.at
+
+    def recorded(self, x):
+        pt = at(self, x)
+        batches.append(pt.npoints)
+        return pt
+
+    monkeypatch.setattr(charts.InvariantChart, "at", recorded)
+    monkeypatch.setattr(cli, "SCAN_BLOCK_NODES", 200)  # two rows of 64 + 32 nodes
+    assert run_cli(*argv) == whole
+    assert batches == [192, 192, 192, 192, 96]
+
+
 def test_probe_json():
     code, out, _ = run_cli("probe", "--chart", "bonneau", "--k", "0", "--grid", "64")
     assert code == 0
@@ -433,10 +476,11 @@ def test_main_runs_the_command_bound_at_call_time(monkeypatch):
 def test_report_records_its_grids(monkeypatch):
     """The grids key of every JSON payload lists every grid the command
     evaluates the chart on, including the report's capped check grid, and
-    the jet_order key the order of the profile jets.  A report evaluates
-    the rule of 2n nodes as one batch, and the rule of n nodes with the
-    n-point p1 sample grid as another; a scan row evaluates the rule of 2n
-    nodes and the sample grid alone."""
+    the jet_order key the order of the profile jets.  A command evaluates
+    every grid it reads as one batch: a report its sample grid, the rules
+    of 2n and n nodes, the check grid and the n-point p1 sample grid, a
+    scan the sample grid and the rule of 2n nodes of every admissible
+    row."""
     batches = []
     at = charts.InvariantChart.at
 
@@ -449,12 +493,12 @@ def test_report_records_its_grids(monkeypatch):
     for argv, expected, evaluated in [
         (("report", "--chart", "round", "--grid", "300"),
          {"quadrature": [300, 600], "p1_sample": 300, "sample": 64, "check": 128},
-         [600, 300 + 300, 64, 128]),
+         [64 + 600 + 128 + 300 + 300]),
         (("verify", "--chart", "random", "--seed", "3", "--grid", "48"), {"check": 48}, [48]),
         (("probe", "--chart", "bonneau", "--k", "0", "--grid", "40"), {"probe": 40}, [40]),
         (("scan", "--k-min", "0", "--k-max", "0", "--k-step", "1", "--format", "json",
           "--grid", "32"),
-         {"quadrature": [64], "sample": 64}, [64, 64]),
+         {"quadrature": [64], "sample": 64}, [64 + 64]),
     ]:
         batches.clear()
         code, out, _ = run_cli(*argv)

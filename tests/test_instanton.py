@@ -177,7 +177,7 @@ def test_probe_verdict_stable_under_refinement():
 
 
 def test_yang_mills_action_consistent_with_pontryagin():
-    from skewtorsion.topology import hitchin_thorpe_report, integrate_invariant
+    from skewtorsion.topology import hitchin_thorpe_report, integrate_invariant, report_grids
     chart, H = bonneau_chart(0.0)
 
     def action(sign):
@@ -189,7 +189,8 @@ def test_yang_mills_action_consistent_with_pontryagin():
 
     s_plus, s_minus = action(+1.0), action(-1.0)
     assert s_plus == pytest.approx(s_minus, rel=1e-10)
-    p1 = hitchin_thorpe_report(Evaluation.on_grid(chart, H, 64), nodes=128).p1_lambda_plus
+    grids = report_grids(chart, H, 128)
+    p1 = hitchin_thorpe_report(grids["sample"], grids).p1_lambda_plus
     # for a self-dual induced connection the action is 2 pi^2 p1
     assert s_plus == pytest.approx(2.0 * np.pi ** 2 * p1, rel=1e-8)
 

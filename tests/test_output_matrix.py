@@ -26,11 +26,11 @@ def tool(monkeypatch):
 
 def test_matrix_names_are_unique(tool):
     names = [name for name, _ in tool.matrix()]
-    assert len(names) == len(set(names)) == 77
+    assert len(names) == len(set(names)) == 78
     assert all(argv[0] in ("verify", "probe", "report", "scan") for _, argv in tool.matrix())
     # and ten moduli entries, asymptotic_check and r_curve at five k
     names += [name for name, _ in tool.moduli_matrix()]
-    assert len(names) == len(set(names)) == 87
+    assert len(names) == len(set(names)) == 88
 
 
 def test_moduli_entries_write_full_precision_fields(tool):

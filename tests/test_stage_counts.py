@@ -1,8 +1,9 @@
 """Per-command counts of the pipeline stages.
 
-Each command builds one evaluation context per grid it evaluates, and a
-context builds each connection and curvature once, so these counts are
-fixed by the commands' grids: a recomputation shows up as a larger count.
+Each command evaluates the chart once, on every grid it reads, and cuts
+one evaluation context per grid from it; a context builds each connection
+and curvature once, so these counts are fixed by the commands' grids: a
+recomputation shows up as a larger count.
 """
 
 import contextlib
@@ -63,14 +64,14 @@ def stage_counts(monkeypatch):
     # report grid (128: Levi-Civita, +-H and Weyl), but not on the p1
     # sample grid, whose induced connection needs none; operators for the
     # quadrature grids and the report grid's decomposition and Yang-Mills
-    # check; the chart once on the 2n nodes, once on the n nodes and the
-    # p1 sample grid together, once per other grid, and W once per chart
-    # evaluation and once for the chart's positivity scan; the structure
-    # equation once per curvature and once per induced connection: +H on
-    # the 2n nodes, the n nodes and the p1 sample, +-H on the report grid
+    # check; the chart once, on all five grids together, and W once for
+    # that evaluation and once for the chart's positivity scan; the
+    # structure equation once per curvature and once per induced
+    # connection: +H on the 2n nodes, the n nodes and the p1 sample, +-H on
+    # the report grid
     (["report", "--chart", "bonneau", "--k", "0"],
-     {"structure": 12, "curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 4,
-      "quadrature": 2, "omega2": 5, "sincos": 0, "qr": 0, "svd": 0}),
+     {"structure": 12, "curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 1,
+      "quadrature": 2, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0}),
     # identity suite (+-H, Levi-Civita) and decomposition (operators of +H
     # and Levi-Civita) share one context; one sin/cos pass for the chart's
     # profiles and one for the torsion; no induced connection
@@ -85,18 +86,25 @@ def stage_counts(monkeypatch):
     # the quadrature grid 2n alone (+H), as a row reads no error estimate
     # and no p1 sample, and one 64-point context shared by the Einstein
     # residual, the decomposition (+H, Levi-Civita) and the probe (no
-    # curvature, two induced connections)
+    # curvature, two induced connections); the chart once on both grids,
+    # and W once for that evaluation and once for the positivity scan
     (["scan", "--k-min", "0", "--k-max", "0", "--k-step", "1"],
-     {"structure": 6, "curvature": 3, "operator": 3, "levi_civita": 2, "chart.at": 2,
-      "quadrature": 1, "omega2": 3, "sincos": 0, "qr": 1, "svd": 1}),
+     {"structure": 6, "curvature": 3, "operator": 3, "levi_civita": 2, "chart.at": 1,
+      "quadrature": 1, "omega2": 2, "sincos": 0, "qr": 1, "svd": 1}),
+    # three rows: the contexts of each row as above, one positivity scan
+    # and one quadrature map per row, and one evaluation of the chart and W
+    # on the grids of all three rows together
+    (["scan", "--k-min", "-0.5", "--k-max", "0.5", "--k-step", "0.5"],
+     {"structure": 18, "curvature": 9, "operator": 9, "levi_civita": 6, "chart.at": 1,
+      "quadrature": 3, "omega2": 4, "sincos": 0, "qr": 3, "svd": 3}),
     (["verify", "--chart", "bonneau", "--k", "0", "--grid", "64"],
      {"structure": 3, "curvature": 3, "operator": 2, "levi_civita": 1, "chart.at": 1,
       "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0}),
-    # one sin/cos pass for the profiles and one for the torsion per chart
-    # evaluation, the quadrature grid n and the p1 sample grid sharing one
+    # one sin/cos pass for the profiles and one for the torsion, on all
+    # five grids together
     (["report", "--chart", "random", "--seed", "3"],
-     {"structure": 12, "curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 4,
-      "quadrature": 2, "omega2": 0, "sincos": 8, "qr": 0, "svd": 0}),
+     {"structure": 12, "curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 1,
+      "quadrature": 2, "omega2": 0, "sincos": 2, "qr": 0, "svd": 0}),
     # a fine grid runs the suites on 8 tiles of 512 points, each a context
     # of its own, cut from one evaluation of the chart and the torsion
     (["verify", "--chart", "random", "--seed", "3", "--grid", "4096"],
@@ -106,10 +114,10 @@ def stage_counts(monkeypatch):
      {"structure": 16, "curvature": 0, "operator": 0, "levi_civita": 8, "chart.at": 1,
       "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 8, "svd": 8}),
     # at --grid 64 the report grid is the sample grid, and one context
-    # serves both: one chart evaluation, Levi-Civita and +H curvature fewer
+    # serves both: Levi-Civita and +H curvature fewer
     (["report", "--chart", "bonneau", "--k", "0", "--grid", "64"],
-     {"structure": 11, "curvature": 6, "operator": 5, "levi_civita": 4, "chart.at": 3,
-      "quadrature": 2, "omega2": 4, "sincos": 0, "qr": 0, "svd": 0}),
+     {"structure": 11, "curvature": 6, "operator": 5, "levi_civita": 4, "chart.at": 1,
+      "quadrature": 2, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0}),
 ])
 def test_stage_counts_per_command(stage_counts, argv, expected):
     with contextlib.redirect_stdout(io.StringIO()):

@@ -13,7 +13,7 @@ from skewtorsion.connections import identity_suite
 from skewtorsion.decomposition import decompose_point
 from skewtorsion.evaluation import Evaluation
 from skewtorsion.instanton import gauge_equivalence_probe
-from skewtorsion.topology import hitchin_thorpe_report
+from skewtorsion.topology import hitchin_thorpe_report, report_grids
 
 GRID = 1100  # tiles of 512, 512 and 76 points
 
@@ -94,7 +94,8 @@ def test_tiled_probe_is_the_untiled_probe(name, monkeypatch):
 @pytest.mark.parametrize("name", ["bonneau", "random"])
 def test_tiled_quadrature_is_the_untiled_quadrature(name, monkeypatch):
     def report():
-        return cli._dump_json(hitchin_thorpe_report(_context(name, 64), nodes=600).to_dict())
+        grids = report_grids(*charts.chart_and_torsion(CHARTS[name]), 600)
+        return cli._dump_json(hitchin_thorpe_report(grids["sample"], grids).to_dict())
 
     tiled = report()
     monkeypatch.setattr(evaluation, "TILE", 4 * GRID)

@@ -14,6 +14,7 @@ from skewtorsion.connections import _fro
 from skewtorsion.evaluation import Evaluation
 from skewtorsion.topology import (
     curvature_integrands, hitchin_thorpe_report, integrate_invariant, pontryagin_density,
+    report_grids,
 )
 
 
@@ -23,7 +24,8 @@ def _const_one(pt):
 
 def _report(chart, H, nodes):
     """The constraint report on the 64-point sample grid, integrated on n and 2n nodes."""
-    return hitchin_thorpe_report(Evaluation.on_grid(chart, H, 64), nodes=nodes)
+    grids = report_grids(chart, H, nodes)
+    return hitchin_thorpe_report(grids["sample"], grids)
 
 
 def test_volume_oracles():
@@ -86,8 +88,7 @@ def test_pontryagin_of_self_dual_bundle():
 
 
 def test_hitchin_thorpe_report_for_the_s4_family():
-    chart, H = bonneau_chart(0.0)
-    rep = hitchin_thorpe_report(Evaluation.on_grid(chart, H, 64), nodes=256)
+    rep = _report(*bonneau_chart(0.0), 256)
     assert rep.inequality_margin == pytest.approx(4.0, abs=1e-5)
     assert rep.satisfied
     assert not rep.einstein_warning
@@ -109,8 +110,9 @@ def test_complex_projective_plane_pins_the_sign_of_tau():
     and the metric is self-dual, W- = 0."""
     chart = InvariantChart("fubini_study", _fubini_study_profiles,
                            Domain(0.0, 0.5 * math.pi))
-    ev = Evaluation.on_grid(chart, InvariantForm.zero(3), 64)
-    rep = hitchin_thorpe_report(ev, nodes=64)
+    grids = report_grids(chart, InvariantForm.zero(3), 64)
+    ev = grids["sample"]
+    rep = hitchin_thorpe_report(ev, grids)
     assert rep.chi == pytest.approx(3.0, abs=1e-10)
     assert rep.tau == pytest.approx(1.0, abs=1e-10)
     assert rep.p1_lambda_plus == pytest.approx(9.0, abs=1e-10)
@@ -120,7 +122,7 @@ def test_complex_projective_plane_pins_the_sign_of_tau():
 def test_non_einstein_data_is_flagged():
     chart = random_chart(1)
     from skewtorsion.charts import random_torsion
-    rep = hitchin_thorpe_report(Evaluation.on_grid(chart, random_torsion(1), 64), nodes=32)
+    rep = _report(chart, random_torsion(1), 32)
     assert rep.einstein_warning
 
 

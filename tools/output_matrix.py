@@ -4,15 +4,15 @@ Usage, from the root of a checkout::
 
     python tools/output_matrix.py OUTDIR [--drop KEY ...]
 
-The matrix is 77 commands: ``verify`` and ``probe`` at grids 64, 256,
+The matrix is 78 commands: ``verify`` and ``probe`` at grids 64, 256,
 1100 (tiles of 512, 512 and 76 points) and 4096 and ``report`` at the
 default grid and at 64, on bonneau k in {0.3, -1, 0}, random seed 3,
 round, product (b0 1.3, L 2) and flat (L 2), plus ``scan --format csv``,
 ``scan --format csv --grid 300`` (each row's 600 quadrature nodes span
-two tiles) and ``scan --format json --grid 32``, and four that exit 2 on
-a geometry that overflows: ``verify``, ``report`` and ``probe`` on
-product b0 1e-155, L 2 at grid 64, and ``report`` on product b0 1e150.  Each
-command writes ``NAME.out`` (stdout), ``NAME.err`` (stderr) and
+two tiles), ``scan --format json --grid 32`` and a CSV scan of k = -1e5
+(refused) and 0 (admissible), and four that exit 2 on a geometry that
+overflows: ``verify``, ``report`` and ``probe`` on product b0 1e-155, L 2
+at grid 64, and ``report`` on product b0 1e150.  Each command writes ``NAME.out`` (stdout), ``NAME.err`` (stderr) and
 ``NAME.code`` (exit code) into OUTDIR.  Ten moduli entries follow, which
 no command reaches: ``asymptotic_check(k)`` and ``r_curve(k)`` for k in
 {-10, -1, 0, 0.3, 10}, each written to ``NAME.out`` with ``%.17g`` fields.
@@ -64,6 +64,8 @@ def matrix():
     out.append(("scan_csv", ["scan", "--format", "csv"]))
     out.append(("scan_csv_grid300", ["scan", "--format", "csv", "--grid", "300"]))
     out.append(("scan_json_grid32", ["scan", "--format", "json", "--grid", "32"]))
+    out.append(("scan_csv_refused_row", ["scan", "--k-min=-100000", "--k-max=0",
+                                         "--k-step=100000", "--format", "csv"]))
     tiny = ["--chart", "product", "--b0", "1e-155", "--L", "2", "--grid", "64"]
     for command in ("verify", "report", "probe"):
         out.append((f"{command}_product_b0_1e-155_grid64", [command, *tiny]))
