@@ -94,7 +94,9 @@ from .weyl import torsion_weyl_roundtrip
 SCHEMA = 1
 MAX_SCAN_ROWS = 10_000  # a longer scan exits 2 before any row runs
 # most nodes in one evaluation of scan rows: a longer scan runs in blocks
-# of rows, so that the memory it holds does not grow with its length
+# of rows, so that the memory it holds does not grow with its length.  A
+# 201-row scan at --grid 256 peaks at one RSS for blocks of 2 to 14 rows,
+# and 14 is the largest block that holds it
 SCAN_BLOCK_NODES = 8192
 
 
@@ -246,7 +248,7 @@ def _scan_row(k: float, grids: Grids, i: int):
     its sample grid and its rule of 2n nodes, each cut from the block's one
     evaluation when the row reads it."""
     ev = grids[i, "sample"]
-    top = hitchin_thorpe_report(ev, grids, rule=(i, "rule"), estimates=None)
+    top = hitchin_thorpe_report(ev, grids, rule=(i, "rule"))
     dec = decompose_point(ev)
     probe = gauge_equivalence_probe(ev)
     return {
@@ -273,11 +275,6 @@ def _scan_block(ks: list, grid: int, ex) -> list:
         except ChartError as exc:
             rows[i] = {"k": k, "admissible": False, "reason": str(exc)}
     if admitted:
-        # the rows' Gauss-Legendre rule is built on the pool: glibc keeps
-        # freed memory per thread (and ``main`` stops it trimming), so the
-        # dense scratch of ``leggauss`` (about 6 MB at 512 nodes) is reused
-        # there by the rows' contexts, while here it would add to the peak
-        ex.submit(charts.gauss_legendre, 2 * grid).result()
         points = {}
         for i, chart in admitted.items():
             points[i, "sample"] = chart.sample_grid(SAMPLE_GRID)

@@ -205,6 +205,12 @@ class Grids:
     evaluated alone.  ``grids[name]`` cuts a fresh context on one grid each
     time it is read; the union keeps the profile jets and H only, so what a
     context builds is dropped with the context.
+
+    So the chart's refusals of every grid (a point not finite or outside
+    the domain, a profile value outside (0, inf)) come when the union is
+    built, before any check reads a context: where a command would refuse
+    two grids, a chart refusal of a later grid comes before a check's
+    refusal (brackets or an integrand not finite) of an earlier one.
     """
 
     def __init__(self, chart: InvariantChart, H: InvariantForm, grids: dict):

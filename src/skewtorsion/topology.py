@@ -25,7 +25,8 @@ only when the report's ``quadrature`` is first read.  The report reads
 its grids from the caller's :class:`skewtorsion.evaluation.Grids`, one
 evaluation of the chart and the torsion on every grid of the command
 (:func:`report_grids`), and cuts each grid's context only when it reads
-it.  A scan row, which reads only chi, tau and p1, has no estimates.
+it.  A scan row, which reads only chi, tau and p1, never reads its
+``quadrature``, so a scan evaluates no estimate grid.
 """
 
 from __future__ import annotations
@@ -108,14 +109,12 @@ class TopologyReport:
     satisfied: bool
     einstein_residual: float
     einstein_warning: bool
-    # builds ``quadrature``, on its first read; None without estimates
-    build_quadrature: Callable[[], dict] | None = field(repr=False, compare=False)
+    # builds ``quadrature``, on its first read
+    build_quadrature: Callable[[], dict] = field(repr=False, compare=False)
 
     @cached_property
     def quadrature(self) -> dict:
         """Node count, scheme, error estimates and minimum p1 integrand."""
-        if self.build_quadrature is None:
-            raise ValueError("the report was built without its error estimates")
         return self.build_quadrature()
 
     def to_dict(self) -> dict:
@@ -168,30 +167,28 @@ def _rule_integral(grids: Grids, rule) -> np.ndarray:
     return _rule_sum(_densities(ev), ev.pt, grids.weights[rule])
 
 
-def hitchin_thorpe_report(ev: Evaluation, grids: Grids, rule="rule",
-                          estimates=("coarse", "p1_sample")) -> TopologyReport:
+def hitchin_thorpe_report(ev: Evaluation, grids: Grids, rule="rule") -> TopologyReport:
     """Topological constraint report 2 chi >= 3 |tau| for the given data.
 
     chi, tau and p1 are integrated on the rule of 2n nodes ``grids[rule]``;
     the Einstein residual is read from ``ev``, the context of the sample
     grid.  The inequality is asserted for Einstein data with skew torsion;
     when the Einstein residual exceeds ``EINSTEIN_THRESHOLD`` the report is
-    still produced but flagged.  ``estimates`` names the rule of n nodes and
-    the n-point sample grid in ``grids`` from which the report's
-    ``quadrature`` (the error estimates against the rule of n nodes and the
-    minimum p1 integrand) is built on its first read; with ``None`` the
-    report has no ``quadrature``.
+    still produced but flagged.  The report's ``quadrature`` (the error
+    estimates against the rule of n nodes ``grids["coarse"]`` and the
+    minimum p1 integrand on the n-point sample grid ``grids["p1_sample"]``)
+    is built on its first read.
     """
     values = _rule_integral(grids, rule)
     chi, tau, p1 = values.tolist()
 
     def build_quadrature() -> dict:
-        coarse, sample = estimates
-        chi_err, tau_err, p1_err = np.abs(values - _rule_integral(grids, coarse)).tolist()
+        chi_err, tau_err, p1_err = np.abs(values - _rule_integral(grids, "coarse")).tolist()
         # minimum of the p1 integrand (scaled by 4 pi^2) on the sample grid
-        p1_sample = np.concatenate([pontryagin_density(tile) for tile in grids[sample].tiles()])
+        p1_sample = np.concatenate([pontryagin_density(tile)
+                                    for tile in grids["p1_sample"].tiles()])
         return {
-            "nodes": len(grids.weights[coarse]), "scheme": "gauss-legendre (compactified, open)",
+            "nodes": len(grids.weights["coarse"]), "scheme": "gauss-legendre (compactified, open)",
             "chi_error": chi_err, "tau_error": tau_err, "p1_error": p1_err,
             "p1_min_integrand": float(np.min(p1_sample) * 4.0 * math.pi ** 2),
         }
@@ -204,5 +201,5 @@ def hitchin_thorpe_report(ev: Evaluation, grids: Grids, rule="rule",
         satisfied=bool(margin >= -TOLERANCE),
         einstein_residual=e_res,
         einstein_warning=bool(e_res > EINSTEIN_THRESHOLD),
-        build_quadrature=build_quadrature if estimates else None,
+        build_quadrature=build_quadrature,
     )

@@ -7,7 +7,7 @@ import pytest
 
 from skewtorsion import jets
 from skewtorsion.charts import (
-    Domain, InvariantChart, InvariantForm, _constant, bonneau_chart, flat_torsion,
+    ChartError, Domain, InvariantChart, InvariantForm, _constant, bonneau_chart, flat_torsion,
     flat_torus_chart, product_chart, random_chart, round_s4_chart,
 )
 from skewtorsion.connections import _fro
@@ -188,3 +188,20 @@ def test_quadrature_is_integrate_invariant_and_the_sample_minimum(nodes):
     p1_sample = pontryagin_density(Evaluation.on_grid(chart, H, nodes))
     assert q["p1_min_integrand"] == float(np.min(p1_sample) * 4.0 * math.pi ** 2)
     assert q["nodes"] == nodes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_later_grids_chart_refusal_comes_before_an_integrand_refusal(monkeypatch):
+    # the union runs the chart checks of every grid when it is built, before
+    # any context is read: the rule of 2n nodes overflows its integrand, yet
+    # a later check grid that is not finite is the refusal
+    chart = product_chart(b0=1e150)
+    H = flat_torsion(chart)
+    grids = report_grids(chart, H, 16)
+    with pytest.raises(ChartError, match="^integrand not finite at an interior node$"):
+        hitchin_thorpe_report(grids["sample"], grids)
+    sample_grid = chart.sample_grid
+    monkeypatch.setattr(chart, "sample_grid",
+                        lambda n: np.full(n, np.nan) if n == 100 else sample_grid(n))
+    with pytest.raises(ChartError, match=r"^x not finite: \[nan nan nan\]$"):
+        report_grids(chart, H, 16, check=100)

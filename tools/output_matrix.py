@@ -12,8 +12,9 @@ round, product (b0 1.3, L 2) and flat (L 2), plus ``scan --format csv``,
 two tiles), ``scan --format json --grid 32`` and a CSV scan of k = -1e5
 (refused) and 0 (admissible), and four that exit 2 on a geometry that
 overflows: ``verify``, ``report`` and ``probe`` on product b0 1e-155, L 2
-at grid 64, and ``report`` on product b0 1e150.  Each command writes ``NAME.out`` (stdout), ``NAME.err`` (stderr) and
-``NAME.code`` (exit code) into OUTDIR.  Ten moduli entries follow, which
+at grid 64, and ``report`` on product b0 1e150.  Each command writes
+``NAME.out`` (stdout), ``NAME.err`` (stderr) and ``NAME.code`` (exit
+code) into OUTDIR.  Ten moduli entries follow, which
 no command reaches: ``asymptotic_check(k)`` and ``r_curve(k)`` for k in
 {-10, -1, 0, 0.3, 10}, each written to ``NAME.out`` with ``%.17g`` fields.
 So one ``diff -r`` compares two commits.  The package is imported from
