@@ -17,7 +17,9 @@ from .connections import (
 from .evaluation import ConnectionData, Evaluation, Grids
 from .decomposition import decompose_point, einstein_residual, einstein_tensor_point
 from .weyl import einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection
-from .topology import TopologyReport, hitchin_thorpe_report, integrate_invariant, report_grids
+from .topology import (
+    chern_weil_integrals, hitchin_thorpe_report, integrate_invariant, report_grids,
+)
 from .instanton import (
     GaugeProbeReport, InducedConnection, gauge_equivalence_probe,
     induced_lambda_plus, killing_residual, self_duality_residual,

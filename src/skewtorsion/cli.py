@@ -32,8 +32,10 @@ tensor and, in a scan, the decomposition and the probe), ``check`` (the
 grid of the verify suites; in a report, of the decomposition,
 Yang-Mills, self-duality, Killing and Weyl checks, ``--grid`` capped at
 128) and ``probe`` (the grid of the probe command).  A scan row reads
-chi, tau and p1 alone, so it evaluates neither the n nodes nor the p1
-sample grid.
+chi, tau, p1 and the margin alone (``topology.chern_weil_integrals``),
+so it evaluates neither the n nodes nor the p1 sample grid, and takes
+its Einstein residual from its decomposition, one Einstein tensor per
+row.
 
 The checks that work point by point run on a grid of more than
 ``evaluation.TILE`` (512) points tile by tile, each tile a context of its
@@ -88,7 +90,7 @@ from .instanton import (
 )
 from .jets import DEFAULT_ORDER
 from .moduli import acs_radial, nijenhuis_norm
-from .topology import SAMPLE_GRID, hitchin_thorpe_report, report_grids
+from .topology import SAMPLE_GRID, chern_weil_integrals, hitchin_thorpe_report, report_grids
 from .weyl import torsion_weyl_roundtrip
 
 SCHEMA = 1
@@ -232,7 +234,7 @@ def cmd_report(args) -> int:
     _emit_json(
         args, "report", {"quadrature": [args.grid, 2 * args.grid], "p1_sample": args.grid,
                          "sample": ev64.pt.npoints, "check": ev.pt.npoints}, chart,
-        topology=top.to_dict(),
+        topology=top,
         decomposition=decompose_point(ev),
         yang_mills={k: v for k, v in yang_mills_density_check(ev).items() if k != "density"},
         self_duality={"plus": self_duality_residual(ev.plus.induced),
@@ -248,7 +250,7 @@ def _scan_row(k: float, grids: Grids, i: int):
     its sample grid and its rule of 2n nodes, each cut from the block's one
     evaluation when the row reads it."""
     ev = grids[i, "sample"]
-    top = hitchin_thorpe_report(ev, grids, rule=(i, "rule"))
+    top = chern_weil_integrals(grids, (i, "rule"))
     dec = decompose_point(ev)
     probe = gauge_equivalence_probe(ev)
     return {
@@ -256,10 +258,10 @@ def _scan_row(k: float, grids: Grids, i: int):
         "admissible": True,
         "einstein_residual": dec["einstein_residual"],
         "reconstruction_residual": dec["reconstruction_residual"],
-        "chi": top.chi,
-        "tau": top.tau,
-        "margin": top.inequality_margin,
-        "p1_lambda_plus": top.p1_lambda_plus,
+        "chi": top["chi"],
+        "tau": top["tau"],
+        "margin": top["margin"],
+        "p1_lambda_plus": top["p1_lambda_plus"],
         "probe_verdict": probe.verdict,
     }
 

@@ -14,27 +14,25 @@ the antisymmetric parts) are the expressions that integrate to the
 topological invariants.  The first Pontryagin number of Lambda+ is
 computed independently from the induced so(3) curvature.
 
-:func:`hitchin_thorpe_report` is the one route to chi, tau and p1: it
-integrates the three densities in one pass on the Gauss-Legendre rule of
-2n nodes, one evaluation context read tile by tile
+:func:`chern_weil_integrals` is the one route to chi, tau, p1 and the
+margin 2 chi - 3 |tau|: it integrates the three densities in one pass on
+one Gauss-Legendre rule, one evaluation context read tile by tile
 (:meth:`skewtorsion.evaluation.Evaluation.tiles`), each tile dropped
 before the next is built, the tiles' densities joined before the exactly
-rounded sums.  The error estimates, which compare against the rule of n
-nodes, and the minimum p1 integrand on the n-point sample grid are built
-only when the report's ``quadrature`` is first read.  The report reads
-its grids from the caller's :class:`skewtorsion.evaluation.Grids`, one
-evaluation of the chart and the torsion on every grid of the command
-(:func:`report_grids`), and cuts each grid's context only when it reads
-it.  A scan row, which reads only chi, tau and p1, never reads its
-``quadrature``, so a scan evaluates no estimate grid.
+rounded sums.  :func:`hitchin_thorpe_report` builds the ``topology``
+block of ``report`` on it: the values on the rule of 2n nodes, their
+error estimates against the rule of n nodes, and the minimum p1 integrand
+on the n-point sample grid.  Both read their grids from the caller's
+:class:`skewtorsion.evaluation.Grids`, one evaluation of the chart and
+the torsion on every grid of the command (:func:`report_grids`), and cut
+each grid's context only when they read it.  A scan row, which reads
+only chi, tau and p1, calls :func:`chern_weil_integrals` on its rule of
+2n nodes alone, so a scan evaluates no estimate grid.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +42,7 @@ from .decomposition import einstein_residual
 from .evaluation import Evaluation, Grids
 
 __all__ = [
-    "TopologyReport", "integrate_invariant", "hitchin_thorpe_report", "report_grids",
+    "integrate_invariant", "chern_weil_integrals", "hitchin_thorpe_report", "report_grids",
     "curvature_integrands", "pontryagin_density",
 ]
 
@@ -100,36 +98,6 @@ def curvature_integrands(ev: Evaluation):
     return chi_dens, tau_dens
 
 
-@dataclass
-class TopologyReport:
-    chi: float
-    tau: float
-    p1_lambda_plus: float
-    inequality_margin: float     # 2 chi - 3 |tau|
-    satisfied: bool
-    einstein_residual: float
-    einstein_warning: bool
-    # builds ``quadrature``, on its first read
-    build_quadrature: Callable[[], dict] = field(repr=False, compare=False)
-
-    @cached_property
-    def quadrature(self) -> dict:
-        """Node count, scheme, error estimates and minimum p1 integrand."""
-        return self.build_quadrature()
-
-    def to_dict(self) -> dict:
-        return {
-            "chi": self.chi,
-            "tau": self.tau,
-            "p1_lambda_plus": self.p1_lambda_plus,
-            "margin": self.inequality_margin,
-            "satisfied": self.satisfied,
-            "einstein_residual": self.einstein_residual,
-            "einstein_warning": self.einstein_warning,
-            "quadrature": dict(self.quadrature),
-        }
-
-
 def pontryagin_density(ev: Evaluation) -> np.ndarray:
     """Chern-Weil density of p1(Lambda+) from the induced curvature of +H."""
     Fq = ev.plus.induced.curvature_2forms()          # (3, 6, n), true curvature scale
@@ -160,46 +128,44 @@ def report_grids(chart: InvariantChart, H, nodes: int = DEFAULT_NODES,
     return Grids(chart, H, grids)
 
 
-def _rule_integral(grids: Grids, rule) -> np.ndarray:
-    """The three integrals on the rule ``grids[rule]``, its context cut here
-    and dropped on return."""
+def chern_weil_integrals(grids: Grids, rule="rule") -> dict:
+    """chi, tau, p1(Lambda+) and the margin 2 chi - 3 |tau|, integrated in
+    one pass on the rule ``grids[rule]``, its context cut here and dropped
+    on return."""
     ev = grids[rule]
-    return _rule_sum(_densities(ev), ev.pt, grids.weights[rule])
+    chi, tau, p1 = _rule_sum(_densities(ev), ev.pt, grids.weights[rule]).tolist()
+    return {"chi": chi, "tau": tau, "p1_lambda_plus": p1, "margin": 2.0 * chi - 3.0 * abs(tau)}
 
 
-def hitchin_thorpe_report(ev: Evaluation, grids: Grids, rule="rule") -> TopologyReport:
-    """Topological constraint report 2 chi >= 3 |tau| for the given data.
+def hitchin_thorpe_report(ev: Evaluation, grids: Grids) -> dict:
+    """Topological constraint report 2 chi >= 3 |tau| for the given data:
+    the ``topology`` block of ``report``.
 
-    chi, tau and p1 are integrated on the rule of 2n nodes ``grids[rule]``;
-    the Einstein residual is read from ``ev``, the context of the sample
-    grid.  The inequality is asserted for Einstein data with skew torsion;
-    when the Einstein residual exceeds ``EINSTEIN_THRESHOLD`` the report is
-    still produced but flagged.  The report's ``quadrature`` (the error
-    estimates against the rule of n nodes ``grids["coarse"]`` and the
-    minimum p1 integrand on the n-point sample grid ``grids["p1_sample"]``)
-    is built on its first read.
+    chi, tau and p1 are integrated on the rule of 2n nodes
+    ``grids["rule"]``; the Einstein residual is read from ``ev``, the
+    context of the sample grid.  The inequality is asserted for Einstein
+    data with skew torsion; when the Einstein residual exceeds
+    ``EINSTEIN_THRESHOLD`` the report is still produced but flagged.  Under
+    ``quadrature`` come the error estimates against the rule of n nodes
+    ``grids["coarse"]`` and the minimum p1 integrand on the n-point sample
+    grid ``grids["p1_sample"]``.
     """
-    values = _rule_integral(grids, rule)
-    chi, tau, p1 = values.tolist()
-
-    def build_quadrature() -> dict:
-        chi_err, tau_err, p1_err = np.abs(values - _rule_integral(grids, "coarse")).tolist()
-        # minimum of the p1 integrand (scaled by 4 pi^2) on the sample grid
-        p1_sample = np.concatenate([pontryagin_density(tile)
-                                    for tile in grids["p1_sample"].tiles()])
-        return {
-            "nodes": len(grids.weights["coarse"]), "scheme": "gauss-legendre (compactified, open)",
-            "chi_error": chi_err, "tau_error": tau_err, "p1_error": p1_err,
-            "p1_min_integrand": float(np.min(p1_sample) * 4.0 * math.pi ** 2),
-        }
-
+    top = chern_weil_integrals(grids)
     e_res = einstein_residual(ev)
-    margin = 2.0 * chi - 3.0 * abs(tau)
-    return TopologyReport(
-        chi=chi, tau=tau, p1_lambda_plus=p1,
-        inequality_margin=margin,
-        satisfied=bool(margin >= -TOLERANCE),
-        einstein_residual=e_res,
-        einstein_warning=bool(e_res > EINSTEIN_THRESHOLD),
-        build_quadrature=build_quadrature,
-    )
+    coarse = chern_weil_integrals(grids, "coarse")
+    # minimum of the p1 integrand (scaled by 4 pi^2) on the sample grid
+    p1_sample = np.concatenate([pontryagin_density(tile)
+                                for tile in grids["p1_sample"].tiles()])
+    return {
+        **top,
+        "satisfied": bool(top["margin"] >= -TOLERANCE),
+        "einstein_residual": e_res,
+        "einstein_warning": bool(e_res > EINSTEIN_THRESHOLD),
+        "quadrature": {
+            "nodes": len(grids.weights["coarse"]), "scheme": "gauss-legendre (compactified, open)",
+            "chi_error": abs(top["chi"] - coarse["chi"]),
+            "tau_error": abs(top["tau"] - coarse["tau"]),
+            "p1_error": abs(top["p1_lambda_plus"] - coarse["p1_lambda_plus"]),
+            "p1_min_integrand": float(np.min(p1_sample) * 4.0 * math.pi ** 2),
+        },
+    }

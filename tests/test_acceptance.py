@@ -86,15 +86,15 @@ def test_criterion_03_s4_family_einstein_both_signs():
 def test_criterion_04_topology_of_the_s4_family():
     """chi = 2, tau = 0, p1(L+) = 4 with non-negative integrand, margin 4."""
     rep = _report(*bonneau_chart(0.0), 256)
-    chi, tau = rep.chi, rep.tau
+    chi, tau = rep["chi"], rep["tau"]
     assert chi == pytest.approx(2.0, abs=1e-6)
     assert tau == pytest.approx(0.0, abs=1e-8)
-    p1, p1_min = rep.p1_lambda_plus, rep.quadrature["p1_min_integrand"]
+    p1, p1_min = rep["p1_lambda_plus"], rep["quadrature"]["p1_min_integrand"]
     assert p1 == pytest.approx(4.0, abs=1e-4)
     assert p1_min >= -1e-10
     margin = 2 * chi - 3 * abs(tau)
     assert margin == pytest.approx(4.0, abs=1e-5)
-    chi_r = _report(round_s4_chart(), InvariantForm.zero(3), 256).chi
+    chi_r = _report(round_s4_chart(), InvariantForm.zero(3), 256)["chi"]
     assert chi_r == pytest.approx(2.0, abs=1e-8)
     _ok(4, f"chi={chi:.12f}, tau={tau:.2e}, p1={p1:.10f} "
            f"(min integrand {p1_min:.2e}), margin={margin:.10f}, round chi={chi_r:.12f}")
@@ -112,7 +112,7 @@ def test_criterion_05_flat_group_chart_equality_case():
         assert np.max(np.abs(rg.scalar - 1.5 / b0 ** 2)) <= 1e-12
     ch = product_chart(1.0, 1.0)
     rep = _report(ch, flat_torsion(ch), 32)
-    chi, tau = rep.chi, rep.tau
+    chi, tau = rep["chi"], rep["tau"]
     assert abs(chi) <= 1e-12 and abs(tau) <= 1e-12
     assert 2 * chi == pytest.approx(3 * abs(tau), abs=1e-12)
     _ok(5, f"flat pair |R| <= 1e-12, chi={chi:.1e}, tau={tau:.1e}, "
@@ -205,7 +205,7 @@ def test_criterion_10_oracles():
     chart, H = bonneau_chart(0.0)
     errs = {}
     for n in (2, 4):
-        errs[n] = abs(_report(chart, H, n).chi - 2.0)
+        errs[n] = abs(_report(chart, H, n)["chi"] - 2.0)
     assert errs[4] <= errs[2] / 4.0
     _ok(10, f"jet/finite-difference ratio {np.median(ratios):.2f} (~4); "
             f"chi error {errs[2]:.2e} -> {errs[4]:.2e} under node doubling")

@@ -45,6 +45,15 @@ def test_verify_random_chart_passes():
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.xfail(strict=True, reason="frame terms of size 1/x^2 cancel at the nodes nearest "
+                                       "the poles, so residuals grow like n^2 (ROADMAP item 2)")
+def test_verify_round_passes_on_a_fine_grid():
+    # fails on bianchi, pair_swap, pair_swap_closed, jacobi, reconstruction
+    # and block_isometry
+    code, _, _ = run_cli("verify", "--chart", "round", "--grid", "4096")
+    assert code == 0
+
+
 def test_verify_exit_one_on_residual_failure():
     code, out, _ = run_cli("verify", "--chart", "random", "--seed", "7",
                            "--grid", "64", "--tol", "1e-30")

@@ -176,6 +176,17 @@ def test_probe_verdict_stable_under_refinement():
     assert r1.verdict == r2.verdict == "inequivalent"
 
 
+@pytest.mark.xfail(strict=True, reason="the probe differentiates its kernel section on the "
+                                       "grid, so its verdict depends on n (ROADMAP item 1)")
+@pytest.mark.parametrize("k", [-1.0, 0.0, 0.3])
+def test_probe_verdict_converges_under_refinement(k):
+    # inequivalent at n = 128 and inconclusive at n = 2048, for each k
+    chart, H = bonneau_chart(k)
+    coarse, fine = (gauge_equivalence_probe(Evaluation.on_grid(chart, H, n)).verdict
+                    for n in (128, 2048))
+    assert coarse == fine
+
+
 def test_yang_mills_action_consistent_with_pontryagin():
     from skewtorsion.topology import hitchin_thorpe_report, integrate_invariant, report_grids
     chart, H = bonneau_chart(0.0)
@@ -190,7 +201,7 @@ def test_yang_mills_action_consistent_with_pontryagin():
     s_plus, s_minus = action(+1.0), action(-1.0)
     assert s_plus == pytest.approx(s_minus, rel=1e-10)
     grids = report_grids(chart, H, 128)
-    p1 = hitchin_thorpe_report(grids["sample"], grids).p1_lambda_plus
+    p1 = hitchin_thorpe_report(grids["sample"], grids)["p1_lambda_plus"]
     # for a self-dual induced connection the action is 2 pi^2 p1
     assert s_plus == pytest.approx(2.0 * np.pi ** 2 * p1, rel=1e-8)
 

@@ -1,0 +1,83 @@
+"""Chart independence: a homothety scales the geometry by a fixed power
+and a reparametrization leaves it unchanged, so every frame-invariant
+number must follow, and every verdict must stay.  The maps are those of
+``metamorphic.py``."""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from skewtorsion import cli
+from skewtorsion.charts import bonneau_chart
+from skewtorsion.evaluation import Evaluation, Grids
+from skewtorsion.instanton import gauge_equivalence_probe
+from skewtorsion.topology import chern_weil_integrals
+
+from metamorphic import reparametrization, reparametrized, scaled
+
+KS = [-1.0, 0.0, 0.3]
+INTEGRALS = ("chi", "tau", "p1_lambda_plus")
+
+
+def _relative(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _integrals(chart, H, nodes=128):
+    """chi, tau and p1 on the chart's rule of 2n nodes."""
+    top = chern_weil_integrals(Grids(chart, H, {"rule": chart.quadrature(2 * nodes)}))
+    return np.array([top[key] for key in INTEGRALS])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(KS), st.floats(-3.0, 3.0))
+@example(k=0.0, log_lam=-3.0)
+@example(k=0.0, log_lam=3.0)
+def test_homothety_scales_the_curvature_and_keeps_the_integrals(k, log_lam):
+    # frame components of R scale by 1/lam^2; chi, tau and p1 do not move
+    lam = 10.0 ** log_lam
+    chart, H = bonneau_chart(k)
+    lam_chart, lam_H = scaled(chart, H, lam)
+    R = Evaluation.on_grid(chart, H, 64).plus.R
+    R_lam = Evaluation.on_grid(lam_chart, lam_H, 64).plus.R
+    assert _relative(lam ** 2 * R_lam, R) <= 1e-12
+    assert np.max(np.abs(_integrals(lam_chart, lam_H) - _integrals(chart, H))) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(KS), st.floats(0.0, 5.0))
+@example(k=-1.0, s=0.5)
+@example(k=0.3, s=5.0)
+def test_reparametrization_keeps_the_curvature_and_the_integrals(k, s):
+    # the points y of the new chart are the points phi(y) of the old one;
+    # the integrals come from different nodes of the same geometry
+    chart, H = bonneau_chart(k)
+    new_chart, new_H = reparametrized(chart, H, s)
+    y = new_chart.sample_grid(64)
+    x, _ = reparametrization(k, s, y)
+    R = Evaluation(chart.at(x), H).plus.R
+    assert _relative(Evaluation(new_chart.at(y), new_H).plus.R, R) <= 1e-12
+    assert np.max(np.abs(_integrals(new_chart, new_H) - _integrals(chart, H))) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="verify reads an absolute tolerance, so its verdict "
+                                       "depends on the scale of the geometry (ROADMAP item 2)")
+def test_verify_passes_on_a_scaled_bonneau_chart(monkeypatch):
+    # 11 of 14 residuals exceed the default tolerance 1e-9 at lam = 1e-3
+    monkeypatch.setattr(cli, "_build_chart", lambda args: scaled(*bonneau_chart(0.0), 1e-3))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--chart", "bonneau", "--k", "0", "--grid", "64"]) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="the probe differentiates its kernel section on the "
+                                       "grid, so its verdict depends on the chart "
+                                       "(ROADMAP item 1)")
+def test_probe_verdict_survives_a_reparametrization():
+    # k = -1, n = 512: inconclusive on the chart, inequivalent at s = 5
+    chart, H = bonneau_chart(-1.0)
+    verdicts = [gauge_equivalence_probe(Evaluation.on_grid(*pair, 512)).verdict
+                for pair in ((chart, H), reparametrized(chart, H, 5.0))]
+    assert verdicts[0] == verdicts[1]

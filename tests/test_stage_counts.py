@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from skewtorsion import charts, cli, connections, frame, jets
+from skewtorsion import charts, cli, connections, decomposition, frame, jets
 from skewtorsion.evaluation import Evaluation
 from skewtorsion.moduli import asymptotic_check
 from skewtorsion.weyl import einstein_weyl_residual
@@ -35,6 +35,8 @@ STAGES = {
     # their 9x9 triangular factors per tile, and no other caller
     "qr": (np.linalg, "qr"),
     "svd": (np.linalg, "svd"),
+    # the Einstein-with-torsion tensor, either sign
+    "einstein": (decomposition, "einstein_tensor_point"),
 }
 
 
@@ -68,56 +70,58 @@ def stage_counts(monkeypatch):
     # that evaluation and once for the chart's positivity scan; the
     # structure equation once per curvature and once per induced
     # connection: +H on the 2n nodes, the n nodes and the p1 sample, +-H on
-    # the report grid
+    # the report grid; the Einstein tensor once for the Einstein residual,
+    # once for the decomposition and once per sign for the Weyl round trip
     (["report", "--chart", "bonneau", "--k", "0"],
      {"structure": 12, "curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 1,
-      "quadrature": 2, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0}),
+      "quadrature": 2, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0, "einstein": 4}),
     # identity suite (+-H, Levi-Civita) and decomposition (operators of +H
     # and Levi-Civita) share one context; one sin/cos pass for the chart's
     # profiles and one for the torsion; no induced connection
     (["verify", "--chart", "random", "--seed", "3", "--grid", "64"],
      {"structure": 3, "curvature": 3, "operator": 2, "levi_civita": 1, "chart.at": 1,
-      "quadrature": 0, "omega2": 0, "sincos": 2, "qr": 0, "svd": 0}),
+      "quadrature": 0, "omega2": 0, "sincos": 2, "qr": 0, "svd": 0, "einstein": 1}),
     # the induced +-H connections are built from the connections alone, one
     # structure equation each
     (["probe", "--chart", "bonneau", "--k", "0", "--grid", "64"],
      {"structure": 2, "curvature": 0, "operator": 0, "levi_civita": 1, "chart.at": 1,
-      "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 1, "svd": 1}),
+      "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 1, "svd": 1, "einstein": 0}),
     # the quadrature grid 2n alone (+H), as a row reads no error estimate
-    # and no p1 sample, and one 64-point context shared by the Einstein
-    # residual, the decomposition (+H, Levi-Civita) and the probe (no
-    # curvature, two induced connections); the chart once on both grids,
-    # and W once for that evaluation and once for the positivity scan
+    # and no p1 sample, and one 64-point context shared by the
+    # decomposition (+H, Levi-Civita, the row's one Einstein tensor) and
+    # the probe (no curvature, two induced connections); the chart once on
+    # both grids, and W once for that evaluation and once for the
+    # positivity scan
     (["scan", "--k-min", "0", "--k-max", "0", "--k-step", "1"],
      {"structure": 6, "curvature": 3, "operator": 3, "levi_civita": 2, "chart.at": 1,
-      "quadrature": 1, "omega2": 2, "sincos": 0, "qr": 1, "svd": 1}),
+      "quadrature": 1, "omega2": 2, "sincos": 0, "qr": 1, "svd": 1, "einstein": 1}),
     # three rows: the contexts of each row as above, one positivity scan
     # and one quadrature map per row, and one evaluation of the chart and W
     # on the grids of all three rows together
     (["scan", "--k-min", "-0.5", "--k-max", "0.5", "--k-step", "0.5"],
      {"structure": 18, "curvature": 9, "operator": 9, "levi_civita": 6, "chart.at": 1,
-      "quadrature": 3, "omega2": 4, "sincos": 0, "qr": 3, "svd": 3}),
+      "quadrature": 3, "omega2": 4, "sincos": 0, "qr": 3, "svd": 3, "einstein": 3}),
     (["verify", "--chart", "bonneau", "--k", "0", "--grid", "64"],
      {"structure": 3, "curvature": 3, "operator": 2, "levi_civita": 1, "chart.at": 1,
-      "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0}),
+      "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0, "einstein": 1}),
     # one sin/cos pass for the profiles and one for the torsion, on all
     # five grids together
     (["report", "--chart", "random", "--seed", "3"],
      {"structure": 12, "curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 1,
-      "quadrature": 2, "omega2": 0, "sincos": 2, "qr": 0, "svd": 0}),
+      "quadrature": 2, "omega2": 0, "sincos": 2, "qr": 0, "svd": 0, "einstein": 4}),
     # a fine grid runs the suites on 8 tiles of 512 points, each a context
     # of its own, cut from one evaluation of the chart and the torsion
     (["verify", "--chart", "random", "--seed", "3", "--grid", "4096"],
      {"structure": 24, "curvature": 24, "operator": 16, "levi_civita": 8, "chart.at": 1,
-      "quadrature": 0, "omega2": 0, "sincos": 2, "qr": 0, "svd": 0}),
+      "quadrature": 0, "omega2": 0, "sincos": 2, "qr": 0, "svd": 0, "einstein": 8}),
     (["probe", "--chart", "bonneau", "--k", "0", "--grid", "4096"],
      {"structure": 16, "curvature": 0, "operator": 0, "levi_civita": 8, "chart.at": 1,
-      "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 8, "svd": 8}),
+      "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 8, "svd": 8, "einstein": 0}),
     # at --grid 64 the report grid is the sample grid, and one context
     # serves both: Levi-Civita and +H curvature fewer
     (["report", "--chart", "bonneau", "--k", "0", "--grid", "64"],
      {"structure": 11, "curvature": 6, "operator": 5, "levi_civita": 4, "chart.at": 1,
-      "quadrature": 2, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0}),
+      "quadrature": 2, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0, "einstein": 4}),
 ])
 def test_stage_counts_per_command(stage_counts, argv, expected):
     with contextlib.redirect_stdout(io.StringIO()):

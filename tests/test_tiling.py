@@ -95,7 +95,7 @@ def test_tiled_probe_is_the_untiled_probe(name, monkeypatch):
 def test_tiled_quadrature_is_the_untiled_quadrature(name, monkeypatch):
     def report():
         grids = report_grids(*charts.chart_and_torsion(CHARTS[name]), 600)
-        return cli._dump_json(hitchin_thorpe_report(grids["sample"], grids).to_dict())
+        return cli._dump_json(hitchin_thorpe_report(grids["sample"], grids))
 
     tiled = report()
     monkeypatch.setattr(evaluation, "TILE", 4 * GRID)

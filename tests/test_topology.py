@@ -52,7 +52,7 @@ def test_integrand_must_be_finite():
 
 def test_round_sphere_euler_and_signature():
     rep = _report(round_s4_chart(), InvariantForm.zero(3), 64)
-    chi, tau = rep.chi, rep.tau
+    chi, tau = rep["chi"], rep["tau"]
     assert chi == pytest.approx(2.0, abs=1e-8)
     assert tau == pytest.approx(0.0, abs=1e-10)
 
@@ -60,7 +60,7 @@ def test_round_sphere_euler_and_signature():
 @pytest.mark.parametrize("k", [0.0, 1.0])
 def test_s4_family_euler_and_signature(k):
     rep = _report(*bonneau_chart(k), 256)
-    chi, tau = rep.chi, rep.tau
+    chi, tau = rep["chi"], rep["tau"]
     assert chi == pytest.approx(2.0, abs=1e-6)
     assert tau == pytest.approx(0.0, abs=1e-8)
 
@@ -68,34 +68,34 @@ def test_s4_family_euler_and_signature(k):
 def test_flat_group_chart_saturates_the_inequality():
     ch = product_chart(1.0, 1.0)
     rep = _report(ch, flat_torsion(ch), 32)
-    assert rep.chi == pytest.approx(0.0, abs=1e-12)
-    assert rep.tau == pytest.approx(0.0, abs=1e-12)
-    assert rep.inequality_margin == pytest.approx(0.0, abs=1e-10)
-    assert rep.satisfied
-    assert not rep.einstein_warning
+    assert rep["chi"] == pytest.approx(0.0, abs=1e-12)
+    assert rep["tau"] == pytest.approx(0.0, abs=1e-12)
+    assert rep["margin"] == pytest.approx(0.0, abs=1e-10)
+    assert rep["satisfied"]
+    assert not rep["einstein_warning"]
 
 
 def test_pontryagin_of_self_dual_bundle():
     rep = _report(round_s4_chart(), InvariantForm.zero(3), 64)
-    assert rep.p1_lambda_plus == pytest.approx(4.0, abs=1e-8)
-    assert rep.quadrature["p1_min_integrand"] >= -1e-10
+    assert rep["p1_lambda_plus"] == pytest.approx(4.0, abs=1e-8)
+    assert rep["quadrature"]["p1_min_integrand"] >= -1e-10
     rep = _report(*bonneau_chart(0.0), 256)
-    assert rep.p1_lambda_plus == pytest.approx(4.0, abs=1e-4)
-    assert rep.quadrature["p1_min_integrand"] >= -1e-10
+    assert rep["p1_lambda_plus"] == pytest.approx(4.0, abs=1e-4)
+    assert rep["quadrature"]["p1_min_integrand"] >= -1e-10
     ch = product_chart(1.0, 1.0)
     rep = _report(ch, flat_torsion(ch), 16)
-    assert rep.p1_lambda_plus == pytest.approx(0.0, abs=1e-12)
+    assert rep["p1_lambda_plus"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hitchin_thorpe_report_for_the_s4_family():
     rep = _report(*bonneau_chart(0.0), 256)
-    assert rep.inequality_margin == pytest.approx(4.0, abs=1e-5)
-    assert rep.satisfied
-    assert not rep.einstein_warning
-    assert rep.p1_lambda_plus == pytest.approx(2 * rep.chi + 3 * rep.tau, abs=1e-4)
+    assert rep["margin"] == pytest.approx(4.0, abs=1e-5)
+    assert rep["satisfied"]
+    assert not rep["einstein_warning"]
+    assert rep["p1_lambda_plus"] == pytest.approx(2 * rep["chi"] + 3 * rep["tau"], abs=1e-4)
     # chi and tau sit near integers
-    assert abs(rep.chi - round(rep.chi)) < 1e-6
-    assert abs(rep.tau - round(rep.tau)) < 1e-8
+    assert abs(rep["chi"] - round(rep["chi"])) < 1e-6
+    assert abs(rep["tau"] - round(rep["tau"])) < 1e-8
 
 
 def _fubini_study_profiles(x):
@@ -113,9 +113,9 @@ def test_complex_projective_plane_pins_the_sign_of_tau():
     grids = report_grids(chart, InvariantForm.zero(3), 64)
     ev = grids["sample"]
     rep = hitchin_thorpe_report(ev, grids)
-    assert rep.chi == pytest.approx(3.0, abs=1e-10)
-    assert rep.tau == pytest.approx(1.0, abs=1e-10)
-    assert rep.p1_lambda_plus == pytest.approx(9.0, abs=1e-10)
+    assert rep["chi"] == pytest.approx(3.0, abs=1e-10)
+    assert rep["tau"] == pytest.approx(1.0, abs=1e-10)
+    assert rep["p1_lambda_plus"] == pytest.approx(9.0, abs=1e-10)
     assert np.max(_fro(ev.riemann.W[1])) <= 1e-10
 
 
@@ -123,14 +123,14 @@ def test_non_einstein_data_is_flagged():
     chart = random_chart(1)
     from skewtorsion.charts import random_torsion
     rep = _report(chart, random_torsion(1), 32)
-    assert rep.einstein_warning
+    assert rep["einstein_warning"]
 
 
 def test_quadrature_refinement_reduces_euler_error():
     chart, H = bonneau_chart(0.0)
 
     def chi_at(n):
-        return _report(chart, H, n).chi
+        return _report(chart, H, n)["chi"]
 
     # convergence is exponential; at 8 nodes the error already sits at the
     # floating-point floor, so the ratio test uses the coarsest grids
@@ -143,7 +143,7 @@ def test_quadrature_refinement_reduces_euler_error():
 def test_flat_torus_everything_vanishes():
     ch = flat_torus_chart()
     rep = _report(ch, InvariantForm.zero(3), 16)
-    assert rep.chi == 0.0 and rep.tau == 0.0
+    assert rep["chi"] == 0.0 and rep["tau"] == 0.0
 
 
 def test_invariants_do_not_depend_on_the_torsion():
@@ -153,7 +153,7 @@ def test_invariants_do_not_depend_on_the_torsion():
     vals = []
     for form in (H, InvariantForm.zero(3), H.scaled(0.5), H.scaled(3.0)):
         rep = _report(chart, form, 128)
-        chi, tau = rep.chi, rep.tau
+        chi, tau = rep["chi"], rep["tau"]
         vals.append((chi, tau))
         assert chi == pytest.approx(2.0, abs=1e-10)
         assert tau == pytest.approx(0.0, abs=1e-12)
@@ -164,26 +164,25 @@ def test_random_group_charts_have_vanishing_invariants():
     for seed in (1, 4):
         chart = random_chart(seed)
         rep = _report(chart, random_torsion(seed), 96)
-        assert rep.chi == pytest.approx(0.0, abs=1e-12)
-        assert rep.tau == pytest.approx(0.0, abs=1e-12)
+        assert rep["chi"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["tau"] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("nodes", [32, 300])
 def test_quadrature_is_integrate_invariant_and_the_sample_minimum(nodes):
-    # the report builds its error estimates and p1 sample on first read,
-    # from one batch of the n nodes and the n sample points; they agree to
-    # the bit with the two rules integrated apart and the sample grid alone
+    # the report builds its error estimates and p1 sample from one batch of
+    # the n nodes and the n sample points; they agree to the bit with the
+    # two rules integrated apart and the sample grid alone
     chart, H = bonneau_chart(0.3)
     rep = _report(chart, H, nodes)
-    assert "quadrature" not in vars(rep)
 
     def densities(pt):
         ev = Evaluation(pt, H)
         return np.array([*curvature_integrands(ev), pontryagin_density(ev)])
 
     values, errors = integrate_invariant(chart, densities, nodes)
-    q = rep.quadrature
-    assert values == [rep.chi, rep.tau, rep.p1_lambda_plus]
+    q = rep["quadrature"]
+    assert values == [rep["chi"], rep["tau"], rep["p1_lambda_plus"]]
     assert errors == [q["chi_error"], q["tau_error"], q["p1_error"]]
     p1_sample = pontryagin_density(Evaluation.on_grid(chart, H, nodes))
     assert q["p1_min_integrand"] == float(np.min(p1_sample) * 4.0 * math.pi ** 2)
