@@ -32,10 +32,10 @@ tensor and, in a scan, the decomposition and the probe), ``check`` (the
 grid of the verify suites; in a report, of the decomposition,
 Yang-Mills, self-duality, Killing and Weyl checks, ``--grid`` capped at
 128) and ``probe`` (the grid of the probe command).  A scan row reads
-chi, tau, p1 and the margin alone (``topology.chern_weil_integrals``),
-so it evaluates neither the n nodes nor the p1 sample grid, and takes
-its Einstein residual from its decomposition, one Einstein tensor per
-row.
+chi, tau, p1 and the margin alone (``topology.chern_weil_rows``), so it
+evaluates neither the n nodes nor the p1 sample grid, and reads its
+Einstein residual from the per-point Einstein norm that its
+reconstruction residual's context builds.
 
 The checks that work point by point run on a grid of more than
 ``evaluation.TILE`` (512) points tile by tile, each tile a context of its
@@ -49,11 +49,13 @@ pass by a few ulps, so that ``--k-max`` written as k_min + m k_step gives
 m + 1 rows; ``--k-min`` above ``--k-max``, or a range of MAX_SCAN_ROWS
 steps or more, exits 2.  Each k builds its own chart, whose positivity
 scan refuses the row.  The grids of the admissible rows are evaluated
-together, on the calling thread, by one chart over the rows' parameters
-(``charts.bonneau_rows``), and the rows then run on a pool of min(8,
-CPUs) threads, each cutting its two contexts from that evaluation.  A
-scan longer than ``SCAN_BLOCK_NODES`` nodes (14 rows at ``--grid 256``)
-does this block by block, so its memory does not grow with its length.
+together by one chart over the rows' parameters
+(``charts.bonneau_rows``) and read, tile by tile, as two contexts: one on
+every row's sample grid, one on every row's rule of 2n nodes.  Each row
+then reduces its own slice of their per-point arrays, serially, with the
+bits of contexts of its own.  A scan longer than ``SCAN_BLOCK_NODES``
+nodes (14 rows at ``--grid 256``) does this block by block, so its
+memory does not grow with its length.
 
 Floats are emitted with 17 significant digits and reductions use a fixed
 summation order, so identical configurations produce identical bytes.
@@ -75,30 +77,34 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# no command starts a thread: this binding is kept only because the
+# benchmark harness's observe() patches it by name (ROADMAP item 5a)
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
 from . import __version__, charts
 from .charts import ChartError
 from .connections import identity_suite
-from .decomposition import decompose_point
+from .decomposition import decompose_point, reconstruction_residuals
 from .evaluation import Evaluation, Grids
 from .instanton import (
-    gauge_equivalence_probe, killing_residual, self_duality_residual,
-    yang_mills_density_check,
+    _intertwiner_spectrum, _join_spectra, gauge_equivalence_probe, killing_residual,
+    probe_verdict, self_duality_residual, yang_mills_density_check,
 )
 from .jets import DEFAULT_ORDER
 from .moduli import acs_radial, nijenhuis_norm
-from .topology import SAMPLE_GRID, chern_weil_integrals, hitchin_thorpe_report, report_grids
+from .topology import SAMPLE_GRID, chern_weil_rows, hitchin_thorpe_report, report_grids
 from .weyl import torsion_weyl_roundtrip
 
 SCHEMA = 1
 MAX_SCAN_ROWS = 10_000  # a longer scan exits 2 before any row runs
 # most nodes in one evaluation of scan rows: a longer scan runs in blocks
 # of rows, so that the memory it holds does not grow with its length.  A
-# 201-row scan at --grid 256 peaks at one RSS for blocks of 2 to 14 rows,
-# and 14 is the largest block that holds it
+# 201-row scan at --grid 256 (576 nodes a row) peaks at 41 MB RSS in
+# blocks of 2 to 4 rows, 48.7 MB in blocks of 14 and 51 MB in blocks of
+# 28 (x86_64, numpy 2.4); a smaller block pays the per-context cost that
+# the two contexts of a block share out, and 14 rows hold a 9-row scan
 SCAN_BLOCK_NODES = 8192
 
 
@@ -245,31 +251,29 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _scan_row(k: float, grids: Grids, i: int):
-    """The row of the i-th k of a block, admissible, from the contexts of
-    its sample grid and its rule of 2n nodes, each cut from the block's one
-    evaluation when the row reads it."""
-    ev = grids[i, "sample"]
-    top = chern_weil_integrals(grids, (i, "rule"))
-    dec = decompose_point(ev)
-    probe = gauge_equivalence_probe(ev)
+def _scan_row(k: float, top: dict, sample: tuple) -> dict:
+    """The row of an admissible k, from its chi, tau, p1 and margin ``top``
+    and its slice ``sample`` of the block's per-point Einstein norm and
+    reconstruction residual and of the arguments of :func:`probe_verdict`."""
+    t_norm, recon, *probe = sample
     return {
         "k": k,
         "admissible": True,
-        "einstein_residual": dec["einstein_residual"],
-        "reconstruction_residual": dec["reconstruction_residual"],
+        "einstein_residual": float(np.max(t_norm)),
+        "reconstruction_residual": float(np.max(recon)),
         "chi": top["chi"],
         "tau": top["tau"],
         "margin": top["margin"],
         "p1_lambda_plus": top["p1_lambda_plus"],
-        "probe_verdict": probe.verdict,
+        "probe_verdict": probe_verdict(*probe).verdict,
     }
 
 
-def _scan_block(ks: list, grid: int, ex) -> list:
+def _scan_block(ks: list, grid: int) -> list:
     """The rows of ``ks``: each k's chart refuses its row or gives its
-    grids, and the grids of the admissible rows are evaluated together, on
-    this thread, before their rows run on the pool ``ex``."""
+    grids.  The grids of the admissible rows are evaluated together, every
+    sample grid first and every rule of 2n nodes after, so that each kind
+    is one context."""
     rows, admitted = {}, {}
     for i, k in enumerate(ks):
         try:
@@ -277,15 +281,25 @@ def _scan_block(ks: list, grid: int, ex) -> list:
         except ChartError as exc:
             rows[i] = {"k": k, "admissible": False, "reason": str(exc)}
     if admitted:
-        points = {}
-        for i, chart in admitted.items():
-            points[i, "sample"] = chart.sample_grid(SAMPLE_GRID)
-            points[i, "rule"] = chart.quadrature(2 * grid)
-        grids = Grids(*charts.bonneau_rows([ks[i] for i in admitted],
-                                           [SAMPLE_GRID + 2 * grid] * len(admitted)),
-                      points)
-        rows.update(zip(admitted, ex.map(_scan_row, [ks[i] for i in admitted],
-                                         [grids] * len(admitted), admitted)))
+        m = len(admitted)
+        points = {(i, "sample"): chart.sample_grid(SAMPLE_GRID) for i, chart in admitted.items()}
+        points.update({(i, "rule"): chart.quadrature(2 * grid) for i, chart in admitted.items()})
+        grids = Grids(*charts.bonneau_rows(2 * [ks[i] for i in admitted],
+                                           [SAMPLE_GRID] * m + [2 * grid] * m), points)
+        split = m * SAMPLE_GRID
+        tops = chern_weil_rows(grids.union[split:],
+                               np.concatenate([grids.weights[i, "rule"] for i in admitted]), m)
+        sample = grids.union[:split]
+        t_norm, recon, spectra = zip(*[
+            (tile.einstein_norm(), reconstruction_residuals(tile), _intertwiner_spectrum(tile))
+            for tile in sample.tiles()])
+        t_norm, recon = np.concatenate(t_norm), np.concatenate(recon)
+        x, a_val = sample.pt.x, sample.pt.a.value
+        S, v9, omp, omm = _join_spectra(spectra)
+        for j, i in enumerate(admitted):
+            s = slice(j * SAMPLE_GRID, (j + 1) * SAMPLE_GRID)
+            rows[i] = _scan_row(ks[i], tops[j], (t_norm[s], recon[s], x[s], a_val[s],
+                                                 S[s], v9[s], omp[..., s], omm[..., s]))
     return [rows[i] for i in range(len(ks))]
 
 
@@ -305,9 +319,8 @@ def cmd_scan(args) -> int:
     ks = _scan_values(args.k_min, args.k_max, args.k_step)
     per_block = max(1, SCAN_BLOCK_NODES // (SAMPLE_GRID + 2 * args.grid))
     rows = []
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as ex:
-        for start in range(0, len(ks), per_block):
-            rows += _scan_block(ks[start:start + per_block], args.grid, ex)
+    for start in range(0, len(ks), per_block):
+        rows += _scan_block(ks[start:start + per_block], args.grid)
 
     if args.format == "json":
         # a row reads chi, tau and p1 alone, which the rule of 2n nodes gives

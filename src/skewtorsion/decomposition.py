@@ -28,7 +28,8 @@ Weyl blocks, scalar curvature and Z from the ``ConnectionData`` of its
 connections, which own them.  :func:`decompose_point` returns numbers
 only: the residuals and sup norms that ``report`` prints under
 ``decomposition``, in that order; a caller that needs an array reads it
-from its owner.
+from its owner, the per-point Einstein norm from the context and the
+per-point reconstruction residual from :func:`reconstruction_residuals`.
 """
 
 from __future__ import annotations
@@ -43,24 +44,42 @@ from .connections import _EYE3, _EYE4, _fro, _tf_sym
 if TYPE_CHECKING:
     from .evaluation import Evaluation
 
-__all__ = ["decompose_point", "einstein_tensor_point", "einstein_residual"]
+__all__ = ["decompose_point", "reconstruction_residuals", "einstein_tensor_point",
+           "einstein_residual"]
 
 
 def decompose_point(ev: Evaluation) -> dict:
     """Residuals of the closed block formulas and the Einstein condition at
-    the grid points, with the sup norms of B, Z and W+- and the range of s."""
+    the grid points, with the sup norms of B, Z and W+- and the range of s.
+    The Einstein and reconstruction residuals are the sups of the per-point
+    arrays that a scan row reduces over its own slice."""
+    _, B, C, _ = ev.plus.blocks
+    Wp, Wm = ev.riemann.W  # the Weyl blocks, torsion independent
+    s = ev.plus.scalar
+    t_norm = ev.einstein_norm()
+    return {
+        "einstein_residual": float(np.max(t_norm)),
+        "block_residual": float(np.max(np.abs(2.0 * _fro(C) - t_norm))),
+        "reconstruction_residual": float(np.max(reconstruction_residuals(ev))),
+        "sup_B": float(np.max(_fro(B))),
+        "sup_Z": float(np.max(_fro(ev.plus.Z))),
+        "sup_W_plus": float(np.max(_fro(Wp))),
+        "sup_W_minus": float(np.max(_fro(Wm))),
+        "s_nabla_range": [float(s.min()), float(s.max())],
+    }
+
+
+def reconstruction_residuals(ev: Evaluation) -> np.ndarray:
+    """Per point, the largest entry of |X - X_f| over the blocks X of the +H
+    operator and their closed formulas X_f, shape (n,)."""
     ext = ev.ext
     A, B, C, D = ev.plus.blocks
-    Wp, Wm = ev.riemann.W  # the Weyl blocks, torsion independent
+    Wp, Wm = ev.riemann.W
     s = ev.plus.scalar
     Z = ev.plus.Z
 
     dsH = F.components_in_sd_basis(ext.dstar_H)
     phi_p, phi_m = dsH[:3], dsH[3:]
-
-    T = einstein_tensor_point(ev)
-
-    # closed block formulas
     eps = F._EPS3
     phi_op_p = -np.sqrt(2.0) * np.einsum("pqr,r...->pq...", eps, phi_p)
     phi_op_m = -np.sqrt(2.0) * np.einsum("pqr,r...->pq...", eps, phi_m)
@@ -69,21 +88,7 @@ def decompose_point(ev: Evaluation) -> dict:
     S0 = _tf_sym(ext.grad_h)
     B_f = 0.5 * np.einsum("ij...,pqij->pq...", Z - S0, F._T_BASIS)
     C_f = 0.5 * np.einsum("ij...,pqij->qp...", Z + S0, F._T_BASIS)
-
-    recon = max(float(np.max(np.abs(A - A_f))), float(np.max(np.abs(B - B_f))),
-                float(np.max(np.abs(C - C_f))), float(np.max(np.abs(D - D_f))))
-
-    t_norm = _fro(T)
-    return {
-        "einstein_residual": float(np.max(t_norm)),
-        "block_residual": float(np.max(np.abs(2.0 * _fro(C) - t_norm))),
-        "reconstruction_residual": recon,
-        "sup_B": float(np.max(_fro(B))),
-        "sup_Z": float(np.max(_fro(Z))),
-        "sup_W_plus": float(np.max(_fro(Wp))),
-        "sup_W_minus": float(np.max(_fro(Wm))),
-        "s_nabla_range": [float(s.min()), float(s.max())],
-    }
+    return np.max(np.abs([A - A_f, B - B_f, C - C_f, D - D_f]), axis=(0, 1, 2))
 
 
 def einstein_tensor_point(ev: Evaluation, sign: int = +1) -> np.ndarray:
@@ -97,5 +102,6 @@ def einstein_tensor_point(ev: Evaluation, sign: int = +1) -> np.ndarray:
 
 def einstein_residual(ev: Evaluation, sign: int = +1) -> float:
     """Sup over the grid of the Frobenius norm of the Einstein tensor of the
-    connection with torsion sign * H."""
-    return float(np.max(_fro(einstein_tensor_point(ev, sign))))
+    connection with torsion sign * H, read from the context's one
+    tensor of that sign (``Evaluation.einstein_norm``)."""
+    return float(np.max(ev.einstein_norm(sign)))

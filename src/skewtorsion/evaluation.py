@@ -7,8 +7,9 @@ connection (a :class:`ConnectionData`, the one owner of each of these)
 its curvature tensor, 6x6 operator and its blocks, W+-, Ricci tensor,
 scalar and trace-free Ricci tensor Z, induced connection on Lambda+ and
 the residual of that connection against the operator, plus the exterior
-data of H.  Each object is built at most once, on first use, so checks
-that share a context share the work:
+data of H and the norms of the Einstein tensors.  Each object is built
+at most once, on first use, so checks that share a context share the
+work:
 
     ev = Evaluation.on_grid(chart, H, 64)
     identity_suite(ev), decompose_point(ev), gauge_equivalence_probe(ev)
@@ -39,7 +40,8 @@ most ``TILE`` points is its own one tile, and keeps what its checks build.
 A command that reads several grids evaluates the chart and the form once
 for all of them (:class:`Grids`): on the concatenation of its grids,
 from which it cuts each grid's context in the same way when a check reads
-it, so a context lives only as long as its reader holds it.
+it, so a context lives only as long as its reader holds it.  A scan block
+cuts one context per kind of grid, each spanning every row's grid.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ import numpy as np
 
 from .charts import FramePoint, InvariantChart, InvariantForm, _grid_slice
 from .connections import (
-    AffineConnection, ExteriorData, _tf_sym,
+    AffineConnection, ExteriorData, _fro, _tf_sym,
     cov_deriv, curvature, exterior_ops, full_components,
     levi_civita, with_skew_torsion,
 )
+from .decomposition import einstein_tensor_point
 from .frame import KForm, _FULL, operator_from_tensor
 from .instanton import InducedConnection, induced_lambda_plus, lambda_plus_block_residual
 
@@ -123,6 +126,7 @@ class Evaluation:
     def __init__(self, pt: FramePoint, H: InvariantForm | KForm):
         self.pt = pt
         self.H = H
+        self._einstein = {}  # sign -> einstein_norm(sign)
 
     @classmethod
     def on_grid(cls, chart: InvariantChart, H: InvariantForm, nodes: int) -> "Evaluation":
@@ -176,6 +180,14 @@ class Evaluation:
         """(D^g_i H)_jkl, antisymmetric in (jkl), shape (4, 4, 4, 4, n)."""
         return _FULL[3](cov_deriv(self.pt, self.lc.truncated(0), self.Hf).value, lead=1)
 
+    def einstein_norm(self, sign: int = +1) -> np.ndarray:
+        """Per-point Frobenius norm of the Einstein tensor of the connection
+        with torsion sign * H (``decomposition.einstein_tensor_point``),
+        shape (n,): built once per sign, as no check reads the tensor."""
+        if sign not in self._einstein:
+            self._einstein[sign] = _fro(einstein_tensor_point(self, sign))
+        return self._einstein[sign]
+
     def __getitem__(self, s: slice) -> "Evaluation":
         """A fresh context on the points of the slice ``s``, with the points'
         profile jets and the components of H cut rather than evaluated
@@ -223,8 +235,6 @@ class Grids:
             start += len(x)
             points.append(x)
         self.union = Evaluation(chart.at(tuple(points)), H)
-        # H is evaluated here, on the caller's thread, not by a first reader
-        self.union.Hf
 
     def __getitem__(self, name) -> Evaluation:
         return self.union[self.slices[name]]

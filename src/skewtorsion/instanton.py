@@ -27,7 +27,8 @@ as the SVD of the system itself, see :func:`_intertwiner_spectrum`).  The
 kernel section, continued in x and normalized, is then tested for
 covariant constancy.  The systems and their spectra are built tile by tile
 (:meth:`skewtorsion.evaluation.Evaluation.tiles`); the continuation and
-the test run on the whole grid.
+the test (:func:`probe_verdict`) run on the whole grid, or on each row's
+slice of a scan block's spectra.
 
 The diagnostics read each +-H connection's blocks, W+, scalar, induced
 connection and residual from its ``ConnectionData`` in an evaluation
@@ -53,7 +54,7 @@ __all__ = [
     "InducedConnection", "GaugeProbeReport", "induced_lambda_plus",
     "lambda_plus_block_residual",
     "self_duality_residual", "yang_mills_density_check", "killing_residual",
-    "gauge_equivalence_probe",
+    "gauge_equivalence_probe", "probe_verdict",
 ]
 
 # curvature of the induced connection in the + basis equals this factor
@@ -252,22 +253,31 @@ def _intertwiner_spectrum(ev: Evaluation):
     return S, Vt[:, 8].copy(), ic_p.omega.value, ic_m.omega.value
 
 
+def _join_spectra(spectra) -> tuple:
+    """The (S, Vt[:, 8], omega+, omega-) of :func:`_intertwiner_spectrum`
+    on consecutive batches of points, joined along the points."""
+    S, v9, omp, omm = zip(*spectra)
+    return (np.concatenate(S), np.concatenate(v9),
+            np.concatenate(omp, axis=-1), np.concatenate(omm, axis=-1))
+
+
 def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
     """Probe whether the +H and -H induced connections are gauge equivalent.
 
     Per node, the kernel of F+(E) G = G F-(E) over the six 2-form
-    directions is computed by singular value decomposition; a
-    one-dimensional kernel is continued in x and tested for covariant
-    constancy under the product connection.
+    directions is computed by singular value decomposition, tile by tile;
+    :func:`probe_verdict` then reads the joined spectrum on the whole grid.
     """
-    pt = ev.pt
-    x = pt.x
-    n = pt.npoints
-    # per tile: the singular values, the last right singular vector and the
-    # connection values; every later step reads them on the whole grid
-    parts = list(zip(*(_intertwiner_spectrum(tile) for tile in ev.tiles())))
-    S, v9 = np.concatenate(parts[0]), np.concatenate(parts[1])
-    omp, omm = np.concatenate(parts[2], axis=-1), np.concatenate(parts[3], axis=-1)
+    return probe_verdict(ev.pt.x, ev.pt.a.value,
+                         *_join_spectra(_intertwiner_spectrum(tile) for tile in ev.tiles()))
+
+
+def probe_verdict(x, a_val, S, v9, omp, omm) -> GaugeProbeReport:
+    """The probe's report on one grid of nodes ``x``, with radial profile
+    values ``a_val``, from the spectrum (S, Vt[:, 8], omega+, omega-) of
+    its nodes: a one-dimensional kernel is continued in x and tested for
+    covariant constancy under the product connection."""
+    n = len(x)
     sigma_max = S[:, 0]
     threshold_rel = 1e-7
     # when the curvature cancels identically, sigma_max itself is rounding
@@ -289,13 +299,11 @@ def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
         verdict, notes = "equivalent", "curvature vanishes; every g intertwines"
     elif frac1 >= 0.95:
         # kernel section, sign-aligned along x
-        g = v9.reshape(n, 3, 3)
-        g /= np.linalg.norm(g.reshape(n, 9), axis=1)[:, None, None]
+        g = v9.reshape(n, 3, 3) / np.linalg.norm(v9, axis=1)[:, None, None]
         section = g = _align_signs(g)
 
         # covariant derivative of the section under the product connection
         gp = np.gradient(g, x, axis=0)
-        a_val = pt.a.value
         ng2 = np.zeros(n)
         for i in range(4):
             wp = np.moveaxis(omp[i], -1, 0)

@@ -14,20 +14,21 @@ the antisymmetric parts) are the expressions that integrate to the
 topological invariants.  The first Pontryagin number of Lambda+ is
 computed independently from the induced so(3) curvature.
 
-:func:`chern_weil_integrals` is the one route to chi, tau, p1 and the
-margin 2 chi - 3 |tau|: it integrates the three densities in one pass on
-one Gauss-Legendre rule, one evaluation context read tile by tile
+:func:`chern_weil_rows` is the one route to chi, tau, p1 and the margin
+2 chi - 3 |tau|: it integrates the three densities in one pass on one
+context of Gauss-Legendre rules laid end to end, read tile by tile
 (:meth:`skewtorsion.evaluation.Evaluation.tiles`), each tile dropped
-before the next is built, the tiles' densities joined before the exactly
-rounded sums.  :func:`hitchin_thorpe_report` builds the ``topology``
+before the next is built, the tiles' densities joined before each rule's
+exactly rounded sums; :func:`chern_weil_integrals` is its form on one
+rule.  :func:`hitchin_thorpe_report` builds the ``topology``
 block of ``report`` on it: the values on the rule of 2n nodes, their
 error estimates against the rule of n nodes, and the minimum p1 integrand
 on the n-point sample grid.  Both read their grids from the caller's
 :class:`skewtorsion.evaluation.Grids`, one evaluation of the chart and
 the torsion on every grid of the command (:func:`report_grids`), and cut
-each grid's context only when they read it.  A scan row, which reads
-only chi, tau and p1, calls :func:`chern_weil_integrals` on its rule of
-2n nodes alone, so a scan evaluates no estimate grid.
+each grid's context only when they read it.  A scan, whose rows read
+only chi, tau and p1, calls :func:`chern_weil_rows` on every row's rule
+of 2n nodes at once, so it evaluates no estimate grid.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .decomposition import einstein_residual
 from .evaluation import Evaluation, Grids
 
 __all__ = [
-    "integrate_invariant", "chern_weil_integrals", "hitchin_thorpe_report", "report_grids",
-    "curvature_integrands", "pontryagin_density",
+    "integrate_invariant", "chern_weil_integrals", "chern_weil_rows", "hitchin_thorpe_report",
+    "report_grids", "curvature_integrands", "pontryagin_density",
 ]
 
 DEFAULT_NODES = 256
@@ -55,24 +56,26 @@ EINSTEIN_THRESHOLD = 1e-6
 TOLERANCE = 1e-8
 
 
-def _rule_sum(vals, pt: FramePoint, w: np.ndarray) -> np.ndarray:
-    """Exactly rounded sums of ``vals`` x volume weight x ``w`` over the
-    nodes ``pt`` of one rule: shape () for ``vals`` of shape (n,), (m,)
-    for (m, n).  A geometry that overflows gives an integrand or weighted
-    term that is not finite, which raises :class:`ChartError`."""
+def _rule_sum(vals, pt: FramePoint, w: np.ndarray, rows: int = 1) -> np.ndarray:
+    """Exactly rounded sums of ``vals`` x volume weight x ``w`` over each of
+    ``rows`` rules of equal length laid end to end at the nodes ``pt``:
+    shape (rows,) for ``vals`` of shape (n,), (m, rows) for (m, n).  A
+    geometry that overflows gives an integrand or weighted term that is
+    not finite, which raises :class:`ChartError`."""
     vals = np.asarray(vals, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
-        terms = (vals * pt.chart.volume_weight(pt) * w).reshape(-1, vals.shape[-1])
+        terms = vals * pt.chart.volume_weight(pt) * w
     if not np.all(np.isfinite(terms)):
         raise ChartError("integrand not finite at an interior node")
-    return np.array([math.fsum(r) for r in terms]).reshape(vals.shape[:-1])
+    sums = [math.fsum(r) for r in terms.reshape(-1, vals.shape[-1] // rows)]
+    return np.array(sums).reshape(vals.shape[:-1] + (rows,))
 
 
 def _integral(chart: InvariantChart, f, nodes: int) -> np.ndarray:
     """:func:`_rule_sum` of ``f`` on the chart's rule of ``nodes`` nodes."""
     x, w = chart.quadrature(nodes)
     pt = chart.at(x)
-    return _rule_sum(f(pt), pt, w)
+    return _rule_sum(f(pt), pt, w)[..., 0]
 
 
 def integrate_invariant(chart: InvariantChart, f, nodes: int = DEFAULT_NODES):
@@ -128,13 +131,20 @@ def report_grids(chart: InvariantChart, H, nodes: int = DEFAULT_NODES,
     return Grids(chart, H, grids)
 
 
+def chern_weil_rows(ev: Evaluation, w: np.ndarray, rows: int = 1) -> list:
+    """chi, tau, p1(Lambda+) and the margin 2 chi - 3 |tau| of each of
+    ``rows`` rules of equal length laid end to end in the context ``ev``,
+    with weights ``w``."""
+    sums = _rule_sum(_densities(ev), ev.pt, w, rows)
+    return [{"chi": chi, "tau": tau, "p1_lambda_plus": p1, "margin": 2.0 * chi - 3.0 * abs(tau)}
+            for chi, tau, p1 in sums.T.tolist()]
+
+
 def chern_weil_integrals(grids: Grids, rule="rule") -> dict:
     """chi, tau, p1(Lambda+) and the margin 2 chi - 3 |tau|, integrated in
     one pass on the rule ``grids[rule]``, its context cut here and dropped
     on return."""
-    ev = grids[rule]
-    chi, tau, p1 = _rule_sum(_densities(ev), ev.pt, grids.weights[rule]).tolist()
-    return {"chi": chi, "tau": tau, "p1_lambda_plus": p1, "margin": 2.0 * chi - 3.0 * abs(tau)}
+    return chern_weil_rows(grids[rule], grids.weights[rule])[0]
 
 
 def hitchin_thorpe_report(ev: Evaluation, grids: Grids) -> dict:

@@ -19,8 +19,9 @@ correspondence the round trip below exercises.
 Every check here reads its geometry from an evaluation context
 (:class:`skewtorsion.evaluation.Evaluation`): the frame points, the
 Levi-Civita connection and its Ricci tensor and scalar, and for the
-round trip H and both Einstein tensors; it builds only the Weyl
-connection itself, whose ``ConnectionData`` gives its Z and scalar.
+round trip H and the norms of both Einstein tensors
+(``Evaluation.einstein_norm``); it builds only the Weyl connection
+itself, whose ``ConnectionData`` gives its Z and scalar.
 :func:`weyl_connection` takes the 1-form already evaluated at the
 connection's points.
 """

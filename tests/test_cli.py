@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ import skewtorsion
 from skewtorsion import charts, cli
 from skewtorsion.cli import main
 from skewtorsion.connections import identity_suite
+from skewtorsion.decomposition import decompose_point
+from skewtorsion.evaluation import Grids
+from skewtorsion.instanton import gauge_equivalence_probe
+from skewtorsion.topology import chern_weil_integrals
 
 
 def run_cli(*args):
@@ -160,6 +165,11 @@ def test_scan_row_topology_is_the_report_topology(k, grid):
         [top[key].hex() for key in ("chi", "tau", "margin", "p1_lambda_plus")]
 
 
+def _bits(row: dict) -> dict:
+    """A scan row with its floats as hex strings, to compare bit for bit."""
+    return {key: v.hex() if isinstance(v, float) else v for key, v in row.items()}
+
+
 @pytest.mark.parametrize("grid", ["48", "300"])
 @pytest.mark.parametrize("scan, admissible", [
     (("--k-min=-100000", "--k-max=0", "--k-step=100000"), [False, True]),
@@ -170,17 +180,49 @@ def test_scan_rows_are_the_one_row_scans_bitwise(scan, admissible, grid):
     # all its admissible rows; each row has the bits of its k's one-row
     # scan, and a refused row the same reason; at grid 300 a row's 600
     # quadrature nodes span two tiles
-    def bits(rows):
-        return [{key: v.hex() if isinstance(v, float) else v for key, v in row.items()}
-                for row in rows]
-
     code, out, _ = run_cli("scan", *scan, "--grid", grid)
     rows = json.loads(out)["rows"]
     assert code == 0 and [row["admissible"] for row in rows] == admissible
     for row in rows:
         k = row["k"]
         code, out, _ = run_cli("scan", f"--k-min={k!r}", f"--k-max={k!r}", "--grid", grid)
-        assert code == 0 and bits(json.loads(out)["rows"]) == bits([row])
+        assert code == 0 and [_bits(r) for r in json.loads(out)["rows"]] == [_bits(row)]
+
+
+def _own_row(k: float, grid: int) -> dict:
+    """The scan row of k from the package's one-grid functions, on a context
+    of its own chart: the decomposition and the probe on its sample grid,
+    chi, tau and p1 on its rule of 2n nodes."""
+    chart, H = charts.bonneau_chart(k)
+    grids = Grids(chart, H, {"sample": chart.sample_grid(64),
+                             "rule": chart.quadrature(2 * grid)})
+    top = chern_weil_integrals(grids)
+    dec = decompose_point(grids["sample"])
+    probe = gauge_equivalence_probe(grids["sample"])
+    return {"k": k, "admissible": True,
+            "einstein_residual": dec["einstein_residual"],
+            "reconstruction_residual": dec["reconstruction_residual"],
+            "chi": top["chi"], "tau": top["tau"], "margin": top["margin"],
+            "p1_lambda_plus": top["p1_lambda_plus"], "probe_verdict": probe.verdict}
+
+
+@pytest.mark.parametrize("grid", [16, 256, 300])
+def test_scan_block_rows_are_the_one_grid_functions_bitwise(grid):
+    # a block reduces each row's slice of two shared contexts; each row has
+    # the bits of decompose_point, gauge_equivalence_probe and
+    # chern_weil_integrals on contexts of the row's own chart.  Ten
+    # admissible rows put 640 sample points, two tiles, in one context; at
+    # grid 300 a row's 600 quadrature nodes straddle tiles
+    ks = [-1.0, -0.8, -0.5, -1e5, -0.2, 0.0, 0.1, 0.3, 0.5, 0.7, 0.9]
+    rows = cli._scan_block(ks, grid)
+    refused, = [row for row in rows if not row["admissible"]]
+    with pytest.raises(charts.ChartError) as exc:
+        charts.bonneau_chart(-1e5)
+    assert refused == {"k": -1e5, "admissible": False, "reason": str(exc.value)}
+    for row in rows:
+        if row["admissible"]:
+            own = _own_row(row["k"], grid)
+            assert list(row) == list(own) and _bits(row) == _bits(own)
 
 
 def test_long_scan_runs_in_blocks_with_the_same_bytes(monkeypatch):
@@ -275,20 +317,21 @@ def test_console_script_installed():
     assert proc.returncode == 0
 
 
-def test_scan_ignores_skew_threads(monkeypatch):
-    # the scan pool is min(8, CPUs) threads, whatever the environment says
-    argv = ("scan", "--k-min", "0", "--k-max", "0.25", "--k-step", "0.25",
-            "--grid", "16", "--format", "csv")
-    monkeypatch.delenv("SKEW_THREADS", raising=False)
-    unset = run_cli(*argv)
-    monkeypatch.setenv("SKEW_THREADS", "abc")
-    assert run_cli(*argv) == unset
-    assert unset[0] == 0 and len(unset[1].strip().splitlines()) == 3
+def test_scan_starts_no_thread_pool(monkeypatch):
+    # the rows of a block run on the calling thread, one after another
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan built a thread pool or started a thread")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, out, _ = run_cli("scan", "--k-min", "0", "--k-max", "0.25", "--k-step", "0.25",
+                           "--grid", "16", "--format", "csv")
+    assert code == 0 and len(out.strip().splitlines()) == 3
 
 
 @pytest.mark.parametrize("k_step", ["5e-324", "1e-9"])
 def test_scan_row_cap_exits_two_before_any_row(monkeypatch, k_step):
-    def row(k, grid):
+    def row(k, top, sample):
         raise AssertionError("a row was evaluated")
 
     monkeypatch.setattr(cli, "_scan_row", row)
