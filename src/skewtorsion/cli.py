@@ -40,9 +40,9 @@ reconstruction residual's context builds.
 The checks that work point by point run on a grid of more than
 ``evaluation.TILE`` (512) points tile by tile, each tile a context of its
 own cut from the one evaluation of the grids: ``verify`` merges the tiles'
-residuals by max, the probe and the report's quadrature join the tiles'
-per-point arrays before they reduce them.  So the output is that of one
-context on the whole grid, in the memory of one tile.
+residuals by max, and every other check joins the tiles' per-point arrays
+(``Evaluation.per_point``) before it reduces them.  So the output is that
+of one context on the whole grid, in the memory of one tile.
 
 ``scan`` emits k = k_min + i k_step up to ``--k-max``, which a value may
 pass by a few ulps, so that ``--k-max`` written as k_min + m k_step gives
@@ -52,10 +52,10 @@ scan refuses the row.  The grids of the admissible rows are evaluated
 together by one chart over the rows' parameters
 (``charts.bonneau_rows``) and read, tile by tile, as two contexts: one on
 every row's sample grid, one on every row's rule of 2n nodes.  Each row
-then reduces its own slice of their per-point arrays, serially, with the
-bits of contexts of its own.  A scan longer than ``SCAN_BLOCK_NODES``
-nodes (14 rows at ``--grid 256``) does this block by block, so its
-memory does not grow with its length.
+then reduces its own slice ``a[..., s]`` of their per-point arrays,
+serially, with the bits of contexts of its own.  A scan longer than
+``SCAN_BLOCK_NODES`` nodes (14 rows at ``--grid 256``) does this block by
+block, so its memory does not grow with its length.
 
 Floats are emitted with 17 significant digits and reductions use a fixed
 summation order, so identical configurations produce identical bytes.
@@ -89,7 +89,7 @@ from .connections import identity_suite
 from .decomposition import decompose_point, reconstruction_residuals
 from .evaluation import Evaluation, Grids
 from .instanton import (
-    _intertwiner_spectrum, _join_spectra, gauge_equivalence_probe, killing_residual,
+    _intertwiner_spectrum, gauge_equivalence_probe, killing_residual,
     probe_verdict, self_duality_residual, yang_mills_density_check,
 )
 from .jets import DEFAULT_ORDER
@@ -289,17 +289,12 @@ def _scan_block(ks: list, grid: int) -> list:
         split = m * SAMPLE_GRID
         tops = chern_weil_rows(grids.union[split:],
                                np.concatenate([grids.weights[i, "rule"] for i in admitted]), m)
-        sample = grids.union[:split]
-        t_norm, recon, spectra = zip(*[
-            (tile.einstein_norm(), reconstruction_residuals(tile), _intertwiner_spectrum(tile))
-            for tile in sample.tiles()])
-        t_norm, recon = np.concatenate(t_norm), np.concatenate(recon)
-        x, a_val = sample.pt.x, sample.pt.a.value
-        S, v9, omp, omm = _join_spectra(spectra)
+        arrays = grids.union[:split].per_point(lambda tile: (
+            tile.einstein_norm(), reconstruction_residuals(tile), tile.pt.x, tile.pt.a.value,
+            *_intertwiner_spectrum(tile)))
         for j, i in enumerate(admitted):
             s = slice(j * SAMPLE_GRID, (j + 1) * SAMPLE_GRID)
-            rows[i] = _scan_row(ks[i], tops[j], (t_norm[s], recon[s], x[s], a_val[s],
-                                                 S[s], v9[s], omp[..., s], omm[..., s]))
+            rows[i] = _scan_row(ks[i], tops[j], tuple(a[..., s] for a in arrays))
     return [rows[i] for i in range(len(ks))]
 
 

@@ -36,6 +36,8 @@ runs on :meth:`Evaluation.tiles`, consecutive slices of at most ``TILE``
 points, each a fresh context that is dropped before the next is built;
 the slices cut the grid's profile jets and H components.  A context of at
 most ``TILE`` points is its own one tile, and keeps what its checks build.
+Every per-point array keeps the grid axis last, and :meth:`per_point` is
+its one join over the tiles; only ``verify`` merges the tiles' sups.
 
 A command that reads several grids evaluates the chart and the form once
 for all of them (:class:`Grids`): on the concatenation of its grids,
@@ -205,6 +207,15 @@ class Evaluation:
             return
         for start in range(0, n, TILE):
             yield self[start:start + TILE]
+
+    def per_point(self, f):
+        """``f`` of each of :meth:`tiles`, every array it returns (one, or a
+        tuple) joined along its last axis, the grid axis: the arrays of one
+        context on the whole grid, in the memory of one tile."""
+        parts = [f(tile) for tile in self.tiles()]
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
+        return np.concatenate(parts, axis=-1)
 
 
 class Grids:

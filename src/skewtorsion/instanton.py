@@ -25,10 +25,11 @@ the 54x9 system F+(E) G - G F-(E) = 0 over the six 2-form directions E,
 read from the SVD of the system's 9x9 triangular QR factor (the same bytes
 as the SVD of the system itself, see :func:`_intertwiner_spectrum`).  The
 kernel section, continued in x and normalized, is then tested for
-covariant constancy.  The systems and their spectra are built tile by tile
-(:meth:`skewtorsion.evaluation.Evaluation.tiles`); the continuation and
-the test (:func:`probe_verdict`) run on the whole grid, or on each row's
-slice of a scan block's spectra.
+covariant constancy.  The systems and their spectra, the grid axis last
+like every per-point array, are built tile by tile and joined
+(:meth:`skewtorsion.evaluation.Evaluation.per_point`); the continuation
+and the test (:func:`probe_verdict`) run on the whole grid, or on each
+row's slice of a scan block's spectra.
 
 The diagnostics read each +-H connection's blocks, W+, scalar, induced
 connection and residual from its ``ConnectionData`` in an evaluation
@@ -230,9 +231,10 @@ def _align_signs(g: np.ndarray) -> np.ndarray:
 
 
 def _intertwiner_spectrum(ev: Evaluation):
-    """(S, Vt[:, 8], omega+, omega-) of the intertwiner system on a context:
-    the singular values (n, 9), the right singular vector of the smallest
-    one (n, 9) and the induced connection values (4, 3, 3, n) of +-H."""
+    """(S, Vt[:, 8], omega+, omega-) of the intertwiner system on a context,
+    the grid axis last: the singular values (9, n), the right singular
+    vector of the smallest one (9, n) and the induced connection values
+    (4, 3, 3, n) of +-H."""
     ic_p, ic_m = ev.plus.induced, ev.minus.induced
     # F(E_Q) as 3x3 matrices per node: shape (6, 3, 3, n) -> (n, 6, 3, 3)
     Fp = np.einsum("pqm...->...mpq", ic_p.F_sd)
@@ -250,34 +252,28 @@ def _intertwiner_spectrum(ev: Evaluation):
     # the tests' random systems).
     _, S, Vt = np.linalg.svd(np.linalg.qr(L, mode="r"), full_matrices=False)
     # a copy, so the tile's (n, 9, 9) Vt is freed with the tile
-    return S, Vt[:, 8].copy(), ic_p.omega.value, ic_m.omega.value
-
-
-def _join_spectra(spectra) -> tuple:
-    """The (S, Vt[:, 8], omega+, omega-) of :func:`_intertwiner_spectrum`
-    on consecutive batches of points, joined along the points."""
-    S, v9, omp, omm = zip(*spectra)
-    return (np.concatenate(S), np.concatenate(v9),
-            np.concatenate(omp, axis=-1), np.concatenate(omm, axis=-1))
+    return S.T, Vt[:, 8].T.copy(), ic_p.omega.value, ic_m.omega.value
 
 
 def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
     """Probe whether the +H and -H induced connections are gauge equivalent.
 
     Per node, the kernel of F+(E) G = G F-(E) over the six 2-form
-    directions is computed by singular value decomposition, tile by tile;
-    :func:`probe_verdict` then reads the joined spectrum on the whole grid.
+    directions is computed by singular value decomposition, tile by tile
+    (:meth:`Evaluation.per_point`); :func:`probe_verdict` then reads the
+    joined spectrum on the whole grid.
     """
-    return probe_verdict(ev.pt.x, ev.pt.a.value,
-                         *_join_spectra(_intertwiner_spectrum(tile) for tile in ev.tiles()))
+    return probe_verdict(ev.pt.x, ev.pt.a.value, *ev.per_point(_intertwiner_spectrum))
 
 
 def probe_verdict(x, a_val, S, v9, omp, omm) -> GaugeProbeReport:
     """The probe's report on one grid of nodes ``x``, with radial profile
     values ``a_val``, from the spectrum (S, Vt[:, 8], omega+, omega-) of
-    its nodes: a one-dimensional kernel is continued in x and tested for
-    covariant constancy under the product connection."""
+    its nodes, the grid axis last: a one-dimensional kernel is continued in
+    x and tested for covariant constancy under the product connection."""
     n = len(x)
+    # nodes first, the kernel vector contiguous: its norm sums as one context's
+    S, v9 = S.T, np.ascontiguousarray(v9.T)
     sigma_max = S[:, 0]
     threshold_rel = 1e-7
     # when the curvature cancels identically, sigma_max itself is rounding

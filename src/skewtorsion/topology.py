@@ -16,11 +16,10 @@ computed independently from the induced so(3) curvature.
 
 :func:`chern_weil_rows` is the one route to chi, tau, p1 and the margin
 2 chi - 3 |tau|: it integrates the three densities in one pass on one
-context of Gauss-Legendre rules laid end to end, read tile by tile
-(:meth:`skewtorsion.evaluation.Evaluation.tiles`), each tile dropped
-before the next is built, the tiles' densities joined before each rule's
-exactly rounded sums; :func:`chern_weil_integrals` is its form on one
-rule.  :func:`hitchin_thorpe_report` builds the ``topology``
+context of Gauss-Legendre rules laid end to end, read tile by tile and
+joined (:meth:`skewtorsion.evaluation.Evaluation.per_point`) before each
+rule's exactly rounded sums; :func:`chern_weil_integrals` is its form on
+one rule.  :func:`hitchin_thorpe_report` builds the ``topology``
 block of ``report`` on it: the values on the rule of 2n nodes, their
 error estimates against the rule of n nodes, and the minimum p1 integrand
 on the n-point sample grid.  Both read their grids from the caller's
@@ -109,12 +108,6 @@ def pontryagin_density(ev: Evaluation) -> np.ndarray:
     return (plus - minus) / (4.0 * math.pi ** 2)
 
 
-def _densities(ev: Evaluation) -> np.ndarray:
-    """(3, n): the euler, signature and p1 densities, the tiles' joined."""
-    return np.concatenate([(*curvature_integrands(tile), pontryagin_density(tile))
-                           for tile in ev.tiles()], axis=-1)
-
-
 def report_grids(chart: InvariantChart, H, nodes: int = DEFAULT_NODES,
                  check: int | None = None) -> Grids:
     """The grids of a constraint report, in one evaluation: ``sample``, the
@@ -135,7 +128,8 @@ def chern_weil_rows(ev: Evaluation, w: np.ndarray, rows: int = 1) -> list:
     """chi, tau, p1(Lambda+) and the margin 2 chi - 3 |tau| of each of
     ``rows`` rules of equal length laid end to end in the context ``ev``,
     with weights ``w``."""
-    sums = _rule_sum(_densities(ev), ev.pt, w, rows)
+    sums = _rule_sum(ev.per_point(lambda t: (*curvature_integrands(t), pontryagin_density(t))),
+                     ev.pt, w, rows)
     return [{"chi": chi, "tau": tau, "p1_lambda_plus": p1, "margin": 2.0 * chi - 3.0 * abs(tau)}
             for chi, tau, p1 in sums.T.tolist()]
 
@@ -164,8 +158,7 @@ def hitchin_thorpe_report(ev: Evaluation, grids: Grids) -> dict:
     e_res = einstein_residual(ev)
     coarse = chern_weil_integrals(grids, "coarse")
     # minimum of the p1 integrand (scaled by 4 pi^2) on the sample grid
-    p1_sample = np.concatenate([pontryagin_density(tile)
-                                for tile in grids["p1_sample"].tiles()])
+    p1_sample = grids["p1_sample"].per_point(pontryagin_density)
     return {
         **top,
         "satisfied": bool(top["margin"] >= -TOLERANCE),

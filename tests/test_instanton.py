@@ -306,8 +306,9 @@ def test_spectrum_from_the_triangular_factor_is_the_direct_svd_bitwise(seed, n, 
     Fp_sd, Fm_sd = _scaled_curvatures(rng, n, exponents)
     S, v9, *_ = _intertwiner_spectrum(_spectrum_context(Fp_sd, Fm_sd))
     S_ref, v9_ref = _direct_spectrum(Fp_sd, Fm_sd)
-    assert S.tobytes() == S_ref.tobytes()
-    assert v9.tobytes() == v9_ref.tobytes()
+    assert S.shape == v9.shape == (9, n)
+    assert S.tobytes() == S_ref.T.tobytes()
+    assert v9.tobytes() == v9_ref.T.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -328,17 +329,26 @@ def test_spectrum_out_of_the_unscaled_range_agrees_to_rounding(seed, n, exponent
     S, *_ = _intertwiner_spectrum(_spectrum_context(Fp_sd, Fm_sd))
     S_ref, _ = _direct_spectrum(Fp_sd, Fm_sd)
     eps = np.finfo(float).eps
-    assert np.all(np.abs(S - S_ref) <= 32.0 * eps * S_ref[:, :1])
+    assert S.shape == (9, n)
+    assert np.all(np.abs(S.T - S_ref) <= 32.0 * eps * S_ref[:, :1])
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory of ``a``."""
+    while a.base is not None:
+        a = a.base
+    return a
 
 
 def test_spectrum_arrays_own_their_data():
-    # a view would keep each tile's (n, 9, 9) right factor alive until the
-    # tiles are joined
+    # a view of the (n, 9, 9) right factor would keep each tile's factor
+    # alive until the tiles are joined: no array returned holds more
+    # memory than its own
     chart, H = bonneau_chart(0.3)
     S, v9, *_ = _intertwiner_spectrum(Evaluation.on_grid(chart, H, 64))
-    assert S.shape == v9.shape == (64, 9)
-    assert S.base is None
-    assert v9.base is None
+    assert S.shape == v9.shape == (9, 64)
+    assert _owner(S).nbytes == S.nbytes
+    assert _owner(v9).nbytes == v9.nbytes
 
 
 @pytest.mark.parametrize("descriptor", [

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewtorsion import cli
-from skewtorsion.charts import bonneau_chart
+from skewtorsion.charts import bonneau_chart, chart_and_torsion
+from skewtorsion.decomposition import einstein_tensor_point
 from skewtorsion.evaluation import Evaluation, Grids
 from skewtorsion.instanton import gauge_equivalence_probe
 from skewtorsion.topology import chern_weil_integrals
@@ -22,8 +23,17 @@ KS = [-1.0, 0.0, 0.3]
 INTEGRALS = ("chi", "tau", "p1_lambda_plus")
 
 
+def _against(a, b, scale):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(scale)))
+
+
 def _relative(a, b):
-    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+    return _against(a, b, b)
+
+
+def _einstein(ev):
+    """The Einstein tensors of the connections with torsion +H and -H."""
+    return einstein_tensor_point(ev, +1), einstein_tensor_point(ev, -1)
 
 
 def _integrals(chart, H, nodes=128):
@@ -37,14 +47,33 @@ def _integrals(chart, H, nodes=128):
 @example(k=0.0, log_lam=-3.0)
 @example(k=0.0, log_lam=3.0)
 def test_homothety_scales_the_curvature_and_keeps_the_integrals(k, log_lam):
-    # frame components of R scale by 1/lam^2; chi, tau and p1 do not move
+    # frame components of R, W+- and the Einstein tensors scale by 1/lam^2;
+    # chi, tau and p1 do not move
     lam = 10.0 ** log_lam
     chart, H = bonneau_chart(k)
     lam_chart, lam_H = scaled(chart, H, lam)
-    R = Evaluation.on_grid(chart, H, 64).plus.R
-    R_lam = Evaluation.on_grid(lam_chart, lam_H, 64).plus.R
-    assert _relative(lam ** 2 * R_lam, R) <= 1e-12
+    ev, ev_lam = Evaluation.on_grid(chart, H, 64), Evaluation.on_grid(lam_chart, lam_H, 64)
+    R = ev.plus.R
+    assert _relative(lam ** 2 * ev_lam.plus.R, R) <= 1e-12
+    for W_lam, W in zip(ev_lam.riemann.W, ev.riemann.W):
+        assert _relative(lam ** 2 * W_lam, W) <= 1e-12
+    # the Einstein tensors vanish on Bonneau, so they are measured against R
+    for T_lam, T in zip(_einstein(ev_lam), _einstein(ev)):
+        assert _against(lam ** 2 * T_lam, T, R) <= 1e-12
     assert np.max(np.abs(_integrals(lam_chart, lam_H) - _integrals(chart, H))) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 16), st.floats(-3.0, 3.0))
+def test_homothety_scales_the_einstein_tensor_of_a_random_chart(seed, log_lam):
+    # away from Bonneau the Einstein tensors do not vanish: each scales by
+    # 1/lam^2 against itself
+    lam = 10.0 ** log_lam
+    chart, H = chart_and_torsion({"type": "random", "params": {"seed": seed}})
+    ev = Evaluation.on_grid(chart, H, 64)
+    ev_lam = Evaluation.on_grid(*scaled(chart, H, lam), 64)
+    for T_lam, T in zip(_einstein(ev_lam), _einstein(ev)):
+        assert _relative(lam ** 2 * T_lam, T) <= 1e-12
 
 
 @settings(max_examples=10, deadline=None)
@@ -58,8 +87,13 @@ def test_reparametrization_keeps_the_curvature_and_the_integrals(k, s):
     new_chart, new_H = reparametrized(chart, H, s)
     y = new_chart.sample_grid(64)
     x, _ = reparametrization(k, s, y)
-    R = Evaluation(chart.at(x), H).plus.R
-    assert _relative(Evaluation(new_chart.at(y), new_H).plus.R, R) <= 1e-12
+    ev, ev_new = Evaluation(chart.at(x), H), Evaluation(new_chart.at(y), new_H)
+    R = ev.plus.R
+    assert _relative(ev_new.plus.R, R) <= 1e-12
+    # W+- and the Einstein tensors against R: at k = -1, where max |W+| is
+    # a quarter of max |R|, W+ against itself reads up to 1.2e-12
+    for new, old in zip((*ev_new.riemann.W, *_einstein(ev_new)), (*ev.riemann.W, *_einstein(ev))):
+        assert _against(new, old, R) <= 1e-12
     assert np.max(np.abs(_integrals(new_chart, new_H) - _integrals(chart, H))) <= 1e-12
 
 

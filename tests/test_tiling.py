@@ -10,10 +10,12 @@ import pytest
 
 from skewtorsion import charts, cli, evaluation
 from skewtorsion.connections import identity_suite
-from skewtorsion.decomposition import decompose_point
+from skewtorsion.decomposition import decompose_point, reconstruction_residuals
 from skewtorsion.evaluation import Evaluation
-from skewtorsion.instanton import gauge_equivalence_probe
-from skewtorsion.topology import hitchin_thorpe_report, report_grids
+from skewtorsion.instanton import _intertwiner_spectrum, gauge_equivalence_probe
+from skewtorsion.topology import (
+    curvature_integrands, hitchin_thorpe_report, pontryagin_density, report_grids,
+)
 
 GRID = 1100  # tiles of 512, 512 and 76 points
 
@@ -77,6 +79,27 @@ def test_verify_keeps_a_key_only_if_every_tile_reports_it(monkeypatch):
     res = cli._verify_residuals(_context("flat"))
     assert seen == [512, 512, 76]
     assert res == {"bianchi": 3.0, "reconstruction": 0.5, "block_isometry": 0.5}
+
+
+def _per_point_arrays(ev):
+    """Every per-point array a command joins over tiles."""
+    return (ev.einstein_norm(), reconstruction_residuals(ev),
+            *_intertwiner_spectrum(ev), *curvature_integrands(ev), pontryagin_density(ev))
+
+
+@pytest.mark.parametrize("name", list(CHARTS))
+def test_per_point_arrays_are_those_of_one_context(name):
+    tiled = _context(name).per_point(_per_point_arrays)
+    whole = _per_point_arrays(_context(name))
+    assert len(tiled) == len(whole) == 9
+    for got, want in zip(tiled, whole):
+        assert got.shape == want.shape and want.shape[-1] == GRID
+        assert got.tobytes() == want.tobytes()
+    # one array returned is one array joined, over the tiles
+    seen = []
+    got = _context(name).per_point(lambda t: seen.append(t.pt.npoints) or pontryagin_density(t))
+    assert seen == [512, 512, 76]
+    assert got.tobytes() == pontryagin_density(_context(name)).tobytes()
 
 
 @pytest.mark.parametrize("name", list(CHARTS))
