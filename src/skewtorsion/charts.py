@@ -237,8 +237,10 @@ class FramePoint:
         return jets.einsum("i,...->i...", _RADIAL, self.e1(f))
 
     @cached_property
-    def _structure(self) -> Jet:
-        # the brackets carry the profiles' derivatives, so one order less
+    def structure(self) -> Jet:
+        """C with [e_i, e_j] = sum_k C[i, j, k] e_k, one jet of shape
+        (4, 4, 4, n): the brackets carry the profiles' derivatives, so one
+        order less."""
         db, dc = self.b.derivative(), self.c.derivative()
         a, b, c = (jets.truncate(p, db.order) for p in (self.a, self.b, self.c))
         with np.errstate(all="ignore"):
@@ -249,14 +251,10 @@ class FramePoint:
             raise ChartError("frame brackets not finite at a node")
         return _BRACKETS[len(f)](_stack(f))
 
-    def structure_functions(self) -> Jet:
-        """C with [e_i, e_j] = sum_k C[i, j, k] e_k, one jet of shape (4, 4, 4, n)."""
-        return self._structure
-
     @cached_property
     def brackets(self) -> np.ndarray:
-        """Values of :meth:`structure_functions`, read-only, shape (4, 4, 4, n)."""
-        out = self._structure.value
+        """Values of :attr:`structure`, read-only, shape (4, 4, 4, n)."""
+        out = self.structure.value
         out.flags.writeable = False
         return out
 
@@ -264,7 +262,7 @@ class FramePoint:
         """Sup norm of the frame Jacobi identity over the batch: the cyclic
         sum over (p, q, r) of e_p(C_qrm) + C_qrl C_plm, per increasing
         triple."""
-        C = self.structure_functions()
+        C = self.structure
         # of the frame derivatives e_p only e1 acts
         J = np.einsum("tqr,qrm...->tm...", _CYCLIC[:, 0], self.e1(C).value)
         J += np.einsum("tpl...,plm...->tm...",

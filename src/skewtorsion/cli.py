@@ -37,9 +37,9 @@ evaluates neither the n nodes nor the p1 sample grid, and reads its
 Einstein residual from the per-point Einstein norm that its
 reconstruction residual's context builds.
 
-The checks that work point by point run on a grid of more than
-``evaluation.TILE`` (512) points tile by tile, each tile a context of its
-own cut from the one evaluation of the grids: ``verify`` merges the tiles'
+The checks that work point by point run tile by tile, on slices of at
+most ``evaluation.TILE`` (512) points, each tile a context of its own cut
+from the one evaluation of the grids: ``verify`` merges the tiles'
 residuals by max, and every other check joins the tiles' per-point arrays
 (``Evaluation.per_point``) before it reduces them.  So the output is that
 of one context on the whole grid, in the memory of one tile.
@@ -53,7 +53,9 @@ together by one chart over the rows' parameters
 (``charts.bonneau_rows``) and read, tile by tile, as two contexts: one on
 every row's sample grid, one on every row's rule of 2n nodes.  Each row
 then reduces its own slice ``a[..., s]`` of their per-point arrays,
-serially, with the bits of contexts of its own.  A scan longer than
+serially, with the bits of contexts of its own; its probe verdict reads
+the row's points, cut from the sample context (``FramePoint.__getitem__``),
+with its slice of the probe spectrum.  A scan longer than
 ``SCAN_BLOCK_NODES`` nodes (14 rows at ``--grid 256``) does this block by
 block, so its memory does not grow with its length.
 
@@ -84,7 +86,7 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 import numpy as np
 
 from . import __version__, charts
-from .charts import ChartError
+from .charts import ChartError, FramePoint
 from .connections import identity_suite
 from .decomposition import decompose_point, reconstruction_residuals
 from .evaluation import Evaluation, Grids
@@ -242,7 +244,7 @@ def cmd_report(args) -> int:
                          "sample": ev64.pt.npoints, "check": ev.pt.npoints}, chart,
         topology=top,
         decomposition=decompose_point(ev),
-        yang_mills={k: v for k, v in yang_mills_density_check(ev).items() if k != "density"},
+        yang_mills=yang_mills_density_check(ev),
         self_duality={"plus": self_duality_residual(ev.plus.induced),
                       "minus": self_duality_residual(ev.minus.induced)},
         killing=killing_residual(ev),
@@ -251,11 +253,11 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _scan_row(k: float, top: dict, sample: tuple) -> dict:
-    """The row of an admissible k, from its chi, tau, p1 and margin ``top``
-    and its slice ``sample`` of the block's per-point Einstein norm and
-    reconstruction residual and of the arguments of :func:`probe_verdict`."""
-    t_norm, recon, *probe = sample
+def _scan_row(k: float, top: dict, pt: FramePoint, sample: tuple) -> dict:
+    """The row of an admissible k, from its chi, tau, p1 and margin ``top``,
+    its sample grid's points ``pt`` and its slice ``sample`` of the block's
+    per-point Einstein norm, reconstruction residual and probe spectrum."""
+    t_norm, recon, *spectrum = sample
     return {
         "k": k,
         "admissible": True,
@@ -265,7 +267,7 @@ def _scan_row(k: float, top: dict, sample: tuple) -> dict:
         "tau": top["tau"],
         "margin": top["margin"],
         "p1_lambda_plus": top["p1_lambda_plus"],
-        "probe_verdict": probe_verdict(*probe).verdict,
+        "probe_verdict": probe_verdict(pt, *spectrum).verdict,
     }
 
 
@@ -289,12 +291,12 @@ def _scan_block(ks: list, grid: int) -> list:
         split = m * SAMPLE_GRID
         tops = chern_weil_rows(grids.union[split:],
                                np.concatenate([grids.weights[i, "rule"] for i in admitted]), m)
-        arrays = grids.union[:split].per_point(lambda tile: (
-            tile.einstein_norm(), reconstruction_residuals(tile), tile.pt.x, tile.pt.a.value,
-            *_intertwiner_spectrum(tile)))
+        sample = grids.union[:split]
+        arrays = sample.per_point(lambda tile: (
+            tile.einstein_norm(), reconstruction_residuals(tile), *_intertwiner_spectrum(tile)))
         for j, i in enumerate(admitted):
             s = slice(j * SAMPLE_GRID, (j + 1) * SAMPLE_GRID)
-            rows[i] = _scan_row(ks[i], tops[j], tuple(a[..., s] for a in arrays))
+            rows[i] = _scan_row(ks[i], tops[j], sample.pt[s], tuple(a[..., s] for a in arrays))
     return [rows[i] for i in range(len(ks))]
 
 

@@ -108,7 +108,7 @@ class AffineConnection:
         """Torsion lowered to a 3-form: T(e_i,e_j,e_k) = g(T(e_i,e_j), e_k),
         values only (an order-0 jet)."""
         G = jets.truncate(self.gamma, 0)
-        C = jets.truncate(self.pt.structure_functions(), 0)
+        C = jets.truncate(self.pt.structure, 0)
         T = G - jets.einsum("jik...->ijk...", G) - C
         return KForm(3, T.map(lambda c: c[_TRIPLES]))
 
@@ -133,7 +133,7 @@ def full_components(form: KForm, pt: FramePoint) -> np.ndarray:
 
 def levi_civita(pt: FramePoint) -> AffineConnection:
     """Torsion-free metric connection from the frame Koszul formula."""
-    C = pt.structure_functions()
+    C = pt.structure
     gamma = 0.5 * (C - jets.einsum("jki...->ijk...", C) + jets.einsum("kij...->ijk...", C))
     return AffineConnection(pt, gamma, metric_compatible=True)
 
@@ -231,7 +231,7 @@ def d_form(pt: FramePoint, form: KForm) -> KForm:
     deriv, bracket = _D_SIGNS[k]
     w = form.comps
     dw = deriv(pt.e1(w))  # an order-0 form raises here
-    C = jets.truncate(pt.structure_functions(), dw.order)
+    C = jets.truncate(pt.structure, dw.order)
     out = jets.einsum("qp...,p...->q...", bracket(C), jets.truncate(w, C.order))
     return KForm(k + 1, out + dw)
 

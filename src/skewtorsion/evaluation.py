@@ -34,10 +34,11 @@ A context keeps what it has built until it is dropped: about 19 kB per
 point once every object is built.  So a check that works point by point
 runs on :meth:`Evaluation.tiles`, consecutive slices of at most ``TILE``
 points, each a fresh context that is dropped before the next is built;
-the slices cut the grid's profile jets and H components.  A context of at
-most ``TILE`` points is its own one tile, and keeps what its checks build.
-Every per-point array keeps the grid axis last, and :meth:`per_point` is
-its one join over the tiles; only ``verify`` merges the tiles' sups.
+the slices cut the grid's profile jets and H components.  A grid of at
+most ``TILE`` points is one such tile, so a tiled check builds nothing on
+the caller's context.  Every per-point array keeps the grid axis last,
+and :meth:`per_point` is its one join over the tiles; only ``verify``
+merges the tiles' sups.
 
 A command that reads several grids evaluates the chart and the form once
 for all of them (:class:`Grids`): on the concatenation of its grids,
@@ -199,13 +200,8 @@ class Evaluation:
 
     def tiles(self):
         """Consecutive contexts on slices of at most ``TILE`` points, each
-        built when asked for; a context of at most ``TILE`` points yields
-        itself."""
-        n = self.pt.npoints
-        if n <= TILE:
-            yield self
-            return
-        for start in range(0, n, TILE):
+        cut when asked for."""
+        for start in range(0, self.pt.npoints, TILE):
             yield self[start:start + TILE]
 
     def per_point(self, f):

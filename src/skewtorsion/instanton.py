@@ -28,8 +28,9 @@ kernel section, continued in x and normalized, is then tested for
 covariant constancy.  The systems and their spectra, the grid axis last
 like every per-point array, are built tile by tile and joined
 (:meth:`skewtorsion.evaluation.Evaluation.per_point`); the continuation
-and the test (:func:`probe_verdict`) run on the whole grid, or on each
-row's slice of a scan block's spectra.
+and the test (:func:`probe_verdict`) read the grid's points themselves,
+with the joined spectra: the whole grid's, or in a scan each row's points
+(``FramePoint.__getitem__``) with that row's slice of the block's spectra.
 
 The diagnostics read each +-H connection's blocks, W+, scalar, induced
 connection and residual from its ``ConnectionData`` in an evaluation
@@ -84,10 +85,6 @@ class InducedConnection:
                 / LAMBDA_PLUS_CURVATURE_SCALE)
         return cls(pt=pt, omega=omega, F_sd=F_sd, rows=rows)
 
-    def curvature_2forms(self) -> np.ndarray:
-        """F^s as 2-forms in the +- basis, shape (3, 6, n) (true scale)."""
-        return LAMBDA_PLUS_CURVATURE_SCALE * self.rows
-
 
 # D_i E_q+ = sum_p omega[i, p, q] E_p+ with omega[i, p, q] = Gamma_ixy K[p, q, x, y]:
 # the connection acts on the 2-form E_q+ as a derivation, paired with E_p+,
@@ -133,10 +130,10 @@ def yang_mills_density_check(ev: Evaluation) -> dict:
     """Pointwise Yang-Mills density identities for the +-H instanton pair.
 
     Returns sup norms of (i) density(+H) - density(-H) and (ii) each
-    density against |W+|^2 + |s Id/12|^2 + |(d*H)+/2|^2, plus the densities
-    themselves.  The identities are exact when the data is Einstein with
-    closed torsion; the caller sees the residuals either way.  The last
-    term is even in H, so both signs take it from the exterior data of H.
+    density against |W+|^2 + |s Id/12|^2 + |(d*H)+/2|^2.  The identities
+    are exact when the data is Einstein with closed torsion; the caller
+    sees the residuals either way.  The last term is even in H, so both
+    signs take it from the exterior data of H.
     """
     phi_p = F.components_in_sd_basis(ev.ext.dstar_H)[:3]
     out = {}
@@ -151,7 +148,6 @@ def yang_mills_density_check(ev: Evaluation) -> dict:
                    + 0.25 * np.einsum("r...,r...->...", phi_p, phi_p))
         out[f"formula_residual_{tag}"] = float(np.max(np.abs(dens[tag] - formula)))
     out["pair_residual"] = float(np.max(np.abs(dens["plus"] - dens["minus"])))
-    out["density"] = dens["plus"]
     return out
 
 
@@ -174,7 +170,7 @@ class GaugeProbeReport:
     x: np.ndarray
     kernel_dims: np.ndarray
     singular_values: np.ndarray   # (n, 9)
-    gaps: np.ndarray              # sigma_8 / sigma_9 per node
+    min_gap: float                # min over nodes of sigma_8 / sigma_9
     threshold: float
     sup_nabla_g: float
     inf_nabla_g_mid: float
@@ -187,7 +183,7 @@ class GaugeProbeReport:
             "verdict": self.verdict,
             "kernel_dim_mode": int(np.bincount(self.kernel_dims).argmax()),
             "kernel_dim_one_fraction": float(np.mean(self.kernel_dims == 1)),
-            "min_gap": float(np.min(self.gaps)),
+            "min_gap": self.min_gap,
             "threshold": self.threshold,
             "sup_nabla_g": self.sup_nabla_g,
             "inf_nabla_g_mid": self.inf_nabla_g_mid,
@@ -263,26 +259,28 @@ def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
     (:meth:`Evaluation.per_point`); :func:`probe_verdict` then reads the
     joined spectrum on the whole grid.
     """
-    return probe_verdict(ev.pt.x, ev.pt.a.value, *ev.per_point(_intertwiner_spectrum))
+    return probe_verdict(ev.pt, *ev.per_point(_intertwiner_spectrum))
 
 
-def probe_verdict(x, a_val, S, v9, omp, omm) -> GaugeProbeReport:
-    """The probe's report on one grid of nodes ``x``, with radial profile
-    values ``a_val``, from the spectrum (S, Vt[:, 8], omega+, omega-) of
-    its nodes, the grid axis last: a one-dimensional kernel is continued in
-    x and tested for covariant constancy under the product connection."""
-    n = len(x)
+def probe_verdict(pt: FramePoint, S, v9, omega_plus, omega_minus) -> GaugeProbeReport:
+    """The probe's report on the grid of points ``pt``, from the spectrum
+    (S, Vt[:, 8], omega+, omega-) of its nodes, the grid axis last: a
+    one-dimensional kernel is continued in x and tested for covariant
+    constancy under the product connection, whose radial direction reads
+    the profile a of ``pt``."""
+    x, n = pt.x, pt.npoints
     # nodes first, the kernel vector contiguous: its norm sums as one context's
     S, v9 = S.T, np.ascontiguousarray(v9.T)
     sigma_max = S[:, 0]
     threshold_rel = 1e-7
     # when the curvature cancels identically, sigma_max itself is rounding
     # noise; the squared connection-coefficient scale supplies the floor
-    om_scale = max(float(np.max(np.abs(omp))), float(np.max(np.abs(omm)))) ** 2
+    om_scale = max(float(np.max(np.abs(omega_plus))), float(np.max(np.abs(omega_minus)))) ** 2
     tau = threshold_rel * np.maximum(sigma_max, max(om_scale, 1e-300))
     kdims = np.sum(S <= tau[:, None], axis=1)
     with np.errstate(divide="ignore"):
-        gaps = np.where(S[:, 8] > 0, S[:, 7] / np.maximum(S[:, 8], 1e-300), np.inf)
+        min_gap = float(np.min(np.where(S[:, 8] > 0, S[:, 7] / np.maximum(S[:, 8], 1e-300),
+                                        np.inf)))
 
     thr = 10.0 * threshold_rel * float(np.median(sigma_max))
 
@@ -302,11 +300,11 @@ def probe_verdict(x, a_val, S, v9, omp, omm) -> GaugeProbeReport:
         gp = np.gradient(g, x, axis=0)
         ng2 = np.zeros(n)
         for i in range(4):
-            wp = np.moveaxis(omp[i], -1, 0)
-            wm = np.moveaxis(omm[i], -1, 0)
+            wp = np.moveaxis(omega_plus[i], -1, 0)
+            wm = np.moveaxis(omega_minus[i], -1, 0)
             di = wp @ g - g @ wm
             if i == 0:
-                di = di + gp / a_val[:, None, None]
+                di = di + gp / pt.a.value[:, None, None]
             ng2 += np.einsum("npq,npq->n", di, di)
         ng = np.sqrt(ng2)
         sup_ng = float(np.max(ng))
@@ -323,7 +321,7 @@ def probe_verdict(x, a_val, S, v9, omp, omm) -> GaugeProbeReport:
         notes = f"kernel dimension not constant: fractions dim1={frac1:.2f}, dim9={frac9:.2f}"
 
     return GaugeProbeReport(
-        x=x, kernel_dims=kdims, singular_values=S, gaps=gaps, threshold=thr,
+        x=x, kernel_dims=kdims, singular_values=S, min_gap=min_gap, threshold=thr,
         sup_nabla_g=float(sup_ng), inf_nabla_g_mid=float(inf_mid),
         verdict=verdict, notes=notes, section=section,
     )

@@ -40,6 +40,7 @@ from .charts import ChartError, FramePoint, InvariantChart
 from .connections import _fro
 from .decomposition import einstein_residual
 from .evaluation import Evaluation, Grids
+from .instanton import LAMBDA_PLUS_CURVATURE_SCALE
 
 __all__ = [
     "integrate_invariant", "chern_weil_integrals", "chern_weil_rows", "hitchin_thorpe_report",
@@ -102,7 +103,7 @@ def curvature_integrands(ev: Evaluation):
 
 def pontryagin_density(ev: Evaluation) -> np.ndarray:
     """Chern-Weil density of p1(Lambda+) from the induced curvature of +H."""
-    Fq = ev.plus.induced.curvature_2forms()          # (3, 6, n), true curvature scale
+    Fq = LAMBDA_PLUS_CURVATURE_SCALE * ev.plus.induced.rows  # (3, 6, n), true curvature scale
     plus = np.einsum("sr...,sr...->...", Fq[:, :3], Fq[:, :3])
     minus = np.einsum("sr...,sr...->...", Fq[:, 3:], Fq[:, 3:])
     return (plus - minus) / (4.0 * math.pi ** 2)

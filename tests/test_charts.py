@@ -22,7 +22,7 @@ def _cval(c, pt):
 
 def test_flat_torus_brackets_vanish():
     pt = flat_torus_chart().at(np.array([0.2, 0.8]))
-    cs = pt.structure_functions().value
+    cs = pt.structure.value
     for i in range(4):
         for j in range(4):
             for k in range(4):
@@ -31,7 +31,7 @@ def test_flat_torus_brackets_vanish():
 
 def test_product_chart_orbit_brackets_are_cyclic():
     pt = product_chart(1.0, 1.0).at(np.array([0.3]))
-    cs = pt.structure_functions().value
+    cs = pt.structure.value
     assert _cval(cs[2][3][1], pt)[0] == pytest.approx(-1.0)   # c^2_34
     assert _cval(cs[1][2][3], pt)[0] == pytest.approx(-1.0)   # c^4_23
     assert _cval(cs[1][3][2], pt)[0] == pytest.approx(1.0)    # c^3_24 (= -c^3_42)
@@ -45,7 +45,7 @@ def test_bonneau_radial_bracket_matches_profile_derivative():
     chart, _ = bonneau_chart(0.0)
     x = np.array([-1.3, -0.4])
     pt = chart.at(x)
-    cs = pt.structure_functions().value
+    cs = pt.structure.value
     a = pt.a.value
     b = pt.b.value
     db = pt.b.d1

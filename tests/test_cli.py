@@ -331,7 +331,7 @@ def test_scan_starts_no_thread_pool(monkeypatch):
 
 @pytest.mark.parametrize("k_step", ["5e-324", "1e-9"])
 def test_scan_row_cap_exits_two_before_any_row(monkeypatch, k_step):
-    def row(k, top, sample):
+    def row(k, top, pt, sample):
         raise AssertionError("a row was evaluated")
 
     monkeypatch.setattr(cli, "_scan_row", row)

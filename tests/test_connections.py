@@ -31,7 +31,7 @@ def test_levi_civita_biinvariant_half_bracket():
     lc = levi_civita(pt)
     # g(D_{e2} e3, e4) = -1/2 on the unit-profile orbit
     assert _val(lc.gamma.value[1][2][3], pt)[0] == pytest.approx(-0.5)
-    cs = pt.structure_functions().value
+    cs = pt.structure.value
     for i in range(1, 4):
         for j in range(1, 4):
             for k in range(1, 4):
@@ -276,7 +276,7 @@ def test_tensors_are_single_jets():
     chart = random_chart(4)
     pt = chart.at(chart.sample_grid(8))
     lc = levi_civita(pt)
-    for t, shape in ((pt.structure_functions(), (4, 4, 4, 8)), (lc.gamma, (4, 4, 4, 8)),
+    for t, shape in ((pt.structure, (4, 4, 4, 8)), (lc.gamma, (4, 4, 4, 8)),
                      (random_torsion(4).at(pt).comps, (4, 8))):
         assert isinstance(t, jets.Jet)
         assert t.value.shape == shape

@@ -43,7 +43,7 @@ def _cyclic(T):
 def _torsion_values(conn: AffineConnection):
     """The torsion 3-form of a connection on its full-order coefficients."""
     G = conn.gamma
-    T = G - jets.einsum("jik...->ijk...", G) - conn.pt.structure_functions()
+    T = G - jets.einsum("jik...->ijk...", G) - conn.pt.structure
     return T.value[_TRIPLES]
 
 

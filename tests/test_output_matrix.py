@@ -1,17 +1,25 @@
-"""The output-matrix tool that byte-identity comparisons between commits rest on.
+"""The output-matrix tool that byte-identity comparisons between commits
+rest on, and the matrix's recorded digests.
 
 ``tools/output_matrix.py`` is read and executed here, as a module loaded
 by path; everything it writes goes to ``tmp_path``.
+``output_matrix.sha256`` holds the SHA-256 of every file the tool writes,
+in ``sha256sum`` format, after two header lines naming the numpy version
+and the platform they were recorded on; README says how to record them.
 """
 
+import hashlib
 import json
 import pathlib
+import platform
 import sys
 import types
 
+import numpy as np
 import pytest
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "output_matrix.py"
+DIGESTS = pathlib.Path(__file__).with_name("output_matrix.sha256")
 
 
 @pytest.fixture
@@ -85,3 +93,21 @@ def test_a_run_writes_out_err_and_code_per_command(tool, tmp_path, monkeypatch):
     assert "grid" in read["bad_grid.err"]
     assert read["verify_flat.out"] == tool.run(commands[0][1])[0]
     assert read["moduli.out"] == "x,R\n"
+
+
+def test_every_output_matrix_file_has_its_recorded_digest(tool, tmp_path):
+    head, recorded = {}, {}
+    for line in DIGESTS.read_text().splitlines():
+        if line.startswith("# "):
+            key, value = line[2:].split(" ", 1)
+            head[key] = value
+        else:
+            digest, name = line.split("  ", 1)
+            recorded[name] = digest
+    here = {"numpy": np.__version__, "platform": f"{sys.platform}-{platform.machine()}"}
+    if head != here:
+        pytest.skip(f"digests recorded on {head}, this is {here}")
+    assert len(recorded) == 244
+    tool.main([str(tmp_path)])
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert sorted(n for n in recorded.keys() | got.keys() if got.get(n) != recorded.get(n)) == []

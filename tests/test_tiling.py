@@ -38,9 +38,11 @@ def _bits(d: dict):
 
 def test_tiles_cut_the_grid_without_evaluating_it_again(monkeypatch):
     ev = _context("bonneau")
-    # a context of at most TILE points is its own one tile
+    # a grid of at most TILE points is one tile too, cut like the others:
+    # a tiled check builds nothing on the caller's context
     small = _context("bonneau", evaluation.TILE)
-    assert list(small.tiles()) == [small]
+    assert small.per_point(lambda t: t.plus.M).shape == (6, 6, 512)
+    assert "plus" not in vars(small)
     calls = []
     monkeypatch.setattr(charts.InvariantChart, "at", lambda *a: calls.append(a))
     tiles = list(ev.tiles())
