@@ -15,7 +15,10 @@ Profiles are jet-transparent callables, so every downstream quantity
 A chart evaluates its three profiles once per point batch from one
 callable, so what they share (the Bonneau conformal factor W, the random
 charts' sin/cos pass) is computed once, and invariant forms read their
-components off the resulting :class:`FramePoint`.
+components off the resulting :class:`FramePoint`.  Each of W's three
+branches runs on its own nodes only, and the positivity scan of W that
+admits a Bonneau parameter k runs once for a whole list of k
+(:func:`bonneau_charts`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .frame import FULL_SIGNS, KForm, MULTI_INDICES, _Gather
 
 __all__ = [
     "ChartError", "Domain", "InvariantChart", "FramePoint",
-    "InvariantForm", "BonneauFamily", "bonneau_chart", "bonneau_rows",
+    "InvariantForm", "BonneauFamily", "bonneau_chart", "bonneau_charts", "bonneau_rows",
     "round_s4_chart", "product_chart", "flat_torsion", "flat_torus_chart",
     "random_chart", "random_torsion", "random_one_form", "chart_and_torsion",
     "gauss_legendre",
@@ -303,6 +306,12 @@ class InvariantForm:
 # ---------------------------------------------------------------------------
 
 
+# the parameters of a BonneauFamily, each a float or one value per node
+_PARAMETERS = ("k", "n", "pk", "r_near", "x_far")
+# nodes per block of a branch of W (BonneauFamily.omega2): 1 KiB of float64
+_BRANCH_BLOCK = 128
+
+
 class BonneauFamily:
     """One-parameter family of U(2)-invariant metrics on S^4 over x in (-inf, k).
 
@@ -314,7 +323,8 @@ class BonneauFamily:
     which has a double root at x = k and tends to 1 at -infinity.  Both
     limits cancel catastrophically in the naive expression, so W is
     evaluated piecewise: a series form near x = k, an arctan(-1/x) form for
-    large negative x, and the direct formula in between.
+    large negative x, and the direct formula in between, each branch on
+    its own nodes (:meth:`omega2`).
     """
 
     def __init__(self, k: float):
@@ -337,10 +347,13 @@ class BonneauFamily:
         ``counts[i]`` nodes at ``ks[i]``, in order.  Each parameter (k, n,
         pk, r_near, x_far) is the one family ``BonneauFamily(k)`` computes,
         repeated per node, and every operation acts node by node, so the
-        profiles at a node are bitwise those of its own k's family."""
+        profiles at a node are bitwise those of its own k's family.  One
+        run is that family itself."""
         rows = [cls(k) for k in ks]
+        if len(rows) == 1:
+            return rows[0]
         fam = cls.__new__(cls)
-        for name in ("k", "n", "pk", "r_near", "x_far"):
+        for name in _PARAMETERS:
             setattr(fam, name, np.repeat([getattr(r, name) for r in rows], counts))
         return fam
 
@@ -355,11 +368,13 @@ class BonneauFamily:
         k, n = self.k, self.n
         kk = 1.0 + k * k
         t = k - x
+        tt = t * t
         quad = x * x - 1.0 - (2.0 * k) * x
-        u = (x - k) / (1.0 + k * x)
+        kx = 1.0 + k * x
+        u = (x - k) / kx
         # arctan x - arctan k - (x-k)/(1+k^2), all pieces O(t^2)
-        dd = jets.arctan_minus_id(u) - (k / kk) * (t * t) / (1.0 + k * x)
-        return n * (self.pk * (t * t) - (t * t * t) / kk + quad * dd)
+        dd = jets.arctan_minus_id(u) - (k / kk) * tt / kx
+        return n * (self.pk * tt - (tt * t) / kk + quad * dd)
 
     def _w_far(self, x: Jet) -> Jet:
         w = -1.0 / x
@@ -367,17 +382,48 @@ class BonneauFamily:
         return 1.0 + self.n * (quad * jets.arctan_minus_id(w) - w)
 
     def omega2(self, x: Jet) -> Jet:
+        """W at x, each node on its own branch: the near-k series where
+        k - x <= r_near, else the far form where x <= x_far, else the
+        direct formula.  A branch runs on its own nodes only, with a
+        per-node family's parameters cut to them, and an empty branch not
+        at all; the coefficients are scattered into arrays of x's float
+        precision.
+
+        A branch's nodes are taken in blocks of ``_BRANCH_BLOCK``, the last
+        block filled with repeats of its nodes, whose values are dropped.
+        So its temporaries come in a few sizes, which the heap reuses from
+        call to call; with one size per node count, which varies with k
+        and the grid, glibc's heap fragments, and a 12 s ``analysis``
+        benchmark run peaked 0.3-0.6 MB higher (x86_64, numpy 2.4).
+        """
         xv = np.asarray(x.value)
-        near = (self.k - xv) <= self.r_near
-        far = xv <= self.x_far
-        x_near = jets.where(near, x, _constant(self.k - self.r_near, x))
-        x_far = jets.where(far, x, _constant(self.x_far, x))
-        mid_lo, mid_hi = self.x_far, self.k - 0.5 * self.r_near
-        x_mid = jets.where(xv < mid_lo, _constant(mid_lo, x),
-                           jets.where(xv > mid_hi, _constant(mid_hi, x), x))
-        out = jets.where(near, self._w_near(x_near),
-                         jets.where(far, self._w_far(x_far), self._w_direct(x_mid)))
-        return out
+        near = np.ravel((self.k - xv) <= self.r_near)
+        far = ~near & np.ravel(xv <= self.x_far)
+        dtype = np.result_type(xv.dtype, np.float64)
+        out = [np.empty(xv.shape, dtype) for _ in x.coeffs]
+        cls = type(self)
+        for mask, branch in ((near, cls._w_near), (far, cls._w_far),
+                             (~(near | far), cls._w_direct)):
+            nodes = np.flatnonzero(mask)
+            if not len(nodes):
+                continue
+            take = np.resize(nodes, -(-len(nodes) // _BRANCH_BLOCK) * _BRANCH_BLOCK)
+            w = branch(self._at_nodes(take),
+                       x.map(lambda v: np.ravel(v)[take] if np.ndim(v) else v))
+            for o, v in zip(out, w.coeffs):
+                o.reshape(-1)[nodes] = np.ravel(v)[:len(nodes)]
+        return Jet(tuple(out))
+
+    def _at_nodes(self, take) -> "BonneauFamily":
+        """The family on the nodes ``take`` (indices into the batch): a
+        per-node family with its parameters cut to them, a one-k family
+        itself."""
+        if np.ndim(self.k) == 0:
+            return self
+        fam = type(self).__new__(type(self))
+        for name in _PARAMETERS:
+            setattr(fam, name, getattr(self, name)[take])
+        return fam
 
     # -- metric profiles (homothety parameter fixed at 2) ---------------------
 
@@ -399,32 +445,54 @@ class BonneauFamily:
 _BONNEAU_H = InvariantForm(3, [(0, 1, 2)], lambda pt: [2.0 * pt.c])
 
 
-def bonneau_chart(k: float):
-    """Chart and torsion 3-form (H_123 = 2 c) of the S^4 family at parameter k.
+def bonneau_charts(ks) -> list:
+    """Chart and torsion 3-form (H_123 = 2 c) of the S^4 family at each k
+    of ``ks``, or the :class:`ChartError` that refuses that k.
 
-    Runs a positivity scan of the conformal factor on 1024 uniform nodes of
-    the compactified domain and raises :class:`ChartError` naming the first
-    violating x.  The scan reads only the values of W, so it evaluates W on
-    order-0 jets.
+    Each admissible k's conformal factor is scanned for positivity on 1024
+    uniform nodes of its compactified domain, and a k whose scan fails is
+    refused with a message naming its first violating x.  The scan reads
+    only the values of W, so it evaluates W on order-0 jets, of every k at
+    once, in one pass of :meth:`BonneauFamily.per_node`: each node's value
+    is the bits of its own k's family, so each k's chart or refusal is the
+    one :func:`bonneau_chart` gives for it alone.
     """
-    fam = BonneauFamily(k)
-    chart = InvariantChart(
-        name="bonneau",
-        profiles=fam.profiles,
-        domain=Domain(-math.inf, k),
-        structure_mode="su2",
-        params={"k": float(k)},
-    )
-    u = (np.arange(1024) + 0.5) / 1024
-    x, _ = chart.map_from_unit(u)
-    w = np.asarray(fam.omega2(Jet.variable(x, 0)).value)
-    good = np.isfinite(w) & (w > 0.0)
-    if not np.all(good):
-        bad = x[~good]
-        raise ChartError(
-            f"conformal factor not positive for k={k}: W({bad[0]:.6g}) = "
-            f"{w[~good][0]:.3e}")
-    return chart, _BONNEAU_H
+    built = []
+    for k in ks:
+        try:
+            fam = BonneauFamily(k)
+        except ChartError as exc:
+            built.append(exc)
+            continue
+        built.append(InvariantChart(name="bonneau", profiles=fam.profiles,
+                                    domain=Domain(-math.inf, k), structure_mode="su2",
+                                    params={"k": float(k)}))
+    scanned = [i for i, chart in enumerate(built) if isinstance(chart, InvariantChart)]
+    if scanned:
+        m = 1024
+        u = (np.arange(m) + 0.5) / m
+        x = np.concatenate([built[i].map_from_unit(u)[0] for i in scanned])
+        fam = BonneauFamily.per_node([ks[i] for i in scanned], [m] * len(scanned))
+        w = np.asarray(fam.omega2(Jet.variable(x, 0)).value)
+        bad = ~(np.isfinite(w) & (w > 0.0))
+        for j, i in enumerate(scanned):
+            s = slice(j * m, (j + 1) * m)
+            if np.any(bad[s]):
+                first = s.start + np.argmax(bad[s])
+                built[i] = ChartError(f"conformal factor not positive for k={ks[i]}: "
+                                      f"W({x[first]:.6g}) = {w[first]:.3e}")
+    return [chart if isinstance(chart, ChartError) else (chart, _BONNEAU_H)
+            for chart in built]
+
+
+def bonneau_chart(k: float):
+    """Chart and torsion 3-form (H_123 = 2 c) of the S^4 family at parameter
+    k: the one-k case of :func:`bonneau_charts`, whose positivity scan of
+    W raises :class:`ChartError` naming the first violating x."""
+    built, = bonneau_charts([k])
+    if isinstance(built, ChartError):
+        raise built
+    return built
 
 
 def bonneau_rows(ks, counts):
@@ -432,7 +500,7 @@ def bonneau_rows(ks, counts):
     one parameter (:meth:`BonneauFamily.per_node`), each node in the domain
     (-inf, k) of its own k.  It serves that one batch, and runs no
     positivity scan: a caller builds each k's chart with
-    :func:`bonneau_chart` first."""
+    :func:`bonneau_charts` first."""
     fam = BonneauFamily.per_node(ks, counts)
     chart = InvariantChart(name="bonneau", profiles=fam.profiles,
                            domain=Domain(-math.inf, fam.k), structure_mode="su2")

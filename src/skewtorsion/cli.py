@@ -47,17 +47,19 @@ of one context on the whole grid, in the memory of one tile.
 ``scan`` emits k = k_min + i k_step up to ``--k-max``, which a value may
 pass by a few ulps, so that ``--k-max`` written as k_min + m k_step gives
 m + 1 rows; ``--k-min`` above ``--k-max``, or a range of MAX_SCAN_ROWS
-steps or more, exits 2.  Each k builds its own chart, whose positivity
-scan refuses the row.  The grids of the admissible rows are evaluated
-together by one chart over the rows' parameters
-(``charts.bonneau_rows``) and read, tile by tile, as two contexts: one on
-every row's sample grid, one on every row's rule of 2n nodes.  Each row
-then reduces its own slice ``a[..., s]`` of their per-point arrays,
-serially, with the bits of contexts of its own; its probe verdict reads
-the row's points, cut from the sample context (``FramePoint.__getitem__``),
-with its slice of the probe spectrum.  A scan longer than
-``SCAN_BLOCK_NODES`` nodes (14 rows at ``--grid 256``) does this block by
-block, so its memory does not grow with its length.
+steps or more, exits 2.  A scan runs in blocks of rows of at most
+``SCAN_BLOCK_NODES`` nodes (14 rows at ``--grid 256``), so its memory does
+not grow with its length.  A block runs one positivity scan of the
+conformal factor W, for all its k at once (``charts.bonneau_charts``);
+a k that fails it is refused with the text ``bonneau_chart`` gives for
+that k alone.  The grids of the admissible rows are evaluated together
+by one chart over the rows' parameters (``charts.bonneau_rows``) and
+read, tile by tile, as two contexts: one on every row's sample grid, one
+on every row's rule of 2n nodes.  Each row then reduces its own slice
+``a[..., s]`` of their per-point arrays, serially, with the bits of
+contexts of its own; its probe verdict reads the row's points, cut from
+the sample context (``FramePoint.__getitem__``), with its slice of the
+probe spectrum.
 
 Floats are emitted with 17 significant digits and reductions use a fixed
 summation order, so identical configurations produce identical bytes.
@@ -272,16 +274,17 @@ def _scan_row(k: float, top: dict, pt: FramePoint, sample: tuple) -> dict:
 
 
 def _scan_block(ks: list, grid: int) -> list:
-    """The rows of ``ks``: each k's chart refuses its row or gives its
+    """The rows of ``ks``: each k's chart, from one positivity scan of
+    every k (``charts.bonneau_charts``), refuses its row or gives its
     grids.  The grids of the admissible rows are evaluated together, every
     sample grid first and every rule of 2n nodes after, so that each kind
     is one context."""
     rows, admitted = {}, {}
-    for i, k in enumerate(ks):
-        try:
-            admitted[i], _ = charts.bonneau_chart(k)
-        except ChartError as exc:
-            rows[i] = {"k": k, "admissible": False, "reason": str(exc)}
+    for i, (k, built) in enumerate(zip(ks, charts.bonneau_charts(ks))):
+        if isinstance(built, ChartError):
+            rows[i] = {"k": k, "admissible": False, "reason": str(built)}
+        else:
+            admitted[i], _ = built
     if admitted:
         m = len(admitted)
         points = {(i, "sample"): chart.sample_grid(SAMPLE_GRID) for i, chart in admitted.items()}

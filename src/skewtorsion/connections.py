@@ -161,13 +161,13 @@ def _structure_equation(pt: FramePoint, omega: Jet) -> np.ndarray:
     step is odd under i <-> j, so F is bitwise the sum over all (i, j, m)."""
     w = omega.value
     i, j, m = _BRACKET_PAIRS
-    Fp = np.zeros((6,) + w.shape[1:])
+    Fp = np.zeros((6,) + w.shape[1:], w.dtype)
     # e_i(w_j) - e_j(w_i): only the radial direction acts, on the pairs (0, j)
     Fp[:3] += pt.e1(omega).value[1:]
     Fp += (np.einsum("ipr...,irq...->ipq...", w[i], w[j])
            - np.einsum("ipr...,irq...->ipq...", w[j], w[i]))
     Fp -= 0.0 + pt.brackets[i, j, m][:, None, None] * w[m]  # into zeros, as the sum over m
-    F = np.zeros((4, 4) + w.shape[1:])
+    F = np.zeros((4, 4) + w.shape[1:], w.dtype)
     F[i, j] = Fp
     F[j, i] = 0.0 - Fp  # +0.0 where Fp is zero, as in the sum
     return F

@@ -88,7 +88,8 @@ class _Gather:
             return x.map(lambda c: self(c, lead))
         x = x.reshape(x.shape[:lead] + (-1,) + x.shape[lead + self.n_in:])
         coef = self.coef.reshape(self.coef.shape + (1,) * (x.ndim - lead - 1))
-        out = np.zeros(x.shape[:lead] + self.index.shape[1:] + x.shape[lead + 1:])
+        out = np.zeros(x.shape[:lead] + self.index.shape[1:] + x.shape[lead + 1:],
+                       x.dtype)
         for index, c in zip(self.index, coef):
             term = np.take(x, index, axis=lead)
             term *= c

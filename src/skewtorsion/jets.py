@@ -130,11 +130,15 @@ class Jet:
     def __neg__(self):
         return Jet(tuple(-x for x in self.coeffs))
 
+    # a - b rounds as a + (-b) for every a and b but a NaN b, whose sign
+    # bit it keeps; printed output carries no NaN sign
     def __sub__(self, other):
-        return self + (-_as_jet(other, self.order))
+        a, b = _align(self, other)
+        return Jet(tuple(x - y for x, y in zip(a, b)))
 
     def __rsub__(self, other):
-        return (-self) + other
+        a, b = _align(self, other)
+        return Jet(tuple(y - x for x, y in zip(a, b)))
 
     def __mul__(self, other):
         return Jet(_leibniz(*_align(self, other), operator.mul))
@@ -218,12 +222,20 @@ def einsum(spec: str, *operands):
 
 
 def _leibniz(a, b, product):
-    """Coefficients c_k = sum_j product(a_j, b_{k-j}) of two series of one order."""
+    """Coefficients c_k = sum_j product(a_j, b_{k-j}) of two series of one
+    order.  A sum accumulates in place, into its first product, while each
+    term is an array of its shape and dtype: the same additions in the same
+    order, with one temporary per term in place of two."""
     out = []
     for k in range(len(a)):
         s = product(a[0], b[k])
         for j in range(1, k + 1):
-            s = s + product(a[j], b[k - j])
+            p = product(a[j], b[k - j])
+            if (type(s) is np.ndarray and type(p) is np.ndarray
+                    and p.shape == s.shape and p.dtype == s.dtype):
+                s += p
+            else:
+                s = s + p
         out.append(s)
     return tuple(out)
 
@@ -320,26 +332,44 @@ def arctan_minus_id(x):
     """
     if x.order == 0:
         return Jet((_atanm_value(x.value),))
-    v = 1.0 + x * x
-    num = -(x * x)
+    xx = x * x
+    v = 1.0 + xx
+    num = -xx
     w = (Jet(num.coeffs[:-1]) / Jet(v.coeffs[:-1])) * x.derivative()
     return _integrate(w.coeffs, _atanm_value(x.value), x.order)
 
 
 def _atanm_value(u):
-    u = np.asarray(u, dtype=float)
+    """arctan(u) - u in u's float precision (float64 at least): the
+    alternating series on the values with |u| < 0.25, arctan(u) - u on the
+    rest, each form on its own values only, in place, and neither on an
+    empty set."""
+    u = np.asarray(u)
+    u = u.astype(np.result_type(u.dtype, np.float64), copy=False)
     small = np.abs(u) < 0.25
-    us = np.where(small, u, 0.0)
-    # sum_{m>=1} (-1)^m u^(2m+1)/(2m+1), converges fast for |u| < 0.25
-    acc = np.zeros_like(us)
-    term = us.copy()
-    sign = -1.0
-    for m in range(1, 12):
-        term = term * us * us
-        acc = acc + sign * term / (2 * m + 1)
-        sign = -sign
-    direct = np.arctan(u) - u
-    out = np.where(small, acc, direct)
+    out = np.empty_like(u)
+    if small.any():
+        us = u[small]
+        # sum_{m>=1} (-1)^m u^(2m+1)/(2m+1), converges fast for |u| < 0.25
+        acc = np.zeros_like(us)
+        term = us.copy()
+        step = np.empty_like(us)
+        for m in range(1, 12):
+            term *= us
+            term *= us
+            # adding the odd terms' negatives rounds as subtracting them
+            np.divide(term, 2 * m + 1, out=step)
+            if m % 2:
+                acc -= step
+            else:
+                acc += step
+        out[small] = acc
+    big = ~small
+    if big.any():
+        rest = u[big]
+        direct = np.arctan(rest)
+        direct -= rest
+        out[big] = direct
     return out if out.ndim else float(out)
 
 

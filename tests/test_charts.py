@@ -110,6 +110,101 @@ def test_bonneau_order_zero_values_equal_the_order_two_values(k):
     assert np.array_equal(fam.a_over_c(Jet.constant(x, 0)).value, fam.a_over_c(hi).value)
 
 
+_BRANCH_KS = [-1000.0, -10.0, -1.5, 0.0, 0.3, 1.0, 10.0, 1e5]
+
+
+def _branch_nodes(k: float) -> np.ndarray:
+    """Nodes over every decade of k - x, with one node exactly on each
+    branch boundary: k - x == r_near (near, as k - x <= r_near) and
+    x == x_far (far, as x <= x_far)."""
+    fam = BonneauFamily(k)
+    edge = fam.k - fam.r_near
+    assert fam.k - edge == fam.r_near
+    return np.concatenate([k - np.geomspace(1e-8, 1e8, 161), [edge, fam.x_far]])
+
+
+def _select_reference(fam: BonneauFamily, x: Jet) -> Jet:
+    """W by the three-branch select: every branch on every node, and
+    np.where on the coefficients keeping each node's own branch (near
+    before far, the direct formula on the rest)."""
+    near = (fam.k - x.value) <= fam.r_near
+    far = x.value <= fam.x_far
+    with np.errstate(all="ignore"):
+        branches = zip(*(w.coeffs for w in (fam._w_near(x), fam._w_far(x), fam._w_direct(x))))
+        return Jet(tuple(np.where(near, wn, np.where(far, wf, wd)) for wn, wf, wd in branches))
+
+
+@pytest.mark.parametrize("order", [0, 2, 4])
+def test_bonneau_per_branch_w_is_the_three_branch_select_bitwise(order):
+    # each k alone, then all of them as one per-node family
+    xs = [_branch_nodes(k) for k in _BRANCH_KS]
+    fams = [(BonneauFamily(k), x) for k, x in zip(_BRANCH_KS, xs)]
+    fams.append((BonneauFamily.per_node(_BRANCH_KS, [len(x) for x in xs]), np.concatenate(xs)))
+    for fam, x in fams:
+        seed = Jet.variable(x, order)
+        _assert_same_bits(fam.omega2(seed), _select_reference(fam, seed))
+
+
+def test_bonneau_each_w_branch_runs_on_its_own_nodes_only(monkeypatch):
+    # each branch gets the nodes of its own branch alone, with their own k,
+    # taken in whole blocks; an empty branch is not called
+    calls = []
+    for name in ("_w_near", "_w_far", "_w_direct"):
+        branch = getattr(BonneauFamily, name)
+
+        def recorded(fam, x, _name=name, _branch=branch):
+            calls.append((_name, x.value.copy(), np.broadcast_to(fam.k, x.value.shape).copy()))
+            return _branch(fam, x)
+
+        monkeypatch.setattr(BonneauFamily, name, recorded)
+    ks, xs = [0.3, -10.0], [_branch_nodes(0.3), _branch_nodes(-10.0)]
+    x, k = np.concatenate(xs), np.repeat(ks, [len(v) for v in xs])
+    fam = BonneauFamily.per_node(ks, [len(v) for v in xs])
+    fam.omega2(Jet.variable(x, 2))
+    near = (fam.k - x) <= fam.r_near
+    far = ~near & (x <= fam.x_far)
+    own = {"_w_near": near, "_w_far": far, "_w_direct": ~(near | far)}
+    assert [name for name, _, _ in calls] == ["_w_near", "_w_far", "_w_direct"]
+    block = charts._BRANCH_BLOCK
+    for name, got, kk in calls:
+        # the branch's nodes in order, then repeats of them up to a whole block
+        m = np.count_nonzero(own[name])
+        assert len(got) == -(-m // block) * block
+        assert np.array_equal(got[:m], x[own[name]]) and np.array_equal(kk[:m], k[own[name]])
+        assert np.array_equal(got, np.resize(got[:m], len(got)))
+        assert np.array_equal(kk, np.resize(kk[:m], len(got)))
+    # nodes of the near branch alone: the other two branches are not called
+    calls.clear()
+    BonneauFamily(0.3).omega2(Jet.variable(0.3 - np.array([1e-3, 0.1, 0.5]), 2))
+    assert [name for name, _, _ in calls] == ["_w_near"]
+
+
+def test_bonneau_charts_scan_every_k_as_bonneau_chart_alone(monkeypatch):
+    # admissible k, a W refusal and non-finite k in one list: each entry is
+    # the chart of bonneau_chart(k), or the text of its ChartError, and the
+    # positivity scans of all the k are one evaluation of W
+    ks = [0.0, -1e5, math.nan, 0.3, math.inf, -1.5, -math.inf, 1e5]
+    omega2, orders = BonneauFamily.omega2, []
+    monkeypatch.setattr(BonneauFamily, "omega2",
+                        lambda fam, x: orders.append(x.order) or omega2(fam, x))
+    built = charts.bonneau_charts(ks)
+    assert orders == [0]
+    for k, got in zip(ks, built):
+        try:
+            want = bonneau_chart(k)
+        except ChartError as exc:
+            assert isinstance(got, ChartError) and str(got) == str(exc)
+            continue
+        (chart, H), (ref, ref_H) = got, want
+        assert H is ref_H and chart.to_dict() == ref.to_dict()
+        x = ref.sample_grid(64)
+        for p, q in zip(chart.profiles(Jet.variable(x)), ref.profiles(Jet.variable(x))):
+            _assert_same_bits(p, q)
+    assert [isinstance(got, ChartError) for got in built] == [
+        False, True, True, False, True, False, True, False]
+    assert charts.bonneau_charts([]) == []
+
+
 def test_omega2_orders_per_caller(monkeypatch):
     """W is evaluated on order-0 jets where only its values are read: the
     chart's positivity scan and the holomorphic radius; the profiles of

@@ -147,6 +147,41 @@ def test_order_zero_arctans_are_the_value_functions():
     assert np.array_equal(jets.arctan_minus_id(Jet.variable(u, 2)).value, am.value)
 
 
+def _atanm_whole_array(u):
+    """arctan(u) - u with both forms on every value: the series on the
+    values with |u| < 0.25 (zero elsewhere), arctan(u) - u on all, and a
+    select keeping each value's own form."""
+    u = np.asarray(u, dtype=float)
+    small = np.abs(u) < 0.25
+    us = np.where(small, u, 0.0)
+    acc, term, sign = np.zeros_like(us), us.copy(), -1.0
+    for m in range(1, 12):
+        term = term * us * us
+        acc = acc + sign * term / (2 * m + 1)
+        sign = -sign
+    with np.errstate(invalid="ignore"):
+        out = np.where(small, acc, np.arctan(u) - u)
+    return out if out.ndim else float(out)
+
+
+def test_atanm_value_on_each_form_is_the_whole_array_form_bitwise():
+    tiny = np.finfo(float).tiny
+    u = np.concatenate([
+        [0.0, -0.0, 0.25, -0.25, np.nextafter(0.25, 0.0), -np.nextafter(0.25, 0.0),
+         np.inf, -np.inf, np.nan, 5e-324, -5e-324, tiny / 3, -tiny / 3, tiny, -tiny],
+        -np.geomspace(1e-300, 1e300, 200), np.geomspace(1e-300, 1e300, 200)])
+    got, want = jets._atanm_value(u), _atanm_whole_array(u)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # one form only, and 0-d input, which gives a float
+    for part in (u[np.abs(u) < 0.25], u[~(np.abs(u) < 0.25)], u[:0]):
+        assert jets._atanm_value(part).tobytes() == _atanm_whole_array(part).tobytes()
+    for v in u[:15]:
+        got, want = jets._atanm_value(np.asarray(v)), _atanm_whole_array(np.asarray(v))
+        assert type(got) is float and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # a wider float stays in its precision
+    assert jets._atanm_value(u.astype(np.longdouble)).dtype == np.longdouble
+
+
 def _entry(jet, idx):
     """Scalar jet (coefficients over the grid axis) of one tensor entry."""
     return Jet(tuple(c[idx] for c in jet.coeffs))
