@@ -308,8 +308,9 @@ class InvariantForm:
 
 # the parameters of a BonneauFamily, each a float or one value per node
 _PARAMETERS = ("k", "n", "pk", "r_near", "x_far")
-# nodes per block of a branch of W (BonneauFamily.omega2): 1 KiB of float64
-_BRANCH_BLOCK = 128
+# nodes per block of a branch of W (BonneauFamily.omega2): the smallest of
+# the sizes swept, 32 to 256, which all kept the heap from growing
+_BRANCH_BLOCK = 32
 
 
 class BonneauFamily:
@@ -347,11 +348,13 @@ class BonneauFamily:
         ``counts[i]`` nodes at ``ks[i]``, in order.  Each parameter (k, n,
         pk, r_near, x_far) is the one family ``BonneauFamily(k)`` computes,
         repeated per node, and every operation acts node by node, so the
-        profiles at a node are bitwise those of its own k's family.  One
-        run is that family itself."""
-        rows = [cls(k) for k in ks]
-        if len(rows) == 1:
-            return rows[0]
+        profiles at a node are bitwise those of its own k's family."""
+        return cls._repeated([cls(k) for k in ks], counts)
+
+    @classmethod
+    def _repeated(cls, rows, counts) -> "BonneauFamily":
+        """The per-node family of the built one-k families ``rows``:
+        ``counts[i]`` nodes of ``rows[i]``, in order."""
         fam = cls.__new__(cls)
         for name in _PARAMETERS:
             setattr(fam, name, np.repeat([getattr(r, name) for r in rows], counts))
@@ -392,9 +395,12 @@ class BonneauFamily:
         A branch's nodes are taken in blocks of ``_BRANCH_BLOCK``, the last
         block filled with repeats of its nodes, whose values are dropped.
         So its temporaries come in a few sizes, which the heap reuses from
-        call to call; with one size per node count, which varies with k
-        and the grid, glibc's heap fragments, and a 12 s ``analysis``
-        benchmark run peaked 0.3-0.6 MB higher (x86_64, numpy 2.4).
+        call to call; at exact node counts, which vary with k and the grid,
+        glibc's heap fragments, and a 12 s ``analysis`` benchmark run
+        peaked 0.4 MB higher (x86_64, numpy 2.4).  Blocks of 32 to 256
+        nodes all removed that rise (``BENCH_26.json``); with 32, the three
+        branches on n nodes evaluate at most n + 93 nodes, against the 3 n
+        of every branch on every node.
         """
         xv = np.asarray(x.value)
         near = np.ravel((self.k - xv) <= self.r_near)
@@ -453,29 +459,29 @@ def bonneau_charts(ks) -> list:
     uniform nodes of its compactified domain, and a k whose scan fails is
     refused with a message naming its first violating x.  The scan reads
     only the values of W, so it evaluates W on order-0 jets, of every k at
-    once, in one pass of :meth:`BonneauFamily.per_node`: each node's value
-    is the bits of its own k's family, so each k's chart or refusal is the
-    one :func:`bonneau_chart` gives for it alone.
+    once, in one pass of the per-node family (:meth:`BonneauFamily.per_node`)
+    of the families the charts are built on: each node's value is the bits
+    of its own k's family, so each k's chart or refusal is the one
+    :func:`bonneau_chart` gives for it alone.
     """
-    built = []
-    for k in ks:
+    built, fams = [], {}
+    for i, k in enumerate(ks):
         try:
-            fam = BonneauFamily(k)
+            fams[i] = fam = BonneauFamily(k)
         except ChartError as exc:
             built.append(exc)
             continue
         built.append(InvariantChart(name="bonneau", profiles=fam.profiles,
                                     domain=Domain(-math.inf, k), structure_mode="su2",
                                     params={"k": float(k)}))
-    scanned = [i for i, chart in enumerate(built) if isinstance(chart, InvariantChart)]
-    if scanned:
+    if fams:
         m = 1024
         u = (np.arange(m) + 0.5) / m
-        x = np.concatenate([built[i].map_from_unit(u)[0] for i in scanned])
-        fam = BonneauFamily.per_node([ks[i] for i in scanned], [m] * len(scanned))
+        x = np.concatenate([built[i].map_from_unit(u)[0] for i in fams])
+        fam = BonneauFamily._repeated(list(fams.values()), [m] * len(fams))
         w = np.asarray(fam.omega2(Jet.variable(x, 0)).value)
         bad = ~(np.isfinite(w) & (w > 0.0))
-        for j, i in enumerate(scanned):
+        for j, i in enumerate(fams):
             s = slice(j * m, (j + 1) * m)
             if np.any(bad[s]):
                 first = s.start + np.argmax(bad[s])
