@@ -50,7 +50,7 @@ ORBIT_VOLUME = {"su2": 16.0 * math.pi ** 2, "abelian": (2.0 * math.pi) ** 3}
 def gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on (0, 1), computed once per n.
 
-    The arrays are shared by every caller and thread, so they are read-only.
+    The arrays are shared by every caller, so they are read-only.
     The cache keeps the 32 most recent rules; a report uses two (n, 2n).
     """
     un, uw = np.polynomial.legendre.leggauss(n)

@@ -19,9 +19,13 @@ Riemannian adjoint), equal to minus the divergence contraction.
 
 The structure equation F_ij = e_i(w_j) - e_j(w_i) + [w_i, w_j] - C_ij^m w_m
 of matrix-valued connection forms w is written once, in
-:func:`_structure_equation`, for :func:`curvature` and for the induced
-connection on Lambda+ (``instanton.InducedConnection.from_forms``), on
-the six pairs i < j with their one bracket index, and F_ji = 0 - F_ij.
+:func:`_structure_equation`, for :func:`curvature_pairs` and for the
+induced connection on Lambda+ (``instanton.InducedConnection.from_forms``),
+on the six pairs i < j with their one bracket index.  The pairs are the
+one stored form of a curvature: the 6x6 operator and the Lambda+
+curvature read their terms off them, and only :func:`curvature`, for the
+readers of R itself, scatters them into the 4-index tensor with
+F_ji = 0 - F_ij.
 
 The trace-free symmetric part is written once too, in :func:`_tf_sym`.
 
@@ -51,7 +55,7 @@ if TYPE_CHECKING:
 __all__ = [
     "AffineConnection",
     "levi_civita", "with_skew_torsion",
-    "curvature", "curvature_via_eq1",
+    "curvature", "curvature_pairs", "curvature_via_eq1",
     "d_form", "codifferential", "cov_deriv",
     "ExteriorData", "exterior_ops", "identity_suite", "full_components",
 ]
@@ -106,11 +110,10 @@ class AffineConnection:
 
     def torsion_form(self) -> KForm:
         """Torsion lowered to a 3-form: T(e_i,e_j,e_k) = g(T(e_i,e_j), e_k),
-        values only (an order-0 jet)."""
-        G = jets.truncate(self.gamma, 0)
-        C = jets.truncate(self.pt.structure, 0)
-        T = G - jets.einsum("jik...->ijk...", G) - C
-        return KForm(3, T.map(lambda c: c[_TRIPLES]))
+        values only (an order-0 jet), on the increasing triples alone."""
+        G, C = self.gamma.value, self.pt.structure.value
+        i, j, k = _TRIPLES
+        return KForm(3, G[i, j, k] - G[j, i, k] - C[i, j, k])
 
     @cached_property
     def torsion_free(self) -> bool:
@@ -156,28 +159,44 @@ def with_skew_torsion(lc: AffineConnection, H: KForm) -> AffineConnection:
 
 
 def _structure_equation(pt: FramePoint, omega: Jet) -> np.ndarray:
-    """Curvature values F[i, j, p, q], shape (4, 4, P, Q, n), of the
-    connection forms ``omega[i, p, q]``, one jet of shape (4, P, Q, n); each
-    step is odd under i <-> j, so F is bitwise the sum over all (i, j, m)."""
+    """Curvature values F[s, p, q] on the six pairs s = (i, j), i < j, of
+    ``MULTI_INDICES[2]``, shape (6, P, Q, n), of the connection forms
+    ``omega[i, p, q]``, one jet of shape (4, P, Q, n); each step is odd
+    under i <-> j, so F_ji = 0 - F_ij, and F on the pairs is bitwise the
+    sum over all (i, j, m)."""
     w = omega.value
     i, j, m = _BRACKET_PAIRS
     Fp = np.zeros((6,) + w.shape[1:], w.dtype)
     # e_i(w_j) - e_j(w_i): only the radial direction acts, on the pairs (0, j)
-    Fp[:3] += pt.e1(omega).value[1:]
-    Fp += (np.einsum("ipr...,irq...->ipq...", w[i], w[j])
-           - np.einsum("ipr...,irq...->ipq...", w[j], w[i]))
-    Fp -= 0.0 + pt.brackets[i, j, m][:, None, None] * w[m]  # into zeros, as the sum over m
-    F = np.zeros((4, 4) + w.shape[1:], w.dtype)
-    F[i, j] = Fp
-    F[j, i] = 0.0 - Fp  # +0.0 where Fp is zero, as in the sum
-    return F
+    Fp[:3] += pt.e1(omega.map(lambda c: c[1:])).value
+    # [w_i, w_j], then in the same buffer the bracket term; Fp, summed from
+    # +0.0, never holds -0.0, so the sign of a zero term cannot reach it
+    term = np.einsum("ipr...,irq...->ipq...", w[i], w[j])
+    term -= np.einsum("ipr...,irq...->ipq...", w[j], w[i])
+    Fp += term
+    np.multiply(pt.brackets[i, j, m][:, None, None], w[m], out=term)
+    Fp -= term
+    return Fp
 
 
-def curvature(conn: AffineConnection) -> np.ndarray:
-    """Frame curvature R_ijkl of any connection (metric or not), values of
-    shape (4, 4, 4, 4, n): the structure equation of the forms
-    (w_i)^k_l = Gamma^k_il."""
+def curvature_pairs(conn: AffineConnection) -> np.ndarray:
+    """Frame curvature of any connection (metric or not) on the six pairs
+    i < j of its first index pair, values of shape (6, 4, 4, n): the
+    structure equation of the forms (w_i)^k_l = Gamma^k_il."""
     return _structure_equation(conn.pt, jets.einsum("ilk...->ikl...", conn.gamma))
+
+
+def curvature(conn: AffineConnection, pairs: np.ndarray | None = None) -> np.ndarray:
+    """Frame curvature R_ijkl of any connection (metric or not), values of
+    shape (4, 4, 4, 4, n): its pairs (:func:`curvature_pairs`, or ``pairs``
+    when they are at hand) scattered, with R_jikl = 0 - R_ijkl."""
+    if pairs is None:
+        pairs = curvature_pairs(conn)
+    i, j, _ = _BRACKET_PAIRS
+    R = np.zeros((4, 4) + pairs.shape[1:], pairs.dtype)
+    R[i, j] = pairs
+    R[j, i] = 0.0 - pairs  # +0.0 where a pair is zero, as in the sum
+    return R
 
 
 def curvature_via_eq1(ev: Evaluation) -> np.ndarray:

@@ -19,7 +19,10 @@ only the connection, so the probe and the Pontryagin density build no
 curvature tensor or operator; the residual, which needs both, is built
 only by the checks that report it.  Both curvatures come from one
 structure equation (``connections._structure_equation``), and a check of
--H, such as ``einstein_tensor_point(ev, -1)``, reads ``minus``.
+-H, such as ``einstein_tensor_point(ev, -1)``, reads ``minus``.  A
+curvature is kept on its six index pairs i < j, off which the operator is
+read; the 4-index tensor ``R`` is scattered from them only for the Ricci
+tensor and the identity suite, and replaces them.
 
 Nor is a jet coefficient computed that no check reads (``jets``): the
 profiles carry order 2; the brackets and the three connections order 1,
@@ -56,7 +59,7 @@ import numpy as np
 from .charts import FramePoint, InvariantChart, InvariantForm, _grid_slice
 from .connections import (
     AffineConnection, ExteriorData, _fro, _tf_sym,
-    cov_deriv, curvature, exterior_ops, full_components,
+    cov_deriv, curvature, curvature_pairs, exterior_ops, full_components,
     levi_civita, with_skew_torsion,
 )
 from .decomposition import einstein_tensor_point
@@ -76,14 +79,24 @@ class ConnectionData:
         self.conn = conn
 
     @cached_property
+    def pairs(self) -> np.ndarray:
+        """Curvature on the six pairs i < j of its first index pair,
+        shape (6, 4, 4, n): the structure equation's own form."""
+        return curvature_pairs(self.conn)
+
+    @cached_property
     def R(self) -> np.ndarray:
-        """Curvature tensor R_ijkl, shape (4, 4, 4, 4, n)."""
-        return curvature(self.conn)
+        """Curvature tensor R_ijkl, shape (4, 4, 4, 4, n), scattered from
+        ``pairs``, which it replaces: a context holds one form of each
+        curvature."""
+        return curvature(self.conn, vars(self).pop("pairs", None))
 
     @cached_property
     def M(self) -> np.ndarray:
-        """6x6 curvature operator in the +- basis, shape (6, 6, n)."""
-        return operator_from_tensor(self.R)
+        """6x6 curvature operator in the +- basis, shape (6, 6, n), read off
+        ``pairs``, or off ``R`` once that is built: the same bits."""
+        R = vars(self).get("R")
+        return operator_from_tensor(self.pairs if R is None else R)
 
     @cached_property
     def blocks(self) -> tuple:
@@ -200,9 +213,15 @@ class Evaluation:
 
     def tiles(self):
         """Consecutive contexts on slices of at most ``TILE`` points, each
-        cut when asked for."""
-        for start in range(0, self.pt.npoints, TILE):
-            yield self[start:start + TILE]
+        cut when asked for.  No tile of a longer grid has one point: the
+        last two share a one-point tail, since ``np.einsum`` sums a
+        one-point batch in another order than a longer one."""
+        n = self.pt.npoints
+        bounds = list(range(0, n, TILE)) + [n]
+        if n > TILE and n % TILE == 1:
+            bounds[-2] -= TILE // 2
+        for start, stop in zip(bounds, bounds[1:]):
+            yield self[start:stop]
 
     def per_point(self, f):
         """``f`` of each of :meth:`tiles`, every array it returns (one, or a

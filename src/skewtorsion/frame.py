@@ -69,9 +69,18 @@ class _Gather:
     Row t of ``index`` and ``coef`` is each entry's t-th nonzero term, or a
     zero-coefficient one; adding the rows into zeros is the order np.einsum
     takes on grids of two or more points, so the two agree bitwise on finite
-    values."""
+    values.
 
-    def __init__(self, signs: np.ndarray, n_out: int):
+    With ``pairs``, the first two contracted axes (a, b) are read off one
+    axis over the six pairs a < b of ``MULTI_INDICES[2]``: a (b, a) term
+    reads the pair (a, b) with its coefficient negated, the same term of an
+    input antisymmetric in (a, b) up to the sign of a zero, which a sum
+    that starts at +0.0 does not see.  So the gather of the pairs is
+    bitwise the gather of the antisymmetric tensor on finite values; every
+    term must be nonzero, as a padding term would read a pair for the
+    zero diagonal."""
+
+    def __init__(self, signs: np.ndarray, n_out: int, pairs: bool = False):
         self.signs, self.out_shape, self.n_in = signs, signs.shape[:n_out], signs.ndim - n_out
         m = signs.reshape(int(np.prod(self.out_shape)), -1)
         rows, cols = np.nonzero(m)
@@ -80,6 +89,13 @@ class _Gather:
         self.index[slot, rows] = cols
         self.coef = np.zeros(self.index.shape)
         self.coef[slot, rows] = m[rows, cols]
+        if pairs:
+            assert np.all(self.coef != 0.0), "a padding term cannot read a pair"
+            rest = m.shape[1] // (DIM * DIM)
+            ab, tail = np.divmod(self.index, rest)
+            self.index = _PAIR_INDEX.ravel()[ab] * rest + tail
+            self.coef *= _PAIR_SIGN.ravel()[ab]
+            self.n_in -= 1
 
     def __call__(self, x, lead: int = 0):
         """Contract the axes of ``x`` after its first ``lead``; the lead and
@@ -98,6 +114,10 @@ class _Gather:
 
 
 FULL_SIGNS = {k: _full_signs(k) for k in range(DIM + 1)}
+# the pair of MULTI_INDICES[2] that (a, b) or (b, a) is, and the sign of
+# (a, b) in it: -1 for a > b, 0 on the diagonal
+_PAIR_INDEX = np.argmax(np.abs(FULL_SIGNS[2]), axis=0)
+_PAIR_SIGN = FULL_SIGNS[2].sum(axis=0)
 _FULL = {k: _Gather(np.moveaxis(FULL_SIGNS[k], 0, -1), k) for k in range(DIM + 1)}
 # the wedge product, (ncomp_{ka+kb}, ncomp_ka, ncomp_kb): e^ia ^ e^ib is the
 # sign of the index tuple ia + ib against each increasing multi-index
@@ -227,21 +247,28 @@ def components_in_sd_basis(w: KForm) -> np.ndarray:
     return np.einsum("Pp,p...->P...", _SD_COMPS, w.comps.value)
 
 
-_OPERATOR = _Gather(np.einsum("pab,qcd->pqabcd", SD_WEIGHTS, SD_WEIGHTS), 2)
+_OPERATOR_SIGNS = np.einsum("pab,qcd->pqabcd", SD_WEIGHTS, SD_WEIGHTS)
+_OPERATOR = {DIM: _Gather(_OPERATOR_SIGNS, 2),
+             len(MULTI_INDICES[2]): _Gather(_OPERATOR_SIGNS, 2, pairs=True)}
 
 
 def operator_from_tensor(R: np.ndarray) -> np.ndarray:
     """6x6 matrix of a pair-antisymmetric 4-tensor in the +/- basis.
 
     Entry (P, Q) is the bilinear extension R(E_P, E_Q) with the first index
-    pair of ``R`` paired against E_P.  Trailing axes of ``R`` (grid points)
-    are carried through.
+    pair of ``R`` paired against E_P.  ``R`` is the 4-tensor, shape
+    (4, 4, 4, 4, ...), or its first pair's six pairs a < b of
+    ``MULTI_INDICES[2]``, shape (6, 4, 4, ...), the form a structure
+    equation gives (``connections.curvature_pairs``).  Trailing axes of
+    ``R`` (grid points) are carried through.
 
     Each entry has 16 nonzero terms W[P,a,b] W[Q,c,d] R[a,b,c,d], summed
     by a :class:`_Gather`, so the result is bitwise
-    ``0.25 * einsum("pab,qcd,abcd...->pq...", W, W, R)`` on finite values.
+    ``0.25 * einsum("pab,qcd,abcd...->pq...", W, W, R)`` on finite values;
+    on the pairs, it is that of the antisymmetric tensor they fill.
     """
-    return 0.25 * _OPERATOR(np.asarray(R))
+    R = np.asarray(R)
+    return 0.25 * _OPERATOR[len(R)](R)
 
 
 # Levi-Civita symbol on the + basis: a self-dual 2-form with + components

@@ -65,6 +65,11 @@ __all__ = [
 LAMBDA_PLUS_CURVATURE_SCALE = np.sqrt(2.0)
 
 
+# the pairing of a curvature on the six pairs i < j with the +- basis E_Q:
+# bitwise 0.5 * einsum("qij,ijpr...->prq...", W, F) of the 4-index F
+_SD_PAIRING = F._Gather(F.SD_WEIGHTS, 1, pairs=True)
+
+
 @dataclass
 class InducedConnection:
     """so(3)-valued connection on Lambda+ along a frame batch."""
@@ -78,8 +83,9 @@ class InducedConnection:
     def from_forms(cls, pt: FramePoint, omega: jets.Jet) -> "InducedConnection":
         """The connection with so(3) forms ``omega`` along ``pt`` and its
         curvature, paired with the +- basis and in generator rows."""
-        Fm = _structure_equation(pt, omega)
-        F_sd = 0.5 * np.einsum("qij,ijpr...->prq...", F.SD_WEIGHTS, Fm)
+        # F paired with E_Q, summed off the pairs: a view in the layout the
+        # einsum over the 4-index F gives, (Q, p, r, n) in memory
+        F_sd = np.moveaxis(0.5 * _SD_PAIRING(_structure_equation(pt, omega)), 0, 2)
         # the so(3) generators pairing the + basis are (T_s)_pq = eps_spq
         rows = (0.5 * np.einsum("spq,pqm...->sm...", F._EPS3, F_sd)
                 / LAMBDA_PLUS_CURVATURE_SCALE)
@@ -191,22 +197,38 @@ class GaugeProbeReport:
         }
 
 
+def _system_slots():
+    """The value slot of each entry (p, q, a, b) of L's row (m, p, q) and
+    column (a, b), among the 9 + 9 + 9 + 1 values per m that
+    :func:`_intertwiner_system` computes: Fp[p, a] where only q = b,
+    Fm[b, q] where only p = a, Fp[p, p] - Fm[q, q] where both, +0.0 where
+    neither."""
+    p, q, a, b = np.indices((3, 3, 3, 3))
+    return np.where(q == b, np.where(p == a, 18 + 3 * p + q, 3 * p + a),
+                    np.where(p == a, 9 + 3 * b + q, 27)).ravel()
+
+
+_L_SLOTS = _system_slots()
+
+
 def _intertwiner_system(Fp: np.ndarray, Fm: np.ndarray) -> np.ndarray:
     """The (n, 54, 9) matrices of G -> F+(E_m) G - G F-(E_m) per node.
 
     ``Fp`` and ``Fm`` hold F(E_m) as 3x3 matrices, shape (n, 6, 3, 3).  Row
     (m, p, q) and column (a, b) carry Fp[m, p, a] delta_qb - delta_pa
-    Fm[m, b, q].  Adding into zeros reads -0.0 as +0.0, so L equals
-    ``einsum("nmpa,qb->nmpqab", Fp, I) - einsum("pa,nmbq->nmpqab", I, Fm)``
-    bitwise, signs of zeros included.
+    Fm[m, b, q], each entry summed into +0.0, so a -0.0 reads as +0.0: L
+    equals ``einsum("nmpa,qb->nmpqab", Fp, I) - einsum("pa,nmbq->nmpqab", I, Fm)``
+    bitwise, signs of zeros included.  Its 28 distinct values per (n, m)
+    are computed once, and one take spreads them over L.
     """
     n = Fp.shape[0]
-    L = np.zeros((n, 6, 3, 3, 3, 3))
-    FmT = np.swapaxes(Fm, 2, 3)
-    for q in range(3):
-        L[:, :, :, q, :, q] += Fp
-        L[:, :, q, :, q, :] -= FmT
-    return L.reshape(n, 54, 9)
+    vals = np.empty((n, 6, 28))
+    vals[..., :9] = 0.0 + Fp.reshape(n, 6, 9)
+    vals[..., 9:18] = 0.0 - Fm.reshape(n, 6, 9)
+    diag_p, diag_m = np.diagonal(Fp, axis1=2, axis2=3), np.diagonal(Fm, axis1=2, axis2=3)
+    vals[..., 18:27] = ((0.0 + diag_p)[..., :, None] - diag_m[..., None, :]).reshape(n, 6, 9)
+    vals[..., 27] = 0.0
+    return np.take(vals, _L_SLOTS, axis=2).reshape(n, 54, 9)
 
 
 def _align_signs(g: np.ndarray) -> np.ndarray:
@@ -299,10 +321,9 @@ def probe_verdict(pt: FramePoint, S, v9, omega_plus, omega_minus) -> GaugeProbeR
         # covariant derivative of the section under the product connection
         gp = np.gradient(g, x, axis=0)
         ng2 = np.zeros(n)
+        wp, wm = np.moveaxis(omega_plus, -1, 0), np.moveaxis(omega_minus, -1, 0)
         for i in range(4):
-            wp = np.moveaxis(omega_plus[i], -1, 0)
-            wm = np.moveaxis(omega_minus[i], -1, 0)
-            di = wp @ g - g @ wm
+            di = wp[:, i] @ g - g @ wm[:, i]
             if i == 0:
                 di = di + gp / pt.a.value[:, None, None]
             ng2 += np.einsum("npq,npq->n", di, di)

@@ -327,10 +327,16 @@ def test_pairwise_structure_equation_is_the_dense_sum(chart, n):
     from skewtorsion.weyl import weyl_connection
     ev = Evaluation(chart.at(chart.sample_grid(n)), random_torsion(5))
     weyl = weyl_connection(ev.lc, random_one_form(5).at(ev.pt))
-    forms = [jets.einsum("ilk...->ikl...", conn.gamma)
-             for conn in (ev.lc, ev.plus.conn, ev.minus.conn, weyl)]
+    conns = (ev.lc, ev.plus.conn, ev.minus.conn, weyl)
+    forms = [jets.einsum("ilk...->ikl...", conn.gamma) for conn in conns]
     forms += [ev.plus.induced.omega, ev.minus.induced.omega]
+    i, j = np.triu_indices(4, 1)
     for omega in forms:
+        dense = dense_structure_equation(ev.pt, omega)
+        pairs = _structure_equation(ev.pt, omega)
         # bytes, not values: the sign of zero counts too
-        assert (_structure_equation(ev.pt, omega).tobytes()
-                == dense_structure_equation(ev.pt, omega).tobytes())
+        assert pairs.tobytes() == dense[i, j].tobytes()
+        assert (0.0 - pairs).tobytes() == dense[j, i].tobytes()
+    # and the curvature tensor, the pairs scattered, is the dense sum
+    for conn, omega in zip(conns, forms):
+        assert curvature(conn).tobytes() == dense_structure_equation(ev.pt, omega).tobytes()

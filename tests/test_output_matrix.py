@@ -34,11 +34,11 @@ def tool(monkeypatch):
 
 def test_matrix_names_are_unique(tool):
     names = [name for name, _ in tool.matrix()]
-    assert len(names) == len(set(names)) == 78
+    assert len(names) == len(set(names)) == 81
     assert all(argv[0] in ("verify", "probe", "report", "scan") for _, argv in tool.matrix())
     # and ten moduli entries, asymptotic_check and r_curve at five k
     names += [name for name, _ in tool.moduli_matrix()]
-    assert len(names) == len(set(names)) == 88
+    assert len(names) == len(set(names)) == 91
 
 
 def test_moduli_entries_write_full_precision_fields(tool):
@@ -107,7 +107,7 @@ def test_every_output_matrix_file_has_its_recorded_digest(tool, tmp_path):
     here = {"numpy": np.__version__, "platform": f"{sys.platform}-{platform.machine()}"}
     if head != here:
         pytest.skip(f"digests recorded on {head}, this is {here}")
-    assert len(recorded) == 244
+    assert len(recorded) == 253
     tool.main([str(tmp_path)])
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert sorted(n for n in recorded.keys() | got.keys() if got.get(n) != recorded.get(n)) == []

@@ -3,7 +3,10 @@
 Each command evaluates the chart once, on every grid it reads, and cuts
 one evaluation context per grid from it; a context builds each connection
 and curvature once, so these counts are fixed by the commands' grids: a
-recomputation shows up as a larger count.
+recomputation shows up as a larger count.  A curvature is built on its six
+index pairs (``structure``), from which the operator reads; the 4-index
+tensor (``curvature``) is scattered only for its own readers: the Ricci
+tensor, the scalar, Z and the identity suite.
 """
 
 import contextlib
@@ -61,10 +64,11 @@ def stage_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # curvature on the quadrature grids n and 2n (+H), the 64-point grid
-    # of the Einstein residual and the Nijenhuis tensor (+H), and the
-    # report grid (128: Levi-Civita, +-H and Weyl), but not on the p1
-    # sample grid, whose induced connection needs none; operators for the
+    # the curvature tensor where Ricci is read: the 64-point grid of the
+    # Einstein residual (+H) and the report grid (128: +-H and Weyl), but
+    # not the Levi-Civita connection there, whose Weyl blocks read the
+    # operator alone, nor the quadrature grids n and 2n, nor the p1 sample
+    # grid, whose induced connection needs none; operators for the
     # quadrature grids and the report grid's decomposition and Yang-Mills
     # check; the chart once, on all five grids together, and W once for
     # that evaluation and once for the chart's positivity scan; the
@@ -75,7 +79,7 @@ def stage_counts(monkeypatch):
     # decomposition and the Weyl round trip and -H for the round trip on
     # the report grid
     (["report", "--chart", "bonneau", "--k", "0"],
-     {"structure": 12, "curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 1,
+     {"structure": 12, "curvature": 4, "operator": 5, "levi_civita": 5, "chart.at": 1,
       "quadrature": 2, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0, "einstein": 3}),
     # identity suite (+-H, Levi-Civita) and decomposition (operators of +H
     # and Levi-Civita) share one context; one sin/cos pass for the chart's
@@ -91,11 +95,12 @@ def stage_counts(monkeypatch):
     # the quadrature grid 2n alone (+H), as a row reads no error estimate
     # and no p1 sample, and one 64-point context shared by the
     # decomposition's per-point residuals (+H, Levi-Civita, one Einstein
-    # tensor) and the probe (no curvature, two induced connections); the
-    # chart once on both grids, and W once for that evaluation and once
+    # tensor) and the probe (no curvature, two induced connections), of
+    # which only +H builds the curvature tensor, for its Einstein tensor;
+    # the chart once on both grids, and W once for that evaluation and once
     # for the positivity scan
     (["scan", "--k-min", "0", "--k-max", "0", "--k-step", "1"],
-     {"structure": 6, "curvature": 3, "operator": 3, "levi_civita": 2, "chart.at": 1,
+     {"structure": 6, "curvature": 1, "operator": 3, "levi_civita": 2, "chart.at": 1,
       "quadrature": 1, "omega2": 2, "sincos": 0, "qr": 1, "svd": 1, "einstein": 1}),
     # three rows: one quadrature map per row, W once for one positivity
     # scan of all three k together and once for one evaluation of the
@@ -104,7 +109,7 @@ def stage_counts(monkeypatch):
     # row's rule above) and the three sample grids (one tile of 192, as
     # the one row's sample context above)
     (["scan", "--k-min", "-0.5", "--k-max", "0.5", "--k-step", "0.5"],
-     {"structure": 10, "curvature": 5, "operator": 5, "levi_civita": 4, "chart.at": 1,
+     {"structure": 10, "curvature": 1, "operator": 5, "levi_civita": 4, "chart.at": 1,
       "quadrature": 3, "omega2": 2, "sincos": 0, "qr": 1, "svd": 1, "einstein": 1}),
     (["verify", "--chart", "bonneau", "--k", "0", "--grid", "64"],
      {"structure": 3, "curvature": 3, "operator": 2, "levi_civita": 1, "chart.at": 1,
@@ -112,7 +117,7 @@ def stage_counts(monkeypatch):
     # one sin/cos pass for the profiles and one for the torsion, on all
     # five grids together
     (["report", "--chart", "random", "--seed", "3"],
-     {"structure": 12, "curvature": 7, "operator": 5, "levi_civita": 5, "chart.at": 1,
+     {"structure": 12, "curvature": 4, "operator": 5, "levi_civita": 5, "chart.at": 1,
       "quadrature": 2, "omega2": 0, "sincos": 2, "qr": 0, "svd": 0, "einstein": 3}),
     # a fine grid runs the suites on 8 tiles of 512 points, each a context
     # of its own, cut from one evaluation of the chart and the torsion
@@ -125,7 +130,7 @@ def stage_counts(monkeypatch):
     # at --grid 64 the report grid is the sample grid, and one context
     # serves both: Levi-Civita, +H curvature and +H Einstein tensor fewer
     (["report", "--chart", "bonneau", "--k", "0", "--grid", "64"],
-     {"structure": 11, "curvature": 6, "operator": 5, "levi_civita": 4, "chart.at": 1,
+     {"structure": 11, "curvature": 3, "operator": 5, "levi_civita": 4, "chart.at": 1,
       "quadrature": 2, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0, "einstein": 2}),
 ])
 def test_stage_counts_per_command(stage_counts, argv, expected):

@@ -8,11 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skewtorsion import charts, cli, evaluation
+from skewtorsion import charts, cli, connections, evaluation, frame
 from skewtorsion.connections import identity_suite
 from skewtorsion.decomposition import decompose_point, reconstruction_residuals
 from skewtorsion.evaluation import Evaluation
-from skewtorsion.instanton import _intertwiner_spectrum, gauge_equivalence_probe
+from skewtorsion.instanton import (
+    _intertwiner_spectrum, _intertwiner_system, gauge_equivalence_probe,
+)
 from skewtorsion.topology import (
     curvature_integrands, hitchin_thorpe_report, pontryagin_density, report_grids,
 )
@@ -142,3 +144,93 @@ def test_fine_grid_commands_stay_small(argv):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+# a grid of TILE + 1 or 2 TILE + 1 points: where a one-point tail tile
+# would be summed in another order than the rest (np.einsum)
+@pytest.mark.parametrize("argv", [
+    ["verify", "--chart", "product", "--b0", "1.2", "--L", "2", "--grid", "513"],
+    ["probe", "--chart", "round", "--grid", "1025"],
+    ["report", "--chart", "random", "--seed", "3", "--grid", "513"],
+])
+def test_a_one_point_tail_gives_the_output_of_one_context(argv, monkeypatch):
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(argv)
+        return out.getvalue()
+
+    tiled = run().splitlines()
+    monkeypatch.setattr(evaluation, "TILE", 10 ** 6)
+    whole = run().splitlines()
+    assert len(tiled) == len(whole)
+    assert [(a, b) for a, b in zip(tiled, whole) if a != b] == []
+
+
+def test_the_last_two_tiles_share_a_one_point_tail():
+    for nodes, sizes in ((evaluation.TILE + 1, [256, 257]),
+                         (2 * evaluation.TILE + 1, [512, 256, 257]),
+                         (evaluation.TILE + 2, [512, 2]), (1, [1])):
+        ev = _context("flat", nodes)
+        tiles = list(ev.tiles())
+        assert [t.pt.npoints for t in tiles] == sizes
+        assert np.array_equal(np.concatenate([t.pt.x for t in tiles]), ev.pt.x)
+
+
+def _nan_context(nodes=64):
+    """A context on product b0 1e-155, whose brackets overflow: the chart
+    refuses them, and built past that refusal they fill the curvature with
+    NaN."""
+    chart, H = charts.chart_and_torsion({"type": "product", "params": {"b0": 1e-155, "L": 2.0}})
+    ev = Evaluation.on_grid(chart, H, nodes)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(np, "isfinite", lambda v: np.ones(np.shape(v), bool))
+        C = ev.pt.structure
+    assert not all(np.isfinite(c).all() for c in C.coeffs)
+    return ev
+
+
+def _scattered(pairs):
+    """The 4-index tensor of a curvature on its six pairs, F[j, i] = 0 - F[i, j]."""
+    i, j = np.triu_indices(4, 1)
+    F = np.zeros((4, 4) + pairs.shape[1:])
+    F[i, j] = pairs
+    F[j, i] = 0.0 - pairs
+    return F
+
+
+def _same(got, want):
+    """Equal values, NaN where NaN, and equal signs, zeros included."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name", list(CHARTS) + ["nan"])
+def test_pair_readers_are_the_dense_forms_they_replace(name):
+    """The operator, the Lambda+ curvature and the intertwiner system read
+    the curvature off its six pairs, to the bits of the dense contractions
+    of the scattered 4-index tensor."""
+    ev = _nan_context() if name == "nan" else _context(name, 64)
+    W = frame.SD_WEIGHTS
+    with np.errstate(all="ignore"):
+        for cd in (ev.riemann, ev.plus, ev.minus):
+            M = cd.M  # off the pairs, before R is built
+            _same(M, 0.25 * np.einsum("pab,qcd,abcd...->pq...", W, W, cd.R))
+            ic = cd.induced
+            F = _scattered(connections._structure_equation(ev.pt, ic.omega))
+            _same(ic.F_sd, 0.5 * np.einsum("qij,ijpr...->prq...", W, F))
+        Fp = np.einsum("pqm...->...mpq", ev.plus.induced.F_sd)
+        Fm = np.einsum("pqm...->...mpq", ev.minus.induced.F_sd)
+        L = _intertwiner_system(Fp, Fm)
+        # the zero-filled system with F+ and F- added along its diagonals,
+        # and on finite values the einsums against the identity
+        dense = np.zeros((len(Fp), 6, 3, 3, 3, 3))
+        for q in range(3):
+            dense[:, :, :, q, :, q] += Fp
+            dense[:, :, q, :, q, :] -= np.swapaxes(Fm, 2, 3)
+        _same(L, dense.reshape(L.shape))
+        if name != "nan":
+            eye = np.eye(3)
+            ref = np.einsum("nmpa,qb->nmpqab", Fp, eye) - np.einsum("pa,nmbq->nmpqab", eye, Fm)
+            _same(L, ref.reshape(L.shape))

@@ -4,15 +4,18 @@ Usage, from the root of a checkout::
 
     python tools/output_matrix.py OUTDIR [--drop KEY ...]
 
-The matrix is 78 commands: ``verify`` and ``probe`` at grids 64, 256,
+The matrix is 81 commands: ``verify`` and ``probe`` at grids 64, 256,
 1100 (tiles of 512, 512 and 76 points) and 4096 and ``report`` at the
 default grid and at 64, on bonneau k in {0.3, -1, 0}, random seed 3,
 round, product (b0 1.3, L 2) and flat (L 2), plus ``scan --format csv``,
 ``scan --format csv --grid 300`` (each row's 600 quadrature nodes span
 two tiles), ``scan --format json --grid 32`` and a CSV scan of k = -1e5
-(refused) and 0 (admissible), and four that exit 2 on a geometry that
+(refused) and 0 (admissible), four that exit 2 on a geometry that
 overflows: ``verify``, ``report`` and ``probe`` on product b0 1e-155, L 2
-at grid 64, and ``report`` on product b0 1e150.  Each command writes
+at grid 64, and ``report`` on product b0 1e150, and three whose grid is
+one point past a whole number of tiles: ``probe --grid 1025`` on round
+and on random seed 3 and ``report --grid 513`` (a rule and a p1 sample
+of 513 nodes) on random seed 3.  Each command writes
 ``NAME.out`` (stdout), ``NAME.err`` (stderr) and ``NAME.code`` (exit
 code) into OUTDIR.  Ten moduli entries follow, which
 no command reaches: ``asymptotic_check(k)`` and ``r_curve(k)`` for k in
@@ -71,6 +74,11 @@ def matrix():
     for command in ("verify", "report", "probe"):
         out.append((f"{command}_product_b0_1e-155_grid64", [command, *tiny]))
     out.append(("report_product_b0_1e150", ["report", "--chart", "product", "--b0", "1e150"]))
+    # one point past a whole number of tiles: the last two tiles share it
+    for chart in ("round", "random_seed3"):
+        out.append((f"probe_{chart}_grid1025", ["probe", *CHARTS[chart], "--grid", "1025"]))
+    out.append(("report_random_seed3_grid513",
+                ["report", *CHARTS["random_seed3"], "--grid", "513"]))
     return out
 
 
