@@ -200,6 +200,13 @@ def _grid_slice(j: Jet, s: slice) -> Jet:
     return j.map(lambda v: v[..., s] if np.ndim(v) else v)
 
 
+def _abs_max(a: np.ndarray) -> np.ndarray:
+    """max |a| over every axis but the last, the grid axis, shape (n,): by
+    two reductions without the array |a|, NaN at a point with a NaN entry."""
+    a = a.reshape(-1, a.shape[-1])
+    return np.maximum(a.max(axis=0), -a.min(axis=0))
+
+
 def _rows(j: Jet) -> list:
     """The jets along the first axis of a stacked jet."""
     return [j.map(lambda v, i=i: v[i]) for i in range(len(j.value))]
@@ -261,16 +268,16 @@ class FramePoint:
         out.flags.writeable = False
         return out
 
-    def jacobi_residual(self) -> float:
-        """Sup norm of the frame Jacobi identity over the batch: the cyclic
-        sum over (p, q, r) of e_p(C_qrm) + C_qrl C_plm, per increasing
-        triple."""
+    def jacobi_residual(self) -> np.ndarray:
+        """Residual of the frame Jacobi identity at each point, shape (n,):
+        the largest entry of the cyclic sum over (p, q, r) of
+        e_p(C_qrm) + C_qrl C_plm, per increasing triple."""
         C = self.structure
         # of the frame derivatives e_p only e1 acts
         J = np.einsum("tqr,qrm...->tm...", _CYCLIC[:, 0], self.e1(C).value)
         J += np.einsum("tpl...,plm...->tm...",
                        np.einsum("tpqr,qrl...->tpl...", _CYCLIC, C.value), C.value)
-        return float(np.max(np.abs(J)))
+        return _abs_max(J)
 
 
 class InvariantForm:

@@ -37,12 +37,14 @@ evaluates neither the n nodes nor the p1 sample grid, and reads its
 Einstein residual from the per-point Einstein norm that its
 reconstruction residual's context builds.
 
-The checks that work point by point run tile by tile, on slices of at
-most ``evaluation.TILE`` (512) points, each tile a context of its own cut
-from the one evaluation of the grids: ``verify`` merges the tiles'
-residuals by max, and every other check joins the tiles' per-point arrays
-(``Evaluation.per_point``) before it reduces them.  So the output is that
-of one context on the whole grid, in the memory of one tile.
+Every check returns per-point arrays, the grid axis last.  The checks
+that work point by point run tile by tile, on slices of at most
+``evaluation.TILE`` (512) points, each tile a context of its own cut from
+the one evaluation of the grids, and their arrays are joined over the
+tiles (``Evaluation.per_point``).  Each payload reduces an array to the
+number it prints by ``evaluation.sup``, and decides whether H is closed
+by ``evaluation.closed``.  So the output is that of one context on the
+whole grid, in the memory of one tile.
 
 ``scan`` emits k = k_min + i k_step up to ``--k-max``, which a value may
 pass by a few ulps, so that ``--k-max`` written as k_min + m k_step gives
@@ -90,8 +92,8 @@ import numpy as np
 from . import __version__, charts
 from .charts import ChartError, FramePoint
 from .connections import identity_suite
-from .decomposition import decompose_point, reconstruction_residuals
-from .evaluation import Evaluation, Grids
+from .decomposition import decompose_point
+from .evaluation import Evaluation, Grids, closed, sup
 from .instanton import (
     _intertwiner_spectrum, gauge_equivalence_probe, killing_residual,
     probe_verdict, self_duality_residual, yang_mills_density_check,
@@ -99,7 +101,7 @@ from .instanton import (
 from .jets import DEFAULT_ORDER
 from .moduli import acs_radial, nijenhuis_norm
 from .topology import SAMPLE_GRID, chern_weil_rows, hitchin_thorpe_report, report_grids
-from .weyl import torsion_weyl_roundtrip
+from .weyl import CLOSING_SIGN, torsion_weyl_roundtrip
 
 SCHEMA = 1
 MAX_SCAN_ROWS = 10_000  # a longer scan exits 2 before any row runs
@@ -208,19 +210,19 @@ def _build_chart(args):
 
 
 def _verify_residuals(ev: Evaluation) -> dict:
-    """The identity suite's and the decomposition's residuals, run tile by
-    tile and merged by max.  A key is kept only if every tile reports it:
-    ``pair_swap_closed`` needs sup |dH| <= 1e-10, which holds on the grid
-    exactly when it holds on every tile."""
-    per_tile = []
-    for tile in ev.tiles():
-        res = identity_suite(tile)
+    """The identity suite's and the decomposition's residuals: their
+    per-point arrays on the whole grid, reduced.  ``pair_swap_closed`` is
+    kept only if H is closed on the grid."""
+    def arrays(tile):
+        res = identity_suite(tile)  # first: its peak holds none of the decomposition
         dec = decompose_point(tile)
-        res["reconstruction"] = dec["reconstruction_residual"]
-        res["block_isometry"] = dec["block_residual"]
-        per_tile.append(res)
-    return {k: float(np.max([r[k] for r in per_tile])) for k in per_tile[0]
-            if all(k in r for r in per_tile)}
+        return {**res, "reconstruction": dec["reconstruction_residual"],
+                "block_isometry": dec["block_residual"], "dH": killing_residual(tile)["dH_sup"]}
+
+    res = ev.per_point(arrays)
+    if not closed(res.pop("dH")):
+        del res["pair_swap_closed"]
+    return sup(res)
 
 
 def cmd_verify(args) -> int:
@@ -241,16 +243,18 @@ def cmd_report(args) -> int:
     ev64 = grids["sample"]
     top = hitchin_thorpe_report(ev64, grids)
     ev = ev64 if check == SAMPLE_GRID else grids["check"]
+    s, killing = ev.plus.scalar, killing_residual(ev)
     _emit_json(
         args, "report", {"quadrature": [args.grid, 2 * args.grid], "p1_sample": args.grid,
                          "sample": ev64.pt.npoints, "check": ev.pt.npoints}, chart,
         topology=top,
-        decomposition=decompose_point(ev),
-        yang_mills=yang_mills_density_check(ev),
-        self_duality={"plus": self_duality_residual(ev.plus.induced),
-                      "minus": self_duality_residual(ev.minus.induced)},
-        killing=killing_residual(ev),
-        weyl_roundtrip=torsion_weyl_roundtrip(ev),
+        decomposition={**sup(decompose_point(ev)),
+                       "s_nabla_range": [float(s.min()), float(s.max())]},
+        yang_mills=sup(yang_mills_density_check(ev)),
+        self_duality=sup({"plus": self_duality_residual(ev.plus.induced),
+                          "minus": self_duality_residual(ev.minus.induced)}),
+        killing={**sup(killing), "closed": closed(killing["dH_sup"])},
+        weyl_roundtrip={"closing_sign": CLOSING_SIGN, **sup(torsion_weyl_roundtrip(ev))},
         nijenhuis_radial=nijenhuis_norm(ev64.pt, acs_radial()))
     return 0
 
@@ -263,8 +267,8 @@ def _scan_row(k: float, top: dict, pt: FramePoint, sample: tuple) -> dict:
     return {
         "k": k,
         "admissible": True,
-        "einstein_residual": float(np.max(t_norm)),
-        "reconstruction_residual": float(np.max(recon)),
+        "einstein_residual": sup(t_norm),
+        "reconstruction_residual": sup(recon),
         "chi": top["chi"],
         "tau": top["tau"],
         "margin": top["margin"],
@@ -296,7 +300,8 @@ def _scan_block(ks: list, grid: int) -> list:
                                np.concatenate([grids.weights[i, "rule"] for i in admitted]), m)
         sample = grids.union[:split]
         arrays = sample.per_point(lambda tile: (
-            tile.einstein_norm(), reconstruction_residuals(tile), *_intertwiner_spectrum(tile)))
+            tile.einstein_norm(), decompose_point(tile)["reconstruction_residual"],
+            *_intertwiner_spectrum(tile)))
         for j, i in enumerate(admitted):
             s = slice(j * SAMPLE_GRID, (j + 1) * SAMPLE_GRID)
             rows[i] = _scan_row(ks[i], tops[j], sample.pt[s], tuple(a[..., s] for a in arrays))

@@ -47,7 +47,7 @@ from .jets import Jet
 from .frame import (
     FULL_SIGNS, KForm, MULTI_INDICES, _Gather, _WEDGE, hodge_star, norm_sq,
 )
-from .charts import FramePoint, _BRACKET_PAIRS
+from .charts import FramePoint, _BRACKET_PAIRS, _abs_max
 
 if TYPE_CHECKING:
     from .evaluation import Evaluation
@@ -59,10 +59,6 @@ __all__ = [
     "d_form", "codifferential", "cov_deriv",
     "ExteriorData", "exterior_ops", "identity_suite", "full_components",
 ]
-
-# H counts as closed when sup |dH| is at most this; it gates the closed-torsion
-# identities (``identity_suite``'s pair swap, ``instanton.killing_residual``)
-CLOSED_TOL = 1e-10
 
 _EYE3 = np.eye(3)
 _EYE4 = np.eye(4)
@@ -119,7 +115,7 @@ class AffineConnection:
     def torsion_free(self) -> bool:
         """No torsion component above 1e-10 of the coefficient scale; checked
         once per connection, however many torsions are added to it."""
-        scale = max(1.0, float(np.max(np.abs(self.gamma.value))))
+        scale = max(1.0, np.max(np.abs(self.gamma.value)))
         return not np.max(np.abs(self.torsion_form().comps.value)) > 1e-10 * scale
 
 
@@ -322,12 +318,6 @@ def exterior_ops(lc: AffineConnection, H: KForm) -> ExteriorData:
 # ---------------------------------------------------------------------------
 
 
-def _sup(arr) -> float:
-    """max |arr| by two reductions, without the array |arr|; a NaN entry
-    gives NaN, and + 0.0 turns a maximum of -0.0 into 0.0."""
-    return float(np.maximum(np.max(arr), -np.min(arr))) + 0.0
-
-
 def _cyclic(T):
     """Cyclic sum of a 4-tensor over its first three indices."""
     return T + np.einsum("ijkl...->jkil...", T) + np.einsum("ijkl...->kijl...", T)
@@ -337,10 +327,11 @@ def identity_suite(ev: Evaluation) -> dict:
     """Residuals of the curvature, Ricci and Bianchi identities on a grid.
 
     All identities are exact for smooth invariant data, so every residual
-    is float noise; the suite reports sup norms over the grid.  The two
-    orientation-sensitive identities are checked with their pinned signs
-    (+dH in the Bianchi identity, +*dh/2 in the four-dimensional Ricci
+    is float noise; the suite returns each at each point, shape (n,).  The
+    two orientation-sensitive identities are checked with their pinned
+    signs (+dH in the Bianchi identity, +*dh/2 in the four-dimensional Ricci
     formula), so a sign regression shows as a large residual.
+    ``pair_swap_closed`` holds only for closed H (``evaluation.closed``).
     """
     pt, ext, Hv, DHg = ev.pt, ev.ext, ev.Hv, ev.DH
     R = ev.plus.R
@@ -348,38 +339,36 @@ def identity_suite(ev: Evaluation) -> dict:
     dstarHv = full_components(ext.dstar_H, pt)
 
     out = {}
-    out["curvature_cross"] = _sup(R - curvature_via_eq1(ev))
+    out["curvature_cross"] = _abs_max(R - curvature_via_eq1(ev))
 
     # the full tensor of dH, built after the cross check so that it is not
-    # alive at the suite's peak; every reader takes sup |.|, so the sign of
+    # alive at the suite's peak; every reader takes max |.|, so the sign of
     # a zero entry is immaterial
-    dH = ext.dH.comps.value[0]
-    dHv = _EPS4 * dH
+    dHv = _EPS4 * ext.dH.comps.value[0]
 
     # first Bianchi with torsion: cyclic sum vs dH, grad H and quadratic terms;
     # its (4, 4, 4, 4, n) temporaries are dropped at once, since what the
     # suite holds at one time sets the peak memory of a large grid
     rhs = -dHv - np.einsum("lijk...->ijkl...", DHg) + 0.5 * _cyclic(ev.HH)
-    out["bianchi"] = _sup(_cyclic(R) - rhs)
+    out["bianchi"] = _abs_max(_cyclic(R) - rhs)
     del rhs
 
     # pair swap against the opposite-torsion connection, general and closed
     diff = R - np.einsum("klij...->ijkl...", Rm)
-    out["pair_swap"] = _sup(diff + 0.5 * dHv)
+    out["pair_swap"] = _abs_max(diff + 0.5 * dHv)
     del dHv
-    if _sup(dH) <= CLOSED_TOL:
-        out["pair_swap_closed"] = _sup(diff)
+    out["pair_swap_closed"] = _abs_max(diff)
     del diff
 
     # Ricci of the torsion connection vs the divergence formula
     rd, rg = ev.plus, ev.riemann
     quad_ric = 0.25 * np.einsum("ikm...,jkm...->ij...", Hv, Hv)
-    out["ricci_formula"] = _sup(rd.ric - (rg.ric - quad_ric - 0.5 * dstarHv))
-    out["ricci_antisym"] = _sup(0.5 * (rd.ric - np.einsum("ij...->ji...", rd.ric))
-                                + 0.5 * dstarHv)
+    out["ricci_formula"] = _abs_max(rd.ric - (rg.ric - quad_ric - 0.5 * dstarHv))
+    out["ricci_antisym"] = _abs_max(0.5 * (rd.ric - np.einsum("ij...->ji...", rd.ric))
+                                    + 0.5 * dstarHv)
 
     # scalar curvature shift by the torsion norm
-    out["scalar_relation"] = _sup(rd.scalar - rg.scalar + 1.5 * ext.norm_sq_H)
+    out["scalar_relation"] = _abs_max(rd.scalar - rg.scalar + 1.5 * ext.norm_sq_H)
 
     # four-dimensional Ricci formula through the torsion 1-form h = *H.
     hv = full_components(ext.h, pt)
@@ -387,19 +376,19 @@ def identity_suite(ev: Evaluation) -> dict:
     star_dh = full_components(hodge_star(ext.dh), pt)
     eye = _EYE4[..., None]
     base = rg.ric - 0.5 * h2 * eye + 0.5 * np.einsum("i...,j...->ij...", hv, hv)
-    out["ricci_four_dim"] = _sup(rd.ric - (base + 0.5 * star_dh))
+    out["ricci_four_dim"] = _abs_max(rd.ric - (base + 0.5 * star_dh))
 
     # the torsion 1-form is parallel for both connections simultaneously
     d_skew = cov_deriv(pt, ev.plus.conn.truncated(0), ext.h).value
-    out["torsion_form_parallel"] = _sup(d_skew - ext.grad_h)
+    out["torsion_form_parallel"] = _abs_max(d_skew - ext.grad_h)
 
     # trace-free symmetric Ricci shift
     shift = 0.5 * np.einsum("i...,j...->ij...", hv, hv) - 0.125 * h2 * eye
-    out["traceless_shift"] = _sup(ev.plus.Z - (ev.riemann.Z + shift))
+    out["traceless_shift"] = _abs_max(ev.plus.Z - (ev.riemann.Z + shift))
 
     # torsion recovery from the connection difference
     tor = ev.plus.conn.torsion_form()
-    out["torsion_recovery"] = _sup(tor.comps.value - ev.Hf.comps.value)
+    out["torsion_recovery"] = _abs_max(tor.comps.value - ev.Hf.comps.value)
 
     out["jacobi"] = pt.jacobi_residual()
     return out

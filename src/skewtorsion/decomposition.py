@@ -25,11 +25,10 @@ vanishes; T is trace-free because the trace of S(D^g h) cancels *dH.
 Every function here reads the exterior data of H from an evaluation
 context (:class:`skewtorsion.evaluation.Evaluation`), and the blocks,
 Weyl blocks, scalar curvature and Z from the ``ConnectionData`` of its
-connections, which own them.  :func:`decompose_point` returns numbers
-only: the residuals and sup norms that ``report`` prints under
-``decomposition``, in that order; a caller that needs an array reads it
-from its owner, the per-point Einstein norm from the context and the
-per-point reconstruction residual from :func:`reconstruction_residuals`.
+connections, which own them.  :func:`decompose_point` returns per-point
+arrays, the grid axis last: the residuals and norms that ``report``
+prints under ``decomposition``, in that order, each reduced there by
+``evaluation.sup``; the range of s comes from its owner.
 """
 
 from __future__ import annotations
@@ -39,44 +38,26 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import frame as F
+from .charts import _abs_max
 from .connections import _EYE3, _EYE4, _fro, _tf_sym
 
 if TYPE_CHECKING:
     from .evaluation import Evaluation
 
-__all__ = ["decompose_point", "reconstruction_residuals", "einstein_tensor_point",
-           "einstein_residual"]
+__all__ = ["decompose_point", "einstein_tensor_point"]
 
 
 def decompose_point(ev: Evaluation) -> dict:
     """Residuals of the closed block formulas and the Einstein condition at
-    the grid points, with the sup norms of B, Z and W+- and the range of s.
-    The Einstein and reconstruction residuals are the sups of the per-point
-    arrays that a scan row reduces over its own slice."""
-    _, B, C, _ = ev.plus.blocks
-    Wp, Wm = ev.riemann.W  # the Weyl blocks, torsion independent
-    s = ev.plus.scalar
-    t_norm = ev.einstein_norm()
-    return {
-        "einstein_residual": float(np.max(t_norm)),
-        "block_residual": float(np.max(np.abs(2.0 * _fro(C) - t_norm))),
-        "reconstruction_residual": float(np.max(reconstruction_residuals(ev))),
-        "sup_B": float(np.max(_fro(B))),
-        "sup_Z": float(np.max(_fro(ev.plus.Z))),
-        "sup_W_plus": float(np.max(_fro(Wp))),
-        "sup_W_minus": float(np.max(_fro(Wm))),
-        "s_nabla_range": [float(s.min()), float(s.max())],
-    }
-
-
-def reconstruction_residuals(ev: Evaluation) -> np.ndarray:
-    """Per point, the largest entry of |X - X_f| over the blocks X of the +H
-    operator and their closed formulas X_f, shape (n,)."""
+    each grid point, with the norms of B, Z and W+- there, arrays of shape
+    (n,).  The reconstruction residual is the largest entry of |X - X_f|
+    over the blocks X of the +H operator and their closed formulas X_f."""
     ext = ev.ext
     A, B, C, D = ev.plus.blocks
-    Wp, Wm = ev.riemann.W
+    Wp, Wm = ev.riemann.W  # the Weyl blocks, torsion independent
     s = ev.plus.scalar
     Z = ev.plus.Z
+    t_norm = ev.einstein_norm()
 
     dsH = F.components_in_sd_basis(ext.dstar_H)
     phi_p, phi_m = dsH[:3], dsH[3:]
@@ -88,7 +69,15 @@ def reconstruction_residuals(ev: Evaluation) -> np.ndarray:
     S0 = _tf_sym(ext.grad_h)
     B_f = 0.5 * np.einsum("ij...,pqij->pq...", Z - S0, F._T_BASIS)
     C_f = 0.5 * np.einsum("ij...,pqij->qp...", Z + S0, F._T_BASIS)
-    return np.max(np.abs([A - A_f, B - B_f, C - C_f, D - D_f]), axis=(0, 1, 2))
+    return {
+        "einstein_residual": t_norm,
+        "block_residual": np.abs(2.0 * _fro(C) - t_norm),
+        "reconstruction_residual": _abs_max(np.array([A - A_f, B - B_f, C - C_f, D - D_f])),
+        "sup_B": _fro(B),
+        "sup_Z": _fro(Z),
+        "sup_W_plus": _fro(Wp),
+        "sup_W_minus": _fro(Wm),
+    }
 
 
 def einstein_tensor_point(ev: Evaluation, sign: int = +1) -> np.ndarray:
@@ -98,10 +87,3 @@ def einstein_tensor_point(ev: Evaluation, sign: int = +1) -> np.ndarray:
     +1 tensor of a context built on -H."""
     Z = (ev.plus if sign > 0 else ev.minus).Z
     return Z + sign * ev.ext.sym_grad_h + sign * 0.25 * ev.ext.star_dH * _EYE4[..., None]
-
-
-def einstein_residual(ev: Evaluation, sign: int = +1) -> float:
-    """Sup over the grid of the Frobenius norm of the Einstein tensor of the
-    connection with torsion sign * H, read from the context's one
-    tensor of that sign (``Evaluation.einstein_norm``)."""
-    return float(np.max(ev.einstein_norm(sign)))

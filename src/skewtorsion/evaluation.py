@@ -5,11 +5,10 @@ Every single-grid check of the package reads its geometry from an
 connection, the metric connections with torsion +H and -H, and for each
 connection (a :class:`ConnectionData`, the one owner of each of these)
 its curvature tensor, 6x6 operator and its blocks, W+-, Ricci tensor,
-scalar and trace-free Ricci tensor Z, induced connection on Lambda+ and
-the residual of that connection against the operator, plus the exterior
-data of H and the norms of the Einstein tensors.  Each object is built
-at most once, on first use, so checks that share a context share the
-work:
+scalar and trace-free Ricci tensor Z and induced connection on Lambda+,
+plus the exterior data of H and the norms of the Einstein tensors.  Each
+object is built at most once, on first use, so checks that share a
+context share the work:
 
     ev = Evaluation.on_grid(chart, H, 64)
     identity_suite(ev), decompose_point(ev), gauge_equivalence_probe(ev)
@@ -39,9 +38,10 @@ runs on :meth:`Evaluation.tiles`, consecutive slices of at most ``TILE``
 points, each a fresh context that is dropped before the next is built;
 the slices cut the grid's profile jets and H components.  A grid of at
 most ``TILE`` points is one such tile, so a tiled check builds nothing on
-the caller's context.  Every per-point array keeps the grid axis last,
-and :meth:`per_point` is its one join over the tiles; only ``verify``
-merges the tiles' sups.
+the caller's context.  Every check returns per-point arrays, the grid
+axis last, and :meth:`per_point` is their one join over the tiles; a
+command turns an array into the number it prints by :func:`sup`, the one
+reducer, and decides whether H is closed by :func:`closed`, the one rule.
 
 A command that reads several grids evaluates the chart and the form once
 for all of them (:class:`Grids`): on the concatenation of its grids,
@@ -64,12 +64,29 @@ from .connections import (
 )
 from .decomposition import einstein_tensor_point
 from .frame import KForm, _FULL, operator_from_tensor
-from .instanton import InducedConnection, induced_lambda_plus, lambda_plus_block_residual
+from .instanton import InducedConnection, induced_lambda_plus
 
-__all__ = ["ConnectionData", "Evaluation", "Grids", "TILE"]
+__all__ = ["ConnectionData", "Evaluation", "Grids", "TILE", "sup", "closed"]
 
 # most points in one tile: a fully built tile holds about 10 MB
 TILE = 512
+
+CLOSED_TOL = 1e-10  # H counts as closed when sup |dH| is at most this
+
+
+def sup(a):
+    """The number a payload prints for an array ``a`` (a dict of them for a
+    dict): max |a| by two reductions without the array |a|.  A NaN entry
+    gives NaN, and + 0.0 turns a maximum of -0.0 into 0.0."""
+    if isinstance(a, dict):
+        return {k: sup(v) for k, v in a.items()}
+    return float(np.maximum(np.max(a), -np.min(a))) + 0.0
+
+
+def closed(dH) -> bool:
+    """Whether H is closed on a grid, from |dH| at each of its points
+    (``instanton.killing_residual``'s ``dH_sup``): sup |dH| <= CLOSED_TOL."""
+    return sup(dH) <= CLOSED_TOL
 
 
 class ConnectionData:
@@ -129,11 +146,6 @@ class ConnectionData:
         """Induced so(3) connection on Lambda+ (metric connections only),
         built from the connection alone."""
         return induced_lambda_plus(self.conn)
-
-    @cached_property
-    def lambda_plus_residual(self) -> float:
-        """sup |rows - (A|C)^T| of the induced connection against the operator."""
-        return lambda_plus_block_residual(self.induced, self.blocks)
 
 
 class Evaluation:
@@ -224,10 +236,13 @@ class Evaluation:
             yield self[start:stop]
 
     def per_point(self, f):
-        """``f`` of each of :meth:`tiles`, every array it returns (one, or a
-        tuple) joined along its last axis, the grid axis: the arrays of one
-        context on the whole grid, in the memory of one tile."""
+        """``f`` of each of :meth:`tiles`, every array it returns (one, a
+        tuple or a dict of them) joined along its last axis, the grid axis:
+        the arrays of one context on the whole grid, in the memory of one
+        tile."""
         parts = [f(tile) for tile in self.tiles()]
+        if isinstance(parts[0], dict):
+            return {k: np.concatenate([p[k] for p in parts], axis=-1) for k in parts[0]}
         if isinstance(parts[0], tuple):
             return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
         return np.concatenate(parts, axis=-1)

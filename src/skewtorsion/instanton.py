@@ -10,11 +10,10 @@ curvature is the differentiation pair of R) up to the fixed factor
 sqrt(2).  That identification is asserted, not assumed, but outside the
 build: :func:`induced_lambda_plus` needs only the connection forms, and
 :func:`lambda_plus_block_residual` compares its curvature with the
-operator.  The evaluation context caches that residual per connection
-(``ConnectionData.lambda_plus_residual``), :func:`yang_mills_density_check`
-reports it as ``block_residual_plus`` and ``block_residual_minus``, and
-the tests bound it; the gauge probe and the Pontryagin density build no
-curvature tensor.  The anti-self-dual part of the induced curvature is
+operator; :func:`yang_mills_density_check` reports it as
+``block_residual_plus`` and ``block_residual_minus``, and the tests bound
+it; the gauge probe and the Pontryagin density build no curvature
+tensor.  The anti-self-dual part of the induced curvature is
 exactly the block whose vanishing is the Einstein-with-torsion condition,
 so for Einstein data the induced connection is an instanton.
 
@@ -32,9 +31,10 @@ and the test (:func:`probe_verdict`) read the grid's points themselves,
 with the joined spectra: the whole grid's, or in a scan each row's points
 (``FramePoint.__getitem__``) with that row's slice of the block's spectra.
 
-The diagnostics read each +-H connection's blocks, W+, scalar, induced
-connection and residual from its ``ConnectionData`` in an evaluation
-context (:class:`skewtorsion.evaluation.Evaluation`).
+The diagnostics read each +-H connection's blocks, W+, scalar and induced
+connection from its ``ConnectionData`` in an evaluation context
+(:class:`skewtorsion.evaluation.Evaluation`), and return per-point
+arrays, the grid axis last, which ``report`` reduces.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ import numpy as np
 
 from . import frame as F
 from . import jets
-from .charts import ChartError, FramePoint
-from .connections import CLOSED_TOL, _fro, _structure_equation, _sup, AffineConnection
+from .charts import ChartError, FramePoint, _abs_max
+from .connections import _fro, _structure_equation, AffineConnection
 
 if TYPE_CHECKING:
     from .evaluation import Evaluation
@@ -107,10 +107,10 @@ def induced_lambda_plus(conn: AffineConnection) -> InducedConnection:
         conn.pt, jets.einsum("ixy...,pqxy->ipq...", conn.gamma, _OMEGA_WEIGHTS))
 
 
-def lambda_plus_block_residual(ic: InducedConnection, blocks: tuple) -> float:
-    """sup |rows - (A|C)^T| of an induced connection against ``blocks``, the
-    (A, B, C, D) blocks of the 6x6 curvature operator of the connection it
-    was induced by.
+def lambda_plus_block_residual(ic: InducedConnection, blocks: tuple) -> np.ndarray:
+    """max |rows - (A|C)^T| at each point, shape (n,), of an induced
+    connection against ``blocks``, the (A, B, C, D) blocks of the 6x6
+    curvature operator of the connection it was induced by.
 
     The direction index of the rows is the differentiation pair of R, so
     the induced curvature reproduces the Lambda+ input/output entries of
@@ -119,23 +119,24 @@ def lambda_plus_block_residual(ic: InducedConnection, blocks: tuple) -> float:
     A, _, Cb, _ = blocks
     AC = np.concatenate([np.einsum("pq...->qp...", A),
                          np.einsum("pq...->qp...", Cb)], axis=1)
-    return float(np.max(np.abs(ic.rows - AC)))
+    return _abs_max(ic.rows - AC)
 
 
-def self_duality_residual(ic: InducedConnection) -> float:
-    """Sup norm of the anti-self-dual part of the induced curvature.
+def self_duality_residual(ic: InducedConnection) -> np.ndarray:
+    """Norm of the anti-self-dual part of the induced curvature at each
+    point, shape (n,).
 
     Reported on the operator scale, where it coincides with the Frobenius
     norm of the Einstein block, so it vanishes exactly when the data is
     Einstein with skew torsion.
     """
-    return float(np.max(_fro(ic.rows[:, 3:])))
+    return _fro(ic.rows[:, 3:])
 
 
 def yang_mills_density_check(ev: Evaluation) -> dict:
     """Pointwise Yang-Mills density identities for the +-H instanton pair.
 
-    Returns sup norms of (i) density(+H) - density(-H) and (ii) each
+    Returns, at each point, (i) |density(+H) - density(-H)| and (ii) each
     density against |W+|^2 + |s Id/12|^2 + |(d*H)+/2|^2.  The identities
     are exact when the data is Einstein with closed torsion; the caller
     sees the residuals either way.  The last term is even in H, so both
@@ -147,25 +148,24 @@ def yang_mills_density_check(ev: Evaluation) -> dict:
     for cd, tag in ((ev.plus, "plus"), (ev.minus, "minus")):
         ic = cd.induced
         dens[tag] = np.einsum("sm...,sm...->...", ic.rows, ic.rows)
-        out[f"block_residual_{tag}"] = cd.lambda_plus_residual
+        out[f"block_residual_{tag}"] = lambda_plus_block_residual(ic, cd.blocks)
         Wp = cd.W[0]
         formula = (np.einsum("pq...,pq...->...", Wp, Wp)
                    + 3.0 * (cd.scalar / 12.0) ** 2
                    + 0.25 * np.einsum("r...,r...->...", phi_p, phi_p))
-        out[f"formula_residual_{tag}"] = float(np.max(np.abs(dens[tag] - formula)))
-    out["pair_residual"] = float(np.max(np.abs(dens["plus"] - dens["minus"])))
+        out[f"formula_residual_{tag}"] = np.abs(dens[tag] - formula)
+    out["pair_residual"] = np.abs(dens["plus"] - dens["minus"])
     return out
 
 
 def killing_residual(ev: Evaluation) -> dict:
-    """Sup norm of S(D^g h) for h = *H, with the closedness of H checked."""
+    """Norm of S(D^g h) for h = *H at each point, and |dH| there, which
+    decides whether H is closed (``evaluation.closed``)."""
     ext = ev.ext
-    # the sup of the 4-form's one component: its full tensor adds zeros
-    dH_sup = _sup(ext.dH.comps.value)
     return {
-        "killing_residual": float(np.max(_fro(ext.sym_grad_h))),
-        "dH_sup": dH_sup,
-        "closed": dH_sup <= CLOSED_TOL,
+        "killing_residual": _fro(ext.sym_grad_h),
+        # the 4-form's one component: its full tensor adds zeros
+        "dH_sup": np.abs(ext.dH.comps.value[0]),
     }
 
 

@@ -38,8 +38,7 @@ import numpy as np
 
 from .charts import ChartError, FramePoint, InvariantChart
 from .connections import _fro
-from .decomposition import einstein_residual
-from .evaluation import Evaluation, Grids
+from .evaluation import Evaluation, Grids, sup
 from .instanton import LAMBDA_PLUS_CURVATURE_SCALE
 
 __all__ = [
@@ -156,7 +155,7 @@ def hitchin_thorpe_report(ev: Evaluation, grids: Grids) -> dict:
     grid ``grids["p1_sample"]``.
     """
     top = chern_weil_integrals(grids)
-    e_res = einstein_residual(ev)
+    e_res = sup(ev.einstein_norm())
     coarse = chern_weil_integrals(grids, "coarse")
     # minimum of the p1 integrand (scaled by 4 pi^2) on the sample grid
     p1_sample = grids["p1_sample"].per_point(pontryagin_density)

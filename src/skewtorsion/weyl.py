@@ -21,9 +21,10 @@ Every check here reads its geometry from an evaluation context
 Levi-Civita connection and its Ricci tensor and scalar, and for the
 round trip H and the norms of both Einstein tensors
 (``Evaluation.einstein_norm``); it builds only the Weyl connection
-itself, whose ``ConnectionData`` gives its Z and scalar.
-:func:`weyl_connection` takes the 1-form already evaluated at the
-connection's points.
+itself, whose ``ConnectionData`` gives its Z and scalar.  Both checks
+return per-point arrays, the grid axis last, which ``report`` reduces
+(``evaluation.sup``).  :func:`weyl_connection` takes the 1-form already
+evaluated at the connection's points.
 """
 
 from __future__ import annotations
@@ -33,13 +34,15 @@ import numpy as np
 from . import jets
 from .frame import KForm, hodge_star, norm_sq
 from .charts import InvariantForm
+from .charts import _abs_max
 from .connections import (
     _EYE4, _fro, _sym, _tf, AffineConnection, cov_deriv, codifferential, full_components,
 )
-from .decomposition import einstein_residual
 from .evaluation import ConnectionData, Evaluation
 
 __all__ = ["weyl_connection", "einstein_weyl_residual", "torsion_weyl_roundtrip"]
+
+CLOSING_SIGN = 1  # H' = -*(*H) = +H, as ** = -1 on odd degrees; ``report`` prints it
 
 # Gamma_ijk - Gamma^g_ijk = sum_m w_m S[m, i, j, k]
 # = -(w_i delta_jk + w_j delta_ik - w_k delta_ij) / 2
@@ -62,8 +65,8 @@ def einstein_weyl_residual(ev: Evaluation, omega: InvariantForm) -> dict:
     """Trace-free symmetric Ricci of the Weyl connection, two routes.
 
     Route (i) contracts the directly computed curvature of D; route (ii)
-    evaluates the closed Ricci/scalar formulas.  Returns the two sups and
-    their mutual difference.
+    evaluates the closed Ricci/scalar formulas.  Returns, at each point,
+    the two norms and the two routes' differences.
     """
     pt, lc = ev.pt, ev.lc
     w = omega.at(pt)
@@ -84,10 +87,10 @@ def einstein_weyl_residual(ev: Evaluation, omega: InvariantForm) -> dict:
     s_formula = rg.scalar - 1.5 * w2 - 3.0 * dstar_w
     s0_formula = _tf(sym_formula, 4)
     return {
-        "residual_direct": float(np.max(_fro(s0_direct))),
-        "residual_formula": float(np.max(_fro(s0_formula))),
-        "route_difference": float(np.max(np.abs(s0_direct - s0_formula))),
-        "scalar_difference": float(np.max(np.abs(weyl.scalar - s_formula))),
+        "residual_direct": _fro(s0_direct),
+        "residual_formula": _fro(s0_formula),
+        "route_difference": _abs_max(s0_direct - s0_formula),
+        "scalar_difference": np.abs(weyl.scalar - s_formula),
     }
 
 
@@ -96,9 +99,10 @@ def torsion_weyl_roundtrip(ev: Evaluation) -> dict:
 
     Maps H to w = *H and back to H' = -*w; in this star convention
     ** = -1 on odd degrees, so H' = +H: the closing sign is pinned to +1
-    and the residual is sup |H' - H|, so a star of the wrong sign reads
-    2 sup |H|.  Both torsion signs are checked to give the same Einstein
-    residual, and the Einstein-Weyl residual of w is reported alongside.
+    (``CLOSING_SIGN``) and the residual is |H' - H|, so a star of the wrong
+    sign reads 2 |H|.  Both torsion signs are checked to give the same
+    Einstein residual, and the Einstein-Weyl residual of w is reported
+    alongside, each at each point.
     """
     Hf = ev.Hf
     w = hodge_star(Hf)
@@ -106,12 +110,10 @@ def torsion_weyl_roundtrip(ev: Evaluation) -> dict:
 
     s0 = ConnectionData(weyl_connection(ev.lc, w)).Z
 
-    norm_h = float(np.max(np.abs(norm_sq(Hf).value - norm_sq(H_back).value)))
     return {
-        "closing_sign": 1,
-        "roundtrip_residual": float(np.max(np.abs((H_back - Hf).comps.value))),
-        "norm_preserved": norm_h,
-        "einstein_residual_plus": einstein_residual(ev),
-        "einstein_residual_minus": einstein_residual(ev, -1),
-        "einstein_weyl_residual": float(np.max(_fro(s0))),
+        "roundtrip_residual": _abs_max((H_back - Hf).comps.value),
+        "norm_preserved": np.abs(norm_sq(Hf).value - norm_sq(H_back).value),
+        "einstein_residual_plus": ev.einstein_norm(),
+        "einstein_residual_minus": ev.einstein_norm(-1),
+        "einstein_weyl_residual": _fro(s0),
     }

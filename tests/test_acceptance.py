@@ -16,8 +16,8 @@ from skewtorsion.charts import (
 from skewtorsion.connections import (
     curvature, identity_suite, levi_civita, with_skew_torsion,
 )
-from skewtorsion.decomposition import decompose_point, einstein_residual
-from skewtorsion.evaluation import ConnectionData, Evaluation
+from skewtorsion.decomposition import decompose_point
+from skewtorsion.evaluation import ConnectionData, Evaluation, closed, sup
 from skewtorsion.instanton import (
     gauge_equivalence_probe, killing_residual, self_duality_residual,
     yang_mills_density_check,
@@ -49,23 +49,24 @@ def test_criterion_01_identity_suite_on_random_draws():
     """Curvature/Bianchi/Ricci identities <= 1e-9 on 100 random pairs."""
     worst = {k: 0.0 for k in IDENTITY_KEYS}
     for seed in range(N_DRAWS):
-        res = identity_suite(Evaluation.on_grid(random_chart(seed), random_torsion(seed), 64))
+        res = sup(identity_suite(Evaluation.on_grid(random_chart(seed), random_torsion(seed), 64)))
         for k in IDENTITY_KEYS:
             worst[k] = max(worst[k], res[k])
             assert res[k] <= 1e-9, f"draw {seed}: {k} = {res[k]}"
     # the pure pair-swap form of the exchange identity needs closed torsion
-    closed = identity_suite(Evaluation.on_grid(*bonneau_chart(0.5), 64))
-    assert closed["pair_swap_closed"] <= 1e-9
+    ev = Evaluation.on_grid(*bonneau_chart(0.5), 64)
+    assert closed(killing_residual(ev)["dH_sup"])
+    swap = sup(identity_suite(ev)["pair_swap_closed"])
+    assert swap <= 1e-9
     _ok(1, "identity suite on 100 draws, worst residual "
-           f"{max(worst.values()):.2e} (all <= 1e-9); closed-torsion swap "
-           f"{closed['pair_swap_closed']:.2e}")
+           f"{max(worst.values()):.2e} (all <= 1e-9); closed-torsion swap {swap:.2e}")
 
 
 def test_criterion_02_block_reconstruction_on_random_draws():
     """Direct 6x6 operator equals the closed block formulas entrywise."""
     worst = 0.0
     for seed in range(N_DRAWS):
-        rep = decompose_point(Evaluation.on_grid(random_chart(seed), random_torsion(seed), 64))
+        rep = sup(decompose_point(Evaluation.on_grid(random_chart(seed), random_torsion(seed), 64)))
         worst = max(worst, rep["reconstruction_residual"])
         assert rep["reconstruction_residual"] <= 1e-9, f"draw {seed}"
     _ok(2, f"block reconstruction on 100 draws, worst {worst:.2e} (<= 1e-9)")
@@ -77,7 +78,7 @@ def test_criterion_03_s4_family_einstein_both_signs():
     for k in (-1.0, 0.0, 0.5, 1.0):
         chart, H = bonneau_chart(k)
         for sign in (+1.0, -1.0):
-            r = einstein_residual(Evaluation.on_grid(chart, H.scaled(sign), 64))
+            r = sup(Evaluation.on_grid(chart, H.scaled(sign), 64).einstein_norm())
             worst = max(worst, r)
             assert r <= 1e-8, f"k={k}, sign={sign}: {r}"
     _ok(3, f"Einstein residual over 4 parameters x 2 signs, worst {worst:.2e} (<= 1e-8)")
@@ -123,7 +124,7 @@ def test_criterion_06_einstein_weyl_correspondence():
     """Trace-free Weyl Ricci <= 1e-8 for w = *H, routes agree <= 1e-9."""
     chart, H = bonneau_chart(0.0)
     omega = InvariantForm(1, [(3,)], lambda pt: [2.0 * pt.c])  # *H along e4
-    res = einstein_weyl_residual(Evaluation.on_grid(chart, H, 64), omega)
+    res = sup(einstein_weyl_residual(Evaluation.on_grid(chart, H, 64), omega))
     assert res["residual_direct"] <= 1e-8
     assert res["residual_formula"] <= 1e-8
     assert res["route_difference"] <= 1e-9
@@ -138,15 +139,15 @@ def test_criterion_07_instanton_diagnostics():
     sd = {}
     for sign in (+1.0, -1.0):
         conn = with_skew_torsion(levi_civita(pt), sign * H.at(pt))
-        sd[sign] = self_duality_residual(ConnectionData(conn).induced)
+        sd[sign] = sup(self_duality_residual(ConnectionData(conn).induced))
         assert sd[sign] <= 1e-8
     ev = Evaluation(pt, H)
-    ym = yang_mills_density_check(ev)
+    ym = sup(yang_mills_density_check(ev))
     assert ym["pair_residual"] <= 1e-9
     assert ym["formula_residual_plus"] <= 1e-9
     assert ym["formula_residual_minus"] <= 1e-9
-    kil = killing_residual(ev)
-    assert kil["closed"]
+    kil = sup(killing_residual(ev))
+    assert closed(kil["dH_sup"])
     assert kil["killing_residual"] <= 1e-8
     _ok(7, f"self-duality {max(sd.values()):.2e} (<= 1e-8), Yang-Mills pair "
            f"{ym['pair_residual']:.2e} / formula {ym['formula_residual_plus']:.2e} "

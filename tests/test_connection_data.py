@@ -12,7 +12,7 @@ import pytest
 from skewtorsion import charts, cli
 from skewtorsion.connections import _tf_sym
 from skewtorsion.decomposition import decompose_point
-from skewtorsion.evaluation import Evaluation
+from skewtorsion.evaluation import Evaluation, sup
 
 CHARTS = {
     "bonneau": ({"type": "bonneau", "params": {"k": 0.3}}, ["--chart", "bonneau", "--k", "0.3"]),
@@ -60,6 +60,10 @@ def test_decompose_point_returns_the_numbers_report_prints(name):
     with contextlib.redirect_stdout(out):
         assert cli.main(["report", *CHARTS[name][1], "--grid", str(NODES)]) == 0
     printed = json.loads(out.getvalue())["decomposition"]
-    dec = decompose_point(_context(name))
+    ev = _context(name)
+    s = ev.plus.scalar
+    assert printed.pop("s_nabla_range") == [float(s.min()), float(s.max())]
+    dec = decompose_point(ev)
+    assert all(a.shape == (NODES,) for a in dec.values())
     assert list(dec) == list(printed)
-    assert dec == printed
+    assert sup(dec) == printed

@@ -11,8 +11,8 @@ from skewtorsion.charts import (
     random_torsion, round_s4_chart, Domain,
 )
 from skewtorsion.connections import identity_suite
-from skewtorsion.decomposition import decompose_point, einstein_residual, einstein_tensor_point
-from skewtorsion.evaluation import Evaluation
+from skewtorsion.decomposition import decompose_point, einstein_tensor_point
+from skewtorsion.evaluation import Evaluation, sup
 from skewtorsion.frame import _EPS3, components_in_sd_basis
 from skewtorsion.jets import Jet
 
@@ -34,12 +34,12 @@ def test_round_sphere_blocks_are_identity():
 def test_reconstruction_matches_direct_blocks(seed):
     chart = random_chart(seed)
     H = random_torsion(seed)
-    rep = decompose_point(Evaluation.on_grid(chart, H, 32))
+    rep = sup(decompose_point(Evaluation.on_grid(chart, H, 32)))
     assert rep["reconstruction_residual"] <= 1e-9
 
 
 def test_block_isometry_scale(seed=4):
-    rep = decompose_point(Evaluation.on_grid(random_chart(seed), random_torsion(seed), 32))
+    rep = sup(decompose_point(Evaluation.on_grid(random_chart(seed), random_torsion(seed), 32)))
     assert rep["block_residual"] <= 1e-12
 
 
@@ -48,17 +48,17 @@ def test_bonneau_is_einstein_with_skew_torsion(k):
     chart, H = bonneau_chart(k)
     ev = Evaluation.on_grid(chart, H, 64)
     _, B, C, _ = ev.plus.blocks
-    assert decompose_point(ev)["einstein_residual"] <= 1e-8
+    assert sup(decompose_point(ev)["einstein_residual"]) <= 1e-8
     assert np.max(np.abs(B)) <= 1e-8
     assert np.max(np.abs(C)) <= 1e-8
-    assert einstein_residual(Evaluation.on_grid(chart, H.scaled(-1.0), 64)) <= 1e-8
+    assert sup(Evaluation.on_grid(chart, H.scaled(-1.0), 64).einstein_norm()) <= 1e-8
 
 
 @pytest.mark.xfail(strict=True, reason="W loses digits for large negative k (ROADMAP item 3)")
 @pytest.mark.parametrize("k", [-30.0, -100.0])
 def test_bonneau_einstein_residual_for_negative_k(k):
     # 4.6e-8 at k=-30 and 2.8e-6 at k=-100 (1.5e-9 and 2.8e-8 of sup |M+|)
-    assert einstein_residual(Evaluation.on_grid(*bonneau_chart(k), 64)) <= 1e-8
+    assert sup(Evaluation.on_grid(*bonneau_chart(k), 64).einstein_norm()) <= 1e-8
 
 
 def test_perturbed_round_profile_is_detected():
@@ -70,23 +70,23 @@ def test_perturbed_round_profile_is_detected():
         domain=Domain(0.0, math.pi),
         params={"seed": -1},
     )
-    assert einstein_residual(Evaluation.on_grid(chart, InvariantForm.zero(3), 64)) > 1e-3
+    assert sup(Evaluation.on_grid(chart, InvariantForm.zero(3), 64).einstein_norm()) > 1e-3
 
 
 def test_z_nabla_for_bonneau_and_shift_identity():
     chart, H = bonneau_chart(0.0)
     ev = Evaluation.on_grid(chart, H, 64)
-    assert decompose_point(ev)["sup_Z"] <= 1e-8
-    assert identity_suite(ev)["traceless_shift"] <= 1e-9
+    assert sup(decompose_point(ev)["sup_Z"]) <= 1e-8
+    assert sup(identity_suite(ev)["traceless_shift"]) <= 1e-9
     # for H = 0 the two trace-free tensors coincide
     chart2 = random_chart(3)
     res2 = identity_suite(Evaluation.on_grid(chart2, InvariantForm.zero(3), 16))
-    assert res2["traceless_shift"] <= 1e-12
+    assert sup(res2["traceless_shift"]) <= 1e-12
 
 
 def test_z_nabla_shift_on_random_data():
     res = identity_suite(Evaluation.on_grid(random_chart(8), random_torsion(8), 32))
-    assert res["traceless_shift"] <= 1e-9
+    assert sup(res["traceless_shift"]) <= 1e-9
 
 
 def test_closed_torsion_block_symmetry_after_removing_codifferential_part():
@@ -136,7 +136,7 @@ def test_minus_sign_einstein_tensor_is_that_of_the_reversed_torsion(descriptor):
 
 def test_einstein_residual_stable_under_grid_refinement():
     chart, H = bonneau_chart(0.0)
-    vals = [einstein_residual(Evaluation.on_grid(chart, H, n)) for n in (32, 64, 128, 256)]
+    vals = [sup(Evaluation.on_grid(chart, H, n).einstein_norm()) for n in (32, 64, 128, 256)]
     assert all(v <= 1e-8 for v in vals)
 
 

@@ -12,7 +12,7 @@ from skewtorsion.connections import (
     _EYE4, _TRIPLES, _sym, AffineConnection, cov_deriv, curvature, d_form,
     full_components, identity_suite,
 )
-from skewtorsion.evaluation import Evaluation
+from skewtorsion.evaluation import Evaluation, sup
 from skewtorsion.frame import _FULL, hodge_star, norm_sq
 
 CHARTS = {
@@ -71,8 +71,7 @@ def _suite(ev: Evaluation, H2, plus: AffineConnection) -> dict:
     out["bianchi"] = np.max(np.abs(_cyclic(R) - rhs))
     swap = np.einsum("klij...->ijkl...", Rm)
     out["pair_swap"] = np.max(np.abs(R - swap + 0.5 * dHv))
-    if np.max(np.abs(dHv)) <= 1e-10:
-        out["pair_swap_closed"] = np.max(np.abs(R - swap))
+    out["pair_swap_closed"] = np.max(np.abs(R - swap))
     rd, rg = ev.plus, ev.riemann
     quad_ric = 0.25 * np.einsum("ikm...,jkm...->ij...", Hv, Hv)
     out["ricci_formula"] = np.max(np.abs(rd.ric - (rg.ric - quad_ric - 0.5 * dstarHv)))
@@ -90,7 +89,7 @@ def _suite(ev: Evaluation, H2, plus: AffineConnection) -> dict:
     shift = 0.5 * np.einsum("i...,j...->ij...", hv, hv) - 0.125 * h2 * eye
     out["traceless_shift"] = np.max(np.abs(ev.plus.Z - (ev.riemann.Z + shift)))
     out["torsion_recovery"] = np.max(np.abs(_torsion_values(plus) - H2.comps.value))
-    out["jacobi"] = pt.jacobi_residual()
+    out["jacobi"] = np.max(np.abs(pt.jacobi_residual()))
     return {k: float(v) for k, v in out.items()}
 
 
@@ -137,6 +136,6 @@ def test_pruned_stages_equal_the_full_order_formulas(name, nodes):
     _same(ext.norm_sq_H, norm_sq(H2).value)
 
     # every residual of the identity suite
-    got = identity_suite(ev)
+    got = sup(identity_suite(ev))
     want = _suite(ev, H2, full[1.0])
     assert {k: float(v).hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}

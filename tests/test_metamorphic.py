@@ -14,8 +14,8 @@ from skewtorsion import cli
 from skewtorsion.charts import bonneau_chart, chart_and_torsion
 from skewtorsion.connections import identity_suite
 from skewtorsion.decomposition import einstein_tensor_point
-from skewtorsion.evaluation import Evaluation, Grids
-from skewtorsion.instanton import gauge_equivalence_probe
+from skewtorsion.evaluation import Evaluation, Grids, closed, sup
+from skewtorsion.instanton import gauge_equivalence_probe, killing_residual
 from skewtorsion.topology import chern_weil_integrals
 
 from metamorphic import reparametrization, reparametrized, scaled
@@ -122,7 +122,7 @@ def test_reparametrization_keeps_the_round_sphere(s):
         assert _against(new, old, R) <= 2e-12
     for new, old in zip(_einstein(ev_new), _einstein(ev)):
         assert _against(new, old, R) <= 1e-11
-    assert max(identity_suite(ev_new).values()) <= 7e-12
+    assert max(sup(identity_suite(ev_new)).values()) <= 7e-12
     assert np.max(np.abs(_integrals(new_chart, new_H) - _integrals(chart, H))) <= 5e-13
 
 
@@ -137,7 +137,11 @@ def test_reparametrization_keeps_the_random_chart(seed, s):
     for new, old in zip((ev_new.plus.R, *ev_new.riemann.W, *_einstein(ev_new)),
                         (ev.plus.R, *ev.riemann.W, *_einstein(ev))):
         assert _relative(new, old) <= 1.5e-13
-    assert max(identity_suite(ev_new).values()) <= 7e-12
+    res = sup(identity_suite(ev_new))
+    # the pair swap without its dH term is an identity only for closed H
+    assert not closed(killing_residual(ev_new)["dH_sup"])
+    del res["pair_swap_closed"]
+    assert max(res.values()) <= 7e-12
     assert np.max(np.abs(_integrals(new_chart, new_H) - _integrals(chart, H))) <= 5e-13
 
 

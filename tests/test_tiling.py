@@ -3,6 +3,7 @@ give the bits of one context on the whole grid, in less memory."""
 
 import contextlib
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,14 +11,16 @@ import pytest
 
 from skewtorsion import charts, cli, connections, evaluation, frame
 from skewtorsion.connections import identity_suite
-from skewtorsion.decomposition import decompose_point, reconstruction_residuals
-from skewtorsion.evaluation import Evaluation
+from skewtorsion.decomposition import decompose_point
+from skewtorsion.evaluation import Evaluation, closed, sup
 from skewtorsion.instanton import (
-    _intertwiner_spectrum, _intertwiner_system, gauge_equivalence_probe,
+    _intertwiner_spectrum, _intertwiner_system, gauge_equivalence_probe, killing_residual,
+    self_duality_residual, yang_mills_density_check,
 )
 from skewtorsion.topology import (
     curvature_integrands, hitchin_thorpe_report, pontryagin_density, report_grids,
 )
+from skewtorsion.weyl import einstein_weyl_residual, torsion_weyl_roundtrip
 
 GRID = 1100  # tiles of 512, 512 and 76 points
 
@@ -60,45 +63,65 @@ def test_tiles_cut_the_grid_without_evaluating_it_again(monkeypatch):
 @pytest.mark.parametrize("name", list(CHARTS))
 def test_tiled_verify_residuals_are_those_of_one_context(name):
     ev = _context(name)
-    res = identity_suite(ev)
-    dec = decompose_point(ev)
+    res = sup(identity_suite(ev))
+    if not closed(killing_residual(ev)["dH_sup"]):
+        del res["pair_swap_closed"]
+    dec = sup(decompose_point(ev))
     res["reconstruction"] = dec["reconstruction_residual"]
     res["block_isometry"] = dec["block_residual"]
     assert _bits(cli._verify_residuals(_context(name))) == _bits(res)
 
 
 def test_verify_keeps_a_key_only_if_every_tile_reports_it(monkeypatch):
-    seen = []
+    """``pair_swap_closed`` is kept only if every tile reports H closed:
+    sup |dH| <= 1e-10 over the whole grid."""
+    for dH, kept in (((0.0, 1e-10, 1e-10), True),
+                     # closed on the first tile, open at one node of the second
+                     ((0.0, 2e-10, 0.0), False)):
+        seen = []
 
-    def suite(tile):
-        seen.append(tile.pt.npoints)
-        res = {"bianchi": float(len(seen))}
-        if len(seen) == 1:
-            res["pair_swap_closed"] = 0.0
-        return res
+        def killing(tile):
+            seen.append(tile.pt.npoints)
+            out = np.zeros(tile.pt.npoints)
+            out[7] = dH[len(seen) - 1]
+            return {"dH_sup": out}
 
-    report = {"reconstruction_residual": 0.5, "block_residual": 0.5}
-    monkeypatch.setattr(cli, "identity_suite", suite)
-    monkeypatch.setattr(cli, "decompose_point", lambda tile: report)
-    res = cli._verify_residuals(_context("flat"))
-    assert seen == [512, 512, 76]
-    assert res == {"bianchi": 3.0, "reconstruction": 0.5, "block_isometry": 0.5}
+        monkeypatch.setattr(cli, "killing_residual", killing)
+        res = cli._verify_residuals(_context("flat"))
+        assert seen == [512, 512, 76]
+        assert ("pair_swap_closed" in res) == kept
+        assert "dH" not in res and {"bianchi", "pair_swap", "block_isometry"} <= set(res)
 
 
 def _per_point_arrays(ev):
-    """Every per-point array a command joins over tiles."""
-    return (ev.einstein_norm(), reconstruction_residuals(ev),
-            *_intertwiner_spectrum(ev), *curvature_integrands(ev), pontryagin_density(ev))
+    """Every per-point array a command joins over tiles or reduces, by name:
+    each key of every check's dict, the Einstein norm, the probe spectrum
+    and the Chern-Weil densities."""
+    checks = {
+        "suite": identity_suite(ev),
+        "decomposition": decompose_point(ev),
+        "yang_mills": yang_mills_density_check(ev),
+        "self_duality": {"plus": self_duality_residual(ev.plus.induced),
+                         "minus": self_duality_residual(ev.minus.induced)},
+        "killing": killing_residual(ev),
+        "weyl_roundtrip": torsion_weyl_roundtrip(ev),
+        "einstein_weyl": einstein_weyl_residual(ev, charts.random_one_form(3)),
+        "einstein_norm": {"plus": ev.einstein_norm(), "minus": ev.einstein_norm(-1)},
+        "spectrum": dict(enumerate(_intertwiner_spectrum(ev))),
+        "densities": dict(enumerate((*curvature_integrands(ev), pontryagin_density(ev)))),
+    }
+    return {f"{check}.{key}": a for check, d in checks.items() for key, a in d.items()}
 
 
 @pytest.mark.parametrize("name", list(CHARTS))
 def test_per_point_arrays_are_those_of_one_context(name):
     tiled = _context(name).per_point(_per_point_arrays)
     whole = _per_point_arrays(_context(name))
-    assert len(tiled) == len(whole) == 9
-    for got, want in zip(tiled, whole):
-        assert got.shape == want.shape and want.shape[-1] == GRID
-        assert got.tobytes() == want.tobytes()
+    assert list(tiled) == list(whole) and len(whole) == 46
+    for key, want in whole.items():
+        got = tiled[key]
+        assert want.shape[-1] == GRID and got.shape == want.shape, key
+        assert got.tobytes() == want.tobytes(), key
     # one array returned is one array joined, over the tiles
     seen = []
     got = _context(name).per_point(lambda t: seen.append(t.pt.npoints) or pontryagin_density(t))
@@ -124,9 +147,34 @@ def test_tiled_quadrature_is_the_untiled_quadrature(name, monkeypatch):
         grids = report_grids(*charts.chart_and_torsion(CHARTS[name]), 600)
         return cli._dump_json(hitchin_thorpe_report(grids["sample"], grids))
 
-    tiled = report()
+    # the differing lines alone: a diff of two whole reports takes minutes
+    tiled = report().splitlines()
     monkeypatch.setattr(evaluation, "TILE", 4 * GRID)
-    assert tiled == report()
+    whole = report().splitlines()
+    assert len(tiled) == len(whole)
+    assert [(a, b) for a, b in zip(tiled, whole) if a != b] == []
+
+
+def test_sup_is_the_largest_absolute_entry():
+    assert sup(np.array([[1.0, -3.0], [2.0, 0.5]])) == 3.0
+    # a zero prints as 0, never as -0
+    for zeros in (np.zeros((4, 3)), np.full(3, -0.0)):
+        assert sup(zeros) == 0.0 and not np.signbit(sup(zeros))
+    assert math.isnan(sup(np.array([1.0, math.nan, -5.0])))
+    assert sup({"a": np.array([-2.0]), "b": np.zeros(2)}) == {"a": 2.0, "b": 0.0}
+    # a long double array gives the float of its largest |entry| (shadow runs)
+    third = np.array([1.0, -2.0], dtype=np.longdouble) / 3
+    assert type(sup(third)) is float and sup(third) == float(np.longdouble(2) / 3)
+
+
+def test_round_chart_residuals_peak_next_to_a_pole():
+    # frame terms of size 1/x^2 cancel worst at the nodes nearest the poles
+    # (ROADMAP item 2): the per-point arrays say where the residuals peak
+    n = 4096
+    res = _context("round", n).per_point(
+        lambda t: {k: v for k, v in identity_suite(t).items() if k in ("bianchi", "jacobi")})
+    for key, a in res.items():
+        assert a.shape == (n,) and int(np.argmax(a)) in (0, 1, n - 2, n - 1), key
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,7 @@ from skewtorsion.charts import (
 )
 from skewtorsion.connections import full_components, levi_civita
 from skewtorsion import weyl
-from skewtorsion.evaluation import Evaluation
+from skewtorsion.evaluation import Evaluation, sup
 from skewtorsion.weyl import einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection
 
 
@@ -47,14 +47,14 @@ def test_weyl_connection_rejects_higher_degree():
 def test_ricci_routes_agree_for_arbitrary_one_forms(seed):
     chart = random_chart(seed)
     om = random_one_form(seed)
-    res = einstein_weyl_residual(Evaluation.on_grid(chart, InvariantForm.zero(3), 32), om)
+    res = sup(einstein_weyl_residual(Evaluation.on_grid(chart, InvariantForm.zero(3), 32), om))
     assert res["route_difference"] <= 1e-9
     assert res["scalar_difference"] <= 1e-9
 
 
 def test_round_sphere_with_zero_form_is_einstein_weyl():
     ev = Evaluation.on_grid(round_s4_chart(), InvariantForm.zero(3), 16)
-    res = einstein_weyl_residual(ev, InvariantForm.zero(1))
+    res = sup(einstein_weyl_residual(ev, InvariantForm.zero(1)))
     assert res["residual_direct"] <= 1e-12
     assert res["residual_formula"] <= 1e-12
 
@@ -63,7 +63,7 @@ def test_round_sphere_with_zero_form_is_einstein_weyl():
 def test_bonneau_torsion_dual_is_einstein_weyl(k):
     chart, H = bonneau_chart(k)
     omega = InvariantForm(1, [(3,)], lambda pt: [2.0 * pt.c])  # *H along e4
-    res = einstein_weyl_residual(Evaluation.on_grid(chart, H, 64), omega)
+    res = sup(einstein_weyl_residual(Evaluation.on_grid(chart, H, 64), omega))
     assert res["residual_direct"] <= 1e-8
     assert res["residual_formula"] <= 1e-8
     assert res["route_difference"] <= 1e-9
@@ -71,8 +71,8 @@ def test_bonneau_torsion_dual_is_einstein_weyl(k):
 
 def test_roundtrip_involution_and_sign():
     chart, H = bonneau_chart(0.0)
-    res = torsion_weyl_roundtrip(Evaluation.on_grid(chart, H, 32))
-    assert res["closing_sign"] == 1
+    res = sup(torsion_weyl_roundtrip(Evaluation.on_grid(chart, H, 32)))
+    assert weyl.CLOSING_SIGN == 1
     assert res["roundtrip_residual"] <= 1e-14
     assert res["norm_preserved"] <= 1e-14
     assert res["einstein_residual_plus"] <= 1e-8
@@ -88,14 +88,14 @@ def test_roundtrip_residual_sees_a_star_of_the_wrong_sign(monkeypatch):
                         lambda a: -1.0 * star(a) if a.degree == 1 else star(a))
     chart, H = bonneau_chart(0.0)
     ev = Evaluation.on_grid(chart, H, 32)
-    res = torsion_weyl_roundtrip(ev)
-    assert res["closing_sign"] == 1
+    res = sup(torsion_weyl_roundtrip(ev))
+    assert weyl.CLOSING_SIGN == 1
     assert res["roundtrip_residual"] >= np.max(np.abs(ev.Hf.comps.value)) > 0.0
 
 
 def test_roundtrip_zero_and_random_norm_preservation():
     chart = random_chart(2)
-    res0 = torsion_weyl_roundtrip(Evaluation.on_grid(chart, InvariantForm.zero(3), 8))
+    res0 = sup(torsion_weyl_roundtrip(Evaluation.on_grid(chart, InvariantForm.zero(3), 8)))
     assert res0["roundtrip_residual"] == 0.0
-    res = torsion_weyl_roundtrip(Evaluation.on_grid(chart, random_torsion(2), 8))
+    res = sup(torsion_weyl_roundtrip(Evaluation.on_grid(chart, random_torsion(2), 8)))
     assert res["norm_preserved"] <= 1e-12
