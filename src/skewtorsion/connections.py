@@ -22,15 +22,23 @@ of matrix-valued connection forms w is written once, in
 :func:`_structure_equation`, for :func:`curvature_pairs` and for the
 induced connection on Lambda+ (``instanton.InducedConnection.from_forms``),
 on the six pairs i < j with their one bracket index.  The pairs are the
-one stored form of a curvature: the 6x6 operator and the Lambda+
-curvature read their terms off them, and only :func:`curvature`, for the
-readers of R itself, scatters them into the 4-index tensor with
-F_ji = 0 - F_ij.
+one stored form of a curvature: the 6x6 operator, the Lambda+ curvature,
+the Ricci tensor and the identity suite read their terms off them.
+:func:`curvature` scatters them into the 4-index tensor with
+F_ji = 0 - F_ij, the dense form no check builds.
+
+The identity suite checks each curvature identity only on the entries
+where its residual can differ from zero, on the pairs or the triples of
+distinct indices (the curvature cross-check, the first Bianchi identity)
+or on all 256 (the pair swap), each entry read off the pairs and off the
+components of H and D^g H by index tables built at import
+(:class:`_Terms`) and summed in the order of the dense expression, so it
+has that expression's bits.
 
 The trace-free symmetric part is written once too, in :func:`_tf_sym`.
 
 The curvature routes, the exterior data of H and the identity suite read
-their connections, curvature tensors and Ricci tensors from an evaluation
+their connections, curvatures and Ricci tensors from an evaluation
 context (:class:`skewtorsion.evaluation.Evaluation`), which builds each once.
 """
 
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations, product
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,7 +54,8 @@ import numpy as np
 from . import jets
 from .jets import Jet
 from .frame import (
-    FULL_SIGNS, KForm, MULTI_INDICES, _Gather, _WEDGE, hodge_star, norm_sq,
+    FULL_SIGNS, KForm, MULTI_INDICES, _FULL, _Gather, _PAIR_INDEX, _PAIR_SIGN, _WEDGE,
+    hodge_star, norm_sq,
 )
 from .charts import FramePoint, _BRACKET_PAIRS, _abs_max
 
@@ -85,9 +95,6 @@ def _fro(m):
 
 # indices of the increasing triples, selecting 3-form components from a tensor
 _TRIPLES = tuple(np.array(col) for col in zip(*MULTI_INDICES[3]))
-# the 4-index Levi-Civita symbol with a grid axis: a 4-form's full
-# components are its one component times these signs
-_EPS4 = FULL_SIGNS[4][0, ..., None]
 
 
 @dataclass
@@ -182,12 +189,12 @@ def curvature_pairs(conn: AffineConnection) -> np.ndarray:
     return _structure_equation(conn.pt, jets.einsum("ilk...->ikl...", conn.gamma))
 
 
-def curvature(conn: AffineConnection, pairs: np.ndarray | None = None) -> np.ndarray:
+def curvature(conn: AffineConnection) -> np.ndarray:
     """Frame curvature R_ijkl of any connection (metric or not), values of
-    shape (4, 4, 4, 4, n): its pairs (:func:`curvature_pairs`, or ``pairs``
-    when they are at hand) scattered, with R_jikl = 0 - R_ijkl."""
-    if pairs is None:
-        pairs = curvature_pairs(conn)
+    shape (4, 4, 4, 4, n): its pairs (:func:`curvature_pairs`) scattered,
+    with R_jikl = 0 - R_ijkl.  No check builds it; it is the dense form the
+    readers of the pairs are tested against."""
+    pairs = curvature_pairs(conn)
     i, j, _ = _BRACKET_PAIRS
     R = np.zeros((4, 4) + pairs.shape[1:], pairs.dtype)
     R[i, j] = pairs
@@ -196,17 +203,20 @@ def curvature(conn: AffineConnection, pairs: np.ndarray | None = None) -> np.nda
 
 
 def curvature_via_eq1(ev: Evaluation) -> np.ndarray:
-    """Curvature of the +H connection assembled from the Riemannian one.
+    """Curvature of the +H connection assembled from the Riemannian one, on
+    the six pairs i < j of its first index pair, shape (6, 4, 4, n).
 
-    Independent route from :func:`curvature`: the context's Riemannian
+    Independent route from :func:`curvature_pairs`: the context's Riemannian
     curvature plus the quadratic torsion terms (coefficient 1/4) and the
-    first covariant derivatives of H (coefficient 1/2).
+    first covariant derivatives of H (coefficient 1/2), each entry summed
+    as in the dense 4-index expression.
     """
-    HH, DH = ev.HH, ev.DH
-    # sum_m H_ilm H_jkm - H_jlm H_ikm, read off the context's H (x) H
-    quad = 0.25 * (np.einsum("iljk...->ijkl...", HH) - np.einsum("jlik...->ijkl...", HH))
-    dterm = -0.5 * DH + 0.5 * np.einsum("ijkl...->jikl...", DH)
-    return ev.riemann.R + quad + dterm
+    # T[s, k, l] = sum_m H_ikm H_jlm, so sum_m H_ilm H_jkm - H_jlm H_ikm
+    # is T[s, l, k] - T[s, k, l]
+    T = _EQ1_HH(ev.Hv).reshape(6, 4, 4, -1)
+    quad = 0.25 * (np.swapaxes(T, 1, 2) - T)
+    dterm = _EQ1_DH(ev.grad_H).reshape(6, 4, 4, -1)
+    return ev.riemann.pairs + quad + dterm
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +328,122 @@ def exterior_ops(lc: AffineConnection, H: KForm) -> ExteriorData:
 # ---------------------------------------------------------------------------
 
 
-def _cyclic(T):
-    """Cyclic sum of a 4-tensor over its first three indices."""
-    return T + np.einsum("ijkl...->jkil...", T) + np.einsum("ijkl...->kijl...", T)
+class _Terms:
+    """Entries that are sums of terms read off the rows of one array ``x``,
+    whose axes before the last (the grid axis) are flattened: an entry adds
+    its terms into zeros in the order listed, the order of the dense
+    expression it is an entry of, so it has that expression's bits on
+    finite values.  A term is (c, r), c x[r], or with ``products`` (r, q),
+    x[r] x[q]; a sum of ``products`` with fewer terms than the longest is
+    padded with x[0] x[0], which must be zero.
+
+    A sum of products lists only the products that are not zero by the
+    antisymmetry of their factors: such a zero adds nothing to a sum that
+    starts at +0.0, which never holds -0.0."""
+
+    def __init__(self, terms, products: bool = False):
+        slots = max(map(len, terms))
+        if products:
+            terms = [t + [(0, 0)] * (slots - len(t)) for t in terms]
+        assert all(len(t) == slots for t in terms), "a padding term could read a NaN"
+        first, self.rows = np.array(terms).transpose(2, 1, 0)  # (slots, entries) each
+        self.rows = self.rows.astype(np.intp)
+        self.first = first.astype(np.intp) if products else first[..., None]
+        self.products = products
+
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The entries at each point, shape (entries, n), added into ``out``
+        (entries, n) when it is given: every term taken at once, then
+        added in order."""
+        x = x.reshape(-1, x.shape[-1])
+        terms = np.take(x, self.rows, axis=0)
+        terms *= np.take(x, self.first, axis=0) if self.products else self.first
+        if out is None:
+            out = terms[0] + 0.0  # 0.0 + t: a -0.0 term adds as +0.0
+        else:
+            out += terms[0]
+        for term in terms[1:]:
+            out += term
+        return out
+
+
+def _r(a, b, c, d):
+    """R_abcd, a != b, as a term read off a curvature on its six pairs,
+    (6, 4, 4, n): the pair (a, b), negated for a > b."""
+    return _PAIR_SIGN[a, b], (_PAIR_INDEX[a, b] * 4 + c) * 4 + d
+
+
+def _dh(a, b, c, d):
+    """(D^g_a H)_bcd as the term ``_FULL[3]`` reads off its components on
+    the increasing triples, (4, 4, n); a zero entry reads the first
+    component times 0, as there."""
+    bcd = (b * 4 + c) * 4 + d
+    return _FULL[3].coef[0, bcd], a * 4 + _FULL[3].index[0, bcd]
+
+
+def _hh(a, b, c, d):
+    """sum_m H_abm H_cdm: its products that are not zero, in the order of
+    m, as rows of the full components of H, (4, 4, 4, n)."""
+    return [((a * 4 + b) * 4 + m, (c * 4 + d) * 4 + m)
+            for m in range(4) if len({a, b, m}) == len({c, d, m}) == 3]
+
+
+# The entries each identity is checked on.  A curvature's first pair is
+# stored exactly antisymmetric (its six pairs i < j), so the curvature
+# cross-check is zero at i = j and odd under i <-> j: it is read on the
+# pairs, (i, j, k, l) for i < j.  The cyclic sums of the Bianchi identity
+# are zero at a repeated index among i, j, k: it is read on the ordered
+# triples of distinct i, j, k, with every l.  The pair swap reads all 256
+# entries, as the second pair carries noise at k = l.
+_ON_PAIRS = [(i, j, k, l) for i, j in MULTI_INDICES[2] for k in range(4) for l in range(4)]
+_ON_TRIPLES = [(i, j, k, l) for i, j, k in permutations(range(4), 3) for l in range(4)]
+# i != j with k = l, i != j with k != l, i = j with k != l, i = j with k = l:
+# R_ijkl is read on the first 192, R^-_klij on the 192 from the 48th, and
+# each is zero on the rest
+_SWAPPED = sorted(product(range(4), repeat=4),
+                  key=lambda e: (e[0] == e[1], (e[0] == e[1]) == (e[2] == e[3])))
+
+# Ric_ij = sum_k R_kikj, added in the order of k, as
+# np.einsum("kikj...->ij...") adds them; the term k = i, a zero of R, adds
+# nothing to a sum from +0.0 and is left out
+_RICCI = _Terms([[_r(k, i, k, j) for k in range(4) if k != i]
+                 for i in range(4) for j in range(4)])
+# sum_m H_ikm H_jlm, and -(D_i H)_jkl / 2 + (D_j H)_ikl / 2, on the pairs:
+# scaling a term by +-1/2 rounds as scaling the entry it is read off
+_EQ1_HH = _Terms([_hh(i, k, j, l) for i, j, k, l in _ON_PAIRS], products=True)
+_EQ1_DH = _Terms([[(-0.5 * ca, ra), (0.5 * cb, rb)]
+                  for (ca, ra), (cb, rb) in ((_dh(i, j, k, l), _dh(j, i, k, l))
+                                             for i, j, k, l in _ON_PAIRS)])
+# the cyclic sums R_ijkl + R_kijl + R_jkil and (H (x) H)_ijkl + ..., and
+# (D_l H)_ijk, on the triples; -dH_ijkl is -eps_ijkl times *dH
+_BIANCHI_R = _Terms([[_r(i, j, k, l), _r(k, i, j, l), _r(j, k, i, l)]
+                     for i, j, k, l in _ON_TRIPLES])
+_BIANCHI_HH = _Terms([_hh(i, j, k, l) + _hh(k, i, j, l) + _hh(j, k, i, l)
+                      for i, j, k, l in _ON_TRIPLES], products=True)
+_BIANCHI_DH = _Terms([[_dh(l, i, j, k)] for i, j, k, l in _ON_TRIPLES])
+_BIANCHI_DHV = np.array([-FULL_SIGNS[4][(0,) + e] for e in _ON_TRIPLES])[:, None]
+# R_ijkl, and -R^-_klij, whose sum is R_ijkl - R^-_klij; dH_ijkl / 2
+_SWAP_PLUS = _Terms([[_r(*e)] for e in _SWAPPED[:192]])
+_SWAP_MINUS = _Terms([[(-c, r)] for c, r in (_r(k, l, i, j) for i, j, k, l in _SWAPPED[48:240])])
+_SWAP_DHV = np.array([0.5 * FULL_SIGNS[4][(0,) + e] for e in _SWAPPED])[:, None]
+
+
+def _bianchi(ev: Evaluation) -> np.ndarray:
+    """First Bianchi identity with torsion on ``_ON_TRIPLES``, shape (96, n):
+    the cyclic sum of R against dH, D^g H and the quadratic terms."""
+    rhs = (_BIANCHI_DHV * ev.ext.dH.comps.value[0] - _BIANCHI_DH(ev.grad_H)
+           + 0.5 * _BIANCHI_HH(ev.Hv))
+    return _BIANCHI_R(ev.plus.pairs) - rhs
+
+
+def _pair_swap(ev: Evaluation) -> np.ndarray:
+    """R_ijkl - R^-_klij on ``_SWAPPED``, shape (256, n): the pair swap
+    against the opposite-torsion connection, without its dH term."""
+    R = ev.plus.pairs
+    diff = np.zeros((256,) + R.shape[3:], R.dtype)
+    _SWAP_PLUS(R, out=diff[:192])
+    _SWAP_MINUS(ev.minus.pairs, out=diff[48:240])
+    return diff
 
 
 def identity_suite(ev: Evaluation) -> dict:
@@ -332,32 +455,26 @@ def identity_suite(ev: Evaluation) -> dict:
     signs (+dH in the Bianchi identity, +*dh/2 in the four-dimensional Ricci
     formula), so a sign regression shows as a large residual.
     ``pair_swap_closed`` holds only for closed H (``evaluation.closed``).
+
+    The curvature identities read each curvature on its six pairs, and
+    H (x) H and D^g H off the components of H and of D^g H, only on the
+    entries where the residual can differ from zero (``_ON_PAIRS``,
+    ``_ON_TRIPLES``, ``_SWAPPED``); each entry is summed in the order of the
+    dense 4-index expression, so it has that entry's bits, and no
+    (4, 4, 4, 4, n) tensor is built.
     """
-    pt, ext, Hv, DHg = ev.pt, ev.ext, ev.Hv, ev.DH
-    R = ev.plus.R
-    Rm = ev.minus.R
+    pt, ext, Hv = ev.pt, ev.ext, ev.Hv
     dstarHv = full_components(ext.dstar_H, pt)
 
     out = {}
-    out["curvature_cross"] = _abs_max(R - curvature_via_eq1(ev))
-
-    # the full tensor of dH, built after the cross check so that it is not
-    # alive at the suite's peak; every reader takes max |.|, so the sign of
-    # a zero entry is immaterial
-    dHv = _EPS4 * ext.dH.comps.value[0]
-
-    # first Bianchi with torsion: cyclic sum vs dH, grad H and quadratic terms;
-    # its (4, 4, 4, 4, n) temporaries are dropped at once, since what the
-    # suite holds at one time sets the peak memory of a large grid
-    rhs = -dHv - np.einsum("lijk...->ijkl...", DHg) + 0.5 * _cyclic(ev.HH)
-    out["bianchi"] = _abs_max(_cyclic(R) - rhs)
-    del rhs
-
-    # pair swap against the opposite-torsion connection, general and closed
-    diff = R - np.einsum("klij...->ijkl...", Rm)
-    out["pair_swap"] = _abs_max(diff + 0.5 * dHv)
-    del dHv
-    out["pair_swap_closed"] = _abs_max(diff)
+    out["curvature_cross"] = _abs_max(ev.plus.pairs - curvature_via_eq1(ev))
+    out["bianchi"] = _abs_max(_bianchi(ev))
+    # pair swap, general and closed: the dH term added in place
+    diff = _pair_swap(ev)
+    closed = _abs_max(diff)
+    diff += _SWAP_DHV * ext.dH.comps.value[0]
+    out["pair_swap"] = _abs_max(diff)
+    out["pair_swap_closed"] = closed
     del diff
 
     # Ricci of the torsion connection vs the divergence formula

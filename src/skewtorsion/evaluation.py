@@ -4,7 +4,7 @@ Every single-grid check of the package reads its geometry from an
 :class:`Evaluation`: the torsion 3-form at the points, the Levi-Civita
 connection, the metric connections with torsion +H and -H, and for each
 connection (a :class:`ConnectionData`, the one owner of each of these)
-its curvature tensor, 6x6 operator and its blocks, W+-, Ricci tensor,
+its curvature, 6x6 operator and its blocks, W+-, Ricci tensor,
 scalar and trace-free Ricci tensor Z and induced connection on Lambda+,
 plus the exterior data of H and the norms of the Einstein tensors.  Each
 object is built at most once, on first use, so checks that share a
@@ -19,20 +19,21 @@ curvature tensor or operator; the residual, which needs both, is built
 only by the checks that report it.  Both curvatures come from one
 structure equation (``connections._structure_equation``), and a check of
 -H, such as ``einstein_tensor_point(ev, -1)``, reads ``minus``.  A
-curvature is kept on its six index pairs i < j, off which the operator is
-read; the 4-index tensor ``R`` is scattered from them only for the Ricci
-tensor and the identity suite, and replaces them.
+curvature is kept on its six index pairs i < j, off which the operator,
+the Ricci tensor and the identity suite read it: no context builds a
+(4, 4, 4, 4, n) tensor.
 
 Nor is a jet coefficient computed that no check reads (``jets``): the
 profiles carry order 2; the brackets and the three connections order 1,
 as the curvature differentiates them once; H order 1, evaluated on the
-seed and profiles cut to order 1; the curvature tensors, ``DH`` and the
-other covariant derivatives read as values, the torsion forms and the
-exterior data of H (``ext``) order 0.  The one contraction of H with
-itself over one index, ``HH``, serves both the Bianchi identity and the
-assembled curvature of ``connections.curvature_via_eq1``.
+seed and profiles cut to order 1; the curvatures, ``grad_H`` (D^g H on
+the increasing triples) and the other covariant derivatives read as
+values, the torsion forms and the exterior data of H (``ext``) order 0.
+The Bianchi identity and the assembled curvature of
+``connections.curvature_via_eq1`` read H (x) H and D^g H entry by entry,
+off ``Hv`` and ``grad_H``.
 
-A context keeps what it has built until it is dropped: about 19 kB per
+A context keeps what it has built until it is dropped: about 13 kB per
 point once every object is built.  So a check that works point by point
 runs on :meth:`Evaluation.tiles`, consecutive slices of at most ``TILE``
 points, each a fresh context that is dropped before the next is built;
@@ -58,17 +59,17 @@ import numpy as np
 
 from .charts import FramePoint, InvariantChart, InvariantForm, _grid_slice
 from .connections import (
-    AffineConnection, ExteriorData, _fro, _tf_sym,
-    cov_deriv, curvature, curvature_pairs, exterior_ops, full_components,
+    _RICCI, AffineConnection, ExteriorData, _fro, _tf_sym,
+    cov_deriv, curvature_pairs, exterior_ops, full_components,
     levi_civita, with_skew_torsion,
 )
 from .decomposition import einstein_tensor_point
-from .frame import KForm, _FULL, operator_from_tensor
+from .frame import KForm, operator_from_tensor
 from .instanton import InducedConnection, induced_lambda_plus
 
 __all__ = ["ConnectionData", "Evaluation", "Grids", "TILE", "sup", "closed"]
 
-# most points in one tile: a fully built tile holds about 10 MB
+# most points in one tile: a fully built tile holds about 7 MB
 TILE = 512
 
 CLOSED_TOL = 1e-10  # H counts as closed when sup |dH| is at most this
@@ -102,18 +103,10 @@ class ConnectionData:
         return curvature_pairs(self.conn)
 
     @cached_property
-    def R(self) -> np.ndarray:
-        """Curvature tensor R_ijkl, shape (4, 4, 4, 4, n), scattered from
-        ``pairs``, which it replaces: a context holds one form of each
-        curvature."""
-        return curvature(self.conn, vars(self).pop("pairs", None))
-
-    @cached_property
     def M(self) -> np.ndarray:
         """6x6 curvature operator in the +- basis, shape (6, 6, n), read off
-        ``pairs``, or off ``R`` once that is built: the same bits."""
-        R = vars(self).get("R")
-        return operator_from_tensor(self.pairs if R is None else R)
+        ``pairs``."""
+        return operator_from_tensor(self.pairs)
 
     @cached_property
     def blocks(self) -> tuple:
@@ -128,8 +121,9 @@ class ConnectionData:
 
     @cached_property
     def ric(self) -> np.ndarray:
-        """Ric_ij = sum_k R_kikj, shape (4, 4, n) (round S^4 gives Ric = 3g)."""
-        return np.einsum("kikj...->ij...", self.R)
+        """Ric_ij = sum_k R_kikj, shape (4, 4, n) (round S^4 gives Ric = 3g),
+        read off ``pairs``."""
+        return _RICCI(self.pairs).reshape(4, 4, -1)
 
     @cached_property
     def scalar(self) -> np.ndarray:
@@ -198,15 +192,10 @@ class Evaluation:
         return full_components(self.Hf, self.pt)
 
     @cached_property
-    def HH(self) -> np.ndarray:
-        """sum_m H_abm H_cdm, shape (4, 4, 4, 4, n); a product of two H's
-        contracted on one index is an index permutation of it."""
-        return np.einsum("abm...,cdm...->abcd...", self.Hv, self.Hv)
-
-    @cached_property
-    def DH(self) -> np.ndarray:
-        """(D^g_i H)_jkl, antisymmetric in (jkl), shape (4, 4, 4, 4, n)."""
-        return _FULL[3](cov_deriv(self.pt, self.lc.truncated(0), self.Hf).value, lead=1)
+    def grad_H(self) -> np.ndarray:
+        """(D^g_i H)_J on the increasing triples J, shape (4, 4, n): the
+        values the curvature identities read D^g H off."""
+        return cov_deriv(self.pt, self.lc.truncated(0), self.Hf).value
 
     def einstein_norm(self, sign: int = +1) -> np.ndarray:
         """Per-point Frobenius norm of the Einstein tensor of the connection

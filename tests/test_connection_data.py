@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from skewtorsion import charts, cli
-from skewtorsion.connections import _tf_sym
+from skewtorsion.connections import _tf_sym, curvature
 from skewtorsion.decomposition import decompose_point
 from skewtorsion.evaluation import Evaluation, sup
 
@@ -45,7 +45,7 @@ def test_connection_data_owns_blocks_weyl_and_ricci(name):
         A, _, _, D = operator_blocks(cd.M)
         assert cd.W[0].tobytes() == trace_free_sym(A, 3).tobytes()
         assert cd.W[1].tobytes() == trace_free_sym(D, 3).tobytes()
-        ric = np.einsum("kikj...->ij...", cd.R)
+        ric = np.einsum("kikj...->ij...", curvature(cd.conn))
         assert cd.ric.tobytes() == ric.tobytes()
         assert cd.scalar.tobytes() == np.einsum("ii...->...", ric).tobytes()
         assert cd.Z.tobytes() == trace_free_sym(ric, 4).tobytes()

@@ -9,8 +9,8 @@ from skewtorsion.charts import (
     product_chart, random_chart, random_one_form, random_torsion, round_s4_chart,
 )
 from skewtorsion.connections import (
-    AffineConnection, codifferential, curvature, curvature_via_eq1, d_form,
-    exterior_ops, full_components, identity_suite, levi_civita, with_skew_torsion,
+    AffineConnection, codifferential, curvature, curvature_pairs, curvature_via_eq1,
+    d_form, exterior_ops, full_components, identity_suite, levi_civita, with_skew_torsion,
 )
 from skewtorsion.evaluation import ConnectionData, Evaluation, closed, sup
 from skewtorsion.frame import KForm, hodge_star
@@ -44,7 +44,7 @@ def test_round_sphere_constant_curvature():
     chart = round_s4_chart()
     pt = chart.at(chart.sample_grid(16))
     cd = ConnectionData(levi_civita(pt))
-    R = cd.R
+    R = curvature(cd.conn)
     expected = (np.einsum("ik,jl->ijkl", np.eye(4), np.eye(4))
                 - np.einsum("il,jk->ijkl", np.eye(4), np.eye(4)))[..., None]
     assert np.max(np.abs(R - expected)) < 1e-12
@@ -143,7 +143,8 @@ def test_curvature_two_routes_agree():
         H = random_torsion(seed)
         pt = chart.at(chart.sample_grid(16))
         Hf = H.at(pt)
-        direct = curvature(with_skew_torsion(levi_civita(pt), Hf))
+        # on the six pairs i < j, the half of R the assembled route returns
+        direct = curvature_pairs(with_skew_torsion(levi_civita(pt), Hf))
         assembled = curvature_via_eq1(Evaluation(pt, Hf))
         assert np.max(np.abs(direct - assembled)) <= 1e-10
 

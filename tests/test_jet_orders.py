@@ -9,8 +9,8 @@ import pytest
 
 from skewtorsion import charts, jets
 from skewtorsion.connections import (
-    _EYE4, _TRIPLES, _sym, AffineConnection, cov_deriv, curvature, d_form,
-    full_components, identity_suite,
+    _EYE4, _TRIPLES, _sym, AffineConnection, cov_deriv, curvature, curvature_pairs,
+    d_form, full_components, identity_suite,
 )
 from skewtorsion.evaluation import Evaluation, sup
 from skewtorsion.frame import _FULL, hodge_star, norm_sq
@@ -52,7 +52,7 @@ def _suite(ev: Evaluation, H2, plus: AffineConnection) -> dict:
     ``plus``: every (4, 4, 4, 4, n) tensor built in full, each product of
     two H's contracted on its own."""
     pt, lc = ev.pt, ev.lc
-    R, Rm, Rg = ev.plus.R, ev.minus.R, ev.riemann.R
+    R, Rm, Rg = (curvature(cd.conn) for cd in (ev.plus, ev.minus, ev.riemann))
     Hv = full_components(H2, pt)
     DH = _FULL[3](cov_deriv(pt, lc, H2).value, lead=1)
     h = hodge_star(H2)
@@ -111,7 +111,7 @@ def test_pruned_stages_equal_the_full_order_formulas(name, nodes):
         full[sign] = AffineConnection(
             pt, lc.gamma + 0.5 * jets.truncate((sign * H2).full(), lc.gamma.order))
         _same(cd.conn.gamma, full[sign].gamma)
-        _same(cd.R, curvature(full[sign]))
+        _same(cd.pairs, curvature_pairs(full[sign]))
 
     # torsion forms, values only
     for conn, ref in ((lc, lc), (ev.plus.conn, full[1.0])):
@@ -120,7 +120,7 @@ def test_pruned_stages_equal_the_full_order_formulas(name, nodes):
         _same(tor.value, _torsion_values(ref))
 
     # the Levi-Civita derivative of H and the exterior data of H
-    _same(ev.DH, _FULL[3](cov_deriv(pt, lc, H2).value, lead=1))
+    _same(ev.grad_H, cov_deriv(pt, lc, H2).value)
     ext = ev.ext
     h = hodge_star(H2)
     dH, dh = d_form(pt, H2), d_form(pt, h)

@@ -33,12 +33,13 @@ CHARTS = {
 
 def _residuals(descriptor: dict, n: int):
     """The verify residuals at the chart's n-point sample grid, in float64
-    and in the shadow, and the shadow's curvature dtype."""
+    and in the shadow, and the dtype of the shadow's Ricci tensor, read off
+    its curvature's pairs."""
     chart, H = chart_and_torsion(descriptor)
     x = chart.sample_grid(n)
     ev = Evaluation(shadow_point(chart, x), H)
     shadow = cli._verify_residuals(ev)
-    return cli._verify_residuals(Evaluation(chart.at(x), H)), shadow, ev[:1].riemann.R.dtype
+    return cli._verify_residuals(Evaluation(chart.at(x), H)), shadow, ev[:1].riemann.ric.dtype
 
 
 @pytest.mark.parametrize("name", CHARTS)

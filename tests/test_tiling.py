@@ -5,11 +5,13 @@ import contextlib
 import io
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 from skewtorsion import charts, cli, connections, evaluation, frame
+from skewtorsion.charts import _abs_max
 from skewtorsion.connections import identity_suite
 from skewtorsion.decomposition import decompose_point
 from skewtorsion.evaluation import Evaluation, closed, sup
@@ -21,6 +23,8 @@ from skewtorsion.topology import (
     curvature_integrands, hitchin_thorpe_report, pontryagin_density, report_grids,
 )
 from skewtorsion.weyl import einstein_weyl_residual, torsion_weyl_roundtrip
+
+from shadow import shadow_point
 
 GRID = 1100  # tiles of 512, 512 and 76 points
 
@@ -194,6 +198,20 @@ def test_fine_grid_commands_stay_small(argv):
     assert peak < 32 * 2 ** 20
 
 
+def test_one_verify_tile_builds_no_four_index_tensor():
+    # the verify residuals of one 512-point tile trace a peak of 6.34 MiB
+    # (x86_64, numpy 2.4); a (4, 4, 4, 4, 512) float64 temporary is 1 MiB,
+    # so one that comes back exceeds the 10% margin
+    ev = _context("bonneau", evaluation.TILE)
+    tracemalloc.start()
+    try:
+        cli._verify_residuals(ev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 6.34 * 2 ** 20
+
+
 # a grid of TILE + 1 or 2 TILE + 1 points: where a one-point tail tile
 # would be summed in another order than the rest (np.einsum)
 @pytest.mark.parametrize("argv", [
@@ -263,8 +281,9 @@ def test_pair_readers_are_the_dense_forms_they_replace(name):
     W = frame.SD_WEIGHTS
     with np.errstate(all="ignore"):
         for cd in (ev.riemann, ev.plus, ev.minus):
-            M = cd.M  # off the pairs, before R is built
-            _same(M, 0.25 * np.einsum("pab,qcd,abcd...->pq...", W, W, cd.R))
+            M = cd.M  # off the pairs
+            R = connections.curvature(cd.conn)
+            _same(M, 0.25 * np.einsum("pab,qcd,abcd...->pq...", W, W, R))
             ic = cd.induced
             F = _scattered(connections._structure_equation(ev.pt, ic.omega))
             _same(ic.F_sd, 0.5 * np.einsum("qij,ijpr...->prq...", W, F))
@@ -282,3 +301,78 @@ def test_pair_readers_are_the_dense_forms_they_replace(name):
             eye = np.eye(3)
             ref = np.einsum("nmpa,qb->nmpqab", Fp, eye) - np.einsum("pa,nmbq->nmpqab", eye, Fm)
             _same(L, ref.reshape(L.shape))
+
+
+def _at(T, entries):
+    """The entries (i, j, k, l) of a 4-index tensor T, in the order listed,
+    shape (len(entries), n)."""
+    return T[tuple(np.array(entries).T)]
+
+
+def _cyclic(T):
+    return T + np.einsum("ijkl...->jkil...", T) + np.einsum("ijkl...->kijl...", T)
+
+
+def _entry_context(name):
+    """A 64-point context: a chart of ``CHARTS``, the same chart evaluated
+    in np.longdouble (``shadow.py``), or the overflowing product chart."""
+    if name == "nan":
+        return _nan_context()
+    if name.endswith(" shadow"):
+        chart, H = charts.chart_and_torsion(CHARTS[name.split()[0]])
+        return Evaluation(shadow_point(chart, chart.sample_grid(64)), H)
+    return _context(name, 64)
+
+
+@pytest.mark.parametrize("name", [*CHARTS, *(f"{n} shadow" for n in CHARTS), "nan"])
+def test_suite_entries_are_the_dense_forms_they_replace(name):
+    """The Ricci tensors and the curvature identities of the suite, read off
+    the curvatures' pairs and the compact H and D^g H on the entries where
+    they can differ from zero, are the entries of the dense 4-index
+    expressions they replace, to the bits, in the input's dtype; off those
+    entries the dense residuals are zero, or the cross-check's negatives."""
+    ev = _entry_context(name)
+    pairs, triples, swapped = (connections._ON_PAIRS, connections._ON_TRIPLES,
+                               connections._SWAPPED)
+    with np.errstate(all="ignore"):
+        R, Rm, Rg = (connections.curvature(cd.conn) for cd in (ev.plus, ev.minus, ev.riemann))
+        Hv, star_dH = ev.Hv, ev.ext.dH.comps.value[0]
+        HH = np.einsum("abm...,cdm...->abcd...", Hv, Hv)
+        DH = frame._FULL[3](connections.cov_deriv(ev.pt, ev.lc.truncated(0), ev.Hf).value,
+                            lead=1)
+        dHv = frame.FULL_SIGNS[4][0, ..., None] * star_dH
+        quad = 0.25 * (np.einsum("iljk...->ijkl...", HH) - np.einsum("jlik...->ijkl...", HH))
+        dterm = -0.5 * DH + 0.5 * np.einsum("ijkl...->jikl...", DH)
+        eq1 = Rg + quad + dterm
+        bianchi = _cyclic(R) - (-dHv - np.einsum("lijk...->ijkl...", DH) + 0.5 * _cyclic(HH))
+        swap = R - np.einsum("klij...->ijkl...", Rm)
+        diff = connections._pair_swap(ev)
+        checks = [
+            *((cd.ric, np.einsum("kikj...->ij...", T))
+              for cd, T in ((ev.plus, R), (ev.minus, Rm), (ev.riemann, Rg))),
+            (connections._EQ1_HH(Hv), _at(HH, [(i, k, j, l) for i, j, k, l in pairs])),
+            (connections._EQ1_DH(ev.grad_H), _at(dterm, pairs)),
+            (connections.curvature_via_eq1(ev).reshape(96, -1), _at(eq1, pairs)),
+            (connections._BIANCHI_R(ev.plus.pairs), _at(_cyclic(R), triples)),
+            (connections._BIANCHI_HH(Hv), _at(_cyclic(HH), triples)),
+            (connections._BIANCHI_DH(ev.grad_H), _at(np.einsum("lijk...->ijkl...", DH), triples)),
+            (connections._bianchi(ev), _at(bianchi, triples)),
+            (diff, _at(swap, swapped)),
+            (diff + connections._SWAP_DHV * star_dH, _at(swap + 0.5 * dHv, swapped)),
+        ]
+        dtype = np.longdouble if "shadow" in name else np.float64
+        for got, want in checks:
+            assert got.dtype == want.dtype == dtype
+            _same(got, want)
+    if name == "nan":
+        return
+    cross = R - eq1
+    i, j = np.triu_indices(4, 1)
+    assert np.array_equal(cross[j, i], -cross[i, j]) and not cross[range(4), range(4)].any()
+    assert not _at(bianchi, [e for e in product(range(4), repeat=4) if len(set(e[:3])) < 3]).any()
+    assert sorted(swapped) == list(product(range(4), repeat=4))
+    # so each residual the suite reports is the dense one at every point
+    res = identity_suite(ev)
+    for key, dense in (("curvature_cross", cross), ("bianchi", bianchi),
+                       ("pair_swap", swap + 0.5 * dHv), ("pair_swap_closed", swap)):
+        assert res[key].dtype == dtype and np.array_equal(res[key], _abs_max(dense))
