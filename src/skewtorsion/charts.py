@@ -185,8 +185,10 @@ _BRACKETS = {nt: _Gather(np.moveaxis(_BRACKET_SIGNS[:nt], 0, -1), 3) for nt in (
 _RADIAL = np.array([1.0, 0.0, 0.0, 0.0])
 
 # _CYCLIC[t, p, q, r] = 1 for the cyclic orderings (p, q, r) of the t-th
-# increasing triple: its even permutations
+# increasing triple: its even permutations; the cyclic sums over (q, r) at
+# p = 0 and over (p, q, r) with p kept
 _CYCLIC = (FULL_SIGNS[3] > 0).astype(float)
+_CYCLIC_E1, _CYCLIC_C = _Gather(_CYCLIC[:, 0], 1), _Gather(_CYCLIC, 2)
 
 
 def _stack(items) -> Jet:
@@ -201,10 +203,9 @@ def _grid_slice(j: Jet, s: slice) -> Jet:
 
 
 def _abs_max(a: np.ndarray) -> np.ndarray:
-    """max |a| over every axis but the last, the grid axis, shape (n,): by
-    two reductions without the array |a|, NaN at a point with a NaN entry."""
-    a = a.reshape(-1, a.shape[-1])
-    return np.maximum(a.max(axis=0), -a.min(axis=0))
+    """max |a| over every axis but the last, the grid axis, shape (n,), NaN
+    at a point with a NaN entry."""
+    return np.abs(a).reshape(-1, a.shape[-1]).max(axis=0)
 
 
 def _rows(j: Jet) -> list:
@@ -274,9 +275,8 @@ class FramePoint:
         e_p(C_qrm) + C_qrl C_plm, per increasing triple."""
         C = self.structure
         # of the frame derivatives e_p only e1 acts
-        J = np.einsum("tqr,qrm...->tm...", _CYCLIC[:, 0], self.e1(C).value)
-        J += np.einsum("tpl...,plm...->tm...",
-                       np.einsum("tpqr,qrl...->tpl...", _CYCLIC, C.value), C.value)
+        J = _CYCLIC_E1(self.e1(C).value)
+        J += np.einsum("tpl...,plm...->tm...", _CYCLIC_C(C.value), C.value)
         return _abs_max(J)
 
 

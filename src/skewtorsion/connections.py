@@ -31,9 +31,9 @@ The identity suite checks each curvature identity only on the entries
 where its residual can differ from zero, on the pairs or the triples of
 distinct indices (the curvature cross-check, the first Bianchi identity)
 or on all 256 (the pair swap), each entry read off the pairs and off the
-components of H and D^g H by index tables built at import
-(:class:`_Terms`) and summed in the order of the dense expression, so it
-has that expression's bits.
+components of H and D^g H by index tables built at import (gathers of
+term lists, ``frame._Gather.of_terms``) and summed in the order of the
+dense expression, so it has that expression's bits.
 
 The trace-free symmetric part is written once too, in :func:`_tf_sym`.
 
@@ -328,45 +328,6 @@ def exterior_ops(lc: AffineConnection, H: KForm) -> ExteriorData:
 # ---------------------------------------------------------------------------
 
 
-class _Terms:
-    """Entries that are sums of terms read off the rows of one array ``x``,
-    whose axes before the last (the grid axis) are flattened: an entry adds
-    its terms into zeros in the order listed, the order of the dense
-    expression it is an entry of, so it has that expression's bits on
-    finite values.  A term is (c, r), c x[r], or with ``products`` (r, q),
-    x[r] x[q]; a sum of ``products`` with fewer terms than the longest is
-    padded with x[0] x[0], which must be zero.
-
-    A sum of products lists only the products that are not zero by the
-    antisymmetry of their factors: such a zero adds nothing to a sum that
-    starts at +0.0, which never holds -0.0."""
-
-    def __init__(self, terms, products: bool = False):
-        slots = max(map(len, terms))
-        if products:
-            terms = [t + [(0, 0)] * (slots - len(t)) for t in terms]
-        assert all(len(t) == slots for t in terms), "a padding term could read a NaN"
-        first, self.rows = np.array(terms).transpose(2, 1, 0)  # (slots, entries) each
-        self.rows = self.rows.astype(np.intp)
-        self.first = first.astype(np.intp) if products else first[..., None]
-        self.products = products
-
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The entries at each point, shape (entries, n), added into ``out``
-        (entries, n) when it is given: every term taken at once, then
-        added in order."""
-        x = x.reshape(-1, x.shape[-1])
-        terms = np.take(x, self.rows, axis=0)
-        terms *= np.take(x, self.first, axis=0) if self.products else self.first
-        if out is None:
-            out = terms[0] + 0.0  # 0.0 + t: a -0.0 term adds as +0.0
-        else:
-            out += terms[0]
-        for term in terms[1:]:
-            out += term
-        return out
-
-
 def _r(a, b, c, d):
     """R_abcd, a != b, as a term read off a curvature on its six pairs,
     (6, 4, 4, n): the pair (a, b), negated for a > b."""
@@ -406,25 +367,26 @@ _SWAPPED = sorted(product(range(4), repeat=4),
 # Ric_ij = sum_k R_kikj, added in the order of k, as
 # np.einsum("kikj...->ij...") adds them; the term k = i, a zero of R, adds
 # nothing to a sum from +0.0 and is left out
-_RICCI = _Terms([[_r(k, i, k, j) for k in range(4) if k != i]
-                 for i in range(4) for j in range(4)])
+_RICCI = _Gather.of_terms([[_r(k, i, k, j) for k in range(4) if k != i]
+                          for i in range(4) for j in range(4)], 3)
 # sum_m H_ikm H_jlm, and -(D_i H)_jkl / 2 + (D_j H)_ikl / 2, on the pairs:
 # scaling a term by +-1/2 rounds as scaling the entry it is read off
-_EQ1_HH = _Terms([_hh(i, k, j, l) for i, j, k, l in _ON_PAIRS], products=True)
-_EQ1_DH = _Terms([[(-0.5 * ca, ra), (0.5 * cb, rb)]
-                  for (ca, ra), (cb, rb) in ((_dh(i, j, k, l), _dh(j, i, k, l))
-                                             for i, j, k, l in _ON_PAIRS)])
+_EQ1_HH = _Gather.of_terms([_hh(i, k, j, l) for i, j, k, l in _ON_PAIRS], 3, products=True)
+_EQ1_DH = _Gather.of_terms([[(-0.5 * ca, ra), (0.5 * cb, rb)]
+                            for (ca, ra), (cb, rb) in ((_dh(i, j, k, l), _dh(j, i, k, l))
+                                                       for i, j, k, l in _ON_PAIRS)], 2)
 # the cyclic sums R_ijkl + R_kijl + R_jkil and (H (x) H)_ijkl + ..., and
 # (D_l H)_ijk, on the triples; -dH_ijkl is -eps_ijkl times *dH
-_BIANCHI_R = _Terms([[_r(i, j, k, l), _r(k, i, j, l), _r(j, k, i, l)]
-                     for i, j, k, l in _ON_TRIPLES])
-_BIANCHI_HH = _Terms([_hh(i, j, k, l) + _hh(k, i, j, l) + _hh(j, k, i, l)
-                      for i, j, k, l in _ON_TRIPLES], products=True)
-_BIANCHI_DH = _Terms([[_dh(l, i, j, k)] for i, j, k, l in _ON_TRIPLES])
+_BIANCHI_R = _Gather.of_terms([[_r(i, j, k, l), _r(k, i, j, l), _r(j, k, i, l)]
+                               for i, j, k, l in _ON_TRIPLES], 3)
+_BIANCHI_HH = _Gather.of_terms([_hh(i, j, k, l) + _hh(k, i, j, l) + _hh(j, k, i, l)
+                                for i, j, k, l in _ON_TRIPLES], 3, products=True)
+_BIANCHI_DH = _Gather.of_terms([[_dh(l, i, j, k)] for i, j, k, l in _ON_TRIPLES], 2)
 _BIANCHI_DHV = np.array([-FULL_SIGNS[4][(0,) + e] for e in _ON_TRIPLES])[:, None]
 # R_ijkl, and -R^-_klij, whose sum is R_ijkl - R^-_klij; dH_ijkl / 2
-_SWAP_PLUS = _Terms([[_r(*e)] for e in _SWAPPED[:192]])
-_SWAP_MINUS = _Terms([[(-c, r)] for c, r in (_r(k, l, i, j) for i, j, k, l in _SWAPPED[48:240])])
+_SWAP_PLUS = _Gather.of_terms([[_r(*e)] for e in _SWAPPED[:192]], 3)
+_SWAP_MINUS = _Gather.of_terms([[(-c, r)] for c, r in
+                                (_r(k, l, i, j) for i, j, k, l in _SWAPPED[48:240])], 3)
 _SWAP_DHV = np.array([0.5 * FULL_SIGNS[4][(0,) + e] for e in _SWAPPED])[:, None]
 
 

@@ -13,7 +13,9 @@ the 3-index symbol, and in ``connections`` and ``charts`` the tables of d,
 of a connection acting on forms and of cyclic orderings) is read off it.
 The per-point pipeline contracts its sign tensors by :class:`_Gather`,
 which sums only the nonzero terms, to the bits of ``np.einsum`` on grids
-of two or more points.
+of two or more points; the same gather, built from term lists, sums the
+entries of the identities ``connections`` checks in the order of their
+dense expressions.
 
 The six unit 2-forms splitting Lambda^2 into +/- eigenspaces of the Hodge
 star are, in order,
@@ -65,20 +67,29 @@ def _full_signs(k):
 
 
 class _Gather:
-    """Contraction with ``signs``, whose first ``n_out`` axes are the output's.
-    Row t of ``index`` and ``coef`` is each entry's t-th nonzero term, or a
-    zero-coefficient one; adding the rows into zeros is the order np.einsum
-    takes on grids of two or more points, so the two agree bitwise on finite
-    values.
+    """Contraction with an index table: row t of ``index`` and ``coef`` is
+    the t-th term of each output entry, which scales the row ``index`` of
+    the contracted axes by ``coef``, or with ``products`` multiplies it by
+    the row ``coef``.  The terms are added into zeros in slot order, so an
+    entry has the bits of the dense expression that adds them in that
+    order, on finite values.
 
-    With ``pairs``, the first two contracted axes (a, b) are read off one
-    axis over the six pairs a < b of ``MULTI_INDICES[2]``: a (b, a) term
-    reads the pair (a, b) with its coefficient negated, the same term of an
-    input antisymmetric in (a, b) up to the sign of a zero, which a sum
-    that starts at +0.0 does not see.  So the gather of the pairs is
-    bitwise the gather of the antisymmetric tensor on finite values; every
-    term must be nonzero, as a padding term would read a pair for the
-    zero diagonal."""
+    Built from a sign tensor ``signs``, whose first ``n_out`` axes are the
+    output's, an entry's terms are its nonzero ones in column order, padded
+    with zero-coefficient ones: the order np.einsum takes on grids of two
+    or more points.  With ``pairs``, the first two contracted axes (a, b)
+    are read off one axis over the six pairs a < b of ``MULTI_INDICES[2]``:
+    a (b, a) term reads the pair (a, b) with its coefficient negated, the
+    same term of an input antisymmetric in (a, b) up to the sign of a zero,
+    which a sum that starts at +0.0 does not see.  So the gather of the
+    pairs is bitwise the gather of the antisymmetric tensor on finite
+    values; every term must be nonzero, as a padding term would read a pair
+    for the zero diagonal.
+
+    Built from term lists (:meth:`of_terms`), the table is the order of an
+    entry of a dense expression, written out term by term."""
+
+    products = False
 
     def __init__(self, signs: np.ndarray, n_out: int, pairs: bool = False):
         self.signs, self.out_shape, self.n_in = signs, signs.shape[:n_out], signs.ndim - n_out
@@ -97,18 +108,42 @@ class _Gather:
             self.coef *= _PAIR_SIGN.ravel()[ab]
             self.n_in -= 1
 
-    def __call__(self, x, lead: int = 0):
+    @classmethod
+    def of_terms(cls, terms, n_in: int, products: bool = False) -> "_Gather":
+        """Entries listed as their terms in order, of an input whose first
+        ``n_in`` axes are contracted, read as one flat row axis: a term is
+        (c, r), c x[r], or with ``products`` (q, r), x[q] x[r].  A sum of
+        products with fewer terms than the longest is padded with x[0] x[0],
+        which must be zero; other sums are not padded, as c x[0] would add a
+        NaN of x[0].  A sum of products lists only those that are not zero
+        by the antisymmetry of their factors: such a zero adds nothing to a
+        sum that starts at +0.0, which never holds -0.0."""
+        slots = max(map(len, terms))
+        if products:
+            terms = [t + [(0, 0)] * (slots - len(t)) for t in terms]
+        assert all(len(t) == slots for t in terms), "a padding term could read a NaN"
+        self = cls.__new__(cls)
+        self.out_shape, self.n_in, self.products = (len(terms),), n_in, products
+        coef, index = np.array(terms).transpose(2, 1, 0)  # (slots, entries) each
+        self.index = index.astype(np.intp)
+        self.coef = coef.astype(np.intp) if products else coef
+        return self
+
+    def __call__(self, x, lead: int = 0, out: np.ndarray | None = None):
         """Contract the axes of ``x`` after its first ``lead``; the lead and
-        trailing (grid) axes are carried through, a jet coefficient-wise."""
+        trailing (grid) axes are carried through, a jet coefficient-wise.
+        With ``out``, of the result's shape, the terms are added into it."""
         if isinstance(x, Jet):
             return x.map(lambda c: self(c, lead))
         x = x.reshape(x.shape[:lead] + (-1,) + x.shape[lead + self.n_in:])
-        coef = self.coef.reshape(self.coef.shape + (1,) * (x.ndim - lead - 1))
-        out = np.zeros(x.shape[:lead] + self.index.shape[1:] + x.shape[lead + 1:],
-                       x.dtype)
+        coef = self.coef if self.products else self.coef.reshape(
+            self.coef.shape + (1,) * (x.ndim - lead - 1))
+        if out is None:
+            out = np.zeros(x.shape[:lead] + self.index.shape[1:] + x.shape[lead + 1:],
+                           x.dtype)
         for index, c in zip(self.index, coef):
             term = np.take(x, index, axis=lead)
-            term *= c
+            term *= np.take(x, c, axis=lead) if self.products else c
             out += term
         return out.reshape(x.shape[:lead] + self.out_shape + x.shape[lead + 1:])
 
@@ -247,28 +282,24 @@ def components_in_sd_basis(w: KForm) -> np.ndarray:
     return np.einsum("Pp,p...->P...", _SD_COMPS, w.comps.value)
 
 
-_OPERATOR_SIGNS = np.einsum("pab,qcd->pqabcd", SD_WEIGHTS, SD_WEIGHTS)
-_OPERATOR = {DIM: _Gather(_OPERATOR_SIGNS, 2),
-             len(MULTI_INDICES[2]): _Gather(_OPERATOR_SIGNS, 2, pairs=True)}
+_OPERATOR = _Gather(np.einsum("pab,qcd->pqabcd", SD_WEIGHTS, SD_WEIGHTS), 2, pairs=True)
 
 
 def operator_from_tensor(R: np.ndarray) -> np.ndarray:
     """6x6 matrix of a pair-antisymmetric 4-tensor in the +/- basis.
 
     Entry (P, Q) is the bilinear extension R(E_P, E_Q) with the first index
-    pair of ``R`` paired against E_P.  ``R`` is the 4-tensor, shape
-    (4, 4, 4, 4, ...), or its first pair's six pairs a < b of
-    ``MULTI_INDICES[2]``, shape (6, 4, 4, ...), the form a structure
-    equation gives (``connections.curvature_pairs``).  Trailing axes of
-    ``R`` (grid points) are carried through.
+    pair of ``R`` paired against E_P.  ``R`` holds the tensor on its first
+    pair's six pairs a < b of ``MULTI_INDICES[2]``, shape (6, 4, 4, ...),
+    the form a structure equation gives (``connections.curvature_pairs``);
+    trailing axes of ``R`` (grid points) are carried through.
 
     Each entry has 16 nonzero terms W[P,a,b] W[Q,c,d] R[a,b,c,d], summed
     by a :class:`_Gather`, so the result is bitwise
-    ``0.25 * einsum("pab,qcd,abcd...->pq...", W, W, R)`` on finite values;
-    on the pairs, it is that of the antisymmetric tensor they fill.
+    ``0.25 * einsum("pab,qcd,abcd...->pq...", W, W, R)`` of the
+    antisymmetric tensor the pairs fill, on finite values.
     """
-    R = np.asarray(R)
-    return 0.25 * _OPERATOR[len(R)](R)
+    return 0.25 * _OPERATOR(R)
 
 
 # Levi-Civita symbol on the + basis: a self-dual 2-form with + components

@@ -58,14 +58,19 @@ def test_basis_is_orthonormal_with_star_signs():
         assert np.array_equal(F.SD_WEIGHTS[p], ep.full().value)
 
 
+# the six pairs a < b of a tensor's first index pair, the form
+# operator_from_tensor reads
+_PAIRS = np.triu_indices(4, 1)
+
+
 def test_constant_curvature_gives_identity_operator():
     R = np.einsum("ik,jl->ijkl", np.eye(4), np.eye(4)) \
         - np.einsum("il,jk->ijkl", np.eye(4), np.eye(4))
-    assert np.allclose(operator_from_tensor(R), np.eye(6), atol=1e-14)
+    assert np.allclose(operator_from_tensor(R[_PAIRS]), np.eye(6), atol=1e-14)
 
 
 def test_zero_curvature_gives_zero_operator():
-    assert np.allclose(operator_from_tensor(np.zeros((4, 4, 4, 4))), 0.0)
+    assert np.allclose(operator_from_tensor(np.zeros((4, 4, 4, 4))[_PAIRS]), 0.0)
 
 
 def tensor_from_operator(M: np.ndarray) -> np.ndarray:
@@ -81,10 +86,10 @@ def test_operator_tensor_roundtrip_on_random_pair_antisymmetric_input():
         raw = rng.normal(size=(4, 4, 4, 4) + batch)
         R = raw - raw.swapaxes(0, 1)
         R = R - R.swapaxes(2, 3)
-        M = operator_from_tensor(R)
+        M = operator_from_tensor(R[_PAIRS])
         assert M.shape == (6, 6) + batch
         assert np.allclose(tensor_from_operator(M), R, atol=1e-13)
-        assert np.allclose(operator_from_tensor(tensor_from_operator(M)), M, atol=1e-13)
+        assert np.allclose(operator_from_tensor(tensor_from_operator(M)[_PAIRS]), M, atol=1e-13)
 
 
 def test_operator_entries_are_bilinear_pairings():
@@ -92,7 +97,7 @@ def test_operator_entries_are_bilinear_pairings():
     raw = rng.normal(size=(4, 4, 4, 4))
     R = raw - raw.transpose(1, 0, 2, 3)
     R = R - R.transpose(0, 1, 3, 2)
-    M = operator_from_tensor(R)
+    M = operator_from_tensor(R[_PAIRS])
     # entry (0,0) pairs E1+ with E1+: (R_0101 + R_0123 + R_2301 + R_2323)/2
     e = 0.5 * (R[0, 1, 0, 1] + R[0, 1, 2, 3] + R[2, 3, 0, 1] + R[2, 3, 2, 3])
     assert M[0, 0] == pytest.approx(e, rel=1e-13)
@@ -105,20 +110,20 @@ def _bits(a):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["()", "(1,)", "(n,)"]),
-       st.integers(2, 40), st.booleans())
-def test_operator_is_the_einsum_bitwise(seed, batch, n, antisymmetric):
-    """The 16-term sum equals the three-operand einsum to the bit, zero signs
-    included, on random tensors with injected +-0.0."""
+       st.integers(2, 40))
+def test_operator_is_the_einsum_bitwise(seed, batch, n):
+    """The 16-term sum off the six pairs equals the three-operand einsum of
+    the pair-antisymmetric tensor to the bit, zero signs included, on random
+    tensors with injected +-0.0."""
     rng = np.random.default_rng(seed)
     shape = (4, 4, 4, 4) + {"()": (), "(1,)": (1,), "(n,)": (n,)}[batch]
     R = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
     R[rng.random(shape) < 0.25] = 0.0
     R[rng.random(shape) < 0.25] = -0.0
-    if antisymmetric:
-        R = R - np.swapaxes(R, 0, 1)
-        R = R - np.swapaxes(R, 2, 3)
+    R = R - np.swapaxes(R, 0, 1)
+    R = R - np.swapaxes(R, 2, 3)
     ref = 0.25 * np.einsum("pab,qcd,abcd...->pq...", F.SD_WEIGHTS, F.SD_WEIGHTS, R)
-    assert _bits(operator_from_tensor(R)) == _bits(ref)
+    assert _bits(operator_from_tensor(R[_PAIRS])) == _bits(ref)
 
 
 def _gather_tables():
@@ -143,6 +148,10 @@ def _gather_tables():
     for nt, g in charts._BRACKETS.items():
         out.append((g, 0, (nt,), lambda x, s=np.moveaxis(g.signs, -1, 0):
                     np.einsum("t...,tijk->ijk...", x, s)))
+    out.append((charts._CYCLIC_E1, 0, (4, 4, 4),
+                lambda x: np.einsum("tqr,qrm...->tm...", charts._CYCLIC[:, 0], x)))
+    out.append((charts._CYCLIC_C, 0, (4, 4, 4),
+                lambda x: np.einsum("tpqr,qrl...->tpl...", charts._CYCLIC, x)))
     return out
 
 
@@ -156,14 +165,20 @@ def test_gathers_are_the_einsums_they_replace(table, seed, n):
     """Every gathered sign-tensor contraction equals its dense einsum, on
     random operands with exact zeros of both signs, on a grid of n >= 2
     points (with one point np.einsum may reduce the summed axes in its
-    inner loop, in another order)."""
+    inner loop, in another order), in float64 and in np.longdouble, the
+    dtype of the long-double shadow evaluation."""
     gather, lead, axes, dense = _GATHER_TABLES[table]
     rng = np.random.default_rng(seed)
     shape = (4,) * lead + axes + (n,)
     x = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
     x[rng.random(shape) < 0.25] = 0.0
     x[rng.random(shape) < 0.25] = -0.0
-    assert gather(x, lead).tobytes() == dense(x).tobytes()  # the sign of zero too
+    # equal values and signs of zero are equal bits on finite values; the
+    # padding bytes of an 80-bit np.longdouble are not part of its value
+    for dtype in (np.float64, np.longdouble):
+        got, want = gather(x.astype(dtype), lead), dense(x.astype(dtype))
+        assert got.dtype == dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_ricci_contraction_examples():
