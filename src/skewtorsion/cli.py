@@ -65,10 +65,10 @@ probe spectrum.
 
 Floats are emitted with 17 significant digits and reductions use a fixed
 summation order, so identical configurations produce identical bytes.
-A float array is emitted in one pass: one ``%`` applies a template of
-``%.17g`` fields, shaped like the array, to its flattened ``tolist()``, and
-the non-finite fields are then quoted, so the bytes are those of the
-element-by-element format of scalars.  ``main`` raises glibc's malloc
+No payload holds a per-node array: the probe prints its verdict's
+``result`` and a two-key ``spectrum`` summary
+(:meth:`~skewtorsion.instanton.GaugeProbeReport.spectrum`), and an array
+anywhere is emitted as its ``tolist()``.  ``main`` raises glibc's malloc
 trim and mmap thresholds once per process, so that the memory one tile
 frees serves the next (:func:`_keep_freed_memory`).
 """
@@ -121,23 +121,6 @@ def _fmt(x) -> str:
     return format(x, ".17g")
 
 
-_NON_FINITE = re.compile(r"-?(?:nan|inf)")
-
-
-def _float_array(arr: np.ndarray) -> str:
-    """A float array as nested JSON lists, with the bytes of :func:`_fmt`
-    per element: one ``%`` over a template of ``%.17g`` fields shaped like
-    the array.  A finite field never holds an ``n``, so the non-finite
-    ones are found in the text and quoted there."""
-    template = "%.17g"
-    for size in reversed(arr.shape):
-        template = "[" + ", ".join([template] * size) + "]"
-    text = template % tuple(arr.ravel().tolist())
-    if "n" in text:
-        text = _NON_FINITE.sub(r'"\g<0>"', text)
-    return text
-
-
 def _to_jsonable(obj):
     """``obj`` as a Python value if it is a numpy bool, integer or floating
     value, else as it is: the leaf step of :func:`_dump_json`."""
@@ -161,8 +144,6 @@ def _dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dump_json(v, indent) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            return _float_array(obj)
         return _dump_json(obj.tolist(), indent)
     obj = _to_jsonable(obj)
     if isinstance(obj, bool):
@@ -351,7 +332,7 @@ def cmd_probe(args) -> int:
     ev = Evaluation.on_grid(chart, H, args.grid)
     rep = gauge_equivalence_probe(ev)
     _emit_json(args, "probe", {"probe": ev.pt.npoints}, chart,
-               result=rep.summary(), singular_values=rep.singular_values)
+               result=rep.summary(), spectrum=rep.spectrum())
     return 0
 
 

@@ -175,7 +175,7 @@ class GaugeProbeReport:
 
     x: np.ndarray
     kernel_dims: np.ndarray
-    singular_values: np.ndarray   # (n, 9)
+    singular_values: np.ndarray   # (n, 9), kept in memory; no payload prints it
     min_gap: float                # min over nodes of sigma_8 / sigma_9
     threshold: float
     sup_nabla_g: float
@@ -195,6 +195,20 @@ class GaugeProbeReport:
             "inf_nabla_g_mid": self.inf_nabla_g_mid,
             "notes": self.notes,
         }
+
+    def spectrum(self) -> dict:
+        """The probe's spectrum summary: ``kernel_gap``, the min of
+        sigma_8 / sigma_1 over the nodes of kernel dimension below 9 (the
+        kernel's gap to the rest of the spectrum), and ``kernel_gap_x``,
+        the x of that node; both None where every node has dimension 9."""
+        # such a node has sigma_1 > tau > 0, so its ratio is finite
+        curved = np.flatnonzero(self.kernel_dims < 9)
+        if not curved.size:
+            return {"kernel_gap": None, "kernel_gap_x": None}
+        S = self.singular_values
+        ratios = S[curved, 7] / S[curved, 0]
+        i = int(np.argmin(ratios))
+        return {"kernel_gap": float(ratios[i]), "kernel_gap_x": float(self.x[curved[i]])}
 
 
 def _system_slots():
