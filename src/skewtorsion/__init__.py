@@ -4,7 +4,7 @@ splitting, Einstein-with-torsion and Einstein-Weyl residuals, curvature
 integrals for the Euler characteristic and signature, and instanton
 diagnostics on the bundle of self-dual 2-forms."""
 
-from .frame import KForm, hodge_star, ricci_contraction
+from .frame import KForm, hodge_star
 from .charts import (
     ChartError, InvariantChart, InvariantForm, bonneau_chart, chart_and_torsion,
     flat_torsion, flat_torus_chart, product_chart, random_chart,
@@ -25,6 +25,6 @@ from .instanton import (
     induced_lambda_plus, killing_residual, self_duality_residual,
     yang_mills_density_check,
 )
-from .moduli import InvariantACS, asymptotic_check, nijenhuis_norm, r_coordinate
+from .moduli import J_RADIAL, asymptotic_check, nijenhuis_norm, r_coordinate
 
 __version__ = "0.1.0"

@@ -356,12 +356,7 @@ class BonneauFamily:
         pk, r_near, x_far) is the one family ``BonneauFamily(k)`` computes,
         repeated per node, and every operation acts node by node, so the
         profiles at a node are bitwise those of its own k's family."""
-        return cls._repeated([cls(k) for k in ks], counts)
-
-    @classmethod
-    def _repeated(cls, rows, counts) -> "BonneauFamily":
-        """The per-node family of the built one-k families ``rows``:
-        ``counts[i]`` nodes of ``rows[i]``, in order."""
+        rows = [cls(k) for k in ks]
         fam = cls.__new__(cls)
         for name in _PARAMETERS:
             setattr(fam, name, np.repeat([getattr(r, name) for r in rows], counts))
@@ -465,30 +460,31 @@ def bonneau_charts(ks) -> list:
     Each admissible k's conformal factor is scanned for positivity on 1024
     uniform nodes of its compactified domain, and a k whose scan fails is
     refused with a message naming its first violating x.  The scan reads
-    only the values of W, so it evaluates W on order-0 jets, of every k at
-    once, in one pass of the per-node family (:meth:`BonneauFamily.per_node`)
-    of the families the charts are built on: each node's value is the bits
-    of its own k's family, so each k's chart or refusal is the one
+    only the values of W, so it evaluates W on order-0 jets, of every
+    admitted k at once, in one pass of their per-node family
+    (:meth:`BonneauFamily.per_node`): each node's value is the bits of its
+    own k's family, so each k's chart or refusal is the one
     :func:`bonneau_chart` gives for it alone.
     """
-    built, fams = [], {}
+    built, admitted = [], []
     for i, k in enumerate(ks):
         try:
-            fams[i] = fam = BonneauFamily(k)
+            fam = BonneauFamily(k)
         except ChartError as exc:
             built.append(exc)
             continue
+        admitted.append(i)
         built.append(InvariantChart(name="bonneau", profiles=fam.profiles,
                                     domain=Domain(-math.inf, k), structure_mode="su2",
                                     params={"k": float(k)}))
-    if fams:
+    if admitted:
         m = 1024
         u = (np.arange(m) + 0.5) / m
-        x = np.concatenate([built[i].map_from_unit(u)[0] for i in fams])
-        fam = BonneauFamily._repeated(list(fams.values()), [m] * len(fams))
+        x = np.concatenate([built[i].map_from_unit(u)[0] for i in admitted])
+        fam = BonneauFamily.per_node([ks[i] for i in admitted], [m] * len(admitted))
         w = np.asarray(fam.omega2(Jet.variable(x, 0)).value)
         bad = ~(np.isfinite(w) & (w > 0.0))
-        for j, i in enumerate(fams):
+        for j, i in enumerate(admitted):
             s = slice(j * m, (j + 1) * m)
             if np.any(bad[s]):
                 first = s.start + np.argmax(bad[s])
@@ -510,10 +506,10 @@ def bonneau_chart(k: float):
 
 def bonneau_rows(ks, counts):
     """Chart and torsion of the S^4 family on a batch of nodes in runs of
-    one parameter (:meth:`BonneauFamily.per_node`), each node in the domain
-    (-inf, k) of its own k.  It serves that one batch, and runs no
-    positivity scan: a caller builds each k's chart with
-    :func:`bonneau_charts` first."""
+    one parameter, ``counts[i]`` nodes at ``ks[i]`` (the profiles of
+    :meth:`BonneauFamily.per_node`), each node in the domain (-inf, k) of
+    its own k.  It serves that one batch, and runs no positivity scan: a
+    caller builds each k's chart with :func:`bonneau_charts` first."""
     fam = BonneauFamily.per_node(ks, counts)
     chart = InvariantChart(name="bonneau", profiles=fam.profiles,
                            domain=Domain(-math.inf, fam.k), structure_mode="su2")

@@ -83,8 +83,8 @@ import math
 import os
 import re
 import sys
-# no command starts a thread: this binding is kept only because the
-# benchmark harness's observe() patches it by name (ROADMAP item 5a)
+# no command starts a thread: the benchmark harness's observe() patches this
+# binding by name, until ROADMAP items 5a and 5b remove it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
@@ -99,7 +99,7 @@ from .instanton import (
     probe_verdict, self_duality_residual, yang_mills_density_check,
 )
 from .jets import DEFAULT_ORDER
-from .moduli import acs_radial, nijenhuis_norm
+from .moduli import J_RADIAL, nijenhuis_norm
 from .topology import SAMPLE_GRID, chern_weil_rows, hitchin_thorpe_report, report_grids
 from .weyl import CLOSING_SIGN, torsion_weyl_roundtrip
 
@@ -236,7 +236,7 @@ def cmd_report(args) -> int:
                           "minus": self_duality_residual(ev.minus.induced)}),
         killing={**sup(killing), "closed": closed(killing["dH_sup"])},
         weyl_roundtrip={"closing_sign": CLOSING_SIGN, **sup(torsion_weyl_roundtrip(ev))},
-        nijenhuis_radial=nijenhuis_norm(ev64.pt, acs_radial()))
+        nijenhuis_radial=nijenhuis_norm(ev64.pt, J_RADIAL))
     return 0
 
 

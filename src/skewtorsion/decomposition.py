@@ -12,9 +12,10 @@ curvature of the torsion connection,
 
 where W+- are the (torsion-independent) Weyl blocks, Z the trace-free
 symmetric Ricci of the torsion connection, Phi+- the antisymmetric action
-of a (anti-)self-dual 2-form, and contr the trace-free pairing of
-frame.ricci_contraction.  Every coefficient here is validated entrywise
-against the directly computed operator by the reconstruction test.
+of a (anti-)self-dual 2-form, and contr the trace-free pairing, the
+contraction with frame._T_BASIS.  Every coefficient here is validated
+entrywise against the directly computed operator by the reconstruction
+test.
 
 The connection is Einstein with skew torsion when the symmetric tensor
 

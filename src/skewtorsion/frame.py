@@ -38,8 +38,8 @@ from . import jets
 from .jets import Jet
 
 __all__ = [
-    "KForm", "MULTI_INDICES", "wedge", "hodge_star", "norm_sq", "inner",
-    "components_in_sd_basis", "operator_from_tensor", "ricci_contraction",
+    "KForm", "MULTI_INDICES", "hodge_star", "norm_sq", "inner",
+    "components_in_sd_basis", "operator_from_tensor",
 ]
 
 DIM = 4
@@ -240,14 +240,6 @@ class KForm:
         return f"KForm({self.degree}, {{{terms}}})"
 
 
-def wedge(a: KForm, b: KForm) -> KForm:
-    k = a.degree + b.degree
-    if k > DIM:
-        raise ValueError("wedge degree exceeds 4")
-    return KForm(k, jets.einsum("rpq,p...,q...->r...", _WEDGE[a.degree, b.degree],
-                                a.comps, b.comps))
-
-
 def hodge_star(a: KForm) -> KForm:
     """Hodge star for the metric delta and orientation e1234."""
     return KForm(DIM - a.degree, jets.einsum("qp,p...->q...", _STAR[a.degree], a.comps))
@@ -312,17 +304,3 @@ _EPS3 = FULL_SIGNS[3][0, :3, :3, :3].copy()
 # pairs: t_pq = -(E_p+)(E_q-) as component-matrix products.  This realizes
 # the isomorphism between trace-free symmetric 2-tensors and Hom(-, +).
 _T_BASIS = -np.einsum("pij,qjk->pqik", SD_WEIGHTS[:3], SD_WEIGHTS[3:])
-
-
-def ricci_contraction(t: np.ndarray) -> np.ndarray:
-    """3x3 matrix of a trace-free symmetric 2-tensor in the (+,-) pairing.
-
-    ``t`` has shape (4, 4) or (4, 4, n); the trace must vanish to 1e-8
-    relative to the tensor scale.
-    """
-    t = np.asarray(t)
-    tr = np.einsum("ii...->...", t)
-    scale = max(1.0, float(np.max(np.abs(t))))
-    if np.max(np.abs(tr)) > 1e-8 * scale:
-        raise ValueError("tensor is not trace-free")
-    return np.einsum("ij...,pqij->pq...", t, _T_BASIS)

@@ -90,18 +90,6 @@ class Jet:
     def value(self):
         return self.coeffs[0]
 
-    @property
-    def d1(self):
-        if self.order < 1:
-            raise ValueError("an order-0 jet carries no first derivative")
-        return self.coeffs[1]
-
-    @property
-    def d2(self):
-        if self.order < 2:
-            raise ValueError(f"an order-{self.order} jet carries no second derivative")
-        return 2.0 * self.coeffs[2]
-
     def derivative(self) -> "Jet":
         """Jet of f', one order lower."""
         if self.order == 0:

@@ -1,4 +1,4 @@
-"""Invariant almost complex structures and the radial holomorphic coordinate.
+"""The radial complex structure J_RADIAL and the radial holomorphic coordinate.
 
 The natural pairing on these charts takes (1,0)-forms spanned by
 a dx + i c s3 and s1 + i s2, i.e. J e1 = e4, J e2 = e3 in the orthonormal
@@ -27,7 +27,6 @@ which keeps its own panels and reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from . import jets
 from .charts import BonneauFamily, ChartError, FramePoint, gauss_legendre
 
 __all__ = [
-    "InvariantACS", "acs_radial", "nijenhuis_norm",
+    "J_RADIAL", "nijenhuis_norm",
     "r_coordinate", "r_curve", "asymptotic_check",
 ]
 
@@ -45,39 +44,19 @@ PANEL_WIDTH = 0.5
 PANEL_ORDER = 16
 
 
-@dataclass(frozen=True)
-class InvariantACS:
-    """Constant orthogonal almost complex structure in the invariant frame."""
-
-    matrix: tuple  # 4x4, J e_j = sum_i matrix[i][j] e_i
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("J must be 4x4")
-        if np.max(np.abs(m @ m + np.eye(4))) > 1e-12:
-            raise ValueError("J^2 must be -Id")
-        if np.max(np.abs(m.T @ m - np.eye(4))) > 1e-12:
-            raise ValueError("J must be orthogonal")
-
-    @property
-    def J(self) -> np.ndarray:
-        return np.asarray(self.matrix, dtype=float)
+# the integrable pairing J e1 = e4, J e2 = e3: J e_j = sum_i J_RADIAL[i, j] e_i
+J_RADIAL = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
+J_RADIAL.flags.writeable = False
 
 
-def acs_radial() -> InvariantACS:
-    """J e1 = e4, J e2 = e3: the integrable invariant pairing."""
-    return InvariantACS(((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
-
-
-def nijenhuis_norm(pt: FramePoint, J: InvariantACS) -> float:
-    """Sup norm of N(e_i, e_j) over frame pairs and the points of ``pt``."""
+def nijenhuis_norm(pt: FramePoint, J: np.ndarray) -> float:
+    """Sup norm of N(e_i, e_j) over frame pairs and the points of ``pt``, for
+    the constant orthogonal complex structure ``J``, a (4, 4) frame matrix."""
     c = pt.brackets
-    Jm = J.J
     # [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on frame fields; J constant
-    jj = np.einsum("ai,bj,abk...->ijk...", Jm, Jm, c)
-    j1 = np.einsum("ai,ajm...,km->ijk...", Jm, c, Jm)
-    j2 = np.einsum("bj,ibm...,km->ijk...", Jm, c, Jm)
+    jj = np.einsum("ai,bj,abk...->ijk...", J, J, c)
+    j1 = np.einsum("ai,ajm...,km->ijk...", J, c, J)
+    j2 = np.einsum("bj,ibm...,km->ijk...", J, c, J)
     N = jj - j1 - j2 - c
     return float(np.max(np.abs(N)))
 

@@ -23,7 +23,7 @@ from skewtorsion.instanton import (
     yang_mills_density_check,
 )
 from skewtorsion.jets import Jet
-from skewtorsion.moduli import acs_radial, asymptotic_check, nijenhuis_norm
+from skewtorsion.moduli import J_RADIAL, asymptotic_check, nijenhuis_norm
 from skewtorsion.topology import hitchin_thorpe_report, report_grids
 from skewtorsion.weyl import einstein_weyl_residual
 
@@ -171,9 +171,9 @@ def test_criterion_08_gauge_probe_verdict():
 def test_criterion_09_complex_structures_and_radial_coordinate():
     """Nijenhuis <= 1e-9 for both charts; asymptotic slopes 1.00 +- 0.01."""
     chartB, _ = bonneau_chart(0.0)
-    nB = nijenhuis_norm(chartB.at(chartB.sample_grid(64)), acs_radial())
+    nB = nijenhuis_norm(chartB.at(chartB.sample_grid(64)), J_RADIAL)
     chartR = round_s4_chart()
-    nR = nijenhuis_norm(chartR.at(chartR.sample_grid(64)), acs_radial())
+    nR = nijenhuis_norm(chartR.at(chartR.sample_grid(64)), J_RADIAL)
     assert nB <= 1e-9 and nR <= 1e-9
     slopes = {}
     for k in (0.0, 1.0):
@@ -194,7 +194,7 @@ def test_criterion_10_oracles():
         f = (lambda x, w1=w1, w2=w2, ph=ph:
              jets.exp(0.3 * jets.sin(w1 * x + ph)) / jets.sqrt(2.0 + jets.cos(w2 * x)))
         x0 = float(rng.uniform(-1, 1))
-        d1 = f(Jet.variable(x0, 2)).d1
+        d1 = f(Jet.variable(x0, 2)).derivative().value
         fd = lambda h: (float(f(Jet.variable(x0 + h, 0)))
                         - float(f(Jet.variable(x0 - h, 0)))) / (2 * h)
         e1, e2 = abs(d1 - fd(2e-2)), abs(d1 - fd(1e-2))

@@ -1,13 +1,95 @@
-"""Every name a module exports exists in it."""
+"""Every name a module exports exists in it, and has a reader outside the
+tests.
 
+A reader of ``module.name`` is a read of ``name`` (a loaded ``Name``, a
+loaded ``Attribute.attr`` or an ``ImportFrom`` alias, found with ``ast``)
+in another module of the package, in ``module`` itself outside the
+definition of ``name`` and outside ``__all__``, or in
+``tools/output_matrix.py``; or a ``"module:name..."`` spec of the
+benchmark tracer.  The package's ``__init__`` only re-exports, so it reads
+nothing.  The tracer is read and executed as ``test_tracer_specs`` does;
+nothing under ``benchmarks/`` is written.
+"""
+
+import ast
+import functools
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
 
 import skewtorsion
 
+from test_tracer_specs import _tracer
+
 MODULES = sorted(m.name for m in pkgutil.iter_modules(skewtorsion.__path__))
+PACKAGE = pathlib.Path(skewtorsion.__file__).parent
+OUTPUT_MATRIX = pathlib.Path(__file__).resolve().parents[1] / "tools" / "output_matrix.py"
+
+# exported names that only tests read, each with its reason
+NO_READER = {
+    ("charts", "random_one_form"): "the Einstein-Weyl criterion's test oracle; "
+                                   "ROADMAP 9 folds it into report as an output change",
+    ("weyl", "einstein_weyl_residual"): "the Einstein-Weyl criterion's test oracle; "
+                                        "ROADMAP 9 folds it into report as an output change",
+}
+
+
+def _tree(path):
+    return ast.parse(pathlib.Path(path).read_text(), str(path))
+
+
+def _reads(tree, skip=()) -> set:
+    """The names read in ``tree``, outside the nodes of ``skip``."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if any(node is s for s in skip):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _own_reads(tree, name) -> set:
+    """The names a module reads outside the definition of ``name`` and
+    outside its ``__all__``."""
+    skip = [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+            or isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    return _reads(tree, skip)
+
+
+@functools.lru_cache(maxsize=None)
+def _readers() -> dict:
+    """Per module, the names read by the other modules of the package, the
+    output matrix and the tracer specs."""
+    trees = {m: _tree(PACKAGE / f"{m}.py") for m in MODULES}
+    tools = _reads(_tree(OUTPUT_MATRIX))
+    tracer = _tracer()
+    specs = [spec for table in (tracer.SPANS, tracer.OUTERMOST, tracer.COUNTERS)
+             for group in table.values() for spec in group]
+    out = {}
+    for m in MODULES:
+        names = tools.union(*(_reads(t) for other, t in trees.items() if other != m))
+        names.update(spec.partition(":")[2].split(".")[0]
+                     for spec in specs if spec.partition(":")[0] == m)
+        out[m] = names
+    return out
+
+
+def _unread(module) -> list:
+    tree = _tree(PACKAGE / f"{module}.py")
+    exported = getattr(importlib.import_module(f"skewtorsion.{module}"), "__all__", ())
+    return [name for name in exported
+            if name not in _readers()[module] and name not in _own_reads(tree, name)]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -15,3 +97,12 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"skewtorsion.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_has_a_reader(module):
+    allowed = {name for m, name in NO_READER if m == module}
+    unread = set(_unread(module))
+    assert sorted(unread - allowed) == []
+    # an exception whose name has gained a reader, or is gone, is stale
+    assert sorted(allowed - unread) == []

@@ -49,7 +49,7 @@ def test_bonneau_radial_bracket_matches_profile_derivative():
     cs = pt.structure.value
     a = pt.a.value
     b = pt.b.value
-    db = pt.b.d1
+    db = pt.b.derivative().value
     assert np.allclose(_cval(cs[0][1][1], pt), -db / (a * b), rtol=1e-13)
     assert np.allclose(_cval(cs[0][2][2], pt), -db / (a * b), rtol=1e-13)
 

@@ -5,7 +5,7 @@ import pytest
 
 from skewtorsion.charts import ChartError, bonneau_chart, random_chart, round_s4_chart
 from skewtorsion.moduli import (
-    InvariantACS, acs_radial, asymptotic_check, nijenhuis_norm, r_coordinate, r_curve,
+    J_RADIAL, asymptotic_check, nijenhuis_norm, r_coordinate, r_curve,
 )
 
 
@@ -15,27 +15,26 @@ def _pt(chart):
 
 
 def test_acs_validation():
-    J = acs_radial()
-    assert np.allclose(J.J @ J.J, -np.eye(4))
-    assert np.allclose(J.J.T @ J.J, np.eye(4))
-    with pytest.raises(ValueError):
-        InvariantACS(tuple(map(tuple, np.eye(4))))
+    # J_RADIAL is a read-only orthogonal complex structure, exactly
+    assert np.array_equal(J_RADIAL @ J_RADIAL, -np.eye(4))
+    assert np.array_equal(J_RADIAL.T @ J_RADIAL, np.eye(4))
+    assert not J_RADIAL.flags.writeable
 
 
 def test_radial_pairing_is_integrable_on_both_s4_charts():
     chart, _ = bonneau_chart(0.0)
-    assert nijenhuis_norm(_pt(chart), acs_radial()) <= 1e-9
-    assert nijenhuis_norm(_pt(round_s4_chart()), acs_radial()) <= 1e-9
+    assert nijenhuis_norm(_pt(chart), J_RADIAL) <= 1e-9
+    assert nijenhuis_norm(_pt(round_s4_chart()), J_RADIAL) <= 1e-9
 
 
 def test_radial_pairing_is_integrable_for_any_profiles():
-    assert nijenhuis_norm(_pt(random_chart(5)), acs_radial()) <= 1e-9
+    assert nijenhuis_norm(_pt(random_chart(5)), J_RADIAL) <= 1e-9
 
 
 def test_swapped_pairing_obstruction():
     # J e1 = e2, J e3 = e4 pairs the radial direction with an s1 orbit
     # direction; it is not integrable unless b = c
-    swapped = InvariantACS(((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)))
+    swapped = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
     chart, _ = bonneau_chart(0.0)
     assert nijenhuis_norm(_pt(chart), swapped) > 1e-2
     # with equal orbit profiles (b = c) the obstruction degenerates
