@@ -14,7 +14,7 @@ from .connections import (
     AffineConnection, curvature, curvature_via_eq1,
     exterior_ops, identity_suite, levi_civita, with_skew_torsion,
 )
-from .evaluation import ConnectionData, Evaluation, Grids, sup
+from .evaluation import Evaluation, Grids, sup
 from .decomposition import decompose_point, einstein_tensor_point
 from .weyl import einstein_weyl_residual, torsion_weyl_roundtrip, weyl_connection
 from .topology import (

@@ -83,8 +83,9 @@ class InvariantChart:
     params: dict = field(default_factory=dict)
 
     def at(self, x) -> "FramePoint":
-        """Frame data at finite interior points x (scalar or 1-d array);
-        every profile value must lie in (0, inf).
+        """Frame data at finite interior points x (scalar or 1-d array), in
+        x's float dtype, float64 at least; every profile value must lie in
+        (0, inf).
 
         ``x`` may also be a tuple of such grids, evaluated as one batch,
         their concatenation, in one profile pass.  The points of every grid
@@ -93,8 +94,8 @@ class InvariantChart:
         a check, and its nodes.  A domain bound may hold one bound per
         point of the batch (:func:`bonneau_rows`).
         """
-        grids = [np.atleast_1d(np.asarray(g, dtype=float))
-                 for g in (x if isinstance(x, tuple) else (x,))]
+        grids = [np.atleast_1d(g) for g in (x if isinstance(x, tuple) else (x,))]
+        grids = [g.astype(np.result_type(g.dtype, np.float64), copy=False) for g in grids]
         ends = np.cumsum([len(g) for g in grids])
         cuts = [slice(end - len(g), end) for g, end in zip(grids, ends)]
         x = np.concatenate(grids)
@@ -315,9 +316,6 @@ class InvariantForm:
 
 # the parameters of a BonneauFamily, each a float or one value per node
 _PARAMETERS = ("k", "n", "pk", "r_near", "x_far")
-# nodes per block of a branch of W (BonneauFamily.omega2): the smallest of
-# the sizes swept, 32 to 256, which all kept the heap from growing
-_BRANCH_BLOCK = 32
 
 
 class BonneauFamily:
@@ -393,16 +391,6 @@ class BonneauFamily:
         per-node family's parameters cut to them, and an empty branch not
         at all; the coefficients are scattered into arrays of x's float
         precision.
-
-        A branch's nodes are taken in blocks of ``_BRANCH_BLOCK``, the last
-        block filled with repeats of its nodes, whose values are dropped.
-        So its temporaries come in a few sizes, which the heap reuses from
-        call to call; at exact node counts, which vary with k and the grid,
-        glibc's heap fragments, and a 12 s ``analysis`` benchmark run
-        peaked 0.4 MB higher (x86_64, numpy 2.4).  Blocks of 32 to 256
-        nodes all removed that rise (``BENCH_26.json``); with 32, the three
-        branches on n nodes evaluate at most n + 93 nodes, against the 3 n
-        of every branch on every node.
         """
         xv = np.asarray(x.value)
         near = np.ravel((self.k - xv) <= self.r_near)
@@ -415,22 +403,20 @@ class BonneauFamily:
             nodes = np.flatnonzero(mask)
             if not len(nodes):
                 continue
-            take = np.resize(nodes, -(-len(nodes) // _BRANCH_BLOCK) * _BRANCH_BLOCK)
-            w = branch(self._at_nodes(take),
-                       x.map(lambda v: np.ravel(v)[take] if np.ndim(v) else v))
+            w = branch(self._at_nodes(nodes),
+                       x.map(lambda v: np.ravel(v)[nodes] if np.ndim(v) else v))
             for o, v in zip(out, w.coeffs):
-                o.reshape(-1)[nodes] = np.ravel(v)[:len(nodes)]
+                o.reshape(-1)[nodes] = np.ravel(v)
         return Jet(tuple(out))
 
-    def _at_nodes(self, take) -> "BonneauFamily":
-        """The family on the nodes ``take`` (indices into the batch): a
-        per-node family with its parameters cut to them, a one-k family
-        itself."""
+    def _at_nodes(self, nodes) -> "BonneauFamily":
+        """The family on ``nodes`` (indices into the batch): a per-node
+        family with its parameters cut to them, a one-k family itself."""
         if np.ndim(self.k) == 0:
             return self
         fam = type(self).__new__(type(self))
         for name in _PARAMETERS:
-            setattr(fam, name, getattr(self, name)[take])
+            setattr(fam, name, getattr(self, name)[nodes])
         return fam
 
     # -- metric profiles (homothety parameter fixed at 2) ---------------------

@@ -37,9 +37,12 @@ dense expression, so it has that expression's bits.
 
 The trace-free symmetric part is written once too, in :func:`_tf_sym`.
 
-The curvature routes, the exterior data of H and the identity suite read
-their connections, curvatures and Ricci tensors from an evaluation
-context (:class:`skewtorsion.evaluation.Evaluation`), which builds each once.
+An :class:`AffineConnection` owns its curvature data: the pairs, the
+6x6 operator and its blocks, W+-, the Ricci tensor, the scalar, Z and the
+induced connection on Lambda+, each built on first read.  The curvature
+routes, the exterior data of H and the identity suite read their
+connections from an evaluation context
+(:class:`skewtorsion.evaluation.Evaluation`), which builds each once.
 """
 
 from __future__ import annotations
@@ -55,12 +58,13 @@ from . import jets
 from .jets import Jet
 from .frame import (
     FULL_SIGNS, KForm, MULTI_INDICES, _FULL, _Gather, _PAIR_INDEX, _PAIR_SIGN, _WEDGE,
-    hodge_star, norm_sq,
+    hodge_star, norm_sq, operator_from_tensor,
 )
 from .charts import FramePoint, _BRACKET_PAIRS, _abs_max
 
 if TYPE_CHECKING:
     from .evaluation import Evaluation
+    from .instanton import InducedConnection
 
 __all__ = [
     "AffineConnection",
@@ -124,6 +128,53 @@ class AffineConnection:
         once per connection, however many torsions are added to it."""
         scale = max(1.0, np.max(np.abs(self.gamma.value)))
         return not np.max(np.abs(self.torsion_form().comps.value)) > 1e-10 * scale
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Curvature on the six pairs i < j of its first index pair,
+        shape (6, 4, 4, n): the structure equation's own form."""
+        return curvature_pairs(self)
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """6x6 curvature operator in the +- basis, shape (6, 6, n), read off
+        ``pairs``."""
+        return operator_from_tensor(self.pairs)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """(A, B, C, D): the 3x3 block views of ``M``."""
+        return self.M[:3, :3], self.M[:3, 3:], self.M[3:, :3], self.M[3:, 3:]
+
+    @cached_property
+    def W(self) -> tuple:
+        """(W+, W-) = trace-free symmetric A and D: the Weyl blocks of the
+        Levi-Civita connection."""
+        A, _, _, D = self.blocks
+        return _tf_sym(A), _tf_sym(D)
+
+    @cached_property
+    def ric(self) -> np.ndarray:
+        """Ric_ij = sum_k R_kikj, shape (4, 4, n) (round S^4 gives Ric = 3g),
+        read off ``pairs``."""
+        return _RICCI(self.pairs).reshape(4, 4, -1)
+
+    @cached_property
+    def scalar(self) -> np.ndarray:
+        """Scalar curvature, the trace of ``ric``, shape (n,)."""
+        return np.einsum("ii...->...", self.ric)
+
+    @cached_property
+    def Z(self) -> np.ndarray:
+        """Trace-free symmetric Ricci tensor, shape (4, 4, n)."""
+        return _tf_sym(self.ric)
+
+    @cached_property
+    def induced(self) -> InducedConnection:
+        """Induced so(3) connection on Lambda+ (metric connections only),
+        built from the connection alone."""
+        from .instanton import induced_lambda_plus  # instanton imports connections
+        return induced_lambda_plus(self)
 
 
 def full_components(form: KForm, pt: FramePoint) -> np.ndarray:
@@ -216,7 +267,7 @@ def curvature_via_eq1(ev: Evaluation) -> np.ndarray:
     T = _EQ1_HH(ev.Hv).reshape(6, 4, 4, -1)
     quad = 0.25 * (np.swapaxes(T, 1, 2) - T)
     dterm = _EQ1_DH(ev.grad_H).reshape(6, 4, 4, -1)
-    return ev.riemann.pairs + quad + dterm
+    return ev.lc.pairs + quad + dterm
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +343,6 @@ def cov_deriv(pt: FramePoint, conn: AffineConnection, form: KForm) -> Jet:
 class ExteriorData:
     """Derived invariants of a torsion 3-form at the grid points."""
 
-    H: KForm              # order-1 jets
     dH: KForm             # order-0 jets, as are dstar_H and dh
     star_dH: np.ndarray   # scalar (n,)
     dstar_H: KForm        # 2-form
@@ -317,7 +367,7 @@ def exterior_ops(lc: AffineConnection, H: KForm) -> ExteriorData:
     dstar_H = -1.0 * hodge_star(dh)  # the codifferential -*d*H
     grad = cov_deriv(pt, lc.truncated(0), h).value
     return ExteriorData(
-        H=H, dH=dH, star_dH=star_dH, dstar_H=dstar_H, h=h, dh=dh,
+        dH=dH, star_dH=star_dH, dstar_H=dstar_H, h=h, dh=dh,
         grad_h=grad, sym_grad_h=_sym(grad),
         norm_sq_H=norm_sq(H.truncated(0)).value,
     )
@@ -440,7 +490,7 @@ def identity_suite(ev: Evaluation) -> dict:
     del diff
 
     # Ricci of the torsion connection vs the divergence formula
-    rd, rg = ev.plus, ev.riemann
+    rd, rg = ev.plus, ev.lc
     quad_ric = 0.25 * np.einsum("ikm...,jkm...->ij...", Hv, Hv)
     out["ricci_formula"] = _abs_max(rd.ric - (rg.ric - quad_ric - 0.5 * dstarHv))
     out["ricci_antisym"] = _abs_max(0.5 * (rd.ric - np.einsum("ij...->ji...", rd.ric))
@@ -458,15 +508,15 @@ def identity_suite(ev: Evaluation) -> dict:
     out["ricci_four_dim"] = _abs_max(rd.ric - (base + 0.5 * star_dh))
 
     # the torsion 1-form is parallel for both connections simultaneously
-    d_skew = cov_deriv(pt, ev.plus.conn.truncated(0), ext.h).value
+    d_skew = cov_deriv(pt, ev.plus.truncated(0), ext.h).value
     out["torsion_form_parallel"] = _abs_max(d_skew - ext.grad_h)
 
     # trace-free symmetric Ricci shift
     shift = 0.5 * np.einsum("i...,j...->ij...", hv, hv) - 0.125 * h2 * eye
-    out["traceless_shift"] = _abs_max(ev.plus.Z - (ev.riemann.Z + shift))
+    out["traceless_shift"] = _abs_max(ev.plus.Z - (ev.lc.Z + shift))
 
     # torsion recovery from the connection difference
-    tor = ev.plus.conn.torsion_form()
+    tor = ev.plus.torsion_form()
     out["torsion_recovery"] = _abs_max(tor.comps.value - ev.Hf.comps.value)
 
     out["jacobi"] = pt.jacobi_residual()

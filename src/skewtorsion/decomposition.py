@@ -25,8 +25,8 @@ vanishes; T is trace-free because the trace of S(D^g h) cancels *dH.
 
 Every function here reads the exterior data of H from an evaluation
 context (:class:`skewtorsion.evaluation.Evaluation`), and the blocks,
-Weyl blocks, scalar curvature and Z from the ``ConnectionData`` of its
-connections, which own them.  :func:`decompose_point` returns per-point
+Weyl blocks, scalar curvature and Z from its connections, which own
+them.  :func:`decompose_point` returns per-point
 arrays, the grid axis last: the residuals and norms that ``report``
 prints under ``decomposition``, in that order, each reduced there by
 ``evaluation.sup``; the range of s comes from its owner.
@@ -55,7 +55,7 @@ def decompose_point(ev: Evaluation) -> dict:
     over the blocks X of the +H operator and their closed formulas X_f."""
     ext = ev.ext
     A, B, C, D = ev.plus.blocks
-    Wp, Wm = ev.riemann.W  # the Weyl blocks, torsion independent
+    Wp, Wm = ev.lc.W  # the Weyl blocks, torsion independent
     s = ev.plus.scalar
     Z = ev.plus.Z
     t_norm = ev.einstein_norm()

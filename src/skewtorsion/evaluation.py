@@ -2,13 +2,13 @@
 
 Every single-grid check of the package reads its geometry from an
 :class:`Evaluation`: the torsion 3-form at the points, the Levi-Civita
-connection, the metric connections with torsion +H and -H, and for each
-connection (a :class:`ConnectionData`, the one owner of each of these)
-its curvature, 6x6 operator and its blocks, W+-, Ricci tensor,
-scalar and trace-free Ricci tensor Z and induced connection on Lambda+,
-plus the exterior data of H and the norms of the Einstein tensors.  Each
-object is built at most once, on first use, so checks that share a
-context share the work:
+connection ``lc``, the metric connections with torsion +H and -H
+(``plus``, ``minus``), and through each connection (an
+``AffineConnection``, the one owner of each of these) its curvature, 6x6
+operator and its blocks, W+-, Ricci tensor, scalar and trace-free Ricci
+tensor Z and induced connection on Lambda+, plus the exterior data of H
+and the norms of the Einstein tensors.  Each object is built at most
+once, on first use, so checks that share a context share the work:
 
     ev = Evaluation.on_grid(chart, H, 64)
     identity_suite(ev), decompose_point(ev), gauge_equivalence_probe(ev)
@@ -59,15 +59,13 @@ import numpy as np
 
 from .charts import FramePoint, InvariantChart, InvariantForm, _grid_slice
 from .connections import (
-    _RICCI, AffineConnection, ExteriorData, _fro, _tf_sym,
-    cov_deriv, curvature_pairs, exterior_ops, full_components,
+    AffineConnection, ExteriorData, _fro, cov_deriv, exterior_ops, full_components,
     levi_civita, with_skew_torsion,
 )
 from .decomposition import einstein_tensor_point
-from .frame import KForm, operator_from_tensor
-from .instanton import InducedConnection, induced_lambda_plus
+from .frame import KForm
 
-__all__ = ["ConnectionData", "Evaluation", "Grids", "TILE", "sup", "closed"]
+__all__ = ["Evaluation", "Grids", "TILE", "sup", "closed"]
 
 # most points in one tile: a fully built tile holds about 7 MB
 TILE = 512
@@ -88,58 +86,6 @@ def closed(dH) -> bool:
     """Whether H is closed on a grid, from |dH| at each of its points
     (``instanton.killing_residual``'s ``dH_sup``): sup |dH| <= CLOSED_TOL."""
     return sup(dH) <= CLOSED_TOL
-
-
-class ConnectionData:
-    """A connection at a batch of points and its curvature data, each built once."""
-
-    def __init__(self, conn: AffineConnection):
-        self.conn = conn
-
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        """Curvature on the six pairs i < j of its first index pair,
-        shape (6, 4, 4, n): the structure equation's own form."""
-        return curvature_pairs(self.conn)
-
-    @cached_property
-    def M(self) -> np.ndarray:
-        """6x6 curvature operator in the +- basis, shape (6, 6, n), read off
-        ``pairs``."""
-        return operator_from_tensor(self.pairs)
-
-    @cached_property
-    def blocks(self) -> tuple:
-        """(A, B, C, D): the 3x3 block views of ``M``."""
-        return self.M[:3, :3], self.M[:3, 3:], self.M[3:, :3], self.M[3:, 3:]
-
-    @cached_property
-    def W(self) -> tuple:
-        """(W+, W-) = trace-free symmetric A and D: Weyl blocks for ``riemann``."""
-        A, _, _, D = self.blocks
-        return _tf_sym(A), _tf_sym(D)
-
-    @cached_property
-    def ric(self) -> np.ndarray:
-        """Ric_ij = sum_k R_kikj, shape (4, 4, n) (round S^4 gives Ric = 3g),
-        read off ``pairs``."""
-        return _RICCI(self.pairs).reshape(4, 4, -1)
-
-    @cached_property
-    def scalar(self) -> np.ndarray:
-        """Scalar curvature, the trace of ``ric``, shape (n,)."""
-        return np.einsum("ii...->...", self.ric)
-
-    @cached_property
-    def Z(self) -> np.ndarray:
-        """Trace-free symmetric Ricci tensor, shape (4, 4, n)."""
-        return _tf_sym(self.ric)
-
-    @cached_property
-    def induced(self) -> InducedConnection:
-        """Induced so(3) connection on Lambda+ (metric connections only),
-        built from the connection alone."""
-        return induced_lambda_plus(self.conn)
 
 
 class Evaluation:
@@ -166,21 +112,18 @@ class Evaluation:
 
     @cached_property
     def lc(self) -> AffineConnection:
+        """The Levi-Civita connection D^g."""
         return levi_civita(self.pt)
 
     @cached_property
-    def riemann(self) -> ConnectionData:
-        return ConnectionData(self.lc)
-
-    @cached_property
-    def plus(self) -> ConnectionData:
+    def plus(self) -> AffineConnection:
         """The metric connection with torsion +H."""
-        return ConnectionData(with_skew_torsion(self.lc, self.Hf))
+        return with_skew_torsion(self.lc, self.Hf)
 
     @cached_property
-    def minus(self) -> ConnectionData:
+    def minus(self) -> AffineConnection:
         """The metric connection with torsion -H."""
-        return ConnectionData(with_skew_torsion(self.lc, -1.0 * self.Hf))
+        return with_skew_torsion(self.lc, -1.0 * self.Hf)
 
     @cached_property
     def ext(self) -> ExteriorData:

@@ -170,7 +170,7 @@ class KForm:
     ``comps`` is one jet whose first axis runs over the increasing
     multi-indices, shape (ncomp,) or (ncomp, n) on n points.  An array
     (or list) of components, and the zeros when none are given, become an
-    order-0 jet here.
+    order-0 jet here, in their float dtype, float64 at least.
     """
 
     __slots__ = ("degree", "comps")
@@ -182,7 +182,8 @@ class KForm:
         if comps is None:
             comps = np.zeros(n)
         if not isinstance(comps, Jet):
-            comps = Jet((np.array(comps, dtype=float),))
+            comps = np.array(comps)
+            comps = Jet((comps.astype(np.result_type(comps.dtype, np.float64), copy=False),))
         if np.shape(comps.value)[:1] != (n,):
             raise ValueError(f"degree-{degree} form needs {n} components")
         self.degree = degree

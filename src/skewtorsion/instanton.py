@@ -32,7 +32,7 @@ with the joined spectra: the whole grid's, or in a scan each row's points
 (``FramePoint.__getitem__``) with that row's slice of the block's spectra.
 
 The diagnostics read each +-H connection's blocks, W+, scalar and induced
-connection from its ``ConnectionData`` in an evaluation context
+connection from the connection itself, in an evaluation context
 (:class:`skewtorsion.evaluation.Evaluation`), and return per-point
 arrays, the grid axis last, which ``report`` reduces.
 """

@@ -21,7 +21,7 @@ Every check here reads its geometry from an evaluation context
 Levi-Civita connection and its Ricci tensor and scalar, and for the
 round trip H and the norms of both Einstein tensors
 (``Evaluation.einstein_norm``); it builds only the Weyl connection
-itself, whose ``ConnectionData`` gives its Z and scalar.  Both checks
+itself, which owns its Z and scalar.  Both checks
 return per-point arrays, the grid axis last, which ``report`` reduces
 (``evaluation.sup``).  :func:`weyl_connection` takes the 1-form already
 evaluated at the connection's points.
@@ -38,7 +38,7 @@ from .charts import _abs_max
 from .connections import (
     _EYE4, _fro, _sym, _tf, AffineConnection, cov_deriv, codifferential, full_components,
 )
-from .evaluation import ConnectionData, Evaluation
+from .evaluation import Evaluation
 
 __all__ = ["weyl_connection", "einstein_weyl_residual", "torsion_weyl_roundtrip"]
 
@@ -70,10 +70,9 @@ def einstein_weyl_residual(ev: Evaluation, omega: InvariantForm) -> dict:
     """
     pt, lc = ev.pt, ev.lc
     w = omega.at(pt)
-    weyl = ConnectionData(weyl_connection(lc, w))
+    weyl = weyl_connection(lc, w)
     s0_direct = weyl.Z
 
-    rg = ev.riemann
     wv = full_components(w, pt)
     w2 = np.einsum("i...,i...->...", wv, wv)
     # D^g w and d*w are read as values: w at order 1, gamma at order 0
@@ -81,10 +80,10 @@ def einstein_weyl_residual(ev: Evaluation, omega: InvariantForm) -> dict:
     Sw = _sym(cov_deriv(pt, lc.truncated(0), w1).value)
     dstar_w = codifferential(pt, w1).comps.value[0]
 
-    sym_formula = (rg.ric - 0.5 * (w2[None, None] * _EYE4[..., None]
+    sym_formula = (lc.ric - 0.5 * (w2[None, None] * _EYE4[..., None]
                                    - np.einsum("i...,j...->ij...", wv, wv))
                    + Sw - 0.5 * dstar_w * _EYE4[..., None])
-    s_formula = rg.scalar - 1.5 * w2 - 3.0 * dstar_w
+    s_formula = lc.scalar - 1.5 * w2 - 3.0 * dstar_w
     s0_formula = _tf(sym_formula, 4)
     return {
         "residual_direct": _fro(s0_direct),
@@ -108,7 +107,7 @@ def torsion_weyl_roundtrip(ev: Evaluation) -> dict:
     w = hodge_star(Hf)
     H_back = -1.0 * hodge_star(w)
 
-    s0 = ConnectionData(weyl_connection(ev.lc, w)).Z
+    s0 = weyl_connection(ev.lc, w).Z
 
     return {
         "roundtrip_residual": _abs_max((H_back - Hf).comps.value),

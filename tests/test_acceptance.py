@@ -17,7 +17,7 @@ from skewtorsion.connections import (
     curvature, identity_suite, levi_civita, with_skew_torsion,
 )
 from skewtorsion.decomposition import decompose_point
-from skewtorsion.evaluation import ConnectionData, Evaluation, closed, sup
+from skewtorsion.evaluation import Evaluation, closed, sup
 from skewtorsion.instanton import (
     gauge_equivalence_probe, killing_residual, self_duality_residual,
     yang_mills_density_check,
@@ -109,7 +109,7 @@ def test_criterion_05_flat_group_chart_equality_case():
         H = flat_torsion(ch).at(pt)
         R = curvature(with_skew_torsion(levi_civita(pt), H))
         assert np.max(np.abs(R)) <= 1e-12
-        rg = ConnectionData(levi_civita(pt))
+        rg = levi_civita(pt)
         assert np.max(np.abs(rg.scalar - 1.5 / b0 ** 2)) <= 1e-12
     ch = product_chart(1.0, 1.0)
     rep = _report(ch, flat_torsion(ch), 32)
@@ -139,7 +139,7 @@ def test_criterion_07_instanton_diagnostics():
     sd = {}
     for sign in (+1.0, -1.0):
         conn = with_skew_torsion(levi_civita(pt), sign * H.at(pt))
-        sd[sign] = sup(self_duality_residual(ConnectionData(conn).induced))
+        sd[sign] = sup(self_duality_residual(conn.induced))
         assert sd[sign] <= 1e-8
     ev = Evaluation(pt, H)
     ym = sup(yang_mills_density_check(ev))

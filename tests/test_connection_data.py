@@ -1,6 +1,7 @@
-"""Each curvature quantity of a connection has one owner, its
-``ConnectionData``: the operator blocks, W+-, the Ricci tensor, the scalar
-curvature and Z, pinned by bytes against the formulas written out here."""
+"""Each curvature quantity of a connection has one owner, the
+``AffineConnection`` itself: the operator blocks, W+-, the Ricci tensor,
+the scalar curvature and Z, pinned by bytes against the formulas written
+out here."""
 
 import contextlib
 import io
@@ -38,14 +39,14 @@ def _context(name):
 @pytest.mark.parametrize("name", list(CHARTS))
 def test_connection_data_owns_blocks_weyl_and_ricci(name):
     ev = _context(name)
-    for cd in (ev.riemann, ev.plus, ev.minus):
+    for cd in (ev.lc, ev.plus, ev.minus):
         for got, want in zip(cd.blocks, operator_blocks(cd.M)):
             assert got.base is cd.M
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         A, _, _, D = operator_blocks(cd.M)
         assert cd.W[0].tobytes() == trace_free_sym(A, 3).tobytes()
         assert cd.W[1].tobytes() == trace_free_sym(D, 3).tobytes()
-        ric = np.einsum("kikj...->ij...", curvature(cd.conn))
+        ric = np.einsum("kikj...->ij...", curvature(cd))
         assert cd.ric.tobytes() == ric.tobytes()
         assert cd.scalar.tobytes() == np.einsum("ii...->...", ric).tobytes()
         assert cd.Z.tobytes() == trace_free_sym(ric, 4).tobytes()

@@ -12,7 +12,7 @@ from skewtorsion.connections import (
     AffineConnection, codifferential, curvature, curvature_pairs, curvature_via_eq1,
     d_form, exterior_ops, full_components, identity_suite, levi_civita, with_skew_torsion,
 )
-from skewtorsion.evaluation import ConnectionData, Evaluation, closed, sup
+from skewtorsion.evaluation import Evaluation, closed, sup
 from skewtorsion.frame import KForm, hodge_star
 from skewtorsion.instanton import killing_residual
 
@@ -43,8 +43,8 @@ def test_levi_civita_biinvariant_half_bracket():
 def test_round_sphere_constant_curvature():
     chart = round_s4_chart()
     pt = chart.at(chart.sample_grid(16))
-    cd = ConnectionData(levi_civita(pt))
-    R = curvature(cd.conn)
+    cd = levi_civita(pt)
+    R = curvature(cd)
     expected = (np.einsum("ik,jl->ijkl", np.eye(4), np.eye(4))
                 - np.einsum("il,jk->ijkl", np.eye(4), np.eye(4)))[..., None]
     assert np.max(np.abs(R - expected)) < 1e-12
@@ -128,10 +128,9 @@ def test_scalar_relation_on_group_charts():
         ch = product_chart(b0, 1.0)
         pt = ch.at(ch.sample_grid(4))
         lc = levi_civita(pt)
-        rg = ConnectionData(lc)
-        assert np.max(np.abs(rg.scalar - 1.5 / b0 ** 2)) < 1e-12
+        assert np.max(np.abs(lc.scalar - 1.5 / b0 ** 2)) < 1e-12
         H = flat_torsion(ch).at(pt)
-        rn = ConnectionData(with_skew_torsion(lc, H))
+        rn = with_skew_torsion(lc, H)
         assert np.max(np.abs(rn.scalar)) < 1e-12
         ext = exterior_ops(lc, H)
         assert np.max(np.abs(ext.norm_sq_H - 1.0 / b0 ** 2)) < 1e-14
@@ -332,7 +331,7 @@ def test_pairwise_structure_equation_is_the_dense_sum(chart, n):
     from skewtorsion.weyl import weyl_connection
     ev = Evaluation(chart.at(chart.sample_grid(n)), random_torsion(5))
     weyl = weyl_connection(ev.lc, random_one_form(5).at(ev.pt))
-    conns = (ev.lc, ev.plus.conn, ev.minus.conn, weyl)
+    conns = (ev.lc, ev.plus, ev.minus, weyl)
     forms = [jets.einsum("ilk...->ikl...", conn.gamma) for conn in conns]
     forms += [ev.plus.induced.omega, ev.minus.induced.omega]
     i, j = np.triu_indices(4, 1)

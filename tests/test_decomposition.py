@@ -20,7 +20,7 @@ from skewtorsion.jets import Jet
 def test_round_sphere_blocks_are_identity():
     ev = Evaluation.on_grid(round_s4_chart(), InvariantForm.zero(3), 16)
     A, B, C, D = ev.plus.blocks
-    Wplus, Wminus = ev.riemann.W
+    Wplus, Wminus = ev.lc.W
     assert np.max(np.abs(A - np.eye(3)[..., None])) < 1e-12
     assert np.max(np.abs(D - np.eye(3)[..., None])) < 1e-12
     assert np.max(np.abs(B)) < 1e-12
@@ -142,7 +142,7 @@ def test_einstein_residual_stable_under_grid_refinement():
 
 def test_weyl_blocks_are_torsion_independent():
     chart = random_chart(7)
-    W0 = Evaluation.on_grid(chart, InvariantForm.zero(3), 16).riemann.W
-    W1 = Evaluation.on_grid(chart, random_torsion(7), 16).riemann.W
+    W0 = Evaluation.on_grid(chart, InvariantForm.zero(3), 16).lc.W
+    W1 = Evaluation.on_grid(chart, random_torsion(7), 16).lc.W
     assert np.max(np.abs(W0[0] - W1[0])) <= 1e-10
     assert np.max(np.abs(W0[1] - W1[1])) <= 1e-10

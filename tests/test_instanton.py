@@ -12,7 +12,7 @@ from skewtorsion.charts import (
     product_chart, random_chart, random_torsion, round_s4_chart,
 )
 from skewtorsion.connections import levi_civita, with_skew_torsion
-from skewtorsion.evaluation import ConnectionData, Evaluation, closed, sup
+from skewtorsion.evaluation import Evaluation, closed, sup
 from skewtorsion.instanton import (
     InducedConnection, _align_signs, _intertwiner_spectrum, _intertwiner_system,
     gauge_equivalence_probe, killing_residual, lambda_plus_block_residual,
@@ -22,13 +22,13 @@ from skewtorsion.instanton import (
 
 def _connection_data(chart, H, nodes=16):
     pt = chart.at(chart.sample_grid(nodes))
-    return ConnectionData(with_skew_torsion(levi_civita(pt), H.at(pt)))
+    return with_skew_torsion(levi_civita(pt), H.at(pt))
 
 
 def test_flat_torus_has_zero_induced_connection():
     ch = flat_torus_chart()
     pt = ch.at(ch.sample_grid(4))
-    ic = ConnectionData(levi_civita(pt)).induced
+    ic = levi_civita(pt).induced
     assert np.max(np.abs(ic.F_sd)) == 0.0
     for i in range(4):
         for p in range(3):
@@ -39,7 +39,7 @@ def test_flat_torus_has_zero_induced_connection():
 def test_round_sphere_induced_curvature_is_self_dual_constant_norm():
     ch = round_s4_chart()
     pt = ch.at(ch.sample_grid(8))
-    cd = ConnectionData(levi_civita(pt))
+    cd = levi_civita(pt)
     ic = cd.induced
     assert sup(lambda_plus_block_residual(ic, cd.blocks)) <= 1e-12
     assert sup(self_duality_residual(ic)) <= 1e-12
@@ -54,7 +54,7 @@ def test_induced_rejects_non_metric_connection():
     pt = chart.at(chart.sample_grid(4))
     D = weyl_connection(levi_civita(pt), random_one_form(0).at(pt))
     with pytest.raises(ValueError):
-        ConnectionData(D).induced
+        D.induced
 
 
 # rotations about the third axis of Lambda+: g = c P + s J + K
@@ -198,8 +198,7 @@ def test_yang_mills_action_consistent_with_pontryagin():
 
     def action(sign):
         def dens(pt):
-            ic = ConnectionData(
-                with_skew_torsion(levi_civita(pt), sign * H.at(pt))).induced
+            ic = with_skew_torsion(levi_civita(pt), sign * H.at(pt)).induced
             return np.einsum("sm...,sm...->...", ic.rows, ic.rows)
         return integrate_invariant(chart, dens, nodes=128)[0]
 

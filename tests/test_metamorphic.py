@@ -63,9 +63,9 @@ def test_homothety_scales_the_curvature_and_keeps_the_integrals(k, log_lam):
     chart, H = bonneau_chart(k)
     lam_chart, lam_H = scaled(chart, H, lam)
     ev, ev_lam = Evaluation.on_grid(chart, H, 64), Evaluation.on_grid(lam_chart, lam_H, 64)
-    R = curvature(ev.plus.conn)
-    assert _relative(lam ** 2 * curvature(ev_lam.plus.conn), R) <= 1e-12
-    for W_lam, W in zip(ev_lam.riemann.W, ev.riemann.W):
+    R = curvature(ev.plus)
+    assert _relative(lam ** 2 * curvature(ev_lam.plus), R) <= 1e-12
+    for W_lam, W in zip(ev_lam.lc.W, ev.lc.W):
         assert _relative(lam ** 2 * W_lam, W) <= 1e-12
     # the Einstein tensors vanish on Bonneau, so they are measured against R
     for T_lam, T in zip(_einstein(ev_lam), _einstein(ev)):
@@ -95,11 +95,11 @@ def test_reparametrization_keeps_the_curvature_and_the_integrals(k, s):
     # the integrals come from different nodes of the same geometry
     chart, H = bonneau_chart(k)
     new_chart, new_H, ev, ev_new = _reparametrized_contexts(chart, H, s)
-    R = curvature(ev.plus.conn)
-    assert _relative(curvature(ev_new.plus.conn), R) <= 1e-12
+    R = curvature(ev.plus)
+    assert _relative(curvature(ev_new.plus), R) <= 1e-12
     # W+- and the Einstein tensors against R: at k = -1, where max |W+| is
     # a quarter of max |R|, W+ against itself reads up to 1.2e-12
-    for new, old in zip((*ev_new.riemann.W, *_einstein(ev_new)), (*ev.riemann.W, *_einstein(ev))):
+    for new, old in zip((*ev_new.lc.W, *_einstein(ev_new)), (*ev.lc.W, *_einstein(ev))):
         assert _against(new, old, R) <= 1e-12
     assert np.max(np.abs(_integrals(new_chart, new_H) - _integrals(chart, H))) <= 1e-12
 
@@ -116,9 +116,9 @@ def test_reparametrization_keeps_the_round_sphere(s):
     # itself reads at most 9.1e-13
     chart, H = chart_and_torsion({"type": "round"})
     new_chart, new_H, ev, ev_new = _reparametrized_contexts(chart, H, s)
-    R = curvature(ev.plus.conn)
-    assert _relative(curvature(ev_new.plus.conn), R) <= 5e-12
-    for new, old in zip(ev_new.riemann.W, ev.riemann.W):
+    R = curvature(ev.plus)
+    assert _relative(curvature(ev_new.plus), R) <= 5e-12
+    for new, old in zip(ev_new.lc.W, ev.lc.W):
         assert _against(new, old, R) <= 2e-12
     for new, old in zip(_einstein(ev_new), _einstein(ev)):
         assert _against(new, old, R) <= 1e-11
@@ -134,8 +134,8 @@ def test_reparametrization_keeps_the_random_chart(seed, s):
     # R, W+- and the Einstein tensors against themselves read at most 3.1e-14
     chart, H = chart_and_torsion({"type": "random", "params": {"seed": seed}})
     new_chart, new_H, ev, ev_new = _reparametrized_contexts(chart, H, s)
-    for new, old in zip((curvature(ev_new.plus.conn), *ev_new.riemann.W, *_einstein(ev_new)),
-                        (curvature(ev.plus.conn), *ev.riemann.W, *_einstein(ev))):
+    for new, old in zip((curvature(ev_new.plus), *ev_new.lc.W, *_einstein(ev_new)),
+                        (curvature(ev.plus), *ev.lc.W, *_einstein(ev))):
         assert _relative(new, old) <= 1.5e-13
     res = sup(identity_suite(ev_new))
     # the pair swap without its dH term is an identity only for closed H

@@ -11,7 +11,8 @@ import pytest
 
 from skewtorsion import cli
 from skewtorsion.charts import chart_and_torsion
-from skewtorsion.evaluation import Evaluation
+from skewtorsion.connections import identity_suite
+from skewtorsion.evaluation import Evaluation, sup
 
 from shadow import LONGDOUBLE_IS_WIDER, shadow_point
 
@@ -39,7 +40,7 @@ def _residuals(descriptor: dict, n: int):
     x = chart.sample_grid(n)
     ev = Evaluation(shadow_point(chart, x), H)
     shadow = cli._verify_residuals(ev)
-    return cli._verify_residuals(Evaluation(chart.at(x), H)), shadow, ev[:1].riemann.ric.dtype
+    return cli._verify_residuals(Evaluation(chart.at(x), H)), shadow, ev[:1].lc.ric.dtype
 
 
 @pytest.mark.parametrize("name", CHARTS)
@@ -58,3 +59,15 @@ def test_round_chart_shadow_residuals_stay_small_on_a_fine_grid():
     # reads every residual below 1e-9 (measured: 1.8e-12)
     _, shadow, _ = _residuals(CHARTS["round"], 4096)
     assert all(value < 1e-9 for value in shadow.values()), shadow
+
+
+@pytest.mark.parametrize("name", ["random 3", "bonneau k=0"])
+def test_shadow_torsion_recovery_is_not_cut_to_float64(name):
+    # the torsion form keeps the connection's long double: cast to float64,
+    # as KForm once cast every array, torsion_recovery read 5.4e-17
+    # (random 3) and 1.1e-16 (bonneau k=0), where float64 itself reads 0
+    # on bonneau; kept, it reads 5.4e-20 and 0
+    chart, H = chart_and_torsion(CHARTS[name])
+    ev = Evaluation(shadow_point(chart, chart.sample_grid(256)), H)
+    assert sup(identity_suite(ev)["torsion_recovery"]) < 1e-18
+    assert ev.plus.torsion_form().comps.value.dtype == np.longdouble

@@ -280,9 +280,9 @@ def test_pair_readers_are_the_dense_forms_they_replace(name):
     ev = _nan_context() if name == "nan" else _context(name, 64)
     W = frame.SD_WEIGHTS
     with np.errstate(all="ignore"):
-        for cd in (ev.riemann, ev.plus, ev.minus):
+        for cd in (ev.lc, ev.plus, ev.minus):
             M = cd.M  # off the pairs
-            R = connections.curvature(cd.conn)
+            R = connections.curvature(cd)
             _same(M, 0.25 * np.einsum("pab,qcd,abcd...->pq...", W, W, R))
             ic = cd.induced
             F = _scattered(connections._structure_equation(ev.pt, ic.omega))
@@ -335,7 +335,7 @@ def test_suite_entries_are_the_dense_forms_they_replace(name):
     pairs, triples, swapped = (connections._ON_PAIRS, connections._ON_TRIPLES,
                                connections._SWAPPED)
     with np.errstate(all="ignore"):
-        R, Rm, Rg = (connections.curvature(cd.conn) for cd in (ev.plus, ev.minus, ev.riemann))
+        R, Rm, Rg = (connections.curvature(cd) for cd in (ev.plus, ev.minus, ev.lc))
         Hv, star_dH = ev.Hv, ev.ext.dH.comps.value[0]
         HH = np.einsum("abm...,cdm...->abcd...", Hv, Hv)
         DH = frame._FULL[3](connections.cov_deriv(ev.pt, ev.lc.truncated(0), ev.Hf).value,
@@ -349,7 +349,7 @@ def test_suite_entries_are_the_dense_forms_they_replace(name):
         diff = connections._pair_swap(ev)
         checks = [
             *((cd.ric, np.einsum("kikj...->ij...", T))
-              for cd, T in ((ev.plus, R), (ev.minus, Rm), (ev.riemann, Rg))),
+              for cd, T in ((ev.plus, R), (ev.minus, Rm), (ev.lc, Rg))),
             (connections._EQ1_HH(Hv), _at(HH, [(i, k, j, l) for i, j, k, l in pairs])),
             (connections._EQ1_DH(ev.grad_H), _at(dterm, pairs)),
             (connections.curvature_via_eq1(ev).reshape(96, -1), _at(eq1, pairs)),

@@ -116,7 +116,7 @@ def test_complex_projective_plane_pins_the_sign_of_tau():
     assert rep["chi"] == pytest.approx(3.0, abs=1e-10)
     assert rep["tau"] == pytest.approx(1.0, abs=1e-10)
     assert rep["p1_lambda_plus"] == pytest.approx(9.0, abs=1e-10)
-    assert np.max(_fro(ev.riemann.W[1])) <= 1e-10
+    assert np.max(_fro(ev.lc.W[1])) <= 1e-10
 
 
 def test_non_einstein_data_is_flagged():
