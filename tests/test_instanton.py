@@ -20,7 +20,7 @@ from skewtorsion.instanton import (
 )
 
 
-def _connection_data(chart, H, nodes=16):
+def _connection(chart, H, nodes=16):
     pt = chart.at(chart.sample_grid(nodes))
     return with_skew_torsion(levi_civita(pt), H.at(pt))
 
@@ -74,7 +74,7 @@ def _rotation(theta):
 def test_induced_curvature_is_gauge_covariant(chart, H):
     # the radial gauge g(x) takes the forms w to g^-1 w g + g^-1 e(g) and
     # the curvature F to g^-1 F g
-    ic = _connection_data(chart, H, nodes=32).induced
+    ic = _connection(chart, H, nodes=32).induced
     pt, omega, F0 = ic.pt, ic.omega, ic.F_sd
     g = _rotation(1.3 * jets.arctan(pt.seed))
     g1 = jets.truncate(g, omega.order)
@@ -91,7 +91,7 @@ def test_induced_curvature_is_gauge_covariant(chart, H):
 @pytest.mark.parametrize("sign", [+1.0, -1.0])
 def test_s4_family_connections_are_instantons(sign):
     chart, H = bonneau_chart(0.0)
-    cd = _connection_data(chart, H.scaled(sign), nodes=32)
+    cd = _connection(chart, H.scaled(sign), nodes=32)
     assert sup(lambda_plus_block_residual(cd.induced, cd.blocks)) <= 1e-9
     assert sup(self_duality_residual(cd.induced)) <= 1e-8
 
@@ -99,7 +99,7 @@ def test_s4_family_connections_are_instantons(sign):
 def test_self_duality_residual_matches_einstein_block():
     chart = random_chart(10)
     H = random_torsion(10)
-    ic = _connection_data(chart, H, nodes=16).induced
+    ic = _connection(chart, H, nodes=16).induced
     C = Evaluation.on_grid(chart, H, 16).plus.blocks[2]
     # same quantity through two code paths
     sd = sup(self_duality_residual(ic))
