@@ -61,7 +61,7 @@ on every row's rule of 2n nodes.  Each row then reduces its own slice
 ``a[..., s]`` of their per-point arrays, serially, with the bits of
 contexts of its own; its probe verdict reads the row's points, cut from
 the sample context (``FramePoint.__getitem__``), with its slice of the
-probe spectrum.
+probe's spectrum and orbit terms.
 
 Floats are emitted with 17 significant digits and reductions use a fixed
 summation order, so identical configurations produce identical bytes.
@@ -243,7 +243,8 @@ def cmd_report(args) -> int:
 def _scan_row(k: float, top: dict, pt: FramePoint, sample: tuple) -> dict:
     """The row of an admissible k, from its chi, tau, p1 and margin ``top``,
     its sample grid's points ``pt`` and its slice ``sample`` of the block's
-    per-point Einstein norm, reconstruction residual and probe spectrum."""
+    per-point Einstein norm, reconstruction residual and probe arrays
+    (``instanton._intertwiner_spectrum``)."""
     t_norm, recon, *spectrum = sample
     return {
         "k": k,

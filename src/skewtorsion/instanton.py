@@ -24,12 +24,19 @@ the 54x9 system F+(E) G - G F-(E) = 0 over the six 2-form directions E,
 read from the SVD of the system's 9x9 triangular QR factor (the same bytes
 as the SVD of the system itself, see :func:`_intertwiner_spectrum`).  The
 kernel section, continued in x and normalized, is then tested for
-covariant constancy.  The systems and their spectra, the grid axis last
-like every per-point array, are built tile by tile and joined
+covariant constancy.  The systems are built and factored tile by tile,
+and within a tile ``_CHUNK`` nodes at a time, so that one chunk's systems
+are alive at once.  While a tile's connection forms omega+- live, it
+also forms the covariant derivative's parts that need them, on the unit
+kernel section before its signs are continued: the radial term and the
+squared norms of the three orbit terms.  These per-node arrays and the
+spectra, the grid axis last like every per-point array, are joined
 (:meth:`skewtorsion.evaluation.Evaluation.per_point`); the continuation
 and the test (:func:`probe_verdict`) read the grid's points themselves,
-with the joined spectra: the whole grid's, or in a scan each row's points
-(``FramePoint.__getitem__``) with that row's slice of the block's spectra.
+with the joined arrays: the whole grid's, or in a scan each row's points
+(``FramePoint.__getitem__``) with that row's slice of the block's arrays.
+A continued sign negates a node's terms exactly, so the test gives the
+bits of one formed on the continued section from the joined omega+-.
 
 The diagnostics read each +-H connection's blocks, W+, scalar and induced
 connection from the connection itself, in an evaluation context
@@ -40,6 +47,7 @@ arrays, the grid axis last, which ``report`` reduces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -77,19 +85,23 @@ class InducedConnection:
     pt: FramePoint
     omega: jets.Jet             # connection forms omega[i, p, q], shape (4, 3, 3, n)
     F_sd: np.ndarray            # F paired with the six E_Q, shape (3, 3, 6, n)
-    rows: np.ndarray            # F in generator components / scale: (3, 6, n)
 
     @classmethod
     def from_forms(cls, pt: FramePoint, omega: jets.Jet) -> "InducedConnection":
         """The connection with so(3) forms ``omega`` along ``pt`` and its
-        curvature, paired with the +- basis and in generator rows."""
+        curvature, paired with the +- basis."""
         # F paired with E_Q, summed off the pairs: a view in the layout the
         # einsum over the 4-index F gives, (Q, p, r, n) in memory
         F_sd = np.moveaxis(0.5 * _SD_PAIRING(_structure_equation(pt, omega)), 0, 2)
+        return cls(pt=pt, omega=omega, F_sd=F_sd)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """F in generator components over the scale, shape (3, 6, n): built
+        on first read, as the probe reads ``F_sd`` only."""
         # the so(3) generators pairing the + basis are (T_s)_pq = eps_spq
-        rows = (0.5 * np.einsum("spq,pqm...->sm...", F._EPS3, F_sd)
+        return (0.5 * np.einsum("spq,pqm...->sm...", F._EPS3, self.F_sd)
                 / LAMBDA_PLUS_CURVATURE_SCALE)
-        return cls(pt=pt, omega=omega, F_sd=F_sd, rows=rows)
 
 
 # D_i E_q+ = sum_p omega[i, p, q] E_p+ with omega[i, p, q] = Gamma_ixy K[p, q, x, y]:
@@ -245,8 +257,9 @@ def _intertwiner_system(Fp: np.ndarray, Fm: np.ndarray) -> np.ndarray:
     return np.take(vals, _L_SLOTS, axis=2).reshape(n, 54, 9)
 
 
-def _align_signs(g: np.ndarray) -> np.ndarray:
-    """Section ``g`` (n, 3, 3) with signs continued along the nodes, in place.
+def _align_signs(g: np.ndarray):
+    """Section ``g`` (n, 3, 3) with signs continued along the nodes, in
+    place, and the mask of the nodes it negated.
 
     Node i takes the sign that makes its dot with the aligned node i - 1
     non-negative; a dot that is zero (or NaN) restarts the sign at +1.  The
@@ -259,32 +272,62 @@ def _align_signs(g: np.ndarray) -> np.ndarray:
     last = np.maximum.accumulate(np.where(restart, np.arange(n), 0))
     flip = steps * steps[last] < 0.0
     g[flip] = -g[flip]
-    return g
+    return g, flip
+
+
+def _unit_section(v9: np.ndarray) -> np.ndarray:
+    """The kernel vectors ``v9`` (n, 9), nodes first and each vector
+    contiguous, as unit 3x3 matrices (n, 3, 3): each norm sums the nine
+    entries of one node, whatever n is."""
+    return v9.reshape(-1, 3, 3) / np.linalg.norm(v9, axis=1)[:, None, None]
+
+
+# nodes whose 54x9 systems are built and factored at a time: a system and
+# LAPACK's copy of it hold 7.8 kB per node, the largest per-node term of a
+# probe tile, so a chunk keeps them near 1 MB where a 512-point tile's
+# would take 4 MB
+_CHUNK = 128
 
 
 def _intertwiner_spectrum(ev: Evaluation):
-    """(S, Vt[:, 8], omega+, omega-) of the intertwiner system on a context,
-    the grid axis last: the singular values (9, n), the right singular
-    vector of the smallest one (9, n) and the induced connection values
-    (4, 3, 3, n) of +-H."""
+    """The intertwiner system's spectrum on a context and the orbit terms
+    of its kernel section, the grid axis last: the singular values S (9, n),
+    the right singular vector v9 of the smallest one (9, n), and, for the
+    unit section g of v9 before its signs are aligned, the e1 term
+    omega+_0 g - g omega-_0 (3, 3, n), the squared norms of the three orbit
+    terms omega+_i g - g omega-_i (3, n), and max |omega+-| at each node
+    (n,): 31 numbers per node to join, against 90 for S, v9 and omega+-."""
     ic_p, ic_m = ev.plus.induced, ev.minus.induced
     # F(E_Q) as 3x3 matrices per node: shape (6, 3, 3, n) -> (n, 6, 3, 3)
     Fp = np.einsum("pqm...->...mpq", ic_p.F_sd)
     Fm = np.einsum("pqm...->...mpq", ic_m.F_sd)
-    L = _intertwiner_system(Fp, Fm)
-    if not np.all(np.isfinite(L)):
-        raise ChartError("induced curvature not finite at a node")
-    # only S and the right singular vectors are used, and L = Q R leaves
-    # both unchanged, so they are read from the 9x9 triangular factor R.
-    # LAPACK's dgesdd QR-factors a tall system the same way (dgeqrf) and
-    # decomposes that R, so the bytes equal the SVD of L, without the
-    # (n, 54, 9) left factor.  Only when a node's largest entry lies outside
-    # dgesdd's unscaled range (about 6.7e-139 to 1.5e138) does it rescale L
-    # first; the two then agree to rounding (S within 18 eps sigma_max in
-    # the tests' random systems).
-    _, S, Vt = np.linalg.svd(np.linalg.qr(L, mode="r"), full_matrices=False)
-    # a copy, so the tile's (n, 9, 9) Vt is freed with the tile
-    return S.T, Vt[:, 8].T.copy(), ic_p.omega.value, ic_m.omega.value
+    n = len(Fp)
+    S, v9 = np.empty((n, 9)), np.empty((n, 9))
+    for start in range(0, n, _CHUNK):
+        c = slice(start, start + _CHUNK)
+        L = _intertwiner_system(Fp[c], Fm[c])
+        if not np.all(np.isfinite(L)):
+            raise ChartError("induced curvature not finite at a node")
+        # only S and the right singular vectors are used, and L = Q R leaves
+        # both unchanged, so they are read from the 9x9 triangular factor R.
+        # LAPACK's dgesdd QR-factors a tall system the same way (dgeqrf) and
+        # decomposes that R, matrix by matrix, so the bytes equal the SVD of
+        # L, without the (n, 54, 9) left factor.  Only when a node's largest
+        # entry lies outside dgesdd's unscaled range (about 6.7e-139 to
+        # 1.5e138) does it rescale L first; the two then agree to rounding
+        # (S within 18 eps sigma_max in the tests' random systems).
+        _, s, Vt = np.linalg.svd(np.linalg.qr(L, mode="r"), full_matrices=False)
+        S[c], v9[c] = s, Vt[:, 8]
+    # the terms omega+_i g - g omega-_i of the section while omega+- live;
+    # an aligned sign negates a node's terms exactly, so only the e1 term is
+    # kept signed, and the orbit terms by their squared norms
+    g = _unit_section(v9)
+    op, om = ic_p.omega.value, ic_m.omega.value
+    d = np.moveaxis(op, -1, 0) @ g[:, None] - g[:, None] @ np.moveaxis(om, -1, 0)
+    q = np.einsum("nipq,nipq->in", d[:, 1:], d[:, 1:])
+    om_max = np.maximum(np.max(np.abs(op), axis=(0, 1, 2)), np.max(np.abs(om), axis=(0, 1, 2)))
+    # the e1 term copied out, so that the join holds none of the other terms
+    return S.T, v9.T, np.moveaxis(d[:, 0], 0, -1).copy(), q, om_max
 
 
 def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
@@ -292,18 +335,21 @@ def gauge_equivalence_probe(ev: Evaluation) -> GaugeProbeReport:
 
     Per node, the kernel of F+(E) G = G F-(E) over the six 2-form
     directions is computed by singular value decomposition, tile by tile
-    (:meth:`Evaluation.per_point`); :func:`probe_verdict` then reads the
-    joined spectrum on the whole grid.
+    (:meth:`Evaluation.per_point`) and within a tile ``_CHUNK`` nodes at a
+    time; :func:`probe_verdict` then reads the joined spectrum and orbit
+    terms on the whole grid.
     """
     return probe_verdict(ev.pt, *ev.per_point(_intertwiner_spectrum))
 
 
-def probe_verdict(pt: FramePoint, S, v9, omega_plus, omega_minus) -> GaugeProbeReport:
-    """The probe's report on the grid of points ``pt``, from the spectrum
-    (S, Vt[:, 8], omega+, omega-) of its nodes, the grid axis last: a
+def probe_verdict(pt: FramePoint, S, v9, e1_term, orbit_sq, om_max) -> GaugeProbeReport:
+    """The probe's report on the grid of points ``pt``, from the arrays of
+    :func:`_intertwiner_spectrum` on its nodes, the grid axis last: a
     one-dimensional kernel is continued in x and tested for covariant
-    constancy under the product connection, whose radial direction reads
-    the profile a of ``pt``."""
+    constancy under the product connection.  Its radial component is the
+    e1 term, negated at the nodes whose sign the alignment flips, plus the
+    x-derivative of the aligned section over the profile a of ``pt``; the
+    orbit components enter by their squared norms, which no sign changes."""
     x, n = pt.x, pt.npoints
     # nodes first, the kernel vector contiguous: its norm sums as one context's
     S, v9 = S.T, np.ascontiguousarray(v9.T)
@@ -311,7 +357,7 @@ def probe_verdict(pt: FramePoint, S, v9, omega_plus, omega_minus) -> GaugeProbeR
     threshold_rel = 1e-7
     # when the curvature cancels identically, sigma_max itself is rounding
     # noise; the squared connection-coefficient scale supplies the floor
-    om_scale = max(float(np.max(np.abs(omega_plus))), float(np.max(np.abs(omega_minus)))) ** 2
+    om_scale = float(np.max(om_max)) ** 2
     tau = threshold_rel * np.maximum(sigma_max, max(om_scale, 1e-300))
     kdims = np.sum(S <= tau[:, None], axis=1)
     with np.errstate(divide="ignore"):
@@ -329,18 +375,14 @@ def probe_verdict(pt: FramePoint, S, v9, omega_plus, omega_minus) -> GaugeProbeR
         verdict, notes = "equivalent", "curvature vanishes; every g intertwines"
     elif frac1 >= 0.95:
         # kernel section, sign-aligned along x
-        g = v9.reshape(n, 3, 3) / np.linalg.norm(v9, axis=1)[:, None, None]
-        section = g = _align_signs(g)
+        section, flip = _align_signs(_unit_section(v9))
 
         # covariant derivative of the section under the product connection
-        gp = np.gradient(g, x, axis=0)
-        ng2 = np.zeros(n)
-        wp, wm = np.moveaxis(omega_plus, -1, 0), np.moveaxis(omega_minus, -1, 0)
-        for i in range(4):
-            di = wp[:, i] @ g - g @ wm[:, i]
-            if i == 0:
-                di = di + gp / pt.a.value[:, None, None]
-            ng2 += np.einsum("npq,npq->n", di, di)
+        gp = np.gradient(section, x, axis=0)
+        d0 = np.moveaxis(e1_term, -1, 0).copy()
+        d0[flip] = -d0[flip]
+        d0 = d0 + gp / pt.a.value[:, None, None]
+        ng2 = np.einsum("npq,npq->n", d0, d0) + orbit_sq[0] + orbit_sq[1] + orbit_sq[2]
         ng = np.sqrt(ng2)
         sup_ng = float(np.max(ng))
         lo, hi = n // 4, (3 * n) // 4

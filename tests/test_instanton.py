@@ -14,8 +14,8 @@ from skewtorsion.charts import (
 from skewtorsion.connections import levi_civita, with_skew_torsion
 from skewtorsion.evaluation import Evaluation, closed, sup
 from skewtorsion.instanton import (
-    InducedConnection, _align_signs, _intertwiner_spectrum, _intertwiner_system,
-    gauge_equivalence_probe, killing_residual, lambda_plus_block_residual,
+    GaugeProbeReport, InducedConnection, _align_signs, _intertwiner_spectrum,
+    _intertwiner_system, gauge_equivalence_probe, killing_residual, lambda_plus_block_residual,
     self_duality_residual, yang_mills_density_check,
 )
 
@@ -259,17 +259,21 @@ def test_sign_continuation_matches_the_loop(seed, n, zero_dots):
         # nodes i - 1 and i with disjoint supports: their dot is exactly 0
         g[i - 1, 1:] = 0.0
         g[i, 0] = 0.0
-    assert _bits(_align_signs(g.copy())) == _bits(_align_signs_loop(g))
+    out, flip = _align_signs(g.copy())
+    assert _bits(out) == _bits(_align_signs_loop(g))
+    # the mask names the negated nodes
+    assert _bits(out[flip]) == _bits(-g[flip]) and _bits(out[~flip]) == _bits(g[~flip])
 
 
 def test_zero_dot_restarts_the_sign():
     a, b = np.zeros((3, 3)), np.zeros((3, 3))
     a[0, 0], b[1, 1] = 1.0, 2.0
     g = np.stack([a, -a, b, b, -b])
-    out = _align_signs(g.copy())
+    out, flip = _align_signs(g.copy())
     # node 1 flips; node 2 is orthogonal to node 1, so it keeps its sign
     # rather than inheriting the flip; node 4 flips against node 3
     assert _bits(out) == _bits(np.stack([a, a, b, b, b]))
+    assert flip.tolist() == [False, True, False, False, True]
     assert _bits(out) == _bits(_align_signs_loop(g))
 
 
@@ -345,24 +349,107 @@ def _owner(a: np.ndarray) -> np.ndarray:
 
 
 def test_spectrum_arrays_own_their_data():
-    # a view of the (n, 9, 9) right factor would keep each tile's factor
-    # alive until the tiles are joined: no array returned holds more
-    # memory than its own
+    # a view of the (n, 9, 9) right factor, or of a chunk's, would keep
+    # each tile's factors alive until the tiles are joined: no array
+    # returned holds more memory than its own
     chart, H = bonneau_chart(0.3)
-    S, v9, *_ = _intertwiner_spectrum(Evaluation.on_grid(chart, H, 64))
-    assert S.shape == v9.shape == (9, 64)
-    assert _owner(S).nbytes == S.nbytes
-    assert _owner(v9).nbytes == v9.nbytes
+    arrays = _intertwiner_spectrum(Evaluation.on_grid(chart, H, 300))
+    assert [a.shape for a in arrays] == [(9, 300), (9, 300), (3, 3, 300), (3, 300), (300,)]
+    for a in arrays:
+        assert _owner(a).nbytes == a.nbytes
 
 
-@pytest.mark.parametrize("descriptor", [
+_PROBE_CHARTS = [
     {"type": "bonneau", "params": {"k": -1.0}},
     {"type": "bonneau", "params": {"k": 0.3}},
     {"type": "random", "params": {"seed": 3}},
     {"type": "product", "params": {"b0": 1.3, "L": 2.0}},
     {"type": "flat", "params": {"L": 2.0}},
     {"type": "round"},
-])
+]
+
+
+def _joined_omega_spectrum(ev):
+    """The spectrum of a tile from one (n, 54, 9) system, and the
+    connection forms omega+- themselves in place of the orbit terms."""
+    ic_p, ic_m = ev.plus.induced, ev.minus.induced
+    L = _intertwiner_system(np.einsum("pqm...->...mpq", ic_p.F_sd),
+                            np.einsum("pqm...->...mpq", ic_m.F_sd))
+    _, S, Vt = np.linalg.svd(np.linalg.qr(L, mode="r"), full_matrices=False)
+    return S.T, Vt[:, 8].T.copy(), ic_p.omega.value, ic_m.omega.value
+
+
+def _joined_omega_verdict(pt, S, v9, omega_plus, omega_minus):
+    """The probe's report from the joined omega+-: the kernel section is
+    aligned first, and each covariant component is formed from it."""
+    x, n = pt.x, pt.npoints
+    S, v9 = S.T, np.ascontiguousarray(v9.T)
+    sigma_max = S[:, 0]
+    om_scale = max(float(np.max(np.abs(omega_plus))), float(np.max(np.abs(omega_minus)))) ** 2
+    tau = 1e-7 * np.maximum(sigma_max, max(om_scale, 1e-300))
+    kdims = np.sum(S <= tau[:, None], axis=1)
+    with np.errstate(divide="ignore"):
+        min_gap = float(np.min(np.where(S[:, 8] > 0, S[:, 7] / np.maximum(S[:, 8], 1e-300),
+                                        np.inf)))
+    thr = 10.0 * 1e-7 * float(np.median(sigma_max))
+    frac1, frac9 = float(np.mean(kdims == 1)), float(np.mean(kdims == 9))
+    section, sup_ng, inf_mid = None, np.nan, np.nan
+    if frac9 >= 0.95:
+        verdict, notes = "equivalent", "curvature vanishes; every g intertwines"
+    elif frac1 >= 0.95:
+        g = v9.reshape(n, 3, 3) / np.linalg.norm(v9, axis=1)[:, None, None]
+        section = g = _align_signs(g)[0]
+        gp = np.gradient(g, x, axis=0)
+        ng2 = np.zeros(n)
+        wp, wm = np.moveaxis(omega_plus, -1, 0), np.moveaxis(omega_minus, -1, 0)
+        for i in range(4):
+            di = wp[:, i] @ g - g @ wm[:, i]
+            if i == 0:
+                di = di + gp / pt.a.value[:, None, None]
+            ng2 += np.einsum("npq,npq->n", di, di)
+        ng = np.sqrt(ng2)
+        sup_ng, inf_mid = float(np.max(ng)), float(np.min(ng[n // 4:(3 * n) // 4]))
+        if sup_ng <= thr:
+            verdict, notes = "equivalent", "kernel section is parallel"
+        elif inf_mid > thr:
+            verdict, notes = "inequivalent", "kernel section is nowhere parallel on the middle interval"
+        else:
+            verdict, notes = "inconclusive", "kernel section neither parallel nor uniformly non-parallel"
+    else:
+        verdict = "inconclusive"
+        notes = f"kernel dimension not constant: fractions dim1={frac1:.2f}, dim9={frac9:.2f}"
+    return GaugeProbeReport(
+        x=x, kernel_dims=kdims, singular_values=S, min_gap=min_gap, threshold=thr,
+        sup_nabla_g=sup_ng, inf_nabla_g_mid=inf_mid, verdict=verdict, notes=notes,
+        section=section)
+
+
+def _exact(summary: dict):
+    return [(k, v.hex() if isinstance(v, float) else v) for k, v in summary.items()]
+
+
+# 257 points: one tile, whose last chunk is one node; 1100 points: tiles of
+# 512, 512 and 76
+@pytest.mark.parametrize("nodes", [64, 257, 1100])
+@pytest.mark.parametrize("descriptor", _PROBE_CHARTS)
+def test_probe_from_orbit_terms_is_the_joined_omega_probe_bitwise(descriptor, nodes):
+    """Chunked systems and per-node orbit terms, signed after the alignment,
+    give the report of whole-tile systems and the joined omega+- to the
+    bits."""
+    chart, H = chart_and_torsion(descriptor)
+    ev = Evaluation.on_grid(chart, H, nodes)
+    got = gauge_equivalence_probe(ev)
+    want = _joined_omega_verdict(ev.pt, *ev.per_point(_joined_omega_spectrum))
+    assert _exact(got.summary()) == _exact(want.summary())
+    assert got.sup_nabla_g.hex() == want.sup_nabla_g.hex()
+    assert got.inf_nabla_g_mid.hex() == want.inf_nabla_g_mid.hex()
+    assert got.singular_values.tobytes() == want.singular_values.tobytes()
+    assert (got.section is None) == (want.section is None)
+    if want.section is not None:
+        assert got.section.tobytes() == want.section.tobytes()
+
+
+@pytest.mark.parametrize("descriptor", _PROBE_CHARTS)
 def test_probe_singular_values_are_the_direct_svd_bitwise(descriptor):
     # 1100 points: tiles of 512, 512 and 76
     chart, H = chart_and_torsion(descriptor)

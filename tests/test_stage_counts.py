@@ -34,8 +34,9 @@ STAGES = {
     # evaluated once per point batch
     "omega2": (charts.BonneauFamily, "omega2"),
     "sincos": (jets, "sincos"),
-    # the probe's spectrum: one QR of the tile's 54x9 systems and one SVD of
-    # their 9x9 triangular factors per tile, and no other caller
+    # the probe's spectrum: one QR of the 54x9 systems and one SVD of their
+    # 9x9 triangular factors per chunk of at most 128 nodes of a tile
+    # (``instanton._CHUNK``), and no other caller
     "qr": (np.linalg, "qr"),
     "svd": (np.linalg, "svd"),
     # the Einstein-with-torsion tensor, either sign
@@ -102,10 +103,11 @@ def stage_counts(monkeypatch):
     # chart on the grids of all three rows together, and two contexts on
     # them: the three rules of 2n nodes (3 tiles of 512, each as the one
     # row's rule above) and the three sample grids (one tile of 192, as
-    # the one row's sample context above)
+    # the one row's sample context above, whose systems are factored in
+    # chunks of 128 and 64 nodes)
     (["scan", "--k-min", "-0.5", "--k-max", "0.5", "--k-step", "0.5"],
      {"structure": 10, "curvature": 0, "operator": 5, "levi_civita": 4, "chart.at": 1,
-      "quadrature": 3, "omega2": 2, "sincos": 0, "qr": 1, "svd": 1, "einstein": 1}),
+      "quadrature": 3, "omega2": 2, "sincos": 0, "qr": 2, "svd": 2, "einstein": 1}),
     (["verify", "--chart", "bonneau", "--k", "0", "--grid", "64"],
      {"structure": 3, "curvature": 0, "operator": 2, "levi_civita": 1, "chart.at": 1,
       "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 0, "svd": 0, "einstein": 1}),
@@ -115,13 +117,14 @@ def stage_counts(monkeypatch):
      {"structure": 12, "curvature": 0, "operator": 5, "levi_civita": 5, "chart.at": 1,
       "quadrature": 2, "omega2": 0, "sincos": 2, "qr": 0, "svd": 0, "einstein": 3}),
     # a fine grid runs the suites on 8 tiles of 512 points, each a context
-    # of its own, cut from one evaluation of the chart and the torsion
+    # of its own, cut from one evaluation of the chart and the torsion; the
+    # probe factors each tile's systems in 4 chunks of 128 nodes
     (["verify", "--chart", "random", "--seed", "3", "--grid", "4096"],
      {"structure": 24, "curvature": 0, "operator": 16, "levi_civita": 8, "chart.at": 1,
       "quadrature": 0, "omega2": 0, "sincos": 2, "qr": 0, "svd": 0, "einstein": 8}),
     (["probe", "--chart", "bonneau", "--k", "0", "--grid", "4096"],
      {"structure": 16, "curvature": 0, "operator": 0, "levi_civita": 8, "chart.at": 1,
-      "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 8, "svd": 8, "einstein": 0}),
+      "quadrature": 0, "omega2": 2, "sincos": 0, "qr": 32, "svd": 32, "einstein": 0}),
     # at --grid 64 the report grid is the sample grid, and one context
     # serves both: Levi-Civita, +H curvature and +H Einstein tensor fewer
     (["report", "--chart", "bonneau", "--k", "0", "--grid", "64"],

@@ -121,7 +121,7 @@ def _per_point_arrays(ev):
 def test_per_point_arrays_are_those_of_one_context(name):
     tiled = _context(name).per_point(_per_point_arrays)
     whole = _per_point_arrays(_context(name))
-    assert list(tiled) == list(whole) and len(whole) == 46
+    assert list(tiled) == list(whole) and len(whole) == 47
     for key, want in whole.items():
         got = tiled[key]
         assert want.shape[-1] == GRID and got.shape == want.shape, key
@@ -187,15 +187,30 @@ def test_round_chart_residuals_peak_next_to_a_pole():
 ])
 def test_fine_grid_commands_stay_small(argv):
     # one untiled context on this grid traces about 96 MB (verify) and
-    # 60 MB (probe); 512-point tiles keep the peak near 13 MB
+    # 60 MB (probe); 512-point tiles keep the peak near 8.3 MiB (verify)
+    # and 6.0 MiB (probe)
+    assert _traced_peak(argv) < 32 * 2 ** 20
+
+
+def _traced_peak(argv) -> int:
+    """tracemalloc's peak over one in-process run of the command ``argv``."""
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+
+
+def test_fine_probe_holds_one_chunk_of_systems():
+    # the probe traces a peak of 6.01 MiB in a fresh process (x86_64, numpy
+    # 2.4): a tile's systems, factored 128 nodes at a time, and 31 numbers
+    # per node to join.  The systems of a whole 512-point tile add 2.9 MiB,
+    # and the joined omega+- 1.7 MiB, so either coming back exceeds the 10%
+    # margin
+    peak = _traced_peak(["probe", "--chart", "bonneau", "--k", "0.3", "--grid", "4096"])
+    assert peak <= 1.1 * 6.01 * 2 ** 20
 
 
 def test_one_verify_tile_builds_no_four_index_tensor():
