@@ -398,7 +398,7 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_memory() -> None:
     """Let malloc keep the memory a fine grid's tiles free for the next tile.
 
-    Each tile of ``evaluation.TILE`` points frees about 7 MB, which glibc
+    Each tile of ``evaluation.TILE`` points frees 4 to 7 MB, which glibc
     by default trims back to the system or unmaps, so the next tile
     faults the same pages in again.  Both thresholds are set, because
     setting one turns off glibc's dynamic thresholds.  Where libc has no

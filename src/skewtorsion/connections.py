@@ -33,7 +33,11 @@ distinct indices (the curvature cross-check, the first Bianchi identity)
 or on all 256 (the pair swap), each entry read off the pairs and off the
 components of H and D^g H by index tables built at import (gathers of
 term lists, ``frame._Gather.of_terms``) and summed in the order of the
-dense expression, so it has that expression's bits.
+dense expression, so it has that expression's bits.  On a batch of
+``_BLOCK_FROM`` points or more the structure equation forms its terms one
+block of pairs at a time and the suite the pair swap 64 entries at a
+time, joining the blocks' maxima exactly, so that beyond the objects its
+context keeps a tile holds one block of entries.
 
 The trace-free symmetric part is written once too, in :func:`_tf_sym`.
 
@@ -212,24 +216,56 @@ def with_skew_torsion(lc: AffineConnection, H: KForm) -> AffineConnection:
 # ---------------------------------------------------------------------------
 
 
+# a batch of at least this many points forms the terms of its structure
+# equations and its pair swap a block at a time, so that no more than one
+# block of them is alive (a 512-point tile: 64 to 256 kB where the whole
+# would take 0.4 to 1 MB); a smaller batch forms each whole, as there the
+# calls of a block cost more than its terms
+_BLOCK_FROM = 256
+
+
+def _as_slice(idx) -> slice:
+    """Indices with one step between them, as the slice that reads them."""
+    step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
+    stop = int(idx[-1]) + step
+    out = slice(int(idx[0]), stop if stop >= 0 else None, step)
+    assert np.array_equal(np.arange(max(idx) + 1)[out], idx)
+    return out
+
+
+# the six pairs (i, j) with their bracket index m, each block the slice of
+# its pairs and the indices i, j, m of the forms it reads: all six, read by
+# index arrays, or blocks of one first index i, (0, 1..3), (1, 2..3), (2, 3),
+# read by slices, so that a block's forms are views
+_ALL_PAIRS = [(slice(None), *_BRACKET_PAIRS)]
+_PAIR_BLOCKS = [(_as_slice(np.flatnonzero(_BRACKET_PAIRS[0] == i)), slice(i, i + 1),
+                 *(_as_slice(a[_BRACKET_PAIRS[0] == i]) for a in _BRACKET_PAIRS[1:]))
+                for i in range(3)]
+
+
 def _structure_equation(pt: FramePoint, omega: Jet) -> np.ndarray:
     """Curvature values F[s, p, q] on the six pairs s = (i, j), i < j, of
     ``MULTI_INDICES[2]``, shape (6, P, Q, n), of the connection forms
     ``omega[i, p, q]``, one jet of shape (4, P, Q, n); each step is odd
     under i <-> j, so F_ji = 0 - F_ij, and F on the pairs is bitwise the
-    sum over all (i, j, m)."""
+    sum over all (i, j, m).  From ``_BLOCK_FROM`` points the commutator and
+    bracket terms are formed one block of ``_PAIR_BLOCKS`` at a time, each
+    entry as on all six pairs at once."""
     w = omega.value
-    i, j, m = _BRACKET_PAIRS
+    brackets = pt.brackets[_BRACKET_PAIRS][:, None, None]
     Fp = np.zeros((6,) + w.shape[1:], w.dtype)
     # e_i(w_j) - e_j(w_i): only the radial direction acts, on the pairs (0, j)
     Fp[:3] += pt.e1(omega.map(lambda c: c[1:])).value
-    # [w_i, w_j], then in the same buffer the bracket term; Fp, summed from
-    # +0.0, never holds -0.0, so the sign of a zero term cannot reach it
-    term = np.einsum("ipr...,irq...->ipq...", w[i], w[j])
-    term -= np.einsum("ipr...,irq...->ipq...", w[j], w[i])
-    Fp += term
-    np.multiply(pt.brackets[i, j, m][:, None, None], w[m], out=term)
-    Fp -= term
+    for s, i, j, m in _PAIR_BLOCKS if w.shape[-1] >= _BLOCK_FROM else _ALL_PAIRS:
+        # [w_i, w_j], then in the same buffer the bracket term; Fp, summed
+        # from +0.0, never holds -0.0, so the sign of a zero term cannot
+        # reach it
+        wi, wj = w[i], w[j]
+        term = np.einsum("ipr...,irq...->ipq...", wi, wj)
+        term -= np.einsum("ipr...,irq...->ipq...", wj, wi)
+        Fp[s] += term
+        np.multiply(brackets[s], w[m], out=term)
+        Fp[s] -= term
     return Fp
 
 
@@ -265,9 +301,13 @@ def curvature_via_eq1(ev: Evaluation) -> np.ndarray:
     # T[s, k, l] = sum_m H_ikm H_jlm, so sum_m H_ilm H_jkm - H_jlm H_ikm
     # is T[s, l, k] - T[s, k, l]
     T = _EQ1_HH(ev.Hv).reshape(6, 4, 4, -1)
-    quad = 0.25 * (np.swapaxes(T, 1, 2) - T)
-    dterm = _EQ1_DH(ev.grad_H).reshape(6, 4, 4, -1)
-    return ev.lc.pairs + quad + dterm
+    # lc.pairs + quad + dterm, in that order, in one buffer
+    out = np.subtract(np.swapaxes(T, 1, 2), T)
+    del T
+    out *= 0.25
+    np.add(ev.lc.pairs, out, out=out)
+    out += _EQ1_DH(ev.grad_H).reshape(6, 4, 4, -1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +473,27 @@ _BIANCHI_HH = _Gather.of_terms([_hh(i, j, k, l) + _hh(k, i, j, l) + _hh(j, k, i,
                                 for i, j, k, l in _ON_TRIPLES], 3, products=True)
 _BIANCHI_DH = _Gather.of_terms([[_dh(l, i, j, k)] for i, j, k, l in _ON_TRIPLES], 2)
 _BIANCHI_DHV = np.array([-FULL_SIGNS[4][(0,) + e] for e in _ON_TRIPLES])[:, None]
-# R_ijkl, and -R^-_klij, whose sum is R_ijkl - R^-_klij; dH_ijkl / 2
-_SWAP_PLUS = _Gather.of_terms([[_r(*e)] for e in _SWAPPED[:192]], 3)
-_SWAP_MINUS = _Gather.of_terms([[(-c, r)] for c, r in
-                                (_r(k, l, i, j) for i, j, k, l in _SWAPPED[48:240])], 3)
+# R_ijkl on the first 192 entries, and -R^-_klij on the 192 from the 48th,
+# whose sum is R_ijkl - R^-_klij; dH_ijkl / 2
+_SWAP_TERMS = (("plus", 0, [[_r(*e)] for e in _SWAPPED[:192]]),
+               ("minus", 48, [[(-c, r)] for c, r in
+                              (_r(k, l, i, j) for i, j, k, l in _SWAPPED[48:240])]))
+
+
+def _swap_blocks(size: int) -> list:
+    """The pair swap's entries in blocks of ``size``: each block is its
+    slice of ``_SWAPPED`` and, for the connections it reads, in the order
+    of ``_SWAP_TERMS``, the rows of the block they fill and a gather of
+    their terms there."""
+    return [(slice(a, a + size), [
+        (name, slice(lo - a, hi - a), _Gather.of_terms(terms[lo - first:hi - first], 3))
+        for name, first, terms in _SWAP_TERMS
+        for lo, hi in [(max(a, first), min(a + size, first + len(terms)))] if lo < hi])
+        for a in range(0, len(_SWAPPED), size)]
+
+
+# all 256 entries at once, and from _BLOCK_FROM points 64 at a time
+_SWAP_WHOLE, _SWAP_BLOCKS = _swap_blocks(256), _swap_blocks(64)
 _SWAP_DHV = np.array([0.5 * FULL_SIGNS[4][(0,) + e] for e in _SWAPPED])[:, None]
 
 
@@ -448,14 +505,26 @@ def _bianchi(ev: Evaluation) -> np.ndarray:
     return _BIANCHI_R(ev.plus.pairs) - rhs
 
 
-def _pair_swap(ev: Evaluation) -> np.ndarray:
-    """R_ijkl - R^-_klij on ``_SWAPPED``, shape (256, n): the pair swap
-    against the opposite-torsion connection, without its dH term."""
+def _pair_swap(ev: Evaluation, block) -> np.ndarray:
+    """R_ijkl - R^-_klij on the entries of one block of ``_swap_blocks``,
+    shape (size, n): the pair swap against the opposite-torsion connection,
+    without its dH term, each entry summed as on all 256."""
+    entries, parts = block
     R = ev.plus.pairs
-    diff = np.zeros((256,) + R.shape[3:], R.dtype)
-    _SWAP_PLUS(R, out=diff[:192])
-    _SWAP_MINUS(ev.minus.pairs, out=diff[48:240])
+    diff = np.zeros((entries.stop - entries.start,) + R.shape[3:], R.dtype)
+    for name, rows, gather in parts:
+        gather(getattr(ev, name).pairs, out=diff[rows])
     return diff
+
+
+def _pair_swap_max(ev: Evaluation, block) -> tuple:
+    """max |R_ijkl - R^-_klij + dH_ijkl / 2| and max |R_ijkl - R^-_klij|
+    over the entries of one block of ``_swap_blocks`` at each point, shape
+    (n,) each: the dH term added in place."""
+    diff = _pair_swap(ev, block)
+    closed = _abs_max(diff)
+    diff += _SWAP_DHV[block[0]] * ev.ext.dH.comps.value[0]
+    return _abs_max(diff), closed
 
 
 def identity_suite(ev: Evaluation) -> dict:
@@ -476,21 +545,29 @@ def identity_suite(ev: Evaluation) -> dict:
     (4, 4, 4, 4, n) tensor is built.
     """
     pt, ext, Hv = ev.pt, ev.ext, ev.Hv
-    dstarHv = full_components(ext.dstar_H, pt)
+
+    # first the checks that read no curvature, while the context holds none,
+    # each kept for its place in the dict below:
+    # the torsion 1-form is parallel for both connections simultaneously
+    parallel = _abs_max(cov_deriv(pt, ev.plus.truncated(0), ext.h).value - ext.grad_h)
+    # torsion recovery from the connection difference
+    recovery = _abs_max(ev.plus.torsion_form().comps.value - ev.Hf.comps.value)
+    jacobi = pt.jacobi_residual()
 
     out = {}
-    out["curvature_cross"] = _abs_max(ev.plus.pairs - curvature_via_eq1(ev))
+    cross = curvature_via_eq1(ev)
+    out["curvature_cross"] = _abs_max(np.subtract(ev.plus.pairs, cross, out=cross))
+    del cross
     out["bianchi"] = _abs_max(_bianchi(ev))
-    # pair swap, general and closed: the dH term added in place
-    diff = _pair_swap(ev)
-    closed = _abs_max(diff)
-    diff += _SWAP_DHV * ext.dH.comps.value[0]
-    out["pair_swap"] = _abs_max(diff)
-    out["pair_swap_closed"] = closed
-    del diff
+    # the pair swap, general and closed, block by block: the largest of the
+    # blocks' maxima is exact and keeps a NaN
+    blocks = _SWAP_BLOCKS if pt.npoints >= _BLOCK_FROM else _SWAP_WHOLE
+    swap, closed = zip(*(_pair_swap_max(ev, block) for block in blocks))
+    out["pair_swap"], out["pair_swap_closed"] = np.max(swap, axis=0), np.max(closed, axis=0)
 
     # Ricci of the torsion connection vs the divergence formula
     rd, rg = ev.plus, ev.lc
+    dstarHv = full_components(ext.dstar_H, pt)
     quad_ric = 0.25 * np.einsum("ikm...,jkm...->ij...", Hv, Hv)
     out["ricci_formula"] = _abs_max(rd.ric - (rg.ric - quad_ric - 0.5 * dstarHv))
     out["ricci_antisym"] = _abs_max(0.5 * (rd.ric - np.einsum("ij...->ji...", rd.ric))
@@ -506,18 +583,11 @@ def identity_suite(ev: Evaluation) -> dict:
     eye = _EYE4[..., None]
     base = rg.ric - 0.5 * h2 * eye + 0.5 * np.einsum("i...,j...->ij...", hv, hv)
     out["ricci_four_dim"] = _abs_max(rd.ric - (base + 0.5 * star_dh))
-
-    # the torsion 1-form is parallel for both connections simultaneously
-    d_skew = cov_deriv(pt, ev.plus.truncated(0), ext.h).value
-    out["torsion_form_parallel"] = _abs_max(d_skew - ext.grad_h)
+    out["torsion_form_parallel"] = parallel
 
     # trace-free symmetric Ricci shift
     shift = 0.5 * np.einsum("i...,j...->ij...", hv, hv) - 0.125 * h2 * eye
     out["traceless_shift"] = _abs_max(ev.plus.Z - (ev.lc.Z + shift))
-
-    # torsion recovery from the connection difference
-    tor = ev.plus.torsion_form()
-    out["torsion_recovery"] = _abs_max(tor.comps.value - ev.Hf.comps.value)
-
-    out["jacobi"] = pt.jacobi_residual()
+    out["torsion_recovery"] = recovery
+    out["jacobi"] = jacobi
     return out

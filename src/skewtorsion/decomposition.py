@@ -40,7 +40,7 @@ import numpy as np
 
 from . import frame as F
 from .charts import _abs_max
-from .connections import _EYE3, _EYE4, _fro, _tf_sym
+from .connections import _EYE3, _EYE4, _fro, _tf
 
 if TYPE_CHECKING:
     from .evaluation import Evaluation
@@ -48,34 +48,46 @@ if TYPE_CHECKING:
 __all__ = ["decompose_point", "einstein_tensor_point"]
 
 
+def _phi_op(phi):
+    """The action -sqrt2 eps_pqr phi_r on Lambda+- of a (anti-)self-dual
+    2-form with components phi, shape (3, 3, n)."""
+    return -np.sqrt(2.0) * np.einsum("pqr,r...->pq...", F._EPS3, phi)
+
+
+def _reconstruction(ev: Evaluation):
+    """max |X - X_f| at each point for the blocks X = A, B, C, D of the +H
+    operator and their closed formulas X_f, one block at a time, so that
+    no more than one formula is alive."""
+    ext = ev.ext
+    A, B, C, D = ev.plus.blocks
+    s, Z = ev.plus.scalar, ev.plus.Z
+    Wp, Wm = ev.lc.W  # the Weyl blocks, torsion independent
+    dsH = F.components_in_sd_basis(ext.dstar_H)
+    yield _abs_max(A - (Wp + (s / 12.0 - ext.star_dH / 4.0) * _EYE3[..., None]
+                        + 0.25 * _phi_op(dsH[:3])))
+    S0 = _tf(ext.sym_grad_h, 4)  # S(D^g h): ext keeps the symmetric part
+    yield _abs_max(B - 0.5 * np.einsum("ij...,pqij->pq...", Z - S0, F._T_BASIS))
+    yield _abs_max(C - 0.5 * np.einsum("ij...,pqij->qp...", Z + S0, F._T_BASIS))
+    yield _abs_max(D - (Wm + (s / 12.0 + ext.star_dH / 4.0) * _EYE3[..., None]
+                        - 0.25 * _phi_op(dsH[3:])))
+
+
 def decompose_point(ev: Evaluation) -> dict:
     """Residuals of the closed block formulas and the Einstein condition at
     each grid point, with the norms of B, Z and W+- there, arrays of shape
     (n,).  The reconstruction residual is the largest entry of |X - X_f|
-    over the blocks X of the +H operator and their closed formulas X_f."""
-    ext = ev.ext
-    A, B, C, D = ev.plus.blocks
-    Wp, Wm = ev.lc.W  # the Weyl blocks, torsion independent
-    s = ev.plus.scalar
-    Z = ev.plus.Z
+    over the blocks X of the +H operator and their closed formulas X_f,
+    the largest of :func:`_reconstruction`'s: a maximum is exact and keeps
+    a NaN."""
+    _, B, C, _ = ev.plus.blocks
+    Wp, Wm = ev.lc.W
     t_norm = ev.einstein_norm()
-
-    dsH = F.components_in_sd_basis(ext.dstar_H)
-    phi_p, phi_m = dsH[:3], dsH[3:]
-    eps = F._EPS3
-    phi_op_p = -np.sqrt(2.0) * np.einsum("pqr,r...->pq...", eps, phi_p)
-    phi_op_m = -np.sqrt(2.0) * np.einsum("pqr,r...->pq...", eps, phi_m)
-    A_f = Wp + (s / 12.0 - ext.star_dH / 4.0) * _EYE3[..., None] + 0.25 * phi_op_p
-    D_f = Wm + (s / 12.0 + ext.star_dH / 4.0) * _EYE3[..., None] - 0.25 * phi_op_m
-    S0 = _tf_sym(ext.grad_h)
-    B_f = 0.5 * np.einsum("ij...,pqij->pq...", Z - S0, F._T_BASIS)
-    C_f = 0.5 * np.einsum("ij...,pqij->qp...", Z + S0, F._T_BASIS)
     return {
         "einstein_residual": t_norm,
         "block_residual": np.abs(2.0 * _fro(C) - t_norm),
-        "reconstruction_residual": _abs_max(np.array([A - A_f, B - B_f, C - C_f, D - D_f])),
+        "reconstruction_residual": np.max(list(_reconstruction(ev)), axis=0),
         "sup_B": _fro(B),
-        "sup_Z": _fro(Z),
+        "sup_Z": _fro(ev.plus.Z),
         "sup_W_plus": _fro(Wp),
         "sup_W_minus": _fro(Wm),
     }

@@ -34,7 +34,10 @@ The Bianchi identity and the assembled curvature of
 off ``Hv`` and ``grad_H``.
 
 A context keeps what it has built until it is dropped: about 13 kB per
-point once every object is built.  So a check that works point by point
+point once every object is built, 9 kB once verify's are; beyond those a
+check forms its terms one block of entries at a time on a whole tile
+(``connections._BLOCK_FROM``), so a verify tile of 512 points peaks at
+4.6 MiB.  So a check that works point by point
 runs on :meth:`Evaluation.tiles`, consecutive slices of at most ``TILE``
 points, each a fresh context that is dropped before the next is built;
 the slices cut the grid's profile jets and H components.  A grid of at
@@ -67,7 +70,8 @@ from .frame import KForm
 
 __all__ = ["Evaluation", "Grids", "TILE", "sup", "closed"]
 
-# most points in one tile: a fully built tile holds about 7 MB
+# most points in one tile: a fully built tile holds about 7 MB (6.5 MiB),
+# a verify tile 4.4 MiB and one block of transients
 TILE = 512
 
 CLOSED_TOL = 1e-10  # H counts as closed when sup |dH| is at most this

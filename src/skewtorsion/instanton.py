@@ -289,18 +289,15 @@ def _unit_section(v9: np.ndarray) -> np.ndarray:
 _CHUNK = 128
 
 
-def _intertwiner_spectrum(ev: Evaluation):
-    """The intertwiner system's spectrum on a context and the orbit terms
-    of its kernel section, the grid axis last: the singular values S (9, n),
-    the right singular vector v9 of the smallest one (9, n), and, for the
-    unit section g of v9 before its signs are aligned, the e1 term
-    omega+_0 g - g omega-_0 (3, 3, n), the squared norms of the three orbit
-    terms omega+_i g - g omega-_i (3, n), and max |omega+-| at each node
-    (n,): 31 numbers per node to join, against 90 for S, v9 and omega+-."""
-    ic_p, ic_m = ev.plus.induced, ev.minus.induced
+def _factored_spectrum(F_sd_p: np.ndarray, F_sd_m: np.ndarray):
+    """The singular values S and the right singular vector v9 of the
+    smallest, (n, 9) each, of the intertwiner systems of the curvatures
+    ``F_sd`` of the +H and -H induced connections, built and factored
+    ``_CHUNK`` nodes at a time; the last chunk's system and factors are
+    released on return, before the caller forms the orbit terms."""
     # F(E_Q) as 3x3 matrices per node: shape (6, 3, 3, n) -> (n, 6, 3, 3)
-    Fp = np.einsum("pqm...->...mpq", ic_p.F_sd)
-    Fm = np.einsum("pqm...->...mpq", ic_m.F_sd)
+    Fp = np.einsum("pqm...->...mpq", F_sd_p)
+    Fm = np.einsum("pqm...->...mpq", F_sd_m)
     n = len(Fp)
     S, v9 = np.empty((n, 9)), np.empty((n, 9))
     for start in range(0, n, _CHUNK):
@@ -318,6 +315,19 @@ def _intertwiner_spectrum(ev: Evaluation):
         # (S within 18 eps sigma_max in the tests' random systems).
         _, s, Vt = np.linalg.svd(np.linalg.qr(L, mode="r"), full_matrices=False)
         S[c], v9[c] = s, Vt[:, 8]
+    return S, v9
+
+
+def _intertwiner_spectrum(ev: Evaluation):
+    """The intertwiner system's spectrum on a context and the orbit terms
+    of its kernel section, the grid axis last: the singular values S (9, n),
+    the right singular vector v9 of the smallest one (9, n), and, for the
+    unit section g of v9 before its signs are aligned, the e1 term
+    omega+_0 g - g omega-_0 (3, 3, n), the squared norms of the three orbit
+    terms omega+_i g - g omega-_i (3, n), and max |omega+-| at each node
+    (n,): 31 numbers per node to join, against 90 for S, v9 and omega+-."""
+    ic_p, ic_m = ev.plus.induced, ev.minus.induced
+    S, v9 = _factored_spectrum(ic_p.F_sd, ic_m.F_sd)
     # the terms omega+_i g - g omega-_i of the section while omega+- live;
     # an aligned sign negates a node's terms exactly, so only the e1 term is
     # kept signed, and the orbit terms by their squared norms

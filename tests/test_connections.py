@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skewtorsion import jets
+from skewtorsion import connections, jets
 from skewtorsion.charts import (
     InvariantForm, bonneau_chart, flat_torsion, flat_torus_chart,
     product_chart, random_chart, random_one_form, random_torsion, round_s4_chart,
@@ -326,7 +326,8 @@ def dense_structure_equation(pt, omega):
                                    product_chart(1.3, 2.0), flat_torus_chart(2.0)],
                          ids=["random", "bonneau", "product", "flat"])
 @pytest.mark.parametrize("n", [1, 7, 64])
-def test_pairwise_structure_equation_is_the_dense_sum(chart, n):
+def test_pairwise_structure_equation_is_the_dense_sum(chart, n, monkeypatch):
+    """Formed whole (below ``_BLOCK_FROM`` points) and in blocks of pairs."""
     from skewtorsion.connections import _structure_equation
     from skewtorsion.weyl import weyl_connection
     ev = Evaluation(chart.at(chart.sample_grid(n)), random_torsion(5))
@@ -335,12 +336,76 @@ def test_pairwise_structure_equation_is_the_dense_sum(chart, n):
     forms = [jets.einsum("ilk...->ikl...", conn.gamma) for conn in conns]
     forms += [ev.plus.induced.omega, ev.minus.induced.omega]
     i, j = np.triu_indices(4, 1)
-    for omega in forms:
-        dense = dense_structure_equation(ev.pt, omega)
-        pairs = _structure_equation(ev.pt, omega)
-        # bytes, not values: the sign of zero counts too
-        assert pairs.tobytes() == dense[i, j].tobytes()
-        assert (0.0 - pairs).tobytes() == dense[j, i].tobytes()
+    for block_from in (connections._BLOCK_FROM, 1):
+        monkeypatch.setattr(connections, "_BLOCK_FROM", block_from)
+        for omega in forms:
+            dense = dense_structure_equation(ev.pt, omega)
+            pairs = _structure_equation(ev.pt, omega)
+            # bytes, not values: the sign of zero counts too
+            assert pairs.tobytes() == dense[i, j].tobytes()
+            assert (0.0 - pairs).tobytes() == dense[j, i].tobytes()
     # and the curvature tensor, the pairs scattered, is the dense sum
     for conn, omega in zip(conns, forms):
         assert curvature(conn).tobytes() == dense_structure_equation(ev.pt, omega).tobytes()
+
+
+class _Forms:
+    """A frame point's brackets and e1 derivative of the forms, as given
+    arrays: the inputs of a structure equation, special values included."""
+
+    def __init__(self, brackets, e1):
+        self.brackets, self._e1 = brackets, e1
+
+    def e1(self, f):
+        return jets.Jet((self._e1,))
+
+
+def _batched_structure_equation(pt, omega):
+    """The structure equation on the six pairs at once, each term read off
+    index-array copies of the forms of all six: the form the blocks of
+    ``connections._PAIR_BLOCKS`` replace."""
+    from skewtorsion.charts import _BRACKET_PAIRS
+    w = omega.value
+    i, j, m = _BRACKET_PAIRS
+    F = np.zeros((6,) + w.shape[1:], w.dtype)
+    F[:3] += pt.e1(omega.map(lambda c: c[1:])).value
+    term = np.einsum("ipr...,irq...->ipq...", w[i], w[j])
+    term -= np.einsum("ipr...,irq...->ipq...", w[j], w[i])
+    F += term
+    np.multiply(pt.brackets[i, j, m][:, None, None], w[m], out=term)
+    F -= term
+    return F
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("n", [1, 2, 64, 512])
+@pytest.mark.parametrize("size", [3, 4])
+def test_structure_equation_blocks_are_the_batched_form(dtype, n, size):
+    """From ``_BLOCK_FROM`` points the structure equation forms its terms
+    one block of pairs at a time, off slices of the forms; each entry has
+    the bytes of the batched form, NaN, inf and the sign of zero included,
+    on forms of the curvature (4x4) and of the induced connection (3x3)."""
+    rng = np.random.default_rng(n * size)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -5e-324])
+    for trial in range(4):
+        w = rng.standard_normal((4, size, size, n)).astype(dtype)
+        brackets = rng.standard_normal((4, 4, 4, n)).astype(dtype)
+        e1 = rng.standard_normal((3, size, size, n)).astype(dtype)
+        for a in (w, brackets, e1):
+            if trial == 1:  # special values in a third of the entries
+                mask = rng.random(a.shape) < 0.3
+                a[mask] = rng.choice(special, mask.sum())
+            elif trial == 2:  # -0.0 in half of them
+                a[rng.random(a.shape) < 0.5] = -0.0
+            elif trial == 3:  # exact products, which cancel to zeros
+                a[...] = np.round(4.0 * a) / 4.0
+        pt, omega = _Forms(brackets, e1), jets.Jet((w,))
+        with np.errstate(all="ignore"):
+            want = _batched_structure_equation(pt, omega)
+            got = {}
+            for form, block_from in (("blocks", 1), ("whole", 10 ** 9)):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(connections, "_BLOCK_FROM", block_from)
+                    got[form] = connections._structure_equation(pt, omega)
+        for form, F in got.items():
+            assert F.dtype == dtype and F.tobytes() == want.tobytes(), (form, trial)

@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from skewtorsion import charts, cli, connections, evaluation, frame
+from skewtorsion import charts, cli, connections, evaluation, frame, instanton
 from skewtorsion.charts import _abs_max
 from skewtorsion.connections import identity_suite
 from skewtorsion.decomposition import decompose_point
@@ -187,7 +187,8 @@ def test_round_chart_residuals_peak_next_to_a_pole():
 ])
 def test_fine_grid_commands_stay_small(argv):
     # one untiled context on this grid traces about 96 MB (verify) and
-    # 60 MB (probe); 512-point tiles keep the peak near 8.3 MiB (verify)
+    # 60 MB (probe); 512-point tiles keep the peak near 6.5 MiB (verify,
+    # 0.9 MiB of it the modules a first run of the random chart imports)
     # and 6.0 MiB (probe)
     assert _traced_peak(argv) < 32 * 2 ** 20
 
@@ -205,18 +206,39 @@ def _traced_peak(argv) -> int:
 
 def test_fine_probe_holds_one_chunk_of_systems():
     # the probe traces a peak of 6.01 MiB in a fresh process (x86_64, numpy
-    # 2.4): a tile's systems, factored 128 nodes at a time, and 31 numbers
-    # per node to join.  The systems of a whole 512-point tile add 2.9 MiB,
-    # and the joined omega+- 1.7 MiB, so either coming back exceeds the 10%
-    # margin
+    # 2.4, measured again with the chunk's release below): a tile's
+    # systems, factored 128 nodes at a time, and 31 numbers per node to
+    # join.  The systems of a whole 512-point tile add 2.9 MiB, and the
+    # joined omega+- 1.7 MiB, so either coming back exceeds the 10% margin
     peak = _traced_peak(["probe", "--chart", "bonneau", "--k", "0.3", "--grid", "4096"])
     assert peak <= 1.1 * 6.01 * 2 ** 20
 
 
+def test_probe_tile_releases_its_last_chunk_before_the_orbit_terms(monkeypatch):
+    # when a 512-point tile starts on the orbit terms it holds, beyond its
+    # induced connections, S and v9 alone (0.07 MiB); with the last chunk's
+    # system (0.47 MiB) and factors kept alive it held 0.71 MiB
+    ev = _context("bonneau", evaluation.TILE)
+    ev.plus.induced, ev.minus.induced
+    held = []
+    unit = instanton._unit_section
+    monkeypatch.setattr(instanton, "_unit_section",
+                        lambda v9: held.append(tracemalloc.get_traced_memory()[0]) or unit(v9))
+    tracemalloc.start()
+    try:
+        _intertwiner_spectrum(ev)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] <= 0.1 * 2 ** 20
+
+
 def test_one_verify_tile_builds_no_four_index_tensor():
-    # the verify residuals of one 512-point tile trace a peak of 6.34 MiB
-    # (x86_64, numpy 2.4); a (4, 4, 4, 4, 512) float64 temporary is 1 MiB,
-    # so one that comes back exceeds the 10% margin
+    # the verify residuals of one 512-point tile trace a peak of 4.61 MiB
+    # (x86_64, numpy 2.4; 6.34 MiB before the structure equations and the
+    # pair swap were formed in blocks): a (4, 4, 4, 4, 512) float64
+    # temporary is 1 MiB, and a pair swap or structure equation formed
+    # whole adds 0.75 MiB or more, so either coming back exceeds the 10%
+    # margin
     ev = _context("bonneau", evaluation.TILE)
     tracemalloc.start()
     try:
@@ -224,7 +246,7 @@ def test_one_verify_tile_builds_no_four_index_tensor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 6.34 * 2 ** 20
+    assert peak <= 1.1 * 4.61 * 2 ** 20
 
 
 # a grid of TILE + 1 or 2 TILE + 1 points: where a one-point tail tile
@@ -339,13 +361,22 @@ def _entry_context(name):
     return _context(name, 64)
 
 
+def _pair_swaps(ev):
+    """The pair swap R_ijkl - R^-_klij on all 256 entries of ``_SWAPPED``,
+    joined from its blocks of 64 entries and from its one whole block."""
+    return [np.concatenate([connections._pair_swap(ev, block) for block in blocks])
+            for blocks in (connections._SWAP_BLOCKS, connections._SWAP_WHOLE)]
+
+
 @pytest.mark.parametrize("name", [*CHARTS, *(f"{n} shadow" for n in CHARTS), "nan"])
-def test_suite_entries_are_the_dense_forms_they_replace(name):
+def test_suite_entries_are_the_dense_forms_they_replace(name, monkeypatch):
     """The Ricci tensors and the curvature identities of the suite, read off
     the curvatures' pairs and the compact H and D^g H on the entries where
     they can differ from zero, are the entries of the dense 4-index
     expressions they replace, to the bits, in the input's dtype; off those
-    entries the dense residuals are zero, or the cross-check's negatives."""
+    entries the dense residuals are zero, or the cross-check's negatives.
+    The pair swap is so in blocks and whole, and the suite's residuals are
+    so on a batch formed whole and on one formed in blocks."""
     ev = _entry_context(name)
     pairs, triples, swapped = (connections._ON_PAIRS, connections._ON_TRIPLES,
                                connections._SWAPPED)
@@ -361,7 +392,6 @@ def test_suite_entries_are_the_dense_forms_they_replace(name):
         eq1 = Rg + quad + dterm
         bianchi = _cyclic(R) - (-dHv - np.einsum("lijk...->ijkl...", DH) + 0.5 * _cyclic(HH))
         swap = R - np.einsum("klij...->ijkl...", Rm)
-        diff = connections._pair_swap(ev)
         checks = [
             *((cd.ric, np.einsum("kikj...->ij...", T))
               for cd, T in ((ev.plus, R), (ev.minus, Rm), (ev.lc, Rg))),
@@ -372,8 +402,9 @@ def test_suite_entries_are_the_dense_forms_they_replace(name):
             (connections._BIANCHI_HH(Hv), _at(_cyclic(HH), triples)),
             (connections._BIANCHI_DH(ev.grad_H), _at(np.einsum("lijk...->ijkl...", DH), triples)),
             (connections._bianchi(ev), _at(bianchi, triples)),
-            (diff, _at(swap, swapped)),
-            (diff + connections._SWAP_DHV * star_dH, _at(swap + 0.5 * dHv, swapped)),
+            *((diff, _at(swap, swapped)) for diff in _pair_swaps(ev)),
+            *((diff + connections._SWAP_DHV * star_dH, _at(swap + 0.5 * dHv, swapped))
+              for diff in _pair_swaps(ev)),
         ]
         dtype = np.longdouble if "shadow" in name else np.float64
         for got, want in checks:
@@ -386,8 +417,49 @@ def test_suite_entries_are_the_dense_forms_they_replace(name):
     assert np.array_equal(cross[j, i], -cross[i, j]) and not cross[range(4), range(4)].any()
     assert not _at(bianchi, [e for e in product(range(4), repeat=4) if len(set(e[:3])) < 3]).any()
     assert sorted(swapped) == list(product(range(4), repeat=4))
-    # so each residual the suite reports is the dense one at every point
+    # so each residual the suite reports is the dense one at every point,
+    # with the batch formed whole (64 points) and in blocks
+    for block_from in (connections._BLOCK_FROM, 1):
+        monkeypatch.setattr(connections, "_BLOCK_FROM", block_from)
+        res = identity_suite(ev)
+        for key, dense in (("curvature_cross", cross), ("bianchi", bianchi),
+                           ("pair_swap", swap + 0.5 * dHv), ("pair_swap_closed", swap)):
+            assert res[key].dtype == dtype and np.array_equal(res[key], _abs_max(dense))
+
+
+@pytest.mark.parametrize("name", [*CHARTS, *(f"{n} shadow" for n in CHARTS)])
+def test_pair_swap_blocks_join_to_the_maximum_of_all_entries(name, monkeypatch):
+    """The suite reduces the pair swap a block of entries at a time and joins
+    the blocks' maxima: a NaN entry in one block at one point makes both
+    residuals NaN there and nowhere else, as ``_abs_max`` of the dense
+    array does, and the entries on either side of each block boundary count
+    at their points, in float64 and in the long double shadow."""
+    ev = _entry_context(name)
+    monkeypatch.setattr(connections, "_BLOCK_FROM", 1)  # 64 points, in blocks
+    swap = connections._pair_swap
+    size = connections._SWAP_BLOCKS[0][0].stop
+    # (entry, point, value): a NaN inside the second block, and on each
+    # boundary the last entry of a block and the first of the next
+    marks = [(size + 32, 5, math.nan)] + [
+        (entry, 10 + 2 * k + side, (-2.0) ** side * (1e3 + k))
+        for k, start in enumerate(range(size, 256, size))
+        for side, entry in enumerate((start - 1, start))]
+
+    def marked(ev, block):
+        diff = swap(ev, block)
+        rows = block[0]
+        for entry, point, value in marks:
+            if rows.start <= entry < rows.stop:
+                diff[entry - rows.start, point] = value
+        return diff
+
+    dense = np.concatenate([marked(ev, block) for block in connections._SWAP_BLOCKS])
+    monkeypatch.setattr(connections, "_pair_swap", marked)
     res = identity_suite(ev)
-    for key, dense in (("curvature_cross", cross), ("bianchi", bianchi),
-                       ("pair_swap", swap + 0.5 * dHv), ("pair_swap_closed", swap)):
-        assert res[key].dtype == dtype and np.array_equal(res[key], _abs_max(dense))
+    star_dH = ev.ext.dH.comps.value[0]
+    for key, want in (("pair_swap_closed", dense),
+                      ("pair_swap", dense + connections._SWAP_DHV * star_dH)):
+        _same(res[key], _abs_max(want))
+        assert list(np.flatnonzero(np.isnan(res[key]))) == [5], key
+    for _, point, value in marks[1:]:
+        assert res["pair_swap_closed"][point] == abs(value)
